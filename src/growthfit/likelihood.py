@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -54,10 +55,18 @@ from .models import (
 )
 
 MAX_EXHAUSTIVE_CHOICES = 5
+# Increments whose ratio polynomial has degree (existing targets + 1) at most
+# this are cached as coefficients.  A coefficient is a sum of fewer than
+# L**12 products of at most 12 step ratios, far inside float64 range.
+MAX_COLLAPSED_DEGREE = 12
 DEFAULT_ORDERING_SAMPLES = 120
 PROGRESS_EVERY = 10_000
 
 _NEG_INF = float("-inf")
+# Working-set caps, in float64 elements: per-ordering coefficients during the
+# collapse, and mixed step values on the row path.
+_COLLAPSE_BATCH_ELEMENTS = 1 << 20
+_ROW_BATCH_ELEMENTS = 1 << 21
 
 
 def _log_factorial(q: int) -> float:
@@ -628,10 +637,20 @@ class ChoiceCache:
     Per target step and component: (component prob / uniform prob) over the
     step's eligible set; per center and component: the same ratio over all
     nodes, with all-ones rows for new centers (so any convex combination
-    gives factor 1).  For weights b, the step mixture ratio is the dot
+    gives factor 1).  For weights w, the step mixture ratio is the dot
     product, ordering ratios multiply, increments sum orderings and scale by
     ``inv_norm`` (1/q! exhaustive, 1/S sampled); the log of the result is
     logp - logp_rand for the increment.
+
+    That ratio is a homogeneous polynomial of degree q + 1 in w with
+    non-negative coefficients.  Increments of degree at most
+    ``MAX_COLLAPSED_DEGREE`` are stored collapsed to those coefficients, so
+    scoring one costs a dot product with the degree's monomials of w however
+    many orderings and steps it has.  Larger stars keep the row path: their
+    step rows are mixed, logged and summed per ordering, and the orderings
+    are combined by a max-shifted logsumexp, so a long product of small
+    ratios cannot underflow.  The step rows and offsets are kept for every
+    increment as the replay record.
     """
 
     components: tuple[Component, ...]
@@ -643,6 +662,11 @@ class ChoiceCache:
     num_choices: np.ndarray  # (I,) int64
     timestamps: np.ndarray  # (I,) int64
     logp_rand: np.ndarray  # (I,) float64
+    poly_coefs: np.ndarray  # (K,) float64, per degree an (increments, monomials) block
+    poly_increments: np.ndarray  # (P,) int64, collapsed increments, ascending within a degree
+    poly_offsets: np.ndarray  # (MAX_COLLAPSED_DEGREE + 2,) int64, poly_increments range per degree
+    poly_coef_offsets: np.ndarray  # (MAX_COLLAPSED_DEGREE + 2,) int64, poly_coefs range per degree
+    row_increments: np.ndarray  # (R,) int64, increments above the cap, ascending
     sampled_increments: int
     fallback_choices: int
 
@@ -653,6 +677,137 @@ class ChoiceCache:
     @property
     def total_choices(self) -> int:
         return int(self.num_choices.sum())
+
+
+@lru_cache(maxsize=None)
+def _monomial_exponents(ncomp: int, degree: int) -> np.ndarray:
+    """Exponent rows (M, L) of every monomial of ``degree`` in ``ncomp`` weights."""
+
+    def compositions(total: int, parts: int):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total, -1, -1):
+            for rest in compositions(total - head, parts - 1):
+                yield (head, *rest)
+
+    table = np.array(list(compositions(degree, ncomp)), dtype=np.intp).reshape(-1, ncomp)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _lowered_index(ncomp: int, degree: int) -> np.ndarray:
+    """(L, M) position among degree - 1 monomials of each monomial divided by w_l.
+
+    Entries where w_l does not divide the monomial point one past the end, at
+    the zero column ``_times_linear`` appends.
+    """
+    lower = {row: i for i, row in enumerate(map(tuple, _monomial_exponents(ncomp, degree - 1)))}
+    upper = _monomial_exponents(ncomp, degree)
+    index = np.full((ncomp, len(upper)), len(lower), dtype=np.intp)
+    for m, row in enumerate(upper.tolist()):
+        for l in range(ncomp):
+            if row[l]:
+                row[l] -= 1
+                index[l, m] = lower[tuple(row)]
+                row[l] += 1
+    index.setflags(write=False)
+    return index
+
+
+def _times_linear(poly: np.ndarray, linear: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients of poly(w) * (linear . w), row by row; ``degree`` is the product's."""
+    index = _lowered_index(linear.shape[1], degree)
+    padded = np.concatenate((poly, np.zeros((len(poly), 1))), axis=1)
+    out = padded[:, index[0]] * linear[:, :1]
+    for l in range(1, linear.shape[1]):
+        out += padded[:, index[l]] * linear[:, l : l + 1]
+    return out
+
+
+def _monomials(w: np.ndarray, degree: int) -> np.ndarray:
+    """(M, C) values of every monomial of ``degree`` at each weight vector."""
+    powers = np.empty((degree + 1, *w.shape))
+    powers[0] = 1.0
+    for k in range(1, degree + 1):
+        powers[k] = powers[k - 1] * w
+    exponents = _monomial_exponents(w.shape[1], degree)
+    out = powers[exponents[:, 0], :, 0]
+    for l in range(1, w.shape[1]):
+        out = out * powers[exponents[:, l], :, l]
+    return out
+
+
+def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(lo[i], hi[i]) over i."""
+    lengths = hi - lo
+    return np.repeat(lo - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
+
+
+def _segment_starts(lengths: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+
+
+def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges over ``sizes``, each totalling under ``budget`` plus one item."""
+    if len(sizes) == 0:
+        return []
+    span = _segment_starts(sizes) // budget
+    cuts = np.flatnonzero(np.diff(span)) + 1
+    bounds = [0, *cuts.tolist(), len(sizes)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _collapse(
+    step_ratios: np.ndarray,
+    ordering_offsets: np.ndarray,
+    increment_offsets: np.ndarray,
+    center_ratios: np.ndarray,
+    inv_norm: np.ndarray,
+    existing_counts: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Polynomial coefficients of every increment of degree <= MAX_COLLAPSED_DEGREE.
+
+    Per ordering, the coefficients start at 1 and are multiplied by one step
+    row's linear form per step, for all orderings of one q at once; then they
+    are summed over each increment's orderings, scaled by ``inv_norm`` and
+    multiplied by the center row.  A pure-random ratio is an exact product
+    of ones, so its coefficient is the ordering count times ``inv_norm``.
+    """
+    ncomp = center_ratios.shape[1]
+    degrees = existing_counts + 1
+    order = np.argsort(degrees, kind="stable")
+    collapsed = order[degrees[order] <= MAX_COLLAPSED_DEGREE]
+    counts = np.bincount(degrees[collapsed], minlength=MAX_COLLAPSED_DEGREE + 1)
+    blocks: list[np.ndarray] = []
+    coef_sizes = [0] * (MAX_COLLAPSED_DEGREE + 1)
+    for degree in range(1, MAX_COLLAPSED_DEGREE + 1):
+        incs = collapsed[degrees[collapsed] == degree]
+        q = degree - 1
+        orderings = increment_offsets[incs + 1] - increment_offsets[incs]
+        size = len(_monomial_exponents(ncomp, degree))
+        coef_sizes[degree] = len(incs) * size
+        for a, b in _batches(orderings, max(1, _COLLAPSE_BATCH_ELEMENTS // size)):
+            part = incs[a:b]
+            if q == 0:
+                poly = np.ones((len(part), 1))
+            else:
+                ords = _concat_ranges(increment_offsets[part], increment_offsets[part + 1])
+                first_row = ordering_offsets[ords]
+                poly = np.ones((len(ords), 1))
+                for s in range(q):
+                    poly = _times_linear(poly, step_ratios[first_row + s], s + 1)
+                poly = np.add.reduceat(poly, _segment_starts(orderings[a:b]), axis=0)
+            poly *= inv_norm[part, None]
+            blocks.append(_times_linear(poly, center_ratios[part], degree).ravel())
+    return {
+        "poly_coefs": np.concatenate(blocks) if blocks else np.zeros(0),
+        "poly_increments": collapsed.astype(np.int64),
+        "poly_offsets": np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        "poly_coef_offsets": np.concatenate(([0], np.cumsum(coef_sizes))).astype(np.int64),
+        "row_increments": np.flatnonzero(degrees > MAX_COLLAPSED_DEGREE).astype(np.int64),
+    }
 
 
 def build_choice_cache(
@@ -684,6 +839,7 @@ def build_choice_cache(
     num_choices: list[int] = []
     timestamps: list[int] = []
     logp_rand: list[float] = []
+    existing_counts: list[int] = []
     sampled_count = 0
     fallback_total = 0
 
@@ -713,6 +869,7 @@ def build_choice_cache(
         num_choices.append(ev.num_choices)
         timestamps.append(ev.timestamp)
         logp_rand.append(ev.logp_rand)
+        existing_counts.append(ev.q)
         sampled_count += 1 if ev.sampled else 0
         fallback_total += ev.fallback_choices
         pre = _pre_degrees(graph, inc)
@@ -724,19 +881,74 @@ def build_choice_cache(
     if progress is not None:
         progress(total, total)
 
+    arrays = {
+        "step_ratios": np.array(step_rows, dtype=np.float64).reshape(len(step_rows), ncomp),
+        "ordering_offsets": np.array(ordering_offsets, dtype=np.int64),
+        "increment_offsets": np.array(increment_offsets, dtype=np.int64),
+        "center_ratios": np.array(center_rows, dtype=np.float64).reshape(total, ncomp),
+        "inv_norm": np.array(inv_norm, dtype=np.float64),
+    }
     return ChoiceCache(
         components=components,
-        step_ratios=np.array(step_rows, dtype=np.float64).reshape(len(step_rows), ncomp),
-        ordering_offsets=np.array(ordering_offsets, dtype=np.int64),
-        increment_offsets=np.array(increment_offsets, dtype=np.int64),
-        center_ratios=np.array(center_rows, dtype=np.float64).reshape(total, ncomp),
-        inv_norm=np.array(inv_norm, dtype=np.float64),
+        **arrays,
         num_choices=np.array(num_choices, dtype=np.int64),
         timestamps=np.array(timestamps, dtype=np.int64),
         logp_rand=np.array(logp_rand, dtype=np.float64),
+        **_collapse(**arrays, existing_counts=np.array(existing_counts, dtype=np.int64)),
         sampled_increments=sampled_count,
         fallback_choices=fallback_total,
     )
+
+
+def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log(P / P_rand) from step rows, in log space, for increments above the cap."""
+    ord_lo = cache.increment_offsets[incs]
+    ord_hi = cache.increment_offsets[incs + 1]
+    ords = _concat_ranges(ord_lo, ord_hi)
+    row_lo = cache.ordering_offsets[ords]
+    row_hi = cache.ordering_offsets[ords + 1]
+    ord_log = np.empty((len(ords), w.shape[0]))
+    for a, b in _batches(row_hi - row_lo, max(1, _ROW_BATCH_ELEMENTS // w.shape[0])):
+        step_log = cache.step_ratios[_concat_ranges(row_lo[a:b], row_hi[a:b])] @ w.T
+        with np.errstate(divide="ignore"):
+            np.log(step_log, out=step_log)
+        ord_log[a:b] = np.add.reduceat(step_log, _segment_starts(row_hi[a:b] - row_lo[a:b]), axis=0)
+    inc_starts = _segment_starts(ord_hi - ord_lo)
+    top = np.maximum.reduceat(ord_log, inc_starts, axis=0)
+    rep = np.repeat(top, ord_hi - ord_lo, axis=0)
+    with np.errstate(invalid="ignore"):
+        shifted = np.exp(np.where(rep == _NEG_INF, _NEG_INF, ord_log - rep))
+    # Scale the shifted sum before the log, so S orderings of ratio 1 give
+    # log(S * (1/S)) = 0 exactly, as on the collapsed path.
+    scaled = np.add.reduceat(shifted, inc_starts, axis=0) * cache.inv_norm[incs, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        targets = np.where(top == _NEG_INF, _NEG_INF, np.log(scaled) + top)
+        return targets + np.log(cache.center_ratios[incs] @ w.T)
+
+
+def _logratio_blocks(cache: ChoiceCache, w: np.ndarray, start: int, stop: int):
+    """Yield (increment indices, (n, C) log ratios) covering [start, stop) once.
+
+    Collapsed increments come one block per degree, each a product of
+    coefficients and monomials; increments above ``MAX_COLLAPSED_DEGREE`` take
+    the row path, in batches that bound the orderings and the mixed step
+    values held at once.
+    """
+    for degree in range(1, len(cache.poly_offsets) - 1):
+        incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
+        a, b = np.searchsorted(incs, (start, stop))
+        if a == b:
+            continue
+        size = len(_monomial_exponents(w.shape[1], degree))
+        base = cache.poly_coef_offsets[degree]
+        coefs = cache.poly_coefs[base + a * size : base + b * size].reshape(b - a, size)
+        with np.errstate(divide="ignore"):
+            yield incs[a:b], np.log(coefs @ _monomials(w, degree))
+    a, b = np.searchsorted(cache.row_increments, (start, stop))
+    incs = cache.row_increments[a:b]
+    orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
+    for lo, hi in _batches(orderings, max(1, _ROW_BATCH_ELEMENTS // w.shape[0])):
+        yield incs[lo:hi], _row_logratios(cache, incs[lo:hi], w)
 
 
 def cache_logratios(
@@ -753,22 +965,9 @@ def cache_logratios(
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     stop = cache.num_increments if stop is None else stop
-    ord_lo = cache.increment_offsets[start]
-    ord_hi = cache.increment_offsets[stop]
-    row_lo = cache.ordering_offsets[ord_lo]
-    row_hi = cache.ordering_offsets[ord_hi]
-    step_mix = cache.step_ratios[row_lo:row_hi] @ w.T  # (T_range, C)
-    ord_off = (cache.ordering_offsets[ord_lo : ord_hi + 1] - row_lo).astype(np.intp)
-    inc_off = (cache.increment_offsets[start : stop + 1] - ord_lo).astype(np.intp)
-    if step_mix.shape[0] == 0:
-        out = np.zeros((stop - start, w.shape[0]))
-    else:
-        ord_prod = np.multiply.reduceat(step_mix, ord_off[:-1], axis=0)
-        inc_sum = np.add.reduceat(ord_prod, inc_off[:-1], axis=0)
-        inc_sum *= cache.inv_norm[start:stop, None]
-        center_mix = cache.center_ratios[start:stop] @ w.T
-        with np.errstate(divide="ignore"):
-            out = np.log(inc_sum) + np.log(center_mix)
+    out = np.empty((stop - start, w.shape[0]))
+    for incs, values in _logratio_blocks(cache, w, start, stop):
+        out[incs - start] = values
     return out[:, 0] if single else out
 
 
@@ -777,17 +976,17 @@ def cache_loglik(
     weights: np.ndarray,
     start: int = 0,
     stop: int | None = None,
-    chunk: int = 64,
+    chunk: int = 256,
 ) -> np.ndarray:
     """Total log-likelihood over an increment range for many weight vectors."""
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     stop = cache.num_increments if stop is None else stop
     rand_total = float(cache.logp_rand[start:stop].sum())
-    out = np.empty(w.shape[0])
+    out = np.full(w.shape[0], rand_total)
     for lo in range(0, w.shape[0], chunk):
-        ratios = cache_logratios(cache, w[lo : lo + chunk], start, stop)
-        out[lo : lo + chunk] = ratios.sum(axis=0) + rand_total
+        for _, values in _logratio_blocks(cache, w[lo : lo + chunk], start, stop):
+            out[lo : lo + chunk] += values.sum(axis=0)
     return out[0] if single else out
 
 

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growthfit as gf
 from growthfit.likelihood import (
     DEFAULT_ORDERING_SAMPLES,
+    MAX_COLLAPSED_DEGREE,
     MAX_EXHAUSTIVE_CHOICES,
     build_choice_cache,
     build_dp_trace,
@@ -271,6 +274,111 @@ class TestChoiceCache:
         assert len(cache.timestamps) == len(stream.increments)
         assert cache.sampled_increments == 0  # all stars here have <= 5 choices
         assert np.all(np.diff(cache.increment_offsets) >= 0)
+
+
+def mixed_stream(rng, increments=14):
+    """Random admissible stream: new and existing centers with 0..8 existing targets.
+
+    One new center attaching to MAX_COLLAPSED_DEGREE existing nodes sits at a
+    random position, so the same cache holds collapsed and row-path stars.
+    """
+    n0 = MAX_COLLAPSED_DEGREE + 4
+    seed_edges = {(int(rng.integers(0, v)), v) for v in range(1, n0)}
+    for _ in range(n0 // 2):
+        u, v = sorted(int(x) for x in rng.choice(n0, size=2, replace=False))
+        seed_edges.add((u, v))
+    seed_edges = sorted(seed_edges)
+    graph = gf.graph_from_edges(seed_edges)
+    big_at = int(rng.integers(0, increments))
+    incs = []
+    for t in range(increments):
+        n = graph.num_nodes
+        center_is_new = t == big_at or bool(rng.integers(0, 2))
+        if center_is_new:
+            center, pool = n, list(range(n))
+        else:
+            center = int(rng.integers(0, n))
+            banned = {center} | graph.neighbors(center)
+            pool = [x for x in range(n) if x not in banned]
+        if t == big_at:
+            q = MAX_COLLAPSED_DEGREE
+        else:
+            q = int(rng.integers(1 if center_is_new else 0, min(8, len(pool)) + 1))
+        existing = [int(x) for x in rng.choice(pool, size=q, replace=False)]
+        n_new = int(rng.integers(0 if existing else 1, 2))
+        first_new = n + (1 if center_is_new else 0)
+        targets = tuple(existing) + tuple(first_new + i for i in range(n_new))
+        inc = gf.Increment(t, center, center_is_new, targets, (False,) * q + (True,) * n_new)
+        gf.apply_increment(graph, inc)
+        incs.append(inc)
+    return gf.GrowthStream(seed_edges=seed_edges, increments=incs)
+
+
+COMPONENT_POOL = (
+    gf.DegreePower(1.0), gf.TriangleClosure(), gf.RankPreference(0.5), gf.DegreePower(1.7)
+)
+# Fewer sampled orderings than the default keep the direct lattice loop short.
+SAMPLES = 12
+
+
+class TestCollapsedCache:
+    @staticmethod
+    def direct_series(stream, comps, weights):
+        sched = schedule_for(*zip((float(x) for x in weights), comps))
+        summary, series = gf.score_stream(
+            stream, sched, ordering_samples=SAMPLES, keep_series=True
+        )
+        return summary, np.array([s.logp - s.logp_rand for s in series])
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), ncomp=st.sampled_from([2, 3, 4]))
+    def test_cache_matches_direct_scoring_and_fit(self, seed, ncomp):
+        rng = np.random.default_rng(seed)
+        stream = mixed_stream(rng)
+        picks = rng.choice(len(COMPONENT_POOL), ncomp - 1, replace=False)
+        comps = [COMPONENT_POOL[i] for i in picks]
+        rand_at = int(rng.integers(0, ncomp))
+        comps.insert(rand_at, gf.Random())
+        cache = build_choice_cache(stream, comps, ordering_samples=SAMPLES)
+        assert len(cache.row_increments) == 1
+        assert cache.sampled_increments >= 1
+        assert 0 < len(cache.poly_increments) < cache.num_increments
+
+        checks = [*np.eye(ncomp), *rng.dirichlet(np.ones(ncomp), size=3)]
+        for w in checks:
+            _, expect = self.direct_series(stream, comps, w)
+            got = cache_logratios(cache, w)
+            assert np.array_equal(np.isinf(got), np.isinf(expect))
+            fin = np.isfinite(expect)
+            scale = np.maximum(1.0, np.abs(expect[fin]))
+            assert np.all(np.abs(got[fin] - expect[fin]) <= 1e-9 * scale)
+
+        rand_vertex = np.eye(ncomp)[rand_at]
+        assert np.all(cache_logratios(cache, rand_vertex) == 0.0)
+
+        grid = gf.simplex_grid(ncomp, 0.1)
+        direct = np.array([self.direct_series(stream, comps, w)[0].loglik for w in grid])
+        best = direct.max()
+        first_best = int(np.flatnonzero(direct >= best - 1e-11 * max(1.0, abs(best)))[0])
+        fit = gf.fit_intervals(cache, j=1, step=0.1)
+        assert np.array_equal(fit.intervals[0]["weights"], grid[first_best].tolist())
+
+    def test_large_star_stays_finite(self):
+        # 1,200 existing targets of the lowest degree: every ordering's
+        # linear-space product of BA ratios underflows to 0
+        stream = gf.grow(gf.GrowthRecipe.constant("BA", increments=3000), seed=0)
+        graph = stream.final_graph()
+        n = graph.num_nodes
+        low = sorted(range(n), key=lambda v: (graph.degrees[v], v))[:1200]
+        t = stream.increments[-1].timestamp + 1
+        star = gf.Increment(t, n, True, tuple(low), (False,) * 1200)
+        stream = gf.GrowthStream(stream.seed_edges, [*stream.increments, star])
+        ba = gf.DegreePower(1.0)
+        _, series = gf.score_stream(stream, schedule_for((1.0, ba)), keep_series=True)
+        expect = series[-1].logp - series[-1].logp_rand
+        got = cache_logratios(build_choice_cache(stream, [ba]), np.array([1.0]))
+        assert np.isfinite(got[-1])
+        assert abs(got[-1] - expect) <= 1e-9 * abs(expect)
 
 
 class TestDPTrace:

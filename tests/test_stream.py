@@ -52,6 +52,11 @@ class TestParseEdgeFile:
             parse_edge_file(io.StringIO("A\tB\tzero\n"))
         assert exc.value.line_number == 1
 
+    def test_fractional_timestamp_reports_line_number(self):
+        with pytest.raises(gf.StreamParseError) as exc:
+            parse_edge_file(io.StringIO("A\tB\t0\nA\tC\t1.5\n"))
+        assert exc.value.line_number == 2
+
     def test_round_trip_through_file(self, tmp_path):
         recs = parse_edge_file(io.StringIO(SAMPLE))
         path = tmp_path / "edges.tsv"
