@@ -154,7 +154,6 @@ def _cmd_fit(args) -> int:
             comps,
             j=1,
             step=args.step,
-            threads=args.threads,
             progress=_progress if args.progress else None,
             **_score_kwargs(args),
         )
@@ -182,7 +181,6 @@ def _cmd_fit_intervals(args) -> int:
         j=args.intervals,
         mode=args.interval_mode,
         step=args.step,
-        threads=args.threads,
         progress=_progress if args.progress else None,
         **_score_kwargs(args),
     )
@@ -229,7 +227,6 @@ def _cmd_scan_j(args) -> int:
         jmax=args.jmax,
         mode=args.interval_mode,
         step=args.step,
-        threads=args.threads,
     )
     lines = ["J,logL,c0"]
     for j, fit in zip(range(args.jmin, args.jmax + 1), fits):
@@ -302,7 +299,6 @@ def _add_common(p: argparse.ArgumentParser, data_required: bool = True) -> None:
         default=DEFAULT_ORDERING_SAMPLES,
         help="orderings drawn per increment when exact enumeration is too large",
     )
-    p.add_argument("--threads", type=int, default=1, help="threads for grid evaluation")
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
     p.add_argument(
         "--progress", action="store_true", help="report scoring progress on stderr"

@@ -14,7 +14,6 @@ with a likelihood-ratio test whose null distribution is chi-square with
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,7 +30,8 @@ from .graph import GrowthStream
 from .likelihood import (
     ChoiceCache,
     DPTrace,
-    LikelihoodSummary,
+    _stream_trace,
+    _trace_logp,
     build_choice_cache,
     build_dp_trace,
     cache_logratios,
@@ -39,7 +39,6 @@ from .likelihood import (
     dp_trace_logp,
     dp_trace_loglik,
     per_choice_ratio,
-    score_stream,
 )
 from .models import BoundaryMode, Component, MixtureInterval, ModelSchedule
 from .modelspec import format_component, parse_model_spec
@@ -131,21 +130,18 @@ def fit_component_family(
     grid: Sequence[float],
     seed: int = 0,
 ) -> ScalarFit:
-    """Generic grid fit of any one-parameter component family (full rescoring)."""
-    logliks = []
-    summary: LikelihoodSummary | None = None
-    for value in grid:
-        summary, _ = score_stream(stream, family(float(value)), seed=seed)
-        logliks.append(summary.loglik)
-    logliks = np.array(logliks)
+    """Grid fit of any one-parameter component family, every point from one replay."""
+    grid = np.asarray(grid, dtype=np.float64)
+    components = [family(float(value)) for value in grid]
+    trace = _stream_trace(stream, components, seed=seed)
+    logliks = np.array([float(_trace_logp(trace, comp).sum()) for comp in components])
     best = _argmax_first(logliks)
-    assert summary is not None
     return ScalarFit(
         value=float(grid[best]),
         loglik=float(logliks[best]),
-        loglik_rand=summary.loglik_rand,
-        total_choices=summary.total_choices,
-        grid=np.asarray(grid, dtype=np.float64),
+        loglik_rand=float(trace.logp_rand.sum()),
+        total_choices=trace.total_choices,
+        grid=grid,
         logliks=logliks,
     )
 
@@ -167,26 +163,13 @@ def fit_mixture_weights(
     start: int = 0,
     stop: int | None = None,
     step: float = DEFAULT_WEIGHT_STEP,
-    threads: int = 1,
-    grid: np.ndarray | None = None,
 ) -> WeightFit:
     """Grid argmax of mixture weights over one increment range of a cache."""
     stop = cache.num_increments if stop is None else stop
     if stop <= start:
         raise IntervalUnderflowError(f"empty increment range [{start}, {stop})")
-    grid = simplex_grid(len(cache.components), step) if grid is None else grid
-    if threads > 1 and grid.shape[0] > 256:
-        bounds = np.linspace(0, grid.shape[0], threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda lohi: cache_loglik(cache, grid[lohi[0] : lohi[1]], start, stop),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        logliks = np.concatenate(parts)
-    else:
-        logliks = cache_loglik(cache, grid, start, stop)
+    grid = simplex_grid(len(cache.components), step)
+    logliks = cache_loglik(cache, grid, start, stop)
     best = _argmax_first(logliks)
     return WeightFit(
         weights=grid[best].copy(),
@@ -213,7 +196,7 @@ def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[t
         cuts = [n * k // j for k in range(j + 1)]
     elif mode == "time":
         ts = cache.timestamps
-        lo, hi = float(ts[0]), float(ts[-1])
+        lo, hi = (float(ts[0]), float(ts[-1])) if n else (0.0, 0.0)
         edges = [lo + (hi - lo) * k / j for k in range(1, j)]
         cuts = [0] + [int(np.searchsorted(ts, e, side="right")) for e in edges] + [n]
     else:
@@ -294,14 +277,13 @@ def fit_intervals(
     j: int = 1,
     mode: str = "count",
     step: float = DEFAULT_WEIGHT_STEP,
-    threads: int = 1,
 ) -> FitResult:
     """Independent weight fits on a J-interval partition of the stream."""
     groups = partition_indices(cache, j, mode)
     intervals: list[dict] = []
     loglik = 0.0
     for lo, hi in groups:
-        part = fit_mixture_weights(cache, lo, hi, step=step, threads=threads)
+        part = fit_mixture_weights(cache, lo, hi, step=step)
         loglik += part.loglik
         intervals.append(
             {
@@ -335,15 +317,11 @@ def scan_interval_counts(
     jmax: int = 8,
     mode: str = "count",
     step: float = DEFAULT_WEIGHT_STEP,
-    threads: int = 1,
 ) -> list[FitResult]:
     """fit_intervals at every J in [jmin, jmax]."""
     if jmin < 1 or jmax < jmin:
         raise FitError(f"bad interval-count range [{jmin}, {jmax}]")
-    return [
-        fit_intervals(cache, j, mode=mode, step=step, threads=threads)
-        for j in range(jmin, jmax + 1)
-    ]
+    return [fit_intervals(cache, j, mode=mode, step=step) for j in range(jmin, jmax + 1)]
 
 
 @dataclass
@@ -432,6 +410,8 @@ def fit_dp_changepoint_joint(
 ) -> DPChangepointJointFit:
     """Jointly fit (T, pre exponent, post exponent) for a one-switch schedule."""
     trace = source if isinstance(source, DPTrace) else build_dp_trace(source, seed=seed)
+    if trace.num_increments == 0:
+        raise FitError("empty stream")
     alpha_grid = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid)
     if t_grid is None:
         t_grid = np.unique(trace.timestamps).astype(np.float64)
@@ -525,13 +505,12 @@ def fit_stream_mixture(
     step: float = DEFAULT_WEIGHT_STEP,
     seed: int = 0,
     ordering_samples: int | None = None,
-    threads: int = 1,
     progress=None,
 ) -> tuple[FitResult, ChoiceCache]:
     """Build a cache and fit a J-interval mixture in one call."""
     kwargs = {} if ordering_samples is None else {"ordering_samples": ordering_samples}
     cache = build_choice_cache(stream, components, seed=seed, progress=progress, **kwargs)
-    result = fit_intervals(cache, j, mode=mode, step=step, threads=threads)
+    result = fit_intervals(cache, j, mode=mode, step=step)
     return result, cache
 
 

@@ -38,7 +38,7 @@ from .models import (
     RankPreference,
     TriangleClosure,
 )
-from .modelspec import format_model_spec, parse_model_spec
+from .modelspec import parse_model_spec
 from .stream import OperationSchedule
 
 REJECT_CAP = 64
@@ -434,8 +434,3 @@ def sample_choice_frequencies(
     for _ in range(draws):
         counts[sampler.draw(interval, excluded, anchor, center_role)] += 1
     return counts
-
-
-def recipe_model_specs(schedule: ModelSchedule) -> list[str]:
-    """Format a schedule back to mixture spec strings (one per interval)."""
-    return [format_model_spec(iv) for iv in schedule.intervals]

@@ -16,20 +16,32 @@ probability scale.  The per-increment sample RNG is seeded from
 
 Eligibility per target step: all current nodes, minus nodes already chosen
 in this star, minus the center and its frozen neighborhood when the center
-already existed (those edges would be duplicates).  Component totals over
-the eligible set are maintained by subtraction from running whole-graph
-totals; triangle closure uses the identity
+already existed (those edges would be duplicates).
+
+One replay of the stream (``DPTrace``) records only integers that no model
+parameter changes: per increment the graph size, the center and its frozen
+neighborhood (ids and degrees), the existing targets (ids and degrees), and
+the orderings to evaluate as positions among those targets.  When triangle
+closure is among the components it also records each step's common-neighbor
+count with its anchor and the anchor's total over the eligible set, using
+the identity
 
     sum_x |G(a) n G(x)| over all x  =  sum_{u in G(a)} k_u
 
-so each anchored total costs O(k_anchor) instead of O(N).
+so each anchored total costs O(k_anchor) instead of O(N).  Every other
+component total follows from the trace with whole-array operations:
+degree-power totals from the seed degree histogram plus per-increment
+histogram deltas, rank totals from prefix sums over arrival ranks, and each
+step's eligible total by subtracting the shared exclusions (the center and
+its neighborhood) and a prefix sum of the weights already chosen in the
+ordering.
 
 A uniform-random baseline is computed in the same pass: the eligible set
 shrinks by exactly one per step, so the baseline increment probability is
 q! * prod 1/(B - s) with B the initial eligible count, exact even when the
 model side is sampled.  The per-choice ratio c0 = exp((logL - logL_rand) /
-sum m) then equals 1 exactly for the pure-random model because every term
-cancels bitwise.
+sum m) then equals 1 exactly for the pure-random model because every
+per-choice ratio is exactly 1.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +79,8 @@ _NEG_INF = float("-inf")
 # collapse, and mixed step values on the row path.
 _COLLAPSE_BATCH_ELEMENTS = 1 << 20
 _ROW_BATCH_ELEMENTS = 1 << 21
+# Weight vectors cache_loglik scores at once.
+_LATTICE_CHUNK = 256
 
 
 def _log_factorial(q: int) -> float:
@@ -78,20 +92,35 @@ def _log_factorial(q: int) -> float:
     return math.lgamma(q + 1.0)
 
 
-def _logsumexp(values: Sequence[float]) -> float:
-    top = max(values)
-    if top == _NEG_INF:
-        return _NEG_INF
-    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+@lru_cache(maxsize=None)
+def _permutation_table(q: int) -> np.ndarray:
+    """(q!, q) positions of every ordering of q items, in itertools order."""
+    table = np.array(list(permutations(range(q))), dtype=np.intp).reshape(math.factorial(q), q)
+    table.setflags(write=False)
+    return table
 
 
-def sample_orderings(
-    existing_targets: Sequence[int], rng: np.random.Generator, count: int
-) -> list[tuple[int, ...]]:
-    """Uniform orderings with replacement (the sampled-sum estimator's draws)."""
-    base = tuple(existing_targets)
-    q = len(base)
-    return [tuple(base[j] for j in rng.permutation(q)) for _ in range(count)]
+def _ordering_positions(
+    inc: Increment,
+    index: int,
+    seed: int,
+    max_exhaustive_choices: int,
+    ordering_samples: int,
+) -> tuple[np.ndarray, bool, float]:
+    """Orderings as rows of positions among ``inc.existing_targets``.
+
+    Also returns (sampled?, log multiplier for the sum): exhaustive mode
+    multiplies the sum by 1 (all q! orderings enumerated), sampled mode by
+    q!/S.  Seeding from (seed, index) keeps every scorer on identical draws.
+    """
+    q = inc.num_choices - (0 if inc.center_is_new else 1)
+    if q == 0 or inc.num_choices <= max_exhaustive_choices:
+        return _permutation_table(q), False, 0.0
+    rng = np.random.default_rng([seed, index])
+    draws = np.array([rng.permutation(q) for _ in range(ordering_samples)], dtype=np.intp)
+    return draws.reshape(ordering_samples, q), True, _log_factorial(q) - math.log(
+        float(ordering_samples)
+    )
 
 
 def orderings_for_increment(
@@ -101,21 +130,12 @@ def orderings_for_increment(
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
 ) -> tuple[list[tuple[int, ...]], bool, float]:
-    """Orderings to evaluate plus (sampled?, log multiplier for the sum).
-
-    Exhaustive mode multiplies the sum by 1 (all q! orderings enumerated);
-    sampled mode by q!/S.  Seeding from (seed, index) keeps every scorer on
-    identical draws.
-    """
+    """Orderings to evaluate (as node tuples) plus (sampled?, log multiplier for the sum)."""
+    positions, sampled, log_mult = _ordering_positions(
+        inc, index, seed, max_exhaustive_choices, ordering_samples
+    )
     existing = inc.existing_targets
-    q = len(existing)
-    if q == 0:
-        return [()], False, 0.0
-    if inc.num_choices <= max_exhaustive_choices:
-        return list(permutations(existing)), False, 0.0
-    rng = np.random.default_rng([seed, index])
-    draws = sample_orderings(existing, rng, ordering_samples)
-    return draws, True, _log_factorial(q) - math.log(float(ordering_samples))
+    return [tuple(existing[j] for j in row) for row in positions.tolist()], sampled, log_mult
 
 
 @dataclass
@@ -175,472 +195,449 @@ def per_choice_ratio(loglik: float, loglik_rand: float, total_choices: int) -> f
     return math.exp((loglik - loglik_rand) / total_choices)
 
 
-class _ComponentEngine:
-    """Running whole-graph weight totals for one component during a pass."""
-
-    anchored = False
-
-    def __init__(self, graph: DynamicGraph):
-        self.graph = graph
-
-    def on_increment_applied(self, inc: Increment, pre_degrees: dict[int, int]) -> None:
-        pass
-
-    def total_all(self) -> float:
-        raise NotImplementedError
-
-    def weight(self, node: int) -> float:
-        raise NotImplementedError
-
-
-class _RandomEngine(_ComponentEngine):
-    def total_all(self) -> float:
-        return float(self.graph.num_nodes)
-
-    def weight(self, node: int) -> float:
-        return 1.0
-
-
-class _DegreePowerEngine(_ComponentEngine):
-    def __init__(self, graph: DynamicGraph, alpha: float):
-        super().__init__(graph)
-        self.alpha = alpha
-        self._pow: list[float] = [1.0 if alpha == 0.0 else 0.0, 1.0]
-        self._total = math.fsum(self._w(k) for k in graph.degrees)
-
-    def _w(self, k: int) -> float:
-        table = self._pow
-        while k >= len(table):
-            table.append(float(len(table)) ** self.alpha)
-        return table[k]
-
-    def on_increment_applied(self, inc: Increment, pre_degrees: dict[int, int]) -> None:
-        # New nodes enter the total at weight w(0) before their degree gains.
-        self._total += len(inc.new_nodes) * self._w(0)
-        gain = len(inc.targets)
-        kc = pre_degrees[inc.center]
-        self._total += self._w(kc + gain) - self._w(kc)
-        for t in inc.targets:
-            kt = pre_degrees[t]
-            self._total += self._w(kt + 1) - self._w(kt)
-
-    def total_all(self) -> float:
-        return self._total
-
-    def weight(self, node: int) -> float:
-        return self._w(self.graph.degrees[node])
-
-
-class _RankPreferenceEngine(_ComponentEngine):
-    def __init__(self, graph: DynamicGraph, alpha: float):
-        super().__init__(graph)
-        self.alpha = alpha
-        self._ranks: list[float] = [float(i + 1) ** -alpha for i in range(graph.num_nodes)]
-        self._total = math.fsum(self._ranks)
-
-    def on_increment_applied(self, inc: Increment, pre_degrees: dict[int, int]) -> None:
-        for _ in inc.new_nodes:
-            w = float(len(self._ranks) + 1) ** -self.alpha
-            self._ranks.append(w)
-            self._total += w
-
-    def total_all(self) -> float:
-        return self._total
-
-    def weight(self, node: int) -> float:
-        return self._ranks[node]
-
-
-class _TriangleEngine(_ComponentEngine):
-    """Anchored component: totals are computed per anchor, never globally."""
-
-    anchored = True
-
-    def anchor_total(self, anchor: int) -> float:
-        degs = self.graph.degrees
-        return float(sum(degs[u] for u in self.graph.neighbors(anchor)))
-
-    def pair_weight(self, anchor: int, node: int) -> float:
-        if anchor == node:
-            return float(self.graph.degrees[node])
-        return float(self.graph.common_neighbor_count(anchor, node))
-
-    def closed_wedges_at(self, center: int) -> float:
-        """sum over neighbors v of |G(c) n G(v)| (twice the triangle count at c)."""
-        g = self.graph
-        return float(sum(g.common_neighbor_count(center, v) for v in g.neighbors(center)))
-
-
-def _make_engine(comp: Component, graph: DynamicGraph) -> _ComponentEngine:
-    if isinstance(comp, Random):
-        return _RandomEngine(graph)
-    if isinstance(comp, DegreePower):
-        return _DegreePowerEngine(graph, comp.alpha)
-    if isinstance(comp, RankPreference):
-        return _RankPreferenceEngine(graph, comp.alpha)
-    if isinstance(comp, TriangleClosure):
-        return _TriangleEngine(graph)
-    raise DegenerateModelError(f"no likelihood engine for {comp!r}")
-
-
 @dataclass
-class _StepEval:
-    """One target step of one ordering: per-component (weight, total) pairs.
+class DPTrace:
+    """The one replay of a stream: parameter-free integers every likelihood path reads.
 
-    ``totals[l] <= 0`` means component l fell back to uniform for this step.
-    ``eligible`` is the eligible-set size, the uniform (and baseline) choice
-    count for the step.
+    Orderings are rows of positions among an increment's existing targets;
+    their steps ("entries") are laid out ordering after ordering.  Index
+    arrays that no model parameter changes are built here once, so scoring a
+    component at any exponent is whole-array work.  ``tri_common`` and
+    ``tri_total`` are recorded only when triangle closure was requested.
     """
 
-    weights: list[float]
-    totals: list[float]
-    eligible: int
+    timestamps: np.ndarray  # (I,) int64
+    num_choices: np.ndarray  # (I,) int64
+    num_nodes: np.ndarray  # (I,) int64, graph size when scored
+    center: np.ndarray  # (I,) int64
+    center_new: np.ndarray  # (I,) bool
+    center_deg: np.ndarray  # (I,) int64, 0 for new centers
+    gain: np.ndarray  # (I,) int64, edges the increment adds
+    existing_counts: np.ndarray  # (I,) int64, existing targets q
+    sampled: np.ndarray  # (I,) bool
+    log_mult: np.ndarray  # (I,) float64
+    logp_rand: np.ndarray  # (I,) float64
+    h0: np.ndarray  # (K,) float64 seed-graph degree histogram, K past any degree reached
+    shared_inc: np.ndarray  # (SD,) owning increment of each excluded center or neighbor
+    shared_id: np.ndarray  # (SD,)
+    shared_deg: np.ndarray  # (SD,)
+    target_inc: np.ndarray  # (Q,) owning increment of each existing target
+    target_deg: np.ndarray  # (Q,)
+    inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment
+    ordering_offsets: np.ndarray  # (O + 1,) entry ranges per ordering
+    entry_ord: np.ndarray  # (E,) owning ordering
+    entry_inc: np.ndarray  # (E,) owning increment
+    entry_first: np.ndarray  # (E,) first entry of the owning ordering
+    first_ordering: np.ndarray  # (E,) bool, entry of its increment's first ordering
+    eligible: np.ndarray  # (E,) float64 eligible-set size
+    chosen_deg: np.ndarray  # (E,) chosen node's degree
+    chosen_id: np.ndarray  # (E,) chosen node's arrival index
+    tri_common: np.ndarray | None  # (E,) int64 common neighbors with the anchor
+    tri_total: np.ndarray | None  # (E,) int64 anchor total over the eligible set
 
-    def component_prob(self, l: int) -> float:
-        if self.totals[l] <= 0.0:
-            return 1.0 / self.eligible
-        return self.weights[l] / self.totals[l]
+    @property
+    def num_increments(self) -> int:
+        return len(self.timestamps)
 
-    def component_ratio(self, l: int) -> float:
-        if self.totals[l] <= 0.0:
-            return 1.0
-        # multiply first so a uniform component cancels exactly to 1.0
-        return self.weights[l] * self.eligible / self.totals[l]
+    @property
+    def total_choices(self) -> int:
+        return int(self.num_choices.sum())
 
-    def log_prob(self, betas: Sequence[float]) -> float:
-        if len(self.weights) == 1:
-            if self.totals[0] <= 0.0:
-                return -math.log(float(self.eligible))
-            if self.weights[0] <= 0.0:
-                return _NEG_INF
-            return math.log(self.weights[0]) - math.log(self.totals[0])
-        p = 0.0
-        for beta, w, total in zip(betas, self.weights, self.totals):
-            if total <= 0.0:
-                p += beta / self.eligible
-            elif w > 0.0:
-                p += beta * w / total
-        return math.log(p) if p > 0.0 else _NEG_INF
-
-
-@dataclass
-class _IncrementEval:
-    """Everything scoring or caching needs to know about one increment."""
-
-    index: int
-    timestamp: int
-    num_choices: int
-    q: int
-    initial_eligible: int
-    sampled: bool
-    log_mult: float
-    center_eval: _StepEval | None
-    orderings: list[list[_StepEval]]
-    fallback_choices: int
-    logp_rand: float
+    @property
+    def sampled_increments(self) -> int:
+        return int(self.sampled.sum())
 
 
-def evaluate_increment(
-    graph: DynamicGraph,
-    engines: list[_ComponentEngine],
-    inc: Increment,
-    index: int,
-    seed: int,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-) -> _IncrementEval:
-    """Per-component weights and totals for every choice of one increment.
+def _offsets(sizes) -> np.ndarray:
+    """[0, s0, s0 + s1, ...]: the bounds of consecutive segments of the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes)))
 
-    Weight-independent of mixture coefficients, so one evaluation serves both
-    direct scoring and grid fitting.
+
+def _flat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate([p.ravel() for p in parts]).astype(dtype) if parts else np.zeros(0, dtype)
+
+
+def _exclusive_prefix(values: np.ndarray, entry_first: np.ndarray) -> np.ndarray:
+    """Per entry, the sum of the earlier entries of its ordering."""
+    before = _offsets(values)[:-1]
+    return before - before[entry_first]
+
+
+def _anchor_rows(
+    graph: DynamicGraph, inc: Increment, existing: tuple[int, ...], positions: np.ndarray
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Triangle-closure rows of the anchors an increment's orderings use.
+
+    Returns the rows laid end to end, each holding the anchor's
+    common-neighbor count with every existing target (0 for the anchor
+    itself), then per ordering the start of its anchor's row and the
+    anchor's total over the initial eligible set.  An existing center is
+    the anchor of every ordering; otherwise each ordering anchors on its
+    first target.
     """
-    n = graph.num_nodes
-    if n == 0 and not inc.center_is_new:
-        raise DegenerateModelError("existing-tagged center on an empty graph")
-    existing = inc.existing_targets
-    q = len(existing)
-    ncomp = len(engines)
-    fallbacks = 0
-
-    center_eval = None
+    degs = graph.degrees
+    if not existing:
+        nothing = np.zeros(len(positions), dtype=np.int64)
+        return [], nothing, nothing
     if not inc.center_is_new:
-        weights = [0.0] * ncomp
-        totals = [0.0] * ncomp
-        for l, eng in enumerate(engines):
-            if eng.anchored:
-                # Star sources are picked uniformly under triangle closure.
-                weights[l] = 1.0
-                totals[l] = float(n)
-            else:
-                weights[l] = eng.weight(inc.center)
-                totals[l] = eng.total_all()
-                if totals[l] <= 0.0:
-                    fallbacks += 1
-        center_eval = _StepEval(weights, totals, n)
-
-    if inc.center_is_new:
-        initial_eligible = n
-        base_excluded: tuple[int, ...] = ()
+        c = inc.center
+        nbrs = graph.neighbors(c)
+        wedges = sum(graph.common_neighbor_count(c, v) for v in nbrs)
+        rows = [[graph.common_neighbor_count(c, x) for x in existing]]
+        totals = [sum(degs[u] for u in nbrs) - degs[c] - wedges]
+        ord_rows = np.zeros(len(positions), dtype=np.int64)
     else:
-        initial_eligible = n - 1 - graph.degrees[inc.center]
-        base_excluded = (inc.center, *graph.neighbors(inc.center))
-    if q > initial_eligible:
-        raise RejectedIncrementError(
-            f"increment {index}: {q} existing targets but only "
-            f"{initial_eligible} eligible candidates"
-        )
-
-    orderings, sampled, log_mult = orderings_for_increment(
-        inc, index, seed, max_exhaustive_choices, ordering_samples
-    )
-
-    # Per-node weights reused across orderings.
-    node_w: list[dict[int, float]] = [{} for _ in range(ncomp)]
-    base_total: list[float] = [0.0] * ncomp
-    tri_anchor_base: dict[int, float] = {}
-    tri_pair: dict[tuple[int, int], float] = {}
-    for l, eng in enumerate(engines):
-        if eng.anchored:
-            continue
-        for x in existing:
-            node_w[l][x] = eng.weight(x)
-        excluded_sum = math.fsum(eng.weight(x) for x in base_excluded)
-        base_total[l] = eng.total_all() - excluded_sum
-
-    def tri_base(eng: _TriangleEngine, anchor: int) -> float:
-        got = tri_anchor_base.get(anchor)
-        if got is None:
-            got = eng.anchor_total(anchor)
-            tri_anchor_base[anchor] = got
-        return got
-
-    def tri_w(eng: _TriangleEngine, anchor: int, node: int) -> float:
-        key = (anchor, node)
-        got = tri_pair.get(key)
-        if got is None:
-            got = eng.pair_weight(anchor, node)
-            tri_pair[key] = got
-        return got
-
-    tri_internal_base: list[float] = [0.0] * ncomp
-    if not inc.center_is_new:
-        for l, eng in enumerate(engines):
-            if eng.anchored:
-                shared = math.fsum(tri_w(eng, inc.center, x) for x in base_excluded)
-                tri_internal_base[l] = tri_base(eng, inc.center) - shared
-
-    evaluated: list[list[_StepEval]] = []
-    for oi, ordering in enumerate(orderings):
-        steps: list[_StepEval] = []
-        running = list(base_total)
-        anchor = None if inc.center_is_new else inc.center
-        tri_running = list(tri_internal_base)
-        for s, x in enumerate(ordering):
-            eligible = initial_eligible - s
-            weights = [0.0] * ncomp
-            totals = [0.0] * ncomp
-            for l, eng in enumerate(engines):
-                if eng.anchored:
-                    if anchor is None:
-                        # First leaf of a new-center star: no anchor exists.
-                        weights[l] = 0.0
-                        totals[l] = 0.0
-                        if oi == 0:
-                            fallbacks += 1
-                    else:
-                        weights[l] = tri_w(eng, anchor, x)
-                        totals[l] = tri_running[l]
-                        if totals[l] <= 0.0 and oi == 0:
-                            fallbacks += 1
-                else:
-                    weights[l] = node_w[l][x]
-                    totals[l] = running[l]
-                    if totals[l] <= 0.0 and oi == 0:
-                        fallbacks += 1
-            steps.append(_StepEval(weights, totals, eligible))
-            if anchor is None:
-                anchor = x
-                for l, eng in enumerate(engines):
-                    if eng.anchored:
-                        tri_running[l] = tri_base(eng, x) - tri_w(eng, x, x)
-            else:
-                for l, eng in enumerate(engines):
-                    if eng.anchored:
-                        tri_running[l] -= tri_w(eng, anchor, x)
-            for l in range(ncomp):
-                if not engines[l].anchored:
-                    running[l] -= node_w[l][x]
-        evaluated.append(steps)
-
-    # Assembled with the same grouping and summation the model path uses
-    # (fsum over steps, then + log q!, then + center), so the pure-random
-    # model cancels this baseline bit for bit.
-    center_rand = 0.0 if center_eval is None else -math.log(float(n))
-    rand_steps = math.fsum(-math.log(float(initial_eligible - s)) for s in range(q))
-    logp_rand = center_rand + (rand_steps + _log_factorial(q))
-
-    return _IncrementEval(
-        index=index,
-        timestamp=inc.timestamp,
-        num_choices=inc.num_choices,
-        q=q,
-        initial_eligible=initial_eligible,
-        sampled=sampled,
-        log_mult=log_mult,
-        center_eval=center_eval,
-        orderings=evaluated,
-        fallback_choices=fallbacks,
-        logp_rand=logp_rand,
-    )
-
-
-def _eval_logp(ev: _IncrementEval, betas: Sequence[float]) -> float:
-    logp = 0.0
-    if ev.center_eval is not None:
-        logp += ev.center_eval.log_prob(betas)
-    ordering_logps = [
-        math.fsum(step.log_prob(betas) for step in steps) if steps else 0.0
-        for steps in ev.orderings
-    ]
-    logp += ev.log_mult + _logsumexp(ordering_logps)
-    return logp
-
-
-def _interval_for(schedule, timestamp: int, index: int) -> MixtureInterval:
-    if isinstance(schedule, ModelSchedule):
-        return schedule.interval_at(timestamp, index)
-    if isinstance(schedule, MixtureInterval):
-        return schedule
-    if isinstance(schedule, Component):
-        return MixtureInterval.single(schedule)
-    raise DegenerateModelError(f"cannot score under {schedule!r}")
-
-
-def _engines_for_schedule(schedule, graph: DynamicGraph):
-    if isinstance(schedule, ModelSchedule):
-        intervals = schedule.intervals
-    else:
-        intervals = (_interval_for(schedule, 0, 0),)
-    unique: list[Component] = []
-    for interval in intervals:
-        for comp in interval.components:
-            if comp not in unique:
-                unique.append(comp)
-    engines = {comp: _make_engine(comp, graph) for comp in unique}
-    return engines
-
-
-def _pre_degrees(graph: DynamicGraph, inc: Increment) -> dict[int, int]:
-    degs: dict[int, int] = {}
-    degs[inc.center] = 0 if inc.center_is_new else graph.degrees[inc.center]
-    for t, new in zip(inc.targets, inc.targets_new):
-        degs[t] = 0 if new else graph.degrees[t]
-    return degs
-
-
-def score_stream(
-    stream: GrowthStream,
-    schedule,
-    seed: int = 0,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    keep_series: bool = False,
-    progress: Callable[[int, int], None] | None = None,
-    progress_every: int = PROGRESS_EVERY,
-) -> tuple[LikelihoodSummary, list[IncrementScore] | None]:
-    """Log-likelihood of a stream under a schedule, with the uniform baseline.
-
-    Returns (summary, series); the per-increment series is kept only when
-    ``keep_series`` is set.  The stream must be admissible (cleaned): a
-    duplicate edge or unknown node raises from the replay.
-    """
-    graph = stream.seed_graph()
-    engines_by_comp = _engines_for_schedule(schedule, graph)
-    total = len(stream.increments)
-    series: list[IncrementScore] | None = [] if keep_series else None
-    loglik = 0.0
-    loglik_rand = 0.0
-    choices = 0
-    sampled_count = 0
-    fallback_total = 0
-    impossible = 0
-    for index, inc in enumerate(stream.increments):
-        interval = _interval_for(schedule, inc.timestamp, index)
-        engines = [engines_by_comp[c] for c in interval.components]
-        ev = evaluate_increment(
-            graph, engines, inc, index, seed, max_exhaustive_choices, ordering_samples
-        )
-        logp = _eval_logp(ev, interval.weights)
-        loglik += logp
-        loglik_rand += ev.logp_rand
-        choices += ev.num_choices
-        sampled_count += 1 if ev.sampled else 0
-        fallback_total += ev.fallback_choices
-        if logp == _NEG_INF:
-            impossible += 1
-        if series is not None:
-            series.append(
-                IncrementScore(
-                    index=index,
-                    timestamp=inc.timestamp,
-                    logp=logp,
-                    logp_rand=ev.logp_rand,
-                    num_choices=ev.num_choices,
-                    sampled=ev.sampled,
-                    fallback_choices=ev.fallback_choices,
-                    impossible=logp == _NEG_INF,
-                )
+        firsts = positions[:, 0].tolist()
+        slot = {a: i for i, a in enumerate(dict.fromkeys(firsts))}
+        rows, totals = [], []
+        for a in slot:
+            x = existing[a]
+            rows.append(
+                [0 if b == a else graph.common_neighbor_count(x, y) for b, y in enumerate(existing)]
             )
-        pre = _pre_degrees(graph, inc)
+            totals.append(sum(degs[u] for u in graph.neighbors(x)) - degs[x])
+        ord_rows = np.array([slot[a] for a in firsts], dtype=np.int64)
+    return list(chain.from_iterable(rows)), len(existing) * ord_rows, np.array(totals)[ord_rows]
+
+
+# Per-increment columns of a replay, in the order _replay records them.
+_INCREMENT_COLUMNS = (
+    ("timestamps", np.int64),
+    ("num_choices", np.int64),
+    ("num_nodes", np.int64),
+    ("center", np.int64),
+    ("center_new", bool),
+    ("center_deg", np.int64),
+    ("gain", np.int64),
+    ("initial_eligible", np.int64),
+    ("sampled", bool),
+    ("log_mult", np.float64),
+    ("logp_rand", np.float64),
+    ("shared_count", np.int64),
+)
+
+
+def _replay(
+    graph: DynamicGraph,
+    increments: Sequence[Increment],
+    first_index: int,
+    components: Sequence[Component],
+    seed: int,
+    max_exhaustive_choices: int,
+    ordering_samples: int,
+    progress: Callable[[int, int], None] | None = None,
+) -> DPTrace:
+    """Walk the increments once from ``graph`` (mutated), recording a DPTrace.
+
+    ``first_index`` is the stream index of the first increment, which seeds
+    its ordering sample.  Triangle data are recorded only when
+    ``components`` include triangle closure.
+    """
+    triangles = any(isinstance(c, TriangleClosure) for c in components)
+    degs = graph.degrees
+    h0 = np.bincount(np.asarray(degs, dtype=np.int64), minlength=1)
+    rows: list[tuple] = []
+    shared_id: list[int] = []
+    shared_deg: list[int] = []
+    target_id: list[int] = []
+    target_deg: list[int] = []
+    orderings: list[np.ndarray] = []
+    tri_values: list[int] = []
+    ord_tri_start: list[np.ndarray] = []
+    ord_tri_total: list[np.ndarray] = []
+    total = len(increments)
+
+    for k, inc in enumerate(increments):
+        index = first_index + k
+        n = graph.num_nodes
+        existing = inc.existing_targets
+        q = len(existing)
+        if inc.center_is_new:
+            kc = 0
+            eligible = n
+        else:
+            if n == 0:
+                raise DegenerateModelError("existing-tagged center on an empty graph")
+            kc = degs[inc.center]
+            eligible = n - 1 - kc
+            nbrs = graph.neighbors(inc.center)
+            shared_id.append(inc.center)
+            shared_id.extend(nbrs)
+            shared_deg.append(kc)
+            shared_deg.extend([degs[v] for v in nbrs])
+        if q > eligible:
+            raise RejectedIncrementError(
+                f"increment {index}: {q} existing targets but only "
+                f"{eligible} eligible candidates"
+            )
+        positions, sampled, log_mult = _ordering_positions(
+            inc, index, seed, max_exhaustive_choices, ordering_samples
+        )
+        orderings.append(positions)
+        target_id.extend(existing)
+        target_deg.extend([degs[x] for x in existing])
+        if triangles:
+            values, starts, totals = _anchor_rows(graph, inc, existing, positions)
+            ord_tri_start.append(len(tri_values) + starts)
+            ord_tri_total.append(totals)
+            tri_values.extend(values)
+
+        # Assembled with one fixed grouping (fsum over steps, then + log q!,
+        # then + center), so every path reads the same baseline bits.
+        center_rand = 0.0 if inc.center_is_new else -math.log(float(n))
+        rand_steps = math.fsum(-math.log(float(eligible - s)) for s in range(q))
+        rows.append(
+            (
+                inc.timestamp,
+                inc.num_choices,
+                n,
+                inc.center,
+                inc.center_is_new,
+                kc,
+                len(inc.targets),
+                eligible,
+                sampled,
+                log_mult,
+                center_rand + (rand_steps + _log_factorial(q)),
+                0 if inc.center_is_new else kc + 1,
+            )
+        )
         apply_increment(graph, inc)
-        for eng in engines_by_comp.values():
-            eng.on_increment_applied(inc, pre)
-        if progress is not None and (index + 1) % progress_every == 0:
-            progress(index + 1, total)
+        if progress is not None and (k + 1) % PROGRESS_EVERY == 0:
+            progress(k + 1, total)
     if progress is not None:
         progress(total, total)
-    summary = LikelihoodSummary(
-        loglik=loglik,
-        loglik_rand=loglik_rand,
-        total_choices=choices,
-        increments=total,
-        sampled_increments=sampled_count,
-        fallback_choices=fallback_total,
-        impossible_increments=impossible,
+
+    columns = zip(*rows) if rows else [()] * len(_INCREMENT_COLUMNS)
+    arrays = {
+        name: np.array(values, dtype=dtype)
+        for (name, dtype), values in zip(_INCREMENT_COLUMNS, columns)
+    }
+    shared_count = arrays.pop("shared_count")
+    initial_eligible = arrays.pop("initial_eligible")
+    num_inc = len(increments)
+    existing_counts = np.array([p.shape[1] for p in orderings], dtype=np.int64)
+    ord_counts = np.array([p.shape[0] for p in orderings], dtype=np.int64)
+    inc_ord_offsets = _offsets(ord_counts)
+    ord_len = np.repeat(existing_counts, ord_counts)
+    ordering_offsets = _offsets(ord_len)
+    entry_ord = np.repeat(np.arange(len(ord_len)), ord_len)
+    entry_inc = np.repeat(np.arange(num_inc), ord_counts)[entry_ord]
+    entry_first = ordering_offsets[entry_ord]
+    entry_step = np.arange(len(entry_ord)) - entry_first
+    positions = _flat(orderings, np.int64)
+    entry_target = _offsets(existing_counts)[entry_inc] + positions
+    target_deg_arr = np.array(target_deg, dtype=np.int64)
+
+    tri_common = tri_total = None
+    if triangles:
+        tri_common = np.array(tri_values, dtype=np.int64)[
+            _flat(ord_tri_start, np.int64)[entry_ord] + positions
+        ]
+        tri_total = _flat(ord_tri_total, np.int64)[entry_ord] - _exclusive_prefix(
+            tri_common, entry_first
+        )
+        # The first leaf of a new-center star has no anchor: uniform fallback.
+        no_anchor = arrays["center_new"][entry_inc] & (entry_step == 0)
+        tri_common[no_anchor] = 0
+        tri_total[no_anchor] = 0
+
+    kmax = max(
+        len(h0) - 1,
+        1,
+        int((arrays["center_deg"] + arrays["gain"]).max(initial=0)),
+        int(target_deg_arr.max(initial=-1)) + 1,
     )
-    return summary, series
+    return DPTrace(
+        **arrays,
+        existing_counts=existing_counts,
+        h0=np.pad(h0, (0, kmax + 1 - len(h0))).astype(np.float64),
+        shared_inc=np.repeat(np.arange(num_inc), shared_count),
+        shared_id=np.array(shared_id, dtype=np.int64),
+        shared_deg=np.array(shared_deg, dtype=np.int64),
+        target_inc=np.repeat(np.arange(num_inc), existing_counts),
+        target_deg=target_deg_arr,
+        inc_ord_offsets=inc_ord_offsets,
+        ordering_offsets=ordering_offsets,
+        entry_ord=entry_ord,
+        entry_inc=entry_inc,
+        entry_first=entry_first,
+        first_ordering=entry_ord == inc_ord_offsets[entry_inc],
+        eligible=(initial_eligible[entry_inc] - entry_step).astype(np.float64),
+        chosen_deg=target_deg_arr[entry_target],
+        chosen_id=np.array(target_id, dtype=np.int64)[entry_target],
+        tri_common=tri_common,
+        tri_total=tri_total,
+    )
 
 
-def increment_probability(
-    graph: DynamicGraph,
-    inc: Increment,
-    schedule,
-    index: int = 0,
+def _stream_trace(
+    stream: GrowthStream,
+    components: Sequence[Component],
     seed: int = 0,
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-) -> float:
-    """Probability of one increment against a frozen graph (not log)."""
-    interval = _interval_for(schedule, inc.timestamp, index)
-    engines = [_make_engine(c, graph) for c in interval.components]
-    ev = evaluate_increment(
-        graph, engines, inc, index, seed, max_exhaustive_choices, ordering_samples
+    progress: Callable[[int, int], None] | None = None,
+) -> DPTrace:
+    """Replay a stream from its seed graph for the given components."""
+    return _replay(
+        stream.seed_graph(),
+        stream.increments,
+        0,
+        components,
+        seed,
+        max_exhaustive_choices,
+        ordering_samples,
+        progress,
     )
-    logp = _eval_logp(ev, interval.weights)
-    return 0.0 if logp == _NEG_INF else math.exp(logp)
+
+
+def build_dp_trace(
+    stream: GrowthStream,
+    seed: int = 0,
+    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
+    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+) -> DPTrace:
+    """Replay a stream once for degree-power (or any non-triangle) scoring."""
+    return _stream_trace(stream, (), seed, max_exhaustive_choices, ordering_samples)
+
+
+def _degree_powers(size: int, alpha: float) -> np.ndarray:
+    """k**alpha for k = 0..size - 1, with the degree-0 conventions of ``models``."""
+    if alpha == 0.0:
+        return np.ones(size)
+    with np.errstate(divide="ignore"):
+        table = np.arange(size, dtype=np.float64) ** alpha
+    table[0] = 0.0
+    return table
+
+
+def _choice_weights(
+    trace: DPTrace, comp: Component
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step and per-center (weight, total) of one component.
+
+    Step totals cover each step's eligible set and center totals the whole
+    graph; a total <= 0 means the choice falls back to uniform.  Center
+    values of new centers are never read.
+    """
+    num_inc = trace.num_increments
+    whole_graph = trace.num_nodes.astype(np.float64)
+    if isinstance(comp, Random):
+        return np.ones(len(trace.eligible)), trace.eligible, np.ones(num_inc), whole_graph
+    if isinstance(comp, TriangleClosure):
+        # Star sources are picked uniformly under triangle closure.
+        return (
+            trace.tri_common.astype(np.float64),
+            trace.tri_total.astype(np.float64),
+            np.ones(num_inc),
+            whole_graph,
+        )
+    if isinstance(comp, DegreePower):
+        table = _degree_powers(len(trace.h0), comp.alpha)
+        # Histogram deltas: existing nodes leave their old degree bin; new
+        # nodes only appear at their final degree.
+        grown = table[trace.center_deg + trace.gain] - np.where(
+            trace.center_new, 0.0, table[trace.center_deg]
+        )
+        grown += np.bincount(
+            trace.target_inc,
+            weights=table[trace.target_deg + 1] - table[trace.target_deg],
+            minlength=num_inc,
+        )
+        grown += (trace.gain - trace.existing_counts) * table[1]
+        whole = float(trace.h0 @ table) + _offsets(grown)[:-1]
+        shared, chosen, center = (
+            table[trace.shared_deg],
+            table[trace.chosen_deg],
+            table[trace.center_deg],
+        )
+    elif isinstance(comp, RankPreference):
+        ranks = np.arange(1, trace.num_nodes.max(initial=0) + 2, dtype=np.float64) ** -comp.alpha
+        whole = _offsets(ranks)[trace.num_nodes]
+        shared, chosen, center = ranks[trace.shared_id], ranks[trace.chosen_id], ranks[trace.center]
+    else:
+        raise DegenerateModelError(f"no likelihood for {comp!r}")
+    base = whole - np.bincount(trace.shared_inc, weights=shared, minlength=num_inc)
+    step_total = base[trace.entry_inc] - _exclusive_prefix(chosen, trace.entry_first)
+    return chosen, step_total, center, whole
+
+
+def _segment_logsumexp(
+    values: np.ndarray, counts: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """log(scale * sum(exp(values))) over consecutive row segments, max-shifted.
+
+    ``counts`` holds each segment's row count (at least 1).  ``scale`` is
+    applied before the log, so S rows of 0 scaled by 1/S give exactly 0.
+    """
+    if len(counts) == 0:
+        return np.zeros((0, *values.shape[1:]))
+    starts = _offsets(counts)[:-1]
+    top = np.maximum.reduceat(values, starts, axis=0)
+    rep = np.repeat(top, counts, axis=0)
+    with np.errstate(invalid="ignore"):
+        shifted = np.exp(np.where(rep == _NEG_INF, _NEG_INF, values - rep))
+    total = np.add.reduceat(shifted, starts, axis=0)
+    if scale is not None:
+        total *= scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(top == _NEG_INF, _NEG_INF, np.log(total) + top)
+
+
+def _trace_logp(trace: DPTrace, comp: Component) -> np.ndarray:
+    """Per-increment log-probability under one component, reduced in log space.
+
+    The uniform model (RAND, or exponent 0) returns the baseline itself, so
+    that identity holds bit for bit rather than to within summation noise.
+    """
+    if isinstance(comp, Random) or comp == DegreePower(0.0):
+        return trace.logp_rand.copy()
+    step_w, step_total, center_w, center_total = _choice_weights(trace, comp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(
+            step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(trace.eligible)
+        )
+        center = np.where(
+            center_total > 0.0,
+            np.log(center_w) - np.log(center_total),
+            -np.log(trace.num_nodes.astype(np.float64)),
+        )
+    ord_logp = np.bincount(
+        trace.entry_ord, weights=step, minlength=len(trace.ordering_offsets) - 1
+    )
+    targets = _segment_logsumexp(ord_logp, np.diff(trace.inc_ord_offsets))
+    return np.where(trace.center_new, 0.0, center) + trace.log_mult + targets
+
+
+def dp_trace_logp(trace: DPTrace, alpha: float) -> np.ndarray:
+    """Per-increment log-probability under a single degree-power component.
+
+    Exponent 0 is the uniform model, so it returns the baseline itself and
+    the identity holds bit for bit rather than to within summation noise.
+    """
+    return _trace_logp(trace, DegreePower(alpha))
+
+
+def dp_trace_loglik(trace: DPTrace, alphas) -> np.ndarray:
+    """Total log-likelihood at each exponent (scalar in, scalar out)."""
+    scalar = np.isscalar(alphas)
+    values = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
+    out = np.array([float(dp_trace_logp(trace, float(a)).sum()) for a in values])
+    return float(out[0]) if scalar else out
 
 
 @dataclass
 class ChoiceCache:
     """Mixture-weight-independent per-choice ratios for fast weight fitting.
 
-    Per target step and component: (component prob / uniform prob) over the
-    step's eligible set; per center and component: the same ratio over all
-    nodes, with all-ones rows for new centers (so any convex combination
-    gives factor 1).  For weights w, the step mixture ratio is the dot
-    product, ordering ratios multiply, increments sum orderings and scale by
-    ``inv_norm`` (1/q! exhaustive, 1/S sampled); the log of the result is
-    logp - logp_rand for the increment.
+    Built from a ``DPTrace``.  Per target step and component: (component
+    prob / uniform prob) over the step's eligible set; per center and
+    component: the same ratio over all nodes, with all-ones rows for new
+    centers (so any convex combination gives factor 1).  For weights w, the
+    step mixture ratio is the dot product, ordering ratios multiply,
+    increments sum orderings and scale by ``inv_norm`` (1/q! exhaustive, 1/S
+    sampled); the log of the result is logp - logp_rand for the increment.
 
     That ratio is a homogeneous polynomial of degree q + 1 in w with
     non-negative coefficients.  Increments of degree at most
@@ -650,7 +647,8 @@ class ChoiceCache:
     step rows are mixed, logged and summed per ordering, and the orderings
     are combined by a max-shifted logsumexp, so a long product of small
     ratios cannot underflow.  The step rows and offsets are kept for every
-    increment as the replay record.
+    increment as the replay record; an increment without existing targets
+    has one ordering of no steps.
     """
 
     components: tuple[Component, ...]
@@ -742,18 +740,14 @@ def _monomials(w: np.ndarray, degree: int) -> np.ndarray:
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Concatenation of arange(lo[i], hi[i]) over i."""
     lengths = hi - lo
-    return np.repeat(lo - _segment_starts(lengths), lengths) + np.arange(int(lengths.sum()))
-
-
-def _segment_starts(lengths: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+    return np.repeat(lo - _offsets(lengths)[:-1], lengths) + np.arange(int(lengths.sum()))
 
 
 def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Consecutive index ranges over ``sizes``, each totalling under ``budget`` plus one item."""
     if len(sizes) == 0:
         return []
-    span = _segment_starts(sizes) // budget
+    span = _offsets(sizes)[:-1] // budget
     cuts = np.flatnonzero(np.diff(span)) + 1
     bounds = [0, *cuts.tolist(), len(sizes)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -798,16 +792,62 @@ def _collapse(
                 poly = np.ones((len(ords), 1))
                 for s in range(q):
                     poly = _times_linear(poly, step_ratios[first_row + s], s + 1)
-                poly = np.add.reduceat(poly, _segment_starts(orderings[a:b]), axis=0)
+                poly = np.add.reduceat(poly, _offsets(orderings[a:b])[:-1], axis=0)
             poly *= inv_norm[part, None]
             blocks.append(_times_linear(poly, center_ratios[part], degree).ravel())
     return {
         "poly_coefs": np.concatenate(blocks) if blocks else np.zeros(0),
         "poly_increments": collapsed.astype(np.int64),
-        "poly_offsets": np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-        "poly_coef_offsets": np.concatenate(([0], np.cumsum(coef_sizes))).astype(np.int64),
+        "poly_offsets": _offsets(counts),
+        "poly_coef_offsets": _offsets(coef_sizes),
         "row_increments": np.flatnonzero(degrees > MAX_COLLAPSED_DEGREE).astype(np.int64),
     }
+
+
+def _choice_cache(
+    trace: DPTrace, components: Sequence[Component]
+) -> tuple[ChoiceCache, np.ndarray]:
+    """The weight-fitting cache of a trace, plus (L, I) fallback choices per component.
+
+    Fallbacks are counted on the center and on the first ordering's steps.
+    """
+    num_inc = trace.num_increments
+    step_ratios = np.empty((len(trace.eligible), len(components)))
+    center_ratios = np.ones((num_inc, len(components)))
+    fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
+    whole_graph = trace.num_nodes.astype(np.float64)
+    for l, comp in enumerate(components):
+        step_w, step_total, center_w, center_total = _choice_weights(trace, comp)
+        center_fallback = ~trace.center_new & (center_total <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # multiply first so a uniform component cancels exactly to 1.0
+            step_ratios[:, l] = np.where(
+                step_total > 0.0, step_w * trace.eligible / step_total, 1.0
+            )
+            center_ratios[:, l] = np.where(
+                trace.center_new | center_fallback, 1.0, center_w * whole_graph / center_total
+            )
+        fallbacks[l] = center_fallback + np.bincount(
+            trace.entry_inc[trace.first_ordering & (step_total <= 0.0)], minlength=num_inc
+        )
+    arrays = {
+        "step_ratios": step_ratios,
+        "ordering_offsets": trace.ordering_offsets,
+        "increment_offsets": trace.inc_ord_offsets,
+        "center_ratios": center_ratios,
+        "inv_norm": 1.0 / np.diff(trace.inc_ord_offsets),
+    }
+    cache = ChoiceCache(
+        components=tuple(components),
+        **arrays,
+        num_choices=trace.num_choices,
+        timestamps=trace.timestamps,
+        logp_rand=trace.logp_rand,
+        **_collapse(**arrays, existing_counts=trace.existing_counts),
+        sampled_increments=trace.sampled_increments,
+        fallback_choices=int(fallbacks.sum()),
+    )
+    return cache, fallbacks
 
 
 def build_choice_cache(
@@ -817,7 +857,6 @@ def build_choice_cache(
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
     progress: Callable[[int, int], None] | None = None,
-    progress_every: int = PROGRESS_EVERY,
 ) -> ChoiceCache:
     """One replay pass recording everything weight fitting needs.
 
@@ -825,79 +864,10 @@ def build_choice_cache(
     interval boundaries, so a single build serves every partition depth and
     every weight-grid point.
     """
-    components = tuple(components)
-    graph = stream.seed_graph()
-    engines = [_make_engine(c, graph) for c in components]
-    ncomp = len(components)
-    total = len(stream.increments)
-
-    step_rows: list[list[float]] = []
-    ordering_offsets: list[int] = [0]
-    increment_offsets: list[int] = [0]
-    center_rows: list[list[float]] = []
-    inv_norm: list[float] = []
-    num_choices: list[int] = []
-    timestamps: list[int] = []
-    logp_rand: list[float] = []
-    existing_counts: list[int] = []
-    sampled_count = 0
-    fallback_total = 0
-
-    for index, inc in enumerate(stream.increments):
-        ev = evaluate_increment(
-            graph, engines, inc, index, seed, max_exhaustive_choices, ordering_samples
-        )
-        if ev.center_eval is not None:
-            center_rows.append([ev.center_eval.component_ratio(l) for l in range(ncomp)])
-        else:
-            center_rows.append([1.0] * ncomp)
-        if ev.q == 0:
-            # Degenerate dummy ordering: one all-ones step, product 1.
-            step_rows.append([1.0] * ncomp)
-            ordering_offsets.append(len(step_rows))
-            inv_norm.append(1.0)
-        else:
-            for steps in ev.orderings:
-                for step in steps:
-                    step_rows.append([step.component_ratio(l) for l in range(ncomp)])
-                ordering_offsets.append(len(step_rows))
-            if ev.sampled:
-                inv_norm.append(1.0 / len(ev.orderings))
-            else:
-                inv_norm.append(1.0 / math.factorial(ev.q))
-        increment_offsets.append(len(ordering_offsets) - 1)
-        num_choices.append(ev.num_choices)
-        timestamps.append(ev.timestamp)
-        logp_rand.append(ev.logp_rand)
-        existing_counts.append(ev.q)
-        sampled_count += 1 if ev.sampled else 0
-        fallback_total += ev.fallback_choices
-        pre = _pre_degrees(graph, inc)
-        apply_increment(graph, inc)
-        for eng in engines:
-            eng.on_increment_applied(inc, pre)
-        if progress is not None and (index + 1) % progress_every == 0:
-            progress(index + 1, total)
-    if progress is not None:
-        progress(total, total)
-
-    arrays = {
-        "step_ratios": np.array(step_rows, dtype=np.float64).reshape(len(step_rows), ncomp),
-        "ordering_offsets": np.array(ordering_offsets, dtype=np.int64),
-        "increment_offsets": np.array(increment_offsets, dtype=np.int64),
-        "center_ratios": np.array(center_rows, dtype=np.float64).reshape(total, ncomp),
-        "inv_norm": np.array(inv_norm, dtype=np.float64),
-    }
-    return ChoiceCache(
-        components=components,
-        **arrays,
-        num_choices=np.array(num_choices, dtype=np.int64),
-        timestamps=np.array(timestamps, dtype=np.int64),
-        logp_rand=np.array(logp_rand, dtype=np.float64),
-        **_collapse(**arrays, existing_counts=np.array(existing_counts, dtype=np.int64)),
-        sampled_increments=sampled_count,
-        fallback_choices=fallback_total,
+    trace = _stream_trace(
+        stream, components, seed, max_exhaustive_choices, ordering_samples, progress
     )
+    return _choice_cache(trace, components)[0]
 
 
 def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -912,17 +882,11 @@ def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.nd
         step_log = cache.step_ratios[_concat_ranges(row_lo[a:b], row_hi[a:b])] @ w.T
         with np.errstate(divide="ignore"):
             np.log(step_log, out=step_log)
-        ord_log[a:b] = np.add.reduceat(step_log, _segment_starts(row_hi[a:b] - row_lo[a:b]), axis=0)
-    inc_starts = _segment_starts(ord_hi - ord_lo)
-    top = np.maximum.reduceat(ord_log, inc_starts, axis=0)
-    rep = np.repeat(top, ord_hi - ord_lo, axis=0)
-    with np.errstate(invalid="ignore"):
-        shifted = np.exp(np.where(rep == _NEG_INF, _NEG_INF, ord_log - rep))
-    # Scale the shifted sum before the log, so S orderings of ratio 1 give
-    # log(S * (1/S)) = 0 exactly, as on the collapsed path.
-    scaled = np.add.reduceat(shifted, inc_starts, axis=0) * cache.inv_norm[incs, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        targets = np.where(top == _NEG_INF, _NEG_INF, np.log(scaled) + top)
+        ord_log[a:b] = np.add.reduceat(step_log, _offsets(row_hi[a:b] - row_lo[a:b])[:-1], axis=0)
+    # Scaling the shifted sum before the log makes S orderings of ratio 1
+    # give log(S * (1/S)) = 0 exactly, as on the collapsed path.
+    targets = _segment_logsumexp(ord_log, ord_hi - ord_lo, cache.inv_norm[incs, None])
+    with np.errstate(divide="ignore"):
         return targets + np.log(cache.center_ratios[incs] @ w.T)
 
 
@@ -976,7 +940,6 @@ def cache_loglik(
     weights: np.ndarray,
     start: int = 0,
     stop: int | None = None,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Total log-likelihood over an increment range for many weight vectors."""
     single = weights.ndim == 1
@@ -984,263 +947,130 @@ def cache_loglik(
     stop = cache.num_increments if stop is None else stop
     rand_total = float(cache.logp_rand[start:stop].sum())
     out = np.full(w.shape[0], rand_total)
-    for lo in range(0, w.shape[0], chunk):
-        for _, values in _logratio_blocks(cache, w[lo : lo + chunk], start, stop):
-            out[lo : lo + chunk] += values.sum(axis=0)
+    for lo in range(0, w.shape[0], _LATTICE_CHUNK):
+        for _, values in _logratio_blocks(cache, w[lo : lo + _LATTICE_CHUNK], start, stop):
+            out[lo : lo + _LATTICE_CHUNK] += values.sum(axis=0)
     return out[0] if single else out
 
 
-@dataclass
-class DPTrace:
-    """Replay trace for scanning the degree exponent without re-walking the graph.
+def _schedule_weights(schedule, increments: Sequence[Increment], first_index: int):
+    """A schedule's distinct components, their (J, L) weights and member counts per
+    interval, and each increment's interval."""
+    if isinstance(schedule, Component):
+        schedule = MixtureInterval.single(schedule)
+    if isinstance(schedule, MixtureInterval):
+        schedule = ModelSchedule.constant(schedule)
+    if not isinstance(schedule, ModelSchedule):
+        raise DegenerateModelError(f"cannot score under {schedule!r}")
+    which = [
+        schedule.interval_index(inc.timestamp, first_index + k) for k, inc in enumerate(increments)
+    ]
+    components = list(dict.fromkeys(c for iv in schedule.intervals for c in iv.components))
+    members = np.zeros((schedule.num_intervals, len(components)), dtype=np.int64)
+    weights = np.zeros(members.shape)
+    for j, iv in enumerate(schedule.intervals):
+        for beta, comp in zip(iv.weights, iv.components):
+            weights[j, components.index(comp)] += beta
+            members[j, components.index(comp)] += 1
+    return components, weights, members, np.array(which, dtype=np.intp)
 
-    Stores degree data only; for any exponent a the per-increment
-    log-probabilities are recovered with whole-array operations: a power
-    table over 0..kmax, whole-graph totals by cumulative histogram deltas,
-    per-step eligible totals by subtracting shared exclusions (the center
-    and its neighborhood) and the running sum of already-chosen weights.
+
+def _score(
+    graph: DynamicGraph,
+    increments: Sequence[Increment],
+    first_index: int,
+    schedule,
+    seed: int,
+    max_exhaustive_choices: int,
+    ordering_samples: int,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple[DPTrace, np.ndarray, np.ndarray]:
+    """(trace, logp, fallback choices) per increment under a schedule, from one replay.
+
+    Each increment is scored by the cache at its interval's weights, zero for
+    components that interval lacks; only its interval's components count
+    fallbacks.
     """
-
-    kmax: int
-    h0: np.ndarray  # (kmax + 1,) initial degree histogram
-    delta_deg: np.ndarray  # (D,) degrees whose count changes after an increment
-    delta_sign: np.ndarray  # (D,) +1/-1
-    delta_inc: np.ndarray  # (D,) owning increment
-    shared_deg: np.ndarray  # (SD,) degrees excluded for all of an increment's steps
-    shared_inc: np.ndarray  # (SD,)
-    chosen_deg: np.ndarray  # (E,) chosen-node degree per ordering step
-    entry_ord: np.ndarray  # (E,) owning ordering
-    entry_inc: np.ndarray  # (E,) owning increment
-    entry_step: np.ndarray  # (E,) step index within the ordering
-    ord_inc: np.ndarray  # (O,) owning increment per ordering
-    inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment
-    center_new: np.ndarray  # (I,) bool
-    center_deg: np.ndarray  # (I,)
-    num_nodes: np.ndarray  # (I,) graph size when scored
-    initial_eligible: np.ndarray  # (I,)
-    log_mult: np.ndarray  # (I,)
-    num_choices: np.ndarray  # (I,)
-    timestamps: np.ndarray  # (I,)
-    logp_rand: np.ndarray  # (I,)
-    sampled_increments: int
-
-    @property
-    def num_increments(self) -> int:
-        return len(self.timestamps)
-
-    @property
-    def total_choices(self) -> int:
-        return int(self.num_choices.sum())
+    components, weights, members, which = _schedule_weights(schedule, increments, first_index)
+    trace = _replay(
+        graph,
+        increments,
+        first_index,
+        components,
+        seed,
+        max_exhaustive_choices,
+        ordering_samples,
+        progress,
+    )
+    cache, fallbacks = _choice_cache(trace, components)
+    ratios = cache_logratios(cache, weights)[np.arange(len(which)), which]
+    return trace, ratios + trace.logp_rand, (members[which] * fallbacks.T).sum(axis=1)
 
 
-def build_dp_trace(
+def score_stream(
     stream: GrowthStream,
+    schedule,
     seed: int = 0,
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-) -> DPTrace:
-    """Record the degree bookkeeping for degree-power scoring of a stream."""
-    graph = stream.seed_graph()
-    h0 = np.bincount(graph.degrees) if graph.num_nodes else np.zeros(1, dtype=np.int64)
+    keep_series: bool = False,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple[LikelihoodSummary, list[IncrementScore] | None]:
+    """Log-likelihood of a stream under a schedule, with the uniform baseline.
 
-    delta_deg: list[int] = []
-    delta_sign: list[int] = []
-    delta_inc: list[int] = []
-    shared_deg: list[int] = []
-    shared_inc: list[int] = []
-    chosen_deg: list[int] = []
-    entry_ord: list[int] = []
-    entry_step: list[int] = []
-    ord_inc: list[int] = []
-    inc_ord_offsets: list[int] = [0]
-    center_new: list[bool] = []
-    center_deg: list[int] = []
-    num_nodes: list[int] = []
-    initial_eligible: list[int] = []
-    log_mult: list[float] = []
-    num_choices: list[int] = []
-    timestamps: list[int] = []
-    logp_rand: list[float] = []
-    sampled_count = 0
-    kmax = max(graph.degrees, default=0)
-
-    for index, inc in enumerate(stream.increments):
-        n = graph.num_nodes
-        q = len(inc.existing_targets)
-        orderings, sampled, lm = orderings_for_increment(
-            inc, index, seed, max_exhaustive_choices, ordering_samples
-        )
-        sampled_count += 1 if sampled else 0
-        b = n if inc.center_is_new else n - 1 - graph.degrees[inc.center]
-        if q > b:
-            raise RejectedIncrementError(
-                f"increment {index}: {q} existing targets but only "
-                f"{b} eligible candidates"
-            )
-        if not inc.center_is_new:
-            kc = graph.degrees[inc.center]
-            shared_deg.append(kc)
-            shared_inc.append(index)
-            for v in graph.neighbors(inc.center):
-                shared_deg.append(graph.degrees[v])
-                shared_inc.append(index)
-        for steps in orderings:
-            oid = len(ord_inc)
-            ord_inc.append(index)
-            for s, x in enumerate(steps):
-                chosen_deg.append(graph.degrees[x])
-                entry_ord.append(oid)
-                entry_step.append(s)
-        inc_ord_offsets.append(len(ord_inc))
-        center_new.append(inc.center_is_new)
-        center_deg.append(0 if inc.center_is_new else graph.degrees[inc.center])
-        num_nodes.append(n)
-        initial_eligible.append(b)
-        log_mult.append(lm)
-        num_choices.append(inc.num_choices)
-        timestamps.append(inc.timestamp)
-        center_rand = 0.0 if inc.center_is_new else -math.log(float(n))
-        rand_steps = math.fsum(-math.log(float(b - s)) for s in range(q))
-        logp_rand.append(center_rand + (rand_steps + _log_factorial(q)))
-
-        # Histogram deltas: existing nodes move from their old degree bin;
-        # new nodes only appear at their final degree (they were never in
-        # the pre-increment histogram).
-        gain = len(inc.targets)
-        kc0 = 0 if inc.center_is_new else graph.degrees[inc.center]
-        if not inc.center_is_new:
-            delta_deg.append(kc0)
-            delta_sign.append(-1)
-            delta_inc.append(index)
-        delta_deg.append(kc0 + gain)
-        delta_sign.append(1)
-        delta_inc.append(index)
-        kmax = max(kmax, kc0 + gain)
-        for t, is_new in zip(inc.targets, inc.targets_new):
-            kt0 = 0 if is_new else graph.degrees[t]
-            if not is_new:
-                delta_deg.append(kt0)
-                delta_sign.append(-1)
-                delta_inc.append(index)
-            delta_deg.append(kt0 + 1)
-            delta_sign.append(1)
-            delta_inc.append(index)
-            kmax = max(kmax, kt0 + 1)
-        apply_increment(graph, inc)
-
-    if len(h0) < kmax + 1:
-        h0 = np.pad(h0, (0, kmax + 1 - len(h0)))
-    return DPTrace(
-        kmax=kmax,
-        h0=h0.astype(np.float64),
-        delta_deg=np.array(delta_deg, dtype=np.int64),
-        delta_sign=np.array(delta_sign, dtype=np.float64),
-        delta_inc=np.array(delta_inc, dtype=np.int64),
-        shared_deg=np.array(shared_deg, dtype=np.int64),
-        shared_inc=np.array(shared_inc, dtype=np.int64),
-        chosen_deg=np.array(chosen_deg, dtype=np.int64),
-        entry_ord=np.array(entry_ord, dtype=np.int64),
-        entry_inc=np.array([ord_inc[o] for o in entry_ord], dtype=np.int64),
-        entry_step=np.array(entry_step, dtype=np.int64),
-        ord_inc=np.array(ord_inc, dtype=np.int64),
-        inc_ord_offsets=np.array(inc_ord_offsets, dtype=np.int64),
-        center_new=np.array(center_new, dtype=bool),
-        center_deg=np.array(center_deg, dtype=np.int64),
-        num_nodes=np.array(num_nodes, dtype=np.float64),
-        initial_eligible=np.array(initial_eligible, dtype=np.int64),
-        log_mult=np.array(log_mult, dtype=np.float64),
-        num_choices=np.array(num_choices, dtype=np.int64),
-        timestamps=np.array(timestamps, dtype=np.int64),
-        logp_rand=np.array(logp_rand, dtype=np.float64),
-        sampled_increments=sampled_count,
-    )
-
-
-def _dp_tables(kmax: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.arange(kmax + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        logk = np.log(ks)
-    if alpha == 0.0:
-        pow_table = np.ones(kmax + 1)
-        log_table = np.zeros(kmax + 1)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pow_table = ks**alpha
-        pow_table[0] = 0.0
-        log_table = alpha * logk
-        log_table[0] = _NEG_INF
-    return pow_table, log_table
-
-
-def dp_trace_logp(trace: DPTrace, alpha: float) -> np.ndarray:
-    """Per-increment log-probability under a single degree-power component.
-
-    Exponent 0 is the uniform model, so it returns the baseline itself and
-    the identity holds bit for bit rather than to within summation noise.
+    Returns (summary, series); the per-increment series is kept only when
+    ``keep_series`` is set.  The stream must be admissible (cleaned): a
+    duplicate edge or unknown node raises from the replay.
     """
-    if alpha == 0.0:
-        return trace.logp_rand.copy()
-    pow_table, log_table = _dp_tables(trace.kmax, alpha)
-    n_inc = trace.num_increments
-
-    w0 = float(trace.h0 @ pow_table)
-    deltas = np.bincount(
-        trace.delta_inc, weights=trace.delta_sign * pow_table[trace.delta_deg], minlength=n_inc
+    trace, logp, fallbacks = _score(
+        stream.seed_graph(),
+        stream.increments,
+        0,
+        schedule,
+        seed,
+        max_exhaustive_choices,
+        ordering_samples,
+        progress,
     )
-    w_all = w0 + np.concatenate(([0.0], np.cumsum(deltas)[:-1]))
-
-    shared = np.bincount(
-        trace.shared_inc, weights=pow_table[trace.shared_deg], minlength=n_inc
+    impossible = logp == _NEG_INF
+    summary = LikelihoodSummary(
+        loglik=float(logp.sum()),
+        loglik_rand=float(trace.logp_rand.sum()),
+        total_choices=trace.total_choices,
+        increments=trace.num_increments,
+        sampled_increments=trace.sampled_increments,
+        fallback_choices=int(fallbacks.sum()),
+        impossible_increments=int(impossible.sum()),
     )
-    w_base = w_all - shared
-
-    v = pow_table[trace.chosen_deg]
-    if len(v):
-        # Exclusive prefix sum of chosen weights within each ordering: the
-        # without-replacement correction to the step denominator.
-        shifted = np.concatenate(([0.0], np.cumsum(v)[:-1]))
-        is_start = trace.entry_step == 0
-        seg_id = np.cumsum(is_start) - 1
-        seg_base = shifted[np.flatnonzero(is_start)]
-        excl_prefix = shifted - seg_base[seg_id]
-        denom = w_base[trace.entry_inc] - excl_prefix
-        eligible = trace.initial_eligible[trace.entry_inc] - trace.entry_step
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step_logp = np.where(
-                denom > 0.0,
-                log_table[trace.chosen_deg] - np.log(denom),
-                -np.log(eligible.astype(np.float64)),
+    series = None
+    if keep_series:
+        series = [
+            IncrementScore(*row)
+            for row in zip(
+                range(trace.num_increments),
+                trace.timestamps.tolist(),
+                logp.tolist(),
+                trace.logp_rand.tolist(),
+                trace.num_choices.tolist(),
+                trace.sampled.tolist(),
+                fallbacks.tolist(),
+                impossible.tolist(),
             )
-        ord_logp = np.bincount(trace.entry_ord, weights=step_logp, minlength=len(trace.ord_inc))
-    else:
-        ord_logp = np.zeros(len(trace.ord_inc))
-
-    offsets = trace.inc_ord_offsets[:-1].astype(np.intp)
-    top = np.maximum.reduceat(ord_logp, offsets)
-    counts = np.diff(trace.inc_ord_offsets)
-    rep = np.repeat(top, counts)
-    with np.errstate(invalid="ignore"):
-        shifted_logp = np.where(rep == _NEG_INF, _NEG_INF, ord_logp - rep)
-    ssum = np.bincount(trace.ord_inc, weights=np.exp(shifted_logp), minlength=n_inc)
-    with np.errstate(divide="ignore"):
-        target_logp = np.where(top == _NEG_INF, _NEG_INF, np.log(ssum) + top)
-
-    with np.errstate(divide="ignore"):
-        center_logp = np.where(
-            trace.center_new,
-            0.0,
-            np.where(
-                w_all > 0.0,
-                log_table[trace.center_deg] - np.log(np.maximum(w_all, 1e-300)),
-                -np.log(trace.num_nodes),
-            ),
-        )
-    return center_logp + trace.log_mult + target_logp
+        ]
+    return summary, series
 
 
-def dp_trace_loglik(trace: DPTrace, alphas) -> np.ndarray:
-    """Total log-likelihood at each exponent (scalar in, scalar out)."""
-    scalar = np.isscalar(alphas)
-    values = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-    out = np.array([float(dp_trace_logp(trace, float(a)).sum()) for a in values])
-    return float(out[0]) if scalar else out
+def increment_probability(
+    graph: DynamicGraph,
+    inc: Increment,
+    schedule,
+    index: int = 0,
+    seed: int = 0,
+    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
+    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+) -> float:
+    """Probability of one increment against a frozen graph (not log); the graph is unchanged."""
+    _, logp, _ = _score(
+        graph.copy(), [inc], index, schedule, seed, max_exhaustive_choices, ordering_samples
+    )
+    return math.exp(logp[0])

@@ -10,8 +10,7 @@ evaluation finite:
   exponent 0, and 0 for exponent < 0 (negative powers of zero are excluded
   rather than infinite);
 * a component whose total weight over the eligible set is 0 contributes a
-  uniform distribution over that set for that single choice (the engines
-  count these fallbacks in their diagnostics).
+  uniform distribution over that set for that single choice.
 
 Triangle closure is anchor-conditional: choosing a star's source uses a
 uniform pick, choosing a leaf weights nodes by their common-neighbor count

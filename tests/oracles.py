@@ -66,17 +66,21 @@ def _mixture_prob(mixture, chosen, eligible, neigh, anchor):
     return prob
 
 
-def oracle_increment_probability(num_nodes, edges, center, center_is_new, targets, mixture):
-    """Probability that a star lands exactly on ``targets``.
+def oracle_choice_probabilities(
+    num_nodes, edges, center, center_is_new, targets, specs, orders=None
+):
+    """Per-component probability of every choice a star makes.
 
     ``num_nodes``/``edges`` describe the graph *before* the star is applied.
     ``targets`` is a list of (node, is_new) pairs; new nodes never appear in
-    any eligible set and contribute no choice factor.  Existing targets are
-    drawn without replacement, so the probability of landing on a given
-    *set* is the sum over every arrival order of that set (distinct orders
-    are mutually exclusive ways to produce it).  When the star's center is
-    an existing node, the center and its neighbourhood are excluded from
-    every target choice.
+    any eligible set and make no choice.  Existing targets are drawn without
+    replacement in the given ``orders`` (default: every ordering of them).
+    When the star's center is an existing node, the center and its
+    neighbourhood are excluded from every target choice.
+
+    Returns (center_row, order_rows): ``center_row`` holds one probability
+    per spec for choosing the center (None for a new center), and
+    ``order_rows`` holds, per ordering, one such row per step.
 
     For triangle closure the center itself is drawn uniformly; target choices
     are anchored on the center when it already exists, otherwise on whichever
@@ -86,44 +90,63 @@ def oracle_increment_probability(num_nodes, edges, center, center_is_new, target
     all_nodes = set(range(num_nodes))
 
     if center_is_new:
-        center_prob = 1.0
+        center_row = None
         base_excluded = set()
     else:
-        center_mixture = []
-        for beta, spec in mixture:
-            center_mixture.append((beta, ("rand",) if spec[0] == "tri" else spec))
-        center_prob = _mixture_prob(center_mixture, center, all_nodes, neigh, None)
+        # triangle closure picks the center uniformly
+        center_specs = [("rand",) if spec[0] == "tri" else spec for spec in specs]
+        center_row = [
+            _mixture_prob([(1.0, spec)], center, all_nodes, neigh, None) for spec in center_specs
+        ]
         base_excluded = {center} | neigh[center]
 
     existing = [node for node, is_new in targets if not is_new]
-    if not existing:
-        return center_prob
-
-    total = 0.0
-    for order in itertools.permutations(existing):
-        p = 1.0
+    if orders is None:
+        orders = list(itertools.permutations(existing))
+    order_rows = []
+    for order in orders:
+        rows = []
         chosen: set[int] = set()
         for step, node in enumerate(order):
             eligible = all_nodes - chosen - base_excluded
-            if center_is_new and step == 0:
-                # first choice of an external star: triangle closure has no
-                # anchor yet, so it degrades to uniform over the eligible set
-                prob = 0.0
-                for beta, spec in mixture:
-                    if spec[0] == "tri":
-                        prob += beta / len(eligible)
-                    else:
-                        prob += _mixture_prob([(beta, spec)], node, eligible, neigh, None)
-            else:
-                anchor = center if not center_is_new else order[0]
-                prob = _mixture_prob(mixture, node, eligible, neigh, anchor)
-            if prob == 0.0:
-                p = 0.0
-                break
-            p *= prob
+            anchor = center if not center_is_new else order[0]
+            row = []
+            for spec in specs:
+                if spec[0] == "tri" and center_is_new and step == 0:
+                    # first choice of an external star: triangle closure has
+                    # no anchor yet, so it degrades to uniform
+                    row.append(1.0 / len(eligible))
+                else:
+                    row.append(_mixture_prob([(1.0, spec)], node, eligible, neigh, anchor))
+            rows.append(row)
             chosen.add(node)
+        order_rows.append(rows)
+    return center_row, order_rows
+
+
+def oracle_increment_probability(
+    num_nodes, edges, center, center_is_new, targets, mixture, orders=None, log_mult=0.0
+):
+    """Probability that a star lands exactly on ``targets`` under a mixture.
+
+    The data reveal only the *set* of existing targets, and distinct arrival
+    orders are mutually exclusive ways to produce it, so the probability sums
+    the product of per-step mixture probabilities over every order.  Given
+    ``orders`` (a sample of orders), the sum runs over those instead and is
+    scaled by ``exp(log_mult)``.
+    """
+    betas = [beta for beta, _ in mixture]
+    center_row, order_rows = oracle_choice_probabilities(
+        num_nodes, edges, center, center_is_new, targets, [spec for _, spec in mixture], orders
+    )
+    center_prob = 1.0 if center_row is None else sum(b * p for b, p in zip(betas, center_row))
+    total = 0.0
+    for rows in order_rows:
+        p = 1.0
+        for row in rows:
+            p *= sum(b * x for b, x in zip(betas, row))
         total += p
-    return center_prob * total
+    return center_prob * math.exp(log_mult) * total
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,16 @@ class TestErrors:
         assert code == 2
         assert "error" in stderr
 
+    def test_time_mode_without_stars_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "seed-only.stars"
+        data.write_text("# star-stream v1\n# seed-edge\t0\t1\n# seed-edge\t1\t2\n")
+        code, _, stderr = run(
+            capsys, "fit-intervals", "--data", str(data), "--components", "BA,RAND",
+            "--interval-mode", "time",
+        )
+        assert code == 2
+        assert "error (IntervalUnderflowError)" in stderr
+
     def test_malformed_edge_file_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.tsv"
         data.write_text("a\tb\t0\nbroken line\n")

@@ -236,6 +236,13 @@ class TestChangepoint:
         assert abs(joint.alpha_post - 0.5) <= 0.15
         assert abs(joint.t_hat - 999.0) <= 150.0
 
+    def test_empty_stream_raises_fit_error(self):
+        empty = gf.GrowthStream(seed_edges=[(0, 1), (1, 2)])
+        for fit in (gf.fit_dp_changepoint, gf.fit_dp_changepoint_joint):
+            args = (1.5, 0.5) if fit is gf.fit_dp_changepoint else ()
+            with pytest.raises(gf.FitError, match="empty stream"):
+                fit(empty, *args)
+
     def test_series_from_cache_matches_logratios(self):
         stream = gf.grow(
             gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=100, new_targets=3),

@@ -22,7 +22,7 @@ from growthfit.likelihood import (
     orderings_for_increment,
     per_choice_ratio,
 )
-from oracles import oracle_increment_probability
+from oracles import oracle_choice_probabilities, oracle_increment_probability
 
 
 def schedule_for(*pairs):
@@ -243,15 +243,13 @@ class TestChoiceCache:
 
     def test_cache_matches_direct_scoring(self):
         stream, comps, cache = self.make()
-        for weights in ([1, 0, 0], [0, 0, 1], [0.4, 0.3, 0.3], [0.1, 0.8, 0.1]):
-            sched = gf.ModelSchedule.constant(
-                gf.MixtureInterval(tuple(float(w) for w in weights), tuple(comps))
-            )
-            direct, _ = gf.score_stream(stream, sched)
-            ratios = cache_logratios(cache, np.array(weights, dtype=float))
+        grid = np.array([[1, 0, 0], [0, 0, 1], [0.4, 0.3, 0.3], [0.1, 0.8, 0.1]])
+        oracle = oracle_logps(stream, comps, grid, DEFAULT_ORDERING_SAMPLES)
+        for weights, expect in zip(grid, oracle):
+            ratios = cache_logratios(cache, weights)
             assert np.isfinite(ratios).all()
-            cached = float(ratios.sum()) + direct.loglik_rand
-            assert abs(cached - direct.loglik) < 1e-9
+            cached = float(ratios.sum()) + cache.logp_rand.sum()
+            assert abs(cached - expect.sum()) < 1e-9
 
     def test_cache_loglik_matches_logratios(self):
         _, _, cache = self.make(n=80)
@@ -321,15 +319,57 @@ COMPONENT_POOL = (
 SAMPLES = 12
 
 
-class TestCollapsedCache:
-    @staticmethod
-    def direct_series(stream, comps, weights):
-        sched = schedule_for(*zip((float(x) for x in weights), comps))
-        summary, series = gf.score_stream(
-            stream, sched, ordering_samples=SAMPLES, keep_series=True
-        )
-        return summary, np.array([s.logp - s.logp_rand for s in series])
+def oracle_spec(comp):
+    if isinstance(comp, gf.Random):
+        return ("rand",)
+    if isinstance(comp, gf.DegreePower):
+        return ("dp", comp.alpha)
+    if isinstance(comp, gf.RankPreference):
+        return ("rp", comp.alpha)
+    return ("tri",)
 
+
+def oracle_logps(stream, comps, weight_rows, ordering_samples=SAMPLES):
+    """(C, I) log-probability of every increment at each weight row, by brute force.
+
+    The stream is replayed as a plain edge list through the oracle; stars
+    with too many choices are summed over the package's seeded ordering
+    sample, scaled by its multiplier.
+    """
+    specs = [oracle_spec(c) for c in comps]
+    weights = np.atleast_2d(np.asarray(weight_rows, dtype=float))
+    edges = list(stream.seed_edges)
+    num_nodes = stream.seed_graph().num_nodes
+    out = np.empty((len(weights), len(stream.increments)))
+    for index, inc in enumerate(stream.increments):
+        orders, _, log_mult = orderings_for_increment(
+            inc, index, 0, MAX_EXHAUSTIVE_CHOICES, ordering_samples
+        )
+        center_row, order_rows = oracle_choice_probabilities(
+            num_nodes, edges, inc.center, inc.center_is_new,
+            list(zip(inc.targets, inc.targets_new)), specs, orders,
+        )
+        center = 1.0 if center_row is None else weights @ center_row
+        total = sum(
+            np.prod(np.reshape(rows, (-1, len(specs))) @ weights.T, axis=0) for rows in order_rows
+        )
+        with np.errstate(divide="ignore"):
+            out[:, index] = np.log(center * total) + log_mult
+        num_nodes += len(inc.new_nodes)
+        edges += [(inc.center, t) for t in inc.targets]
+    return out
+
+
+def assert_close(got, expect):
+    """Equal -inf pattern, finite values within 1e-9 relative (absolute below 1)."""
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert np.array_equal(np.isinf(got), np.isinf(expect))
+    fin = np.isfinite(expect)
+    scale = np.maximum(1.0, np.abs(expect[fin]))
+    assert np.all(np.abs(got[fin] - expect[fin]) <= 1e-9 * scale)
+
+
+class TestCollapsedCache:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), ncomp=st.sampled_from([2, 3, 4]))
     def test_cache_matches_direct_scoring_and_fit(self, seed, ncomp):
@@ -344,20 +384,20 @@ class TestCollapsedCache:
         assert cache.sampled_increments >= 1
         assert 0 < len(cache.poly_increments) < cache.num_increments
 
-        checks = [*np.eye(ncomp), *rng.dirichlet(np.ones(ncomp), size=3)]
-        for w in checks:
-            _, expect = self.direct_series(stream, comps, w)
-            got = cache_logratios(cache, w)
-            assert np.array_equal(np.isinf(got), np.isinf(expect))
-            fin = np.isfinite(expect)
-            scale = np.maximum(1.0, np.abs(expect[fin]))
-            assert np.all(np.abs(got[fin] - expect[fin]) <= 1e-9 * scale)
+        grid = gf.simplex_grid(ncomp, 0.1)
+        checks = np.array([*np.eye(ncomp), *rng.dirichlet(np.ones(ncomp), size=3)])
+        rand_logp = oracle_logps(stream, [gf.Random()], [[1.0]])[0]
+        oracle = oracle_logps(stream, comps, np.concatenate((checks, grid)))
+        for w, expect in zip(checks, oracle):
+            sched = schedule_for(*zip((float(x) for x in w), comps))
+            _, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+            assert_close([s.logp for s in series], expect)
+            assert_close(cache_logratios(cache, w), expect - rand_logp)
 
         rand_vertex = np.eye(ncomp)[rand_at]
         assert np.all(cache_logratios(cache, rand_vertex) == 0.0)
 
-        grid = gf.simplex_grid(ncomp, 0.1)
-        direct = np.array([self.direct_series(stream, comps, w)[0].loglik for w in grid])
+        direct = oracle[len(checks) :].sum(axis=1)
         best = direct.max()
         first_best = int(np.flatnonzero(direct >= best - 1e-11 * max(1.0, abs(best)))[0])
         fit = gf.fit_intervals(cache, j=1, step=0.1)
@@ -374,8 +414,8 @@ class TestCollapsedCache:
         star = gf.Increment(t, n, True, tuple(low), (False,) * 1200)
         stream = gf.GrowthStream(stream.seed_edges, [*stream.increments, star])
         ba = gf.DegreePower(1.0)
-        _, series = gf.score_stream(stream, schedule_for((1.0, ba)), keep_series=True)
-        expect = series[-1].logp - series[-1].logp_rand
+        trace = build_dp_trace(stream)
+        expect = dp_trace_logp(trace, 1.0)[-1] - trace.logp_rand[-1]
         got = cache_logratios(build_choice_cache(stream, [ba]), np.array([1.0]))
         assert np.isfinite(got[-1])
         assert abs(got[-1] - expect) <= 1e-9 * abs(expect)
@@ -418,3 +458,49 @@ class TestDPTrace:
         lls = dp_trace_loglik(trace, grid)
         for alpha, expect in zip(grid, lls):
             assert abs(dp_trace_logp(trace, float(alpha)).sum() - expect) < 1e-10
+
+
+class TestSingleComponentsAgainstOracle:
+    """The log-space reductions of one component, checked per increment against brute force."""
+
+    SEEDS = (0, 1, 2)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dp_trace_logp(self, seed):
+        stream = mixed_stream(np.random.default_rng(seed))
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        assert trace.sampled_increments >= 1
+        for alpha in (-0.1, 0.5, 1.0, 1.7, 2.1):
+            expect = oracle_logps(stream, [gf.DegreePower(alpha)], [[1.0]])[0]
+            assert_close(dp_trace_logp(trace, alpha), expect)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rank_scan(self, seed):
+        stream = mixed_stream(np.random.default_rng(seed))
+        grid = [0.3, 0.5, 1.0, 1.5]
+        fit = gf.fit_component_family(stream, gf.RankPreference, grid)
+        samples = DEFAULT_ORDERING_SAMPLES
+        expect = [
+            oracle_logps(stream, [gf.RankPreference(a)], [[1.0]], samples)[0].sum() for a in grid
+        ]
+        assert_close(fit.logliks, expect)
+        assert fit.value == grid[int(np.argmax(expect))]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_triangle_scores(self, seed):
+        stream = mixed_stream(np.random.default_rng(seed))
+        tri = gf.TriangleClosure()
+        _, series = gf.score_stream(stream, tri, ordering_samples=SAMPLES, keep_series=True)
+        assert_close([s.logp for s in series], oracle_logps(stream, [tri], [[1.0]])[0])
+
+    def test_triangle_scan(self):
+        # grown under triangle closure, so every increment is possible
+        recipe = gf.GrowthRecipe.constant(
+            "TRI", increments=30, new_targets=6, internal_prob=0.3,
+            internal_targets=4, seed_clique=8,
+        )
+        stream = gf.grow(recipe, seed=3)
+        fit = gf.fit_component_family(stream, lambda _: gf.TriangleClosure(), [0.0])
+        expect = oracle_logps(stream, [gf.TriangleClosure()], [[1.0]], DEFAULT_ORDERING_SAMPLES)
+        assert build_dp_trace(stream).sampled_increments >= 1
+        assert_close([fit.loglik], [expect.sum()])
