@@ -9,11 +9,12 @@ draws use per-component strategies:
   from a maintained edge-endpoint list), retrying while the draw hits an
   excluded node, with an exact full-vector fallback after a retry cap;
 * general degree-power and rank draws use inverse-CDF sampling over a
-  maintained weight vector with excluded entries zeroed;
-* triangle-closure draws enumerate second-neighbor counts of the anchor in
-  sorted order (cost proportional to the anchor's neighborhood volume) and
-  fall back to uniform when the anchor closes no wedge, mirroring the
-  scorer's uniform fallback.
+  maintained weight vector (grown in place, by doubling its capacity) with
+  excluded entries zeroed;
+* triangle-closure draws pick among the anchor's wedge endpoints, each
+  second neighbor once per common neighbor (cost proportional to the
+  anchor's neighborhood volume), and fall back to uniform when the anchor
+  closes no wedge, mirroring the scorer's uniform fallback.
 
 All randomness flows through one ``numpy.random.Generator`` (PCG64) created
 from the caller's seed, so runs are reproducible bit for bit.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -115,6 +117,11 @@ class _EndpointListSampler(_NodeSampler):
         return self._uniform(excluded) if x is None else x
 
 
+def _with_room(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf`` if it has room past its first ``size`` entries, else a copy of twice the capacity."""
+    return buf if size < len(buf) else np.concatenate((buf, np.empty(max(size, 16))))
+
+
 class _PowerVectorSampler(_NodeSampler):
     """General degree power: maintained k^alpha vector, inverse-CDF draws."""
 
@@ -122,9 +129,9 @@ class _PowerVectorSampler(_NodeSampler):
         super().__init__(graph, rng)
         self.alpha = alpha
         self._table: list[float] = [1.0 if alpha == 0.0 else 0.0, 1.0]
-        self.weights = np.array(
-            [self._w(k) for k in graph.degrees], dtype=np.float64
-        )
+        # Weights of the first ``size`` entries; the rest is spare capacity.
+        self.weights = np.array([self._w(k) for k in graph.degrees], dtype=np.float64)
+        self.size = len(self.weights)
 
     def _w(self, k: int) -> float:
         while k >= len(self._table):
@@ -132,14 +139,16 @@ class _PowerVectorSampler(_NodeSampler):
         return self._table[k]
 
     def on_node_added(self):
-        self.weights = np.append(self.weights, self._w(0))
+        self.weights = _with_room(self.weights, self.size)
+        self.weights[self.size] = self._w(0)
+        self.size += 1
 
     def on_edge_added(self, u, v, ku_before, kv_before):
         self.weights[u] = self._w(ku_before + 1)
         self.weights[v] = self._w(kv_before + 1)
 
     def sample(self, excluded, anchor, center_role):
-        x = self._weighted_vector(self.weights[: self.graph.num_nodes], excluded)
+        x = self._weighted_vector(self.weights[: self.size], excluded)
         return self._uniform(excluded) if x is None else x
 
 
@@ -147,34 +156,46 @@ class _RankVectorSampler(_NodeSampler):
     def __init__(self, graph, rng, alpha: float):
         super().__init__(graph, rng)
         self.alpha = alpha
+        # Weights of the first ``size`` entries; the rest is spare capacity.
         self.weights = (np.arange(graph.num_nodes, dtype=np.float64) + 1.0) ** -alpha
+        self.size = len(self.weights)
 
     def on_node_added(self):
-        self.weights = np.append(self.weights, float(len(self.weights) + 1) ** -self.alpha)
+        self.weights = _with_room(self.weights, self.size)
+        self.weights[self.size] = float(self.size + 1) ** -self.alpha
+        self.size += 1
 
     def sample(self, excluded, anchor, center_role):
-        x = self._weighted_vector(self.weights, excluded)
+        x = self._weighted_vector(self.weights[: self.size], excluded)
         return self._uniform(excluded) if x is None else x
 
 
 class _WedgeSampler(_NodeSampler):
     """Triangle closure: weight = common-neighbor count with the anchor."""
 
+    # Above this many excluded nodes, one sorted-set test beats a pass per node.
+    ISIN_EXCLUDED = 8
+
     def sample(self, excluded, anchor, center_role):
         if center_role or anchor is None:
             # Uniform center pick / anchorless first leaf.
             return self._uniform(excluded)
-        counts: dict[int, int] = {}
-        g = self.graph
-        for u in g.neighbors(anchor):
-            for x in g.neighbors(u):
-                if x != anchor and x not in excluded:
-                    counts[x] = counts.get(x, 0) + 1
-        if not counts:
+        adj = self.graph.adj
+        # Each 2-hop endpoint once per wedge: the count-weighted draw is a
+        # uniform pick among them, made as the k-th smallest for the same
+        # uniform that an inverse CDF over the sorted nodes would use.
+        ends = np.fromiter(chain.from_iterable(adj[u] for u in adj[anchor]), dtype=np.int64)
+        keep = ends != anchor
+        if len(excluded) > self.ISIN_EXCLUDED:
+            keep &= ~np.isin(ends, np.fromiter(excluded, dtype=np.int64, count=len(excluded)))
+        else:
+            for x in excluded:
+                keep &= ends != x
+        ends = ends[keep]
+        if len(ends) == 0:
             return self._uniform(excluded)
-        nodes = sorted(counts)
-        cs = np.cumsum([counts[x] for x in nodes])
-        return int(nodes[np.searchsorted(cs, self.rng.random() * cs[-1], side="right")])
+        k = int(self.rng.random() * len(ends))
+        return int(np.partition(ends, k)[k])
 
 
 def _make_sampler(comp: Component, graph: DynamicGraph, rng) -> _NodeSampler:

@@ -130,8 +130,8 @@ class DynamicGraph:
         assert total == 2 * self.edge_count
 
 
-def apply_increment(graph: DynamicGraph, inc: Increment) -> DynamicGraph:
-    """Apply one star increment in place and return the graph.
+def check_increment(graph: DynamicGraph, inc: Increment) -> int:
+    """Raise unless ``inc`` applies to ``graph``; return the node count after it.
 
     New-tagged references must carry the indices they will receive (center
     first, then new targets in list order); existing-tagged references must
@@ -145,7 +145,7 @@ def apply_increment(graph: DynamicGraph, inc: Increment) -> DynamicGraph:
                 f"new center id {inc.center} does not match next arrival index {next_id}"
             )
         next_id += 1
-    elif inc.center >= n:
+    elif not 0 <= inc.center < n:
         raise UnknownNodeError(f"existing-tagged center {inc.center} not in graph of {n} nodes")
     for t, new in zip(inc.targets, inc.targets_new):
         if new:
@@ -155,13 +155,18 @@ def apply_increment(graph: DynamicGraph, inc: Increment) -> DynamicGraph:
                 )
             next_id += 1
         else:
-            if t >= n:
+            if not 0 <= t < n:
                 raise UnknownNodeError(f"existing-tagged target {t} not in graph of {n} nodes")
             if not inc.center_is_new and graph.has_edge(inc.center, t):
                 raise RejectedIncrementError(
                     f"edge ({inc.center}, {t}) already present at t={inc.timestamp}"
                 )
-    for _ in range(next_id - n):
+    return next_id
+
+
+def apply_increment(graph: DynamicGraph, inc: Increment) -> DynamicGraph:
+    """Apply one star increment in place and return the graph (see ``check_increment``)."""
+    for _ in range(check_increment(graph, inc) - graph.num_nodes):
         graph.add_node()
     for t in inc.targets:
         graph.add_edge(inc.center, t)

@@ -36,6 +36,18 @@ step's eligible total by subtracting the shared exclusions (the center and
 its neighborhood) and a prefix sum of the weights already chosen in the
 ordering.
 
+Under a per-node weight (degree power or rank), a step's eligible total
+depends only on the *set* of targets already chosen, not on their order.
+The exponent scans therefore score every exhaustive star by a dynamic
+program over those sets: F(all) = 0 and
+
+    F(S) = logsumexp over i not in S of [log w_i - log T(S) + F(S + i)]
+
+with T(S) the base total minus the weights in S (the uniform -log(B - |S|)
+replaces the step term when T(S) <= 0), so a star costs q * 2**(q - 1)
+terms instead of q * q! ordering steps.  Sampled stars and triangle closure,
+whose anchor-dependent weights do not factor, sum their orderings' steps.
+
 A uniform-random baseline is computed in the same pass: the eligible set
 shrinks by exactly one per step, so the baseline increment probability is
 q! * prod 1/(B - s) with B the initial eligible count, exact even when the
@@ -48,14 +60,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateModelError, RejectedIncrementError, UndefinedRatioError
-from .graph import DynamicGraph, GrowthStream, Increment, apply_increment
+from .graph import DynamicGraph, GrowthStream, Increment, apply_increment, check_increment
 from .models import (
     Component,
     DegreePower,
@@ -204,6 +216,8 @@ class DPTrace:
     arrays that no model parameter changes are built here once, so scoring a
     component at any exponent is whole-array work.  ``tri_common`` and
     ``tri_total`` are recorded only when triangle closure was requested.
+    The subset-DP and sampled-ordering tables of the exponent scans are
+    built on first use and kept with the trace.
     """
 
     timestamps: np.ndarray  # (I,) int64
@@ -223,15 +237,15 @@ class DPTrace:
     shared_deg: np.ndarray  # (SD,)
     target_inc: np.ndarray  # (Q,) owning increment of each existing target
     target_deg: np.ndarray  # (Q,)
+    target_id: np.ndarray  # (Q,) arrival index
     inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment
     ordering_offsets: np.ndarray  # (O + 1,) entry ranges per ordering
     entry_ord: np.ndarray  # (E,) owning ordering
     entry_inc: np.ndarray  # (E,) owning increment
     entry_first: np.ndarray  # (E,) first entry of the owning ordering
+    entry_target: np.ndarray  # (E,) chosen target, as a position in the target arrays
     first_ordering: np.ndarray  # (E,) bool, entry of its increment's first ordering
     eligible: np.ndarray  # (E,) float64 eligible-set size
-    chosen_deg: np.ndarray  # (E,) chosen node's degree
-    chosen_id: np.ndarray  # (E,) chosen node's arrival index
     tri_common: np.ndarray | None  # (E,) int64 common neighbors with the anchor
     tri_total: np.ndarray | None  # (E,) int64 anchor total over the eligible set
 
@@ -247,6 +261,63 @@ class DPTrace:
     def sampled_increments(self) -> int:
         return int(self.sampled.sum())
 
+    @property
+    def chosen_deg(self) -> np.ndarray:
+        """(E,) degree of each entry's chosen node."""
+        return self.target_deg[self.entry_target]
+
+    @cached_property
+    def _subset_groups(self) -> list[_SubsetGroup]:
+        """Subset-DP tables of the exhaustive increments with existing targets, one per q."""
+        exhaustive = ~self.sampled & (self.existing_counts > 0)
+        target_start = _offsets(self.existing_counts)[:-1]
+        groups = []
+        for q in np.unique(self.existing_counts[exhaustive]).tolist():
+            incs = np.flatnonzero(exhaustive & (self.existing_counts == q))
+            steps = np.arange(q)[:, None]
+            targets = target_start[incs] + steps
+            initial = self.eligible[self.ordering_offsets[self.inc_ord_offsets[incs]]]
+            on = (self.target_deg[targets] > 0).astype(np.float64)
+            occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
+            groups.append(_SubsetGroup(incs, targets, -np.log(initial - steps), occupied))
+        return groups
+
+    @cached_property
+    def _occupied_base(self) -> np.ndarray:
+        """(I,) nodes of positive degree in each increment's initial eligible set.
+
+        Exact, since a 0/1 degree table sums to small integers.  A degree
+        power weighs nothing else, so its eligible total is zero exactly
+        where this count is.
+        """
+        return _degree_totals(self, (np.arange(len(self.h0)) > 0).astype(np.float64))[1]
+
+    @cached_property
+    def _sampled_orderings(self) -> _OrderingEntries:
+        """The entries of the sampled increments' orderings."""
+        return _ordering_entries(self, np.flatnonzero(self.sampled))
+
+
+@dataclass
+class _SubsetGroup:
+    """Exponent-free subset-DP tables of the exhaustive increments with q existing targets."""
+
+    incs: np.ndarray  # (n,) increments
+    targets: np.ndarray  # (q, n) existing targets, as positions in the trace's target arrays
+    uniform: np.ndarray  # (q, n) -log(B - l), a uniform step's log-probability at level l
+    occupied: np.ndarray  # (2**q - 1, n) bool, a node of positive degree left after each subset
+
+
+@dataclass
+class _OrderingEntries:
+    """The entries of some increments' orderings, in trace order."""
+
+    incs: np.ndarray  # (n,) increments, each with at least one existing target
+    entries: np.ndarray  # (e,) entry indices
+    first: np.ndarray  # (e,) position in ``entries`` of the owning ordering's first entry
+    ordering: np.ndarray  # (e,) owning ordering, numbered from 0 over the selection
+    counts: np.ndarray  # (n,) orderings per increment
+
 
 def _offsets(sizes) -> np.ndarray:
     """[0, s0, s0 + s1, ...]: the bounds of consecutive segments of the given sizes."""
@@ -261,6 +332,20 @@ def _exclusive_prefix(values: np.ndarray, entry_first: np.ndarray) -> np.ndarray
     """Per entry, the sum of the earlier entries of its ordering."""
     before = _offsets(values)[:-1]
     return before - before[entry_first]
+
+
+def _ordering_entries(trace: DPTrace, incs: np.ndarray) -> _OrderingEntries:
+    """Index the entries of the given increments' orderings as a selection of their own."""
+    ords = _concat_ranges(trace.inc_ord_offsets[incs], trace.inc_ord_offsets[incs + 1])
+    lengths = np.diff(trace.ordering_offsets)[ords]
+    ordering = np.repeat(np.arange(len(ords)), lengths)
+    return _OrderingEntries(
+        incs=incs,
+        entries=_concat_ranges(trace.ordering_offsets[ords], trace.ordering_offsets[ords + 1]),
+        first=_offsets(lengths)[ordering],
+        ordering=ordering,
+        counts=np.diff(trace.inc_ord_offsets)[incs],
+    )
 
 
 def _anchor_rows(
@@ -352,12 +437,12 @@ def _replay(
         n = graph.num_nodes
         existing = inc.existing_targets
         q = len(existing)
+        # Validate before any degree lookup, so an unknown node raises its own error.
+        check_increment(graph, inc)
         if inc.center_is_new:
             kc = 0
             eligible = n
         else:
-            if n == 0:
-                raise DegenerateModelError("existing-tagged center on an empty graph")
             kc = degs[inc.center]
             eligible = n - 1 - kc
             nbrs = graph.neighbors(inc.center)
@@ -426,8 +511,6 @@ def _replay(
     entry_first = ordering_offsets[entry_ord]
     entry_step = np.arange(len(entry_ord)) - entry_first
     positions = _flat(orderings, np.int64)
-    entry_target = _offsets(existing_counts)[entry_inc] + positions
-    target_deg_arr = np.array(target_deg, dtype=np.int64)
 
     tri_common = tri_total = None
     if triangles:
@@ -446,7 +529,7 @@ def _replay(
         len(h0) - 1,
         1,
         int((arrays["center_deg"] + arrays["gain"]).max(initial=0)),
-        int(target_deg_arr.max(initial=-1)) + 1,
+        max(target_deg, default=-1) + 1,
     )
     return DPTrace(
         **arrays,
@@ -456,16 +539,16 @@ def _replay(
         shared_id=np.array(shared_id, dtype=np.int64),
         shared_deg=np.array(shared_deg, dtype=np.int64),
         target_inc=np.repeat(np.arange(num_inc), existing_counts),
-        target_deg=target_deg_arr,
+        target_deg=np.array(target_deg, dtype=np.int64),
+        target_id=np.array(target_id, dtype=np.int64),
         inc_ord_offsets=inc_ord_offsets,
         ordering_offsets=ordering_offsets,
         entry_ord=entry_ord,
         entry_inc=entry_inc,
         entry_first=entry_first,
+        entry_target=_offsets(existing_counts)[entry_inc] + positions,
         first_ordering=entry_ord == inc_ord_offsets[entry_inc],
         eligible=(initial_eligible[entry_inc] - entry_step).astype(np.float64),
-        chosen_deg=target_deg_arr[entry_target],
-        chosen_id=np.array(target_id, dtype=np.int64)[entry_target],
         tri_common=tri_common,
         tri_total=tri_total,
     )
@@ -512,6 +595,77 @@ def _degree_powers(size: int, alpha: float) -> np.ndarray:
     return table
 
 
+def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-graph and base totals of a per-degree weight table, per increment.
+
+    The base total covers an increment's initial eligible set: the whole
+    graph minus the center and its neighborhood when the center existed.
+    """
+    num_inc = trace.num_increments
+    # Histogram deltas: existing nodes leave their old degree bin; new
+    # nodes only appear at their final degree.
+    grown = table[trace.center_deg + trace.gain] - np.where(
+        trace.center_new, 0.0, table[trace.center_deg]
+    )
+    grown += np.bincount(
+        trace.target_inc,
+        weights=table[trace.target_deg + 1] - table[trace.target_deg],
+        minlength=num_inc,
+    )
+    grown += (trace.gain - trace.existing_counts) * table[1]
+    whole = float(trace.h0 @ table) + _offsets(grown)[:-1]
+    shared = np.bincount(trace.shared_inc, weights=table[trace.shared_deg], minlength=num_inc)
+    return whole, whole - shared
+
+
+def _node_weights(
+    trace: DPTrace, comp: Component
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-target weight, base total, per-center weight and whole-graph total of a node weight."""
+    if isinstance(comp, DegreePower):
+        table = _degree_powers(len(trace.h0), comp.alpha)
+        whole, base = _degree_totals(trace, table)
+        return table[trace.target_deg], base, table[trace.center_deg], whole
+    if isinstance(comp, RankPreference):
+        ranks = np.arange(1, trace.num_nodes.max(initial=0) + 2, dtype=np.float64) ** -comp.alpha
+        whole = _offsets(ranks)[trace.num_nodes]
+        shared = np.bincount(
+            trace.shared_inc, weights=ranks[trace.shared_id], minlength=trace.num_increments
+        )
+        return ranks[trace.target_id], whole - shared, ranks[trace.center], whole
+    raise DegenerateModelError(f"no likelihood for {comp!r}")
+
+
+def _zero_at_degree_zero(comp: Component) -> bool:
+    """Whether exactly the nodes of degree 0 weigh nothing (a nonzero degree exponent)."""
+    return isinstance(comp, DegreePower) and comp.alpha != 0.0
+
+
+def _step_totals(
+    trace: DPTrace,
+    comp: Component,
+    target_w: np.ndarray,
+    base: np.ndarray,
+    entries: np.ndarray | slice,
+    first: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, eligible total) of the chosen node of each given entry under a node weight.
+
+    ``first`` holds the start of each entry's ordering as a position among
+    ``entries``.  A degree-power total whose eligible set holds no node of
+    positive degree is exactly 0, however its difference of sums rounds.
+    """
+    chosen = target_w[trace.entry_target[entries]]
+    total = base[trace.entry_inc[entries]] - _exclusive_prefix(chosen, first)
+    # Only a star with fewer eligible nodes of positive degree than targets
+    # can run out of them.
+    if _zero_at_degree_zero(comp) and (trace._occupied_base < trace.existing_counts).any():
+        on = (trace.target_deg[trace.entry_target[entries]] > 0).astype(np.float64)
+        occupied = trace._occupied_base[trace.entry_inc[entries]] - _exclusive_prefix(on, first)
+        total[occupied <= 0.0] = 0.0
+    return chosen, total
+
+
 def _choice_weights(
     trace: DPTrace, comp: Component
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -533,33 +687,8 @@ def _choice_weights(
             np.ones(num_inc),
             whole_graph,
         )
-    if isinstance(comp, DegreePower):
-        table = _degree_powers(len(trace.h0), comp.alpha)
-        # Histogram deltas: existing nodes leave their old degree bin; new
-        # nodes only appear at their final degree.
-        grown = table[trace.center_deg + trace.gain] - np.where(
-            trace.center_new, 0.0, table[trace.center_deg]
-        )
-        grown += np.bincount(
-            trace.target_inc,
-            weights=table[trace.target_deg + 1] - table[trace.target_deg],
-            minlength=num_inc,
-        )
-        grown += (trace.gain - trace.existing_counts) * table[1]
-        whole = float(trace.h0 @ table) + _offsets(grown)[:-1]
-        shared, chosen, center = (
-            table[trace.shared_deg],
-            table[trace.chosen_deg],
-            table[trace.center_deg],
-        )
-    elif isinstance(comp, RankPreference):
-        ranks = np.arange(1, trace.num_nodes.max(initial=0) + 2, dtype=np.float64) ** -comp.alpha
-        whole = _offsets(ranks)[trace.num_nodes]
-        shared, chosen, center = ranks[trace.shared_id], ranks[trace.chosen_id], ranks[trace.center]
-    else:
-        raise DegenerateModelError(f"no likelihood for {comp!r}")
-    base = whole - np.bincount(trace.shared_inc, weights=shared, minlength=num_inc)
-    step_total = base[trace.entry_inc] - _exclusive_prefix(chosen, trace.entry_first)
+    target_w, base, center, whole = _node_weights(trace, comp)
+    chosen, step_total = _step_totals(trace, comp, target_w, base, slice(None), trace.entry_first)
     return chosen, step_total, center, whole
 
 
@@ -585,28 +714,124 @@ def _segment_logsumexp(
         return np.where(top == _NEG_INF, _NEG_INF, np.log(total) + top)
 
 
+def _orderings_logp(
+    step_w: np.ndarray,
+    step_total: np.ndarray,
+    eligible: np.ndarray,
+    ordering: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Per increment, log of the sum over its orderings of their step probabilities' product.
+
+    Steps are laid out ordering after ordering: ``ordering`` numbers each
+    step's ordering and ``counts`` gives each increment's ordering count.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(eligible))
+    ord_logp = np.bincount(ordering, weights=step, minlength=int(counts.sum()))
+    return _segment_logsumexp(ord_logp, counts)
+
+
+@lru_cache(maxsize=None)
+def _subset_lattice(q: int) -> tuple[np.ndarray, tuple]:
+    """The proper subsets of q targets by size, and each one's one-larger supersets.
+
+    Returns (members, levels).  Row r of ``members`` (2**q - 1, q) marks the
+    targets in subset r, subsets ordered by size.  ``levels[l]`` is (lo, hi,
+    child, added) for the subsets of size l, rows [lo, hi): adding target
+    ``added[s, c]`` to subset lo + s gives the subset ``child[s, c]`` among
+    those of size l + 1 (the full set is 0 of its own level).
+    """
+    by_size = [[s for s in range(1 << q) if bin(s).count("1") == size] for size in range(q + 1)]
+    rank = {s: r for sets in by_size for r, s in enumerate(sets)}
+    members = np.array(
+        [[s >> j & 1 for j in range(q)] for sets in by_size[:q] for s in sets], dtype=np.float64
+    )
+    starts = _offsets([len(sets) for sets in by_size]).tolist()
+    levels = []
+    for size in range(q):
+        free = [[j for j in range(q) if not s >> j & 1] for s in by_size[size]]
+        child = [[rank[s | 1 << j] for j in js] for s, js in zip(by_size[size], free)]
+        child_rows = np.array(child, dtype=np.intp)
+        levels.append((starts[size], starts[size + 1], child_rows, np.array(free, dtype=np.intp)))
+    return members, tuple(levels)
+
+
+def _subset_logp(
+    group: _SubsetGroup, target_w: np.ndarray, base: np.ndarray, zero_at_degree_zero: bool
+) -> np.ndarray:
+    """Log of the sum over orderings of a group's targets, by dynamic programming over chosen sets.
+
+    F(all) = 0 and F(S) = logsumexp over i not in S of [log w_i + F(S + i)]
+    - log T(S), with T(S) = base - sum of w_j over j in S; when T(S) <= 0
+    the step is uniform over the B - |S| eligible nodes instead.  The result
+    is F of the empty set, per increment.  ``zero_at_degree_zero`` makes
+    T(S) zero exactly where no node of positive degree is left eligible.
+    """
+    q = len(group.targets)
+    members, levels = _subset_lattice(q)
+    w = target_w[group.targets]
+    total = base[group.incs] - members @ w
+    positive = total > 0.0
+    if zero_at_degree_zero:
+        positive &= group.occupied
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(w)
+        log_total = np.log(total)
+    fallback = not positive.all()
+    f = np.zeros((1, len(group.incs)))
+    for size in reversed(range(q)):
+        lo, hi, child, added = levels[size]
+        terms = np.where(positive[lo:hi, None], log_w[added], 0.0) if fallback else log_w[added]
+        terms += f[child]
+        if terms.shape[1] == 1:
+            f = terms[:, 0]
+        else:
+            # max-shifted logsumexp over the supersets; a subset whose every
+            # superset is impossible stays impossible
+            top = terms.max(axis=1)
+            top[top == _NEG_INF] = 0.0
+            terms -= top[:, None]
+            with np.errstate(divide="ignore"):
+                f = np.log(np.exp(terms, out=terms).sum(axis=1)) + top
+        step = -log_total[lo:hi]
+        f += np.where(positive[lo:hi], step, group.uniform[size]) if fallback else step
+    return f[0]
+
+
 def _trace_logp(trace: DPTrace, comp: Component) -> np.ndarray:
     """Per-increment log-probability under one component, reduced in log space.
 
     The uniform model (RAND, or exponent 0) returns the baseline itself, so
     that identity holds bit for bit rather than to within summation noise.
+    Node weights score exhaustive stars by the subset DP and sampled ones by
+    their orderings; triangle closure sums every star's orderings.
     """
     if isinstance(comp, Random) or comp == DegreePower(0.0):
         return trace.logp_rand.copy()
-    step_w, step_total, center_w, center_total = _choice_weights(trace, comp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(
-            step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(trace.eligible)
+    if isinstance(comp, TriangleClosure):
+        step_w, step_total, center_w, center_total = _choice_weights(trace, comp)
+        targets = _orderings_logp(
+            step_w, step_total, trace.eligible, trace.entry_ord, np.diff(trace.inc_ord_offsets)
         )
+    else:
+        target_w, base, center_w, center_total = _node_weights(trace, comp)
+        targets = np.zeros(trace.num_increments)
+        for group in trace._subset_groups:
+            targets[group.incs] = _subset_logp(group, target_w, base, _zero_at_degree_zero(comp))
+        sampled = trace._sampled_orderings
+        chosen, step_total = _step_totals(
+            trace, comp, target_w, base, sampled.entries, sampled.first
+        )
+        targets[sampled.incs] = _orderings_logp(
+            chosen, step_total, trace.eligible[sampled.entries], sampled.ordering, sampled.counts
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
         center = np.where(
             center_total > 0.0,
             np.log(center_w) - np.log(center_total),
             -np.log(trace.num_nodes.astype(np.float64)),
         )
-    ord_logp = np.bincount(
-        trace.entry_ord, weights=step, minlength=len(trace.ordering_offsets) - 1
-    )
-    targets = _segment_logsumexp(ord_logp, np.diff(trace.inc_ord_offsets))
     return np.where(trace.center_new, 0.0, center) + trace.log_mult + targets
 
 

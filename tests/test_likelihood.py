@@ -222,6 +222,28 @@ class TestScoreStream:
                 schedule_for((1.0, gf.Random())),
             )
 
+    @pytest.mark.parametrize(
+        "inc",
+        [
+            gf.Increment(0, 7, False, (0,), (False,)),
+            gf.Increment(0, 3, True, (0, 7), (False, False)),
+        ],
+        ids=["center", "target"],
+    )
+    @pytest.mark.parametrize(
+        "replay",
+        [
+            lambda s: build_dp_trace(s),
+            lambda s: gf.score_stream(s, gf.DegreePower(1.0)),
+            lambda s: build_choice_cache(s, [gf.DegreePower(1.0), gf.TriangleClosure()]),
+        ],
+        ids=["trace", "score", "cache"],
+    )
+    def test_unknown_node_is_typed(self, inc, replay):
+        stream = gf.GrowthStream(seed_edges=[(0, 1), (1, 2)], increments=[inc])
+        with pytest.raises(gf.UnknownNodeError):
+            replay(stream)
+
     def test_per_choice_ratio_normalizes_by_choice_count(self):
         assert per_choice_ratio(math.log(4.0), 0.0, 2) == 2.0
         assert per_choice_ratio(-math.inf, 0.0, 5) == 0.0
@@ -492,6 +514,39 @@ class TestSingleComponentsAgainstOracle:
         tri = gf.TriangleClosure()
         _, series = gf.score_stream(stream, tri, ordering_samples=SAMPLES, keep_series=True)
         assert_close([s.logp for s in series], oracle_logps(stream, [tri], [[1.0]])[0])
+
+    def test_zero_degree_fallback(self):
+        # Nodes 1..7 stay isolated and every other node neighbors hub 0, so
+        # both stars at 0 choose among degree-0 nodes only and every step
+        # falls back to uniform; the second star is sampled.
+        def star(t, center, targets, center_is_new=False):
+            return gf.Increment(t, center, center_is_new, targets, (False,) * len(targets))
+
+        stream = gf.GrowthStream(
+            seed_edges=[(0, 8), (0, 9), (8, 9)],
+            increments=[
+                star(0, 10, (0, 9), True),
+                star(1, 11, (0, 10), True),
+                star(2, 0, (1, 2)),
+                star(3, 0, (3, 4, 5, 6, 7)),
+            ],
+        )
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        assert trace.sampled.tolist() == [False, False, False, True]
+        for alpha in (0.5, 1.0, 1.7):
+            dp = gf.DegreePower(alpha)
+            expect = oracle_logps(stream, [dp], [[1.0]])[0]
+            assert np.isfinite(expect).all()
+            assert_close(dp_trace_logp(trace, alpha), expect)
+            _, series = gf.score_stream(stream, dp, ordering_samples=SAMPLES, keep_series=True)
+            assert_close([s.logp for s in series], expect)
+        grid = [0.5, 1.0]
+        fit = gf.fit_component_family(stream, gf.RankPreference, grid)
+        expect = [
+            oracle_logps(stream, [gf.RankPreference(a)], [[1.0]], DEFAULT_ORDERING_SAMPLES)[0].sum()
+            for a in grid
+        ]
+        assert_close(fit.logliks, expect)
 
     def test_triangle_scan(self):
         # grown under triangle closure, so every increment is possible
