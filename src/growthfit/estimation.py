@@ -28,6 +28,7 @@ from .errors import (
 )
 from .graph import GrowthStream
 from .likelihood import (
+    DEFAULT_ORDERING_SAMPLES,
     ChoiceCache,
     DPTrace,
     _stream_trace,
@@ -37,10 +38,9 @@ from .likelihood import (
     cache_logratios,
     cache_loglik,
     dp_trace_logp,
-    dp_trace_loglik,
     per_choice_ratio,
 )
-from .models import BoundaryMode, Component, MixtureInterval, ModelSchedule
+from .models import BoundaryMode, Component, DegreePower, MixtureInterval, ModelSchedule
 from .modelspec import format_component, parse_model_spec
 
 DEFAULT_WEIGHT_STEP = 0.01
@@ -99,20 +99,9 @@ class ScalarFit:
         return per_choice_ratio(self.loglik, self.loglik_rand, self.total_choices)
 
 
-def fit_degree_exponent(
-    source: GrowthStream | DPTrace,
-    grid: np.ndarray | None = None,
-    seed: int = 0,
-    ordering_samples: int | None = None,
-) -> ScalarFit:
-    """Scan the degree-power exponent over a grid (single-component model)."""
-    if isinstance(source, DPTrace):
-        trace = source
-    else:
-        kwargs = {} if ordering_samples is None else {"ordering_samples": ordering_samples}
-        trace = build_dp_trace(source, seed=seed, **kwargs)
-    grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    logliks = dp_trace_loglik(trace, grid)
+def _scalar_scan(trace: DPTrace, grid: np.ndarray, components: Sequence[Component]) -> ScalarFit:
+    """First-max fit over ``grid``, scoring grid point i as the single component ``components[i]``."""
+    logliks = np.array([float(_trace_logp(trace, comp).sum()) for comp in components])
     best = _argmax_first(logliks)
     return ScalarFit(
         value=float(grid[best]),
@@ -122,6 +111,21 @@ def fit_degree_exponent(
         grid=grid,
         logliks=logliks,
     )
+
+
+def fit_degree_exponent(
+    source: GrowthStream | DPTrace,
+    grid: np.ndarray | None = None,
+    seed: int = 0,
+    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+) -> ScalarFit:
+    """Scan the degree-power exponent over a grid (single-component model)."""
+    if isinstance(source, DPTrace):
+        trace = source
+    else:
+        trace = build_dp_trace(source, seed=seed, ordering_samples=ordering_samples)
+    grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    return _scalar_scan(trace, grid, [DegreePower(float(a)) for a in grid])
 
 
 def fit_component_family(
@@ -133,17 +137,7 @@ def fit_component_family(
     """Grid fit of any one-parameter component family, every point from one replay."""
     grid = np.asarray(grid, dtype=np.float64)
     components = [family(float(value)) for value in grid]
-    trace = _stream_trace(stream, components, seed=seed)
-    logliks = np.array([float(_trace_logp(trace, comp).sum()) for comp in components])
-    best = _argmax_first(logliks)
-    return ScalarFit(
-        value=float(grid[best]),
-        loglik=float(logliks[best]),
-        loglik_rand=float(trace.logp_rand.sum()),
-        total_choices=trace.total_choices,
-        grid=grid,
-        logliks=logliks,
-    )
+    return _scalar_scan(_stream_trace(stream, components, seed=seed), grid, components)
 
 
 @dataclass
@@ -356,11 +350,11 @@ def fit_changepoint(
     if grid is None:
         grid = np.unique(timestamps)
     grid = np.asarray(grid, dtype=np.float64)
-    pre_prefix = np.concatenate(([0.0], np.cumsum(logp_pre)))
-    post_prefix = np.concatenate(([0.0], np.cumsum(logp_post)))
-    post_total = post_prefix[-1]
+    # The post total plus a prefix sum of the differences: equal series tie
+    # exactly, where a difference of two prefix sums would round apart.
+    gain = np.concatenate(([0.0], np.cumsum(logp_pre - logp_post)))
     splits = np.searchsorted(timestamps, grid, side="right")
-    logliks = pre_prefix[splits] + (post_total - post_prefix[splits])
+    logliks = logp_post.sum() + gain[splits]
     best = _argmax_first(logliks)
     return ChangepointFit(
         t_hat=float(grid[best]),
@@ -504,12 +498,13 @@ def fit_stream_mixture(
     mode: str = "count",
     step: float = DEFAULT_WEIGHT_STEP,
     seed: int = 0,
-    ordering_samples: int | None = None,
+    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
     progress=None,
 ) -> tuple[FitResult, ChoiceCache]:
     """Build a cache and fit a J-interval mixture in one call."""
-    kwargs = {} if ordering_samples is None else {"ordering_samples": ordering_samples}
-    cache = build_choice_cache(stream, components, seed=seed, progress=progress, **kwargs)
+    cache = build_choice_cache(
+        stream, components, seed=seed, ordering_samples=ordering_samples, progress=progress
+    )
     result = fit_intervals(cache, j, mode=mode, step=step)
     return result, cache
 

@@ -8,13 +8,18 @@ draws use per-component strategies:
 * uniform and linear-degree draws use O(1) rejection sampling (the latter
   from a maintained edge-endpoint list), retrying while the draw hits an
   excluded node, with an exact full-vector fallback after a retry cap;
-* general degree-power and rank draws use inverse-CDF sampling over a
-  maintained weight vector (grown in place, by doubling its capacity) with
-  excluded entries zeroed;
+* general degree-power and rank draws share one inverse-CDF sampler over
+  a per-node weight vector (grown by doubling its capacity) with excluded
+  entries zeroed;
 * triangle-closure draws pick among the anchor's wedge endpoints, each
   second neighbor once per common neighbor (cost proportional to the
   anchor's neighborhood volume), and fall back to uniform when the anchor
   closes no wedge, mirroring the scorer's uniform fallback.
+
+After each increment is applied to the graph, every sampler catches up by
+reading the graph: the endpoint list appends the new edges, and the weight
+vector grows to the new node count and recomputes the weights of the
+center and the targets, the only nodes that are new or changed degree.
 
 All randomness flows through one ``numpy.random.Generator`` (PCG64) created
 from the caller's seed, so runs are reproducible bit for bit.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from .models import (
     Random,
     RankPreference,
     TriangleClosure,
+    degree_power_weight,
 )
 from .modelspec import parse_model_spec
 from .stream import OperationSchedule
@@ -48,17 +55,17 @@ STALL_CAP = 1000
 
 
 class _NodeSampler:
-    """Draws nodes for one component kind over a (possibly growing) graph."""
+    """Draws nodes for one component kind over a (possibly growing) graph.
+
+    The base class draws uniformly, which is the random component's sampler.
+    """
 
     def __init__(self, graph: DynamicGraph, rng: np.random.Generator):
         self.graph = graph
         self.rng = rng
 
-    def on_node_added(self) -> None:
-        pass
-
-    def on_edge_added(self, u: int, v: int, ku_before: int, kv_before: int) -> None:
-        pass
+    def on_applied(self, inc: Increment) -> None:
+        """Catch up with ``inc``, which the graph has just applied."""
 
     def _uniform(self, excluded: set[int]) -> int:
         n = self.graph.num_nodes
@@ -71,23 +78,18 @@ class _NodeSampler:
         eligible = [x for x in range(n) if x not in excluded]
         return int(eligible[self.rng.integers(len(eligible))])
 
-    def _weighted_vector(self, weights: np.ndarray, excluded: set[int]) -> int | None:
-        """Inverse-CDF draw with excluded entries zeroed; None if total is 0."""
+    def _weighted(self, weights: np.ndarray, excluded: set[int]) -> int:
+        """Inverse-CDF draw with excluded entries zeroed; uniform if their total is 0."""
         if excluded:
             weights = weights.copy()
             weights[list(excluded)] = 0.0
         cs = np.cumsum(weights)
         total = cs[-1] if len(cs) else 0.0
         if total <= 0.0:
-            return None
+            return self._uniform(excluded)
         return int(np.searchsorted(cs, self.rng.random() * total, side="right"))
 
     def sample(self, excluded: set[int], anchor: int | None, center_role: bool) -> int:
-        raise NotImplementedError
-
-
-class _UniformSampler(_NodeSampler):
-    def sample(self, excluded, anchor, center_role):
         return self._uniform(excluded)
 
 
@@ -96,14 +98,11 @@ class _EndpointListSampler(_NodeSampler):
 
     def __init__(self, graph, rng):
         super().__init__(graph, rng)
-        self.endpoints: list[int] = []
-        for u, v in graph.edges():
-            self.endpoints.append(u)
-            self.endpoints.append(v)
+        self.endpoints = [x for edge in graph.edges() for x in edge]
 
-    def on_edge_added(self, u, v, ku_before, kv_before):
-        self.endpoints.append(u)
-        self.endpoints.append(v)
+    def on_applied(self, inc):
+        for t in inc.targets:
+            self.endpoints += (inc.center, t)
 
     def sample(self, excluded, anchor, center_role):
         if not self.endpoints:
@@ -112,62 +111,30 @@ class _EndpointListSampler(_NodeSampler):
             x = self.endpoints[int(self.rng.integers(len(self.endpoints)))]
             if x not in excluded:
                 return x
-        degs = np.asarray(self.graph.degrees, dtype=np.float64)
-        x = self._weighted_vector(degs, excluded)
-        return self._uniform(excluded) if x is None else x
+        return self._weighted(np.asarray(self.graph.degrees, dtype=np.float64), excluded)
 
 
-def _with_room(buf: np.ndarray, size: int) -> np.ndarray:
-    """``buf`` if it has room past its first ``size`` entries, else a copy of twice the capacity."""
-    return buf if size < len(buf) else np.concatenate((buf, np.empty(max(size, 16))))
+class _VectorSampler(_NodeSampler):
+    """Per-node weight (degree power, rank) kept in a vector, inverse-CDF draws."""
 
-
-class _PowerVectorSampler(_NodeSampler):
-    """General degree power: maintained k^alpha vector, inverse-CDF draws."""
-
-    def __init__(self, graph, rng, alpha: float):
+    def __init__(self, graph, rng, weight: Callable[[int], float]):
         super().__init__(graph, rng)
-        self.alpha = alpha
-        self._table: list[float] = [1.0 if alpha == 0.0 else 0.0, 1.0]
-        # Weights of the first ``size`` entries; the rest is spare capacity.
-        self.weights = np.array([self._w(k) for k in graph.degrees], dtype=np.float64)
-        self.size = len(self.weights)
+        self.weight = weight
+        # Weights of the graph's nodes first; the rest is spare capacity.
+        self.weights = np.array([weight(v) for v in range(graph.num_nodes)], dtype=np.float64)
 
-    def _w(self, k: int) -> float:
-        while k >= len(self._table):
-            self._table.append(float(len(self._table)) ** self.alpha)
-        return self._table[k]
-
-    def on_node_added(self):
-        self.weights = _with_room(self.weights, self.size)
-        self.weights[self.size] = self._w(0)
-        self.size += 1
-
-    def on_edge_added(self, u, v, ku_before, kv_before):
-        self.weights[u] = self._w(ku_before + 1)
-        self.weights[v] = self._w(kv_before + 1)
+    def on_applied(self, inc):
+        n = self.graph.num_nodes
+        if n > len(self.weights):
+            grown = np.empty(max(2 * n, 16))
+            grown[: len(self.weights)] = self.weights
+            self.weights = grown
+        # Only the center and the targets changed degree or are new.
+        for v in (inc.center, *inc.targets):
+            self.weights[v] = self.weight(v)
 
     def sample(self, excluded, anchor, center_role):
-        x = self._weighted_vector(self.weights[: self.size], excluded)
-        return self._uniform(excluded) if x is None else x
-
-
-class _RankVectorSampler(_NodeSampler):
-    def __init__(self, graph, rng, alpha: float):
-        super().__init__(graph, rng)
-        self.alpha = alpha
-        # Weights of the first ``size`` entries; the rest is spare capacity.
-        self.weights = (np.arange(graph.num_nodes, dtype=np.float64) + 1.0) ** -alpha
-        self.size = len(self.weights)
-
-    def on_node_added(self):
-        self.weights = _with_room(self.weights, self.size)
-        self.weights[self.size] = float(self.size + 1) ** -self.alpha
-        self.size += 1
-
-    def sample(self, excluded, anchor, center_role):
-        x = self._weighted_vector(self.weights[: self.size], excluded)
-        return self._uniform(excluded) if x is None else x
+        return self._weighted(self.weights[: self.graph.num_nodes], excluded)
 
 
 class _WedgeSampler(_NodeSampler):
@@ -200,13 +167,15 @@ class _WedgeSampler(_NodeSampler):
 
 def _make_sampler(comp: Component, graph: DynamicGraph, rng) -> _NodeSampler:
     if isinstance(comp, Random):
-        return _UniformSampler(graph, rng)
+        return _NodeSampler(graph, rng)
     if isinstance(comp, DegreePower):
         if comp.alpha == 1.0:
             return _EndpointListSampler(graph, rng)
-        return _PowerVectorSampler(graph, rng, comp.alpha)
+        return _VectorSampler(
+            graph, rng, lambda v: degree_power_weight(graph.degrees[v], comp.alpha)
+        )
     if isinstance(comp, RankPreference):
-        return _RankVectorSampler(graph, rng, comp.alpha)
+        return _VectorSampler(graph, rng, lambda v: float(v + 1) ** -comp.alpha)
     if isinstance(comp, TriangleClosure):
         return _WedgeSampler(graph, rng)
     raise ModelError(f"no sampler for {comp!r}")
@@ -219,22 +188,13 @@ class MixtureSampler:
         self.graph = graph
         self.schedule = schedule
         self.rng = rng
-        unique: list[Component] = []
-        for interval in schedule.intervals:
-            for comp in interval.components:
-                if comp not in unique:
-                    unique.append(comp)
+        unique = dict.fromkeys(c for interval in schedule.intervals for c in interval.components)
         self._samplers = {comp: _make_sampler(comp, graph, rng) for comp in unique}
 
-    def notify_applied(self, inc: Increment, pre_degrees: dict[int, int]) -> None:
-        for _ in inc.new_nodes:
-            for s in self._samplers.values():
-                s.on_node_added()
-        kc = pre_degrees[inc.center]
-        for t in inc.targets:
-            for s in self._samplers.values():
-                s.on_edge_added(inc.center, t, kc, pre_degrees[t])
-            kc += 1
+    def on_applied(self, inc: Increment) -> None:
+        """Catch every component's sampler up with ``inc``, just applied to the graph."""
+        for s in self._samplers.values():
+            s.on_applied(inc)
 
     def draw(
         self,
@@ -422,11 +382,8 @@ def grow(
         targets = tuple(existing) + tuple(new_targets)
         targets_new = (False,) * len(existing) + (True,) * len(new_targets)
         inc = Increment(timestamp, center, center_new, targets, targets_new)
-        pre = {center: 0 if center_new else graph.degrees[center]}
-        for t, is_new in zip(targets, targets_new):
-            pre[t] = 0 if is_new else graph.degrees[t]
         apply_increment(graph, inc)
-        sampler.notify_applied(inc, pre)
+        sampler.on_applied(inc)
         increments.append(inc)
 
     return GrowthStream(seed_edges=seed_edges, increments=increments, labels=None)

@@ -76,6 +76,7 @@ from .models import (
     Random,
     RankPreference,
     TriangleClosure,
+    degree_power_table,
 )
 
 MAX_EXHAUSTIVE_CHOICES = 5
@@ -585,16 +586,6 @@ def build_dp_trace(
     return _stream_trace(stream, (), seed, max_exhaustive_choices, ordering_samples)
 
 
-def _degree_powers(size: int, alpha: float) -> np.ndarray:
-    """k**alpha for k = 0..size - 1, with the degree-0 conventions of ``models``."""
-    if alpha == 0.0:
-        return np.ones(size)
-    with np.errstate(divide="ignore"):
-        table = np.arange(size, dtype=np.float64) ** alpha
-    table[0] = 0.0
-    return table
-
-
 def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whole-graph and base totals of a per-degree weight table, per increment.
 
@@ -623,7 +614,7 @@ def _node_weights(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-target weight, base total, per-center weight and whole-graph total of a node weight."""
     if isinstance(comp, DegreePower):
-        table = _degree_powers(len(trace.h0), comp.alpha)
+        table = degree_power_table(len(trace.h0), comp.alpha)
         whole, base = _degree_totals(trace, table)
         return table[trace.target_deg], base, table[trace.center_deg], whole
     if isinstance(comp, RankPreference):
@@ -842,14 +833,6 @@ def dp_trace_logp(trace: DPTrace, alpha: float) -> np.ndarray:
     the identity holds bit for bit rather than to within summation noise.
     """
     return _trace_logp(trace, DegreePower(alpha))
-
-
-def dp_trace_loglik(trace: DPTrace, alphas) -> np.ndarray:
-    """Total log-likelihood at each exponent (scalar in, scalar out)."""
-    scalar = np.isscalar(alphas)
-    values = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-    out = np.array([float(dp_trace_logp(trace, float(a)).sum()) for a in values])
-    return float(out[0]) if scalar else out
 
 
 @dataclass

@@ -98,6 +98,20 @@ def degree_power_weight(degree: int, alpha: float) -> float:
     return float(degree) ** alpha
 
 
+def degree_power_table(size: int, alpha: float) -> np.ndarray:
+    """k^alpha for k = 0..size - 1, honoring the degree-0 conventions above.
+
+    numpy's powers can differ from the scalar ``degree_power_weight`` in the
+    last bit, so one caller should not mix the two.
+    """
+    if alpha == 0.0:
+        return np.ones(size)
+    with np.errstate(divide="ignore"):
+        table = np.arange(size, dtype=np.float64) ** alpha
+    table[0] = 0.0
+    return table
+
+
 def component_weights(
     component: Component,
     graph: DynamicGraph,
@@ -118,13 +132,8 @@ def component_weights(
     if isinstance(component, Random):
         return np.ones(nodes.size)
     if isinstance(component, DegreePower):
-        degs = np.array([graph.degrees[i] for i in nodes], dtype=np.float64)
-        a = component.alpha
-        if a == 0.0:
-            return np.ones(nodes.size)
-        with np.errstate(divide="ignore"):
-            w = np.where(degs > 0, degs, 1.0) ** a
-        return np.where(degs > 0, w, 0.0)
+        degs = np.array([graph.degrees[i] for i in nodes], dtype=np.intp)
+        return degree_power_table(int(degs.max()) + 1, component.alpha)[degs]
     if isinstance(component, RankPreference):
         ranks = nodes.astype(np.float64) + 1.0
         return ranks ** (-component.alpha)

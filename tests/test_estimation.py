@@ -206,6 +206,14 @@ class TestChangepoint:
         cp = gf.fit_changepoint(series, series.copy(), ts)
         assert cp.t_hat == 3.0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_long_series_scan_exactly_flat(self, seed):
+        # long sums of unequal terms: the tie must not hang on summation rounding
+        x = -np.random.default_rng(seed).exponential(5.0, 2000)
+        cp = gf.fit_changepoint(x, x.copy(), np.arange(2000))
+        assert np.all(cp.logliks == cp.logliks[0])
+        assert cp.t_hat == 0.0
+
     def test_custom_grid(self):
         ts = np.array([0, 10])
         pre = np.array([0.0, -1.0])

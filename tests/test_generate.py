@@ -1,9 +1,15 @@
 """Tests for the growth generator and its samplers."""
 
+import numpy as np
 import pytest
 
 import growthfit as gf
-from growthfit.generate import sample_choice_frequencies
+from growthfit.generate import (
+    MixtureSampler,
+    _EndpointListSampler,
+    _VectorSampler,
+    sample_choice_frequencies,
+)
 from growthfit.stream import extract_operation_schedule
 
 
@@ -164,3 +170,48 @@ class TestSamplerDistributions:
             graph, gf.Random(), 2000, seed=4, excluded={0, 1, 2}
         )
         assert counts[:3].sum() == 0
+
+
+class TestSamplerState:
+    """Samplers caught up increment by increment hold what a fresh build reads off the graph."""
+
+    SPEC = "0.25*DP(0.5) + 0.25*DP(0) + 0.25*RP(0.5) + 0.25*BA"
+
+    def assert_same_state(self, grown, fresh, graph):
+        n = graph.num_nodes
+        endpoints = sorted(x for edge in graph.edges() for x in edge)
+        for comp, a in grown._samplers.items():
+            b = fresh._samplers[comp]
+            if isinstance(a, _VectorSampler):
+                assert np.array_equal(a.weights[:n], b.weights[:n]), comp
+            else:
+                assert isinstance(a, _EndpointListSampler)
+                assert sorted(a.endpoints) == endpoints
+
+    def test_state_after_each_increment_matches_fresh_build(self):
+        # external and internal stars, each with existing and new targets
+        rows = [
+            gf.OperationRow(t, t % 3 != 2, 1 + t % 2, 1 + t % 3 if t % 3 != 2 else 2)
+            for t in range(60)
+        ]
+        recipe = gf.GrowthRecipe.constant(self.SPEC, seed_clique=5)
+        stream = gf.grow(recipe, seed=6, op_schedule=gf.OperationSchedule(rows))
+        assert any(not inc.center_is_new and inc.new_nodes for inc in stream.increments)
+        # no draws are made, so the samplers need no generator
+        schedule = recipe.schedule()
+        graph = stream.seed_graph()
+        grown = MixtureSampler(graph, schedule, None)
+        for inc in stream.increments:
+            gf.apply_increment(graph, inc)
+            grown.on_applied(inc)
+            self.assert_same_state(grown, MixtureSampler(graph, schedule, None), graph)
+
+    def test_degree_zero_weights(self):
+        # node 2 is isolated: weight 1 under DP(0), 0 under DP(0.5)
+        graph = gf.graph_from_edges([(0, 1)], num_nodes=3)
+        sampler = MixtureSampler(graph, gf.GrowthRecipe.constant(self.SPEC).schedule(), None)
+        weights = {c: s.weights[:3].tolist() for c, s in sampler._samplers.items()
+                   if isinstance(s, _VectorSampler)}
+        assert weights[gf.DegreePower(0.0)] == [1.0, 1.0, 1.0]
+        assert weights[gf.DegreePower(0.5)] == [1.0, 1.0, 0.0]
+        assert weights[gf.RankPreference(0.5)] == [1.0, 2.0**-0.5, 3.0**-0.5]

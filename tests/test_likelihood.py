@@ -17,7 +17,6 @@ from growthfit.likelihood import (
     build_dp_trace,
     cache_loglik,
     cache_logratios,
-    dp_trace_loglik,
     dp_trace_logp,
     orderings_for_increment,
     per_choice_ratio,
@@ -442,6 +441,29 @@ class TestCollapsedCache:
         assert np.isfinite(got[-1])
         assert abs(got[-1] - expect) <= 1e-9 * abs(expect)
 
+    def test_log_ratio_past_exp_overflow(self):
+        # a new node linking to 300 hubs of 40 leaves each is about e^994
+        # times likelier under BA than at random, past float64's e^709
+        hubs, leaves = 300, 40
+        seed_edges = [(h, hubs + leaves * h + j) for h in range(hubs) for j in range(leaves)]
+        star = gf.Increment(0, hubs * (leaves + 1), True, tuple(range(hubs)), (False,) * hubs)
+        stream = gf.GrowthStream(seed_edges, [star])
+        ba = gf.DegreePower(1.0)
+        _, series = gf.score_stream(stream, ba, keep_series=True)
+        trace = build_dp_trace(stream)
+        assert trace.sampled_increments == 1
+        values = [
+            series[0].logp - series[0].logp_rand,
+            cache_logratios(build_choice_cache(stream, [ba]), np.array([1.0]))[0],
+            dp_trace_logp(trace, 1.0)[0] - trace.logp_rand[0],
+        ]
+        assert np.isfinite(values).all()
+        assert abs(values[0] - 994.16) < 0.01
+        for value in values[1:]:
+            assert abs(value - values[0]) <= 1e-9 * abs(values[0])
+        fit = gf.fit_intervals(build_choice_cache(stream, [ba, gf.Random()]), j=1)
+        assert math.isfinite(fit.loglik)
+
 
 class TestDPTrace:
     def make_stream(self, spec="DP(1.5)", n=200):
@@ -477,7 +499,7 @@ class TestDPTrace:
         stream = self.make_stream(n=80)
         trace = build_dp_trace(stream)
         grid = np.array([0.0, 0.8, 1.0, 1.9])
-        lls = dp_trace_loglik(trace, grid)
+        lls = gf.fit_degree_exponent(trace, grid).logliks
         for alpha, expect in zip(grid, lls):
             assert abs(dp_trace_logp(trace, float(alpha)).sum() - expect) < 1e-10
 
