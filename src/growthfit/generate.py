@@ -8,18 +8,23 @@ draws use per-component strategies:
 * uniform and linear-degree draws use O(1) rejection sampling (the latter
   from a maintained edge-endpoint list), retrying while the draw hits an
   excluded node, with an exact full-vector fallback after a retry cap;
-* general degree-power and rank draws share one inverse-CDF sampler over
-  a per-node weight vector (grown by doubling its capacity) with excluded
-  entries zeroed;
+* general degree-power and rank draws share one sampler over a Fenwick tree
+  of per-node weights: a draw descends the tree in O(log n), subtracting
+  the excluded nodes' mass on its way, and falls back to uniform when no
+  eligible node has positive weight;
 * triangle-closure draws pick among the anchor's wedge endpoints, each
-  second neighbor once per common neighbor (cost proportional to the
-  anchor's neighborhood volume), and fall back to uniform when the anchor
-  closes no wedge, mirroring the scorer's uniform fallback.
+  second neighbor once per common neighbor, gathered with one numpy index
+  over per-node neighbour blocks (so the Python cost does not grow with
+  the anchor's neighborhood volume), and fall back to uniform when the
+  anchor closes no wedge, mirroring the scorer's uniform fallback.
 
-After each increment is applied to the graph, every sampler catches up by
-reading the graph: the endpoint list appends the new edges, and the weight
-vector grows to the new node count and recomputes the weights of the
-center and the targets, the only nodes that are new or changed degree.
+The mixture sampler logs each increment after the graph applies it, and a
+component's sampler reads the increments it has not seen right before its
+next draw: the endpoint list and the neighbour blocks append the new edges,
+and the weight tree grows to the new node count and updates the weights of
+the centers and the targets, the only nodes that are new or changed degree.
+A component that the current interval does not draw from pays nothing per
+increment.
 
 All randomness flows through one ``numpy.random.Generator`` (PCG64) created
 from the caller's seed, so runs are reproducible bit for bit.
@@ -28,13 +33,14 @@ from the caller's seed, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import GrowthStallError, ModelError
+from .errors import GrowthStallError, ModelError, UnknownNodeError
 from .graph import DynamicGraph, GrowthStream, Increment, apply_increment, clique_graph
 from .models import (
     BoundaryMode,
@@ -54,6 +60,37 @@ REJECT_CAP = 64
 STALL_CAP = 1000
 
 
+# Above this many nodes, a star's fixed exclusion base is sorted once per
+# star in numpy (see ``_Excluded``); smaller ones are handled per draw in Python.
+SORTED_BASE = 8
+
+
+class _Excluded(set):
+    """A star's excluded nodes when its fixed base is large: the base plus ``chosen``.
+
+    The base does not change during the star, so samplers prepare it once
+    and add only the few chosen targets on each draw.  Smaller exclusions
+    are plain sets.
+    """
+
+    __slots__ = ("chosen", "_sorted_base")
+
+    def __init__(self, base: Iterable[int], chosen: list[int]):
+        super().__init__(base)
+        self.chosen = chosen
+        self._sorted_base: np.ndarray | None = None
+
+    def sorted_base(self) -> np.ndarray:
+        """The base, every excluded node not chosen, as a sorted int64 array."""
+        if self._sorted_base is None:
+            base = np.fromiter(self, dtype=np.int64, count=len(self))
+            for x in self.chosen:
+                base = base[base != x]
+            base.sort()
+            self._sorted_base = base
+        return self._sorted_base
+
+
 class _NodeSampler:
     """Draws nodes for one component kind over a (possibly growing) graph.
 
@@ -63,9 +100,11 @@ class _NodeSampler:
     def __init__(self, graph: DynamicGraph, rng: np.random.Generator):
         self.graph = graph
         self.rng = rng
+        # How many of the mixture sampler's logged increments this one has read.
+        self.seen = 0
 
-    def on_applied(self, inc: Increment) -> None:
-        """Catch up with ``inc``, which the graph has just applied."""
+    def catch_up(self, applied: list[Increment]) -> None:
+        """Read ``applied``, the increments the graph applied since the last catch-up."""
 
     def _uniform(self, excluded: set[int]) -> int:
         n = self.graph.num_nodes
@@ -78,17 +117,6 @@ class _NodeSampler:
         eligible = [x for x in range(n) if x not in excluded]
         return int(eligible[self.rng.integers(len(eligible))])
 
-    def _weighted(self, weights: np.ndarray, excluded: set[int]) -> int:
-        """Inverse-CDF draw with excluded entries zeroed; uniform if their total is 0."""
-        if excluded:
-            weights = weights.copy()
-            weights[list(excluded)] = 0.0
-        cs = np.cumsum(weights)
-        total = cs[-1] if len(cs) else 0.0
-        if total <= 0.0:
-            return self._uniform(excluded)
-        return int(np.searchsorted(cs, self.rng.random() * total, side="right"))
-
     def sample(self, excluded: set[int], anchor: int | None, center_role: bool) -> int:
         return self._uniform(excluded)
 
@@ -100,9 +128,10 @@ class _EndpointListSampler(_NodeSampler):
         super().__init__(graph, rng)
         self.endpoints = [x for edge in graph.edges() for x in edge]
 
-    def on_applied(self, inc):
-        for t in inc.targets:
-            self.endpoints += (inc.center, t)
+    def catch_up(self, applied):
+        for inc in applied:
+            for t in inc.targets:
+                self.endpoints += (inc.center, t)
 
     def sample(self, excluded, anchor, center_role):
         if not self.endpoints:
@@ -113,56 +142,258 @@ class _EndpointListSampler(_NodeSampler):
                 return x
         return self._weighted(np.asarray(self.graph.degrees, dtype=np.float64), excluded)
 
+    def _weighted(self, weights: np.ndarray, excluded: set[int]) -> int:
+        """Inverse-CDF draw with excluded entries zeroed; uniform if their total is 0."""
+        if excluded:
+            weights[list(excluded)] = 0.0
+        cs = np.cumsum(weights)
+        total = cs[-1] if len(cs) else 0.0
+        if total <= 0.0:
+            return self._uniform(excluded)
+        return int(np.searchsorted(cs, self.rng.random() * total, side="right"))
+
+
+_NO_EXCLUSION = ((), [0.0], 0)
+
 
 class _VectorSampler(_NodeSampler):
-    """Per-node weight (degree power, rank) kept in a vector, inverse-CDF draws."""
+    """Per-node weight (degree power, rank) in a Fenwick tree: O(log n) updates and draws.
+
+    ``tree[i]`` (1-based) holds the weight sum of nodes ``i - lowbit(i)`` to
+    ``i - 1``.  The tree is rebuilt from the weights whenever the node count
+    passes its power-of-two capacity, so rounding left by point updates
+    never outlives a doubling.  A draw descends from ``u * (total - excluded
+    mass)`` and subtracts, at each tree node on its path, the excluded mass
+    in that node's range, read off the sorted excluded ids and their prefix
+    weights; nothing is zeroed and restored.
+    """
 
     def __init__(self, graph, rng, weight: Callable[[int], float]):
         super().__init__(graph, rng)
         self.weight = weight
+        self.capacity = 16
+        while self.capacity < graph.num_nodes:
+            self.capacity *= 2
         # Weights of the graph's nodes first; the rest is spare capacity.
-        self.weights = np.array([weight(v) for v in range(graph.num_nodes)], dtype=np.float64)
+        self.weights = np.zeros(self.capacity)
+        self.weights[: graph.num_nodes] = [weight(v) for v in range(graph.num_nodes)]
+        # An exact count, so the uniform fallback never rests on a rounded total.
+        self.positive = int(np.count_nonzero(self.weights))
+        self._build()
+        self._base = (None, _NO_EXCLUSION)
 
-    def on_applied(self, inc):
-        n = self.graph.num_nodes
-        if n > len(self.weights):
-            grown = np.empty(max(2 * n, 16))
-            grown[: len(self.weights)] = self.weights
-            self.weights = grown
-        # Only the center and the targets changed degree or are new.
-        for v in (inc.center, *inc.targets):
-            self.weights[v] = self.weight(v)
+    def _build(self) -> None:
+        cap = self.capacity
+        tree = np.zeros(cap + 1)
+        tree[1:] = self.weights
+        # Each node adds its finished sum into its parent i + lowbit(i), one
+        # level at a time, up to the capacity rather than the node count so
+        # that the upper nodes hold their whole ranges.
+        step = 1
+        while step < cap:
+            tree[2 * step :: 2 * step] += tree[step : cap + 1 - step : 2 * step]
+            step *= 2
+        self.tree = tree.tolist()
+
+    def catch_up(self, applied):
+        cap = self.capacity
+        while self.capacity < self.graph.num_nodes:
+            self.capacity *= 2
+        if self.capacity > cap:
+            self.weights = np.concatenate((self.weights, np.zeros(self.capacity - cap)))
+        weights, weight = self.weights, self.weight
+        # Only the centers and the targets are new or changed degree.  A node
+        # touched by several increments changes once: after that its weight
+        # is current.
+        deltas = []
+        for inc in applied:
+            for v in (inc.center, *inc.targets):
+                w, old = weight(v), float(weights[v])
+                if w != old:
+                    weights[v] = w
+                    self.positive += (w > 0.0) - (old > 0.0)
+                    deltas.append((v + 1, w - old))
+        self._base = (None, _NO_EXCLUSION)
+        if self.capacity > cap:
+            self._build()
+            return
+        tree = self.tree
+        for i, delta in deltas:
+            while i <= cap:
+                tree[i] += delta
+                i += i & -i
+
+    def _exclusion(self, ids: list[int]) -> tuple:
+        """Sorted ``ids``, the prefix sums of their weights and their count of positive weights."""
+        if not ids:
+            return _NO_EXCLUSION
+        prefix = [0.0]
+        positive = 0
+        for w in self.weights[ids].tolist():
+            prefix.append(prefix[-1] + w)
+            positive += w > 0.0
+        return ids, prefix, positive
+
+    def _base_exclusion(self, excluded: _Excluded) -> tuple:
+        """``_exclusion`` of a star's base in numpy, once per star and tree state."""
+        if self._base[0] is not excluded:
+            ids = excluded.sorted_base()
+            w = self.weights[ids]
+            prefix = np.concatenate(([0.0], np.cumsum(w)))
+            self._base = (excluded, (ids, prefix, int(np.count_nonzero(w))))
+        return self._base[1]
 
     def sample(self, excluded, anchor, center_role):
-        return self._weighted(self.weights[: self.graph.num_nodes], excluded)
+        if isinstance(excluded, _Excluded):
+            base = self._base_exclusion(excluded)
+            chosen = self._exclusion(sorted(excluded.chosen))
+        else:
+            base, chosen = _NO_EXCLUSION, self._exclusion(sorted(excluded))
+        if self.positive == base[2] + chosen[2]:
+            return self._uniform(excluded)
+        rest = self.rng.random() * (self.tree[self.capacity] - base[1][-1] - chosen[1][-1])
+        if base is _NO_EXCLUSION:
+            pos = self._descend(rest, chosen)
+        else:
+            pos = self._descend_two(rest, base, chosen)
+        n, weights = self.graph.num_nodes, self.weights
+        if pos < n and weights[pos] > 0.0 and pos not in excluded:
+            return pos
+        # Rounding left a sliver of mass where the exact sum has none: take
+        # the next eligible node, or the last one before it.
+        return next(
+            v
+            for v in chain(range(pos + 1, n), range(min(pos, n) - 1, -1, -1))
+            if weights[v] > 0.0 and v not in excluded
+        )
+
+    def _descend(self, rest: float, exclusion: tuple) -> int:
+        """The node where the running sum, less excluded mass, first exceeds ``rest``.
+
+        Moves right past every tree range whose eligible mass is <= what is
+        left; ``lo`` counts the excluded ids below ``pos``.
+        """
+        ids, prefix, _ = exclusion
+        tree = self.tree
+        pos = lo = 0
+        step = self.capacity >> 1
+        while step:
+            top = pos + step
+            hi = bisect_left(ids, top, lo)
+            mass = tree[top] - (prefix[hi] - prefix[lo])
+            if mass <= rest:
+                pos, rest, lo = top, rest - mass, hi
+            step >>= 1
+        return pos
+
+    def _descend_two(self, rest: float, first: tuple, second: tuple) -> int:
+        """``_descend`` with the excluded ids split over two sorted lists.
+
+        Only stars with a large base take this loop; most draws exclude a
+        few chosen targets at most, and an empty second list would cost two
+        more lookups at every level of theirs.
+        """
+        ids_a, pre_a, _ = first
+        ids_b, pre_b, _ = second
+        tree = self.tree
+        pos = la = lb = 0
+        step = self.capacity >> 1
+        while step:
+            top = pos + step
+            ha = bisect_left(ids_a, top, la)
+            hb = bisect_left(ids_b, top, lb)
+            mass = tree[top] - (pre_a[ha] - pre_a[la]) - (pre_b[hb] - pre_b[lb])
+            if mass <= rest:
+                pos, rest, la, lb = top, rest - mass, ha, hb
+            step >>= 1
+        return pos
 
 
 class _WedgeSampler(_NodeSampler):
-    """Triangle closure: weight = common-neighbor count with the anchor."""
+    """Triangle closure: weight = common-neighbor count with the anchor.
 
-    # Above this many excluded nodes, one sorted-set test beats a pass per node.
-    ISIN_EXCLUDED = 8
+    Each node's neighbours fill an append-only block of one int64 pool; a
+    full block moves to the pool's end with twice the room.  A draw gathers
+    the anchor's 2-hop endpoints with one index over its neighbours'
+    blocks, so its Python cost does not grow with the degrees.
+    """
+
+    def __init__(self, graph, rng):
+        super().__init__(graph, rng)
+        self.pool = np.empty(64, dtype=np.int64)
+        self.used = 0
+        # Block start, filled size and room per node.
+        self.start = np.zeros(16, dtype=np.int64)
+        self.size = np.zeros(16, dtype=np.int64)
+        self.room: list[int] = []
+        self._add_nodes()
+        for v, nbrs in enumerate(graph.adj):
+            self._extend(v, tuple(nbrs))
+
+    def _add_nodes(self) -> None:
+        n = self.graph.num_nodes
+        if n > len(self.size):
+            spare = np.zeros(n, dtype=np.int64)
+            self.start = np.concatenate((self.start, spare))
+            self.size = np.concatenate((self.size, spare))
+        self.room.extend([0] * (n - len(self.room)))
+
+    def _extend(self, v: int, new: tuple[int, ...]) -> None:
+        k, m = int(self.size[v]), len(new)
+        if k + m > self.room[v]:
+            room = max(2 * (k + m), 4)
+            if self.used + room > len(self.pool):
+                grown = np.empty(2 * (self.used + room), dtype=np.int64)
+                grown[: self.used] = self.pool[: self.used]
+                self.pool = grown
+            lo = self.start[v]
+            self.pool[self.used : self.used + k] = self.pool[lo : lo + k]
+            self.start[v] = self.used
+            self.room[v] = room
+            self.used += room
+        lo = int(self.start[v]) + k
+        if m == 1:
+            self.pool[lo] = new[0]
+        else:
+            self.pool[lo : lo + m] = new
+        self.size[v] = k + m
+
+    def catch_up(self, applied):
+        self._add_nodes()
+        for inc in applied:
+            self._extend(inc.center, inc.targets)
+            for t in inc.targets:
+                self._extend(t, (inc.center,))
 
     def sample(self, excluded, anchor, center_role):
         if center_role or anchor is None:
             # Uniform center pick / anchorless first leaf.
             return self._uniform(excluded)
-        adj = self.graph.adj
+        pool, start, size = self.pool, self.start, self.size
+        lo = start[anchor]
+        nbrs = pool[lo : lo + size[anchor]]
+        if len(nbrs) == 0:
+            return self._uniform(excluded)
         # Each 2-hop endpoint once per wedge: the count-weighted draw is a
         # uniform pick among them, made as the k-th smallest for the same
         # uniform that an inverse CDF over the sorted nodes would use.
-        ends = np.fromiter(chain.from_iterable(adj[u] for u in adj[anchor]), dtype=np.int64)
+        sizes = size[nbrs]
+        stops = sizes.cumsum()
+        ends = pool[np.arange(stops[-1]) + (start[nbrs] - stops + sizes).repeat(sizes)]
         keep = ends != anchor
-        if len(excluded) > self.ISIN_EXCLUDED:
-            keep &= ~np.isin(ends, np.fromiter(excluded, dtype=np.int64, count=len(excluded)))
-        else:
-            for x in excluded:
-                keep &= ends != x
+        rest = excluded
+        if isinstance(excluded, _Excluded):
+            base = excluded.sorted_base()
+            keep &= base[np.minimum(np.searchsorted(base, ends), len(base) - 1)] != ends
+            rest = excluded.chosen
+        for x in rest:
+            keep &= ends != x
         ends = ends[keep]
         if len(ends) == 0:
             return self._uniform(excluded)
         k = int(self.rng.random() * len(ends))
-        return int(np.partition(ends, k)[k])
+        ends.partition(k)
+        return int(ends[k])
 
 
 def _make_sampler(comp: Component, graph: DynamicGraph, rng) -> _NodeSampler:
@@ -182,7 +413,12 @@ def _make_sampler(comp: Component, graph: DynamicGraph, rng) -> _NodeSampler:
 
 
 class MixtureSampler:
-    """Component-first node draws for a whole schedule over a growing graph."""
+    """Component-first node draws for a whole schedule over a growing graph.
+
+    Applied increments are logged once.  A component's sampler reads the
+    ones it has not seen right before its next draw, so a component that
+    the current interval does not draw from costs nothing per increment.
+    """
 
     def __init__(self, graph: DynamicGraph, schedule: ModelSchedule, rng: np.random.Generator):
         self.graph = graph
@@ -190,11 +426,20 @@ class MixtureSampler:
         self.rng = rng
         unique = dict.fromkeys(c for interval in schedule.intervals for c in interval.components)
         self._samplers = {comp: _make_sampler(comp, graph, rng) for comp in unique}
+        self._applied: list[Increment] = []
 
     def on_applied(self, inc: Increment) -> None:
-        """Catch every component's sampler up with ``inc``, just applied to the graph."""
-        for s in self._samplers.values():
-            s.on_applied(inc)
+        """Log ``inc``, just applied to the graph, for the samplers' next catch-up."""
+        self._applied.append(inc)
+
+    def catch_up(self) -> None:
+        """Bring every component's sampler up to the graph, as a draw does for its own."""
+        for sampler in self._samplers.values():
+            self._catch_up(sampler)
+
+    def _catch_up(self, sampler: _NodeSampler) -> None:
+        sampler.catch_up(self._applied[sampler.seen :])
+        sampler.seen = len(self._applied)
 
     def draw(
         self,
@@ -212,7 +457,10 @@ class MixtureSampler:
             if u < acc:
                 comp = c
                 break
-        return self._samplers[comp].sample(excluded, anchor, center_role)
+        sampler = self._samplers[comp]
+        if sampler.seen < len(self._applied):
+            self._catch_up(sampler)
+        return sampler.sample(excluded, anchor, center_role)
 
 
 @dataclass
@@ -286,12 +534,12 @@ def _draw_targets(
     sampler: MixtureSampler,
     interval: MixtureInterval,
     count: int,
-    base_excluded: set[int],
+    base: set[int],
     anchor: int | None,
 ) -> list[int]:
     """Without-replacement target draws; anchor locks to the first draw if unset."""
     chosen: list[int] = []
-    excluded = set(base_excluded)
+    excluded = _Excluded(base, chosen) if len(base) > SORTED_BASE else set(base)
     for _ in range(count):
         x = sampler.draw(interval, excluded, anchor)
         chosen.append(x)
@@ -402,13 +650,23 @@ def sample_choice_frequencies(
 
     Exercises the same sampling machinery as growth, so comparing against
     the model's probability vector is an end-to-end check of the sampler.
+    An ``excluded`` node or ``anchor`` outside the graph raises
+    ``UnknownNodeError``.
     """
+    n = graph.num_nodes
+    excluded = set(excluded or ())
+    for v in sorted(excluded):
+        if not 0 <= v < n:
+            raise UnknownNodeError(f"excluded node {v} not in graph of {n} nodes")
+    if anchor is not None and not 0 <= anchor < n:
+        raise UnknownNodeError(f"anchor {anchor} not in graph of {n} nodes")
+    if len(excluded) > SORTED_BASE:
+        excluded = _Excluded(excluded, [])
     interval = model if isinstance(model, MixtureInterval) else MixtureInterval.single(model)
     schedule = ModelSchedule.constant(interval)
     rng = np.random.default_rng(seed)
     sampler = MixtureSampler(graph, schedule, rng)
-    excluded = excluded or set()
-    counts = np.zeros(graph.num_nodes, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
     for _ in range(draws):
         counts[sampler.draw(interval, excluded, anchor, center_role)] += 1
     return counts

@@ -59,6 +59,8 @@ class _TriangleTracker:
     def __init__(self):
         self.graph = DynamicGraph()
         self.tri: list[int] = []
+        # Both ends of every edge, in insertion order: (u0, v0, u1, v1, ...).
+        self.ends: list[int] = []
 
     def add_node(self) -> int:
         self.tri.append(0)
@@ -75,19 +77,16 @@ class _TriangleTracker:
         self.tri[v] += len(common)
         for w in common:
             self.tri[w] += 1
+        self.ends += (u, v)
 
 
-def _assortativity(graph: DynamicGraph) -> float | None:
-    if graph.edge_count == 0:
+def _assortativity(degs: np.ndarray, ends: list[int]) -> float | None:
+    if not ends:
         return None
-    degs = graph.degrees
-    xs = np.empty(2 * graph.edge_count)
-    ys = np.empty(2 * graph.edge_count)
-    i = 0
-    for u, v in graph.edges():
-        xs[i], ys[i] = degs[u], degs[v]
-        xs[i + 1], ys[i + 1] = degs[v], degs[u]
-        i += 2
+    # Each edge in both orientations: xs holds the end degrees pair by pair,
+    # ys the same pairs swapped.
+    xs = degs[np.asarray(ends)]
+    ys = xs.reshape(-1, 2)[:, ::-1].ravel()
     vx = xs.var()
     if vx <= 0.0:
         return None
@@ -112,7 +111,7 @@ def _snapshot(tracker: _TriangleTracker, increments: int, timestamp: int | None)
         max_degree=int(degs.max()) if n else 0,
         triangles=sum(tracker.tri) // 3,
         clustering=float(np.mean(local)) if n else 0.0,
-        assortativity=_assortativity(g),
+        assortativity=_assortativity(degs, tracker.ends),
     )
 
 
