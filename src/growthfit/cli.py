@@ -3,8 +3,8 @@
 Subcommands cover the full workflow: ingest raw edge lists, generate
 synthetic streams, score a stream under a model, fit weights and interval
 partitions, locate changepoints, compare nested fits, and compute graph
-statistics.  Machine-readable results go to stdout (or --out); progress and
-cleaning reports go to stderr.  Failures print ``error (<category>): <msg>``
+statistics.  Machine-readable results go to stdout (or --out); cleaning
+reports go to stderr.  Failures print ``error (<category>): <msg>``
 to stderr and exit nonzero.
 """
 
@@ -45,10 +45,6 @@ from .stream import (
     write_op_schedule,
     write_star_stream,
 )
-
-
-def _progress(done: int, total: int) -> None:
-    print(f"scored {done}/{total} increments", file=sys.stderr)
 
 
 def _emit(args, payload: str) -> None:
@@ -138,9 +134,7 @@ def _cmd_score(args) -> int:
         schedule = parse_model_spec(args.model)
     else:
         raise GrowthFitError("score needs --model or --fit")
-    summary, _ = score_stream(
-        stream, schedule, progress=_progress if args.progress else None, **_score_kwargs(args)
-    )
+    summary, _ = score_stream(stream, schedule, **_score_kwargs(args))
     _emit(args, json.dumps(summary.to_dict(), indent=2))
     return 0
 
@@ -154,7 +148,6 @@ def _cmd_fit(args) -> int:
             comps,
             j=1,
             step=args.step,
-            progress=_progress if args.progress else None,
             **_score_kwargs(args),
         )
         _emit(args, result.to_json())
@@ -181,7 +174,6 @@ def _cmd_fit_intervals(args) -> int:
         j=args.intervals,
         mode=args.interval_mode,
         step=args.step,
-        progress=_progress if args.progress else None,
         **_score_kwargs(args),
     )
     _emit(args, result.to_json())
@@ -215,12 +207,7 @@ def _cmd_fit_changepoint(args) -> int:
 def _cmd_scan_j(args) -> int:
     stream = _load(args)
     comps = _parse_components(args.components)
-    cache = build_choice_cache(
-        stream,
-        comps,
-        progress=_progress if args.progress else None,
-        **_score_kwargs(args),
-    )
+    cache = build_choice_cache(stream, comps, **_score_kwargs(args))
     fits = scan_interval_counts(
         cache,
         jmin=args.jmin,
@@ -246,12 +233,7 @@ def _cmd_wilks(args) -> int:
             raise GrowthFitError("wilks needs --fit0/--fit1 or --data with --components")
         stream = _load(args)
         comps = _parse_components(args.components)
-        cache = build_choice_cache(
-            stream,
-            comps,
-            progress=_progress if args.progress else None,
-            **_score_kwargs(args),
-        )
+        cache = build_choice_cache(stream, comps, **_score_kwargs(args))
         fit0 = fit_intervals(cache, args.j0, mode=args.interval_mode, step=args.step)
         fit1 = fit_intervals(cache, args.j1, mode=args.interval_mode, step=args.step)
     report = compare_interval_fits(fit0, fit1)
@@ -300,9 +282,6 @@ def _add_common(p: argparse.ArgumentParser, data_required: bool = True) -> None:
         help="orderings drawn per increment when exact enumeration is too large",
     )
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
-    p.add_argument(
-        "--progress", action="store_true", help="report scoring progress on stderr"
-    )
     p.add_argument("--step", type=float, default=0.01, help="weight-grid resolution")
 
 

@@ -478,12 +478,24 @@ def wilks_test(loglik_null: float, loglik_alt: float, df: int) -> WilksReport:
 def compare_interval_fits(coarse: FitResult, fine: FitResult) -> WilksReport:
     """Wilks test between two interval fits of the same component list.
 
-    Degrees of freedom: (L - 1) extra free weights per added interval.
+    The null must be nested in the alternative: every boundary of the coarse
+    partition (the start of each of its intervals but the first) must also
+    be a boundary of the fine one.  Degrees of freedom: (L - 1) extra free
+    weights per added interval.
     """
     if coarse.components != fine.components:
         raise NestingViolationError("fits use different component lists")
     if fine.num_intervals <= coarse.num_intervals:
         raise NestingViolationError("alternative must use more intervals than the null")
+    missing = sorted(
+        {iv["start_index"] for iv in coarse.intervals[1:]}
+        - {iv["start_index"] for iv in fine.intervals[1:]}
+    )
+    if missing:
+        raise NestingViolationError(
+            f"fits are not nested: null boundaries at increments {missing} "
+            "are not boundaries of the alternative"
+        )
     num_components = len(coarse.components)
     if num_components < 2:
         raise FitError("single-component fits have no free weights to test")
@@ -499,12 +511,9 @@ def fit_stream_mixture(
     step: float = DEFAULT_WEIGHT_STEP,
     seed: int = 0,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    progress=None,
 ) -> tuple[FitResult, ChoiceCache]:
     """Build a cache and fit a J-interval mixture in one call."""
-    cache = build_choice_cache(
-        stream, components, seed=seed, ordering_samples=ordering_samples, progress=progress
-    )
+    cache = build_choice_cache(stream, components, seed=seed, ordering_samples=ordering_samples)
     result = fit_intervals(cache, j, mode=mode, step=step)
     return result, cache
 

@@ -1,0 +1,308 @@
+"""The graph before any increment of a stream, answered by whole-array queries.
+
+Every edge is numbered by the event that adds it: event 0 is the seed graph
+and increment k adds its edges at event k + 1, so "before increment k" means
+"at event k or earlier".  A node's degree before an increment, its
+neighbourhood then, the common neighbours of two nodes and the triangles at
+a node are all functions of those numbers.  ``EdgeEvents`` sorts the edge
+ends once by node and event and answers each of these for many (node,
+increment) pairs at once, without replaying the graph.
+
+``StreamColumns`` holds the increments as flat arrays, and
+``first_rejection`` checks them as ``graph.check_increment`` would one by
+one, reporting the lowest increment it rejects with the same error.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
+
+import numpy as np
+
+from .errors import GraphError
+from .graph import (
+    DynamicGraph,
+    Increment,
+    duplicate_edge_error,
+    new_id_error,
+    unknown_node_error,
+)
+
+
+def offsets(sizes) -> np.ndarray:
+    """[0, s0, s0 + s1, ...]: the bounds of consecutive segments of the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(lo[i], hi[i]) over i."""
+    lengths = hi - lo
+    return np.repeat(lo - offsets(lengths)[:-1], lengths) + np.arange(int(lengths.sum()))
+
+
+def segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Exact integer sums of consecutive segments of the given sizes."""
+    bounds = offsets(sizes)
+    running = offsets(values)
+    return running[bounds[1:]] - running[bounds[:-1]]
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
+    """One int64 key per unordered node pair."""
+    return np.minimum(u, v) * num_nodes + np.maximum(u, v)
+
+
+def graph_ends(graph: DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Both ends of every edge of ``graph`` as (node, neighbour), sorted by node then neighbour."""
+    degrees = np.array(graph.degrees, dtype=np.int64)
+    nbr = np.fromiter(chain.from_iterable(graph.adj), np.int64, int(degrees.sum()))
+    node = np.repeat(np.arange(len(degrees)), degrees)
+    order = np.lexsort((nbr, node))
+    return node[order], nbr[order]
+
+
+@dataclass
+class StreamColumns:
+    """A run of increments as flat arrays, targets laid end to end in increment order."""
+
+    timestamp: np.ndarray  # (I,) int64
+    center: np.ndarray  # (I,) int64
+    center_new: np.ndarray  # (I,) bool
+    gain: np.ndarray  # (I,) int64, targets per increment
+    node_offsets: np.ndarray  # (I + 1,) int64, graph size before each increment, then after all
+    target: np.ndarray  # (T,) int64
+    target_new: np.ndarray  # (T,) bool
+    target_inc: np.ndarray  # (T,) int64, owning increment
+
+    @staticmethod
+    def of(increments: Sequence[Increment], first_nodes: int) -> StreamColumns:
+        """Flatten ``increments``, applied one after another to a graph of ``first_nodes`` nodes."""
+        num_inc = len(increments)
+        gain = np.fromiter((len(inc.targets) for inc in increments), np.int64, num_inc)
+        total = int(gain.sum())
+        center_new = np.fromiter(map(attrgetter("center_is_new"), increments), bool, num_inc)
+        target_new = np.fromiter(
+            chain.from_iterable(map(attrgetter("targets_new"), increments)), bool, total
+        )
+        target_inc = np.repeat(np.arange(num_inc), gain)
+        new_nodes = center_new + np.bincount(target_inc[target_new], minlength=num_inc)
+        return StreamColumns(
+            timestamp=np.fromiter(map(attrgetter("timestamp"), increments), np.int64, num_inc),
+            center=np.fromiter(map(attrgetter("center"), increments), np.int64, num_inc),
+            center_new=center_new,
+            gain=gain,
+            node_offsets=first_nodes + offsets(new_nodes),
+            target=np.fromiter(
+                chain.from_iterable(map(attrgetter("targets"), increments)), np.int64, total
+            ),
+            target_new=target_new,
+            target_inc=target_inc,
+        )
+
+    @property
+    def num_increments(self) -> int:
+        return len(self.center)
+
+    @property
+    def num_nodes(self) -> np.ndarray:
+        """(I,) graph size before each increment."""
+        return self.node_offsets[:-1]
+
+    @property
+    def final_nodes(self) -> int:
+        return int(self.node_offsets[-1])
+
+
+def first_rejection(
+    cols: StreamColumns, seed_node: np.ndarray, seed_nbr: np.ndarray
+) -> tuple[int, GraphError] | None:
+    """The lowest increment ``check_increment`` rejects, with its error, or None.
+
+    ``seed_node``/``seed_nbr`` are the seed graph's edge ends.  Every
+    increment is checked against the graph its predecessors build, which is
+    only meaningful up to the first rejection, so only that one is reported.
+    Within an increment the checks run in ``check_increment``'s order: the
+    center, then each target in list order.
+    """
+    num_nodes = cols.num_nodes
+    tinc = cols.target_inc
+    center, target = cols.center, cols.target
+    center_bad = np.where(
+        cols.center_new, center != num_nodes, (center < 0) | (center >= num_nodes)
+    )
+    # A new target must carry the next arrival index: after the graph, the
+    # new center, and the new targets listed before it.
+    new_before = offsets(cols.target_new.astype(np.int64))
+    first_target = offsets(cols.gain)[:-1]
+    expected = (
+        num_nodes[tinc] + cols.center_new[tinc] + new_before[:-1] - new_before[first_target[tinc]]
+    )
+    new_bad = cols.target_new & (target != expected)
+    out_of_range = ~cols.target_new & ((target < 0) | (target >= num_nodes[tinc]))
+    internal = ~cols.target_new & ~cols.center_new[tinc] & ~out_of_range & ~center_bad[tinc]
+    duplicate = np.zeros(len(target), dtype=bool)
+    if internal.any():
+        # Only edges before the first rejection are real; out-of-range ids
+        # are clipped so that later ones cannot break the key arithmetic.
+        n = max(cols.final_nodes, 1)
+        keys = np.concatenate(
+            (
+                _pair_keys(seed_node, seed_nbr, n),
+                _pair_keys(np.clip(center[tinc], 0, n - 1), np.clip(target, 0, n - 1), n),
+            )
+        )
+        events = np.concatenate((np.zeros(len(seed_node), dtype=np.int64), tinc + 1))
+        # Events are in time order, so a stable sort puts each pair's first event first.
+        order = np.argsort(keys, kind="stable")
+        asked = len(seed_node) + np.flatnonzero(internal)
+        first = order[np.searchsorted(keys[order], keys[asked])]
+        duplicate[internal] = events[first] < events[asked]
+    bad_targets = np.flatnonzero(new_bad | out_of_range | duplicate)
+    bad_centers = np.flatnonzero(center_bad)
+    candidates = [*bad_centers[:1].tolist(), *tinc[bad_targets[:1]].tolist()]
+    if not candidates:
+        return None
+    k = min(candidates)
+    n_k = int(num_nodes[k])
+    if center_bad[k]:
+        error = new_id_error if cols.center_new[k] else unknown_node_error
+        return k, error("center", int(center[k]), n_k)
+    j = bad_targets[0]
+    t = int(target[j])
+    if new_bad[j]:
+        return k, new_id_error("target", t, int(expected[j]))
+    if out_of_range[j]:
+        return k, unknown_node_error("target", t, n_k)
+    return k, duplicate_edge_error(int(center[k]), t, int(cols.timestamp[k]))
+
+
+class EdgeEvents:
+    """The edge ends of a seed graph and a valid run of increments, by node and event.
+
+    A node's ends are sorted by event, and ends of one event keep the order
+    in which their edges were added (seed ends by neighbour), so the
+    neighbourhood of a node before increment k is a prefix of its row.
+    """
+
+    def __init__(self, seed_node: np.ndarray, seed_nbr: np.ndarray, cols: StreamColumns):
+        self.num_nodes = cols.final_nodes
+        # Keys node * span + event order the ends; events run from 0 to I.
+        self.span = cols.num_increments + 1
+        centers = cols.center[cols.target_inc]
+        events = cols.target_inc + 1
+        once = seed_node < seed_nbr
+        self.edge_u = np.concatenate((seed_node[once], centers))
+        self.edge_v = np.concatenate((seed_nbr[once], cols.target))
+        self.edge_event = np.concatenate((np.zeros(int(once.sum()), dtype=np.int64), events))
+        node = np.concatenate((seed_node, centers, cols.target))
+        nbr = np.concatenate((seed_nbr, cols.target, centers))
+        seed_events = np.zeros(len(seed_node), dtype=np.int64)
+        key = node * self.span + np.concatenate((seed_events, events, events))
+        order = np.argsort(key, kind="stable")
+        self.key = key[order]
+        self.nbr = nbr[order]
+        self.start = offsets(np.bincount(node, minlength=self.num_nodes))
+
+    def degree_before(self, nodes: np.ndarray, incs: np.ndarray) -> np.ndarray:
+        """Degree of each node before the paired increment."""
+        return np.searchsorted(self.key, nodes * self.span + incs + 1) - self.start[nodes]
+
+    def neighbours_before(
+        self, nodes: np.ndarray, incs: np.ndarray, degrees: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(query, neighbour) for every neighbour of each node before the paired increment.
+
+        ``degrees`` may pass ``degree_before(nodes, incs)`` when it is known.
+        Neighbours come query after query, each in arrival order.
+        """
+        if degrees is None:
+            degrees = self.degree_before(nodes, incs)
+        lo = self.start[nodes]
+        return np.repeat(np.arange(len(nodes)), degrees), self.nbr[concat_ranges(lo, lo + degrees)]
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted pair keys of all edges and the event of each."""
+        keys = _pair_keys(self.edge_u, self.edge_v, self.num_nodes)
+        order = np.argsort(keys)
+        return keys[order], self.edge_event[order]
+
+    def event_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Event that adds edge (u, v), or ``span`` (never) if the edge is absent."""
+        keys, events = self._pairs
+        wanted = _pair_keys(u, v, self.num_nodes)
+        if len(keys) == 0:
+            return np.full(len(wanted), self.span, dtype=np.int64)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, events[at], self.span)
+
+    def common_before(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        incs: np.ndarray,
+        deg_a: np.ndarray,
+        deg_b: np.ndarray,
+    ) -> np.ndarray:
+        """Common neighbours of each pair before the paired increment.
+
+        ``deg_a``/``deg_b`` are the nodes' degrees then.  Walks the smaller
+        of the two neighbourhoods and looks each node up as an edge of the
+        other.
+        """
+        swap = deg_b < deg_a
+        query, w = self.neighbours_before(
+            np.where(swap, b, a), incs, np.minimum(deg_a, deg_b)
+        )
+        hit = self.event_of(np.where(swap, a, b)[query], w) <= incs[query]
+        return np.bincount(query[hit], minlength=len(a))
+
+    def neighbour_degree_sums(
+        self, nodes: np.ndarray, incs: np.ndarray, degrees: np.ndarray
+    ) -> np.ndarray:
+        """Sum of the degrees of each node's neighbours, all before the paired increment.
+
+        ``degrees`` holds the nodes' own degrees then.
+        """
+        query, w = self.neighbours_before(nodes, incs, degrees)
+        return segment_sums(self.degree_before(w, incs[query]), degrees)
+
+    @cached_property
+    def _triangle_keys(self) -> np.ndarray:
+        """Sorted keys node * span + event, one per triangle corner, at the event closing it.
+
+        Each triangle is found once: edges point from the endpoint of lower
+        (degree, id) rank to the higher, and every pair of edges out of one
+        node is a wedge whose closing edge is looked up.
+        """
+        n = self.num_nodes
+        degree = np.diff(self.start)
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort((np.arange(n), degree))] = np.arange(n)
+        up = rank[self.edge_u] < rank[self.edge_v]
+        lo = np.where(up, self.edge_u, self.edge_v)
+        hi = np.where(up, self.edge_v, self.edge_u)
+        order = np.lexsort((hi, lo))
+        lo, hi, event = lo[order], hi[order], self.edge_event[order]
+        out_end = offsets(np.bincount(lo, minlength=n))[lo + 1]
+        edge = np.arange(len(lo))
+        first = np.repeat(edge, out_end - edge - 1)
+        second = concat_ranges(edge + 1, out_end)
+        third = self.event_of(hi[first], hi[second])
+        closed = third < self.span
+        first, second = first[closed], second[closed]
+        when = np.maximum(np.maximum(event[first], event[second]), third[closed])
+        corners = np.concatenate((lo[first], hi[first], hi[second]))
+        return np.sort(corners * self.span + np.tile(when, 3))
+
+    def triangles_before(self, nodes: np.ndarray, incs: np.ndarray) -> np.ndarray:
+        """Triangles at each node whose three edges all exist before the paired increment."""
+        if len(nodes) == 0:
+            return np.zeros(0, dtype=np.int64)
+        keys = self._triangle_keys
+        base = nodes * self.span
+        return np.searchsorted(keys, base + incs + 1) - np.searchsorted(keys, base)

@@ -322,10 +322,13 @@ class _WedgeSampler(_NodeSampler):
         super().__init__(graph, rng)
         self.pool = np.empty(64, dtype=np.int64)
         self.used = 0
-        # Block start, filled size and room per node.
+        # Block start, filled size and room per node, kept in lists; the
+        # arrays mirror starts and sizes for the draws' gathers.
+        self.starts: list[int] = []
+        self.sizes: list[int] = []
+        self.room: list[int] = []
         self.start = np.zeros(16, dtype=np.int64)
         self.size = np.zeros(16, dtype=np.int64)
-        self.room: list[int] = []
         self._add_nodes()
         for v, nbrs in enumerate(graph.adj):
             self._extend(v, tuple(nbrs))
@@ -336,34 +339,36 @@ class _WedgeSampler(_NodeSampler):
             spare = np.zeros(n, dtype=np.int64)
             self.start = np.concatenate((self.start, spare))
             self.size = np.concatenate((self.size, spare))
-        self.room.extend([0] * (n - len(self.room)))
+        for column in (self.starts, self.sizes, self.room):
+            column.extend([0] * (n - len(column)))
 
     def _extend(self, v: int, new: tuple[int, ...]) -> None:
-        k, m = int(self.size[v]), len(new)
+        k, m = self.sizes[v], len(new)
         if k + m > self.room[v]:
             room = max(2 * (k + m), 4)
             if self.used + room > len(self.pool):
                 grown = np.empty(2 * (self.used + room), dtype=np.int64)
                 grown[: self.used] = self.pool[: self.used]
                 self.pool = grown
-            lo = self.start[v]
+            lo = self.starts[v]
             self.pool[self.used : self.used + k] = self.pool[lo : lo + k]
-            self.start[v] = self.used
+            self.starts[v] = self.start[v] = self.used
             self.room[v] = room
             self.used += room
-        lo = int(self.start[v]) + k
+        lo = self.starts[v] + k
         if m == 1:
             self.pool[lo] = new[0]
         else:
             self.pool[lo : lo + m] = new
-        self.size[v] = k + m
+        self.sizes[v] = self.size[v] = k + m
 
     def catch_up(self, applied):
         self._add_nodes()
         for inc in applied:
-            self._extend(inc.center, inc.targets)
-            for t in inc.targets:
-                self._extend(t, (inc.center,))
+            center, targets = inc.center, inc.targets
+            self._extend(center, targets)
+            for t in targets:
+                self._extend(t, (center,))
 
     def sample(self, excluded, anchor, center_role):
         if center_role or anchor is None:

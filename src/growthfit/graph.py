@@ -130,6 +130,18 @@ class DynamicGraph:
         assert total == 2 * self.edge_count
 
 
+def new_id_error(role: str, node: int, expected: int) -> UnknownNodeError:
+    return UnknownNodeError(f"new {role} id {node} does not match next arrival index {expected}")
+
+
+def unknown_node_error(role: str, node: int, num_nodes: int) -> UnknownNodeError:
+    return UnknownNodeError(f"existing-tagged {role} {node} not in graph of {num_nodes} nodes")
+
+
+def duplicate_edge_error(center: int, target: int, timestamp: int) -> RejectedIncrementError:
+    return RejectedIncrementError(f"edge ({center}, {target}) already present at t={timestamp}")
+
+
 def check_increment(graph: DynamicGraph, inc: Increment) -> int:
     """Raise unless ``inc`` applies to ``graph``; return the node count after it.
 
@@ -141,26 +153,20 @@ def check_increment(graph: DynamicGraph, inc: Increment) -> int:
     next_id = n
     if inc.center_is_new:
         if inc.center != next_id:
-            raise UnknownNodeError(
-                f"new center id {inc.center} does not match next arrival index {next_id}"
-            )
+            raise new_id_error("center", inc.center, next_id)
         next_id += 1
     elif not 0 <= inc.center < n:
-        raise UnknownNodeError(f"existing-tagged center {inc.center} not in graph of {n} nodes")
+        raise unknown_node_error("center", inc.center, n)
     for t, new in zip(inc.targets, inc.targets_new):
         if new:
             if t != next_id:
-                raise UnknownNodeError(
-                    f"new target id {t} does not match next arrival index {next_id}"
-                )
+                raise new_id_error("target", t, next_id)
             next_id += 1
         else:
             if not 0 <= t < n:
-                raise UnknownNodeError(f"existing-tagged target {t} not in graph of {n} nodes")
+                raise unknown_node_error("target", t, n)
             if not inc.center_is_new and graph.has_edge(inc.center, t):
-                raise RejectedIncrementError(
-                    f"edge ({inc.center}, {t}) already present at t={inc.timestamp}"
-                )
+                raise duplicate_edge_error(inc.center, t, inc.timestamp)
     return next_id
 
 

@@ -28,13 +28,22 @@ the identity
 
     sum_x |G(a) n G(x)| over all x  =  sum_{u in G(a)} k_u
 
-so each anchored total costs O(k_anchor) instead of O(N).  Every other
-component total follows from the trace with whole-array operations:
-degree-power totals from the seed degree histogram plus per-increment
-histogram deltas, rank totals from prefix sums over arrival ranks, and each
-step's eligible total by subtracting the shared exclusions (the center and
-its neighborhood) and a prefix sum of the weights already chosen in the
-ordering.
+so each anchored total costs O(k_anchor) instead of O(N).  All of these are
+functions of the order in which edges arrive, so the replay does not walk
+the graph: it numbers the edge events once (``events.EdgeEvents``) and asks
+for degrees, neighborhoods, common neighbors and closed triangles before
+each increment with whole-array queries.  The increments are validated the
+same way, and the lowest one the graph cannot take raises the error
+``graph.check_increment`` gives it.  The only per-increment Python work left
+is one generator call per sampled star and ``math.fsum`` for baselines of
+more than two steps.
+
+Every other component total follows from the trace with whole-array
+operations: degree-power totals from the seed degree histogram plus
+per-increment histogram deltas, rank totals from prefix sums over arrival
+ranks, and each step's eligible total by subtracting the shared exclusions
+(the center and its neighborhood) and a prefix sum of the weights already
+chosen in the ordering.
 
 Under a per-node weight (degree power or rank), a step's eligible total
 depends only on the *set* of targets already chosen, not on their order.
@@ -61,14 +70,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, permutations
-from typing import Callable, Sequence
+from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateModelError, RejectedIncrementError, UndefinedRatioError
-from .graph import DynamicGraph, GrowthStream, Increment, apply_increment, check_increment
+from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
+from .events import concat_ranges as _concat_ranges
+from .events import offsets as _offsets
+from .graph import DynamicGraph, GrowthStream, Increment
 from .models import (
+    BoundaryMode,
     Component,
     DegreePower,
     MixtureInterval,
@@ -85,7 +98,6 @@ MAX_EXHAUSTIVE_CHOICES = 5
 # L**12 products of at most 12 step ratios, far inside float64 range.
 MAX_COLLAPSED_DEGREE = 12
 DEFAULT_ORDERING_SAMPLES = 120
-PROGRESS_EVERY = 10_000
 
 _NEG_INF = float("-inf")
 # Working-set caps, in float64 elements: per-ordering coefficients during the
@@ -113,6 +125,22 @@ def _permutation_table(q: int) -> np.ndarray:
     return table
 
 
+def _sampled_positions(q: int, index: int, seed: int, ordering_samples: int) -> np.ndarray:
+    """(S, q) uniformly drawn orderings of increment ``index``, seeded from (seed, index).
+
+    One ``permuted`` call shuffles the rows in order with the generator's
+    shuffle, so row r is the r-th of S successive ``permutation(q)`` draws.
+    """
+    rows = np.empty((ordering_samples, q), dtype=np.int64)
+    rows[:] = np.arange(q)
+    return np.random.default_rng([seed, index]).permuted(rows, axis=1, out=rows)
+
+
+def _sampled_log_mult(q: int, ordering_samples: int) -> float:
+    """log(q!/S), the scale of a sum over S sampled orderings."""
+    return _log_factorial(q) - math.log(float(ordering_samples))
+
+
 def _ordering_positions(
     inc: Increment,
     index: int,
@@ -129,10 +157,10 @@ def _ordering_positions(
     q = inc.num_choices - (0 if inc.center_is_new else 1)
     if q == 0 or inc.num_choices <= max_exhaustive_choices:
         return _permutation_table(q), False, 0.0
-    rng = np.random.default_rng([seed, index])
-    draws = np.array([rng.permutation(q) for _ in range(ordering_samples)], dtype=np.intp)
-    return draws.reshape(ordering_samples, q), True, _log_factorial(q) - math.log(
-        float(ordering_samples)
+    return (
+        _sampled_positions(q, index, seed, ordering_samples),
+        True,
+        _sampled_log_mult(q, ordering_samples),
     )
 
 
@@ -320,15 +348,6 @@ class _OrderingEntries:
     counts: np.ndarray  # (n,) orderings per increment
 
 
-def _offsets(sizes) -> np.ndarray:
-    """[0, s0, s0 + s1, ...]: the bounds of consecutive segments of the given sizes."""
-    return np.concatenate(([0], np.cumsum(sizes)))
-
-
-def _flat(parts: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in parts]).astype(dtype) if parts else np.zeros(0, dtype)
-
-
 def _exclusive_prefix(values: np.ndarray, entry_first: np.ndarray) -> np.ndarray:
     """Per entry, the sum of the earlier entries of its ordering."""
     before = _offsets(values)[:-1]
@@ -349,58 +368,160 @@ def _ordering_entries(trace: DPTrace, incs: np.ndarray) -> _OrderingEntries:
     )
 
 
-def _anchor_rows(
-    graph: DynamicGraph, inc: Increment, existing: tuple[int, ...], positions: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Triangle-closure rows of the anchors an increment's orderings use.
+def _uniform_baseline(
+    num_nodes: np.ndarray, center_new: np.ndarray, initial: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """Per increment, the log-probability of the increment under the uniform model.
 
-    Returns the rows laid end to end, each holding the anchor's
-    common-neighbor count with every existing target (0 for the anchor
-    itself), then per ordering the start of its anchor's row and the
-    anchor's total over the initial eligible set.  An existing center is
-    the anchor of every ordering; otherwise each ordering anchors on its
-    first target.
+    The eligible set shrinks by one per step from ``initial``, so the value
+    is center + (fsum over steps s of -log(B - s) + log q!), assembled in
+    that fixed grouping so every path reads the same baseline bits.  A sum
+    of one or two floats is rounded exactly by plain addition, so only
+    longer sums call ``math.fsum``.
     """
-    degs = graph.degrees
-    if not existing:
-        nothing = np.zeros(len(positions), dtype=np.int64)
-        return [], nothing, nothing
-    if not inc.center_is_new:
-        c = inc.center
-        nbrs = graph.neighbors(c)
-        wedges = sum(graph.common_neighbor_count(c, v) for v in nbrs)
-        rows = [[graph.common_neighbor_count(c, x) for x in existing]]
-        totals = [sum(degs[u] for u in nbrs) - degs[c] - wedges]
-        ord_rows = np.zeros(len(positions), dtype=np.int64)
-    else:
-        firsts = positions[:, 0].tolist()
-        slot = {a: i for i, a in enumerate(dict.fromkeys(firsts))}
-        rows, totals = [], []
-        for a in slot:
-            x = existing[a]
-            rows.append(
-                [0 if b == a else graph.common_neighbor_count(x, y) for b, y in enumerate(existing)]
-            )
-            totals.append(sum(degs[u] for u in graph.neighbors(x)) - degs[x])
-        ord_rows = np.array([slot[a] for a in firsts], dtype=np.int64)
-    return list(chain.from_iterable(rows)), len(existing) * ord_rows, np.array(totals)[ord_rows]
+    step_inc = np.repeat(np.arange(len(q)), q)
+    first = _offsets(q)[:-1]
+    sizes = initial[step_inc] - (np.arange(len(step_inc)) - first[step_inc])
+    centers = num_nodes[~center_new]
+    needed = np.unique(np.concatenate((sizes, centers)))
+    neg_log = np.array([-math.log(float(m)) for m in needed.tolist()])
+    terms = neg_log[np.searchsorted(needed, sizes)]
+    steps = np.zeros(len(q))
+    one, two = q == 1, q == 2
+    # -log(1) is -0.0, which fsum([-0.0]) may turn into 0.0
+    steps[one] = np.where(terms[first[one]] == 0.0, math.fsum([-0.0]), terms[first[one]])
+    steps[two] = terms[first[two]] + terms[first[two] + 1]
+    longer = np.flatnonzero(q > 2)
+    if len(longer):
+        flat = terms.tolist()
+        bounds = zip(first[longer].tolist(), q[longer].tolist())
+        steps[longer] = [math.fsum(flat[lo : lo + n]) for lo, n in bounds]
+    log_fact = np.array([_log_factorial(k) for k in range(int(q.max(initial=0)) + 1)])
+    center = np.zeros(len(q))
+    center[~center_new] = neg_log[np.searchsorted(needed, centers)]
+    return center + (steps + log_fact[q])
 
 
-# Per-increment columns of a replay, in the order _replay records them.
-_INCREMENT_COLUMNS = (
-    ("timestamps", np.int64),
-    ("num_choices", np.int64),
-    ("num_nodes", np.int64),
-    ("center", np.int64),
-    ("center_new", bool),
-    ("center_deg", np.int64),
-    ("gain", np.int64),
-    ("initial_eligible", np.int64),
-    ("sampled", bool),
-    ("log_mult", np.float64),
-    ("logp_rand", np.float64),
-    ("shared_count", np.int64),
-)
+def _ordering_table(
+    existing_counts: np.ndarray,
+    sampled: np.ndarray,
+    first_index: int,
+    seed: int,
+    ordering_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(orderings per increment, their positions laid end to end in trace order).
+
+    Exhaustive increments repeat one permutation table per q; each sampled
+    increment draws its S orderings in one generator call.
+    """
+    exhaustive = ~sampled & (existing_counts > 0)
+    factorials = np.array(
+        [math.factorial(q) for q in range(int(existing_counts[exhaustive].max(initial=0)) + 1)]
+    )
+    counts = np.where(sampled, ordering_samples, factorials[np.where(sampled, 0, existing_counts)])
+    inc_entry = _offsets(counts * existing_counts)
+    positions = np.empty(int(inc_entry[-1]), dtype=np.int64)
+    for q in np.unique(existing_counts[exhaustive]).tolist():
+        table = _permutation_table(q).ravel()
+        starts = inc_entry[:-1][exhaustive & (existing_counts == q)]
+        positions[starts[:, None] + np.arange(len(table))] = table
+    drawn = np.flatnonzero(sampled)
+    if len(drawn):
+        positions[_concat_ranges(inc_entry[drawn], inc_entry[drawn + 1])] = np.concatenate(
+            [
+                _sampled_positions(q, first_index + k, seed, ordering_samples).ravel()
+                for k, q in zip(drawn.tolist(), existing_counts[drawn].tolist())
+            ]
+        )
+    return counts, positions
+
+
+def _triangle_steps(trace: DPTrace, events: EdgeEvents) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry, the chosen target's common neighbours with the anchor, and the anchor's total.
+
+    An existing center anchors all its orderings; otherwise an ordering
+    anchors on its first target.  Each anchor has one row of common-neighbour
+    counts with the existing targets of its increment (0 for itself) and a
+    total over the initial eligible set, from
+
+        sum_x |G(a) n G(x)| over all x  =  sum_{u in G(a)} k_u
+
+    less the anchor's own term k_a, and for a center less its neighbours'
+    terms too, twice its closed triangles.  A step's total then drops the
+    counts of the targets chosen before it.
+    """
+    q = trace.existing_counts
+    target_start = _offsets(q)
+    entry_pos = trace.entry_target - target_start[trace.entry_inc]
+    ord_counts = np.diff(trace.inc_ord_offsets)
+    centers = np.flatnonzero(~trace.center_new & (q > 0))
+    # The trace lists each existing center before its neighbours.
+    degree_sums = segment_sums(
+        trace.shared_deg, np.bincount(trace.shared_inc, minlength=trace.num_increments)
+    )
+    center_total = (
+        degree_sums[centers]
+        - 2 * trace.center_deg[centers]
+        - 2 * events.triangles_before(trace.center[centers], centers)
+    )
+    outer = np.flatnonzero(trace.center_new & (q > 0))
+    outer_ords = _concat_ranges(trace.inc_ord_offsets[outer], trace.inc_ord_offsets[outer + 1])
+    # An anchoring target, as a position in the target arrays, names its increment too.
+    anchors, outer_row = np.unique(
+        trace.entry_target[trace.ordering_offsets[outer_ords]], return_inverse=True
+    )
+    anchor_inc = trace.target_inc[anchors]
+    anchor_id = trace.target_id[anchors]
+    anchor_deg = trace.target_deg[anchors]
+    anchor_total = events.neighbour_degree_sums(anchor_id, anchor_inc, anchor_deg) - anchor_deg
+
+    row_inc = np.concatenate((centers, anchor_inc))
+    row_self = np.concatenate((np.full(len(centers), -1), anchors))
+    row_start = _offsets(q[row_inc])
+    cell_row = np.repeat(np.arange(len(row_inc)), q[row_inc])
+    cell_target = _concat_ranges(target_start[row_inc], target_start[row_inc + 1])
+    row_anchor = np.concatenate((trace.center[centers], anchor_id))
+    row_deg = np.concatenate((trace.center_deg[centers], anchor_deg))
+    # A target pairs with itself for nothing, and a pair of two anchoring
+    # targets is counted once, in the row of the earlier one.
+    anchor_row = np.full(len(trace.target_id), -1)
+    anchor_row[anchors] = len(centers) + np.arange(len(anchors))
+    cell_self = row_self[cell_row]
+    mirrored = (cell_target < cell_self) & (anchor_row[cell_target] >= 0)
+    fresh = np.flatnonzero(~mirrored & (cell_target != cell_self))
+    values = np.zeros(len(cell_row), dtype=np.int64)
+    rows, targets = cell_row[fresh], cell_target[fresh]
+    values[fresh] = events.common_before(
+        row_anchor[rows],
+        trace.target_id[targets],
+        row_inc[rows],
+        row_deg[rows],
+        trace.target_deg[targets],
+    )
+    mirrored = np.flatnonzero(mirrored)
+    values[mirrored] = values[
+        row_start[anchor_row[cell_target[mirrored]]]
+        + cell_self[mirrored]
+        - target_start[row_inc[cell_row[mirrored]]]
+    ]
+
+    ord_row = np.zeros(int(trace.inc_ord_offsets[-1]), dtype=np.int64)
+    ord_row[_concat_ranges(trace.inc_ord_offsets[centers], trace.inc_ord_offsets[centers + 1])] = (
+        np.repeat(np.arange(len(centers)), ord_counts[centers])
+    )
+    ord_row[outer_ords] = len(centers) + outer_row
+    entry_row = ord_row[trace.entry_ord]
+    common = values[row_start[entry_row] + entry_pos]
+    total = np.concatenate((center_total, anchor_total))[entry_row] - _exclusive_prefix(
+        common, trace.entry_first
+    )
+    # The first leaf of a new-center star has no anchor: uniform fallback.
+    no_anchor = trace.center_new[trace.entry_inc] & (
+        np.arange(len(common)) == trace.entry_first
+    )
+    common[no_anchor] = 0
+    total[no_anchor] = 0
+    return common, total
 
 
 def _replay(
@@ -411,148 +532,118 @@ def _replay(
     seed: int,
     max_exhaustive_choices: int,
     ordering_samples: int,
-    progress: Callable[[int, int], None] | None = None,
 ) -> DPTrace:
-    """Walk the increments once from ``graph`` (mutated), recording a DPTrace.
+    """The DPTrace of ``increments`` applied one after another to ``graph``.
 
-    ``first_index`` is the stream index of the first increment, which seeds
-    its ordering sample.  Triangle data are recorded only when
-    ``components`` include triangle closure.
+    The graph is not changed: every count comes from the edge-event table of
+    the graph and the increments.  ``first_index`` is the stream index of the
+    first increment, which seeds its ordering sample.  Triangle data are
+    recorded only when ``components`` include triangle closure.  The lowest
+    increment the graph cannot take raises the error ``check_increment``
+    gives it, or the eligibility error when it has more existing targets
+    than eligible nodes.
     """
-    triangles = any(isinstance(c, TriangleClosure) for c in components)
-    degs = graph.degrees
-    h0 = np.bincount(np.asarray(degs, dtype=np.int64), minlength=1)
-    rows: list[tuple] = []
-    shared_id: list[int] = []
-    shared_deg: list[int] = []
-    target_id: list[int] = []
-    target_deg: list[int] = []
-    orderings: list[np.ndarray] = []
-    tri_values: list[int] = []
-    ord_tri_start: list[np.ndarray] = []
-    ord_tri_total: list[np.ndarray] = []
-    total = len(increments)
-
-    for k, inc in enumerate(increments):
-        index = first_index + k
-        n = graph.num_nodes
-        existing = inc.existing_targets
-        q = len(existing)
-        # Validate before any degree lookup, so an unknown node raises its own error.
-        check_increment(graph, inc)
-        if inc.center_is_new:
-            kc = 0
-            eligible = n
-        else:
-            kc = degs[inc.center]
-            eligible = n - 1 - kc
-            nbrs = graph.neighbors(inc.center)
-            shared_id.append(inc.center)
-            shared_id.extend(nbrs)
-            shared_deg.append(kc)
-            shared_deg.extend([degs[v] for v in nbrs])
-        if q > eligible:
-            raise RejectedIncrementError(
-                f"increment {index}: {q} existing targets but only "
-                f"{eligible} eligible candidates"
-            )
-        positions, sampled, log_mult = _ordering_positions(
-            inc, index, seed, max_exhaustive_choices, ordering_samples
+    seed_node, seed_nbr = graph_ends(graph)
+    cols = StreamColumns.of(increments, graph.num_nodes)
+    rejection = first_rejection(cols, seed_node, seed_nbr)
+    if rejection is not None:
+        # Only the increments before it build a graph; check their eligibility.
+        cols = StreamColumns.of(increments[: rejection[0]], graph.num_nodes)
+    events = EdgeEvents(seed_node, seed_nbr, cols)
+    num_inc = cols.num_increments
+    incs = np.arange(num_inc)
+    num_nodes, center, center_new = cols.num_nodes, cols.center, cols.center_new
+    center_deg = events.degree_before(center, incs)
+    existing = ~cols.target_new
+    target_inc = cols.target_inc[existing]
+    target_id = cols.target[existing]
+    existing_counts = np.bincount(target_inc, minlength=num_inc)
+    initial = np.where(center_new, num_nodes, num_nodes - 1 - center_deg)
+    over = np.flatnonzero(existing_counts > initial)
+    if len(over):
+        k = int(over[0])
+        raise RejectedIncrementError(
+            f"increment {first_index + k}: {existing_counts[k]} existing targets but only "
+            f"{initial[k]} eligible candidates"
         )
-        orderings.append(positions)
-        target_id.extend(existing)
-        target_deg.extend([degs[x] for x in existing])
-        if triangles:
-            values, starts, totals = _anchor_rows(graph, inc, existing, positions)
-            ord_tri_start.append(len(tri_values) + starts)
-            ord_tri_total.append(totals)
-            tri_values.extend(values)
+    if rejection is not None:
+        raise rejection[1]
+    target_deg = events.degree_before(target_id, target_inc)
 
-        # Assembled with one fixed grouping (fsum over steps, then + log q!,
-        # then + center), so every path reads the same baseline bits.
-        center_rand = 0.0 if inc.center_is_new else -math.log(float(n))
-        rand_steps = math.fsum(-math.log(float(eligible - s)) for s in range(q))
-        rows.append(
-            (
-                inc.timestamp,
-                inc.num_choices,
-                n,
-                inc.center,
-                inc.center_is_new,
-                kc,
-                len(inc.targets),
-                eligible,
-                sampled,
-                log_mult,
-                center_rand + (rand_steps + _log_factorial(q)),
-                0 if inc.center_is_new else kc + 1,
-            )
-        )
-        apply_increment(graph, inc)
-        if progress is not None and (k + 1) % PROGRESS_EVERY == 0:
-            progress(k + 1, total)
-    if progress is not None:
-        progress(total, total)
+    # Each existing center is excluded with its neighbourhood: the center
+    # first, then its neighbours in the order their edges arrived.
+    internal = np.flatnonzero(~center_new)
+    owner, nbrs = events.neighbours_before(center[internal], internal, center_deg[internal])
+    shared_count = np.where(center_new, 0, center_deg + 1)
+    heads = _offsets(shared_count)[:-1][internal]
+    rest = np.ones(int(shared_count.sum()), dtype=bool)
+    rest[heads] = False
+    shared_id = np.empty(len(rest), dtype=np.int64)
+    shared_deg = np.empty(len(rest), dtype=np.int64)
+    shared_id[heads] = center[internal]
+    shared_id[rest] = nbrs
+    shared_deg[heads] = center_deg[internal]
+    shared_deg[rest] = events.degree_before(nbrs, internal[owner])
 
-    columns = zip(*rows) if rows else [()] * len(_INCREMENT_COLUMNS)
-    arrays = {
-        name: np.array(values, dtype=dtype)
-        for (name, dtype), values in zip(_INCREMENT_COLUMNS, columns)
-    }
-    shared_count = arrays.pop("shared_count")
-    initial_eligible = arrays.pop("initial_eligible")
-    num_inc = len(increments)
-    existing_counts = np.array([p.shape[1] for p in orderings], dtype=np.int64)
-    ord_counts = np.array([p.shape[0] for p in orderings], dtype=np.int64)
+    num_choices = existing_counts + ~center_new
+    sampled = (existing_counts > 0) & (num_choices > max_exhaustive_choices)
+    ord_counts, positions = _ordering_table(
+        existing_counts, sampled, first_index, seed, ordering_samples
+    )
+    log_mult = np.zeros(num_inc)
+    drawn_q, which = np.unique(existing_counts[sampled], return_inverse=True)
+    log_mult[sampled] = np.array(
+        [_sampled_log_mult(q, ordering_samples) for q in drawn_q.tolist()]
+    )[which]
     inc_ord_offsets = _offsets(ord_counts)
     ord_len = np.repeat(existing_counts, ord_counts)
     ordering_offsets = _offsets(ord_len)
+    entry_counts = ord_counts * existing_counts
     entry_ord = np.repeat(np.arange(len(ord_len)), ord_len)
-    entry_inc = np.repeat(np.arange(num_inc), ord_counts)[entry_ord]
-    entry_first = ordering_offsets[entry_ord]
+    entry_inc = np.repeat(incs, entry_counts)
+    entry_first = np.repeat(ordering_offsets[:-1], ord_len)
     entry_step = np.arange(len(entry_ord)) - entry_first
-    positions = _flat(orderings, np.int64)
 
-    tri_common = tri_total = None
-    if triangles:
-        tri_common = np.array(tri_values, dtype=np.int64)[
-            _flat(ord_tri_start, np.int64)[entry_ord] + positions
-        ]
-        tri_total = _flat(ord_tri_total, np.int64)[entry_ord] - _exclusive_prefix(
-            tri_common, entry_first
-        )
-        # The first leaf of a new-center star has no anchor: uniform fallback.
-        no_anchor = arrays["center_new"][entry_inc] & (entry_step == 0)
-        tri_common[no_anchor] = 0
-        tri_total[no_anchor] = 0
-
+    h0 = np.bincount(np.asarray(graph.degrees, dtype=np.int64), minlength=1)
     kmax = max(
         len(h0) - 1,
         1,
-        int((arrays["center_deg"] + arrays["gain"]).max(initial=0)),
-        max(target_deg, default=-1) + 1,
+        int((center_deg + cols.gain).max(initial=0)),
+        int(target_deg.max(initial=-1)) + 1,
     )
-    return DPTrace(
-        **arrays,
+    trace = DPTrace(
+        timestamps=cols.timestamp,
+        num_choices=num_choices,
+        num_nodes=num_nodes,
+        center=center,
+        center_new=center_new,
+        center_deg=center_deg,
+        gain=cols.gain,
         existing_counts=existing_counts,
+        sampled=sampled,
+        log_mult=log_mult,
+        logp_rand=_uniform_baseline(num_nodes, center_new, initial, existing_counts),
         h0=np.pad(h0, (0, kmax + 1 - len(h0))).astype(np.float64),
-        shared_inc=np.repeat(np.arange(num_inc), shared_count),
-        shared_id=np.array(shared_id, dtype=np.int64),
-        shared_deg=np.array(shared_deg, dtype=np.int64),
-        target_inc=np.repeat(np.arange(num_inc), existing_counts),
-        target_deg=np.array(target_deg, dtype=np.int64),
-        target_id=np.array(target_id, dtype=np.int64),
+        shared_inc=np.repeat(incs, shared_count),
+        shared_id=shared_id,
+        shared_deg=shared_deg,
+        target_inc=target_inc,
+        target_deg=target_deg,
+        target_id=target_id,
         inc_ord_offsets=inc_ord_offsets,
         ordering_offsets=ordering_offsets,
         entry_ord=entry_ord,
         entry_inc=entry_inc,
         entry_first=entry_first,
-        entry_target=_offsets(existing_counts)[entry_inc] + positions,
+        entry_target=np.repeat(_offsets(existing_counts)[:-1], entry_counts) + positions,
         first_ordering=entry_ord == inc_ord_offsets[entry_inc],
-        eligible=(initial_eligible[entry_inc] - entry_step).astype(np.float64),
-        tri_common=tri_common,
-        tri_total=tri_total,
+        eligible=(initial[entry_inc] - entry_step).astype(np.float64),
+        tri_common=None,
+        tri_total=None,
     )
+    if any(isinstance(c, TriangleClosure) for c in components):
+        trace.tri_common, trace.tri_total = _triangle_steps(trace, events)
+    return trace
 
 
 def _stream_trace(
@@ -561,7 +652,6 @@ def _stream_trace(
     seed: int = 0,
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    progress: Callable[[int, int], None] | None = None,
 ) -> DPTrace:
     """Replay a stream from its seed graph for the given components."""
     return _replay(
@@ -572,7 +662,6 @@ def _stream_trace(
         seed,
         max_exhaustive_choices,
         ordering_samples,
-        progress,
     )
 
 
@@ -945,12 +1034,6 @@ def _monomials(w: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(lo[i], hi[i]) over i."""
-    lengths = hi - lo
-    return np.repeat(lo - _offsets(lengths)[:-1], lengths) + np.arange(int(lengths.sum()))
-
-
 def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Consecutive index ranges over ``sizes``, each totalling under ``budget`` plus one item."""
     if len(sizes) == 0:
@@ -1064,7 +1147,6 @@ def build_choice_cache(
     seed: int = 0,
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    progress: Callable[[int, int], None] | None = None,
 ) -> ChoiceCache:
     """One replay pass recording everything weight fitting needs.
 
@@ -1072,9 +1154,7 @@ def build_choice_cache(
     interval boundaries, so a single build serves every partition depth and
     every weight-grid point.
     """
-    trace = _stream_trace(
-        stream, components, seed, max_exhaustive_choices, ordering_samples, progress
-    )
+    trace = _stream_trace(stream, components, seed, max_exhaustive_choices, ordering_samples)
     return _choice_cache(trace, components)[0]
 
 
@@ -1161,18 +1241,18 @@ def cache_loglik(
     return out[0] if single else out
 
 
-def _schedule_weights(schedule, increments: Sequence[Increment], first_index: int):
-    """A schedule's distinct components, their (J, L) weights and member counts per
-    interval, and each increment's interval."""
+def _as_schedule(schedule) -> ModelSchedule:
     if isinstance(schedule, Component):
         schedule = MixtureInterval.single(schedule)
     if isinstance(schedule, MixtureInterval):
         schedule = ModelSchedule.constant(schedule)
     if not isinstance(schedule, ModelSchedule):
         raise DegenerateModelError(f"cannot score under {schedule!r}")
-    which = [
-        schedule.interval_index(inc.timestamp, first_index + k) for k, inc in enumerate(increments)
-    ]
+    return schedule
+
+
+def _schedule_weights(schedule: ModelSchedule):
+    """A schedule's distinct components, and their (J, L) weights and member counts per interval."""
     components = list(dict.fromkeys(c for iv in schedule.intervals for c in iv.components))
     members = np.zeros((schedule.num_intervals, len(components)), dtype=np.int64)
     weights = np.zeros(members.shape)
@@ -1180,7 +1260,22 @@ def _schedule_weights(schedule, increments: Sequence[Increment], first_index: in
         for beta, comp in zip(iv.weights, iv.components):
             weights[j, components.index(comp)] += beta
             members[j, components.index(comp)] += 1
-    return components, weights, members, np.array(which, dtype=np.intp)
+    return components, weights, members
+
+
+def _interval_indices(schedule: ModelSchedule, trace: DPTrace, first_index: int) -> np.ndarray:
+    """``schedule.interval_index`` of every increment of a trace: bisect_left over the boundaries.
+
+    A float boundary lies below an integer key exactly when its floor does,
+    so the search runs on int64 and is exact for any timestamp.
+    """
+    if schedule.boundary_mode is BoundaryMode.TIMESTAMP:
+        keys = trace.timestamps
+    else:
+        keys = first_index + np.arange(trace.num_increments)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    floors = [hi if b > hi else lo if b < lo else math.floor(b) for b in schedule.boundaries]
+    return np.searchsorted(np.array(floors, dtype=np.int64), keys)
 
 
 def _score(
@@ -1191,7 +1286,6 @@ def _score(
     seed: int,
     max_exhaustive_choices: int,
     ordering_samples: int,
-    progress: Callable[[int, int], None] | None = None,
 ) -> tuple[DPTrace, np.ndarray, np.ndarray]:
     """(trace, logp, fallback choices) per increment under a schedule, from one replay.
 
@@ -1199,7 +1293,8 @@ def _score(
     components that interval lacks; only its interval's components count
     fallbacks.
     """
-    components, weights, members, which = _schedule_weights(schedule, increments, first_index)
+    schedule = _as_schedule(schedule)
+    components, weights, members = _schedule_weights(schedule)
     trace = _replay(
         graph,
         increments,
@@ -1208,8 +1303,8 @@ def _score(
         seed,
         max_exhaustive_choices,
         ordering_samples,
-        progress,
     )
+    which = _interval_indices(schedule, trace, first_index)
     cache, fallbacks = _choice_cache(trace, components)
     ratios = cache_logratios(cache, weights)[np.arange(len(which)), which]
     return trace, ratios + trace.logp_rand, (members[which] * fallbacks.T).sum(axis=1)
@@ -1222,7 +1317,6 @@ def score_stream(
     max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
     keep_series: bool = False,
-    progress: Callable[[int, int], None] | None = None,
 ) -> tuple[LikelihoodSummary, list[IncrementScore] | None]:
     """Log-likelihood of a stream under a schedule, with the uniform baseline.
 
@@ -1238,7 +1332,6 @@ def score_stream(
         seed,
         max_exhaustive_choices,
         ordering_samples,
-        progress,
     )
     impossible = logp == _NEG_INF
     summary = LikelihoodSummary(
@@ -1279,6 +1372,6 @@ def increment_probability(
 ) -> float:
     """Probability of one increment against a frozen graph (not log); the graph is unchanged."""
     _, logp, _ = _score(
-        graph.copy(), [inc], index, schedule, seed, max_exhaustive_choices, ordering_samples
+        graph, [inc], index, schedule, seed, max_exhaustive_choices, ordering_samples
     )
     return math.exp(logp[0])

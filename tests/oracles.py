@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 from scipy import integrate
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,259 @@ def oracle_increment_probability(
             p *= sum(b * x for b, x in zip(betas, row))
         total += p
     return center_prob * math.exp(log_mult) * total
+
+
+# ---------------------------------------------------------------------------
+# replay oracle: the DPTrace fields by walking the graph increment by increment
+# ---------------------------------------------------------------------------
+
+
+class OracleRejection(Exception):
+    """An increment the replay oracle refuses: the package's error class name and message."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+        self.message = message
+
+
+def _log_factorial(q):
+    if q < 2:
+        return 0.0
+    if q <= 170:
+        return math.log(float(math.factorial(q)))
+    return math.lgamma(q + 1.0)
+
+
+def _check_increment(neigh, inc):
+    """Raise as ``graph.check_increment`` does; return the node count after ``inc``."""
+    n = len(neigh)
+    next_id = n
+    if inc.center_is_new:
+        if inc.center != next_id:
+            raise OracleRejection(
+                "UnknownNodeError",
+                f"new center id {inc.center} does not match next arrival index {next_id}",
+            )
+        next_id += 1
+    elif not 0 <= inc.center < n:
+        raise OracleRejection(
+            "UnknownNodeError", f"existing-tagged center {inc.center} not in graph of {n} nodes"
+        )
+    for t, new in zip(inc.targets, inc.targets_new):
+        if new:
+            if t != next_id:
+                raise OracleRejection(
+                    "UnknownNodeError",
+                    f"new target id {t} does not match next arrival index {next_id}",
+                )
+            next_id += 1
+        else:
+            if not 0 <= t < n:
+                raise OracleRejection(
+                    "UnknownNodeError", f"existing-tagged target {t} not in graph of {n} nodes"
+                )
+            if not inc.center_is_new and t in neigh[inc.center]:
+                raise OracleRejection(
+                    "RejectedIncrementError",
+                    f"edge ({inc.center}, {t}) already present at t={inc.timestamp}",
+                )
+    return next_id
+
+
+def _offsets(sizes):
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _flat(parts, dtype):
+    return np.concatenate([p.ravel() for p in parts]).astype(dtype) if parts else np.zeros(0, dtype)
+
+
+def oracle_trace(
+    num_nodes,
+    seed_edges,
+    increments,
+    first_index=0,
+    triangles=False,
+    seed=0,
+    max_exhaustive_choices=5,
+    ordering_samples=120,
+):
+    """Every DPTrace field of ``increments`` applied in turn to a seed graph, as a dict.
+
+    The graph is walked one increment at a time: each increment is checked,
+    read and then applied.  Neighbourhoods list their nodes in insertion
+    order, the seed's by id, so an existing center's excluded neighbourhood
+    comes out in the order its edges arrived.  Sampled orderings are drawn
+    one ``permutation`` call at a time.  An increment the graph cannot take
+    raises ``OracleRejection`` with the package's error class and message.
+    """
+    seed_sets = _adjacency(num_nodes, seed_edges)
+    neigh = [dict.fromkeys(sorted(seed_sets[v])) for v in range(num_nodes)]
+    degs = [len(nbrs) for nbrs in neigh]
+    h0 = np.bincount(np.asarray(degs, dtype=np.int64), minlength=1)
+    rows = []
+    shared_id, shared_deg, target_id, target_deg = [], [], [], []
+    orderings, tri_values, ord_tri_start, ord_tri_total = [], [], [], []
+
+    def common(u, v):
+        return len(set(neigh[u]) & set(neigh[v]))
+
+    for k, inc in enumerate(increments):
+        index = first_index + k
+        n = len(neigh)
+        existing = tuple(t for t, new in zip(inc.targets, inc.targets_new) if not new)
+        q = len(existing)
+        after = _check_increment(neigh, inc)
+        if inc.center_is_new:
+            kc, eligible = 0, n
+        else:
+            kc = degs[inc.center]
+            eligible = n - 1 - kc
+            shared_id.append(inc.center)
+            shared_id.extend(neigh[inc.center])
+            shared_deg.append(kc)
+            shared_deg.extend(degs[v] for v in neigh[inc.center])
+        if q > eligible:
+            raise OracleRejection(
+                "RejectedIncrementError",
+                f"increment {index}: {q} existing targets but only {eligible} eligible candidates",
+            )
+        num_choices = q + (0 if inc.center_is_new else 1)
+        sampled = q > 0 and num_choices > max_exhaustive_choices
+        if sampled:
+            rng = np.random.default_rng([seed, index])
+            positions = np.array(
+                [rng.permutation(q) for _ in range(ordering_samples)], dtype=np.intp
+            ).reshape(ordering_samples, q)
+            log_mult = _log_factorial(q) - math.log(float(ordering_samples))
+        else:
+            positions = np.array(list(itertools.permutations(range(q))), dtype=np.intp)
+            positions = positions.reshape(math.factorial(q), q)
+            log_mult = 0.0
+        orderings.append(positions)
+        target_id.extend(existing)
+        target_deg.extend(degs[x] for x in existing)
+        if triangles and existing:
+            if not inc.center_is_new:
+                c = inc.center
+                wedges = sum(common(c, v) for v in neigh[c])
+                anchor_rows = [[common(c, x) for x in existing]]
+                totals = [sum(degs[u] for u in neigh[c]) - degs[c] - wedges]
+                ord_rows = np.zeros(len(positions), dtype=np.int64)
+            else:
+                firsts = positions[:, 0].tolist()
+                slot = {a: i for i, a in enumerate(dict.fromkeys(firsts))}
+                anchor_rows, totals = [], []
+                for a in slot:
+                    x = existing[a]
+                    anchor_rows.append(
+                        [0 if b == a else common(x, y) for b, y in enumerate(existing)]
+                    )
+                    totals.append(sum(degs[u] for u in neigh[x]) - degs[x])
+                ord_rows = np.array([slot[a] for a in firsts], dtype=np.int64)
+            ord_tri_start.append(len(tri_values) + q * ord_rows)
+            ord_tri_total.append(np.array(totals)[ord_rows])
+            tri_values.extend(itertools.chain.from_iterable(anchor_rows))
+        elif triangles:
+            ord_tri_start.append(np.zeros(len(positions), dtype=np.int64))
+            ord_tri_total.append(np.zeros(len(positions), dtype=np.int64))
+
+        center_rand = 0.0 if inc.center_is_new else -math.log(float(n))
+        rand_steps = math.fsum(-math.log(float(eligible - s)) for s in range(q))
+        rows.append(
+            (
+                inc.timestamp,
+                num_choices,
+                n,
+                inc.center,
+                inc.center_is_new,
+                kc,
+                len(inc.targets),
+                eligible,
+                sampled,
+                log_mult,
+                center_rand + (rand_steps + _log_factorial(q)),
+                0 if inc.center_is_new else kc + 1,
+            )
+        )
+        for _ in range(after - n):
+            neigh.append({})
+            degs.append(0)
+        for t in inc.targets:
+            neigh[inc.center][t] = None
+            neigh[t][inc.center] = None
+            degs[inc.center] += 1
+            degs[t] += 1
+
+    names = (
+        ("timestamps", np.int64),
+        ("num_choices", np.int64),
+        ("num_nodes", np.int64),
+        ("center", np.int64),
+        ("center_new", bool),
+        ("center_deg", np.int64),
+        ("gain", np.int64),
+        ("initial_eligible", np.int64),
+        ("sampled", bool),
+        ("log_mult", np.float64),
+        ("logp_rand", np.float64),
+        ("shared_count", np.int64),
+    )
+    columns = zip(*rows) if rows else [()] * len(names)
+    out = {name: np.array(values, dtype=dtype) for (name, dtype), values in zip(names, columns)}
+    shared_count = out.pop("shared_count")
+    initial_eligible = out.pop("initial_eligible")
+    num_inc = len(increments)
+    existing_counts = np.array([p.shape[1] for p in orderings], dtype=np.int64)
+    ord_counts = np.array([p.shape[0] for p in orderings], dtype=np.int64)
+    inc_ord_offsets = _offsets(ord_counts)
+    ord_len = np.repeat(existing_counts, ord_counts)
+    ordering_offsets = _offsets(ord_len)
+    entry_ord = np.repeat(np.arange(len(ord_len)), ord_len)
+    entry_inc = np.repeat(np.arange(num_inc), ord_counts)[entry_ord]
+    entry_first = ordering_offsets[entry_ord]
+    entry_step = np.arange(len(entry_ord)) - entry_first
+    positions = _flat(orderings, np.int64)
+
+    tri_common = tri_total = None
+    if triangles:
+        tri_common = np.array(tri_values, dtype=np.int64)[
+            _flat(ord_tri_start, np.int64)[entry_ord] + positions
+        ]
+        before = _offsets(tri_common)[:-1]
+        tri_total = _flat(ord_tri_total, np.int64)[entry_ord] - (before - before[entry_first])
+        no_anchor = out["center_new"][entry_inc] & (entry_step == 0)
+        tri_common[no_anchor] = 0
+        tri_total[no_anchor] = 0
+
+    kmax = max(
+        len(h0) - 1,
+        1,
+        int((out["center_deg"] + out["gain"]).max(initial=0)),
+        max(target_deg, default=-1) + 1,
+    )
+    out.update(
+        existing_counts=existing_counts,
+        h0=np.pad(h0, (0, kmax + 1 - len(h0))).astype(np.float64),
+        shared_inc=np.repeat(np.arange(num_inc), shared_count),
+        shared_id=np.array(shared_id, dtype=np.int64),
+        shared_deg=np.array(shared_deg, dtype=np.int64),
+        target_inc=np.repeat(np.arange(num_inc), existing_counts),
+        target_deg=np.array(target_deg, dtype=np.int64),
+        target_id=np.array(target_id, dtype=np.int64),
+        inc_ord_offsets=inc_ord_offsets,
+        ordering_offsets=ordering_offsets,
+        entry_ord=entry_ord,
+        entry_inc=entry_inc,
+        entry_first=entry_first,
+        entry_target=_offsets(existing_counts)[entry_inc] + positions,
+        first_ordering=entry_ord == inc_ord_offsets[entry_inc],
+        eligible=(initial_eligible[entry_inc] - entry_step).astype(np.float64),
+        tri_common=tri_common,
+        tri_total=tri_total,
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,15 @@ class TestIntervalTools:
         assert 0.0 <= report["p_value"] <= 1.0
         assert report["statistic"] >= 0.0
 
+    def test_wilks_rejects_partitions_that_are_not_nested(self, workdir, capsys):
+        code, stdout, err = run(
+            capsys, "wilks", "--data", str(workdir / "run.stars"),
+            "--components", "BA,RAND", "--j0", "2", "--j1", "3",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error (NestingViolationError): fits are not nested")
+
     def test_fit_changepoint(self, workdir, capsys):
         code, stdout, _ = run(
             capsys, "fit-changepoint", "--data", str(workdir / "run.stars"),

@@ -301,3 +301,16 @@ class TestWilks:
         # two extra intervals, each with two free weights
         assert report.df == 4
         assert report.statistic >= 0.0
+
+    def test_compare_interval_fits_rejects_partitions_that_are_not_nested(self):
+        stream = gf.grow(
+            gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=300, new_targets=3),
+            seed=7,
+        )
+        cache = gf.build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
+        f2, f3, f4 = (gf.fit_intervals(cache, j) for j in (2, 3, 4))
+        # equal counts cut at 150 for J=2 and at 100, 200 for J=3
+        with pytest.raises(gf.NestingViolationError, match=r"not nested.*\[150\]"):
+            gf.compare_interval_fits(f2, f3)
+        # 150 is also a J=4 cut (75, 150, 225)
+        assert gf.compare_interval_fits(f2, f4).df == 2

@@ -193,6 +193,25 @@ class TestScoreStream:
         assert abs(summary.loglik_rand - math.fsum(s.logp_rand for s in series)) < 1e-9
         assert summary.total_choices == sum(s.num_choices for s in series)
 
+    def test_intervals_found_as_the_schedule_finds_them(self):
+        # integer keys against float boundaries, exactly, past 2**53 too
+        from growthfit.likelihood import _interval_indices
+
+        pair = (
+            gf.MixtureInterval.single(gf.Random()),
+            gf.MixtureInterval.single(gf.DegreePower(1.0)),
+        )
+        keys = [-3, 0, 4, 5, 6, 2**60 - 1, 2**60, 2**60 + 1, 2**62]
+        for mode, bounds in ((gf.BoundaryMode.TIMESTAMP, (4.5, 5.0, float(2**60))),
+                             (gf.BoundaryMode.INDEX, (0.0, 2.0**62))):
+            intervals = tuple(pair[j % 2] for j in range(len(bounds) + 1))
+            sched = gf.ModelSchedule(intervals, bounds, mode)
+            trace = gf.DPTrace.__new__(gf.DPTrace)
+            trace.timestamps = np.array(keys, dtype=np.int64)
+            first = 0 if mode is gf.BoundaryMode.TIMESTAMP else 2**60 - 2
+            want = [sched.interval_index(t, first + k) for k, t in enumerate(keys)]
+            assert _interval_indices(sched, trace, first).tolist() == want
+
     def test_impossible_increment_scores_zero(self):
         # center 0 closes a "triangle" with node 4, which shares no common
         # neighbor with it while eligible node 3 does: weight 0 against a

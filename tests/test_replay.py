@@ -1,0 +1,236 @@
+"""The whole-array replay against the graph-walking oracle, field by field and error by error."""
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import growthfit as gf
+from growthfit.likelihood import DPTrace, _replay, _sampled_positions
+from oracles import OracleRejection, oracle_trace
+
+TRI = gf.TriangleClosure()
+RAND = gf.Random()
+
+
+def random_stream(rng, increments, big_star=False):
+    """(seed nodes, seed edges, increments) of a valid stream over a seed with isolated nodes.
+
+    Stars are internal or external, with existing and new targets; with
+    ``big_star`` the last increment takes 12 existing targets when 12 are
+    eligible.
+    """
+    n = first_nodes = int(rng.integers(3, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < 0.4
+    edges = [p for p, k in zip(pairs, keep) if k]
+    neigh = [set() for _ in range(n)]
+    for u, v in edges:
+        neigh[u].add(v)
+        neigh[v].add(u)
+    incs = []
+    big_at = increments - 1 if big_star else -1
+    t = 0
+    for k in range(increments):
+        n = len(neigh)
+        center_new = bool(rng.random() < 0.5)
+        center = n if center_new else int(rng.integers(n))
+        banned = set() if center_new else {center} | neigh[center]
+        pool = [x for x in range(n) if x not in banned]
+        if k == big_at and len(pool) >= 12:
+            q = 12
+        else:
+            q = int(rng.integers(0, min(len(pool), 6) + 1))
+        existing = [int(x) for x in rng.choice(pool, size=q, replace=False)] if q else []
+        first_new = n + center_new
+        fresh = list(range(first_new, first_new + int(rng.integers(0, 4))))
+        if not existing and not fresh:
+            fresh = [first_new]
+        flags = [False] * len(existing) + [True] * len(fresh)
+        order = rng.permutation(len(flags))
+        targets = tuple((existing + fresh)[i] for i in order)
+        targets_new = tuple(flags[i] for i in order)
+        # new ids must follow list order
+        renumber = iter(range(first_new, first_new + len(fresh)))
+        targets = tuple(next(renumber) if new else x for x, new in zip(targets, targets_new))
+        t += int(rng.integers(0, 3))
+        inc = gf.Increment(t, center, center_new, targets, targets_new)
+        incs.append(inc)
+        for _ in range(len(inc.new_nodes)):
+            neigh.append(set())
+        for x in targets:
+            neigh[center].add(x)
+            neigh[x].add(center)
+    return first_nodes, edges, incs
+
+
+def assert_same_trace(trace: DPTrace, expected: dict):
+    for f in fields(DPTrace):
+        got, want = getattr(trace, f.name), expected[f.name]
+        if want is None:
+            assert got is None, f.name
+            continue
+        assert got.dtype == want.dtype, (f.name, got.dtype, want.dtype)
+        assert got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+class TestTraceMatchesOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        increments=st.integers(0, 30),
+        triangles=st.booleans(),
+        big_star=st.booleans(),
+        max_exhaustive=st.sampled_from([2, 3, 5]),
+        samples=st.sampled_from([1, 3, 7]),
+        first_index=st.sampled_from([0, 17]),
+    )
+    def test_every_field_equals_the_graph_walk(
+        self, seed, increments, triangles, big_star, max_exhaustive, samples, first_index
+    ):
+        rng = np.random.default_rng(seed)
+        n, edges, incs = random_stream(rng, increments, big_star)
+        comps = (TRI, RAND) if triangles else (RAND,)
+        trace = _replay(
+            gf.graph_from_edges(edges, num_nodes=n),
+            incs,
+            first_index,
+            comps,
+            seed % 1000,
+            max_exhaustive,
+            samples,
+        )
+        expected = oracle_trace(
+            n, edges, incs, first_index, triangles, seed % 1000, max_exhaustive, samples
+        )
+        assert_same_trace(trace, expected)
+
+    def test_grown_triangle_stream_with_sampled_stars(self):
+        recipe = gf.GrowthRecipe.constant(
+            "0.4*BA + 0.3*TRI + 0.3*RAND", increments=300, new_targets=4, internal_prob=0.3
+        )
+        stream = gf.grow(recipe, seed=3)
+        graph = stream.seed_graph()
+        trace = _replay(graph, stream.increments, 0, (TRI,), 1, 3, 5)
+        assert trace.sampled.any() and (~trace.center_new).any()
+        expected = oracle_trace(
+            graph.num_nodes, stream.seed_edges, stream.increments, 0, True, 1, 3, 5
+        )
+        assert_same_trace(trace, expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_twelve_target_row_path_star(self, seed):
+        n, edges, incs = random_stream(np.random.default_rng(seed), 30, big_star=True)
+        trace = _replay(gf.graph_from_edges(edges, num_nodes=n), incs, 0, (TRI,), seed, 5, 120)
+        assert trace.existing_counts[-1] == 12 and trace.sampled[-1]
+        assert_same_trace(trace, oracle_trace(n, edges, incs, 0, True, seed, 5, 120))
+
+    def test_replay_leaves_the_graph_alone(self):
+        rng = np.random.default_rng(5)
+        n, edges, incs = random_stream(rng, 10)
+        graph = gf.graph_from_edges(edges, num_nodes=n)
+        _replay(graph, incs, 0, (TRI,), 0, 5, 120)
+        assert graph.num_nodes == n and sorted(graph.edges()) == sorted(edges)
+
+
+def unchecked_increment(timestamp, center, center_is_new, targets, targets_new):
+    """An increment past ``Increment``'s own checks, which forbid repeated targets.
+
+    Repeating a target is the only way an increment passes
+    ``check_increment`` with more existing targets than eligible nodes.
+    """
+    inc = object.__new__(gf.Increment)
+    for name, value in zip(
+        ("timestamp", "center", "center_is_new", "targets", "targets_new"),
+        (timestamp, center, center_is_new, targets, targets_new),
+    ):
+        object.__setattr__(inc, name, value)
+    return inc
+
+
+def corrupt(kind, inc, n, neigh):
+    """``inc`` made invalid for a graph of ``n`` nodes with adjacency ``neigh``."""
+    if kind == "unknown target":
+        return replace(inc, targets=(*inc.targets, n + 10), targets_new=(*inc.targets_new, False))
+    if kind == "unknown center":
+        return replace(inc, center=-1 if inc.center % 2 else n + 10, center_is_new=False)
+    if kind == "duplicate edge":
+        hub = max(range(n), key=lambda v: len(neigh[v]))
+        old = min(neigh[hub])
+        return gf.Increment(inc.timestamp, hub, False, (old,), (False,))
+    if kind == "new center id":
+        return gf.Increment(inc.timestamp, n + 1, True, (0,), (False,))
+    if kind == "new target id":
+        return gf.Increment(inc.timestamp, 0, False, (n, n + 2), (True, True))
+    assert kind == "too many targets"
+    return unchecked_increment(inc.timestamp, n, True, tuple(range(n)) * 2, (False,) * (2 * n))
+
+
+KINDS = (
+    "unknown target",
+    "unknown center",
+    "duplicate edge",
+    "new center id",
+    "new target id",
+    "too many targets",
+)
+
+
+class TestRejectionsMatchOracle:
+    def stream(self):
+        rng = np.random.default_rng(11)
+        return random_stream(rng, 24)
+
+    def state_before(self, n, edges, incs, k):
+        neigh = [set() for _ in range(n)]
+        for u, v in edges:
+            neigh[u].add(v)
+            neigh[v].add(u)
+        for inc in incs[:k]:
+            for _ in inc.new_nodes:
+                neigh.append(set())
+            for t in inc.targets:
+                neigh[inc.center].add(t)
+                neigh[t].add(inc.center)
+        return len(neigh), neigh
+
+    def outcome(self, n, edges, incs, first_index):
+        with pytest.raises(gf.GraphError) as got:
+            _replay(gf.graph_from_edges(edges, num_nodes=n), incs, first_index, (TRI,), 0, 5, 3)
+        with pytest.raises(OracleRejection) as want:
+            oracle_trace(n, edges, incs, first_index, True, 0, 5, 3)
+        return (type(got.value).__name__, str(got.value)), (want.value.kind, want.value.message)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("at", [0, 9, 23])
+    def test_same_error_at_the_same_increment(self, kind, at):
+        n, edges, incs = self.stream()
+        size, neigh = self.state_before(n, edges, incs, at)
+        bad = list(incs)
+        bad[at] = corrupt(kind, incs[at], size, neigh)
+        got, want = self.outcome(n, edges, bad, 40)
+        assert got == want
+
+    def test_the_lowest_of_two_rejections_is_reported(self):
+        n, edges, incs = self.stream()
+        bad = list(incs)
+        for at, kind in ((17, "unknown center"), (6, "duplicate edge")):
+            size, neigh = self.state_before(n, edges, incs, at)
+            bad[at] = corrupt(kind, incs[at], size, neigh)
+        got, want = self.outcome(n, edges, bad, 0)
+        assert got == want and got[0] == "RejectedIncrementError"
+
+
+class TestBatchedOrderingDraws:
+    @pytest.mark.parametrize("q", range(5, 13))
+    @pytest.mark.parametrize("samples", [1, 120])
+    def test_rows_are_successive_permutation_draws(self, q, samples):
+        for seed, index in ((0, 0), (7, 3), (123, 45_678)):
+            rng = np.random.default_rng([seed, index])
+            loop = np.array([rng.permutation(q) for _ in range(samples)])
+            batched = _sampled_positions(q, index, seed, samples)
+            assert batched.dtype == loop.dtype
+            assert np.array_equal(batched, loop)
