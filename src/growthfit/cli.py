@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GrowthFitError
+from .errors import CheckpointError, GrowthFitError
 from .estimation import (
     FitResult,
     changepoint_grid,
@@ -245,7 +245,12 @@ def _cmd_stats(args) -> int:
     stream = _load(args)
     checkpoints = None
     if args.checkpoints:
-        checkpoints = [int(c) for c in args.checkpoints.split(",")]
+        try:
+            checkpoints = [int(c) for c in args.checkpoints.split(",")]
+        except ValueError:
+            raise CheckpointError(
+                f"checkpoints {args.checkpoints!r} are not comma-separated integers"
+            ) from None
     rows = stats_series(stream, checkpoints=checkpoints)
     if args.out:
         write_stats_csv(args.out, rows)

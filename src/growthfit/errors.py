@@ -45,6 +45,10 @@ class StreamParseError(StreamError):
         self.line_number = line_number
 
 
+class CheckpointError(GrowthFitError):
+    """A statistics checkpoint that is not an increment count of the stream."""
+
+
 class ModelSpecError(GrowthFitError):
     """Malformed model-spec expression; carries the 0-based column."""
 

@@ -943,15 +943,15 @@ class ChoiceCache:
     many orderings and steps it has.  Larger stars keep the row path: their
     step rows are mixed, logged and summed per ordering, and the orderings
     are combined by a max-shifted logsumexp, so a long product of small
-    ratios cannot underflow.  The step rows and offsets are kept for every
-    increment as the replay record; an increment without existing targets
-    has one ordering of no steps.
+    ratios cannot underflow.  Step rows and orderings are kept only for
+    those larger stars; ``increment_offsets`` still spans every increment,
+    with no orderings for a collapsed one.
     """
 
     components: tuple[Component, ...]
-    step_ratios: np.ndarray  # (T, L) float64
+    step_ratios: np.ndarray  # (T, L) float64, steps of the row-path increments
     ordering_offsets: np.ndarray  # (O + 1,) int64, step row ranges
-    increment_offsets: np.ndarray  # (I + 1,) int64, ordering ranges
+    increment_offsets: np.ndarray  # (I + 1,) int64, ordering ranges, none for a collapsed increment
     center_ratios: np.ndarray  # (I, L) float64
     inv_norm: np.ndarray  # (I,) float64
     num_choices: np.ndarray  # (I,) int64
@@ -1128,13 +1128,25 @@ def _choice_cache(
         "center_ratios": center_ratios,
         "inv_norm": 1.0 / np.diff(trace.inc_ord_offsets),
     }
+    collapsed = _collapse(**arrays, existing_counts=trace.existing_counts)
+    # Only the row path reads step rows: keep those of the increments above the cap.
+    rows = collapsed["row_increments"]
+    ord_counts = np.zeros(num_inc, dtype=np.int64)
+    ord_counts[rows] = np.diff(trace.inc_ord_offsets)[rows]
+    ords = _concat_ranges(trace.inc_ord_offsets[rows], trace.inc_ord_offsets[rows + 1])
+    row_lo, row_hi = trace.ordering_offsets[ords], trace.ordering_offsets[ords + 1]
+    arrays.update(
+        step_ratios=step_ratios[_concat_ranges(row_lo, row_hi)],
+        ordering_offsets=_offsets(row_hi - row_lo),
+        increment_offsets=_offsets(ord_counts),
+    )
     cache = ChoiceCache(
         components=tuple(components),
         **arrays,
         num_choices=trace.num_choices,
         timestamps=trace.timestamps,
         logp_rand=trace.logp_rand,
-        **_collapse(**arrays, existing_counts=trace.existing_counts),
+        **collapsed,
         sampled_increments=trace.sampled_increments,
         fallback_choices=int(fallbacks.sum()),
     )

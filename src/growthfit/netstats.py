@@ -1,12 +1,12 @@
-"""Structural statistics of a growing graph, sampled along the replay.
+"""Structural statistics of a growing graph at chosen increment counts.
 
-Per-node triangle counts are maintained incrementally: adding edge (u, v)
-creates one triangle at u, one at v, and one at each common neighbor, so an
-O(min-degree) update per edge keeps average clustering cheap at any number
-of checkpoints.  Degree assortativity is the Pearson correlation of end
-degrees over both orientations of every edge; on a degree-regular graph the
-variance is zero and the value is reported as undefined (None) rather than
-NaN.
+Statistics are read from the stream's edge-event table (``events``), not
+from a replay: at checkpoint c a node's degree and triangles are those
+before increment c, and the edges are those of events 0..c.  Clustering is
+the mean local clustering, counting nodes of degree < 2 as 0.  Degree
+assortativity is the Pearson correlation of end degrees over both
+orientations of every edge; on a degree-regular graph the variance is zero
+and the value is reported as undefined (None) rather than NaN.
 """
 
 from __future__ import annotations
@@ -14,11 +14,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
 
-from .graph import DynamicGraph, GrowthStream
+from .errors import CheckpointError
+from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends
+from .graph import DynamicGraph, GrowthStream, Increment
 
 STAT_FIELDS = (
     "increments",
@@ -53,39 +56,12 @@ class StatRow:
         return {f: getattr(self, f) for f in STAT_FIELDS}
 
 
-class _TriangleTracker:
-    """Graph replay wrapper that keeps per-node triangle counts current."""
-
-    def __init__(self):
-        self.graph = DynamicGraph()
-        self.tri: list[int] = []
-        # Both ends of every edge, in insertion order: (u0, v0, u1, v1, ...).
-        self.ends: list[int] = []
-
-    def add_node(self) -> int:
-        self.tri.append(0)
-        return self.graph.add_node()
-
-    def add_edge(self, u: int, v: int) -> None:
-        g = self.graph
-        a, b = g.adj[u], g.adj[v]
-        if len(b) < len(a):
-            a, b = b, a
-        common = [w for w in a if w in b]
-        g.add_edge(u, v)
-        self.tri[u] += len(common)
-        self.tri[v] += len(common)
-        for w in common:
-            self.tri[w] += 1
-        self.ends += (u, v)
-
-
-def _assortativity(degs: np.ndarray, ends: list[int]) -> float | None:
-    if not ends:
+def _assortativity(degs: np.ndarray, ends: np.ndarray) -> float | None:
+    if not len(ends):
         return None
     # Each edge in both orientations: xs holds the end degrees pair by pair,
     # ys the same pairs swapped.
-    xs = degs[np.asarray(ends)]
+    xs = degs[ends]
     ys = xs.reshape(-1, 2)[:, ::-1].ravel()
     vx = xs.var()
     if vx <= 0.0:
@@ -93,26 +69,45 @@ def _assortativity(degs: np.ndarray, ends: list[int]) -> float | None:
     return float(((xs - xs.mean()) * (ys - ys.mean())).mean() / vx)
 
 
-def _snapshot(tracker: _TriangleTracker, increments: int, timestamp: int | None) -> StatRow:
-    g = tracker.graph
-    degs = np.asarray(g.degrees, dtype=np.float64)
-    n = g.num_nodes
-    local = [
-        2.0 * t / (k * (k - 1.0)) if k >= 2 else 0.0
-        for t, k in zip(tracker.tri, g.degrees)
-    ]
-    return StatRow(
-        increments=increments,
-        timestamp=timestamp,
-        nodes=n,
-        edges=g.edge_count,
-        mean_degree=float(degs.mean()) if n else 0.0,
-        mean_sq_degree=float((degs**2).mean()) if n else 0.0,
-        max_degree=int(degs.max()) if n else 0,
-        triangles=sum(tracker.tri) // 3,
-        clustering=float(np.mean(local)) if n else 0.0,
-        assortativity=_assortativity(degs, tracker.ends),
-    )
+def _stats_rows(
+    graph: DynamicGraph, increments: Sequence[Increment], checkpoints: list[int]
+) -> list[StatRow]:
+    """Statistics after each (ascending) count of ``increments`` applied to ``graph``.
+
+    The lowest increment the graph cannot take raises its ``check_increment`` error.
+    """
+    seed_node, seed_nbr = graph_ends(graph)
+    cols = StreamColumns.of(increments, graph.num_nodes)
+    rejection = first_rejection(cols, seed_node, seed_nbr)
+    if rejection is not None:
+        raise rejection[1]
+    events = EdgeEvents(seed_node, seed_nbr, cols)
+    rows: list[StatRow] = []
+    for c in checkpoints:
+        n = int(cols.node_offsets[c])
+        nodes, at = np.arange(n), np.full(n, c)
+        degree = events.degree_before(nodes, at)
+        triangles = events.triangles_before(nodes, at)
+        degs = degree.astype(np.float64)
+        local = np.divide(2.0 * triangles, degs * (degs - 1.0), out=np.zeros(n), where=degree >= 2)
+        # Edges are numbered in event order, so those present at c are a prefix.
+        m = int(np.searchsorted(events.edge_event, c, side="right"))
+        ends = np.column_stack((events.edge_u[:m], events.edge_v[:m])).ravel()
+        rows.append(
+            StatRow(
+                increments=c,
+                timestamp=int(cols.timestamp[c - 1]) if c else None,
+                nodes=n,
+                edges=m,
+                mean_degree=float(degs.mean()) if n else 0.0,
+                mean_sq_degree=float((degs**2).mean()) if n else 0.0,
+                max_degree=int(degree.max()) if n else 0,
+                triangles=int(triangles.sum()) // 3,
+                clustering=float(local.mean()) if n else 0.0,
+                assortativity=_assortativity(degs, ends),
+            )
+        )
+    return rows
 
 
 def default_checkpoints(total: int, count: int = 10) -> list[int]:
@@ -125,40 +120,27 @@ def default_checkpoints(total: int, count: int = 10) -> list[int]:
 
 
 def stats_series(stream: GrowthStream, checkpoints: list[int] | None = None) -> list[StatRow]:
-    """Replay a stream and snapshot statistics at the given increment counts."""
+    """Statistics of the graph after each given number of increments, in ascending order.
+
+    Checkpoint 0 is the seed graph; every checkpoint must lie in
+    [0, len(stream.increments)].  An invalid stream raises the error that
+    ``score_stream`` raises on it.
+    """
+    total = len(stream.increments)
     if checkpoints is None:
-        checkpoints = default_checkpoints(len(stream.increments))
-    wanted = sorted(set(checkpoints))
-    tracker = _TriangleTracker()
-    seed = stream.seed_graph()
-    for _ in range(seed.num_nodes):
-        tracker.add_node()
-    for u, v in seed.edges():
-        tracker.add_edge(u, v)
-    rows: list[StatRow] = []
-    if wanted and wanted[0] == 0:
-        rows.append(_snapshot(tracker, 0, None))
-        wanted = wanted[1:]
-    pos = 0
-    for index, inc in enumerate(stream.increments):
-        for _ in inc.new_nodes:
-            tracker.add_node()
-        for t in inc.targets:
-            tracker.add_edge(inc.center, t)
-        if pos < len(wanted) and index + 1 == wanted[pos]:
-            rows.append(_snapshot(tracker, index + 1, inc.timestamp))
-            pos += 1
-    return rows
+        checkpoints = default_checkpoints(total)
+    for c in checkpoints:
+        if not 0 <= c <= total:
+            raise CheckpointError(
+                f"checkpoint {c} is outside [0, {total}] for a stream of {total} increments"
+            )
+    wanted = sorted({int(c) for c in checkpoints})
+    return _stats_rows(stream.seed_graph(), stream.increments, wanted)
 
 
 def graph_stats(graph: DynamicGraph) -> StatRow:
-    """Statistics of a static graph (replays its edge list once)."""
-    tracker = _TriangleTracker()
-    for _ in range(graph.num_nodes):
-        tracker.add_node()
-    for u, v in graph.edges():
-        tracker.add_edge(u, v)
-    return _snapshot(tracker, 0, None)
+    """Statistics of a static graph."""
+    return _stats_rows(graph, [], [0])[0]
 
 
 def write_stats_csv(path, rows: list[StatRow]) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -143,6 +144,28 @@ def clean_stream(records: Iterable[EdgeRecord]) -> tuple[list[EdgeRecord], Clean
     return kept, report
 
 
+class _NodeIds(dict):
+    """Dense node id of each name, assigned by first appearance; names iterate in id order."""
+
+    def intern(self, name: str) -> int:
+        return self.setdefault(name, len(self))
+
+    def star(self, timestamp: int, center: str, targets: Iterable[str]) -> Increment:
+        """The increment of a named star, interning the center before the targets.
+
+        A node is new when its name first appears in this star.
+        """
+        before = len(self)
+        setdefault = self.setdefault
+        center_id = setdefault(center, before)
+        nodes, new = [], []
+        for name in targets:
+            node = setdefault(name, len(self))
+            nodes.append(node)
+            new.append(node >= before)
+        return Increment(timestamp, center_id, center_id == before, tuple(nodes), tuple(new))
+
+
 def group_increments(records: list[EdgeRecord]) -> GrowthStream:
     """Group a cleaned edge list into stars and densify node ids.
 
@@ -151,17 +174,7 @@ def group_increments(records: list[EdgeRecord]) -> GrowthStream:
     forms a star whose center and target are both new, so nothing about the
     starting edge is ever treated as a model choice.
     """
-    name_to_id: dict[str, int] = {}
-    labels: list[str] = []
-
-    def intern(name: str) -> tuple[int, bool]:
-        if name in name_to_id:
-            return name_to_id[name], False
-        idx = len(labels)
-        name_to_id[name] = idx
-        labels.append(name)
-        return idx, True
-
+    ids = _NodeIds()
     increments: list[Increment] = []
     i = 0
     while i < len(records):
@@ -172,18 +185,11 @@ def group_increments(records: list[EdgeRecord]) -> GrowthStream:
             and records[j].source == records[i].source
         ):
             j += 1
-        center, center_new = intern(records[i].source)
-        targets: list[int] = []
-        targets_new: list[bool] = []
-        for rec in records[i:j]:
-            t, t_new = intern(rec.dest)
-            targets.append(t)
-            targets_new.append(t_new)
         increments.append(
-            Increment(records[i].timestamp, center, center_new, tuple(targets), tuple(targets_new))
+            ids.star(records[i].timestamp, records[i].source, map(attrgetter("dest"), records[i:j]))
         )
         i = j
-    return GrowthStream(seed_edges=[], increments=increments, labels=labels)
+    return GrowthStream(seed_edges=[], increments=increments, labels=list(ids))
 
 
 def ingest_edge_file(source) -> tuple[GrowthStream, CleaningReport]:
@@ -299,17 +305,7 @@ def read_star_stream(source) -> GrowthStream:
         raise StreamParseError(
             f"expected header {STAR_STREAM_HEADER!r}", line_number=first[0]
         )
-    name_to_id: dict[str, int] = {}
-    labels: list[str] = []
-
-    def intern(name: str) -> tuple[int, bool]:
-        if name in name_to_id:
-            return name_to_id[name], False
-        idx = len(labels)
-        name_to_id[name] = idx
-        labels.append(name)
-        return idx, True
-
+    ids = _NodeIds()
     seed_edges: list[tuple[int, int]] = []
     increments: list[Increment] = []
     for lineno, line in lines:
@@ -319,7 +315,7 @@ def read_star_stream(source) -> GrowthStream:
             fields = line[len(SEED_EDGE_PREFIX) :].split("\t")
             if len(fields) != 2:
                 raise StreamParseError("seed edge needs 2 node ids", line_number=lineno)
-            seed_edges.append((intern(fields[0])[0], intern(fields[1])[0]))
+            seed_edges.append((ids.intern(fields[0]), ids.intern(fields[1])))
             continue
         if not line.strip() or line.startswith("#"):
             continue
@@ -334,22 +330,14 @@ def read_star_stream(source) -> GrowthStream:
             raise StreamParseError(f"bad timestamp {fields[0]!r}", line_number=lineno) from None
         if not fields[1] or not fields[2]:
             raise StreamParseError("empty center or target list", line_number=lineno)
-        center, center_new = intern(fields[1])
-        targets: list[int] = []
-        targets_new: list[bool] = []
-        for name in fields[2].split(","):
-            if not name:
-                raise StreamParseError("empty target id", line_number=lineno)
-            t, t_new = intern(name)
-            targets.append(t)
-            targets_new.append(t_new)
+        names = fields[2].split(",")
+        if not all(names):
+            raise StreamParseError("empty target id", line_number=lineno)
         try:
-            increments.append(
-                Increment(timestamp, center, center_new, tuple(targets), tuple(targets_new))
-            )
+            increments.append(ids.star(timestamp, fields[1], names))
         except Exception as exc:
             raise StreamParseError(str(exc), line_number=lineno) from None
-    return GrowthStream(seed_edges=seed_edges, increments=increments, labels=labels)
+    return GrowthStream(seed_edges=seed_edges, increments=increments, labels=list(ids))
 
 
 def write_op_schedule(path, schedule: OperationSchedule) -> None:

@@ -209,6 +209,21 @@ class TestStatsAndSimilarity:
             rows = list(csv.DictReader(fh))
         assert [int(r["increments"]) for r in rows] == [200, 400, 800]
 
+    @pytest.mark.parametrize(
+        "checkpoints, named",
+        [
+            ("--checkpoints=-5,10,999", "-5"),
+            ("--checkpoints=10,999", "999"),
+            ("--checkpoints=10,abc", "abc"),
+        ],
+    )
+    def test_stats_rejects_bad_checkpoints(self, workdir, capsys, checkpoints, named):
+        code, out, err = run(capsys, "stats", "--data", str(workdir / "run.stars"), checkpoints)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error (CheckpointError): ")
+        assert named in err
+
     def test_similarity(self, workdir, capsys):
         code, stdout, _ = run(
             capsys, "similarity", "--data", str(workdir / "run.stars"),

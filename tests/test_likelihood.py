@@ -421,6 +421,11 @@ class TestCollapsedCache:
         comps.insert(rand_at, gf.Random())
         cache = build_choice_cache(stream, comps, ordering_samples=SAMPLES)
         assert len(cache.row_increments) == 1
+        # Step rows and orderings are kept for the row-path star only.
+        assert len(cache.increment_offsets) == cache.num_increments + 1
+        kept = np.flatnonzero(np.diff(cache.increment_offsets))
+        assert np.array_equal(kept, cache.row_increments)
+        assert len(cache.step_ratios) == cache.ordering_offsets[-1]
         assert cache.sampled_increments >= 1
         assert 0 < len(cache.poly_increments) < cache.num_increments
 

@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 import growthfit as gf
 from growthfit.netstats import (
@@ -62,25 +63,76 @@ class TestGraphStats:
         assert row.max_degree == 3
 
 
+def prefix_edges(stream, count):
+    """The seed graph and the first ``count`` increments as (node count, edge list)."""
+    n = max((max(e) for e in stream.seed_edges), default=-1) + 1
+    edges = list(stream.seed_edges)
+    for inc in stream.increments[:count]:
+        n += len(inc.new_nodes)
+        edges += [(inc.center, t) for t in inc.targets]
+    return n, edges
+
+
 class TestStatsSeries:
     def test_checkpoints_match_replayed_prefixes(self):
         stream = gf.grow(
             gf.GrowthRecipe.constant(
                 "0.5*BA + 0.5*TRI", increments=60, new_targets=2,
-                internal_prob=0.2, internal_targets=1, seed_clique=4,
+                internal_prob=0.3, internal_targets=2, seed_clique=4,
             ),
             seed=3,
         )
-        rows = stats_series(stream, checkpoints=[10, 30, 60])
+        assert stream.seed_edges
+        assert any(not inc.center_is_new for inc in stream.increments)
+        rows = stats_series(stream, checkpoints=[60, 0, 1, 2, 7, 10, 30, 45, 59, 7])
+        assert [row.increments for row in rows] == [0, 1, 2, 7, 10, 30, 45, 59, 60]
         for row in rows:
-            g = stream.seed_graph()
-            for inc in stream.increments[: row.increments]:
-                gf.apply_increment(g, inc)
-            expect = graph_stats(g)
-            assert row.nodes == expect.nodes
-            assert row.edges == expect.edges
-            assert row.triangles == expect.triangles
-            assert abs(row.clustering - expect.clustering) < 1e-12
+            n, edges = prefix_edges(stream, row.increments)
+            degrees = np.bincount(np.array(edges).ravel(), minlength=n)
+            assert row.nodes == n
+            assert row.edges == len(edges)
+            assert row.timestamp == (
+                stream.increments[row.increments - 1].timestamp if row.increments else None
+            )
+            assert row.mean_degree == degrees.mean()
+            assert row.mean_sq_degree == (degrees.astype(float) ** 2).mean()
+            assert row.max_degree == degrees.max()
+            assert row.triangles == oracle_triangle_count(n, edges)
+            assert abs(row.clustering - oracle_clustering(n, edges)) < 1e-12
+            expected_r = oracle_assortativity(n, edges)
+            if expected_r is None:
+                assert row.assortativity is None
+            else:
+                assert abs(row.assortativity - expected_r) < 1e-12
+
+    @pytest.mark.parametrize("bad", [-1, 31, 999])
+    def test_checkpoint_outside_the_stream_is_rejected(self, bad):
+        stream = gf.grow(gf.GrowthRecipe.constant("BA", increments=30, new_targets=2), seed=4)
+        with pytest.raises(gf.CheckpointError, match=f"checkpoint {bad} "):
+            stats_series(stream, checkpoints=[10, bad, 20])
+
+    @pytest.mark.parametrize(
+        "inc",
+        [
+            gf.Increment(5, 1, False, (3, 0), (True, False)),
+            gf.Increment(5, 3, False, (0,), (False,)),
+            gf.Increment(5, 0, False, (3,), (False,)),
+            gf.Increment(5, 5, True, (0,), (False,)),
+            gf.Increment(5, 0, False, (4, 2), (True, False)),
+        ],
+        ids=[
+            "duplicate edge", "unknown center", "unknown target", "new center id", "new target id"
+        ],
+    )
+    def test_invalid_stream_raises_what_scoring_raises(self, inc):
+        valid = gf.Increment(4, 0, False, (2,), (False,))
+        stream = gf.GrowthStream(seed_edges=[(0, 1), (1, 2)], increments=[valid, inc, valid])
+        with pytest.raises(gf.GrowthFitError) as scored:
+            gf.score_stream(stream, gf.Random())
+        with pytest.raises(gf.GrowthFitError) as got:
+            stats_series(stream, checkpoints=[1])
+        assert type(got.value) is type(scored.value)
+        assert str(got.value) == str(scored.value)
 
     def test_default_checkpoints_are_even_deciles(self):
         assert default_checkpoints(100) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]

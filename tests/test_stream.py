@@ -205,6 +205,25 @@ class TestStarStreamFormat:
         assert all(r.timestamp == first_t - 1 for r in recs[:seed_count])
         assert len(recs) == seed_count + sum(len(i.targets) for i in stream.increments)
 
+    def test_ids_follow_first_appearance_center_before_targets(self, tmp_path):
+        path = tmp_path / "named.stars"
+        path.write_text("# star-stream v1\n# seed-edge\tx\ty\n5\tz\ty,w,x\n6\tw\tv,z\n")
+        stream = read_star_stream(path)
+        assert stream.labels == ["x", "y", "z", "w", "v"]
+        assert stream.seed_edges == [(0, 1)]
+        first, second = stream.increments
+        assert (first.center, first.center_is_new) == (2, True)
+        assert first.targets == (1, 3, 0) and first.targets_new == (False, True, False)
+        assert (second.center, second.center_is_new) == (3, False)
+        assert second.targets == (4, 2) and second.targets_new == (True, False)
+
+    def test_empty_target_id_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.stars"
+        path.write_text("# star-stream v1\n0\ta\tb\n1\ta\tc,,d\n")
+        with pytest.raises(gf.StreamParseError, match="empty target id") as exc:
+            read_star_stream(path)
+        assert exc.value.line_number == 3
+
     def test_corrupt_star_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.stars"
         path.write_text("# star-stream v1\n# seed-edge\t0\t1\n0\t2\n")
