@@ -379,9 +379,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_strings(parser: argparse.ArgumentParser) -> tuple[set[str], set[str]]:
+    """(every option string, those that take one value) of a parser and its subcommands."""
+    every: set[str] = set()
+    valued: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                sub_every, sub_valued = _option_strings(sub)
+                every |= sub_every
+                valued |= sub_valued
+        every.update(action.option_strings)
+        if action.nargs is None:
+            valued.update(action.option_strings)
+    return every, valued
+
+
+def _attach_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Write ``--option -5,10`` as ``--option=-5,10``.
+
+    argparse takes a value that starts with '-' and is not a plain number for
+    an option, and reports the option's value as missing.  A token after an
+    option that takes one value is its value unless it is itself an option.
+    """
+    every, valued = _option_strings(parser)
+    out: list[str] = []
+    for token in argv:
+        dashed = token.startswith("-") and not token.startswith("--") and token not in every
+        if dashed and out and out[-1] in valued:
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_dash_values(parser, argv))
     try:
         return args.func(args)
     except GrowthFitError as exc:

@@ -13,7 +13,9 @@ with a likelihood-ratio test whose null distribution is chi-square with
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +33,7 @@ from .likelihood import (
     DEFAULT_ORDERING_SAMPLES,
     ChoiceCache,
     DPTrace,
+    _checked_range,
     _stream_trace,
     _trace_logp,
     build_choice_cache,
@@ -60,19 +63,20 @@ def simplex_grid(num_components: int, step: float = DEFAULT_WEIGHT_STEP) -> np.n
     units = round(1.0 / step)
     if abs(units * step - 1.0) > 1e-9 or units < 1:
         raise FitError(f"weight step {step} must divide 1")
-    if num_components == 1:
-        return np.ones((1, 1))
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head, *rest)
-
-    lattice = np.array(list(compositions(units, num_components)), dtype=np.float64)
-    return lattice / units
+    if num_components < 1:
+        raise FitError("need at least one component")
+    # Stars and bars: a composition is a choice of bar positions among
+    # units + L - 1 slots, and combinations come in ascending lexicographic
+    # order of the bars, which is that of the counts.
+    slots = units + num_components - 1
+    count = math.comb(slots, num_components - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), num_components - 1)),
+        dtype=np.int64,
+        count=count * (num_components - 1),
+    ).reshape(count, num_components - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
+    return (np.diff(edges, axis=1) - 1) / units
 
 
 def _argmax_first(values: np.ndarray) -> int:
@@ -152,17 +156,11 @@ class WeightFit:
     stop: int
 
 
-def fit_mixture_weights(
-    cache: ChoiceCache,
-    start: int = 0,
-    stop: int | None = None,
-    step: float = DEFAULT_WEIGHT_STEP,
-) -> WeightFit:
-    """Grid argmax of mixture weights over one increment range of a cache."""
-    stop = cache.num_increments if stop is None else stop
-    if stop <= start:
+def _fit_range(cache: ChoiceCache, grid: np.ndarray, start: int, stop: int | None) -> WeightFit:
+    """First-max weight vector of ``grid`` over one increment range."""
+    start, stop = _checked_range(cache, start, stop)
+    if stop == start:
         raise IntervalUnderflowError(f"empty increment range [{start}, {stop})")
-    grid = simplex_grid(len(cache.components), step)
     logliks = cache_loglik(cache, grid, start, stop)
     best = _argmax_first(logliks)
     return WeightFit(
@@ -173,6 +171,19 @@ def fit_mixture_weights(
         start=start,
         stop=stop,
     )
+
+
+def fit_mixture_weights(
+    cache: ChoiceCache,
+    start: int = 0,
+    stop: int | None = None,
+    step: float = DEFAULT_WEIGHT_STEP,
+) -> WeightFit:
+    """Grid argmax of mixture weights over one increment range of a cache.
+
+    The range must be nonempty and lie within [0, I].
+    """
+    return _fit_range(cache, simplex_grid(len(cache.components), step), start, stop)
 
 
 def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[tuple[int, int]]:
@@ -274,10 +285,17 @@ def fit_intervals(
 ) -> FitResult:
     """Independent weight fits on a J-interval partition of the stream."""
     groups = partition_indices(cache, j, mode)
+    return _fit_groups(cache, simplex_grid(len(cache.components), step), groups, mode, step)
+
+
+def _fit_groups(
+    cache: ChoiceCache, grid: np.ndarray, groups: list[tuple[int, int]], mode: str, step: float
+) -> FitResult:
+    """fit_intervals on the given groups, with the weight lattice of ``step`` already built."""
     intervals: list[dict] = []
     loglik = 0.0
     for lo, hi in groups:
-        part = fit_mixture_weights(cache, lo, hi, step=step)
+        part = _fit_range(cache, grid, lo, hi)
         loglik += part.loglik
         intervals.append(
             {
@@ -315,7 +333,11 @@ def scan_interval_counts(
     """fit_intervals at every J in [jmin, jmax]."""
     if jmin < 1 or jmax < jmin:
         raise FitError(f"bad interval-count range [{jmin}, {jmax}]")
-    return [fit_intervals(cache, j, mode=mode, step=step) for j in range(jmin, jmax + 1)]
+    grid = simplex_grid(len(cache.components), step)
+    return [
+        _fit_groups(cache, grid, partition_indices(cache, j, mode), mode, step)
+        for j in range(jmin, jmax + 1)
+    ]
 
 
 @dataclass

@@ -269,7 +269,13 @@ class EdgeEvents:
         ``degrees`` holds the nodes' own degrees then.
         """
         query, w = self.neighbours_before(nodes, incs, degrees)
-        return segment_sums(self.degree_before(w, incs[query]), degrees)
+        # Hubs are the common anchors, so the lookups repeat a few rows of
+        # ``key``: searching them in sorted order keeps those rows in cache.
+        wanted = w * self.span + incs[query] + 1
+        order = np.argsort(wanted)
+        ends = np.empty_like(wanted)
+        ends[order] = np.searchsorted(self.key, wanted[order])
+        return segment_sums(ends - self.start[w], degrees)
 
     @cached_property
     def _triangle_keys(self) -> np.ndarray:

@@ -75,7 +75,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateModelError, RejectedIncrementError, UndefinedRatioError
+from .errors import DegenerateModelError, FitError, RejectedIncrementError, UndefinedRatioError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
 from .events import concat_ranges as _concat_ranges
 from .events import offsets as _offsets
@@ -1190,29 +1190,45 @@ def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.nd
         return targets + np.log(cache.center_ratios[incs] @ w.T)
 
 
-def _logratio_blocks(cache: ChoiceCache, w: np.ndarray, start: int, stop: int):
-    """Yield (increment indices, (n, C) log ratios) covering [start, stop) once.
+def _checked_range(cache: ChoiceCache, start: int, stop: int | None) -> tuple[int, int]:
+    """[start, stop) with ``stop`` defaulting to I; raises unless 0 <= start <= stop <= I."""
+    num_inc = cache.num_increments
+    stop = num_inc if stop is None else stop
+    if not 0 <= start <= stop <= num_inc:
+        raise FitError(
+            f"increment range [{start}, {stop}) needs 0 <= start <= stop <= I = {num_inc}"
+        )
+    return start, stop
 
-    Collapsed increments come one block per degree, each a product of
-    coefficients and monomials; increments above ``MAX_COLLAPSED_DEGREE`` take
-    the row path, in batches that bound the orderings and the mixed step
-    values held at once.
+
+def _range_blocks(
+    cache: ChoiceCache, ncomp: int, start: int, stop: int
+) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray]:
+    """The increments of [start, stop), resolved once for every weight vector.
+
+    Returns (degree, indices, coefficients) per collapsed degree, each block
+    an (n, monomials) view into ``poly_coefs`` and degrees with no increment
+    in the range left out, then the row-path indices.
     """
+    blocks = []
     for degree in range(1, len(cache.poly_offsets) - 1):
         incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
         a, b = np.searchsorted(incs, (start, stop))
         if a == b:
             continue
-        size = len(_monomial_exponents(w.shape[1], degree))
+        size = len(_monomial_exponents(ncomp, degree))
         base = cache.poly_coef_offsets[degree]
         coefs = cache.poly_coefs[base + a * size : base + b * size].reshape(b - a, size)
-        with np.errstate(divide="ignore"):
-            yield incs[a:b], np.log(coefs @ _monomials(w, degree))
+        blocks.append((degree, incs[a:b], coefs))
     a, b = np.searchsorted(cache.row_increments, (start, stop))
-    incs = cache.row_increments[a:b]
+    return blocks, cache.row_increments[a:b]
+
+
+def _row_batches(cache: ChoiceCache, incs: np.ndarray, num_weights: int) -> list[np.ndarray]:
+    """Row-path increments in batches bounding the orderings and mixed step values held at once."""
     orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
-    for lo, hi in _batches(orderings, max(1, _ROW_BATCH_ELEMENTS // w.shape[0])):
-        yield incs[lo:hi], _row_logratios(cache, incs[lo:hi], w)
+    budget = max(1, _ROW_BATCH_ELEMENTS // num_weights)
+    return [incs[lo:hi] for lo, hi in _batches(orderings, budget)]
 
 
 def cache_logratios(
@@ -1224,14 +1240,19 @@ def cache_logratios(
     """log(P / P_rand) per increment for each weight vector.
 
     ``weights`` is (C, L) or (L,); the result is (I_range, C) (or (I_range,)
-    for a single vector).  Increment range [start, stop) slices the stream.
+    for a single vector).  Increment range [start, stop) slices the stream
+    and must lie within [0, I].
     """
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    stop = cache.num_increments if stop is None else stop
+    start, stop = _checked_range(cache, start, stop)
+    blocks, rows = _range_blocks(cache, w.shape[1], start, stop)
     out = np.empty((stop - start, w.shape[0]))
-    for incs, values in _logratio_blocks(cache, w, start, stop):
-        out[incs - start] = values
+    for degree, incs, coefs in blocks:
+        with np.errstate(divide="ignore"):
+            out[incs - start] = np.log(coefs @ _monomials(w, degree))
+    for incs in _row_batches(cache, rows, w.shape[0]):
+        out[incs - start] = _row_logratios(cache, incs, w)
     return out[:, 0] if single else out
 
 
@@ -1241,15 +1262,35 @@ def cache_loglik(
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
-    """Total log-likelihood over an increment range for many weight vectors."""
+    """Total log-likelihood over an increment range for many weight vectors.
+
+    The range [start, stop) must lie within [0, I].  Interval fits build
+    their weight lattice once per call and pass it here once per interval.
+    The lattice is scored ``_LATTICE_CHUNK`` weight vectors at a time.  The
+    range's coefficient blocks are resolved once per call, and every chunk
+    writes each block's product with its monomials, and then the log of
+    it, into one buffer that the call allocates once.  Sums accumulate per
+    chunk in the order degree 1 .. ``MAX_COLLAPSED_DEGREE``, then the
+    row-path batches.
+    """
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    stop = cache.num_increments if stop is None else stop
-    rand_total = float(cache.logp_rand[start:stop].sum())
-    out = np.full(w.shape[0], rand_total)
+    start, stop = _checked_range(cache, start, stop)
+    blocks, rows = _range_blocks(cache, w.shape[1], start, stop)
+    width = min(w.shape[0], _LATTICE_CHUNK)
+    buf = np.empty(max((len(coefs) for _, _, coefs in blocks), default=0) * width)
+    out = np.full(w.shape[0], float(cache.logp_rand[start:stop].sum()))
     for lo in range(0, w.shape[0], _LATTICE_CHUNK):
-        for _, values in _logratio_blocks(cache, w[lo : lo + _LATTICE_CHUNK], start, stop):
-            out[lo : lo + _LATTICE_CHUNK] += values.sum(axis=0)
+        chunk = w[lo : lo + _LATTICE_CHUNK]
+        total = out[lo : lo + _LATTICE_CHUNK]
+        for degree, _, coefs in blocks:
+            values = buf[: len(coefs) * len(chunk)].reshape(len(coefs), len(chunk))
+            np.matmul(coefs, _monomials(chunk, degree), out=values)
+            with np.errstate(divide="ignore"):
+                np.log(values, out=values)
+            total += values.sum(axis=0)
+        for incs in _row_batches(cache, rows, len(chunk)):
+            total += _row_logratios(cache, incs, chunk).sum(axis=0)
     return out[0] if single else out
 
 

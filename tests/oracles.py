@@ -3,7 +3,9 @@
 Everything here is deliberately naive: plain dicts and sets, explicit
 enumeration over every target ordering, and textbook quadrature.  Nothing is
 imported from :mod:`growthfit`, so agreement between these oracles and the
-package is meaningful evidence rather than a tautology.
+package is meaningful evidence rather than a tautology.  The one reference
+that reuses package kernels, ``chunked_cache_loglik``, is handed them as an
+argument and checks only the order in which they are combined.
 """
 
 from __future__ import annotations
@@ -401,6 +403,63 @@ def oracle_trace(
         tri_total=tri_total,
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# weight-lattice references
+# ---------------------------------------------------------------------------
+
+
+def oracle_simplex_grid(num_components, step):
+    """The weight lattice by its recursive definition: compositions in lexicographic order."""
+    units = round(1.0 / step)
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, parts - 1):
+                yield (head, *rest)
+
+    rows = list(compositions(units, num_components))
+    return np.array(rows, dtype=np.float64).reshape(-1, num_components) / units
+
+
+def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
+    """Range log-likelihood per weight vector, accumulated chunk by chunk.
+
+    Every chunk of 256 weight vectors resolves the range's coefficient block
+    of each degree again and adds the column sums of a fresh
+    log(coefficients @ monomials) array, then the row-path batches, in that
+    order.  ``kernels`` is the ``growthfit.likelihood`` module: the block
+    arithmetic is the package's, the resolution and accumulation order are
+    this reference's own.
+    """
+    single = weights.ndim == 1
+    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    stop = cache.num_increments if stop is None else stop
+    out = np.full(w.shape[0], float(cache.logp_rand[start:stop].sum()))
+    for lo in range(0, w.shape[0], 256):
+        chunk = w[lo : lo + 256]
+        for degree in range(1, len(cache.poly_offsets) - 1):
+            incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
+            a, b = np.searchsorted(incs, (start, stop))
+            if a == b:
+                continue
+            size = len(kernels._monomial_exponents(w.shape[1], degree))
+            base = cache.poly_coef_offsets[degree]
+            coefs = cache.poly_coefs[base + a * size : base + b * size].reshape(b - a, size)
+            with np.errstate(divide="ignore"):
+                values = np.log(coefs @ kernels._monomials(chunk, degree))
+            out[lo : lo + 256] += values.sum(axis=0)
+        a, b = np.searchsorted(cache.row_increments, (start, stop))
+        incs = cache.row_increments[a:b]
+        orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
+        budget = max(1, kernels._ROW_BATCH_ELEMENTS // len(chunk))
+        for x, y in kernels._batches(orderings, budget):
+            out[lo : lo + 256] += kernels._row_logratios(cache, incs[x:y], chunk).sum(axis=0)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,15 @@ class TestStatsAndSimilarity:
         assert err.startswith("error (CheckpointError): ")
         assert named in err
 
+    def test_stats_checkpoint_value_after_a_space(self, workdir, capsys):
+        code, out, err = run(
+            capsys, "stats", "--data", str(workdir / "run.stars"), "--checkpoints", "-5,10"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error (CheckpointError): ")
+        assert "-5" in err
+
     def test_similarity(self, workdir, capsys):
         code, stdout, _ = run(
             capsys, "similarity", "--data", str(workdir / "run.stars"),

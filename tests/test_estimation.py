@@ -10,7 +10,7 @@ from growthfit.estimation import (
     partition_indices,
     simplex_grid,
 )
-from oracles import oracle_chi2_sf
+from oracles import oracle_chi2_sf, oracle_simplex_grid
 
 
 class TestGrids:
@@ -39,6 +39,20 @@ class TestGrids:
         # ascending lexicographic order makes first-maximum ties reproducible
         as_tuples = [tuple(row) for row in np.round(grid, 10)]
         assert as_tuples == sorted(as_tuples)
+
+    @pytest.mark.parametrize("num_components", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.1, 0.01])
+    def test_simplex_grid_equals_recursive_definition(self, num_components, step):
+        grid = simplex_grid(num_components, step)
+        expect = oracle_simplex_grid(num_components, step)
+        assert grid.dtype == expect.dtype
+        assert np.array_equal(grid, expect)
+
+    def test_simplex_grid_rejects_bad_arguments(self):
+        with pytest.raises(gf.FitError, match="divide 1"):
+            simplex_grid(3, 0.3)
+        with pytest.raises(gf.FitError, match="at least one component"):
+            simplex_grid(0)
 
     def test_changepoint_grid_is_inclusive_linspace(self):
         grid = changepoint_grid(0.0, 10.0, 5)
@@ -133,6 +147,15 @@ class TestFitMixtureWeights:
         cache = gf.build_choice_cache(stream, [gf.TriangleClosure()])
         with pytest.raises(gf.NoFeasibleFitError):
             gf.fit_mixture_weights(cache, 0, 1)
+
+    def test_range_outside_stream_raises(self):
+        stream = gf.grow(gf.GrowthRecipe.constant("RAND", increments=30, new_targets=2), seed=5)
+        cache = gf.build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
+        for start, stop in [(-5, 10), (35, 40), (0, 130), (10, 5)]:
+            with pytest.raises(gf.FitError, match=rf"\[{start}, {stop}\).* I = 30$"):
+                gf.fit_mixture_weights(cache, start, stop)
+        with pytest.raises(gf.IntervalUnderflowError):
+            gf.fit_mixture_weights(cache, 30, 30)
 
 
 class TestFitIntervals:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,12 @@ from growthfit.likelihood import (
     orderings_for_increment,
     per_choice_ratio,
 )
-from oracles import oracle_choice_probabilities, oracle_increment_probability
+from growthfit import likelihood
+from oracles import (
+    chunked_cache_loglik,
+    oracle_choice_probabilities,
+    oracle_increment_probability,
+)
 
 
 def schedule_for(*pairs):
@@ -312,6 +319,84 @@ class TestChoiceCache:
         assert len(cache.timestamps) == len(stream.increments)
         assert cache.sampled_increments == 0  # all stars here have <= 5 choices
         assert np.all(np.diff(cache.increment_offsets) >= 0)
+
+
+BA_TRI_RAND = (gf.DegreePower(1.0), gf.TriangleClosure(), gf.Random())
+
+
+@pytest.fixture(scope="module")
+def lattice_caches():
+    """A grown [BA, TRI, RAND] cache, and a mixed one that also holds a row-path star."""
+    grown = TestChoiceCache().make()[2]
+    mixed = build_choice_cache(mixed_stream(np.random.default_rng(5), increments=40), BA_TRI_RAND)
+    assert len(mixed.row_increments) == 1
+    return grown, mixed
+
+
+class TestLatticeEvaluation:
+    """cache_loglik equals the chunk-by-chunk accumulation it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 257, 5151])
+    def test_matches_chunked_reference(self, lattice_caches, count):
+        lattice = gf.simplex_grid(3, 0.01)
+        weights = {1: lattice[100:101], 257: lattice[::20][:257], 5151: lattice}[count]
+        for cache in lattice_caches:
+            n = cache.num_increments
+            for start, stop in [(0, n), (3, n - 5), (n // 3, 2 * n // 3), (7, 8), (5, 5)]:
+                got = cache_loglik(cache, weights, start, stop)
+                ref = chunked_cache_loglik(likelihood, cache, weights, start, stop)
+                assert np.array_equal(got, ref), (count, start, stop)
+            one = cache_loglik(cache, weights[0], 2, n - 1)
+            assert one == chunked_cache_loglik(likelihood, cache, weights[0], 2, n - 1)
+
+    def test_pure_triangle_points_are_minus_infinity_without_nan(self, lattice_caches):
+        lattice = gf.simplex_grid(3, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cache in lattice_caches:
+                got = cache_loglik(cache, lattice)
+                assert not np.isnan(got).any()
+                assert np.isneginf(got[100])  # the TRI vertex (0, 1, 0)
+                assert np.isfinite(got[lattice[:, 1] < 1.0]).all()
+
+    def test_one_chunk_buffer_per_call(self):
+        stream = gf.grow(
+            gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=2000, new_targets=3), seed=3
+        )
+        cache = build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
+        # Every star has 3 existing targets, so one coefficient block spans the stream.
+        assert np.count_nonzero(np.diff(cache.poly_offsets)) == 1
+        grid = gf.simplex_grid(2, 0.002)
+        cache_loglik(cache, grid)  # builds the monomial tables outside the measurement
+        tracemalloc.start()
+        try:
+            cache_loglik(cache, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (2000 * 256 * 8)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [lambda n: (-5, 10), lambda n: (n + 5, n + 10), lambda n: (0, n + 100), lambda n: (10, 5)],
+        ids=["negative-start", "past-end", "stop-past-end", "reversed"],
+    )
+    def test_range_outside_stream_raises(self, lattice_caches, bounds):
+        cache = lattice_caches[0]
+        n = cache.num_increments
+        start, stop = bounds(n)
+        weights = np.array([[0.4, 0.3, 0.3], [0.2, 0.2, 0.6]])
+        for call in (cache_loglik, cache_logratios):
+            with pytest.raises(gf.FitError, match=rf"\[{start}, {stop}\).* I = {n}$"):
+                call(cache, weights, start, stop)
+
+    def test_empty_range_scores_nothing(self, lattice_caches):
+        cache = lattice_caches[0]
+        weights = np.array([[0.4, 0.3, 0.3], [0.2, 0.2, 0.6]])
+        assert cache_loglik(cache, weights, 5, 5).tolist() == [0.0, 0.0]
+        assert cache_logratios(cache, weights, 5, 5).shape == (0, 2)
+        n = cache.num_increments
+        assert cache_loglik(cache, weights[0], n, n) == 0.0
 
 
 def mixed_stream(rng, increments=14):
