@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     FitError,
@@ -469,20 +469,116 @@ class WilksReport:
         }
 
 
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_error(k: float) -> float:
+    """log Γ(k+1) − (k+½)·log k + k − log √(2π), the error of Stirling's formula."""
+    if k > 15.0:
+        kk = k * k
+        return (
+            1.0 / 12
+            - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680 - 1.0 / (1188 * kk)) / kk) / kk) / kk
+        ) / k
+    return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
+
+
+def _deviance(k: float, x: float) -> float:
+    """k·log(k/x) + x − k, by a series where the two sides nearly cancel."""
+    if abs(k - x) < 0.1 * (k + x):
+        v = (k - x) / (k + x)
+        total = (k - x) * v
+        term = 2.0 * k * v
+        j = 1
+        while True:
+            term *= v * v
+            nxt = total + term / (2 * j + 1)
+            if nxt == total:
+                return total
+            total = nxt
+            j += 1
+    return k * math.log(k / x) + x - k
+
+
+def _poisson_term(k: float, x: float) -> float:
+    """exp(−x)·x^k / Γ(k+1), in Loader's saddle-point form (no overflow)."""
+    if k == 0.0:
+        return math.exp(-x)
+    return math.exp(-_stirling_error(k) - _deviance(k, x)) / math.sqrt(2.0 * math.pi * k)
+
+
 def chi_square_sf(stat: float, df: int) -> float:
-    """Upper tail of the chi-square distribution (regularized gamma Q)."""
-    return float(special.gammaincc(df / 2.0, stat / 2.0))
+    """Upper tail P(χ²_df > stat) of the chi-square distribution.
+
+    With a = df/2 and x = stat/2 this is the regularized gamma Q(a, x), in
+    closed form for integer df:
+
+    - even df: Q = exp(−x) · Σ_{i<a} x^i / i!
+    - odd df: Q = erfc(√x) + exp(−x) · Σ_{i=1}^{a−½} x^(i−½) / Γ(i+½)
+
+    Each term exp(−x)·x^k/Γ(k+1) is formed from its logarithm in Loader's
+    saddle-point form (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000), and terms are summed outward from the largest one,
+    so no (stat, df) pair overflows or returns NaN.  Summing x^k/Γ(k+1) as
+    exp(k·log x − lgamma(k+1) − x) instead loses about 1e-12 relative near
+    df = 1,000, where those three parts each reach thousands.  Below the mode (x < a) the
+    function returns 1 − P, where P = Σ_{k=a,a+1,...} exp(−x)·x^k/Γ(k+1) is
+    the lower tail; there Q > 0.3, so no precision is lost.  The cost is
+    O(√df) terms in the bulk and at most O(df).
+
+    ``stat <= 0`` returns 1.0 and ``stat = inf`` returns 0.0.  A NaN
+    ``stat``, or a ``df`` that is not an integer >= 1, raises ``FitError``.
+    """
+    if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 1:
+        raise FitError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    if math.isnan(stat):
+        raise FitError("chi-square statistic is NaN")
+    if stat <= 0.0:
+        return 1.0
+    if math.isinf(stat):
+        return 0.0
+    a = df / 2.0
+    x = stat / 2.0
+    if x < a:
+        term = lower = _poisson_term(a, x)
+        k = a
+        while True:
+            k += 1.0
+            term *= x / k
+            if lower + term == lower:
+                return 1.0 - lower
+            lower += term
+    tail = math.erfc(math.sqrt(x)) if df % 2 else 0.0
+    k = a - 1.0
+    if k < 0.0:
+        return tail
+    term = upper = _poisson_term(k, x)
+    while k >= 1.0:
+        term *= k / x
+        if upper + term == upper:
+            break
+        upper += term
+        k -= 1.0
+    return tail + upper
 
 
 def wilks_test(loglik_null: float, loglik_alt: float, df: int) -> WilksReport:
     """Two-times-log-likelihood-ratio test against chi-square with df dof.
 
     The alternative must nest the null; a lower alternative likelihood
-    (beyond rounding) violates nesting and raises.
+    (beyond rounding) violates nesting and raises.  A NaN log-likelihood, or
+    two infinite ones of the same sign, leaves no statistic and raises
+    ``FitError``; a −inf null against a finite alternative gives statistic
+    inf and p-value 0.
     """
     if df < 1:
         raise FitError(f"degrees of freedom must be positive, got {df}")
     stat = 2.0 * (loglik_alt - loglik_null)
+    if math.isnan(stat):
+        raise FitError(
+            f"log-likelihoods null {loglik_null} and alternative {loglik_alt} "
+            "give no likelihood-ratio statistic"
+        )
     if stat < -1e-6:
         raise NestingViolationError(
             f"alternative logL {loglik_alt} below null {loglik_null}; models not nested"

@@ -14,10 +14,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import CheckpointError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends
@@ -165,19 +165,88 @@ class AggregateCell:
     runs: int
 
 
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with df degrees of freedom and t >= 0.
+
+    Abramowitz & Stegun 26.7.3-4, with θ = atan(t/√df) and c = cos²θ:
+
+    - odd df: (2/π)·(θ + sinθ·cosθ·Σ_{j<(df−1)/2} b_j·c^j),
+      b_0 = 1, b_j = b_{j−1}·2j/(2j+1); for df = 1 this is (2/π)·θ;
+    - even df: sinθ·Σ_{j<df/2} a_j·c^j, a_0 = 1, a_j = a_{j−1}·(2j−1)/(2j).
+    """
+    cos2 = df / (df + t * t)
+    sin = t / math.sqrt(df + t * t)
+    total = term = 1.0
+    if df % 2 == 0:
+        for j in range(1, df // 2):
+            term *= cos2 * (2 * j - 1) / (2 * j)
+            total += term
+        return sin * total
+    for j in range(1, (df - 1) // 2):
+        term *= cos2 * (2 * j) / (2 * j + 1)
+        total += term
+    theta = math.atan(t / math.sqrt(df))
+    if df == 1:
+        return 2.0 / math.pi * theta
+    return 2.0 / math.pi * (theta + sin * math.sqrt(cos2) * total)
+
+
+@lru_cache(maxsize=None)
+def t_quantile(prob: float, df: int) -> float:
+    """Upper quantile (0.5 < prob < 1) of Student's t with integer df >= 1.
+
+    Bisects the closed-form CDF (``_t_central``, A&S 26.7.3-4) down to two
+    adjacent doubles and returns the upper one.  Each CDF evaluation costs
+    O(df); results are cached per (prob, df).
+    """
+    if not 0.5 < prob < 1.0 or df < 1:
+        raise ValueError(f"need 0.5 < prob < 1 and df >= 1, got prob {prob}, df {df}")
+    target = 2.0 * prob - 1.0
+    lo, hi = 0.0, 1.0
+    while _t_central(hi, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _t_central(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _check_aligned(runs: list[list[StatRow]]) -> None:
+    """Raise unless every run has the checkpoints of the first, in order."""
+    first = [row.increments for row in runs[0]]
+    for r, series in enumerate(runs[1:], start=1):
+        for i, (row, increments) in enumerate(zip(series, first)):
+            if row.increments != increments:
+                raise CheckpointError(
+                    f"run {r} is at {row.increments} increments at position {i}, "
+                    f"run 0 at {increments}; runs must share their checkpoints"
+                )
+        if len(series) != len(first):
+            raise CheckpointError(
+                f"run {r} has {len(series)} checkpoints and run 0 has {len(first)}; "
+                f"they differ from position {min(len(series), len(first))} on"
+            )
+
+
 def aggregate_series(
     runs: list[list[StatRow]], fields: tuple[str, ...] = ("clustering", "assortativity")
 ) -> list[dict[str, AggregateCell]]:
     """Combine per-run series checkpoint by checkpoint (t-based 95% CI).
 
-    Undefined values are dropped per cell; a cell with no defined values
-    aggregates to an undefined mean.
+    Every run must have the same checkpoints (``increments``) in the same
+    order; otherwise ``CheckpointError`` names the first position where they
+    differ.  Undefined values are dropped per cell; a cell with no defined
+    values aggregates to an undefined mean.
     """
     if not runs:
         return []
-    length = min(len(series) for series in runs)
+    _check_aligned(runs)
     out: list[dict[str, AggregateCell]] = []
-    for i in range(length):
+    for i in range(len(runs[0])):
         cell: dict[str, AggregateCell] = {}
         for name in fields:
             values = [
@@ -194,7 +263,7 @@ def aggregate_series(
                 cell[name] = AggregateCell(mean, None, len(arr))
                 continue
             sem = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-            tcrit = float(sps.t.ppf(0.975, len(arr) - 1))
+            tcrit = t_quantile(0.975, len(arr) - 1)
             cell[name] = AggregateCell(mean, tcrit * sem, len(arr))
         out.append(cell)
     return out

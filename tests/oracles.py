@@ -463,7 +463,7 @@ def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
 
 
 # ---------------------------------------------------------------------------
-# chi-square tail oracle
+# chi-square tail and Student-t quantile oracles
 # ---------------------------------------------------------------------------
 
 
@@ -478,6 +478,35 @@ def oracle_chi2_sf(stat, df):
 
     value, _err = integrate.quad(pdf, stat, math.inf, limit=200)
     return value
+
+
+def oracle_t_quantile(prob, df):
+    """Student-t quantile for prob > 0.5: bisection on a quadrature tail.
+
+    The tail is integrated from the unnormalised density and divided by its
+    half-line integral, so no gamma-function constant enters.  Bisection
+    runs down to two adjacent doubles and returns the upper one.
+    """
+
+    def density(s):
+        return math.exp(-(df + 1) / 2.0 * math.log1p(s * s / df))
+
+    def upper(t):
+        value, _err = integrate.quad(density, t, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        return value
+
+    target = 2.0 * (1.0 - prob) * upper(0.0)
+    lo, hi = 0.0, 1.0
+    while upper(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if upper(mid) > target:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Tests for grid fitting, interval partitions, changepoints, and model tests."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy import special
 
 import growthfit as gf
 from growthfit.estimation import (
@@ -308,6 +312,47 @@ class TestWilks:
             df = int(rng.integers(1, 31))
             stat = float(rng.uniform(0.0, 100.0))
             assert abs(gf.chi_square_sf(stat, df) - oracle_chi2_sf(stat, df)) < 1e-6
+
+    def test_sf_matches_scipy_gammaincc_on_a_wide_grid(self):
+        """df 1..1000, stat from 0 to 1e5: finite everywhere, within 1e-14
+        absolute, and within 1e-12 relative wherever the tail is >= 1e-300."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for df in range(1, 1001):
+                fixed = [0.0, 1e-8, 0.5, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5]
+                near = [df * f for f in (0.01, 0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0)]
+                for stat in fixed + near:
+                    got = gf.chi_square_sf(stat, df)
+                    want = float(special.gammaincc(df / 2.0, stat / 2.0))
+                    assert math.isfinite(got), (stat, df)
+                    assert abs(got - want) <= 1e-14, (stat, df, got, want)
+                    if want >= 1e-300:
+                        assert abs(got - want) <= 1e-12 * want, (stat, df, got, want)
+
+    def test_sf_input_contract(self):
+        assert gf.chi_square_sf(0.0, 3) == 1.0
+        assert gf.chi_square_sf(-2.5, 3) == 1.0
+        assert gf.chi_square_sf(math.inf, 3) == 0.0
+        assert gf.chi_square_sf(1e5, 1000) == 0.0
+        assert gf.chi_square_sf(3.0, np.int64(2)) == gf.chi_square_sf(3.0, 2)
+        with pytest.raises(gf.FitError, match="NaN"):
+            gf.chi_square_sf(math.nan, 2)
+        for df in (0, -1, 2.0, True):
+            with pytest.raises(gf.FitError, match="degrees of freedom"):
+                gf.chi_square_sf(1.0, df)
+
+    @pytest.mark.parametrize(
+        "null, alt",
+        [(math.nan, -1.0), (-1.0, math.nan), (-math.inf, -math.inf), (math.inf, math.inf)],
+    )
+    def test_undefined_statistic_raises_naming_both_values(self, null, alt):
+        with pytest.raises(gf.FitError, match=f"null {null} and alternative {alt}"):
+            gf.wilks_test(null, alt, 2)
+
+    def test_impossible_null_against_possible_alternative(self):
+        report = gf.wilks_test(-math.inf, -3.0, 2)
+        assert report.statistic == math.inf
+        assert report.p_value == 0.0
 
     def test_compare_interval_fits_degrees_of_freedom(self):
         stream = gf.grow(

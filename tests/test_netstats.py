@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 import growthfit as gf
 from growthfit.netstats import (
@@ -12,9 +13,15 @@ from growthfit.netstats import (
     default_checkpoints,
     graph_stats,
     stats_series,
+    t_quantile,
     write_stats_csv,
 )
-from oracles import oracle_assortativity, oracle_clustering, oracle_triangle_count
+from oracles import (
+    oracle_assortativity,
+    oracle_clustering,
+    oracle_t_quantile,
+    oracle_triangle_count,
+)
 
 
 def random_graph(rng, n):
@@ -177,3 +184,41 @@ class TestCsvAndAggregation:
         assert abs(cell.mean - np.mean(values)) < 1e-12
         assert cell.runs == 5
         assert cell.half_width > 0.0
+        sem = np.std(values, ddof=1) / np.sqrt(5)
+        assert cell.half_width == pytest.approx(oracle_t_quantile(0.975, 4) * sem, rel=1e-13)
+
+    def test_aggregate_rejects_runs_at_different_checkpoints(self):
+        """BA runs of 40 and 100 increments have default checkpoints at
+        4, 8, ... and at 10, 20, ...; their rows must not be paired."""
+        short = stats_series(gf.grow(gf.GrowthRecipe.constant("BA", increments=40), seed=0))
+        long = stats_series(gf.grow(gf.GrowthRecipe.constant("BA", increments=100), seed=0))
+        with pytest.raises(gf.CheckpointError, match="run 1 is at 10 increments at position 0"):
+            aggregate_series([short, long])
+
+    def test_aggregate_rejects_runs_of_different_lengths(self):
+        recipe = gf.GrowthRecipe.constant("BA", increments=40, new_targets=2)
+        full = stats_series(gf.grow(recipe, seed=0), checkpoints=[10, 20, 40])
+        part = stats_series(gf.grow(recipe, seed=1), checkpoints=[10, 20])
+        with pytest.raises(gf.CheckpointError, match="differ from position 2"):
+            aggregate_series([full, part])
+        with pytest.raises(gf.CheckpointError, match="differ from position 2"):
+            aggregate_series([part, full])
+
+
+class TestTQuantile:
+    def test_matches_quadrature_oracle(self):
+        for df in list(range(1, 31)) + list(range(40, 1001, 40)) + [999]:
+            assert t_quantile(0.975, df) == pytest.approx(
+                oracle_t_quantile(0.975, df), rel=1e-13
+            ), df
+
+    def test_matches_scipy_ppf(self):
+        for df in range(1, 1001):
+            assert t_quantile(0.975, df) == pytest.approx(
+                float(sps.t.ppf(0.975, df)), rel=1e-13
+            ), df
+
+    @pytest.mark.parametrize("prob, df", [(0.5, 3), (0.025, 3), (1.0, 3), (0.975, 0)])
+    def test_rejects_arguments_outside_its_domain(self, prob, df):
+        with pytest.raises(ValueError):
+            t_quantile(prob, df)
