@@ -18,13 +18,15 @@ draws use per-component strategies:
   the anchor's neighborhood volume), and fall back to uniform when the
   anchor closes no wedge, mirroring the scorer's uniform fallback.
 
-The mixture sampler logs each increment after the graph applies it, and a
-component's sampler reads the increments it has not seen right before its
-next draw: the endpoint list and the neighbour blocks append the new edges,
-and the weight tree grows to the new node count and updates the weights of
-the centers and the targets, the only nodes that are new or changed degree.
-A component that the current interval does not draw from pays nothing per
-increment.
+A run keeps one graph state, the degrees and those blocks, and writes each
+edge end into it once.  ``grow`` does not validate the increments it builds
+again; input from outside is validated where it enters (ingest, the replay,
+``GrowthStream.final_graph``).  A component's sampler reads the increments
+it has not seen right before its next draw: the endpoint list appends the
+new edges, and the weight tree grows to the new node count and updates the
+weights of the centers and the targets, the only nodes that are new or
+changed degree.  A component that the current interval does not draw from
+pays nothing per increment.
 
 All randomness flows through one ``numpy.random.Generator`` (PCG64) created
 from the caller's seed, so runs are reproducible bit for bit.
@@ -41,7 +43,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import GrowthStallError, ModelError, UnknownNodeError
-from .graph import DynamicGraph, GrowthStream, Increment, apply_increment, clique_graph
+from .graph import DynamicGraph, GrowthStream, Increment
 from .models import (
     BoundaryMode,
     Component,
@@ -91,23 +93,94 @@ class _Excluded(set):
         return self._sorted_base
 
 
-class _NodeSampler:
-    """Draws nodes for one component kind over a (possibly growing) graph.
+class _GraphState:
+    """The one graph a growth run updates: degrees and pooled neighbour blocks.
 
-    The base class draws uniformly, which is the random component's sampler.
+    Each node's neighbours fill an append-only block of one int64 pool that
+    begins at ``start``; a full block moves to the pool's end with twice the
+    room.  ``size`` mirrors the degrees as an array for the wedge gathers.
+    ``increments`` logs the applied increments: it is the grown stream's
+    list and the samplers' catch-up log.
     """
 
-    def __init__(self, graph: DynamicGraph, rng: np.random.Generator):
-        self.graph = graph
+    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]):
+        self.seed_edges = list(edges)
+        self.increments: list[Increment] = []
+        self.degrees: list[int] = []
+        self.room: list[int] = []
+        self.pool = np.empty(64, dtype=np.int64)
+        self.used = 0
+        self.start = np.zeros(16, dtype=np.int64)
+        self.size = np.zeros(16, dtype=np.int64)
+        self._add_nodes(num_nodes)
+        for u, v in self.seed_edges:
+            self._extend(u, (v,))
+            self._extend(v, (u,))
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.degrees)
+
+    def neighbors(self, v: int) -> list[int]:
+        lo = self.start[v]
+        return self.pool[lo : lo + self.degrees[v]].tolist()
+
+    def apply(self, inc: Increment) -> None:
+        """Write each edge end of ``inc``, unchecked, into its node's block and log ``inc``."""
+        center, targets = inc.center, inc.targets
+        self._add_nodes(len(self.degrees) + inc.center_is_new + sum(inc.targets_new))
+        self._extend(center, targets)
+        for t in targets:
+            self._extend(t, (center,))
+        self.increments.append(inc)
+
+    def _add_nodes(self, n: int) -> None:
+        if n > len(self.size):
+            spare = np.zeros(n, dtype=np.int64)
+            self.start = np.concatenate((self.start, spare))
+            self.size = np.concatenate((self.size, spare))
+        for column in (self.degrees, self.room):
+            column.extend([0] * (n - len(column)))
+
+    def _extend(self, v: int, new: tuple[int, ...]) -> None:
+        k, m = self.degrees[v], len(new)
+        if k + m > self.room[v]:
+            room = max(2 * (k + m), 4)
+            if self.used + room > len(self.pool):
+                grown = np.empty(2 * (self.used + room), dtype=np.int64)
+                grown[: self.used] = self.pool[: self.used]
+                self.pool = grown
+            lo = self.start[v]
+            self.pool[self.used : self.used + k] = self.pool[lo : lo + k]
+            self.start[v] = self.used
+            self.room[v] = room
+            self.used += room
+        lo = self.start[v] + k
+        if m == 1:
+            self.pool[lo] = new[0]
+        else:
+            self.pool[lo : lo + m] = new
+        self.degrees[v] = self.size[v] = k + m
+
+
+class _NodeSampler:
+    """Draws nodes for one component kind over a growing ``_GraphState``.
+
+    The base class draws uniformly, which is the random component's sampler.
+    A sampler is built before the state's first ``apply``.
+    """
+
+    def __init__(self, state: _GraphState, rng: np.random.Generator):
+        self.state = state
         self.rng = rng
-        # How many of the mixture sampler's logged increments this one has read.
+        # How many of the state's logged increments this one has read.
         self.seen = 0
 
     def catch_up(self, applied: list[Increment]) -> None:
-        """Read ``applied``, the increments the graph applied since the last catch-up."""
+        """Read ``applied``, the increments the state applied since the last catch-up."""
 
     def _uniform(self, excluded: set[int]) -> int:
-        n = self.graph.num_nodes
+        n = self.state.num_nodes
         if n - len(excluded) <= 0:
             raise GrowthStallError("no eligible node to draw")
         for _ in range(REJECT_CAP):
@@ -124,9 +197,9 @@ class _NodeSampler:
 class _EndpointListSampler(_NodeSampler):
     """Linear preferential attachment via the edge-endpoint multiset."""
 
-    def __init__(self, graph, rng):
-        super().__init__(graph, rng)
-        self.endpoints = [x for edge in graph.edges() for x in edge]
+    def __init__(self, state, rng):
+        super().__init__(state, rng)
+        self.endpoints = [x for edge in state.seed_edges for x in edge]
 
     def catch_up(self, applied):
         for inc in applied:
@@ -140,7 +213,7 @@ class _EndpointListSampler(_NodeSampler):
             x = self.endpoints[int(self.rng.integers(len(self.endpoints)))]
             if x not in excluded:
                 return x
-        return self._weighted(np.asarray(self.graph.degrees, dtype=np.float64), excluded)
+        return self._weighted(np.asarray(self.state.degrees, dtype=np.float64), excluded)
 
     def _weighted(self, weights: np.ndarray, excluded: set[int]) -> int:
         """Inverse-CDF draw with excluded entries zeroed; uniform if their total is 0."""
@@ -168,15 +241,15 @@ class _VectorSampler(_NodeSampler):
     weights; nothing is zeroed and restored.
     """
 
-    def __init__(self, graph, rng, weight: Callable[[int], float]):
-        super().__init__(graph, rng)
+    def __init__(self, state, rng, weight: Callable[[int], float]):
+        super().__init__(state, rng)
         self.weight = weight
         self.capacity = 16
-        while self.capacity < graph.num_nodes:
+        while self.capacity < state.num_nodes:
             self.capacity *= 2
         # Weights of the graph's nodes first; the rest is spare capacity.
         self.weights = np.zeros(self.capacity)
-        self.weights[: graph.num_nodes] = [weight(v) for v in range(graph.num_nodes)]
+        self.weights[: state.num_nodes] = [weight(v) for v in range(state.num_nodes)]
         # An exact count, so the uniform fallback never rests on a rounded total.
         self.positive = int(np.count_nonzero(self.weights))
         self._build()
@@ -197,7 +270,7 @@ class _VectorSampler(_NodeSampler):
 
     def catch_up(self, applied):
         cap = self.capacity
-        while self.capacity < self.graph.num_nodes:
+        while self.capacity < self.state.num_nodes:
             self.capacity *= 2
         if self.capacity > cap:
             self.weights = np.concatenate((self.weights, np.zeros(self.capacity - cap)))
@@ -256,7 +329,7 @@ class _VectorSampler(_NodeSampler):
             pos = self._descend(rest, chosen)
         else:
             pos = self._descend_two(rest, base, chosen)
-        n, weights = self.graph.num_nodes, self.weights
+        n, weights = self.state.num_nodes, self.weights
         if pos < n and weights[pos] > 0.0 and pos not in excluded:
             return pos
         # Rounding left a sliver of mass where the exact sum has none: take
@@ -312,69 +385,16 @@ class _VectorSampler(_NodeSampler):
 class _WedgeSampler(_NodeSampler):
     """Triangle closure: weight = common-neighbor count with the anchor.
 
-    Each node's neighbours fill an append-only block of one int64 pool; a
-    full block moves to the pool's end with twice the room.  A draw gathers
-    the anchor's 2-hop endpoints with one index over its neighbours'
-    blocks, so its Python cost does not grow with the degrees.
+    A draw gathers the anchor's 2-hop endpoints with one index over its
+    neighbours' blocks in the graph state, so its Python cost does not grow
+    with the degrees.
     """
-
-    def __init__(self, graph, rng):
-        super().__init__(graph, rng)
-        self.pool = np.empty(64, dtype=np.int64)
-        self.used = 0
-        # Block start, filled size and room per node, kept in lists; the
-        # arrays mirror starts and sizes for the draws' gathers.
-        self.starts: list[int] = []
-        self.sizes: list[int] = []
-        self.room: list[int] = []
-        self.start = np.zeros(16, dtype=np.int64)
-        self.size = np.zeros(16, dtype=np.int64)
-        self._add_nodes()
-        for v, nbrs in enumerate(graph.adj):
-            self._extend(v, tuple(nbrs))
-
-    def _add_nodes(self) -> None:
-        n = self.graph.num_nodes
-        if n > len(self.size):
-            spare = np.zeros(n, dtype=np.int64)
-            self.start = np.concatenate((self.start, spare))
-            self.size = np.concatenate((self.size, spare))
-        for column in (self.starts, self.sizes, self.room):
-            column.extend([0] * (n - len(column)))
-
-    def _extend(self, v: int, new: tuple[int, ...]) -> None:
-        k, m = self.sizes[v], len(new)
-        if k + m > self.room[v]:
-            room = max(2 * (k + m), 4)
-            if self.used + room > len(self.pool):
-                grown = np.empty(2 * (self.used + room), dtype=np.int64)
-                grown[: self.used] = self.pool[: self.used]
-                self.pool = grown
-            lo = self.starts[v]
-            self.pool[self.used : self.used + k] = self.pool[lo : lo + k]
-            self.starts[v] = self.start[v] = self.used
-            self.room[v] = room
-            self.used += room
-        lo = self.starts[v] + k
-        if m == 1:
-            self.pool[lo] = new[0]
-        else:
-            self.pool[lo : lo + m] = new
-        self.sizes[v] = self.size[v] = k + m
-
-    def catch_up(self, applied):
-        self._add_nodes()
-        for inc in applied:
-            center, targets = inc.center, inc.targets
-            self._extend(center, targets)
-            for t in targets:
-                self._extend(t, (center,))
 
     def sample(self, excluded, anchor, center_role):
         if center_role or anchor is None:
             # Uniform center pick / anchorless first leaf.
             return self._uniform(excluded)
-        pool, start, size = self.pool, self.start, self.size
+        pool, start, size = self.state.pool, self.state.start, self.state.size
         lo = start[anchor]
         nbrs = pool[lo : lo + size[anchor]]
         if len(nbrs) == 0:
@@ -401,50 +421,45 @@ class _WedgeSampler(_NodeSampler):
         return int(ends[k])
 
 
-def _make_sampler(comp: Component, graph: DynamicGraph, rng) -> _NodeSampler:
+def _make_sampler(comp: Component, state: _GraphState, rng) -> _NodeSampler:
     if isinstance(comp, Random):
-        return _NodeSampler(graph, rng)
+        return _NodeSampler(state, rng)
     if isinstance(comp, DegreePower):
         if comp.alpha == 1.0:
-            return _EndpointListSampler(graph, rng)
+            return _EndpointListSampler(state, rng)
         return _VectorSampler(
-            graph, rng, lambda v: degree_power_weight(graph.degrees[v], comp.alpha)
+            state, rng, lambda v: degree_power_weight(state.degrees[v], comp.alpha)
         )
     if isinstance(comp, RankPreference):
-        return _VectorSampler(graph, rng, lambda v: float(v + 1) ** -comp.alpha)
+        return _VectorSampler(state, rng, lambda v: float(v + 1) ** -comp.alpha)
     if isinstance(comp, TriangleClosure):
-        return _WedgeSampler(graph, rng)
+        return _WedgeSampler(state, rng)
     raise ModelError(f"no sampler for {comp!r}")
 
 
 class MixtureSampler:
-    """Component-first node draws for a whole schedule over a growing graph.
+    """Component-first node draws for a whole schedule over a growing graph state.
 
-    Applied increments are logged once.  A component's sampler reads the
-    ones it has not seen right before its next draw, so a component that
-    the current interval does not draw from costs nothing per increment.
+    A component's sampler reads the state's logged increments that it has
+    not seen right before its next draw, so a component that the current
+    interval does not draw from costs nothing per increment.
     """
 
-    def __init__(self, graph: DynamicGraph, schedule: ModelSchedule, rng: np.random.Generator):
-        self.graph = graph
-        self.schedule = schedule
+    def __init__(self, state: _GraphState, schedule: ModelSchedule, rng: np.random.Generator):
+        self.state = state
         self.rng = rng
         unique = dict.fromkeys(c for interval in schedule.intervals for c in interval.components)
-        self._samplers = {comp: _make_sampler(comp, graph, rng) for comp in unique}
-        self._applied: list[Increment] = []
-
-    def on_applied(self, inc: Increment) -> None:
-        """Log ``inc``, just applied to the graph, for the samplers' next catch-up."""
-        self._applied.append(inc)
+        self._samplers = {comp: _make_sampler(comp, state, rng) for comp in unique}
 
     def catch_up(self) -> None:
-        """Bring every component's sampler up to the graph, as a draw does for its own."""
+        """Bring every component's sampler up to the state, as a draw does for its own."""
         for sampler in self._samplers.values():
             self._catch_up(sampler)
 
     def _catch_up(self, sampler: _NodeSampler) -> None:
-        sampler.catch_up(self._applied[sampler.seen :])
-        sampler.seen = len(self._applied)
+        applied = self.state.increments
+        sampler.catch_up(applied[sampler.seen :])
+        sampler.seen = len(applied)
 
     def draw(
         self,
@@ -463,7 +478,7 @@ class MixtureSampler:
                 comp = c
                 break
         sampler = self._samplers[comp]
-        if sampler.seen < len(self._applied):
+        if sampler.seen < len(self.state.increments):
             self._catch_up(sampler)
         return sampler.sample(excluded, anchor, center_role)
 
@@ -488,12 +503,22 @@ class GrowthRecipe:
     seed_clique: int = 0  # 0 means new_targets + 1
     boundary_mode: str = "index"
 
+    def __post_init__(self):
+        modes = [m.value for m in BoundaryMode]
+        if self.boundary_mode not in modes:
+            raise ModelError(f"boundary_mode must be one of {modes}, got {self.boundary_mode!r}")
+        for name in ("increments", "new_targets", "internal_targets", "seed_clique"):
+            if getattr(self, name) < 0:
+                raise ModelError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.internal_prob <= 1.0:
+            raise ModelError(f"internal_prob must be in [0, 1], got {self.internal_prob}")
+
     def schedule(self) -> ModelSchedule:
         mixtures = tuple(parse_model_spec(spec) for spec, _ in self.intervals)
         bounds = [b for _, b in self.intervals]
         if bounds[-1] is not None or any(b is None for b in bounds[:-1]):
             raise ModelError("every interval except the last needs an upper boundary")
-        mode = BoundaryMode.INDEX if self.boundary_mode == "index" else BoundaryMode.TIMESTAMP
+        mode = BoundaryMode(self.boundary_mode)
         return ModelSchedule(mixtures, tuple(float(b) for b in bounds[:-1]), mode)
 
     def seed_size(self) -> int:
@@ -554,12 +579,6 @@ def _draw_targets(
     return chosen
 
 
-def _internal_star_feasible(graph: DynamicGraph, n_existing: int) -> bool:
-    """True if at least one node has ``n_existing`` non-neighbors to link."""
-    n = graph.num_nodes
-    return any(n - 1 - k >= n_existing for k in graph.degrees)
-
-
 def grow(
     recipe: GrowthRecipe,
     seed: int = 0,
@@ -576,10 +595,9 @@ def grow(
     """
     rng = np.random.default_rng(seed)
     schedule = recipe.schedule()
-    graph = clique_graph(recipe.seed_size())
-    seed_edges = list(graph.edges())
-    sampler = MixtureSampler(graph, schedule, rng)
-    increments: list[Increment] = []
+    clique = recipe.seed_size()
+    state = _GraphState(clique, [(i, j) for i in range(clique) for j in range(i + 1, clique)])
+    sampler = MixtureSampler(state, schedule, rng)
 
     if op_schedule is not None:
         shapes = [
@@ -591,12 +609,13 @@ def grow(
 
     count = recipe.increments if shapes is None else len(shapes)
     for index in range(count):
+        n = state.num_nodes
         if shapes is None:
             timestamp = index
             internal = (
                 recipe.internal_prob > 0.0 and rng.random() < recipe.internal_prob
             )
-            if internal and not _internal_star_feasible(graph, recipe.internal_targets):
+            if internal and all(n - 1 - k < recipe.internal_targets for k in state.degrees):
                 # No node has enough non-neighbors (e.g. the graph is still
                 # the seed clique), so fall back to an external star rather
                 # than stalling on center redraws that can never succeed.
@@ -607,7 +626,6 @@ def grow(
         else:
             timestamp, center_new, n_new_targets, n_existing = shapes[index]
         interval = schedule.interval_at(timestamp, index)
-        n = graph.num_nodes
 
         if center_new:
             if n_existing > n:
@@ -620,26 +638,23 @@ def grow(
             center = None
             for _ in range(STALL_CAP):
                 cand = sampler.draw(interval, set(), None, center_role=True)
-                if n - 1 - graph.degrees[cand] >= n_existing:
+                if n - 1 - state.degrees[cand] >= n_existing:
                     center = cand
                     break
             if center is None:
                 raise GrowthStallError(
                     f"no center with {n_existing} eligible targets after {STALL_CAP} draws"
                 )
-            base = {center, *graph.neighbors(center)}
+            base = {center, *state.neighbors(center)}
             existing = _draw_targets(sampler, interval, n_existing, base, center)
 
         next_id = n + (1 if center_new else 0)
         new_targets = list(range(next_id, next_id + n_new_targets))
         targets = tuple(existing) + tuple(new_targets)
         targets_new = (False,) * len(existing) + (True,) * len(new_targets)
-        inc = Increment(timestamp, center, center_new, targets, targets_new)
-        apply_increment(graph, inc)
-        sampler.on_applied(inc)
-        increments.append(inc)
+        state.apply(Increment(timestamp, center, center_new, targets, targets_new))
 
-    return GrowthStream(seed_edges=seed_edges, increments=increments, labels=None)
+    return GrowthStream(seed_edges=state.seed_edges, increments=state.increments, labels=None)
 
 
 def sample_choice_frequencies(
@@ -670,7 +685,7 @@ def sample_choice_frequencies(
     interval = model if isinstance(model, MixtureInterval) else MixtureInterval.single(model)
     schedule = ModelSchedule.constant(interval)
     rng = np.random.default_rng(seed)
-    sampler = MixtureSampler(graph, schedule, rng)
+    sampler = MixtureSampler(_GraphState(n, graph.edges()), schedule, rng)
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(draws):
         counts[sampler.draw(interval, excluded, anchor, center_role)] += 1

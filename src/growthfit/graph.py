@@ -90,9 +90,6 @@ class DynamicGraph:
         self.degrees[v] += 1
         self.edge_count += 1
 
-    def degree(self, u: int) -> int:
-        return self.degrees[u]
-
     def neighbors(self, u: int) -> set[int]:
         return self.adj[u]
 
@@ -111,13 +108,6 @@ class DynamicGraph:
             for v in nbrs:
                 if u < v:
                     yield (u, v)
-
-    def copy(self) -> "DynamicGraph":
-        g = DynamicGraph()
-        g.adj = [set(s) for s in self.adj]
-        g.degrees = list(self.degrees)
-        g.edge_count = self.edge_count
-        return g
 
     def check_invariants(self) -> None:
         """Assert handshake symmetry and the degree sum identity (test hook)."""
@@ -177,11 +167,6 @@ def apply_increment(graph: DynamicGraph, inc: Increment) -> DynamicGraph:
     for t in inc.targets:
         graph.add_edge(inc.center, t)
     return graph
-
-
-def snapshot_degrees(graph: DynamicGraph) -> list[int]:
-    """Degree sequence indexed by arrival order (read-only copy)."""
-    return list(graph.degrees)
 
 
 def graph_from_edges(edges, num_nodes: int | None = None) -> DynamicGraph:

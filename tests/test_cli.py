@@ -66,6 +66,15 @@ class TestGenerate:
         first = out.read_text().splitlines()[0]
         assert len(first.split("\t")) == 3
 
+    def test_negative_increments_is_a_model_error(self, tmp_path, capsys):
+        out = tmp_path / "g.stars"
+        code, _, err = run(
+            capsys, "generate", "--model", "BA", "--increments", "-3", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error (ModelError): increments")
+        assert not out.exists()
+
 
 class TestIngest:
     def test_ingest_reports_and_writes(self, tmp_path, capsys):

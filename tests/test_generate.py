@@ -1,5 +1,7 @@
 """Tests for the growth generator and its samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from growthfit.generate import (
     MixtureSampler,
     _EndpointListSampler,
     _Excluded,
+    _GraphState,
     _VectorSampler,
     _WedgeSampler,
     sample_choice_frequencies,
@@ -43,6 +46,24 @@ class TestGrowthRecipe:
     def test_bad_spec_fails_at_construction(self):
         with pytest.raises(gf.ModelSpecError):
             gf.GrowthRecipe.constant("0.5*BA + 0.6*RAND").schedule()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("boundary_mode", "indx"), ("increments", -3), ("new_targets", -1),
+         ("internal_targets", -2), ("seed_clique", -1), ("internal_prob", -0.1),
+         ("internal_prob", 1.5), ("internal_prob", float("nan"))],
+    )
+    def test_bad_field_is_a_model_error_naming_it(self, field, value):
+        with pytest.raises(gf.ModelError, match=field):
+            gf.GrowthRecipe.constant("BA", **{field: value})
+
+    def test_edge_values_are_accepted(self):
+        recipe = gf.GrowthRecipe.constant(
+            "BA", increments=0, new_targets=0, internal_targets=0, internal_prob=1.0,
+            boundary_mode="timestamp",
+        )
+        assert recipe.schedule().boundary_mode is gf.BoundaryMode.TIMESTAMP
+        assert gf.grow(recipe).increments == []
 
 
 class TestGrow:
@@ -264,10 +285,9 @@ class TestVectorDraws:
         weights, updates, excluded, chosen, u = case
         n = len(weights)
         current = list(weights)
-        graph = gf.graph_from_edges([], num_nodes=n)
         eligible = [v for v in range(n) if v not in excluded]
         rng = _FixedUniform(u, fallback=eligible[0])
-        sampler = _VectorSampler(graph, rng, lambda v: current[v])
+        sampler = _VectorSampler(_GraphState(n, []), rng, lambda v: current[v])
         if updates:
             for v, w in updates.items():
                 current[v] = w
@@ -304,14 +324,20 @@ class TestVectorDraws:
 
 
 class TestSamplerState:
-    """Samplers caught up increment by increment hold what a fresh build reads off the graph."""
+    """The graph state that ``grow`` updates, and its samplers, against a reference graph."""
 
     SPEC = "0.2*DP(0.5) + 0.2*DP(0) + 0.2*RP(0.5) + 0.2*BA + 0.2*TRI"
 
-    def assert_same_state(self, grown, fresh, graph):
+    def assert_same_state(self, sampler, schedule, graph):
+        state = sampler.state
         n = graph.num_nodes
+        assert state.degrees == graph.degrees
+        assert state.size[:n].tolist() == state.degrees
+        for v in range(n):
+            assert sorted(state.neighbors(v)) == sorted(graph.adj[v]), v
+        fresh = MixtureSampler(_GraphState(n, graph.edges()), schedule, None)
         endpoints = sorted(x for edge in graph.edges() for x in edge)
-        for comp, a in grown._samplers.items():
+        for comp, a in sampler._samplers.items():
             b = fresh._samplers[comp]
             if isinstance(a, _VectorSampler):
                 assert np.array_equal(a.weights[:n], b.weights[:n]), comp
@@ -319,13 +345,12 @@ class TestSamplerState:
                 # tree prefix sums agree with a sequential cumsum of the weights
                 prefix = [fenwick_prefix(a.tree, i) for i in range(1, a.capacity + 1)]
                 np.testing.assert_allclose(prefix, np.cumsum(a.weights), rtol=1e-12, atol=0)
-            elif isinstance(a, _WedgeSampler):
-                for v in range(n):
-                    block = a.pool[a.start[v] : a.start[v] + a.size[v]].tolist()
-                    assert sorted(block) == sorted(graph.adj[v]), v
-            else:
-                assert isinstance(a, _EndpointListSampler)
+            elif isinstance(a, _EndpointListSampler):
                 assert sorted(a.endpoints) == endpoints
+            else:
+                # the wedge sampler reads the state's blocks and keeps no graph of its own
+                assert isinstance(a, _WedgeSampler)
+                assert vars(a).keys() == {"state", "rng", "seen"}
 
     def test_state_after_each_increment_matches_fresh_build(self):
         # external and internal stars, each with existing and new targets
@@ -336,17 +361,19 @@ class TestSamplerState:
         recipe = gf.GrowthRecipe.constant(self.SPEC, seed_clique=5)
         stream = gf.grow(recipe, seed=6, op_schedule=gf.OperationSchedule(rows))
         assert any(not inc.center_is_new and inc.new_nodes for inc in stream.increments)
-        # no draws are made, so the samplers need no generator
-        schedule = recipe.schedule()
         graph = stream.seed_graph()
-        grown = MixtureSampler(graph, schedule, None)
+        schedule = recipe.schedule()
+        # no draws are made, so the samplers need no generator
+        sampler = MixtureSampler(_GraphState(graph.num_nodes, stream.seed_edges), schedule, None)
+        self.assert_same_state(sampler, schedule, graph)
         capacities = set()
         for inc in stream.increments:
             gf.apply_increment(graph, inc)
-            grown.on_applied(inc)
-            grown.catch_up()
-            capacities.add(grown._samplers[gf.DegreePower(0.5)].capacity)
-            self.assert_same_state(grown, MixtureSampler(graph, schedule, None), graph)
+            sampler.state.apply(inc)
+            sampler.catch_up()
+            capacities.add(sampler._samplers[gf.DegreePower(0.5)].capacity)
+            self.assert_same_state(sampler, schedule, graph)
+        assert sampler.state.increments == stream.increments
         # the replay crosses capacity doublings, where the tree is rebuilt
         assert len(capacities) >= 3
 
@@ -356,26 +383,142 @@ class TestSamplerState:
         stream = gf.grow(gf.GrowthRecipe.constant("BA", increments=40, new_targets=2), seed=4)
         graph = stream.seed_graph()
         schedule = gf.GrowthRecipe.constant("0.5*DP(1.5) + 0.5*RP(0.5)").schedule()
-        sampler = MixtureSampler(graph, schedule, np.random.default_rng(0))
+        state = _GraphState(graph.num_nodes, stream.seed_edges)
+        sampler = MixtureSampler(state, schedule, np.random.default_rng(0))
         only_rp = gf.MixtureInterval.single(gf.RankPreference(0.5))
         for inc in stream.increments:
             gf.apply_increment(graph, inc)
-            sampler.on_applied(inc)
+            state.apply(inc)
             sampler.draw(only_rp, set(), None)
         dp = sampler._samplers[gf.DegreePower(1.5)]
         rp = sampler._samplers[gf.RankPreference(0.5)]
         assert np.count_nonzero(dp.weights) == 3
         assert np.count_nonzero(rp.weights) == graph.num_nodes
         sampler.catch_up()
-        fresh = MixtureSampler(graph, schedule, None)
-        self.assert_same_state(sampler, fresh, graph)
+        self.assert_same_state(sampler, schedule, graph)
 
     def test_degree_zero_weights(self):
         # node 2 is isolated: weight 1 under DP(0), 0 under DP(0.5)
-        graph = gf.graph_from_edges([(0, 1)], num_nodes=3)
-        sampler = MixtureSampler(graph, gf.GrowthRecipe.constant(self.SPEC).schedule(), None)
+        schedule = gf.GrowthRecipe.constant(self.SPEC).schedule()
+        sampler = MixtureSampler(_GraphState(3, [(0, 1)]), schedule, None)
         weights = {c: s.weights[:3].tolist() for c, s in sampler._samplers.items()
                    if isinstance(s, _VectorSampler)}
         assert weights[gf.DegreePower(0.0)] == [1.0, 1.0, 1.0]
         assert weights[gf.DegreePower(0.5)] == [1.0, 1.0, 0.0]
         assert weights[gf.RankPreference(0.5)] == [1.0, 2.0**-0.5, 3.0**-0.5]
+
+
+def stream_sha256(stream):
+    """SHA-256 over each increment's (timestamp, center, targets, targets_new) tuple."""
+    digest = hashlib.sha256()
+    for inc in stream.increments:
+        digest.update(repr((inc.timestamp, inc.center, inc.targets, inc.targets_new)).encode())
+    return digest.hexdigest()
+
+
+def golden_replay_rows(n):
+    """External and internal stars, with existing and new targets in turn."""
+    return [
+        gf.OperationRow(t, t % 3 != 2, t % 2 + (t % 3 == 2), 1 + t % 3 if t % 3 != 2 else 2)
+        for t in range(n)
+    ]
+
+
+GOLDEN_GROWTH = {
+    "dp-rp-tri-switch": (
+        gf.GrowthRecipe.two_phase(
+            "0.4*DP(0.5) + 0.3*RP(0.5) + 0.3*TRI", "0.4*DP(1.5) + 0.3*RP(0.5) + 0.3*TRI",
+            299.0, increments=600, internal_prob=0.2,
+        ),
+        1,
+        None,
+        "4e39a93aca68d15c40c9a5ec158e7b6c989ca77b14d6de42c23b233b9db427b9",
+    ),
+    "ba-tri-rand-internal": (
+        gf.GrowthRecipe.constant(
+            "0.4*BA + 0.3*TRI + 0.3*RAND", increments=600, new_targets=3,
+            internal_prob=0.3, internal_targets=2,
+        ),
+        2,
+        None,
+        "912189e9706dfd7fb1a5099bb6d27e9917ac8e504cc237a9a6ae1b0b7fed64df",
+    ),
+    "dp-rp-internal-heavy": (
+        gf.GrowthRecipe.constant(
+            "0.5*DP(-0.5) + 0.5*RP(1.0)", increments=400, new_targets=2,
+            internal_prob=0.5, internal_targets=3, seed_clique=6,
+        ),
+        3,
+        None,
+        "7adfd24cfbd4d158c97a7ee7d6b1d36582f08228d9be6670667808660b9abb9e",
+    ),
+    "rand-to-dp-switch": (
+        gf.GrowthRecipe.two_phase("RAND", "DP(2.0)", 199.0, increments=400, new_targets=2),
+        4,
+        None,
+        "3fb9133ed4aee452d4c5939e567281c831e1aa682c424d091bda4454883cf902",
+    ),
+    "op-schedule-new-targets": (
+        gf.GrowthRecipe.constant(
+            "0.2*DP(0.5) + 0.2*DP(0) + 0.2*RP(0.5) + 0.2*BA + 0.2*TRI", seed_clique=5
+        ),
+        6,
+        300,
+        "3c28956261c5a1837e74d781a6a84c42cf24d27cbbc7e8a63c5678d5c3f9e18e",
+    ),
+}
+
+GOLDEN_FREQUENCIES = {
+    "RAND": (gf.Random(), None),
+    "BA": (gf.DegreePower(1.0), None),
+    "DP(1.5)": (gf.DegreePower(1.5), None),
+    "RP(0.5)": (gf.RankPreference(0.5), None),
+    "TRI": (gf.TriangleClosure(), 0),
+}
+
+GOLDEN_FREQUENCY_DIGESTS = {
+    ("BA", "every-third"): "0affcf02807082e22316dee9c68baa22bd2479f2d9421d4bf6c87b8698a6fe5d",
+    ("BA", "all-but-ten"): "23c955325e37d28ca4f529416d9d6c5f3eb89bc20b5e9aafe3743388cdd93a75",
+    ("DP(1.5)", "every-third"): "309878b2b2da311d1f898986fa9ff1a45fee775921bf986ed25a46423c34646a",
+    ("DP(1.5)", "all-but-ten"): "541a47f61d621a7cb11b2c38b66271b452694aeca04278dbc6b6c468adacab4d",
+    ("RAND", "every-third"): "9d41033349c500c74a3395786254aa5f3bf49d01dc705138d5505ead832f8368",
+    ("RAND", "all-but-ten"): "07488af2a44209af640e2446536376f23361b22207b6e49ac0cd2d79134904e6",
+    ("RP(0.5)", "every-third"): "dac590edde3126e42164c6927f2abb64b86e20c3d1125c90c18d11c484298e76",
+    ("RP(0.5)", "all-but-ten"): "1474c93d6a5fe2781dae8c65e478bbf8350b5a8aea5ab1e729958a05fcdc67c3",
+    ("TRI", "every-third"): "9f23c231ba35bf4ac67a67dafb19c74afa083475aa8f4aa8999c37c6f0dfa61d",
+    ("TRI", "all-but-ten"): "bd3fbf99e4f14d6de8c40315ebbb6d491310fb8111d47cd2e595095ec3cbb889",
+}
+
+
+class TestGoldenStreams:
+    """Seed determinism: fixed seeds give these streams and draw counts bit for bit.
+
+    The digests were recorded before the generator kept one graph state;
+    any change to them is a change to every seeded result downstream.
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GROWTH))
+    def test_grow_stream_digest(self, name):
+        recipe, seed, rows, expected = GOLDEN_GROWTH[name]
+        ops = None if rows is None else gf.OperationSchedule(golden_replay_rows(rows))
+        stream = gf.grow(recipe, seed=seed, op_schedule=ops)
+        assert stream_sha256(stream) == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FREQUENCIES))
+    @pytest.mark.parametrize("exclusion", ["every-third", "all-but-ten"])
+    def test_choice_frequency_digest(self, name, exclusion):
+        model, anchor = GOLDEN_FREQUENCIES[name]
+        graph = gf.grow(GOLDEN_GROWTH["ba-tri-rand-internal"][0], seed=2).final_graph()
+        n = graph.num_nodes
+        if exclusion == "every-third":
+            excluded = set(range(1, n, 3))
+        else:
+            excluded = set(range(n)) - set(range(5, n, n // 10))
+        if anchor is not None:
+            excluded.add(anchor)
+        assert len(excluded) > SORTED_BASE
+        counts = sample_choice_frequencies(
+            graph, model, 1500, seed=8, anchor=anchor, excluded=excluded
+        )
+        digest = hashlib.sha256(repr(counts.tolist()).encode()).hexdigest()
+        assert digest == GOLDEN_FREQUENCY_DIGESTS[name, exclusion]
