@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and typed reading of JSON files."""
+
+import json
 
 
 class GrowthFitError(Exception):
@@ -79,3 +81,26 @@ class UndefinedRatioError(FitError):
 
 class GrowthStallError(GrowthFitError):
     """Generator cannot fill a star because the eligible set is exhausted."""
+
+
+
+def json_fields(text: str, error: type[GrowthFitError], readers: dict) -> dict:
+    """The fields of the JSON object in ``text``, read by ``readers[name] = (convert, default)``.
+
+    A required field has the default ``...``.  Anything but a JSON object, a
+    missing required field, or a value ``convert`` refuses raises ``error``.
+    """
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise error(f"not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise error(f"expected a JSON object, got {type(raw).__name__}")
+    fields = {}
+    for name, (convert, default) in readers.items():
+        try:
+            fields[name] = convert(raw[name] if name in raw or default is ... else default)
+        except (LookupError, TypeError, ValueError) as exc:
+            problem = f"cannot read {raw[name]!r}: {exc}" if name in raw else "is missing"
+            raise error(f"field {name!r} {problem}") from None
+    return fields

@@ -27,6 +27,7 @@ from .errors import (
     IntervalUnderflowError,
     NestingViolationError,
     NoFeasibleFitError,
+    json_fields,
 )
 from .graph import GrowthStream
 from .likelihood import (
@@ -252,16 +253,17 @@ class FitResult:
 
     @staticmethod
     def from_json(text: str) -> "FitResult":
-        raw = json.loads(text)
-        return FitResult(
-            components=list(raw["components"]),
-            mode=raw["mode"],
-            intervals=list(raw["intervals"]),
-            loglik=float(raw["logL"]),
-            loglik_rand=float(raw["logL_rand"]),
-            total_choices=int(raw["choices"]),
-            diagnostics=dict(raw.get("diagnostics", {})),
-        )
+        """The fit ``to_json`` writes; a malformed one raises FitError naming the field."""
+        readers = {  # in field order
+            "components": (_fit_components, ...),
+            "mode": (_fit_mode, ...),
+            "intervals": (_fit_intervals, ...),
+            "logL": (float, ...),
+            "logL_rand": (float, ...),
+            "choices": (int, ...),
+            "diagnostics": (dict, {}),
+        }
+        return FitResult(*json_fields(text, FitError, readers).values())
 
     def schedule(self) -> ModelSchedule:
         """Rebuild the fitted schedule for re-scoring or generation."""
@@ -275,6 +277,27 @@ class FitResult:
             return ModelSchedule(intervals, boundaries, BoundaryMode.TIMESTAMP)
         boundaries = tuple(float(iv["end_index"]) for iv in self.intervals[:-1])
         return ModelSchedule(intervals, boundaries, BoundaryMode.INDEX)
+
+
+def _fit_components(value) -> list[str]:
+    """A fit's JSON component specs."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise TypeError("expected a list of model specs")
+    return value
+
+
+def _fit_mode(value) -> str:
+    """A fit's JSON partition mode."""
+    if value not in ("count", "time"):
+        raise ValueError("expected 'count' or 'time'")
+    return value
+
+
+def _fit_intervals(value) -> list[dict]:
+    """A fit's JSON intervals, each with its weights and last index and timestamp."""
+    if not value or not all({"weights", "end_index", "end_time"} <= set(iv) for iv in value):
+        raise ValueError("expected intervals with weights, end_index and end_time")
+    return list(value)
 
 
 def fit_intervals(

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import GrowthStallError, ModelError, UnknownNodeError
+from .errors import GrowthStallError, ModelError, UnknownNodeError, json_fields
 from .graph import DynamicGraph, GrowthStream, Increment
 from .models import (
     BoundaryMode,
@@ -540,16 +540,10 @@ class GrowthRecipe:
 
     @staticmethod
     def from_json(text: str) -> "GrowthRecipe":
-        raw = json.loads(text)
-        return GrowthRecipe(
-            intervals=[(iv["model"], iv.get("until")) for iv in raw["intervals"]],
-            increments=int(raw.get("increments", 1000)),
-            new_targets=int(raw.get("new_targets", 3)),
-            internal_prob=float(raw.get("internal_prob", 0.0)),
-            internal_targets=int(raw.get("internal_targets", 2)),
-            seed_clique=int(raw.get("seed_clique", 0)),
-            boundary_mode=raw.get("boundary_mode", "index"),
-        )
+        """The recipe ``to_json`` writes; a malformed one raises ModelError naming the field."""
+        readers = {f.name: (type(f.default), f.default) for f in fields(GrowthRecipe)}
+        readers["intervals"] = (_recipe_intervals, ...)
+        return GrowthRecipe(**json_fields(text, ModelError, readers))
 
     @staticmethod
     def constant(model_spec: str, **kwargs) -> "GrowthRecipe":
@@ -558,6 +552,13 @@ class GrowthRecipe:
     @staticmethod
     def two_phase(spec_pre: str, spec_post: str, switch: float, **kwargs) -> "GrowthRecipe":
         return GrowthRecipe(intervals=[(spec_pre, switch), (spec_post, None)], **kwargs)
+
+
+def _recipe_intervals(value) -> list[tuple[str, float | None]]:
+    """(model, until) pairs of a recipe's JSON intervals."""
+    if not value:
+        raise ValueError("a recipe needs an interval")
+    return [(iv["model"], None if iv.get("until") is None else float(iv["until"])) for iv in value]
 
 
 def _draw_targets(
@@ -593,6 +594,11 @@ def grow(
     external star; a feasible one re-draws its center up to a cap and then
     raises.  Replayed schedules keep their exact shapes and may raise.
     """
+    if op_schedule is None and recipe.increments:
+        # a star without targets has no star-stream row
+        for name, used in (("new_targets", True), ("internal_targets", recipe.internal_prob)):
+            if used and not getattr(recipe, name):
+                raise ModelError(f"{name} must be >= 1 for a star to have a target, got 0")
     rng = np.random.default_rng(seed)
     schedule = recipe.schedule()
     clique = recipe.seed_size()

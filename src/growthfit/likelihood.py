@@ -8,11 +8,12 @@ probabilities over orderings of that set (center first, then targets).  New
 nodes are not choices and contribute factor 1.
 
 With q existing targets there are q! orderings.  When the increment's total
-choice count m is at most ``max_exhaustive_choices`` the sum is exact;
-otherwise it is estimated from ``ordering_samples`` uniformly drawn
-orderings (with replacement), scaled by q!/S, which is unbiased on the
-probability scale.  The per-increment sample RNG is seeded from
-(seed, increment index) so every scoring method sees identical orderings.
+choice count m is at most ``max_exhaustive_choices`` the sum is exact and
+runs over subsets of the targets (below); otherwise it is estimated from
+``ordering_samples`` uniformly drawn orderings (with replacement), scaled by
+q!/S, which is unbiased on the probability scale.  Only these sampled stars
+have orderings.  The per-increment sample RNG is seeded from (seed,
+increment index) so every scoring method sees identical orderings.
 
 Eligibility per target step: all current nodes, minus nodes already chosen
 in this star, minus the center and its frozen neighborhood when the center
@@ -21,10 +22,10 @@ already existed (those edges would be duplicates).
 One replay of the stream (``DPTrace``) records only integers that no model
 parameter changes: per increment the graph size, the center and its frozen
 neighborhood (ids and degrees), the existing targets (ids and degrees), and
-the orderings to evaluate as positions among those targets.  When triangle
-closure is among the components it also records each step's common-neighbor
-count with its anchor and the anchor's total over the eligible set, using
-the identity
+the sampled orderings as positions among those targets.  When triangle
+closure is among the components it also records, per anchor, the
+common-neighbor counts with the star's targets and the anchor's total over
+the eligible set, using the identity
 
     sum_x |G(a) n G(x)| over all x  =  sum_{u in G(a)} k_u
 
@@ -45,17 +46,18 @@ ranks, and each step's eligible total by subtracting the shared exclusions
 (the center and its neighborhood) and a prefix sum of the weights already
 chosen in the ordering.
 
-Under a per-node weight (degree power or rank), a step's eligible total
-depends only on the *set* of targets already chosen, not on their order.
-The exponent scans therefore score every exhaustive star by a dynamic
-program over those sets: F(all) = 0 and
+A step's eligible total depends only on the *set* of targets already
+chosen, and under triangle closure on the anchor: the existing center, or
+else the first target.  Every path therefore scores an exhaustive star by a
+dynamic program over those sets (Held & Karp 1962): F(all) = 0 and
 
     F(S) = logsumexp over i not in S of [log w_i - log T(S) + F(S + i)]
 
 with T(S) the base total minus the weights in S (the uniform -log(B - |S|)
 replaces the step term when T(S) <= 0), so a star costs q * 2**(q - 1)
-terms instead of q * q! ordering steps.  Sampled stars and triangle closure,
-whose anchor-dependent weights do not factor, sum their orderings' steps.
+terms instead of q * q! ordering steps.  An external star under triangle
+closure runs it once per first target, over the other targets.  The
+weight-fitting cache runs the same recursion on polynomials in the weights.
 
 A uniform-random baseline is computed in the same pass: the eligible set
 shrinks by exactly one per step, so the baseline increment probability is
@@ -70,12 +72,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateModelError, FitError, RejectedIncrementError, UndefinedRatioError
+from .errors import DegenerateModelError, FitError, ModelError, RejectedIncrementError
+from .errors import UndefinedRatioError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
 from .events import concat_ranges as _concat_ranges
 from .events import offsets as _offsets
@@ -94,14 +96,15 @@ from .models import (
 
 MAX_EXHAUSTIVE_CHOICES = 5
 # Increments whose ratio polynomial has degree (existing targets + 1) at most
-# this are cached as coefficients.  A coefficient is a sum of fewer than
-# L**12 products of at most 12 step ratios, far inside float64 range.
+# this, and every exhaustive one, are cached as coefficients.  A coefficient
+# is a sum of fewer than L**12 products of at most 12 step ratios, far inside
+# float64 range.
 MAX_COLLAPSED_DEGREE = 12
 DEFAULT_ORDERING_SAMPLES = 120
 
 _NEG_INF = float("-inf")
-# Working-set caps, in float64 elements: per-ordering coefficients during the
-# collapse, and mixed step values on the row path.
+# Working-set caps, in float64 elements: polynomial terms during the collapse,
+# and mixed step values on the row path.
 _COLLAPSE_BATCH_ELEMENTS = 1 << 20
 _ROW_BATCH_ELEMENTS = 1 << 21
 # Weight vectors cache_loglik scores at once.
@@ -117,14 +120,6 @@ def _log_factorial(q: int) -> float:
     return math.lgamma(q + 1.0)
 
 
-@lru_cache(maxsize=None)
-def _permutation_table(q: int) -> np.ndarray:
-    """(q!, q) positions of every ordering of q items, in itertools order."""
-    table = np.array(list(permutations(range(q))), dtype=np.intp).reshape(math.factorial(q), q)
-    table.setflags(write=False)
-    return table
-
-
 def _sampled_positions(q: int, index: int, seed: int, ordering_samples: int) -> np.ndarray:
     """(S, q) uniformly drawn orderings of increment ``index``, seeded from (seed, index).
 
@@ -134,49 +129,6 @@ def _sampled_positions(q: int, index: int, seed: int, ordering_samples: int) -> 
     rows = np.empty((ordering_samples, q), dtype=np.int64)
     rows[:] = np.arange(q)
     return np.random.default_rng([seed, index]).permuted(rows, axis=1, out=rows)
-
-
-def _sampled_log_mult(q: int, ordering_samples: int) -> float:
-    """log(q!/S), the scale of a sum over S sampled orderings."""
-    return _log_factorial(q) - math.log(float(ordering_samples))
-
-
-def _ordering_positions(
-    inc: Increment,
-    index: int,
-    seed: int,
-    max_exhaustive_choices: int,
-    ordering_samples: int,
-) -> tuple[np.ndarray, bool, float]:
-    """Orderings as rows of positions among ``inc.existing_targets``.
-
-    Also returns (sampled?, log multiplier for the sum): exhaustive mode
-    multiplies the sum by 1 (all q! orderings enumerated), sampled mode by
-    q!/S.  Seeding from (seed, index) keeps every scorer on identical draws.
-    """
-    q = inc.num_choices - (0 if inc.center_is_new else 1)
-    if q == 0 or inc.num_choices <= max_exhaustive_choices:
-        return _permutation_table(q), False, 0.0
-    return (
-        _sampled_positions(q, index, seed, ordering_samples),
-        True,
-        _sampled_log_mult(q, ordering_samples),
-    )
-
-
-def orderings_for_increment(
-    inc: Increment,
-    index: int,
-    seed: int,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-) -> tuple[list[tuple[int, ...]], bool, float]:
-    """Orderings to evaluate (as node tuples) plus (sampled?, log multiplier for the sum)."""
-    positions, sampled, log_mult = _ordering_positions(
-        inc, index, seed, max_exhaustive_choices, ordering_samples
-    )
-    existing = inc.existing_targets
-    return [tuple(existing[j] for j in row) for row in positions.tolist()], sampled, log_mult
 
 
 @dataclass
@@ -240,13 +192,15 @@ def per_choice_ratio(loglik: float, loglik_rand: float, total_choices: int) -> f
 class DPTrace:
     """The one replay of a stream: parameter-free integers every likelihood path reads.
 
-    Orderings are rows of positions among an increment's existing targets;
-    their steps ("entries") are laid out ordering after ordering.  Index
-    arrays that no model parameter changes are built here once, so scoring a
-    component at any exponent is whole-array work.  ``tri_common`` and
-    ``tri_total`` are recorded only when triangle closure was requested.
-    The subset-DP and sampled-ordering tables of the exponent scans are
-    built on first use and kept with the trace.
+    Only sampled stars have orderings: rows of positions among an
+    increment's existing targets, whose steps ("entries") are laid out
+    ordering after ordering.  Index arrays that no model parameter changes
+    are built here once, so scoring a component at any exponent is
+    whole-array work.  The anchors are recorded only when triangle closure
+    was requested: an existing center, else each existing target in turn,
+    each with a row of common-neighbour counts with its star's existing
+    targets (0 with itself) and a total over the initial eligible set.  The
+    subset-DP tables are built on first use and kept with the trace.
     """
 
     timestamps: np.ndarray  # (I,) int64
@@ -257,6 +211,7 @@ class DPTrace:
     center_deg: np.ndarray  # (I,) int64, 0 for new centers
     gain: np.ndarray  # (I,) int64, edges the increment adds
     existing_counts: np.ndarray  # (I,) int64, existing targets q
+    initial: np.ndarray  # (I,) int64, eligible-set size at the first target step
     sampled: np.ndarray  # (I,) bool
     log_mult: np.ndarray  # (I,) float64
     logp_rand: np.ndarray  # (I,) float64
@@ -267,16 +222,16 @@ class DPTrace:
     target_inc: np.ndarray  # (Q,) owning increment of each existing target
     target_deg: np.ndarray  # (Q,)
     target_id: np.ndarray  # (Q,) arrival index
-    inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment
+    inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment, empty unless sampled
     ordering_offsets: np.ndarray  # (O + 1,) entry ranges per ordering
     entry_ord: np.ndarray  # (E,) owning ordering
     entry_inc: np.ndarray  # (E,) owning increment
     entry_first: np.ndarray  # (E,) first entry of the owning ordering
     entry_target: np.ndarray  # (E,) chosen target, as a position in the target arrays
-    first_ordering: np.ndarray  # (E,) bool, entry of its increment's first ordering
     eligible: np.ndarray  # (E,) float64 eligible-set size
-    tri_common: np.ndarray | None  # (E,) int64 common neighbors with the anchor
-    tri_total: np.ndarray | None  # (E,) int64 anchor total over the eligible set
+    anchor_offsets: np.ndarray | None = None  # (I + 1,) anchor ranges per increment
+    anchor_total: np.ndarray | None = None  # (A,) int64 total over the initial eligible set
+    anchor_common: np.ndarray | None = None  # (sum of q over anchors,) int64 anchor rows
 
     @property
     def num_increments(self) -> int:
@@ -305,10 +260,10 @@ class DPTrace:
             incs = np.flatnonzero(exhaustive & (self.existing_counts == q))
             steps = np.arange(q)[:, None]
             targets = target_start[incs] + steps
-            initial = self.eligible[self.ordering_offsets[self.inc_ord_offsets[incs]]]
+            initial = self.initial[incs].astype(np.float64)
             on = (self.target_deg[targets] > 0).astype(np.float64)
             occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
-            groups.append(_SubsetGroup(incs, targets, -np.log(initial - steps), occupied))
+            groups.append(_SubsetGroup(incs, targets, initial, -np.log(initial - steps), occupied))
         return groups
 
     @cached_property
@@ -322,9 +277,9 @@ class DPTrace:
         return _degree_totals(self, (np.arange(len(self.h0)) > 0).astype(np.float64))[1]
 
     @cached_property
-    def _sampled_orderings(self) -> _OrderingEntries:
-        """The entries of the sampled increments' orderings."""
-        return _ordering_entries(self, np.flatnonzero(self.sampled))
+    def _anchor_rows(self) -> np.ndarray:
+        """(I,) start of each increment's first anchor row in ``anchor_common``."""
+        return _offsets(np.diff(self.anchor_offsets) * self.existing_counts)[:-1]
 
 
 @dataclass
@@ -333,39 +288,19 @@ class _SubsetGroup:
 
     incs: np.ndarray  # (n,) increments
     targets: np.ndarray  # (q, n) existing targets, as positions in the trace's target arrays
+    initial: np.ndarray  # (n,) float64 initial eligible count B
     uniform: np.ndarray  # (q, n) -log(B - l), a uniform step's log-probability at level l
     occupied: np.ndarray  # (2**q - 1, n) bool, a node of positive degree left after each subset
 
-
-@dataclass
-class _OrderingEntries:
-    """The entries of some increments' orderings, in trace order."""
-
-    incs: np.ndarray  # (n,) increments, each with at least one existing target
-    entries: np.ndarray  # (e,) entry indices
-    first: np.ndarray  # (e,) position in ``entries`` of the owning ordering's first entry
-    ordering: np.ndarray  # (e,) owning ordering, numbered from 0 over the selection
-    counts: np.ndarray  # (n,) orderings per increment
+    def select(self, which: np.ndarray | slice) -> _SubsetGroup:
+        """The group restricted to some of its increments."""
+        return _SubsetGroup(*(table[..., which] for table in vars(self).values()))
 
 
 def _exclusive_prefix(values: np.ndarray, entry_first: np.ndarray) -> np.ndarray:
     """Per entry, the sum of the earlier entries of its ordering."""
     before = _offsets(values)[:-1]
     return before - before[entry_first]
-
-
-def _ordering_entries(trace: DPTrace, incs: np.ndarray) -> _OrderingEntries:
-    """Index the entries of the given increments' orderings as a selection of their own."""
-    ords = _concat_ranges(trace.inc_ord_offsets[incs], trace.inc_ord_offsets[incs + 1])
-    lengths = np.diff(trace.ordering_offsets)[ords]
-    ordering = np.repeat(np.arange(len(ords)), lengths)
-    return _OrderingEntries(
-        incs=incs,
-        entries=_concat_ranges(trace.ordering_offsets[ords], trace.ordering_offsets[ords + 1]),
-        first=_offsets(lengths)[ordering],
-        ordering=ordering,
-        counts=np.diff(trace.inc_ord_offsets)[incs],
-    )
 
 
 def _uniform_baseline(
@@ -402,126 +337,62 @@ def _uniform_baseline(
     return center + (steps + log_fact[q])
 
 
-def _ordering_table(
-    existing_counts: np.ndarray,
-    sampled: np.ndarray,
-    first_index: int,
-    seed: int,
-    ordering_samples: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(orderings per increment, their positions laid end to end in trace order).
+def _triangle_anchors(trace: DPTrace, events: EdgeEvents) -> tuple[np.ndarray, ...]:
+    """(anchor ranges per increment, anchor totals, anchor rows) of triangle closure.
 
-    Exhaustive increments repeat one permutation table per q; each sampled
-    increment draws its S orderings in one generator call.
-    """
-    exhaustive = ~sampled & (existing_counts > 0)
-    factorials = np.array(
-        [math.factorial(q) for q in range(int(existing_counts[exhaustive].max(initial=0)) + 1)]
-    )
-    counts = np.where(sampled, ordering_samples, factorials[np.where(sampled, 0, existing_counts)])
-    inc_entry = _offsets(counts * existing_counts)
-    positions = np.empty(int(inc_entry[-1]), dtype=np.int64)
-    for q in np.unique(existing_counts[exhaustive]).tolist():
-        table = _permutation_table(q).ravel()
-        starts = inc_entry[:-1][exhaustive & (existing_counts == q)]
-        positions[starts[:, None] + np.arange(len(table))] = table
-    drawn = np.flatnonzero(sampled)
-    if len(drawn):
-        positions[_concat_ranges(inc_entry[drawn], inc_entry[drawn + 1])] = np.concatenate(
-            [
-                _sampled_positions(q, first_index + k, seed, ordering_samples).ravel()
-                for k, q in zip(drawn.tolist(), existing_counts[drawn].tolist())
-            ]
-        )
-    return counts, positions
-
-
-def _triangle_steps(trace: DPTrace, events: EdgeEvents) -> tuple[np.ndarray, np.ndarray]:
-    """Per entry, the chosen target's common neighbours with the anchor, and the anchor's total.
-
-    An existing center anchors all its orderings; otherwise an ordering
-    anchors on its first target.  Each anchor has one row of common-neighbour
-    counts with the existing targets of its increment (0 for itself) and a
-    total over the initial eligible set, from
-
-        sum_x |G(a) n G(x)| over all x  =  sum_{u in G(a)} k_u
-
-    less the anchor's own term k_a, and for a center less its neighbours'
-    terms too, twice its closed triangles.  A step's total then drops the
-    counts of the targets chosen before it.
+    A total over the initial eligible set is the identity's sum of the
+    anchor's neighbours' degrees (module docstring) less the anchor's own
+    term k_a, and for a center less its neighbours' terms too, twice its
+    closed triangles.
     """
     q = trace.existing_counts
     target_start = _offsets(q)
-    entry_pos = trace.entry_target - target_start[trace.entry_inc]
-    ord_counts = np.diff(trace.inc_ord_offsets)
-    centers = np.flatnonzero(~trace.center_new & (q > 0))
+    counts = np.where(trace.center_new, q, q > 0)
+    anchor_offsets = _offsets(counts)
+    anchor_inc = np.repeat(np.arange(trace.num_increments), counts)
+    # An external star's anchor k is its target k; a center is slot 0.
+    slot = np.arange(len(anchor_inc)) - anchor_offsets[anchor_inc]
+    own = target_start[anchor_inc] + slot
+    inner = ~trace.center_new[anchor_inc]
+    anchor_id = np.where(inner, trace.center[anchor_inc], trace.target_id[own])
+    anchor_deg = np.where(inner, trace.center_deg[anchor_inc], trace.target_deg[own])
+    total = np.empty(len(anchor_inc), dtype=np.int64)
+    centers, outer = anchor_inc[inner], ~inner
     # The trace lists each existing center before its neighbours.
     degree_sums = segment_sums(
         trace.shared_deg, np.bincount(trace.shared_inc, minlength=trace.num_increments)
     )
-    center_total = (
+    total[inner] = (
         degree_sums[centers]
         - 2 * trace.center_deg[centers]
         - 2 * events.triangles_before(trace.center[centers], centers)
     )
-    outer = np.flatnonzero(trace.center_new & (q > 0))
-    outer_ords = _concat_ranges(trace.inc_ord_offsets[outer], trace.inc_ord_offsets[outer + 1])
-    # An anchoring target, as a position in the target arrays, names its increment too.
-    anchors, outer_row = np.unique(
-        trace.entry_target[trace.ordering_offsets[outer_ords]], return_inverse=True
+    total[outer] = (
+        events.neighbour_degree_sums(anchor_id[outer], anchor_inc[outer], anchor_deg[outer])
+        - anchor_deg[outer]
     )
-    anchor_inc = trace.target_inc[anchors]
-    anchor_id = trace.target_id[anchors]
-    anchor_deg = trace.target_deg[anchors]
-    anchor_total = events.neighbour_degree_sums(anchor_id, anchor_inc, anchor_deg) - anchor_deg
 
-    row_inc = np.concatenate((centers, anchor_inc))
-    row_self = np.concatenate((np.full(len(centers), -1), anchors))
-    row_start = _offsets(q[row_inc])
-    cell_row = np.repeat(np.arange(len(row_inc)), q[row_inc])
-    cell_target = _concat_ranges(target_start[row_inc], target_start[row_inc + 1])
-    row_anchor = np.concatenate((trace.center[centers], anchor_id))
-    row_deg = np.concatenate((trace.center_deg[centers], anchor_deg))
-    # A target pairs with itself for nothing, and a pair of two anchoring
-    # targets is counted once, in the row of the earlier one.
-    anchor_row = np.full(len(trace.target_id), -1)
-    anchor_row[anchors] = len(centers) + np.arange(len(anchors))
-    cell_self = row_self[cell_row]
-    mirrored = (cell_target < cell_self) & (anchor_row[cell_target] >= 0)
-    fresh = np.flatnonzero(~mirrored & (cell_target != cell_self))
-    values = np.zeros(len(cell_row), dtype=np.int64)
-    rows, targets = cell_row[fresh], cell_target[fresh]
-    values[fresh] = events.common_before(
-        row_anchor[rows],
+    row_start = _offsets(q[anchor_inc])
+    cell_row = np.repeat(np.arange(len(anchor_inc)), q[anchor_inc])
+    cell_pos = np.arange(len(cell_row)) - row_start[cell_row]
+    cell_self = np.where(inner, -1, slot)[cell_row]
+    # A target pairs with itself for nothing, and a pair of two targets of
+    # an external star is counted once, in the row of the earlier one.
+    fresh = np.flatnonzero(cell_pos > cell_self)
+    common = np.zeros(len(cell_row), dtype=np.int64)
+    rows = cell_row[fresh]
+    targets = target_start[anchor_inc[rows]] + cell_pos[fresh]
+    common[fresh] = events.common_before(
+        anchor_id[rows],
         trace.target_id[targets],
-        row_inc[rows],
-        row_deg[rows],
+        anchor_inc[rows],
+        anchor_deg[rows],
         trace.target_deg[targets],
     )
-    mirrored = np.flatnonzero(mirrored)
-    values[mirrored] = values[
-        row_start[anchor_row[cell_target[mirrored]]]
-        + cell_self[mirrored]
-        - target_start[row_inc[cell_row[mirrored]]]
-    ]
-
-    ord_row = np.zeros(int(trace.inc_ord_offsets[-1]), dtype=np.int64)
-    ord_row[_concat_ranges(trace.inc_ord_offsets[centers], trace.inc_ord_offsets[centers + 1])] = (
-        np.repeat(np.arange(len(centers)), ord_counts[centers])
-    )
-    ord_row[outer_ords] = len(centers) + outer_row
-    entry_row = ord_row[trace.entry_ord]
-    common = values[row_start[entry_row] + entry_pos]
-    total = np.concatenate((center_total, anchor_total))[entry_row] - _exclusive_prefix(
-        common, trace.entry_first
-    )
-    # The first leaf of a new-center star has no anchor: uniform fallback.
-    no_anchor = trace.center_new[trace.entry_inc] & (
-        np.arange(len(common)) == trace.entry_first
-    )
-    common[no_anchor] = 0
-    total[no_anchor] = 0
-    return common, total
+    mirrored = np.flatnonzero(cell_pos < cell_self)
+    earlier = cell_row[mirrored] - cell_self[mirrored] + cell_pos[mirrored]
+    common[mirrored] = common[row_start[earlier] + cell_self[mirrored]]
+    return anchor_offsets, total, common
 
 
 def _replay(
@@ -543,6 +414,8 @@ def _replay(
     gives it, or the eligibility error when it has more existing targets
     than eligible nodes.
     """
+    if ordering_samples < 1:
+        raise ModelError(f"ordering_samples must be at least 1, got {ordering_samples}")
     seed_node, seed_nbr = graph_ends(graph)
     cols = StreamColumns.of(increments, graph.num_nodes)
     rejection = first_rejection(cols, seed_node, seed_nbr)
@@ -587,14 +460,16 @@ def _replay(
 
     num_choices = existing_counts + ~center_new
     sampled = (existing_counts > 0) & (num_choices > max_exhaustive_choices)
-    ord_counts, positions = _ordering_table(
-        existing_counts, sampled, first_index, seed, ordering_samples
+    # Each sampled increment draws its S orderings in one generator call.
+    drawn = list(zip(np.flatnonzero(sampled).tolist(), existing_counts[sampled].tolist()))
+    positions = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [_sampled_positions(q, first_index + k, seed, ordering_samples).ravel() for k, q in drawn]
     )
+    ord_counts = np.where(sampled, ordering_samples, 0)
     log_mult = np.zeros(num_inc)
-    drawn_q, which = np.unique(existing_counts[sampled], return_inverse=True)
-    log_mult[sampled] = np.array(
-        [_sampled_log_mult(q, ordering_samples) for q in drawn_q.tolist()]
-    )[which]
+    # a sum over S drawn orderings is scaled by q!/S
+    log_mult[sampled] = [_log_factorial(q) - math.log(float(ordering_samples)) for _, q in drawn]
     inc_ord_offsets = _offsets(ord_counts)
     ord_len = np.repeat(existing_counts, ord_counts)
     ordering_offsets = _offsets(ord_len)
@@ -620,6 +495,7 @@ def _replay(
         center_deg=center_deg,
         gain=cols.gain,
         existing_counts=existing_counts,
+        initial=initial,
         sampled=sampled,
         log_mult=log_mult,
         logp_rand=_uniform_baseline(num_nodes, center_new, initial, existing_counts),
@@ -636,13 +512,12 @@ def _replay(
         entry_inc=entry_inc,
         entry_first=entry_first,
         entry_target=np.repeat(_offsets(existing_counts)[:-1], entry_counts) + positions,
-        first_ordering=entry_ord == inc_ord_offsets[entry_inc],
         eligible=(initial[entry_inc] - entry_step).astype(np.float64),
-        tri_common=None,
-        tri_total=None,
     )
     if any(isinstance(c, TriangleClosure) for c in components):
-        trace.tri_common, trace.tri_total = _triangle_steps(trace, events)
+        trace.anchor_offsets, trace.anchor_total, trace.anchor_common = _triangle_anchors(
+            trace, events
+        )
     return trace
 
 
@@ -700,8 +575,10 @@ def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _node_weights(
     trace: DPTrace, comp: Component
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-target weight, base total, per-center weight and whole-graph total of a node weight."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Per-target and per-center weights with base and whole-graph totals; None for RAND and TRI."""
+    if isinstance(comp, (Random, TriangleClosure)):
+        return None
     if isinstance(comp, DegreePower):
         table = degree_power_table(len(trace.h0), comp.alpha)
         whole, base = _degree_totals(trace, table)
@@ -721,55 +598,46 @@ def _zero_at_degree_zero(comp: Component) -> bool:
     return isinstance(comp, DegreePower) and comp.alpha != 0.0
 
 
-def _step_totals(
-    trace: DPTrace,
-    comp: Component,
-    target_w: np.ndarray,
-    base: np.ndarray,
-    entries: np.ndarray | slice,
-    first: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(weight, eligible total) of the chosen node of each given entry under a node weight.
-
-    ``first`` holds the start of each entry's ordering as a position among
-    ``entries``.  A degree-power total whose eligible set holds no node of
-    positive degree is exactly 0, however its difference of sums rounds.
-    """
-    chosen = target_w[trace.entry_target[entries]]
-    total = base[trace.entry_inc[entries]] - _exclusive_prefix(chosen, first)
-    # Only a star with fewer eligible nodes of positive degree than targets
-    # can run out of them.
-    if _zero_at_degree_zero(comp) and (trace._occupied_base < trace.existing_counts).any():
-        on = (trace.target_deg[trace.entry_target[entries]] > 0).astype(np.float64)
-        occupied = trace._occupied_base[trace.entry_inc[entries]] - _exclusive_prefix(on, first)
-        total[occupied <= 0.0] = 0.0
-    return chosen, total
-
-
 def _choice_weights(
-    trace: DPTrace, comp: Component
+    trace: DPTrace, comp: Component, node: tuple | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step and per-center (weight, total) of one component.
+    """Per-entry and per-center (weight, total) of one component.
 
-    Step totals cover each step's eligible set and center totals the whole
-    graph; a total <= 0 means the choice falls back to uniform.  Center
-    values of new centers are never read.
+    ``node`` is the component's ``_node_weights``.  Step totals cover each
+    entry's eligible set and center totals the whole graph; a total <= 0
+    means the choice falls back to uniform.  A degree-power total whose
+    eligible set holds no node of positive degree is exactly 0.  Center
+    values of new centers are unread.
     """
     num_inc = trace.num_increments
     whole_graph = trace.num_nodes.astype(np.float64)
     if isinstance(comp, Random):
         return np.ones(len(trace.eligible)), trace.eligible, np.ones(num_inc), whole_graph
     if isinstance(comp, TriangleClosure):
-        # Star sources are picked uniformly under triangle closure.
-        return (
-            trace.tri_common.astype(np.float64),
-            trace.tri_total.astype(np.float64),
-            np.ones(num_inc),
-            whole_graph,
-        )
-    target_w, base, center, whole = _node_weights(trace, comp)
-    chosen, step_total = _step_totals(trace, comp, target_w, base, slice(None), trace.entry_first)
-    return chosen, step_total, center, whole
+        # Star sources are picked uniformly under triangle closure.  A center
+        # anchors all its orderings; otherwise an ordering anchors on its first
+        # target, after a first step with no anchor, a uniform fallback.
+        q = trace.existing_counts[trace.entry_inc]
+        pos = trace.entry_target - _offsets(trace.existing_counts)[trace.entry_inc]
+        outer = trace.center_new[trace.entry_inc]
+        slot = np.where(outer, pos[trace.entry_first], 0)
+        rows = trace._anchor_rows[trace.entry_inc] + slot * q
+        common = trace.anchor_common[rows + pos].astype(np.float64)
+        anchor = trace.anchor_offsets[trace.entry_inc] + slot
+        total = trace.anchor_total[anchor] - _exclusive_prefix(common, trace.entry_first)
+        no_anchor = outer & (np.arange(len(common)) == trace.entry_first)
+        common[no_anchor] = total[no_anchor] = 0.0
+        return common, total, np.ones(num_inc), whole_graph
+    target_w, base, center, whole = node
+    chosen = target_w[trace.entry_target]
+    total = base[trace.entry_inc] - _exclusive_prefix(chosen, trace.entry_first)
+    # Only a star with fewer eligible nodes of positive degree than targets
+    # can run out of them.
+    if _zero_at_degree_zero(comp) and (trace._occupied_base < trace.existing_counts).any():
+        on = (trace.target_deg[trace.entry_target] > 0).astype(np.float64)
+        occupied = trace._occupied_base[trace.entry_inc] - _exclusive_prefix(on, trace.entry_first)
+        total[occupied <= 0.0] = 0.0
+    return chosen, total, center, whole
 
 
 def _segment_logsumexp(
@@ -794,39 +662,23 @@ def _segment_logsumexp(
         return np.where(top == _NEG_INF, _NEG_INF, np.log(total) + top)
 
 
-def _orderings_logp(
-    step_w: np.ndarray,
-    step_total: np.ndarray,
-    eligible: np.ndarray,
-    ordering: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Per increment, log of the sum over its orderings of their step probabilities' product.
-
-    Steps are laid out ordering after ordering: ``ordering`` numbers each
-    step's ordering and ``counts`` gives each increment's ordering count.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(eligible))
-    ord_logp = np.bincount(ordering, weights=step, minlength=int(counts.sum()))
-    return _segment_logsumexp(ord_logp, counts)
-
-
 @lru_cache(maxsize=None)
 def _subset_lattice(q: int) -> tuple[np.ndarray, tuple]:
     """The proper subsets of q targets by size, and each one's one-larger supersets.
 
     Returns (members, levels).  Row r of ``members`` (2**q - 1, q) marks the
-    targets in subset r, subsets ordered by size.  ``levels[l]`` is (lo, hi,
-    child, added) for the subsets of size l, rows [lo, hi): adding target
-    ``added[s, c]`` to subset lo + s gives the subset ``child[s, c]`` among
-    those of size l + 1 (the full set is 0 of its own level).
+    targets in subset r, subsets ordered by size and, within a size, by
+    bitmask, so the first subset of size l is the prefix {0, .., l - 1}.
+    ``levels[l]`` is (lo, hi, child, added) for the subsets of size l, rows
+    [lo, hi): adding target ``added[s, c]`` to subset lo + s gives the
+    subset ``child[s, c]`` among those of size l + 1 (the full set is 0 of
+    its own level).
     """
     by_size = [[s for s in range(1 << q) if bin(s).count("1") == size] for size in range(q + 1)]
     rank = {s: r for sets in by_size for r, s in enumerate(sets)}
     members = np.array(
         [[s >> j & 1 for j in range(q)] for sets in by_size[:q] for s in sets], dtype=np.float64
-    )
+    ).reshape((1 << q) - 1, q)
     starts = _offsets([len(sets) for sets in by_size]).tolist()
     levels = []
     for size in range(q):
@@ -837,31 +689,94 @@ def _subset_lattice(q: int) -> tuple[np.ndarray, tuple]:
     return members, tuple(levels)
 
 
-def _subset_logp(
-    group: _SubsetGroup, target_w: np.ndarray, base: np.ndarray, zero_at_degree_zero: bool
-) -> np.ndarray:
-    """Log of the sum over orderings of a group's targets, by dynamic programming over chosen sets.
+@dataclass
+class _Lattice:
+    """One component on a group's subset lattice, one column per star or (star, anchor)."""
+
+    first: np.ndarray | None  # anchored: the first step's ratio to uniform, 1 where uniform
+    first_uniform: np.ndarray | None  # anchored: the first step falls back to uniform
+    w: np.ndarray  # (q, n) the targets' weights
+    total: np.ndarray  # (2**q - 1, n) each proper subset's eligible total
+    positive: np.ndarray  # (2**q - 1, n) a step from the subset follows the weights
+    uniform: np.ndarray  # (q, n) else its log-probability, at the subset's size
+
+    @property
+    def fallbacks(self) -> np.ndarray:
+        """(stars,) uniform steps of each star's identity ordering."""
+        steps = ~self.positive[[lo for lo, _, _, _ in _subset_lattice(len(self.w))[1]]]
+        if self.first is None:
+            return steps.sum(axis=0)
+        return np.vstack((self.first_uniform, steps))[:, :: len(self.w) + 1].sum(axis=0)
+
+
+def _lattice(
+    trace: DPTrace, group: _SubsetGroup, comp: Component, node: tuple | None, anchored: bool
+) -> _Lattice:
+    """One component, of ``_node_weights`` ``node``, on a group's subset lattice.
+
+    Anchored, the columns are (star, first target a) pairs, each the lattice
+    over the other q - 1 targets after a first step to a; triangle closure
+    has no anchor for that step yet.
+    """
+    q, n = group.targets.shape
+    tri = isinstance(comp, TriangleClosure)
+    # the star and anchor slot of each column: a center is its star's slot 0
+    cols = np.repeat(np.arange(n), q) if anchored else slice(None)
+    slots = np.tile(np.arange(q), n) if anchored else 0
+    if tri:
+        rows = trace._anchor_rows[group.incs][cols] + slots * q
+        w = trace.anchor_common[rows + np.arange(q)[:, None]].astype(np.float64)
+        base = trace.anchor_total[trace.anchor_offsets[group.incs][cols] + slots]
+    elif isinstance(comp, Random):
+        w, base = np.ones(group.targets[:, cols].shape), group.initial[cols]
+    else:
+        w, base = node[0][group.targets[:, cols]], node[1][group.incs[cols]]
+    zero = _zero_at_degree_zero(comp)
+    first = first_uniform = None
+    if anchored:
+        # the anchor leaves the lattice, with its weight: 0 for triangle closure
+        at = np.arange(len(cols))
+        on = (trace.target_deg[group.targets[:, cols]] > 0).astype(np.float64)
+        occupied = trace._occupied_base[group.incs[cols]]
+        ok = (base > 0.0) & ((occupied > 0.0) | (not zero))
+        first_uniform = ~ok | tri
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.where(first_uniform, 1.0, w[slots, at] * group.initial[cols] / base)
+        others = (np.arange(q - 1) + (np.arange(q - 1) >= slots[:, None])).T
+        base, occupied = base - w[slots, at], occupied - on[slots, at]
+        w, on = w[others, at], on[others, at]
+    members = _subset_lattice(len(w))[0]
+    total = base - members @ w
+    positive = total > 0.0
+    if zero:
+        positive &= occupied - members @ on > 0.0 if anchored else group.occupied
+    uniform = np.repeat(group.uniform[1:], q, axis=1) if anchored else group.uniform
+    return _Lattice(first, first_uniform, w, total, positive, uniform)
+
+
+def _split(group: _SubsetGroup, anchored: np.ndarray) -> list[tuple[_SubsetGroup, bool]]:
+    """The group's stars with a plain and with an anchored lattice, leaving out an empty part."""
+    if anchored.all() or not anchored.any():
+        return [(group, bool(anchored[0]))]
+    return [(group.select(~anchored), False), (group.select(anchored), True)]
+
+
+def _subset_logp(lattice: _Lattice) -> np.ndarray:
+    """Log of the sum over orderings of a lattice's targets, by a DP over the chosen sets.
 
     F(all) = 0 and F(S) = logsumexp over i not in S of [log w_i + F(S + i)]
-    - log T(S), with T(S) = base - sum of w_j over j in S; when T(S) <= 0
-    the step is uniform over the B - |S| eligible nodes instead.  The result
-    is F of the empty set, per increment.  ``zero_at_degree_zero`` makes
-    T(S) zero exactly where no node of positive degree is left eligible.
+    - log T(S), with T(S) = ``total`` of S.  Where S is not ``positive`` the
+    step is uniform instead, of log-probability ``uniform`` at S's size.
+    The result is F of the empty set, per column.
     """
-    q = len(group.targets)
-    members, levels = _subset_lattice(q)
-    w = target_w[group.targets]
-    total = base[group.incs] - members @ w
-    positive = total > 0.0
-    if zero_at_degree_zero:
-        positive &= group.occupied
+    positive, q = lattice.positive, len(lattice.w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = np.log(w)
-        log_total = np.log(total)
+        log_w = np.log(lattice.w)
+        log_total = np.log(lattice.total)
     fallback = not positive.all()
-    f = np.zeros((1, len(group.incs)))
+    f = np.zeros((1, log_w.shape[1]))
     for size in reversed(range(q)):
-        lo, hi, child, added = levels[size]
+        lo, hi, child, added = _subset_lattice(q)[1][size]
         terms = np.where(positive[lo:hi, None], log_w[added], 0.0) if fallback else log_w[added]
         terms += f[child]
         if terms.shape[1] == 1:
@@ -875,7 +790,7 @@ def _subset_logp(
             with np.errstate(divide="ignore"):
                 f = np.log(np.exp(terms, out=terms).sum(axis=1)) + top
         step = -log_total[lo:hi]
-        f += np.where(positive[lo:hi], step, group.uniform[size]) if fallback else step
+        f += np.where(positive[lo:hi], step, lattice.uniform[size]) if fallback else step
     return f[0]
 
 
@@ -884,28 +799,30 @@ def _trace_logp(trace: DPTrace, comp: Component) -> np.ndarray:
 
     The uniform model (RAND, or exponent 0) returns the baseline itself, so
     that identity holds bit for bit rather than to within summation noise.
-    Node weights score exhaustive stars by the subset DP and sampled ones by
-    their orderings; triangle closure sums every star's orderings.
+    Sampled stars sum their orderings' steps.  Exhaustive stars run the
+    subset DP; an external star under triangle closure runs it once per
+    anchor, after the uniform first step, and sums the anchors.
     """
     if isinstance(comp, Random) or comp == DegreePower(0.0):
         return trace.logp_rand.copy()
-    if isinstance(comp, TriangleClosure):
-        step_w, step_total, center_w, center_total = _choice_weights(trace, comp)
-        targets = _orderings_logp(
-            step_w, step_total, trace.eligible, trace.entry_ord, np.diff(trace.inc_ord_offsets)
+    node = _node_weights(trace, comp)
+    step_w, step_total, center_w, center_total = _choice_weights(trace, comp, node)
+    targets = np.zeros(trace.num_increments)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(
+            step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(trace.eligible)
         )
-    else:
-        target_w, base, center_w, center_total = _node_weights(trace, comp)
-        targets = np.zeros(trace.num_increments)
-        for group in trace._subset_groups:
-            targets[group.incs] = _subset_logp(group, target_w, base, _zero_at_degree_zero(comp))
-        sampled = trace._sampled_orderings
-        chosen, step_total = _step_totals(
-            trace, comp, target_w, base, sampled.entries, sampled.first
-        )
-        targets[sampled.incs] = _orderings_logp(
-            chosen, step_total, trace.eligible[sampled.entries], sampled.ordering, sampled.counts
-        )
+    counts = np.diff(trace.inc_ord_offsets)[trace.sampled]
+    ord_logp = np.bincount(trace.entry_ord, weights=step, minlength=int(counts.sum()))
+    targets[trace.sampled] = _segment_logsumexp(ord_logp, counts)
+    tri = isinstance(comp, TriangleClosure)
+    for group in trace._subset_groups:
+        for part, anchored in _split(group, tri & trace.center_new[group.incs]):
+            f = _subset_logp(_lattice(trace, part, comp, node, anchored))
+            if anchored:
+                f = _segment_logsumexp(f, np.full(len(part.incs), len(part.targets)))
+                f += part.uniform[0]
+            targets[part.incs] = f
     with np.errstate(divide="ignore", invalid="ignore"):
         center = np.where(
             center_total > 0.0,
@@ -940,12 +857,14 @@ class ChoiceCache:
     non-negative coefficients.  Increments of degree at most
     ``MAX_COLLAPSED_DEGREE`` are stored collapsed to those coefficients, so
     scoring one costs a dot product with the degree's monomials of w however
-    many orderings and steps it has.  Larger stars keep the row path: their
-    step rows are mixed, logged and summed per ordering, and the orderings
-    are combined by a max-shifted logsumexp, so a long product of small
-    ratios cannot underflow.  Step rows and orderings are kept only for
-    those larger stars; ``increment_offsets`` still spans every increment,
-    with no orderings for a collapsed one.
+    many orderings and steps it has.  Exhaustive stars get them from the
+    subset DP (anchored on the first target of an external star under
+    triangle closure), sampled ones from their orderings.  Larger sampled
+    stars keep the row path: their step rows are mixed, logged and summed
+    per ordering, and the orderings are combined by a max-shifted
+    logsumexp, so a long product of small ratios cannot underflow.  Step
+    rows and orderings are kept only for those stars; ``increment_offsets``
+    still spans every increment, with no orderings for a collapsed one.
     """
 
     components: tuple[Component, ...]
@@ -959,9 +878,9 @@ class ChoiceCache:
     logp_rand: np.ndarray  # (I,) float64
     poly_coefs: np.ndarray  # (K,) float64, per degree an (increments, monomials) block
     poly_increments: np.ndarray  # (P,) int64, collapsed increments, ascending within a degree
-    poly_offsets: np.ndarray  # (MAX_COLLAPSED_DEGREE + 2,) int64, poly_increments range per degree
-    poly_coef_offsets: np.ndarray  # (MAX_COLLAPSED_DEGREE + 2,) int64, poly_coefs range per degree
-    row_increments: np.ndarray  # (R,) int64, increments above the cap, ascending
+    poly_offsets: np.ndarray  # (D + 2,) int64, poly_increments range per degree, D >= the cap
+    poly_coef_offsets: np.ndarray  # (D + 2,) int64, poly_coefs range per degree
+    row_increments: np.ndarray  # (R,) int64, sampled increments above the cap, ascending
     sampled_increments: int
     fallback_choices: int
 
@@ -1044,6 +963,40 @@ def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _lattice_poly(trace: DPTrace, part: _SubsetGroup, anchored: bool, components, nodes):
+    """(n, M) summed ordering coefficients of a group's stars, and their (L, n) fallbacks.
+
+    The subset DP with polynomial values: G(all) = 1 and G(S) = sum over i
+    not in S of (r(S, i) . w) G(S + i), r(S, i) holding each component's
+    step ratio to uniform; the result is G(empty).  An anchored star sums
+    the first step's form times G over its anchors.
+    """
+    lattices = [_lattice(trace, part, c, node, anchored) for c, node in zip(components, nodes)]
+    q = len(part.targets)
+    size_all = q - anchored
+    eligible = np.repeat(part.initial - 1.0, q) if anchored else part.initial
+    g = np.ones((1, len(eligible), 1))
+    for size in reversed(range(size_all)):
+        lo, hi, child, added = _subset_lattice(size_all)[1][size]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = [
+                np.where(
+                    lat.positive[lo:hi, None],
+                    lat.w[added] * (eligible - size) / lat.total[lo:hi, None],
+                    1.0,
+                )
+                for lat in lattices
+            ]
+        linear = np.stack(ratios, axis=-1).reshape(-1, len(ratios))
+        terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, size_all - size)
+        g = terms.reshape(*child.shape, len(eligible), -1).sum(axis=1)
+    poly = g[0]
+    if anchored:
+        first = np.stack([lat.first for lat in lattices], axis=1)
+        poly = _times_linear(poly, first, q).reshape(len(part.incs), q, -1).sum(axis=1)
+    return poly, np.array([lat.fallbacks for lat in lattices])
+
+
 def _collapse(
     step_ratios: np.ndarray,
     ordering_offsets: np.ndarray,
@@ -1051,47 +1004,55 @@ def _collapse(
     center_ratios: np.ndarray,
     inv_norm: np.ndarray,
     existing_counts: np.ndarray,
+    lattice: dict[int, list[tuple[np.ndarray, np.ndarray]]],
 ) -> dict[str, np.ndarray]:
-    """Polynomial coefficients of every increment of degree <= MAX_COLLAPSED_DEGREE.
+    """Polynomial coefficients of every exhaustive increment and every other of degree <= the cap.
 
-    Per ordering, the coefficients start at 1 and are multiplied by one step
-    row's linear form per step, for all orderings of one q at once; then they
-    are summed over each increment's orderings, scaled by ``inv_norm`` and
-    multiplied by the center row.  A pure-random ratio is an exact product
-    of ones, so its coefficient is the ordering count times ``inv_norm``.
+    ``lattice`` maps q to batches of (increments, summed ordering
+    coefficients) of the exhaustive stars with q existing targets.  A sampled star's coefficients
+    start at 1 per ordering, are multiplied by one step row's linear form
+    per step, and are summed over its orderings.  Every sum is scaled by
+    ``inv_norm`` and multiplied by the center row.  A pure-random ratio is
+    an exact product of ones, so its coefficient is the ordering count
+    times ``inv_norm``.
     """
     ncomp = center_ratios.shape[1]
     degrees = existing_counts + 1
+    orderings = np.diff(increment_offsets)
     order = np.argsort(degrees, kind="stable")
-    collapsed = order[degrees[order] <= MAX_COLLAPSED_DEGREE]
-    counts = np.bincount(degrees[collapsed], minlength=MAX_COLLAPSED_DEGREE + 1)
+    # exhaustive stars, with no orderings, pass the cap if max_exhaustive_choices >= 12
+    collapsed = order[(degrees[order] <= MAX_COLLAPSED_DEGREE) | (orderings[order] == 0)]
+    top = max(MAX_COLLAPSED_DEGREE, int(degrees[collapsed].max(initial=0)))
+    counts = np.bincount(degrees[collapsed], minlength=top + 1)
     blocks: list[np.ndarray] = []
-    coef_sizes = [0] * (MAX_COLLAPSED_DEGREE + 1)
-    for degree in range(1, MAX_COLLAPSED_DEGREE + 1):
+    coef_sizes = [0] * (top + 1)
+    for degree in range(1, top + 1):
         incs = collapsed[degrees[collapsed] == degree]
         q = degree - 1
-        orderings = increment_offsets[incs + 1] - increment_offsets[incs]
         size = len(_monomial_exponents(ncomp, degree))
         coef_sizes[degree] = len(incs) * size
-        for a, b in _batches(orderings, max(1, _COLLAPSE_BATCH_ELEMENTS // size)):
-            part = incs[a:b]
-            if q == 0:
-                poly = np.ones((len(part), 1))
-            else:
-                ords = _concat_ranges(increment_offsets[part], increment_offsets[part + 1])
-                first_row = ordering_offsets[ords]
-                poly = np.ones((len(ords), 1))
-                for s in range(q):
-                    poly = _times_linear(poly, step_ratios[first_row + s], s + 1)
-                poly = np.add.reduceat(poly, _offsets(orderings[a:b])[:-1], axis=0)
-            poly *= inv_norm[part, None]
-            blocks.append(_times_linear(poly, center_ratios[part], degree).ravel())
+        if not len(incs):
+            continue
+        poly = np.ones((len(incs), len(_monomial_exponents(ncomp, q))))
+        drawn = np.flatnonzero(orderings[incs])
+        for a, b in _batches(orderings[incs[drawn]], max(1, _COLLAPSE_BATCH_ELEMENTS // size)):
+            part = incs[drawn[a:b]]
+            ords = _concat_ranges(increment_offsets[part], increment_offsets[part + 1])
+            first_row = ordering_offsets[ords]
+            terms = np.ones((len(ords), 1))
+            for s in range(q):
+                terms = _times_linear(terms, step_ratios[first_row + s], s + 1)
+            poly[drawn[a:b]] = np.add.reduceat(terms, _offsets(orderings[part])[:-1], axis=0)
+        for exhaustive, coefs in lattice.get(q, []):
+            poly[np.searchsorted(incs, exhaustive)] = coefs
+        poly *= inv_norm[incs, None]
+        blocks.append(_times_linear(poly, center_ratios[incs], degree).ravel())
     return {
         "poly_coefs": np.concatenate(blocks) if blocks else np.zeros(0),
         "poly_increments": collapsed.astype(np.int64),
         "poly_offsets": _offsets(counts),
         "poly_coef_offsets": _offsets(coef_sizes),
-        "row_increments": np.flatnonzero(degrees > MAX_COLLAPSED_DEGREE).astype(np.int64),
+        "row_increments": np.flatnonzero((degrees > MAX_COLLAPSED_DEGREE) & (orderings > 0)),
     }
 
 
@@ -1100,15 +1061,20 @@ def _choice_cache(
 ) -> tuple[ChoiceCache, np.ndarray]:
     """The weight-fitting cache of a trace, plus (L, I) fallback choices per component.
 
-    Fallbacks are counted on the center and on the first ordering's steps.
+    Fallbacks are counted on the center and on the steps of the first
+    ordering: a sampled star's first draw, an exhaustive star's identity
+    ordering.
     """
     num_inc = trace.num_increments
     step_ratios = np.empty((len(trace.eligible), len(components)))
     center_ratios = np.ones((num_inc, len(components)))
     fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
     whole_graph = trace.num_nodes.astype(np.float64)
+    first_ordering = trace.entry_ord == trace.inc_ord_offsets[trace.entry_inc]
+    nodes = []
     for l, comp in enumerate(components):
-        step_w, step_total, center_w, center_total = _choice_weights(trace, comp)
+        nodes.append(_node_weights(trace, comp))
+        step_w, step_total, center_w, center_total = _choice_weights(trace, comp, nodes[-1])
         center_fallback = ~trace.center_new & (center_total <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             # multiply first so a uniform component cancels exactly to 1.0
@@ -1119,16 +1085,31 @@ def _choice_cache(
                 trace.center_new | center_fallback, 1.0, center_w * whole_graph / center_total
             )
         fallbacks[l] = center_fallback + np.bincount(
-            trace.entry_inc[trace.first_ordering & (step_total <= 0.0)], minlength=num_inc
+            trace.entry_inc[first_ordering & (step_total <= 0.0)], minlength=num_inc
         )
+    anchored = any(isinstance(c, TriangleClosure) for c in components)
+    lattice: dict[int, list] = {}
+    for group in trace._subset_groups:
+        q = len(group.targets)
+        # a star has fewer than q * 2**q polynomial terms of at most M coefficients
+        step = _COLLAPSE_BATCH_ELEMENTS // ((q << q) * len(_monomial_exponents(len(nodes), q)))
+        for part, outer in _split(group, anchored & trace.center_new[group.incs]):
+            for a in range(0, len(part.incs), max(1, step)):
+                batch = part.select(slice(a, a + max(1, step)))
+                coefs, fallbacks_at = _lattice_poly(trace, batch, outer, components, nodes)
+                lattice.setdefault(q, []).append((batch.incs, coefs))
+                fallbacks[:, batch.incs] += fallbacks_at
+    orderings, exhaustive = np.diff(trace.inc_ord_offsets), ~trace.sampled
+    q = trace.existing_counts[exhaustive]
+    orderings[exhaustive] = np.array([math.factorial(k) for k in range(q.max(initial=0) + 1)])[q]
     arrays = {
         "step_ratios": step_ratios,
         "ordering_offsets": trace.ordering_offsets,
         "increment_offsets": trace.inc_ord_offsets,
         "center_ratios": center_ratios,
-        "inv_norm": 1.0 / np.diff(trace.inc_ord_offsets),
+        "inv_norm": 1.0 / orderings,
     }
-    collapsed = _collapse(**arrays, existing_counts=trace.existing_counts)
+    collapsed = _collapse(**arrays, existing_counts=trace.existing_counts, lattice=lattice)
     # Only the row path reads step rows: keep those of the increments above the cap.
     rows = collapsed["row_increments"]
     ord_counts = np.zeros(num_inc, dtype=np.int64)

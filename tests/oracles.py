@@ -127,6 +127,37 @@ def oracle_choice_probabilities(
     return center_row, order_rows
 
 
+def oracle_fallbacks(num_nodes, edges, center, center_is_new, specs, order):
+    """Per spec, how many of a star's choices fall back to uniform.
+
+    The choices are the center, when it already exists, and the existing
+    targets taken in ``order``.  A choice falls back when the spec weighs
+    its whole eligible set 0, and the first target of a new-center star
+    always does under triangle closure, which has no anchor yet.  The
+    center is drawn uniformly under triangle closure, which is no fallback.
+    """
+    neigh = _adjacency(num_nodes, edges)
+    all_nodes = set(range(num_nodes))
+    counts = [0] * len(specs)
+    excluded = set()
+    if not center_is_new:
+        for l, spec in enumerate(specs):
+            if spec[0] != "tri" and sum(_weight(spec, x, neigh, None) for x in all_nodes) == 0.0:
+                counts[l] += 1
+        excluded = {center} | neigh[center]
+    chosen = set()
+    for step, node in enumerate(order):
+        eligible = all_nodes - chosen - excluded
+        anchor = center if not center_is_new else order[0]
+        for l, spec in enumerate(specs):
+            if spec[0] == "tri" and center_is_new and step == 0:
+                counts[l] += 1
+            elif sum(_weight(spec, x, neigh, anchor) for x in eligible) == 0.0:
+                counts[l] += 1
+        chosen.add(node)
+    return counts
+
+
 def oracle_increment_probability(
     num_nodes, edges, center, center_is_new, targets, mixture, orders=None, log_mult=0.0
 ):
@@ -233,9 +264,11 @@ def oracle_trace(
     The graph is walked one increment at a time: each increment is checked,
     read and then applied.  Neighbourhoods list their nodes in insertion
     order, the seed's by id, so an existing center's excluded neighbourhood
-    comes out in the order its edges arrived.  Sampled orderings are drawn
-    one ``permutation`` call at a time.  An increment the graph cannot take
-    raises ``OracleRejection`` with the package's error class and message.
+    comes out in the order its edges arrived.  Only sampled increments have
+    orderings, drawn one ``permutation`` call at a time.  With ``triangles``
+    each increment lists its anchors: the existing center, or else every
+    existing target in turn.  An increment the graph cannot take raises
+    ``OracleRejection`` with the package's error class and message.
     """
     seed_sets = _adjacency(num_nodes, seed_edges)
     neigh = [dict.fromkeys(sorted(seed_sets[v])) for v in range(num_nodes)]
@@ -243,7 +276,7 @@ def oracle_trace(
     h0 = np.bincount(np.asarray(degs, dtype=np.int64), minlength=1)
     rows = []
     shared_id, shared_deg, target_id, target_deg = [], [], [], []
-    orderings, tri_values, ord_tri_start, ord_tri_total = [], [], [], []
+    orderings, anchor_counts, anchor_total, anchor_common = [], [], [], []
 
     def common(u, v):
         return len(set(neigh[u]) & set(neigh[v]))
@@ -270,43 +303,33 @@ def oracle_trace(
             )
         num_choices = q + (0 if inc.center_is_new else 1)
         sampled = q > 0 and num_choices > max_exhaustive_choices
+        positions = np.zeros((0, q), dtype=np.intp)
+        log_mult = 0.0
         if sampled:
             rng = np.random.default_rng([seed, index])
             positions = np.array(
                 [rng.permutation(q) for _ in range(ordering_samples)], dtype=np.intp
             ).reshape(ordering_samples, q)
             log_mult = _log_factorial(q) - math.log(float(ordering_samples))
-        else:
-            positions = np.array(list(itertools.permutations(range(q))), dtype=np.intp)
-            positions = positions.reshape(math.factorial(q), q)
-            log_mult = 0.0
         orderings.append(positions)
         target_id.extend(existing)
         target_deg.extend(degs[x] for x in existing)
-        if triangles and existing:
-            if not inc.center_is_new:
+        if triangles:
+            anchor_rows, totals = [], []
+            if existing and not inc.center_is_new:
                 c = inc.center
                 wedges = sum(common(c, v) for v in neigh[c])
-                anchor_rows = [[common(c, x) for x in existing]]
-                totals = [sum(degs[u] for u in neigh[c]) - degs[c] - wedges]
-                ord_rows = np.zeros(len(positions), dtype=np.int64)
-            else:
-                firsts = positions[:, 0].tolist()
-                slot = {a: i for i, a in enumerate(dict.fromkeys(firsts))}
-                anchor_rows, totals = [], []
-                for a in slot:
-                    x = existing[a]
+                anchor_rows.append([common(c, x) for x in existing])
+                totals.append(sum(degs[u] for u in neigh[c]) - degs[c] - wedges)
+            elif existing:
+                for a, x in enumerate(existing):
                     anchor_rows.append(
                         [0 if b == a else common(x, y) for b, y in enumerate(existing)]
                     )
                     totals.append(sum(degs[u] for u in neigh[x]) - degs[x])
-                ord_rows = np.array([slot[a] for a in firsts], dtype=np.int64)
-            ord_tri_start.append(len(tri_values) + q * ord_rows)
-            ord_tri_total.append(np.array(totals)[ord_rows])
-            tri_values.extend(itertools.chain.from_iterable(anchor_rows))
-        elif triangles:
-            ord_tri_start.append(np.zeros(len(positions), dtype=np.int64))
-            ord_tri_total.append(np.zeros(len(positions), dtype=np.int64))
+            anchor_counts.append(len(totals))
+            anchor_total.extend(totals)
+            anchor_common.extend(itertools.chain.from_iterable(anchor_rows))
 
         center_rand = 0.0 if inc.center_is_new else -math.log(float(n))
         rand_steps = math.fsum(-math.log(float(eligible - s)) for s in range(q))
@@ -343,7 +366,7 @@ def oracle_trace(
         ("center_new", bool),
         ("center_deg", np.int64),
         ("gain", np.int64),
-        ("initial_eligible", np.int64),
+        ("initial", np.int64),
         ("sampled", bool),
         ("log_mult", np.float64),
         ("logp_rand", np.float64),
@@ -352,7 +375,6 @@ def oracle_trace(
     columns = zip(*rows) if rows else [()] * len(names)
     out = {name: np.array(values, dtype=dtype) for (name, dtype), values in zip(names, columns)}
     shared_count = out.pop("shared_count")
-    initial_eligible = out.pop("initial_eligible")
     num_inc = len(increments)
     existing_counts = np.array([p.shape[1] for p in orderings], dtype=np.int64)
     ord_counts = np.array([p.shape[0] for p in orderings], dtype=np.int64)
@@ -364,17 +386,6 @@ def oracle_trace(
     entry_first = ordering_offsets[entry_ord]
     entry_step = np.arange(len(entry_ord)) - entry_first
     positions = _flat(orderings, np.int64)
-
-    tri_common = tri_total = None
-    if triangles:
-        tri_common = np.array(tri_values, dtype=np.int64)[
-            _flat(ord_tri_start, np.int64)[entry_ord] + positions
-        ]
-        before = _offsets(tri_common)[:-1]
-        tri_total = _flat(ord_tri_total, np.int64)[entry_ord] - (before - before[entry_first])
-        no_anchor = out["center_new"][entry_inc] & (entry_step == 0)
-        tri_common[no_anchor] = 0
-        tri_total[no_anchor] = 0
 
     kmax = max(
         len(h0) - 1,
@@ -397,11 +408,17 @@ def oracle_trace(
         entry_inc=entry_inc,
         entry_first=entry_first,
         entry_target=_offsets(existing_counts)[entry_inc] + positions,
-        first_ordering=entry_ord == inc_ord_offsets[entry_inc],
-        eligible=(initial_eligible[entry_inc] - entry_step).astype(np.float64),
-        tri_common=tri_common,
-        tri_total=tri_total,
+        eligible=(out["initial"][entry_inc] - entry_step).astype(np.float64),
+        anchor_offsets=None,
+        anchor_total=None,
+        anchor_common=None,
     )
+    if triangles:
+        out.update(
+            anchor_offsets=_offsets(np.array(anchor_counts, dtype=np.int64)),
+            anchor_total=np.array(anchor_total, dtype=np.int64),
+            anchor_common=np.array(anchor_common, dtype=np.int64),
+        )
     return out
 
 

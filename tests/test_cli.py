@@ -283,3 +283,80 @@ class TestErrors:
         code, _, stderr = run(capsys, "ingest", "--data", str(data))
         assert code == 2
         assert "line 2" in stderr
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("new_targets", ["3", "7"])
+    def test_ordering_samples_below_one_exits_2(self, tmp_path, capsys, samples, new_targets):
+        data = tmp_path / "g.stars"
+        code, _, _ = run(
+            capsys, "generate", "--model", "BA", "--increments", "30",
+            "--new-targets", new_targets, "--out", str(data),
+        )
+        assert code == 0
+        code, _, stderr = run(
+            capsys, "score", "--data", str(data), "--model", "BA",
+            "--ordering-samples", samples,
+        )
+        assert code == 2
+        assert stderr.startswith("error (ModelError): ordering_samples") and samples in stderr
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"increments": 10}', "'intervals' is missing"),
+            ('{"intervals": [{"model": "BA"}], "increments": "abc"}', "'increments'"),
+            ('{"intervals": [{"model": "BA"}], "internal_prob": "x"}', "'internal_prob'"),
+            ('{"intervals": []}', "'intervals'"),
+            ('{"intervals": [{"until": 5}]}', "'intervals'"),
+            ('[{"model": "BA"}]', "JSON object"),
+            ('{"intervals": [{"model": "BA"}]', "not valid JSON"),
+        ],
+    )
+    def test_malformed_recipe_file_names_the_field(self, tmp_path, capsys, text, named):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(text + "\n")
+        code, _, stderr = run(
+            capsys, "generate", "--recipe", str(recipe), "--out", str(tmp_path / "g.stars"),
+        )
+        assert code == 2
+        assert stderr.startswith("error (ModelError)") and named in stderr
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"components": ["BA"], "intervals": [], "logL": 0, "logL_rand": 0}', "'mode'"),
+            ('{"components": ["BA"], "mode": "count"', "not valid JSON"),
+            ('["BA"]', "JSON object"),
+            ('{"components": "BA", "mode": "count"}', "'components'"),
+            ('{"components": ["BA"], "mode": 5}', "'mode'"),
+            (
+                '{"components": ["BA"], "mode": "count", "intervals": [{"weights": [1]}], '
+                '"logL": 0, "logL_rand": 0, "choices": 1}',
+                "'intervals'",
+            ),
+        ],
+    )
+    def test_malformed_fit_file_names_the_field(self, workdir, tmp_path, capsys, text, named):
+        fit = tmp_path / "fit.json"
+        fit.write_text(text + "\n")
+        code, _, stderr = run(
+            capsys, "score", "--data", str(workdir / "run.stars"), "--fit", str(fit),
+        )
+        assert code == 2
+        assert stderr.startswith("error (FitError)") and named in stderr
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--new-targets", "0"], "new_targets"),
+            (["--internal-prob", "1", "--internal-targets", "0"], "internal_targets"),
+        ],
+    )
+    def test_star_without_targets_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "g.stars"
+        code, _, stderr = run(
+            capsys, "generate", "--model", "BA", "--increments", "5", *flags, "--out", str(out),
+        )
+        assert code == 2
+        assert stderr.startswith(f"error (ModelError): {named}")
+        assert not out.exists()

@@ -57,6 +57,22 @@ class TestGrowthRecipe:
         with pytest.raises(gf.ModelError, match=field):
             gf.GrowthRecipe.constant("BA", **{field: value})
 
+    @pytest.mark.parametrize(
+        "shape, named",
+        [
+            ({"new_targets": 0}, "new_targets"),
+            ({"new_targets": 0, "internal_prob": 1.0}, "new_targets"),
+            ({"internal_prob": 0.5, "internal_targets": 0}, "internal_targets"),
+        ],
+    )
+    def test_star_without_targets_is_a_model_error(self, shape, named):
+        with pytest.raises(gf.ModelError, match=named):
+            gf.grow(gf.GrowthRecipe.constant("BA", increments=5, **shape))
+
+    def test_unused_internal_targets_may_be_zero(self):
+        recipe = gf.GrowthRecipe.constant("BA", increments=5, internal_targets=0)
+        assert len(gf.grow(recipe).increments) == 5
+
     def test_edge_values_are_accepted(self):
         recipe = gf.GrowthRecipe.constant(
             "BA", increments=0, new_targets=0, internal_targets=0, internal_prob=1.0,

@@ -1,6 +1,5 @@
 """Tests for increment likelihoods, caches, and degree-power traces."""
 
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -20,13 +19,13 @@ from growthfit.likelihood import (
     cache_loglik,
     cache_logratios,
     dp_trace_logp,
-    orderings_for_increment,
     per_choice_ratio,
 )
 from growthfit import likelihood
 from oracles import (
     chunked_cache_loglik,
     oracle_choice_probabilities,
+    oracle_fallbacks,
     oracle_increment_probability,
 )
 
@@ -98,7 +97,7 @@ class TestAgainstBruteForceOracle:
             pool = [x for x in range(n) if x not in banned]
             if not pool:
                 return None
-        q = int(rng.integers(1, min(4, len(pool)) + 1))
+        q = int(rng.integers(1, min(6, len(pool)) + 1))
         existing = [int(t) for t in rng.choice(pool, size=q, replace=False)]
         first_new = n + (1 if center_is_new else 0)
         n_new = int(rng.integers(0, 2))
@@ -128,28 +127,36 @@ class TestAgainstBruteForceOracle:
                 assert abs(p_pkg - p_ref) <= 1e-12 * abs(p_ref)
 
 
+def drawn_orderings(inc, index, seed, max_exhaustive, samples):
+    """(trace, orderings as node rows) of one increment onto an edgeless graph of 99 nodes."""
+    graph = gf.graph_from_edges([], num_nodes=99)
+    trace = likelihood._replay(graph, [inc], index, (), seed, max_exhaustive, samples)
+    rows = trace.target_id[trace.entry_target].reshape(-1, int(trace.existing_counts[0]))
+    return trace, [tuple(row) for row in rows.tolist()]
+
+
 class TestOrderings:
-    def test_small_increments_enumerate_exhaustively(self):
-        inc = gf.Increment(0, 9, True, (1, 2, 3), (False,) * 3)
-        orders, sampled, log_mult = orderings_for_increment(inc, 0, 0, 5, 120)
-        assert not sampled
-        assert log_mult == 0.0
-        assert sorted(orders) == sorted(itertools.permutations((1, 2, 3)))
+    def test_small_increments_have_no_orderings(self):
+        inc = gf.Increment(0, 99, True, (1, 2, 3), (False,) * 3)
+        trace, orders = drawn_orderings(inc, 0, 0, 5, 120)
+        assert not trace.sampled[0]
+        assert trace.log_mult[0] == 0.0
+        assert orders == [] and len(trace.chosen_deg) == 0
 
     def test_large_increments_sample(self):
         inc = gf.Increment(0, 99, True, tuple(range(6)), (False,) * 6)
-        orders, sampled, log_mult = orderings_for_increment(inc, 3, 7, 5, 50)
-        assert sampled
+        trace, orders = drawn_orderings(inc, 3, 7, 5, 50)
+        assert trace.sampled[0]
         assert len(orders) == 50
-        assert abs(log_mult - (math.log(math.factorial(6)) - math.log(50))) < 1e-12
+        assert abs(trace.log_mult[0] - (math.log(math.factorial(6)) - math.log(50))) < 1e-12
         for order in orders:
             assert sorted(order) == list(range(6))
 
     def test_sampling_is_deterministic_in_seed_and_index(self):
         inc = gf.Increment(0, 99, True, tuple(range(6)), (False,) * 6)
-        a = orderings_for_increment(inc, 3, 7, 5, 50)[0]
-        b = orderings_for_increment(inc, 3, 7, 5, 50)[0]
-        c = orderings_for_increment(inc, 4, 7, 5, 50)[0]
+        a = drawn_orderings(inc, 3, 7, 5, 50)[1]
+        b = drawn_orderings(inc, 3, 7, 5, 50)[1]
+        c = drawn_orderings(inc, 4, 7, 5, 50)[1]
         assert a == b
         assert a != c
 
@@ -168,6 +175,23 @@ class TestOrderings:
         )
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) < 4.0 * se
+
+
+class TestOrderingSamples:
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("new_targets", [3, 7])
+    def test_fewer_than_one_is_a_model_error(self, samples, new_targets):
+        recipe = gf.GrowthRecipe.constant("BA", increments=20, new_targets=new_targets)
+        stream = gf.grow(recipe, seed=0)
+        assert build_dp_trace(stream).sampled.any() == (new_targets > 4)
+        calls = (
+            lambda: gf.score_stream(stream, gf.DegreePower(1.0), ordering_samples=samples),
+            lambda: build_dp_trace(stream, ordering_samples=samples),
+            lambda: build_choice_cache(stream, [gf.Random()], ordering_samples=samples),
+        )
+        for call in calls:
+            with pytest.raises(gf.ModelError, match=f"ordering_samples .*{samples}"):
+                call()
 
 
 class TestScoreStream:
@@ -457,9 +481,11 @@ def oracle_spec(comp):
 def oracle_logps(stream, comps, weight_rows, ordering_samples=SAMPLES):
     """(C, I) log-probability of every increment at each weight row, by brute force.
 
-    The stream is replayed as a plain edge list through the oracle; stars
-    with too many choices are summed over the package's seeded ordering
-    sample, scaled by its multiplier.
+    The stream is replayed as a plain edge list through the oracle.  Stars
+    with at most ``MAX_EXHAUSTIVE_CHOICES`` choices sum every ordering of
+    their targets; larger ones sum ``ordering_samples`` orderings drawn one
+    ``permutation`` at a time from the generator seeded (0, index), scaled
+    by q! / S.
     """
     specs = [oracle_spec(c) for c in comps]
     weights = np.atleast_2d(np.asarray(weight_rows, dtype=float))
@@ -467,9 +493,15 @@ def oracle_logps(stream, comps, weight_rows, ordering_samples=SAMPLES):
     num_nodes = stream.seed_graph().num_nodes
     out = np.empty((len(weights), len(stream.increments)))
     for index, inc in enumerate(stream.increments):
-        orders, _, log_mult = orderings_for_increment(
-            inc, index, 0, MAX_EXHAUSTIVE_CHOICES, ordering_samples
-        )
+        existing = [t for t, new in zip(inc.targets, inc.targets_new) if not new]
+        orders, log_mult = None, 0.0
+        if existing and len(existing) + (not inc.center_is_new) > MAX_EXHAUSTIVE_CHOICES:
+            rng = np.random.default_rng([0, index])
+            orders = [
+                tuple(existing[j] for j in rng.permutation(len(existing)))
+                for _ in range(ordering_samples)
+            ]
+            log_mult = math.log(math.factorial(len(existing))) - math.log(ordering_samples)
         center_row, order_rows = oracle_choice_probabilities(
             num_nodes, edges, inc.center, inc.center_is_new,
             list(zip(inc.targets, inc.targets_new)), specs, orders,
@@ -671,6 +703,65 @@ class TestSingleComponentsAgainstOracle:
             assert_close(dp_trace_logp(trace, alpha), expect)
             _, series = gf.score_stream(stream, dp, ordering_samples=SAMPLES, keep_series=True)
             assert_close([s.logp for s in series], expect)
+        grid = [0.5, 1.0]
+        fit = gf.fit_component_family(stream, gf.RankPreference, grid)
+        expect = [
+            oracle_logps(stream, [gf.RankPreference(a)], [[1.0]], DEFAULT_ORDERING_SAMPLES)[0].sum()
+            for a in grid
+        ]
+        assert_close(fit.logliks, expect)
+
+    @pytest.mark.parametrize("seed", [7, 8, None])
+    def test_fallback_counts_match_oracle(self, seed):
+        # Counted on the center and on the first ordering: an exhaustive
+        # star's targets in their given order, a sampled star's first draw.
+        if seed is None:
+            stream = gf.GrowthStream(
+                seed_edges=[(0, 8), (0, 9), (8, 9)],
+                increments=[
+                    gf.Increment(0, 10, True, (9, 0, 8, 1), (False,) * 4),
+                    gf.Increment(1, 0, False, (1, 2, 3), (False,) * 3),
+                    gf.Increment(2, 11, True, (4, 5), (False,) * 2),
+                ],
+            )
+        else:
+            stream = mixed_stream(np.random.default_rng(seed))
+        comps = [gf.DegreePower(1.5), gf.TriangleClosure(), gf.Random()]
+        specs = [oracle_spec(c) for c in comps]
+        sched = schedule_for(*zip((0.4, 0.3, 0.3), comps))
+        _, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        edges = list(stream.seed_edges)
+        num_nodes = stream.seed_graph().num_nodes
+        for index, (inc, score) in enumerate(zip(stream.increments, series)):
+            order = [t for t, new in zip(inc.targets, inc.targets_new) if not new]
+            if score.sampled:
+                first_draw = np.random.default_rng([0, index]).permutation(len(order))
+                order = [order[j] for j in first_draw]
+            counts = oracle_fallbacks(num_nodes, edges, inc.center, inc.center_is_new, specs, order)
+            assert score.fallback_choices == sum(counts), index
+            num_nodes += len(inc.new_nodes)
+            edges += [(inc.center, t) for t in inc.targets]
+
+    def test_zero_degree_fallback_on_anchored_lattices(self):
+        # An external star under a mixture with triangle closure is scored
+        # per first target; the first star takes node 1, of degree 0, only
+        # after every node of positive degree, and the second star takes
+        # two nodes of degree 0.
+        def star(t, center, targets):
+            return gf.Increment(t, center, True, targets, (False,) * len(targets))
+
+        stream = gf.GrowthStream(
+            seed_edges=[(0, 8), (0, 9), (8, 9)],
+            increments=[star(0, 10, (9, 0, 8, 1)), star(1, 11, (1, 2))],
+        )
+        for alpha in (0.5, 1.0, 1.7):
+            comps = [gf.DegreePower(alpha), gf.TriangleClosure()]
+            for w in ([0.5, 0.5], [1.0, 0.0], [0.2, 0.8]):
+                expect = oracle_logps(stream, comps, [w])[0]
+                _, series = gf.score_stream(
+                    stream, schedule_for(*zip(w, comps)), keep_series=True
+                )
+                assert_close([s.logp for s in series], expect)
         grid = [0.5, 1.0]
         fit = gf.fit_component_family(stream, gf.RankPreference, grid)
         expect = [
