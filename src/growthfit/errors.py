@@ -100,7 +100,7 @@ def json_fields(text: str, error: type[GrowthFitError], readers: dict) -> dict:
     for name, (convert, default) in readers.items():
         try:
             fields[name] = convert(raw[name] if name in raw or default is ... else default)
-        except (LookupError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             problem = f"cannot read {raw[name]!r}: {exc}" if name in raw else "is missing"
             raise error(f"field {name!r} {problem}") from None
     return fields

@@ -541,7 +541,11 @@ class GrowthRecipe:
     @staticmethod
     def from_json(text: str) -> "GrowthRecipe":
         """The recipe ``to_json`` writes; a malformed one raises ModelError naming the field."""
-        readers = {f.name: (type(f.default), f.default) for f in fields(GrowthRecipe)}
+        strict = {int: _json_int, float: _json_number}
+        readers = {
+            f.name: (strict.get(type(f.default), type(f.default)), f.default)
+            for f in fields(GrowthRecipe)
+        }
         readers["intervals"] = (_recipe_intervals, ...)
         return GrowthRecipe(**json_fields(text, ModelError, readers))
 
@@ -552,6 +556,22 @@ class GrowthRecipe:
     @staticmethod
     def two_phase(spec_pre: str, spec_post: str, switch: float, **kwargs) -> "GrowthRecipe":
         return GrowthRecipe(intervals=[(spec_pre, switch), (spec_post, None)], **kwargs)
+
+
+def _json_int(value) -> int:
+    """An integral JSON number; booleans, strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError("expected an integer")
+    return value
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float; booleans and strings are refused."""
+    if type(value) not in (int, float):
+        raise ValueError("expected a number")
+    return float(value)
 
 
 def _recipe_intervals(value) -> list[tuple[str, float | None]]:

@@ -8,12 +8,13 @@ probabilities over orderings of that set (center first, then targets).  New
 nodes are not choices and contribute factor 1.
 
 With q existing targets there are q! orderings.  When the increment's total
-choice count m is at most ``max_exhaustive_choices`` the sum is exact and
-runs over subsets of the targets (below); otherwise it is estimated from
-``ordering_samples`` uniformly drawn orderings (with replacement), scaled by
-q!/S, which is unbiased on the probability scale.  Only these sampled stars
-have orderings.  The per-increment sample RNG is seeded from (seed,
-increment index) so every scoring method sees identical orderings.
+choice count m is at most ``max_exhaustive_choices`` (default 7) the sum is
+exact and runs over subsets of the targets (below); otherwise it is
+estimated from ``ordering_samples`` uniformly drawn orderings (with
+replacement), scaled by q!/S, which is unbiased on the probability scale.
+Only these sampled stars have orderings.  The per-increment sample RNG is
+seeded from (seed, increment index) so every scoring method sees identical
+orderings.
 
 Eligibility per target step: all current nodes, minus nodes already chosen
 in this star, minus the center and its frozen neighborhood when the center
@@ -94,7 +95,12 @@ from .models import (
     degree_power_table,
 )
 
-MAX_EXHAUSTIVE_CHOICES = 5
+# Up to 7 choices the subset DP costs no more than drawing and scoring
+# DEFAULT_ORDERING_SAMPLES orderings on every path, for 2 to 4 components
+# with or without triangle closure; at 8 the weight-fitting cache of an
+# external star under triangle closure, one lattice per anchor, costs up to
+# 2.3 times as much exact.
+MAX_EXHAUSTIVE_CHOICES = 7
 # Increments whose ratio polynomial has degree (existing targets + 1) at most
 # this, and every exhaustive one, are cached as coefficients.  A coefficient
 # is a sum of fewer than L**12 products of at most 12 step ratios, far inside
@@ -963,18 +969,38 @@ def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _lattice_poly(trace: DPTrace, part: _SubsetGroup, anchored: bool, components, nodes):
+def _mixed(columns: list[np.ndarray], mix: np.ndarray | None) -> np.ndarray:
+    """Per-component values stacked on a last axis, or that axis mixed to one column.
+
+    ``mix`` holds each value's component weights on its last axis and
+    broadcasts against the values otherwise.
+    """
+    if mix is None:
+        return np.stack(columns, axis=-1)
+    out = columns[0] * mix[..., 0]
+    for l in range(1, len(columns)):
+        out += columns[l] * mix[..., l]
+    return out[..., None]
+
+
+def _lattice_poly(
+    trace: DPTrace, part: _SubsetGroup, anchored: bool, components, nodes, mix: np.ndarray | None
+):
     """(n, M) summed ordering coefficients of a group's stars, and their (L, n) fallbacks.
 
     The subset DP with polynomial values: G(all) = 1 and G(S) = sum over i
     not in S of (r(S, i) . w) G(S + i), r(S, i) holding each component's
     step ratio to uniform; the result is G(empty).  An anchored star sums
-    the first step's form times G over its anchors.
+    the first step's form times G over its anchors.  With ``mix``, the (n, L)
+    weights of each star, every form is evaluated at them, so G is one
+    number per star.
     """
     lattices = [_lattice(trace, part, c, node, anchored) for c, node in zip(components, nodes)]
     q = len(part.targets)
     size_all = q - anchored
     eligible = np.repeat(part.initial - 1.0, q) if anchored else part.initial
+    if mix is not None and anchored:
+        mix = np.repeat(mix, q, axis=0)
     g = np.ones((1, len(eligible), 1))
     for size in reversed(range(size_all)):
         lo, hi, child, added = _subset_lattice(size_all)[1][size]
@@ -987,12 +1013,13 @@ def _lattice_poly(trace: DPTrace, part: _SubsetGroup, anchored: bool, components
                 )
                 for lat in lattices
             ]
-        linear = np.stack(ratios, axis=-1).reshape(-1, len(ratios))
+        linear = _mixed(ratios, mix)
+        linear = linear.reshape(-1, linear.shape[-1])
         terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, size_all - size)
         g = terms.reshape(*child.shape, len(eligible), -1).sum(axis=1)
     poly = g[0]
     if anchored:
-        first = np.stack([lat.first for lat in lattices], axis=1)
+        first = _mixed([lat.first for lat in lattices], mix)
         poly = _times_linear(poly, first, q).reshape(len(part.incs), q, -1).sum(axis=1)
     return poly, np.array([lat.fallbacks for lat in lattices])
 
@@ -1057,17 +1084,20 @@ def _collapse(
 
 
 def _choice_cache(
-    trace: DPTrace, components: Sequence[Component]
+    trace: DPTrace, components: Sequence[Component], mix: np.ndarray | None = None
 ) -> tuple[ChoiceCache, np.ndarray]:
     """The weight-fitting cache of a trace, plus (L, I) fallback choices per component.
 
     Fallbacks are counted on the center and on the steps of the first
     ordering: a sampled star's first draw, an exhaustive star's identity
-    ordering.
+    ordering.  With ``mix``, (I, L) weights per increment, every step and
+    center row is mixed at its increment's weights before any polynomial
+    is formed, so the cache has one column and is scored at weight [1.0].
     """
     num_inc = trace.num_increments
-    step_ratios = np.empty((len(trace.eligible), len(components)))
-    center_ratios = np.ones((num_inc, len(components)))
+    ncol = len(components) if mix is None else 1
+    step_ratios = np.zeros((len(trace.eligible), ncol))
+    center_ratios = np.zeros((num_inc, ncol))
     fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
     whole_graph = trace.num_nodes.astype(np.float64)
     first_ordering = trace.entry_ord == trace.inc_ord_offsets[trace.entry_inc]
@@ -1078,12 +1108,15 @@ def _choice_cache(
         center_fallback = ~trace.center_new & (center_total <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             # multiply first so a uniform component cancels exactly to 1.0
-            step_ratios[:, l] = np.where(
-                step_total > 0.0, step_w * trace.eligible / step_total, 1.0
-            )
-            center_ratios[:, l] = np.where(
+            step_ratio = np.where(step_total > 0.0, step_w * trace.eligible / step_total, 1.0)
+            center_ratio = np.where(
                 trace.center_new | center_fallback, 1.0, center_w * whole_graph / center_total
             )
+        if mix is None:
+            step_ratios[:, l], center_ratios[:, l] = step_ratio, center_ratio
+        else:
+            step_ratios[:, 0] += step_ratio * mix[trace.entry_inc, l]
+            center_ratios[:, 0] += center_ratio * mix[:, l]
         fallbacks[l] = center_fallback + np.bincount(
             trace.entry_inc[first_ordering & (step_total <= 0.0)], minlength=num_inc
         )
@@ -1092,11 +1125,12 @@ def _choice_cache(
     for group in trace._subset_groups:
         q = len(group.targets)
         # a star has fewer than q * 2**q polynomial terms of at most M coefficients
-        step = _COLLAPSE_BATCH_ELEMENTS // ((q << q) * len(_monomial_exponents(len(nodes), q)))
+        step = _COLLAPSE_BATCH_ELEMENTS // ((q << q) * len(_monomial_exponents(ncol, q)))
         for part, outer in _split(group, anchored & trace.center_new[group.incs]):
             for a in range(0, len(part.incs), max(1, step)):
                 batch = part.select(slice(a, a + max(1, step)))
-                coefs, fallbacks_at = _lattice_poly(trace, batch, outer, components, nodes)
+                at = None if mix is None else mix[batch.incs]
+                coefs, fallbacks_at = _lattice_poly(trace, batch, outer, components, nodes, at)
                 lattice.setdefault(q, []).append((batch.incs, coefs))
                 fallbacks[:, batch.incs] += fallbacks_at
     orderings, exhaustive = np.diff(trace.inc_ord_offsets), ~trace.sampled
@@ -1323,9 +1357,9 @@ def _score(
 ) -> tuple[DPTrace, np.ndarray, np.ndarray]:
     """(trace, logp, fallback choices) per increment under a schedule, from one replay.
 
-    Each increment is scored by the cache at its interval's weights, zero for
-    components that interval lacks; only its interval's components count
-    fallbacks.
+    Each increment is scored by the cache mixed at its interval's weights,
+    zero for components that interval lacks; only its interval's components
+    count fallbacks.
     """
     schedule = _as_schedule(schedule)
     components, weights, members = _schedule_weights(schedule)
@@ -1339,8 +1373,8 @@ def _score(
         ordering_samples,
     )
     which = _interval_indices(schedule, trace, first_index)
-    cache, fallbacks = _choice_cache(trace, components)
-    ratios = cache_logratios(cache, weights)[np.arange(len(which)), which]
+    cache, fallbacks = _choice_cache(trace, components, weights[which])
+    ratios = cache_logratios(cache, np.ones(1))
     return trace, ratios + trace.logp_rand, (members[which] * fallbacks.T).sum(axis=1)
 
 

@@ -52,16 +52,22 @@ def _weight(spec, node, neigh, anchor):
     raise ValueError(f"unknown spec {spec!r}")
 
 
-def _mixture_prob(mixture, chosen, eligible, neigh, anchor):
+def _mixture_prob(mixture, chosen, eligible, neigh, anchor, totals=None):
     """Probability of picking ``chosen`` from ``eligible`` under a mixture.
 
     Each (weight, spec) component is normalized separately; a component whose
     total weight over the eligible set vanishes falls back to the uniform
-    distribution, mirroring the package's convention.
+    distribution, mirroring the package's convention.  ``totals``, a dict
+    for one graph, keeps each total by (spec, eligible set, anchor), so the
+    orderings of a star sum each set once.
     """
+    totals = {} if totals is None else totals
     prob = 0.0
     for beta, spec in mixture:
-        total = sum(_weight(spec, x, neigh, anchor) for x in eligible)
+        key = (spec, frozenset(eligible), anchor)
+        if key not in totals:
+            totals[key] = sum(_weight(spec, x, neigh, anchor) for x in eligible)
+        total = totals[key]
         if total == 0.0:
             prob += beta / len(eligible)
         else:
@@ -107,6 +113,7 @@ def oracle_choice_probabilities(
     if orders is None:
         orders = list(itertools.permutations(existing))
     order_rows = []
+    totals = {}
     for order in orders:
         rows = []
         chosen: set[int] = set()
@@ -120,7 +127,9 @@ def oracle_choice_probabilities(
                     # no anchor yet, so it degrades to uniform
                     row.append(1.0 / len(eligible))
                 else:
-                    row.append(_mixture_prob([(1.0, spec)], node, eligible, neigh, anchor))
+                    row.append(
+                        _mixture_prob([(1.0, spec)], node, eligible, neigh, anchor, totals)
+                    )
             rows.append(row)
             chosen.add(node)
         order_rows.append(rows)

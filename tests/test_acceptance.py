@@ -241,7 +241,7 @@ class TestCriterion10OrderingSampler:
             graph, inc, schedule, max_exhaustive_choices=6
         )
         samples = np.array([
-            gf.increment_probability(graph, inc, schedule, seed=k)
+            gf.increment_probability(graph, inc, schedule, seed=k, max_exhaustive_choices=5)
             for k in range(10000)
         ])
         stderr = samples.std(ddof=1) / np.sqrt(len(samples))

@@ -306,6 +306,12 @@ class TestErrors:
             ('{"increments": 10}', "'intervals' is missing"),
             ('{"intervals": [{"model": "BA"}], "increments": "abc"}', "'increments'"),
             ('{"intervals": [{"model": "BA"}], "internal_prob": "x"}', "'internal_prob'"),
+            ('{"intervals": [{"model": "BA"}], "increments": 3.7}', "'increments'"),
+            ('{"intervals": [{"model": "BA"}], "new_targets": true}', "'new_targets'"),
+            ('{"intervals": [{"model": "BA"}], "internal_targets": "2"}', "'internal_targets'"),
+            ('{"intervals": [{"model": "BA"}], "seed_clique": false}', "'seed_clique'"),
+            ('{"intervals": [{"model": "BA"}], "internal_prob": "0.5"}', "'internal_prob'"),
+            ('{"intervals": [{"model": "BA"}], "internal_prob": true}', "'internal_prob'"),
             ('{"intervals": []}', "'intervals'"),
             ('{"intervals": [{"until": 5}]}', "'intervals'"),
             ('[{"model": "BA"}]', "JSON object"),

@@ -1,6 +1,7 @@
 """Tests for the growth generator and its samplers."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -56,6 +57,22 @@ class TestGrowthRecipe:
     def test_bad_field_is_a_model_error_naming_it(self, field, value):
         with pytest.raises(gf.ModelError, match=field):
             gf.GrowthRecipe.constant("BA", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("increments", 3.7), ("new_targets", True), ("internal_targets", "2"),
+         ("seed_clique", False), ("internal_prob", "0.5"), ("internal_prob", True)],
+    )
+    def test_json_number_of_the_wrong_kind_is_a_model_error(self, field, value):
+        text = json.dumps({"intervals": [{"model": "BA"}], field: value})
+        with pytest.raises(gf.ModelError, match=f"'{field}'"):
+            gf.GrowthRecipe.from_json(text)
+
+    def test_json_integral_numbers_are_read(self):
+        text = '{"intervals": [{"model": "BA"}], "increments": 40.0, "internal_prob": 1}'
+        recipe = gf.GrowthRecipe.from_json(text)
+        assert recipe == gf.GrowthRecipe.constant("BA", increments=40, internal_prob=1.0)
+        assert type(recipe.increments) is int and type(recipe.internal_prob) is float
 
     @pytest.mark.parametrize(
         "shape, named",

@@ -169,7 +169,9 @@ class TestOrderings:
         exact = gf.increment_probability(graph, inc, sched, max_exhaustive_choices=6)
         draws = np.array(
             [
-                gf.increment_probability(graph, inc, sched, seed=k, ordering_samples=40)
+                gf.increment_probability(
+                    graph, inc, sched, seed=k, max_exhaustive_choices=5, ordering_samples=40
+                )
                 for k in range(400)
             ]
         )
@@ -183,11 +185,12 @@ class TestOrderingSamples:
     def test_fewer_than_one_is_a_model_error(self, samples, new_targets):
         recipe = gf.GrowthRecipe.constant("BA", increments=20, new_targets=new_targets)
         stream = gf.grow(recipe, seed=0)
-        assert build_dp_trace(stream).sampled.any() == (new_targets > 4)
+        cap = {"max_exhaustive_choices": 5}
+        assert build_dp_trace(stream, **cap).sampled.any() == (new_targets > 4)
         calls = (
-            lambda: gf.score_stream(stream, gf.DegreePower(1.0), ordering_samples=samples),
-            lambda: build_dp_trace(stream, ordering_samples=samples),
-            lambda: build_choice_cache(stream, [gf.Random()], ordering_samples=samples),
+            lambda: gf.score_stream(stream, gf.DegreePower(1.0), ordering_samples=samples, **cap),
+            lambda: build_dp_trace(stream, ordering_samples=samples, **cap),
+            lambda: build_choice_cache(stream, [gf.Random()], ordering_samples=samples, **cap),
         )
         for call in calls:
             with pytest.raises(gf.ModelError, match=f"ordering_samples .*{samples}"):
@@ -341,7 +344,7 @@ class TestChoiceCache:
         stream, _, cache = self.make(n=60)
         assert cache.num_choices.sum() == summarize_stream(stream).model_choices
         assert len(cache.timestamps) == len(stream.increments)
-        assert cache.sampled_increments == 0  # all stars here have <= 5 choices
+        assert cache.sampled_increments == 0  # no star here has more than 3 choices
         assert np.all(np.diff(cache.increment_offsets) >= 0)
 
 
@@ -478,11 +481,14 @@ def oracle_spec(comp):
     return ("tri",)
 
 
-def oracle_logps(stream, comps, weight_rows, ordering_samples=SAMPLES):
+def oracle_logps(
+    stream, comps, weight_rows, ordering_samples=SAMPLES,
+    max_exhaustive_choices=MAX_EXHAUSTIVE_CHOICES,
+):
     """(C, I) log-probability of every increment at each weight row, by brute force.
 
     The stream is replayed as a plain edge list through the oracle.  Stars
-    with at most ``MAX_EXHAUSTIVE_CHOICES`` choices sum every ordering of
+    with at most ``max_exhaustive_choices`` choices sum every ordering of
     their targets; larger ones sum ``ordering_samples`` orderings drawn one
     ``permutation`` at a time from the generator seeded (0, index), scaled
     by q! / S.
@@ -495,7 +501,7 @@ def oracle_logps(stream, comps, weight_rows, ordering_samples=SAMPLES):
     for index, inc in enumerate(stream.increments):
         existing = [t for t, new in zip(inc.targets, inc.targets_new) if not new]
         orders, log_mult = None, 0.0
-        if existing and len(existing) + (not inc.center_is_new) > MAX_EXHAUSTIVE_CHOICES:
+        if existing and len(existing) + (not inc.center_is_new) > max_exhaustive_choices:
             rng = np.random.default_rng([0, index])
             orders = [
                 tuple(existing[j] for j in rng.permutation(len(existing)))
@@ -517,13 +523,13 @@ def oracle_logps(stream, comps, weight_rows, ordering_samples=SAMPLES):
     return out
 
 
-def assert_close(got, expect):
-    """Equal -inf pattern, finite values within 1e-9 relative (absolute below 1)."""
+def assert_close(got, expect, rel=1e-9):
+    """Equal -inf pattern, finite values within ``rel`` relative (absolute below 1)."""
     got, expect = np.asarray(got), np.asarray(expect)
     assert np.array_equal(np.isinf(got), np.isinf(expect))
     fin = np.isfinite(expect)
     scale = np.maximum(1.0, np.abs(expect[fin]))
-    assert np.all(np.abs(got[fin] - expect[fin]) <= 1e-9 * scale)
+    assert np.all(np.abs(got[fin] - expect[fin]) <= rel * scale)
 
 
 class TestCollapsedCache:
@@ -681,7 +687,8 @@ class TestSingleComponentsAgainstOracle:
     def test_zero_degree_fallback(self):
         # Nodes 1..7 stay isolated and every other node neighbors hub 0, so
         # both stars at 0 choose among degree-0 nodes only and every step
-        # falls back to uniform; the second star is sampled.
+        # falls back to uniform; under a cap of 5 choices the second star is
+        # sampled.
         def star(t, center, targets, center_is_new=False):
             return gf.Increment(t, center, center_is_new, targets, (False,) * len(targets))
 
@@ -694,14 +701,17 @@ class TestSingleComponentsAgainstOracle:
                 star(3, 0, (3, 4, 5, 6, 7)),
             ],
         )
-        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        cap = {"max_exhaustive_choices": 5}
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES, **cap)
         assert trace.sampled.tolist() == [False, False, False, True]
         for alpha in (0.5, 1.0, 1.7):
             dp = gf.DegreePower(alpha)
-            expect = oracle_logps(stream, [dp], [[1.0]])[0]
+            expect = oracle_logps(stream, [dp], [[1.0]], **cap)[0]
             assert np.isfinite(expect).all()
             assert_close(dp_trace_logp(trace, alpha), expect)
-            _, series = gf.score_stream(stream, dp, ordering_samples=SAMPLES, keep_series=True)
+            _, series = gf.score_stream(
+                stream, dp, ordering_samples=SAMPLES, keep_series=True, **cap
+            )
             assert_close([s.logp for s in series], expect)
         grid = [0.5, 1.0]
         fit = gf.fit_component_family(stream, gf.RankPreference, grid)
@@ -777,7 +787,140 @@ class TestSingleComponentsAgainstOracle:
             internal_targets=4, seed_clique=8,
         )
         stream = gf.grow(recipe, seed=3)
-        fit = gf.fit_component_family(stream, lambda _: gf.TriangleClosure(), [0.0])
-        expect = oracle_logps(stream, [gf.TriangleClosure()], [[1.0]], DEFAULT_ORDERING_SAMPLES)
-        assert build_dp_trace(stream).sampled_increments >= 1
+        tri = gf.TriangleClosure()
+        fit = gf.fit_component_family(stream, lambda _: tri, [0.0])
+        expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES)
         assert_close([fit.loglik], [expect.sum()])
+        # the same scan under a cap of 5 choices, where the 6-target stars are sampled
+        trace = likelihood._stream_trace(stream, [tri], max_exhaustive_choices=5)
+        assert trace.sampled_increments >= 1
+        expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES, 5)
+        assert_close([likelihood._trace_logp(trace, tri).sum()], [expect.sum()])
+
+
+def six_and_seven_choice_stream(rng):
+    """Stars of 6 and 7 choices, exhaustive at the default cap, on a 16-node seed graph.
+
+    Hub 0 neighbours every node but the isolated nodes 1..6, so the first
+    star, internal at 0 onto all six, has only degree-0 nodes to choose
+    from.  Internal stars with 5 and 6 existing targets and external stars
+    with 6 and 7 follow in random order, some with a new target too.
+    """
+    linked = list(range(7, 16))
+    seed_edges = {(0, v) for v in linked}
+    for _ in range(8):
+        u, v = sorted(int(x) for x in rng.choice(linked, size=2, replace=False))
+        seed_edges.add((u, v))
+    graph = gf.graph_from_edges(sorted(seed_edges))
+    shapes = [(False, 6, 0)] + [
+        (new, q, int(rng.integers(0, 2)))
+        for new, q in rng.permutation([(0, 5), (0, 6), (1, 6), (1, 7)]).tolist()
+    ]
+    incs = []
+    for t, (center_is_new, q, n_new) in enumerate(shapes):
+        n = graph.num_nodes
+        if t == 0:
+            center, existing = 0, list(range(1, 7))
+        elif center_is_new:
+            center, existing = n, rng.choice(n, size=q, replace=False).tolist()
+        else:
+            hosts = [v for v in range(n) if n - 1 - graph.degrees[v] >= q]
+            center = int(rng.choice(hosts))
+            pool = [x for x in range(n) if x != center and x not in graph.neighbors(center)]
+            existing = rng.choice(pool, size=q, replace=False).tolist()
+        first_new = n + bool(center_is_new)
+        targets = tuple(existing) + tuple(range(first_new, first_new + n_new))
+        inc = gf.Increment(t, center, bool(center_is_new), targets, (False,) * q + (True,) * n_new)
+        gf.apply_increment(graph, inc)
+        incs.append(inc)
+    return gf.GrowthStream(seed_edges=sorted(seed_edges), increments=incs)
+
+
+
+class TestSixAndSevenChoiceStars:
+    """Stars now exact by default, checked per increment against brute force over every ordering."""
+
+    COMPS = (
+        gf.DegreePower(0.5), gf.DegreePower(1.5), gf.RankPreference(0.5),
+        gf.TriangleClosure(), gf.Random(),
+    )
+    MIXTURES = ([0.3, 0.0, 0.2, 0.3, 0.2], [0.0, 0.4, 0.3, 0.3, 0.0], [0.2] * 5)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_path_matches_oracle(self, seed):
+        stream = six_and_seven_choice_stream(np.random.default_rng(seed))
+        trace = build_dp_trace(stream)
+        assert trace.sampled_increments == 0
+        assert trace.num_choices.tolist()[0] == 7
+        assert sorted(trace.num_choices.tolist()[1:]) == [6, 6, 7, 7]
+        rows = np.array([*np.eye(len(self.COMPS)), *self.MIXTURES])
+        oracle = oracle_logps(stream, self.COMPS, rows)
+        # only the triangle vertex may hold an impossible star
+        assert np.isfinite(np.delete(oracle, 3, axis=0)).all()
+
+        cache = build_choice_cache(stream, self.COMPS)
+        assert cache.sampled_increments == 0
+        assert_close(cache_logratios(cache, rows).T + cache.logp_rand, oracle, 1e-12)
+        for w, expect in zip(rows, oracle):
+            sched = schedule_for(*zip((float(x) for x in w), self.COMPS))
+            _, series = gf.score_stream(stream, sched, keep_series=True)
+            assert_close([s.logp for s in series], expect, 1e-12)
+            # onto degree-0 nodes, both degree powers and triangle closure
+            # fall back on every target step
+            assert series[0].fallback_choices == 3 * 6
+        for l, alpha in ((0, 0.5), (1, 1.5)):
+            assert_close(dp_trace_logp(trace, alpha), oracle[l], 1e-12)
+
+
+class TestScheduleMixing:
+    """score_stream mixes each increment's component ratios at its interval's weights."""
+
+    COMPS = (
+        gf.DegreePower(1.0), gf.TriangleClosure(), gf.RankPreference(0.5),
+        gf.DegreePower(1.5), gf.Random(),
+    )
+    INTERVALS = (
+        (0.5, 0.3, 0.0, 0.0, 0.2),
+        (0.0, 0.0, 0.4, 0.6, 0.0),
+        (0.1, 0.2, 0.2, 0.2, 0.3),
+    )
+
+    def stream(self, seed):
+        stream = mixed_stream(np.random.default_rng(seed), increments=24)
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        degree = trace.existing_counts + 1
+        # a sampled star collapsed to coefficients, and one on the row path
+        assert (trace.sampled & (degree <= MAX_COLLAPSED_DEGREE)).any()
+        assert (trace.sampled & (degree > MAX_COLLAPSED_DEGREE)).any()
+        return stream
+
+    def schedule(self, intervals, boundaries):
+        mixtures = tuple(
+            gf.MixtureInterval.of(*((w, c) for w, c in zip(row, self.COMPS) if w > 0.0))
+            for row in intervals
+        )
+        return gf.ModelSchedule(mixtures, boundaries, gf.BoundaryMode.INDEX)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("num_intervals", [2, 3])
+    def test_score_equals_cache_at_interval_weights(self, seed, num_intervals):
+        stream = self.stream(seed)
+        boundaries = (7.0, 15.0)[: num_intervals - 1]
+        sched = self.schedule(self.INTERVALS[:num_intervals], boundaries)
+        summary, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        cache = build_choice_cache(stream, self.COMPS, ordering_samples=SAMPLES)
+        expect = cache_logratios(cache, np.array(self.INTERVALS[:num_intervals]))
+        which = np.searchsorted(boundaries, np.arange(cache.num_increments))
+        expect = expect[np.arange(cache.num_increments), which] + cache.logp_rand
+        assert np.isfinite(expect).all()
+        assert_close([s.logp for s in series], expect, 1e-12)
+        assert summary.sampled_increments == cache.sampled_increments >= 2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_schedule_is_its_baseline(self, seed):
+        stream = self.stream(seed)
+        rand = gf.MixtureInterval.single(gf.Random())
+        sched = gf.ModelSchedule((rand, rand), (11.0,), gf.BoundaryMode.INDEX)
+        summary, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        assert [s.logp for s in series] == [s.logp_rand for s in series]
+        assert summary.c0 == 1.0
