@@ -94,13 +94,41 @@ def json_fields(text: str, error: type[GrowthFitError], readers: dict) -> dict:
         raw = json.loads(text)
     except ValueError as exc:
         raise error(f"not valid JSON: {exc}") from None
+    return json_object_fields(raw, error, readers)
+
+
+def json_object_fields(raw, error: type[Exception], readers: dict, where: str = "") -> dict:
+    """``json_fields`` of an already decoded value; ``where`` prefixes every message."""
     if not isinstance(raw, dict):
-        raise error(f"expected a JSON object, got {type(raw).__name__}")
+        raise error(f"{where}expected a JSON object, got {type(raw).__name__}")
     fields = {}
     for name, (convert, default) in readers.items():
         try:
             fields[name] = convert(raw[name] if name in raw or default is ... else default)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             problem = f"cannot read {raw[name]!r}: {exc}" if name in raw else "is missing"
-            raise error(f"field {name!r} {problem}") from None
+            raise error(f"{where}field {name!r} {problem}") from None
     return fields
+
+
+def json_int(value) -> int:
+    """An integral JSON number; booleans, strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError("expected an integer")
+    return value
+
+
+def json_number(value) -> float:
+    """A JSON number as a float, +-Infinity included; booleans and strings are refused."""
+    if type(value) not in (int, float):
+        raise ValueError("expected a number")
+    return float(value)
+
+
+def json_string(value) -> str:
+    """A JSON string."""
+    if type(value) is not str:
+        raise ValueError("expected a string")
+    return value

@@ -28,6 +28,9 @@ from .errors import (
     NestingViolationError,
     NoFeasibleFitError,
     json_fields,
+    json_int,
+    json_number,
+    json_object_fields,
 )
 from .graph import GrowthStream
 from .likelihood import (
@@ -258,9 +261,9 @@ class FitResult:
             "components": (_fit_components, ...),
             "mode": (_fit_mode, ...),
             "intervals": (_fit_intervals, ...),
-            "logL": (float, ...),
-            "logL_rand": (float, ...),
-            "choices": (int, ...),
+            "logL": (json_number, ...),
+            "logL_rand": (json_number, ...),
+            "choices": (json_int, ...),
             "diagnostics": (dict, {}),
         }
         return FitResult(*json_fields(text, FitError, readers).values())
@@ -269,7 +272,7 @@ class FitResult:
         """Rebuild the fitted schedule for re-scoring or generation."""
         comps = tuple(parse_model_spec(c).components[0] for c in self.components)
         intervals = tuple(
-            MixtureInterval(tuple(float(w) for w in iv["weights"]), comps)
+            MixtureInterval(tuple(iv["weights"]), comps)
             for iv in self.intervals
         )
         if self.mode == "time":
@@ -294,10 +297,27 @@ def _fit_mode(value) -> str:
 
 
 def _fit_intervals(value) -> list[dict]:
-    """A fit's JSON intervals, each with its weights and last index and timestamp."""
-    if not value or not all({"weights", "end_index", "end_time"} <= set(iv) for iv in value):
-        raise ValueError("expected intervals with weights, end_index and end_time")
-    return list(value)
+    """A fit's JSON intervals: number weights, integer first and last index and last timestamp."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("expected a list of intervals")
+    readers = {
+        "weights": (_fit_weights, ...),
+        "start_index": (json_int, ...),
+        "end_index": (json_int, ...),
+        "end_time": (json_int, ...),
+    }
+    out = []
+    for k, iv in enumerate(value):
+        read = json_object_fields(iv, ValueError, readers, f"interval {k}: ")
+        out.append({**iv, **read})
+    return out
+
+
+def _fit_weights(value) -> list[float]:
+    """An interval's JSON weights."""
+    if not isinstance(value, list):
+        raise TypeError("expected a list of numbers")
+    return [json_number(w) for w in value]
 
 
 def fit_intervals(

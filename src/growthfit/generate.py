@@ -42,7 +42,16 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import GrowthStallError, ModelError, UnknownNodeError, json_fields
+from .errors import (
+    GrowthStallError,
+    ModelError,
+    UnknownNodeError,
+    json_fields,
+    json_int,
+    json_number,
+    json_object_fields,
+    json_string,
+)
 from .graph import DynamicGraph, GrowthStream, Increment
 from .models import (
     BoundaryMode,
@@ -541,7 +550,7 @@ class GrowthRecipe:
     @staticmethod
     def from_json(text: str) -> "GrowthRecipe":
         """The recipe ``to_json`` writes; a malformed one raises ModelError naming the field."""
-        strict = {int: _json_int, float: _json_number}
+        strict = {int: json_int, float: json_number}
         readers = {
             f.name: (strict.get(type(f.default), type(f.default)), f.default)
             for f in fields(GrowthRecipe)
@@ -558,27 +567,20 @@ class GrowthRecipe:
         return GrowthRecipe(intervals=[(spec_pre, switch), (spec_post, None)], **kwargs)
 
 
-def _json_int(value) -> int:
-    """An integral JSON number; booleans, strings and fractions are refused."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise ValueError("expected an integer")
-    return value
-
-
-def _json_number(value) -> float:
-    """A JSON number as a float; booleans and strings are refused."""
-    if type(value) not in (int, float):
-        raise ValueError("expected a number")
-    return float(value)
-
-
 def _recipe_intervals(value) -> list[tuple[str, float | None]]:
-    """(model, until) pairs of a recipe's JSON intervals."""
-    if not value:
-        raise ValueError("a recipe needs an interval")
-    return [(iv["model"], None if iv.get("until") is None else float(iv["until"])) for iv in value]
+    """(model, until) pairs of a recipe's JSON intervals: a model string, a number or null until."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("a recipe needs a list of intervals")
+    readers = {"model": (json_string, ...), "until": (_until, None)}
+    return [
+        tuple(json_object_fields(iv, ValueError, readers, f"interval {k}: ").values())
+        for k, iv in enumerate(value)
+    ]
+
+
+def _until(value) -> float | None:
+    """An interval's JSON upper boundary: a number, or null for the last interval."""
+    return None if value is None else json_number(value)
 
 
 def _draw_targets(

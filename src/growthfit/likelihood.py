@@ -23,7 +23,9 @@ already existed (those edges would be duplicates).
 One replay of the stream (``DPTrace``) records only integers that no model
 parameter changes: per increment the graph size, the center and its frozen
 neighborhood (ids and degrees), the existing targets (ids and degrees), and
-the sampled orderings as positions among those targets.  When triangle
+the sampled orderings as positions among those targets, in one compact
+table: per number of existing targets, a dense block of one small unsigned
+integer per step.  When triangle
 closure is among the components it also records, per anchor, the
 common-neighbor counts with the star's targets and the anchor's total over
 the eligible set, using the identity
@@ -38,14 +40,16 @@ each increment with whole-array queries.  The increments are validated the
 same way, and the lowest one the graph cannot take raises the error
 ``graph.check_increment`` gives it.  The only per-increment Python work left
 is one generator call per sampled star and ``math.fsum`` for baselines of
-more than two steps.
+more than two steps.  Scoring expands the sampled stars' steps from the
+table one bounded batch of stars at a time, with index arithmetic only, so
+its working set does not grow with the orderings times the targets.
 
 Every other component total follows from the trace with whole-array
 operations: degree-power totals from the seed degree histogram plus
 per-increment histogram deltas, rank totals from prefix sums over arrival
 ranks, and each step's eligible total by subtracting the shared exclusions
-(the center and its neighborhood) and a prefix sum of the weights already
-chosen in the ordering.
+(the center and its neighborhood) and a running sum, along the ordering,
+of the weights already chosen in it.
 
 A step's eligible total depends only on the *set* of targets already
 chosen, and under triangle closure on the anchor: the existing center, or
@@ -73,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,6 +117,9 @@ _NEG_INF = float("-inf")
 # and mixed step values on the row path.
 _COLLAPSE_BATCH_ELEMENTS = 1 << 20
 _ROW_BATCH_ELEMENTS = 1 << 21
+# Sampled-star steps expanded from the orderings table at once, in entries:
+# every path scores sampled stars one run of these at a time.
+_ORDERING_BATCH_ELEMENTS = 1 << 16
 # Weight vectors cache_loglik scores at once.
 _LATTICE_CHUNK = 256
 
@@ -198,10 +205,14 @@ def per_choice_ratio(loglik: float, loglik_rand: float, total_choices: int) -> f
 class DPTrace:
     """The one replay of a stream: parameter-free integers every likelihood path reads.
 
-    Only sampled stars have orderings: rows of positions among an
-    increment's existing targets, whose steps ("entries") are laid out
-    ordering after ordering.  Index arrays that no model parameter changes
-    are built here once, so scoring a component at any exponent is
+    Only sampled stars have orderings.  They are kept once, compactly:
+    ``orderings`` holds, per number of existing targets q, a dense
+    (stars, S, q) block of positions among each star's targets, stars in
+    increment order, in the narrowest unsigned dtype that holds q - 1.
+    Every path expands those steps only a bounded batch of stars at a time
+    (``_ordering_batches``), so its working set does not grow with the
+    orderings times the targets.  Index arrays that no model parameter
+    changes are built here once, so scoring a component at any exponent is
     whole-array work.  The anchors are recorded only when triangle closure
     was requested: an existing center, else each existing target in turn,
     each with a row of common-neighbour counts with its star's existing
@@ -229,12 +240,7 @@ class DPTrace:
     target_deg: np.ndarray  # (Q,)
     target_id: np.ndarray  # (Q,) arrival index
     inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment, empty unless sampled
-    ordering_offsets: np.ndarray  # (O + 1,) entry ranges per ordering
-    entry_ord: np.ndarray  # (E,) owning ordering
-    entry_inc: np.ndarray  # (E,) owning increment
-    entry_first: np.ndarray  # (E,) first entry of the owning ordering
-    entry_target: np.ndarray  # (E,) chosen target, as a position in the target arrays
-    eligible: np.ndarray  # (E,) float64 eligible-set size
+    orderings: tuple[np.ndarray, ...]  # per q of sampled stars, ascending: (stars, S, q) positions
     anchor_offsets: np.ndarray | None = None  # (I + 1,) anchor ranges per increment
     anchor_total: np.ndarray | None = None  # (A,) int64 total over the initial eligible set
     anchor_common: np.ndarray | None = None  # (sum of q over anchors,) int64 anchor rows
@@ -253,19 +259,28 @@ class DPTrace:
 
     @property
     def chosen_deg(self) -> np.ndarray:
-        """(E,) degree of each entry's chosen node."""
-        return self.target_deg[self.entry_target]
+        """(E,) degree of each sampled step's chosen node, ordering after ordering by increment."""
+        entries = _offsets(np.diff(self.inc_ord_offsets) * self.existing_counts)
+        out = np.empty(entries[-1], dtype=np.int64)
+        for batch in _ordering_batches(self):
+            at = _concat_ranges(entries[batch.incs], entries[batch.incs + 1])
+            out[at] = self.target_deg[batch.targets].ravel()
+        return out
+
+    @cached_property
+    def _target_start(self) -> np.ndarray:
+        """(I,) each increment's first existing target in the target arrays."""
+        return _offsets(self.existing_counts)[:-1]
 
     @cached_property
     def _subset_groups(self) -> list[_SubsetGroup]:
         """Subset-DP tables of the exhaustive increments with existing targets, one per q."""
         exhaustive = ~self.sampled & (self.existing_counts > 0)
-        target_start = _offsets(self.existing_counts)[:-1]
         groups = []
         for q in np.unique(self.existing_counts[exhaustive]).tolist():
             incs = np.flatnonzero(exhaustive & (self.existing_counts == q))
             steps = np.arange(q)[:, None]
-            targets = target_start[incs] + steps
+            targets = self._target_start[incs] + steps
             initial = self.initial[incs].astype(np.float64)
             on = (self.target_deg[targets] > 0).astype(np.float64)
             occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
@@ -303,10 +318,51 @@ class _SubsetGroup:
         return _SubsetGroup(*(table[..., which] for table in vars(self).values()))
 
 
-def _exclusive_prefix(values: np.ndarray, entry_first: np.ndarray) -> np.ndarray:
-    """Per entry, the sum of the earlier entries of its ordering."""
-    before = _offsets(values)[:-1]
-    return before - before[entry_first]
+@dataclass
+class _OrderingBatch:
+    """Consecutive sampled stars with q existing targets, their S orderings as dense rows."""
+
+    incs: np.ndarray  # (n,) increments, ascending
+    positions: np.ndarray  # (n * S, q) intp, the target of each step among its star's targets
+    targets: np.ndarray  # (n * S, q) the same, as positions in the trace's target arrays
+    eligible: np.ndarray  # (n * S, q) float64 eligible-set size, initial - step
+
+    @property
+    def samples(self) -> int:
+        return len(self.positions) // len(self.incs)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(n * S,) the increment of each ordering."""
+        return np.repeat(self.incs, self.samples)
+
+
+def _ordering_batches(trace: DPTrace) -> Iterator[_OrderingBatch]:
+    """The sampled stars of a trace, in runs of one q of about ``_ORDERING_BATCH_ELEMENTS`` steps.
+
+    A run holds at least one star.  Each star's values depend only on its
+    own rows, so no result depends on how the stars are batched.
+    """
+    for block in trace.orderings:
+        stars, samples, q = block.shape
+        incs = np.flatnonzero(trace.sampled & (trace.existing_counts == q))
+        step = max(1, _ORDERING_BATCH_ELEMENTS // (samples * q))
+        for a in range(0, stars, step):
+            rows = np.repeat(incs[a : a + step], samples)
+            positions = block[a : a + step].reshape(-1, q).astype(np.intp)
+            yield _OrderingBatch(
+                incs[a : a + step],
+                positions,
+                trace._target_start[rows, None] + positions,
+                (trace.initial[rows, None] - np.arange(q)).astype(np.float64),
+            )
+
+
+def _exclusive_prefix(values: np.ndarray) -> np.ndarray:
+    """Per step of each (ordering) row, the running sum of the row's earlier steps."""
+    out = np.zeros_like(values)
+    np.cumsum(values[:, :-1], axis=1, out=out[:, 1:])
+    return out
 
 
 def _uniform_baseline(
@@ -466,24 +522,21 @@ def _replay(
 
     num_choices = existing_counts + ~center_new
     sampled = (existing_counts > 0) & (num_choices > max_exhaustive_choices)
-    # Each sampled increment draws its S orderings in one generator call.
-    drawn = list(zip(np.flatnonzero(sampled).tolist(), existing_counts[sampled].tolist()))
-    positions = np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [_sampled_positions(q, first_index + k, seed, ordering_samples).ravel() for k, q in drawn]
-    )
-    ord_counts = np.where(sampled, ordering_samples, 0)
+    # Each sampled increment draws its S orderings in one generator call,
+    # into the block of the sampled stars with as many existing targets.
+    orderings = []
+    for q in np.unique(existing_counts[sampled]).tolist():
+        stars = np.flatnonzero(sampled & (existing_counts == q))
+        block = np.empty((len(stars), ordering_samples, q), dtype=np.min_scalar_type(q - 1))
+        for rows, k in zip(block, stars.tolist()):
+            rows[:] = _sampled_positions(q, first_index + k, seed, ordering_samples)
+        orderings.append(block)
     log_mult = np.zeros(num_inc)
     # a sum over S drawn orderings is scaled by q!/S
-    log_mult[sampled] = [_log_factorial(q) - math.log(float(ordering_samples)) for _, q in drawn]
-    inc_ord_offsets = _offsets(ord_counts)
-    ord_len = np.repeat(existing_counts, ord_counts)
-    ordering_offsets = _offsets(ord_len)
-    entry_counts = ord_counts * existing_counts
-    entry_ord = np.repeat(np.arange(len(ord_len)), ord_len)
-    entry_inc = np.repeat(incs, entry_counts)
-    entry_first = np.repeat(ordering_offsets[:-1], ord_len)
-    entry_step = np.arange(len(entry_ord)) - entry_first
+    log_mult[sampled] = [
+        _log_factorial(q) - math.log(float(ordering_samples))
+        for q in existing_counts[sampled].tolist()
+    ]
 
     h0 = np.bincount(np.asarray(graph.degrees, dtype=np.int64), minlength=1)
     kmax = max(
@@ -512,13 +565,8 @@ def _replay(
         target_inc=target_inc,
         target_deg=target_deg,
         target_id=target_id,
-        inc_ord_offsets=inc_ord_offsets,
-        ordering_offsets=ordering_offsets,
-        entry_ord=entry_ord,
-        entry_inc=entry_inc,
-        entry_first=entry_first,
-        entry_target=np.repeat(_offsets(existing_counts)[:-1], entry_counts) + positions,
-        eligible=(initial[entry_inc] - entry_step).astype(np.float64),
+        inc_ord_offsets=_offsets(np.where(sampled, ordering_samples, 0)),
+        orderings=tuple(orderings),
     )
     if any(isinstance(c, TriangleClosure) for c in components):
         trace.anchor_offsets, trace.anchor_total, trace.anchor_common = _triangle_anchors(
@@ -604,46 +652,51 @@ def _zero_at_degree_zero(comp: Component) -> bool:
     return isinstance(comp, DegreePower) and comp.alpha != 0.0
 
 
-def _choice_weights(
-    trace: DPTrace, comp: Component, node: tuple | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-entry and per-center (weight, total) of one component.
+def _center_weights(trace: DPTrace, node: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-center (weight, total over the whole graph) of a component of ``_node_weights`` ``node``.
+
+    RAND and triangle closure pick a center uniformly.  Values of new
+    centers are unread.
+    """
+    if node is None:
+        return np.ones(trace.num_increments), trace.num_nodes.astype(np.float64)
+    return node[2], node[3]
+
+
+def _step_weights(
+    trace: DPTrace, batch: _OrderingBatch, comp: Component, node: tuple | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, total) of one component at every step of a batch of sampled stars.
 
     ``node`` is the component's ``_node_weights``.  Step totals cover each
-    entry's eligible set and center totals the whole graph; a total <= 0
-    means the choice falls back to uniform.  A degree-power total whose
-    eligible set holds no node of positive degree is exactly 0.  Center
-    values of new centers are unread.
+    step's eligible set, the base total less the weights chosen earlier in
+    its ordering; a total <= 0 means the step falls back to uniform.  A
+    degree-power total whose eligible set holds no node of positive degree
+    is exactly 0.
     """
-    num_inc = trace.num_increments
-    whole_graph = trace.num_nodes.astype(np.float64)
     if isinstance(comp, Random):
-        return np.ones(len(trace.eligible)), trace.eligible, np.ones(num_inc), whole_graph
+        return np.ones(batch.eligible.shape), batch.eligible
+    rows, q = batch.rows, batch.positions.shape[1]
     if isinstance(comp, TriangleClosure):
-        # Star sources are picked uniformly under triangle closure.  A center
-        # anchors all its orderings; otherwise an ordering anchors on its first
-        # target, after a first step with no anchor, a uniform fallback.
-        q = trace.existing_counts[trace.entry_inc]
-        pos = trace.entry_target - _offsets(trace.existing_counts)[trace.entry_inc]
-        outer = trace.center_new[trace.entry_inc]
-        slot = np.where(outer, pos[trace.entry_first], 0)
-        rows = trace._anchor_rows[trace.entry_inc] + slot * q
-        common = trace.anchor_common[rows + pos].astype(np.float64)
-        anchor = trace.anchor_offsets[trace.entry_inc] + slot
-        total = trace.anchor_total[anchor] - _exclusive_prefix(common, trace.entry_first)
-        no_anchor = outer & (np.arange(len(common)) == trace.entry_first)
-        common[no_anchor] = total[no_anchor] = 0.0
-        return common, total, np.ones(num_inc), whole_graph
-    target_w, base, center, whole = node
-    chosen = target_w[trace.entry_target]
-    total = base[trace.entry_inc] - _exclusive_prefix(chosen, trace.entry_first)
+        # A center anchors all its orderings; otherwise an ordering anchors on
+        # its first target, after a first step with no anchor, a uniform fallback.
+        outer = trace.center_new[rows]
+        slot = np.where(outer, batch.positions[:, 0], 0)
+        anchor_rows = trace._anchor_rows[rows] + slot * q
+        common = trace.anchor_common[anchor_rows[:, None] + batch.positions].astype(np.float64)
+        base = trace.anchor_total[trace.anchor_offsets[rows] + slot]
+        total = base[:, None] - _exclusive_prefix(common)
+        common[outer, 0] = total[outer, 0] = 0.0
+        return common, total
+    chosen = node[0][batch.targets]
+    total = node[1][rows, None] - _exclusive_prefix(chosen)
     # Only a star with fewer eligible nodes of positive degree than targets
     # can run out of them.
-    if _zero_at_degree_zero(comp) and (trace._occupied_base < trace.existing_counts).any():
-        on = (trace.target_deg[trace.entry_target] > 0).astype(np.float64)
-        occupied = trace._occupied_base[trace.entry_inc] - _exclusive_prefix(on, trace.entry_first)
+    if _zero_at_degree_zero(comp) and (trace._occupied_base[batch.incs] < q).any():
+        on = (trace.target_deg[batch.targets] > 0).astype(np.float64)
+        occupied = trace._occupied_base[rows, None] - _exclusive_prefix(on)
         total[occupied <= 0.0] = 0.0
-    return chosen, total, center, whole
+    return chosen, total
 
 
 def _segment_logsumexp(
@@ -805,22 +858,23 @@ def _trace_logp(trace: DPTrace, comp: Component) -> np.ndarray:
 
     The uniform model (RAND, or exponent 0) returns the baseline itself, so
     that identity holds bit for bit rather than to within summation noise.
-    Sampled stars sum their orderings' steps.  Exhaustive stars run the
-    subset DP; an external star under triangle closure runs it once per
-    anchor, after the uniform first step, and sums the anchors.
+    Sampled stars sum their orderings' steps, one batch at a time.
+    Exhaustive stars run the subset DP; an external star under triangle
+    closure runs it once per anchor, after the uniform first step, and sums
+    the anchors.
     """
     if isinstance(comp, Random) or comp == DegreePower(0.0):
         return trace.logp_rand.copy()
     node = _node_weights(trace, comp)
-    step_w, step_total, center_w, center_total = _choice_weights(trace, comp, node)
     targets = np.zeros(trace.num_increments)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(
-            step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(trace.eligible)
-        )
-    counts = np.diff(trace.inc_ord_offsets)[trace.sampled]
-    ord_logp = np.bincount(trace.entry_ord, weights=step, minlength=int(counts.sum()))
-    targets[trace.sampled] = _segment_logsumexp(ord_logp, counts)
+    for batch in _ordering_batches(trace):
+        step_w, step_total = _step_weights(trace, batch, comp, node)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(
+                step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(batch.eligible)
+            )
+        ord_logp = np.cumsum(step, axis=1)[:, -1]
+        targets[batch.incs] = _segment_logsumexp(ord_logp, np.full(len(batch.incs), batch.samples))
     tri = isinstance(comp, TriangleClosure)
     for group in trace._subset_groups:
         for part, anchored in _split(group, tri & trace.center_new[group.incs]):
@@ -829,6 +883,7 @@ def _trace_logp(trace: DPTrace, comp: Component) -> np.ndarray:
                 f = _segment_logsumexp(f, np.full(len(part.incs), len(part.targets)))
                 f += part.uniform[0]
             targets[part.incs] = f
+    center_w, center_total = _center_weights(trace, node)
     with np.errstate(divide="ignore", invalid="ignore"):
         center = np.where(
             center_total > 0.0,
@@ -865,7 +920,8 @@ class ChoiceCache:
     scoring one costs a dot product with the degree's monomials of w however
     many orderings and steps it has.  Exhaustive stars get them from the
     subset DP (anchored on the first target of an external star under
-    triangle closure), sampled ones from their orderings.  Larger sampled
+    triangle closure), sampled ones from their orderings, expanded one
+    bounded batch of stars at a time with no step table.  Larger sampled
     stars keep the row path: their step rows are mixed, logged and summed
     per ordering, and the orderings are combined by a max-shifted
     logsumexp, so a long product of small ratios cannot underflow.  Step
@@ -1024,31 +1080,46 @@ def _lattice_poly(
     return poly, np.array([lat.fallbacks for lat in lattices])
 
 
+def _ordering_poly(ratios: np.ndarray, samples: int) -> np.ndarray:
+    """(stars, M) summed ordering coefficients of sampled stars from (stars * S, q, L) step rows.
+
+    An ordering's coefficients start at 1 and are multiplied by one step
+    row's linear form per step, ``_COLLAPSE_BATCH_ELEMENTS`` terms at a time.
+    """
+    orderings, q, ncomp = ratios.shape
+    size = len(_monomial_exponents(ncomp, q + 1))
+    step = samples * max(1, _COLLAPSE_BATCH_ELEMENTS // (samples * size))
+    out = []
+    for a in range(0, orderings, step):
+        chunk = ratios[a : a + step]
+        terms = np.ones((len(chunk), 1))
+        for s in range(q):
+            terms = _times_linear(terms, chunk[:, s], s + 1)
+        out.append(np.add.reduceat(terms, np.arange(0, len(terms), samples), axis=0))
+    return np.concatenate(out)
+
+
 def _collapse(
-    step_ratios: np.ndarray,
-    ordering_offsets: np.ndarray,
-    increment_offsets: np.ndarray,
     center_ratios: np.ndarray,
     inv_norm: np.ndarray,
     existing_counts: np.ndarray,
-    lattice: dict[int, list[tuple[np.ndarray, np.ndarray]]],
+    sampled: np.ndarray,
+    summed: dict[int, list[tuple[np.ndarray, np.ndarray]]],
 ) -> dict[str, np.ndarray]:
     """Polynomial coefficients of every exhaustive increment and every other of degree <= the cap.
 
-    ``lattice`` maps q to batches of (increments, summed ordering
-    coefficients) of the exhaustive stars with q existing targets.  A sampled star's coefficients
-    start at 1 per ordering, are multiplied by one step row's linear form
-    per step, and are summed over its orderings.  Every sum is scaled by
-    ``inv_norm`` and multiplied by the center row.  A pure-random ratio is
-    an exact product of ones, so its coefficient is the ordering count
-    times ``inv_norm``.
+    ``summed`` maps q to batches of (increments, summed ordering
+    coefficients) of the stars with q existing targets, from the subset DP
+    or from sampled orderings; a star with none has the single coefficient
+    1.  Every sum is scaled by ``inv_norm`` and multiplied by the center
+    row.  A pure-random ratio is an exact product of ones, so its
+    coefficient is the ordering count times ``inv_norm``.
     """
     ncomp = center_ratios.shape[1]
     degrees = existing_counts + 1
-    orderings = np.diff(increment_offsets)
     order = np.argsort(degrees, kind="stable")
-    # exhaustive stars, with no orderings, pass the cap if max_exhaustive_choices >= 12
-    collapsed = order[(degrees[order] <= MAX_COLLAPSED_DEGREE) | (orderings[order] == 0)]
+    # exhaustive stars pass the cap if max_exhaustive_choices >= 12
+    collapsed = order[(degrees[order] <= MAX_COLLAPSED_DEGREE) | ~sampled[order]]
     top = max(MAX_COLLAPSED_DEGREE, int(degrees[collapsed].max(initial=0)))
     counts = np.bincount(degrees[collapsed], minlength=top + 1)
     blocks: list[np.ndarray] = []
@@ -1056,22 +1127,12 @@ def _collapse(
     for degree in range(1, top + 1):
         incs = collapsed[degrees[collapsed] == degree]
         q = degree - 1
-        size = len(_monomial_exponents(ncomp, degree))
-        coef_sizes[degree] = len(incs) * size
+        coef_sizes[degree] = len(incs) * len(_monomial_exponents(ncomp, degree))
         if not len(incs):
             continue
         poly = np.ones((len(incs), len(_monomial_exponents(ncomp, q))))
-        drawn = np.flatnonzero(orderings[incs])
-        for a, b in _batches(orderings[incs[drawn]], max(1, _COLLAPSE_BATCH_ELEMENTS // size)):
-            part = incs[drawn[a:b]]
-            ords = _concat_ranges(increment_offsets[part], increment_offsets[part + 1])
-            first_row = ordering_offsets[ords]
-            terms = np.ones((len(ords), 1))
-            for s in range(q):
-                terms = _times_linear(terms, step_ratios[first_row + s], s + 1)
-            poly[drawn[a:b]] = np.add.reduceat(terms, _offsets(orderings[part])[:-1], axis=0)
-        for exhaustive, coefs in lattice.get(q, []):
-            poly[np.searchsorted(incs, exhaustive)] = coefs
+        for part, coefs in summed.get(q, []):
+            poly[np.searchsorted(incs, part)] = coefs
         poly *= inv_norm[incs, None]
         blocks.append(_times_linear(poly, center_ratios[incs], degree).ravel())
     return {
@@ -1079,8 +1140,34 @@ def _collapse(
         "poly_increments": collapsed.astype(np.int64),
         "poly_offsets": _offsets(counts),
         "poly_coef_offsets": _offsets(coef_sizes),
-        "row_increments": np.flatnonzero((degrees > MAX_COLLAPSED_DEGREE) & (orderings > 0)),
+        "row_increments": np.flatnonzero((degrees > MAX_COLLAPSED_DEGREE) & sampled),
     }
+
+
+def _batch_ratios(
+    trace: DPTrace,
+    batch: _OrderingBatch,
+    components: Sequence[Component],
+    nodes: list,
+    mix: np.ndarray | None,
+    fallbacks: np.ndarray,
+) -> np.ndarray:
+    """(n * S, q, L) step ratios to uniform of a batch of sampled stars, one column if mixed.
+
+    Adds the uniform steps of each star's first ordering to ``fallbacks``.
+    """
+    ratios = np.zeros((*batch.eligible.shape, len(components) if mix is None else 1))
+    for l, (comp, node) in enumerate(zip(components, nodes)):
+        step_w, step_total = _step_weights(trace, batch, comp, node)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # multiply first so a uniform component cancels exactly to 1.0
+            ratio = np.where(step_total > 0.0, step_w * batch.eligible / step_total, 1.0)
+        if mix is None:
+            ratios[..., l] = ratio
+        else:
+            ratios[..., 0] += ratio * mix[batch.rows, l, None]
+        fallbacks[l, batch.incs] += (step_total[:: batch.samples] <= 0.0).sum(axis=1)
+    return ratios
 
 
 def _choice_cache(
@@ -1093,35 +1180,29 @@ def _choice_cache(
     ordering.  With ``mix``, (I, L) weights per increment, every step and
     center row is mixed at its increment's weights before any polynomial
     is formed, so the cache has one column and is scored at weight [1.0].
+    Sampled stars are expanded one ``_ordering_batches`` run at a time:
+    each run is collapsed to coefficients, or its step rows are written
+    into the row path's table.
     """
     num_inc = trace.num_increments
     ncol = len(components) if mix is None else 1
-    step_ratios = np.zeros((len(trace.eligible), ncol))
     center_ratios = np.zeros((num_inc, ncol))
     fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
     whole_graph = trace.num_nodes.astype(np.float64)
-    first_ordering = trace.entry_ord == trace.inc_ord_offsets[trace.entry_inc]
-    nodes = []
-    for l, comp in enumerate(components):
-        nodes.append(_node_weights(trace, comp))
-        step_w, step_total, center_w, center_total = _choice_weights(trace, comp, nodes[-1])
-        center_fallback = ~trace.center_new & (center_total <= 0.0)
+    nodes = [_node_weights(trace, comp) for comp in components]
+    for l, node in enumerate(nodes):
+        center_w, center_total = _center_weights(trace, node)
+        fallbacks[l] = ~trace.center_new & (center_total <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # multiply first so a uniform component cancels exactly to 1.0
-            step_ratio = np.where(step_total > 0.0, step_w * trace.eligible / step_total, 1.0)
             center_ratio = np.where(
-                trace.center_new | center_fallback, 1.0, center_w * whole_graph / center_total
+                trace.center_new | (center_total <= 0.0), 1.0, center_w * whole_graph / center_total
             )
         if mix is None:
-            step_ratios[:, l], center_ratios[:, l] = step_ratio, center_ratio
+            center_ratios[:, l] = center_ratio
         else:
-            step_ratios[:, 0] += step_ratio * mix[trace.entry_inc, l]
             center_ratios[:, 0] += center_ratio * mix[:, l]
-        fallbacks[l] = center_fallback + np.bincount(
-            trace.entry_inc[first_ordering & (step_total <= 0.0)], minlength=num_inc
-        )
     anchored = any(isinstance(c, TriangleClosure) for c in components)
-    lattice: dict[int, list] = {}
+    summed: dict[int, list] = {}
     for group in trace._subset_groups:
         q = len(group.targets)
         # a star has fewer than q * 2**q polynomial terms of at most M coefficients
@@ -1131,33 +1212,35 @@ def _choice_cache(
                 batch = part.select(slice(a, a + max(1, step)))
                 at = None if mix is None else mix[batch.incs]
                 coefs, fallbacks_at = _lattice_poly(trace, batch, outer, components, nodes, at)
-                lattice.setdefault(q, []).append((batch.incs, coefs))
+                summed.setdefault(q, []).append((batch.incs, coefs))
                 fallbacks[:, batch.incs] += fallbacks_at
+    # Only the row path reads step rows: those of the sampled stars above the cap.
+    on_rows = trace.sampled & (trace.existing_counts + 1 > MAX_COLLAPSED_DEGREE)
+    ord_counts = np.where(on_rows, np.diff(trace.inc_ord_offsets), 0)
+    increment_offsets = _offsets(ord_counts)
+    ordering_offsets = _offsets(np.repeat(trace.existing_counts, ord_counts))
+    step_ratios = np.empty((ordering_offsets[-1], ncol))
+    for batch in _ordering_batches(trace):
+        ratios = _batch_ratios(trace, batch, components, nodes, mix, fallbacks)
+        q = ratios.shape[1]
+        if q + 1 <= MAX_COLLAPSED_DEGREE:
+            summed.setdefault(q, []).append((batch.incs, _ordering_poly(ratios, batch.samples)))
+        else:
+            first = ordering_offsets[increment_offsets[batch.incs]]
+            last = ordering_offsets[increment_offsets[batch.incs + 1]]
+            step_ratios[_concat_ranges(first, last)] = ratios.reshape(-1, ncol)
     orderings, exhaustive = np.diff(trace.inc_ord_offsets), ~trace.sampled
     q = trace.existing_counts[exhaustive]
     orderings[exhaustive] = np.array([math.factorial(k) for k in range(q.max(initial=0) + 1)])[q]
-    arrays = {
-        "step_ratios": step_ratios,
-        "ordering_offsets": trace.ordering_offsets,
-        "increment_offsets": trace.inc_ord_offsets,
-        "center_ratios": center_ratios,
-        "inv_norm": 1.0 / orderings,
-    }
-    collapsed = _collapse(**arrays, existing_counts=trace.existing_counts, lattice=lattice)
-    # Only the row path reads step rows: keep those of the increments above the cap.
-    rows = collapsed["row_increments"]
-    ord_counts = np.zeros(num_inc, dtype=np.int64)
-    ord_counts[rows] = np.diff(trace.inc_ord_offsets)[rows]
-    ords = _concat_ranges(trace.inc_ord_offsets[rows], trace.inc_ord_offsets[rows + 1])
-    row_lo, row_hi = trace.ordering_offsets[ords], trace.ordering_offsets[ords + 1]
-    arrays.update(
-        step_ratios=step_ratios[_concat_ranges(row_lo, row_hi)],
-        ordering_offsets=_offsets(row_hi - row_lo),
-        increment_offsets=_offsets(ord_counts),
-    )
+    inv_norm = 1.0 / orderings
+    collapsed = _collapse(center_ratios, inv_norm, trace.existing_counts, trace.sampled, summed)
     cache = ChoiceCache(
         components=tuple(components),
-        **arrays,
+        step_ratios=step_ratios,
+        ordering_offsets=ordering_offsets,
+        increment_offsets=increment_offsets,
+        center_ratios=center_ratios,
+        inv_norm=inv_norm,
         num_choices=trace.num_choices,
         timestamps=trace.timestamps,
         logp_rand=trace.logp_rand,

@@ -254,10 +254,6 @@ def _offsets(sizes):
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def _flat(parts, dtype):
-    return np.concatenate([p.ravel() for p in parts]).astype(dtype) if parts else np.zeros(0, dtype)
-
-
 def oracle_trace(
     num_nodes,
     seed_edges,
@@ -274,17 +270,20 @@ def oracle_trace(
     read and then applied.  Neighbourhoods list their nodes in insertion
     order, the seed's by id, so an existing center's excluded neighbourhood
     comes out in the order its edges arrived.  Only sampled increments have
-    orderings, drawn one ``permutation`` call at a time.  With ``triangles``
-    each increment lists its anchors: the existing center, or else every
-    existing target in turn.  An increment the graph cannot take raises
-    ``OracleRejection`` with the package's error class and message.
+    orderings, drawn one ``permutation`` call at a time and kept in one
+    (stars, S, q) block per q, of the smallest unsigned type that holds
+    q - 1; ``chosen_deg`` lists the degree of every step's target, star by
+    star.  With ``triangles`` each increment lists its anchors: the
+    existing center, or else every existing target in turn.  An increment
+    the graph cannot take raises ``OracleRejection`` with the package's
+    error class and message.
     """
     seed_sets = _adjacency(num_nodes, seed_edges)
     neigh = [dict.fromkeys(sorted(seed_sets[v])) for v in range(num_nodes)]
     degs = [len(nbrs) for nbrs in neigh]
     h0 = np.bincount(np.asarray(degs, dtype=np.int64), minlength=1)
     rows = []
-    shared_id, shared_deg, target_id, target_deg = [], [], [], []
+    shared_id, shared_deg, target_id, target_deg, chosen_deg = [], [], [], [], []
     orderings, anchor_counts, anchor_total, anchor_common = [], [], [], []
 
     def common(u, v):
@@ -321,6 +320,7 @@ def oracle_trace(
             ).reshape(ordering_samples, q)
             log_mult = _log_factorial(q) - math.log(float(ordering_samples))
         orderings.append(positions)
+        chosen_deg.extend(degs[existing[p]] for row in positions.tolist() for p in row)
         target_id.extend(existing)
         target_deg.extend(degs[x] for x in existing)
         if triangles:
@@ -387,14 +387,14 @@ def oracle_trace(
     num_inc = len(increments)
     existing_counts = np.array([p.shape[1] for p in orderings], dtype=np.int64)
     ord_counts = np.array([p.shape[0] for p in orderings], dtype=np.int64)
-    inc_ord_offsets = _offsets(ord_counts)
-    ord_len = np.repeat(existing_counts, ord_counts)
-    ordering_offsets = _offsets(ord_len)
-    entry_ord = np.repeat(np.arange(len(ord_len)), ord_len)
-    entry_inc = np.repeat(np.arange(num_inc), ord_counts)[entry_ord]
-    entry_first = ordering_offsets[entry_ord]
-    entry_step = np.arange(len(entry_ord)) - entry_first
-    positions = _flat(orderings, np.int64)
+    # One (stars, S, q) block per q of the sampled stars, in increment order.
+    by_q = {}
+    for p in orderings:
+        if len(p):
+            by_q.setdefault(p.shape[1], []).append(p)
+    blocks = tuple(
+        np.array(by_q[q], dtype=np.uint8 if q <= 256 else np.uint16) for q in sorted(by_q)
+    )
 
     kmax = max(
         len(h0) - 1,
@@ -411,16 +411,12 @@ def oracle_trace(
         target_inc=np.repeat(np.arange(num_inc), existing_counts),
         target_deg=np.array(target_deg, dtype=np.int64),
         target_id=np.array(target_id, dtype=np.int64),
-        inc_ord_offsets=inc_ord_offsets,
-        ordering_offsets=ordering_offsets,
-        entry_ord=entry_ord,
-        entry_inc=entry_inc,
-        entry_first=entry_first,
-        entry_target=_offsets(existing_counts)[entry_inc] + positions,
-        eligible=(out["initial"][entry_inc] - entry_step).astype(np.float64),
+        inc_ord_offsets=_offsets(ord_counts),
+        orderings=blocks,
         anchor_offsets=None,
         anchor_total=None,
         anchor_common=None,
+        chosen_deg=np.array(chosen_deg, dtype=np.int64),
     )
     if triangles:
         out.update(

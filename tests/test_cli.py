@@ -314,6 +314,10 @@ class TestErrors:
             ('{"intervals": [{"model": "BA"}], "internal_prob": true}', "'internal_prob'"),
             ('{"intervals": []}', "'intervals'"),
             ('{"intervals": [{"until": 5}]}', "'intervals'"),
+            ('{"intervals": [{"model": 5}]}', "'model'"),
+            ('{"intervals": ["BA"]}', "interval 0"),
+            ('{"intervals": [{"model": "BA", "until": "3"}, {"model": "RAND"}]}', "'until'"),
+            ('{"intervals": [{"model": "BA", "until": true}, {"model": "RAND"}]}', "'until'"),
             ('[{"model": "BA"}]', "JSON object"),
             ('{"intervals": [{"model": "BA"}]', "not valid JSON"),
         ],
@@ -350,6 +354,42 @@ class TestErrors:
         )
         assert code == 2
         assert stderr.startswith("error (FitError)") and named in stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("logL", "-12.5"),
+            ("logL_rand", True),
+            ("choices", 7.9),
+            ("weights", ["0.5", True]),
+            ("start_index", True),
+            ("end_index", 0.5),
+            ("end_time", "9"),
+        ],
+    )
+    def test_wilks_refuses_a_fit_file_number_of_the_wrong_kind(
+        self, workdir, tmp_path, capsys, field, value
+    ):
+        paths = []
+        for j in (1, 2):
+            path = tmp_path / f"fit{j}.json"
+            code, _, _ = run(
+                capsys, "fit-intervals", "--data", str(workdir / "run.stars"),
+                "--components", "BA,RAND", "--intervals", str(j), "--out", str(path),
+            )
+            assert code == 0
+            paths.append(path)
+        fit = json.loads(paths[1].read_text())
+        if field in fit:
+            fit[field] = value
+        else:
+            fit["intervals"][0][field] = value
+        paths[1].write_text(json.dumps(fit))
+        code, stdout, stderr = run(
+            capsys, "wilks", "--fit0", str(paths[0]), "--fit1", str(paths[1])
+        )
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error (FitError)") and f"'{field}'" in stderr
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -1,5 +1,6 @@
 """Tests for grid fitting, interval partitions, changepoints, and model tests."""
 
+import json
 import math
 import warnings
 
@@ -203,6 +204,61 @@ class TestFitIntervals:
         fit = gf.fit_intervals(cache, 2)
         summary, _ = gf.score_stream(stream, fit.schedule())
         assert abs(summary.loglik - fit.loglik) < 1e-6
+
+    @staticmethod
+    def fit_json():
+        return {
+            "components": ["BA", "RAND"],
+            "mode": "count",
+            "intervals": [{"weights": [0.5, 0.5], "start_index": 0, "end_index": 9, "end_time": 9}],
+            "logL": -12.5,
+            "logL_rand": -13.0,
+            "choices": 7,
+        }
+
+    def test_json_round_trip_keeps_numbers_and_infinity(self):
+        _, cache = self.make_two_phase(n=300)
+        fit = gf.fit_intervals(cache, 2)
+        fit.loglik = -math.inf
+        loaded = gf.FitResult.from_json(fit.to_json())
+        assert loaded.loglik == -math.inf and loaded.loglik_rand == fit.loglik_rand
+        assert loaded.intervals == fit.intervals
+        assert loaded.schedule() == fit.schedule()
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("logL", "-12.5", "'logL'"),
+            ("logL", True, "'logL'"),
+            ("logL_rand", True, "'logL_rand'"),
+            ("logL_rand", None, "'logL_rand'"),
+            ("choices", 7.9, "'choices'"),
+            ("choices", "7", "'choices'"),
+            ("weights", ["0.5", 0.5], "'weights'"),
+            ("weights", [True, 0.5], "'weights'"),
+            ("weights", 0.5, "'weights'"),
+            ("start_index", "0", "'start_index'"),
+            ("end_index", 9.5, "'end_index'"),
+            ("end_index", True, "'end_index'"),
+            ("end_time", "9", "'end_time'"),
+        ],
+    )
+    def test_json_number_of_the_wrong_kind_is_a_fit_error(self, field, value, named):
+        fit = self.fit_json()
+        if field in fit:
+            fit[field] = value
+        else:
+            fit["intervals"][0][field] = value
+        with pytest.raises(gf.FitError, match=named):
+            gf.FitResult.from_json(json.dumps(fit))
+
+    @pytest.mark.parametrize("field", ["weights", "start_index", "end_index", "end_time"])
+    def test_interval_missing_a_field_is_a_fit_error(self, field):
+        # compare_interval_fits reads start_index, schedule() the others
+        fit = self.fit_json()
+        del fit["intervals"][0][field]
+        with pytest.raises(gf.FitError, match=f"'{field}' is missing"):
+            gf.FitResult.from_json(json.dumps(fit))
 
     def test_scan_returns_one_fit_per_depth(self):
         _, cache = self.make_two_phase(n=600)

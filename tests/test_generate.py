@@ -68,6 +68,27 @@ class TestGrowthRecipe:
         with pytest.raises(gf.ModelError, match=f"'{field}'"):
             gf.GrowthRecipe.from_json(text)
 
+    @pytest.mark.parametrize(
+        "intervals, named",
+        [
+            ([{"model": 5}], "'model'"),
+            ([{"until": 3}], "'model'"),
+            ([{"model": "BA", "until": "3"}, {"model": "RAND"}], "'until'"),
+            ([{"model": "BA", "until": True}, {"model": "RAND"}], "'until'"),
+            (["BA"], "interval 0"),
+            ({"model": "BA"}, "'intervals'"),
+        ],
+    )
+    def test_malformed_interval_is_a_model_error(self, intervals, named):
+        with pytest.raises(gf.ModelError, match=named):
+            gf.GrowthRecipe.from_json(json.dumps({"intervals": intervals}))
+
+    def test_json_interval_boundaries_are_read(self):
+        text = '{"intervals": [{"model": "BA", "until": 3}, {"model": "RAND", "until": null}]}'
+        recipe = gf.GrowthRecipe.from_json(text)
+        assert recipe.intervals == [("BA", 3.0), ("RAND", None)]
+        assert type(recipe.intervals[0][1]) is float
+
     def test_json_integral_numbers_are_read(self):
         text = '{"intervals": [{"model": "BA"}], "increments": 40.0, "internal_prob": 1}'
         recipe = gf.GrowthRecipe.from_json(text)

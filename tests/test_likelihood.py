@@ -131,8 +131,9 @@ def drawn_orderings(inc, index, seed, max_exhaustive, samples):
     """(trace, orderings as node rows) of one increment onto an edgeless graph of 99 nodes."""
     graph = gf.graph_from_edges([], num_nodes=99)
     trace = likelihood._replay(graph, [inc], index, (), seed, max_exhaustive, samples)
-    rows = trace.target_id[trace.entry_target].reshape(-1, int(trace.existing_counts[0]))
-    return trace, [tuple(row) for row in rows.tolist()]
+    # the increment's targets come first in the target arrays
+    rows = [trace.target_id[block[0]] for block in trace.orderings]
+    return trace, [tuple(row) for block in rows for row in block.tolist()]
 
 
 class TestOrderings:
@@ -924,3 +925,105 @@ class TestScheduleMixing:
         summary, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
         assert [s.logp for s in series] == [s.logp_rand for s in series]
         assert summary.c0 == 1.0
+
+
+def batched_stream(rng):
+    """A stream of sampled stars of several sizes under a cap of 4 choices.
+
+    Hub 0 neighbours every node of positive degree in the seed graph, so the
+    first star, at 0, chooses among nodes of degree 0 only.  Then come
+    external and internal stars of 4 to 8 existing targets, several of each
+    size, and one new center attaching to 12 existing nodes (the row path).
+    """
+    seed_edges = [(0, 8), (0, 9), (8, 9), (0, 19)]
+    graph = gf.graph_from_edges(seed_edges)
+    incs = [gf.Increment(0, 0, False, tuple(range(1, 8)), (False,) * 7)]
+    gf.apply_increment(graph, incs[0])
+    for t, q in enumerate([4, 5, 6, 8, 12] + [4, 5, 6, 8] * 2, start=1):
+        n = graph.num_nodes
+        center_is_new = q == 12 or bool(rng.integers(0, 2))
+        center = n if center_is_new else int(rng.integers(0, n))
+        banned = set() if center_is_new else {center} | graph.neighbors(center)
+        pool = [x for x in range(n) if x not in banned]
+        existing = tuple(int(x) for x in rng.choice(pool, size=min(q, len(pool)), replace=False))
+        inc = gf.Increment(t, center, center_is_new, existing, (False,) * len(existing))
+        gf.apply_increment(graph, inc)
+        incs.append(inc)
+    return gf.GrowthStream(seed_edges=seed_edges, increments=incs)
+
+
+class TestOrderingBatches:
+    """Sampled stars are expanded a bounded batch at a time, and the batching changes no value."""
+
+    COMPS = (gf.DegreePower(1.5), gf.TriangleClosure(), gf.RankPreference(0.5), gf.Random())
+    WEIGHTS = (0.3, 0.3, 0.2, 0.2)
+    CAP = 4
+
+    def outputs(self, stream):
+        sched = schedule_for(*zip(self.WEIGHTS, self.COMPS))
+        _, series = gf.score_stream(
+            stream, sched, ordering_samples=SAMPLES, keep_series=True,
+            max_exhaustive_choices=self.CAP,
+        )
+        cache = build_choice_cache(
+            stream, self.COMPS, ordering_samples=SAMPLES, max_exhaustive_choices=self.CAP
+        )
+        trace = likelihood._stream_trace(stream, self.COMPS, 0, self.CAP, SAMPLES)
+        scans = [
+            likelihood._trace_logp(trace, comp)
+            for comp in (gf.DegreePower(0.5), gf.DegreePower(1.5), gf.RankPreference(0.5))
+        ]
+        batches = len(list(likelihood._ordering_batches(trace)))
+        return trace, series, cache, scans, batches
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_star_per_batch_changes_no_bit(self, seed, monkeypatch):
+        stream = batched_stream(np.random.default_rng(seed))
+        trace, series, cache, scans, batches = self.outputs(stream)
+        sampled = trace.existing_counts[trace.sampled]
+        assert len(np.unique(sampled)) >= 4 and (sampled == 12).sum() == 1
+        assert (trace.sampled & trace.center_new & (trace.existing_counts < 12)).any()
+        # onto degree-0 nodes, the degree power and triangle closure fall back on every step
+        assert series[0].sampled and series[0].fallback_choices == 2 * 7
+        assert len(cache.row_increments) == 1
+        monkeypatch.setattr(likelihood, "_ORDERING_BATCH_ELEMENTS", 1)
+        _, one_series, one_cache, one_scans, one_batches = self.outputs(stream)
+        assert one_batches == trace.sampled_increments > batches
+        assert [s.logp for s in one_series] == [s.logp for s in series]
+        assert [s.fallback_choices for s in one_series] == [s.fallback_choices for s in series]
+        for name, value in vars(cache).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(one_cache, name).tobytes(), name
+        assert one_cache.fallback_choices == cache.fallback_choices
+        for got, expect in zip(one_scans, scans):
+            assert got.tobytes() == expect.tobytes()
+
+    def test_working_set_does_not_grow_with_orderings(self):
+        stream = gf.grow(
+            gf.GrowthRecipe.constant(
+                "0.5*BA + 0.5*RAND", increments=400, new_targets=3, internal_prob=0.5,
+                internal_targets=8, seed_clique=12,
+            ),
+            seed=1,
+        )
+        comps = [gf.DegreePower(1.0), gf.Random()]
+        calls = {
+            "build_choice_cache": lambda samples: build_choice_cache(
+                stream, comps, ordering_samples=samples
+            ),
+            "score_stream": lambda samples: gf.score_stream(
+                stream, gf.parse_model_spec("0.5*BA + 0.5*RAND"), ordering_samples=samples
+            ),
+        }
+        assert build_dp_trace(stream).sampled_increments > 150
+        for name, call in calls.items():
+            peaks = []
+            for samples in (120, 480):
+                call(samples)  # fills the lookup tables outside the measurement
+                tracemalloc.start()
+                try:
+                    call(samples)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.5 * peaks[0], (name, peaks)

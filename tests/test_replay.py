@@ -66,15 +66,24 @@ def random_stream(rng, increments, big_star=False):
     return first_nodes, edges, incs
 
 
+def assert_same_array(got, want, name):
+    assert got.dtype == want.dtype, (name, got.dtype, want.dtype)
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
 def assert_same_trace(trace: DPTrace, expected: dict):
     for f in fields(DPTrace):
         got, want = getattr(trace, f.name), expected[f.name]
         if want is None:
             assert got is None, f.name
-            continue
-        assert got.dtype == want.dtype, (f.name, got.dtype, want.dtype)
-        assert got.shape == want.shape, f.name
-        assert got.tobytes() == want.tobytes(), f.name
+        elif isinstance(want, tuple):
+            assert isinstance(got, tuple) and len(got) == len(want), f.name
+            for k, (part, expect) in enumerate(zip(got, want)):
+                assert_same_array(part, expect, (f.name, k))
+        else:
+            assert_same_array(got, want, f.name)
+    assert_same_array(trace.chosen_deg, expected["chosen_deg"], "chosen_deg")
 
 
 class TestTraceMatchesOracle:
