@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and typed reading of JSON files."""
 
 import json
+import reprlib
 
 
 class GrowthFitError(Exception):
@@ -106,9 +107,15 @@ def json_object_fields(raw, error: type[Exception], readers: dict, where: str = 
         try:
             fields[name] = convert(raw[name] if name in raw or default is ... else default)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            problem = f"cannot read {raw[name]!r}: {exc}" if name in raw else "is missing"
+            problem = f"cannot read {_quoted(raw[name])}: {exc}" if name in raw else "is missing"
             raise error(f"{where}field {name!r} {problem}") from None
     return fields
+
+
+def _quoted(value) -> str:
+    """``reprlib.repr`` of a value, cut to 80 characters, so a message stays short."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def json_int(value) -> int:

@@ -109,7 +109,9 @@ class ScalarFit:
 
 def _scalar_scan(trace: DPTrace, grid: np.ndarray, components: Sequence[Component]) -> ScalarFit:
     """First-max fit over ``grid``, scoring grid point i as the single component ``components[i]``."""
-    logliks = np.array([float(_trace_logp(trace, comp).sum()) for comp in components])
+    logliks = np.array(
+        [float(_trace_logp(trace, [comp], [1.0])[0].sum()) for comp in components]
+    )
     best = _argmax_first(logliks)
     return ScalarFit(
         value=float(grid[best]),
@@ -266,7 +268,14 @@ class FitResult:
             "choices": (json_int, ...),
             "diagnostics": (dict, {}),
         }
-        return FitResult(*json_fields(text, FitError, readers).values())
+        fields = json_fields(text, FitError, readers)
+        for k, iv in enumerate(fields["intervals"]):
+            if len(iv["weights"]) != len(fields["components"]):
+                raise FitError(
+                    f"interval {k}: field 'weights' needs one weight per component "
+                    f"({len(fields['components'])}), got {len(iv['weights'])}"
+                )
+        return FitResult(*fields.values())
 
     def schedule(self) -> ModelSchedule:
         """Rebuild the fitted schedule for re-scoring or generation."""

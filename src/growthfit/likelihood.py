@@ -51,25 +51,28 @@ ranks, and each step's eligible total by subtracting the shared exclusions
 (the center and its neighborhood) and a running sum, along the ordering,
 of the weights already chosen in it.
 
-A step's eligible total depends only on the *set* of targets already
-chosen, and under triangle closure on the anchor: the existing center, or
-else the first target.  Every path therefore scores an exhaustive star by a
-dynamic program over those sets (Held & Karp 1962): F(all) = 0 and
-
-    F(S) = logsumexp over i not in S of [log w_i - log T(S) + F(S + i)]
-
-with T(S) the base total minus the weights in S (the uniform -log(B - |S|)
-replaces the step term when T(S) <= 0), so a star costs q * 2**(q - 1)
-terms instead of q * q! ordering steps.  An external star under triangle
-closure runs it once per first target, over the other targets.  The
-weight-fitting cache runs the same recursion on polynomials in the weights.
+Every path works in ratios to uniform: a step's ratio is w_i (B - s) / T,
+its probability over the uniform 1 / (B - s), or 1 where T <= 0 and the
+step falls back to uniform.  T depends only on the *set* of targets
+already chosen, and under triangle closure on the anchor: the existing
+center, or else the first target.  Every path therefore scores an
+exhaustive star by a dynamic program over those sets (Held & Karp 1962):
+F(all) = 0 and F(S) = logsumexp over i not in S of [log r(S, i) + F(S + i)],
+with r(S, i) the ratio of the step from S to i: q * 2**(q - 1) terms
+instead of q * q! ordering steps.  An external star under triangle closure
+runs it once per first target, over the other targets.  One parameter
+point (``_trace_logp``: the exponent scans, ``score_stream``,
+``increment_probability``) mixes each ratio at its increment's weights and
+runs the recursion in log space; the weight-fitting cache runs it on
+polynomials in the weights.
 
 A uniform-random baseline is computed in the same pass: the eligible set
 shrinks by exactly one per step, so the baseline increment probability is
 q! * prod 1/(B - s) with B the initial eligible count, exact even when the
-model side is sampled.  The per-choice ratio c0 = exp((logL - logL_rand) /
-sum m) then equals 1 exactly for the pure-random model because every
-per-choice ratio is exactly 1.
+model side is sampled.  A model adds the log ratios of the center and of
+the ordering sum, less the log of the ordering count (q!, or S sampled).
+An increment weighting only RAND and exponent 0 scores the baseline itself,
+so c0 = exp((logL - logL_rand) / sum m) is exactly 1 for the uniform model.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,7 +233,6 @@ class DPTrace:
     existing_counts: np.ndarray  # (I,) int64, existing targets q
     initial: np.ndarray  # (I,) int64, eligible-set size at the first target step
     sampled: np.ndarray  # (I,) bool
-    log_mult: np.ndarray  # (I,) float64
     logp_rand: np.ndarray  # (I,) float64
     h0: np.ndarray  # (K,) float64 seed-graph degree histogram, K past any degree reached
     shared_inc: np.ndarray  # (SD,) owning increment of each excluded center or neighbor
@@ -268,6 +270,14 @@ class DPTrace:
         return out
 
     @cached_property
+    def _ordering_count(self) -> np.ndarray:
+        """(I,) float64 orderings each increment's targets are summed over: S or q!."""
+        counts = np.diff(self.inc_ord_offsets).astype(np.float64)
+        q = self.existing_counts[~self.sampled]
+        counts[~self.sampled] = np.cumprod(np.maximum(np.arange(q.max(initial=0) + 1), 1.0))[q]
+        return counts
+
+    @cached_property
     def _target_start(self) -> np.ndarray:
         """(I,) each increment's first existing target in the target arrays."""
         return _offsets(self.existing_counts)[:-1]
@@ -284,7 +294,7 @@ class DPTrace:
             initial = self.initial[incs].astype(np.float64)
             on = (self.target_deg[targets] > 0).astype(np.float64)
             occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
-            groups.append(_SubsetGroup(incs, targets, initial, -np.log(initial - steps), occupied))
+            groups.append(_SubsetGroup(incs, targets, initial, occupied))
         return groups
 
     @cached_property
@@ -310,7 +320,6 @@ class _SubsetGroup:
     incs: np.ndarray  # (n,) increments
     targets: np.ndarray  # (q, n) existing targets, as positions in the trace's target arrays
     initial: np.ndarray  # (n,) float64 initial eligible count B
-    uniform: np.ndarray  # (q, n) -log(B - l), a uniform step's log-probability at level l
     occupied: np.ndarray  # (2**q - 1, n) bool, a node of positive degree left after each subset
 
     def select(self, which: np.ndarray | slice) -> _SubsetGroup:
@@ -531,12 +540,6 @@ def _replay(
         for rows, k in zip(block, stars.tolist()):
             rows[:] = _sampled_positions(q, first_index + k, seed, ordering_samples)
         orderings.append(block)
-    log_mult = np.zeros(num_inc)
-    # a sum over S drawn orderings is scaled by q!/S
-    log_mult[sampled] = [
-        _log_factorial(q) - math.log(float(ordering_samples))
-        for q in existing_counts[sampled].tolist()
-    ]
 
     h0 = np.bincount(np.asarray(graph.degrees, dtype=np.int64), minlength=1)
     kmax = max(
@@ -556,7 +559,6 @@ def _replay(
         existing_counts=existing_counts,
         initial=initial,
         sampled=sampled,
-        log_mult=log_mult,
         logp_rand=_uniform_baseline(num_nodes, center_new, initial, existing_counts),
         h0=np.pad(h0, (0, kmax + 1 - len(h0))).astype(np.float64),
         shared_inc=np.repeat(incs, shared_count),
@@ -652,15 +654,40 @@ def _zero_at_degree_zero(comp: Component) -> bool:
     return isinstance(comp, DegreePower) and comp.alpha != 0.0
 
 
-def _center_weights(trace: DPTrace, node: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center (weight, total over the whole graph) of a component of ``_node_weights`` ``node``.
+def _ratio(w: np.ndarray, eligible: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """A choice's probability over the uniform one: w * eligible / total, 1 where total <= 0.
 
-    RAND and triangle closure pick a center uniformly.  Values of new
-    centers are unread.
+    A total <= 0 means the choice falls back to uniform.  The product is
+    formed before the division, so a uniform component cancels to exactly 1.
     """
-    if node is None:
-        return np.ones(trace.num_increments), trace.num_nodes.astype(np.float64)
-    return node[2], node[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = w * eligible / total
+    positive = total > 0.0
+    return ratio if positive.all() else np.where(positive, ratio, 1.0)
+
+
+def _mix(columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum over components l of columns[l] * weights[l], added in component order."""
+    out = columns[0] * weights[0]
+    for column, w in zip(columns[1:], weights[1:]):
+        out += column * w
+    return out
+
+
+def _center_ratios(trace: DPTrace, nodes: list, fallbacks: np.ndarray) -> list[np.ndarray]:
+    """Per component of ``_node_weights`` ``nodes``, each center's (I,) ratio over all nodes.
+
+    RAND and triangle closure pick a center uniformly, and a new center is
+    no choice: both have ratio 1.  Adds each existing center that falls
+    back to uniform to ``fallbacks``.
+    """
+    whole_graph = trace.num_nodes.astype(np.float64)
+    ratios = []
+    for l, node in enumerate(nodes):
+        w, total = (1.0, whole_graph) if node is None else node[2:]
+        fallbacks[l] += ~trace.center_new & (total <= 0.0)
+        ratios.append(np.where(trace.center_new, 1.0, _ratio(w, whole_graph, total)))
+    return ratios
 
 
 def _step_weights(
@@ -697,6 +724,25 @@ def _step_weights(
         occupied = trace._occupied_base[rows, None] - _exclusive_prefix(on)
         total[occupied <= 0.0] = 0.0
     return chosen, total
+
+
+def _batch_ratios(
+    trace: DPTrace,
+    batch: _OrderingBatch,
+    components: Sequence[Component],
+    nodes: list,
+    fallbacks: np.ndarray,
+) -> list[np.ndarray]:
+    """Per component, the (n * S, q) step ratios to uniform of a batch of sampled stars.
+
+    Adds the uniform steps of each star's first ordering to ``fallbacks``.
+    """
+    ratios = []
+    for l, (comp, node) in enumerate(zip(components, nodes)):
+        step_w, step_total = _step_weights(trace, batch, comp, node)
+        fallbacks[l, batch.incs] += (step_total[:: batch.samples] <= 0.0).sum(axis=1)
+        ratios.append(_ratio(step_w, batch.eligible, step_total))
+    return ratios
 
 
 def _segment_logsumexp(
@@ -755,14 +801,18 @@ class _Lattice:
     first: np.ndarray | None  # anchored: the first step's ratio to uniform, 1 where uniform
     first_uniform: np.ndarray | None  # anchored: the first step falls back to uniform
     w: np.ndarray  # (q, n) the targets' weights
-    total: np.ndarray  # (2**q - 1, n) each proper subset's eligible total
-    positive: np.ndarray  # (2**q - 1, n) a step from the subset follows the weights
-    uniform: np.ndarray  # (q, n) else its log-probability, at the subset's size
+    total: np.ndarray  # (2**q - 1, n) each proper subset's eligible total, 0 where uniform
+    eligible: np.ndarray  # (n,) float64 eligible count before the lattice's first step
+
+    def ratios(self, size: int) -> np.ndarray:
+        """(subsets, q - size, n) ratio to uniform of each step from each subset of ``size``."""
+        lo, hi, _, added = _subset_lattice(len(self.w))[1][size]
+        return _ratio(self.w[added], self.eligible - size, self.total[lo:hi, None])
 
     @property
     def fallbacks(self) -> np.ndarray:
         """(stars,) uniform steps of each star's identity ordering."""
-        steps = ~self.positive[[lo for lo, _, _, _ in _subset_lattice(len(self.w))[1]]]
+        steps = self.total[[lo for lo, _, _, _ in _subset_lattice(len(self.w))[1]]] <= 0.0
         if self.first is None:
             return steps.sum(axis=0)
         return np.vstack((self.first_uniform, steps))[:, :: len(self.w) + 1].sum(axis=0)
@@ -792,6 +842,7 @@ def _lattice(
         w, base = node[0][group.targets[:, cols]], node[1][group.incs[cols]]
     zero = _zero_at_degree_zero(comp)
     first = first_uniform = None
+    eligible = group.initial
     if anchored:
         # the anchor leaves the lattice, with its weight: 0 for triangle closure
         at = np.arange(len(cols))
@@ -799,18 +850,44 @@ def _lattice(
         occupied = trace._occupied_base[group.incs[cols]]
         ok = (base > 0.0) & ((occupied > 0.0) | (not zero))
         first_uniform = ~ok | tri
-        with np.errstate(divide="ignore", invalid="ignore"):
-            first = np.where(first_uniform, 1.0, w[slots, at] * group.initial[cols] / base)
+        first = _ratio(w[slots, at], group.initial[cols], np.where(first_uniform, 0.0, base))
         others = (np.arange(q - 1) + (np.arange(q - 1) >= slots[:, None])).T
         base, occupied = base - w[slots, at], occupied - on[slots, at]
         w, on = w[others, at], on[others, at]
+        eligible = np.repeat(group.initial - 1.0, q)
     members = _subset_lattice(len(w))[0]
     total = base - members @ w
-    positive = total > 0.0
     if zero:
-        positive &= occupied - members @ on > 0.0 if anchored else group.occupied
-    uniform = np.repeat(group.uniform[1:], q, axis=1) if anchored else group.uniform
-    return _Lattice(first, first_uniform, w, total, positive, uniform)
+        # no node of positive degree is left: the total is 0 up to rounding
+        total[~(occupied - members @ on > 0.0 if anchored else group.occupied)] = 0.0
+    return _Lattice(first, first_uniform, w, total, eligible)
+
+
+def _subset_batches(
+    trace: DPTrace,
+    components: Sequence[Component],
+    nodes: list,
+    fallbacks: np.ndarray,
+    width: Callable[[int], int],
+) -> Iterator[tuple[_SubsetGroup, bool, list[_Lattice]]]:
+    """(stars, anchored, lattices) of the exhaustive stars with existing targets, in batches.
+
+    Under triangle closure an external star is anchored: one lattice column
+    per first target.  A batch of stars with q targets has under
+    ``_COLLAPSE_BATCH_ELEMENTS`` terms of ``width(q)`` values, a star fewer
+    than q * 2**q.  Adds the uniform steps of each star's identity ordering
+    to ``fallbacks``.
+    """
+    anchored = any(isinstance(c, TriangleClosure) for c in components)
+    for group in trace._subset_groups:
+        q = len(group.targets)
+        step = max(1, _COLLAPSE_BATCH_ELEMENTS // ((q << q) * width(q)))
+        for part, outer in _split(group, anchored & trace.center_new[group.incs]):
+            for a in range(0, len(part.incs), step):
+                batch = part.select(slice(a, a + step))
+                lattices = [_lattice(trace, batch, c, n, outer) for c, n in zip(components, nodes)]
+                fallbacks[:, batch.incs] += [lat.fallbacks for lat in lattices]
+                yield batch, outer, lattices
 
 
 def _split(group: _SubsetGroup, anchored: np.ndarray) -> list[tuple[_SubsetGroup, bool]]:
@@ -820,23 +897,20 @@ def _split(group: _SubsetGroup, anchored: np.ndarray) -> list[tuple[_SubsetGroup
     return [(group.select(~anchored), False), (group.select(anchored), True)]
 
 
-def _subset_logp(lattice: _Lattice) -> np.ndarray:
+def _subset_logp(lattices: list[_Lattice], weights: np.ndarray) -> np.ndarray:
     """Log of the sum over orderings of a lattice's targets, by a DP over the chosen sets.
 
-    F(all) = 0 and F(S) = logsumexp over i not in S of [log w_i + F(S + i)]
-    - log T(S), with T(S) = ``total`` of S.  Where S is not ``positive`` the
-    step is uniform instead, of log-probability ``uniform`` at S's size.
-    The result is F of the empty set, per column.
+    Each step's ratio to uniform is mixed over the components at its
+    column's (n, L) ``weights`` and logged.  F(all) = 0 and F(S) =
+    logsumexp over i not in S of [log r(S, i) + F(S + i)]; the result is F
+    of the empty set, per column.
     """
-    positive, q = lattice.positive, len(lattice.w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = np.log(lattice.w)
-        log_total = np.log(lattice.total)
-    fallback = not positive.all()
-    f = np.zeros((1, log_w.shape[1]))
+    q = len(lattices[0].w)
+    f = np.zeros((1, len(weights)))
     for size in reversed(range(q)):
-        lo, hi, child, added = _subset_lattice(q)[1][size]
-        terms = np.where(positive[lo:hi, None], log_w[added], 0.0) if fallback else log_w[added]
+        child = _subset_lattice(q)[1][size][2]
+        with np.errstate(divide="ignore"):
+            terms = np.log(_mix([lat.ratios(size) for lat in lattices], weights.T))
         terms += f[child]
         if terms.shape[1] == 1:
             f = terms[:, 0]
@@ -848,49 +922,50 @@ def _subset_logp(lattice: _Lattice) -> np.ndarray:
             terms -= top[:, None]
             with np.errstate(divide="ignore"):
                 f = np.log(np.exp(terms, out=terms).sum(axis=1)) + top
-        step = -log_total[lo:hi]
-        f += np.where(positive[lo:hi], step, lattice.uniform[size]) if fallback else step
     return f[0]
 
 
-def _trace_logp(trace: DPTrace, comp: Component) -> np.ndarray:
-    """Per-increment log-probability under one component, reduced in log space.
+def _trace_logp(
+    trace: DPTrace, components: Sequence[Component], weights: np.ndarray | Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log-probability, (L, I) fallback choices) per increment under per-increment mixtures.
 
-    The uniform model (RAND, or exponent 0) returns the baseline itself, so
-    that identity holds bit for bit rather than to within summation noise.
-    Sampled stars sum their orderings' steps, one batch at a time.
-    Exhaustive stars run the subset DP; an external star under triangle
-    closure runs it once per anchor, after the uniform first step, and sums
-    the anchors.
+    ``weights`` is (I, L), or (L,) for every increment.  Each step's ratio
+    to uniform is mixed at its increment's weights and logged.  Sampled
+    stars sum their orderings' steps and take a logsumexp over them;
+    exhaustive stars run the subset DP, once per anchor and then a
+    logsumexp over the anchors for an external star under triangle closure.
+    An increment weighting only uniform components (RAND, exponent 0)
+    scores the baseline itself, so that identity holds bit for bit.
+    Fallbacks are counted on the center and the first ordering's steps.
     """
-    if isinstance(comp, Random) or comp == DegreePower(0.0):
-        return trace.logp_rand.copy()
-    node = _node_weights(trace, comp)
-    targets = np.zeros(trace.num_increments)
-    for batch in _ordering_batches(trace):
-        step_w, step_total = _step_weights(trace, batch, comp, node)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(
-                step_total > 0.0, np.log(step_w) - np.log(step_total), -np.log(batch.eligible)
+    num_inc = trace.num_increments
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (num_inc, len(components)))
+    fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
+    uniform = np.array([isinstance(c, Random) or c == DegreePower(0.0) for c in components])
+    if uniform.all():
+        return trace.logp_rand.copy(), fallbacks
+    baseline = ~weights[:, ~uniform].any(axis=1)
+    nodes = [_node_weights(trace, comp) for comp in components]
+    with np.errstate(divide="ignore"):
+        logp = np.log(_mix(_center_ratios(trace, nodes, fallbacks), weights.T))
+        for batch in _ordering_batches(trace):
+            ratios = _batch_ratios(trace, batch, components, nodes, fallbacks)
+            orderings = np.log(_mix(ratios, weights[batch.rows].T[..., None])).sum(axis=1)
+            logp[batch.incs] += _segment_logsumexp(
+                orderings, np.full(len(batch.incs), batch.samples)
             )
-        ord_logp = np.cumsum(step, axis=1)[:, -1]
-        targets[batch.incs] = _segment_logsumexp(ord_logp, np.full(len(batch.incs), batch.samples))
-    tri = isinstance(comp, TriangleClosure)
-    for group in trace._subset_groups:
-        for part, anchored in _split(group, tri & trace.center_new[group.incs]):
-            f = _subset_logp(_lattice(trace, part, comp, node, anchored))
+        batches = _subset_batches(trace, components, nodes, fallbacks, lambda q: len(components))
+        for stars, anchored, lattices in batches:
+            q = len(stars.targets)
+            cols = np.repeat(weights[stars.incs], q if anchored else 1, axis=0)
+            f = _subset_logp(lattices, cols)
             if anchored:
-                f = _segment_logsumexp(f, np.full(len(part.incs), len(part.targets)))
-                f += part.uniform[0]
-            targets[part.incs] = f
-    center_w, center_total = _center_weights(trace, node)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center = np.where(
-            center_total > 0.0,
-            np.log(center_w) - np.log(center_total),
-            -np.log(trace.num_nodes.astype(np.float64)),
-        )
-    return np.where(trace.center_new, 0.0, center) + trace.log_mult + targets
+                f += np.log(_mix([lat.first for lat in lattices], cols.T))
+                f = _segment_logsumexp(f, np.full(len(stars.incs), q))
+            logp[stars.incs] += f
+    logp += trace.logp_rand - np.log(trace._ordering_count)
+    return np.where(baseline, trace.logp_rand, logp), fallbacks
 
 
 def dp_trace_logp(trace: DPTrace, alpha: float) -> np.ndarray:
@@ -899,17 +974,18 @@ def dp_trace_logp(trace: DPTrace, alpha: float) -> np.ndarray:
     Exponent 0 is the uniform model, so it returns the baseline itself and
     the identity holds bit for bit rather than to within summation noise.
     """
-    return _trace_logp(trace, DegreePower(alpha))
+    return _trace_logp(trace, [DegreePower(alpha)], [1.0])[0]
 
 
 @dataclass
 class ChoiceCache:
     """Mixture-weight-independent per-choice ratios for fast weight fitting.
 
-    Built from a ``DPTrace``.  Per target step and component: (component
-    prob / uniform prob) over the step's eligible set; per center and
-    component: the same ratio over all nodes, with all-ones rows for new
-    centers (so any convex combination gives factor 1).  For weights w, the
+    Built from a ``DPTrace`` to score a lattice of weight vectors (one
+    point is scored in log space, by ``_trace_logp``).  Per target step and
+    component: (component prob / uniform prob) over the step's eligible
+    set; per center and component: the same ratio over all nodes, with
+    all-ones rows for new centers (so any convex combination gives 1).  For weights w, the
     step mixture ratio is the dot product, ordering ratios multiply,
     increments sum orderings and scale by ``inv_norm`` (1/q! exhaustive, 1/S
     sampled); the log of the result is logp - logp_rand for the increment.
@@ -1025,59 +1101,27 @@ def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _mixed(columns: list[np.ndarray], mix: np.ndarray | None) -> np.ndarray:
-    """Per-component values stacked on a last axis, or that axis mixed to one column.
-
-    ``mix`` holds each value's component weights on its last axis and
-    broadcasts against the values otherwise.
-    """
-    if mix is None:
-        return np.stack(columns, axis=-1)
-    out = columns[0] * mix[..., 0]
-    for l in range(1, len(columns)):
-        out += columns[l] * mix[..., l]
-    return out[..., None]
-
-
-def _lattice_poly(
-    trace: DPTrace, part: _SubsetGroup, anchored: bool, components, nodes, mix: np.ndarray | None
-):
-    """(n, M) summed ordering coefficients of a group's stars, and their (L, n) fallbacks.
+def _lattice_poly(lattices: list[_Lattice], anchored: bool, stars: int) -> np.ndarray:
+    """(stars, M) summed ordering coefficients of a batch's stars, from their component lattices.
 
     The subset DP with polynomial values: G(all) = 1 and G(S) = sum over i
     not in S of (r(S, i) . w) G(S + i), r(S, i) holding each component's
     step ratio to uniform; the result is G(empty).  An anchored star sums
-    the first step's form times G over its anchors.  With ``mix``, the (n, L)
-    weights of each star, every form is evaluated at them, so G is one
-    number per star.
+    the first step's form times G over its anchors.
     """
-    lattices = [_lattice(trace, part, c, node, anchored) for c, node in zip(components, nodes)]
-    q = len(part.targets)
-    size_all = q - anchored
-    eligible = np.repeat(part.initial - 1.0, q) if anchored else part.initial
-    if mix is not None and anchored:
-        mix = np.repeat(mix, q, axis=0)
-    g = np.ones((1, len(eligible), 1))
-    for size in reversed(range(size_all)):
-        lo, hi, child, added = _subset_lattice(size_all)[1][size]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = [
-                np.where(
-                    lat.positive[lo:hi, None],
-                    lat.w[added] * (eligible - size) / lat.total[lo:hi, None],
-                    1.0,
-                )
-                for lat in lattices
-            ]
-        linear = _mixed(ratios, mix)
-        linear = linear.reshape(-1, linear.shape[-1])
-        terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, size_all - size)
-        g = terms.reshape(*child.shape, len(eligible), -1).sum(axis=1)
+    q = len(lattices[0].w)
+    g = np.ones((1, len(lattices[0].eligible), 1))
+    for size in reversed(range(q)):
+        child = _subset_lattice(q)[1][size][2]
+        linear = np.stack([lat.ratios(size) for lat in lattices], axis=-1)
+        linear = linear.reshape(-1, len(lattices))
+        terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, q - size)
+        g = terms.reshape(*child.shape, g.shape[1], -1).sum(axis=1)
     poly = g[0]
     if anchored:
-        first = _mixed([lat.first for lat in lattices], mix)
-        poly = _times_linear(poly, first, q).reshape(len(part.incs), q, -1).sum(axis=1)
-    return poly, np.array([lat.fallbacks for lat in lattices])
+        first = np.stack([lat.first for lat in lattices], axis=-1)
+        poly = _times_linear(poly, first, q + 1).reshape(stars, q + 1, -1).sum(axis=1)
+    return poly
 
 
 def _ordering_poly(ratios: np.ndarray, samples: int) -> np.ndarray:
@@ -1144,97 +1188,45 @@ def _collapse(
     }
 
 
-def _batch_ratios(
-    trace: DPTrace,
-    batch: _OrderingBatch,
-    components: Sequence[Component],
-    nodes: list,
-    mix: np.ndarray | None,
-    fallbacks: np.ndarray,
-) -> np.ndarray:
-    """(n * S, q, L) step ratios to uniform of a batch of sampled stars, one column if mixed.
-
-    Adds the uniform steps of each star's first ordering to ``fallbacks``.
-    """
-    ratios = np.zeros((*batch.eligible.shape, len(components) if mix is None else 1))
-    for l, (comp, node) in enumerate(zip(components, nodes)):
-        step_w, step_total = _step_weights(trace, batch, comp, node)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # multiply first so a uniform component cancels exactly to 1.0
-            ratio = np.where(step_total > 0.0, step_w * batch.eligible / step_total, 1.0)
-        if mix is None:
-            ratios[..., l] = ratio
-        else:
-            ratios[..., 0] += ratio * mix[batch.rows, l, None]
-        fallbacks[l, batch.incs] += (step_total[:: batch.samples] <= 0.0).sum(axis=1)
-    return ratios
-
-
-def _choice_cache(
-    trace: DPTrace, components: Sequence[Component], mix: np.ndarray | None = None
-) -> tuple[ChoiceCache, np.ndarray]:
-    """The weight-fitting cache of a trace, plus (L, I) fallback choices per component.
+def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCache:
+    """The weight-fitting cache of a trace.
 
     Fallbacks are counted on the center and on the steps of the first
     ordering: a sampled star's first draw, an exhaustive star's identity
-    ordering.  With ``mix``, (I, L) weights per increment, every step and
-    center row is mixed at its increment's weights before any polynomial
-    is formed, so the cache has one column and is scored at weight [1.0].
-    Sampled stars are expanded one ``_ordering_batches`` run at a time:
-    each run is collapsed to coefficients, or its step rows are written
-    into the row path's table.
+    ordering.  Sampled stars are expanded one ``_ordering_batches`` run at a
+    time: each run is collapsed to coefficients, or its step rows are
+    written into the row path's table.
     """
-    num_inc = trace.num_increments
-    ncol = len(components) if mix is None else 1
-    center_ratios = np.zeros((num_inc, ncol))
-    fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
-    whole_graph = trace.num_nodes.astype(np.float64)
+    ncomp = len(components)
+    fallbacks = np.zeros((ncomp, trace.num_increments), dtype=np.int64)
     nodes = [_node_weights(trace, comp) for comp in components]
-    for l, node in enumerate(nodes):
-        center_w, center_total = _center_weights(trace, node)
-        fallbacks[l] = ~trace.center_new & (center_total <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            center_ratio = np.where(
-                trace.center_new | (center_total <= 0.0), 1.0, center_w * whole_graph / center_total
-            )
-        if mix is None:
-            center_ratios[:, l] = center_ratio
-        else:
-            center_ratios[:, 0] += center_ratio * mix[:, l]
-    anchored = any(isinstance(c, TriangleClosure) for c in components)
+    center_ratios = np.stack(_center_ratios(trace, nodes, fallbacks), axis=-1)
     summed: dict[int, list] = {}
-    for group in trace._subset_groups:
-        q = len(group.targets)
-        # a star has fewer than q * 2**q polynomial terms of at most M coefficients
-        step = _COLLAPSE_BATCH_ELEMENTS // ((q << q) * len(_monomial_exponents(ncol, q)))
-        for part, outer in _split(group, anchored & trace.center_new[group.incs]):
-            for a in range(0, len(part.incs), max(1, step)):
-                batch = part.select(slice(a, a + max(1, step)))
-                at = None if mix is None else mix[batch.incs]
-                coefs, fallbacks_at = _lattice_poly(trace, batch, outer, components, nodes, at)
-                summed.setdefault(q, []).append((batch.incs, coefs))
-                fallbacks[:, batch.incs] += fallbacks_at
+    # a polynomial term holds up to M coefficients
+    batches = _subset_batches(
+        trace, components, nodes, fallbacks, lambda q: len(_monomial_exponents(ncomp, q))
+    )
+    for stars, anchored, lattices in batches:
+        coefs = _lattice_poly(lattices, anchored, len(stars.incs))
+        summed.setdefault(len(stars.targets), []).append((stars.incs, coefs))
     # Only the row path reads step rows: those of the sampled stars above the cap.
     on_rows = trace.sampled & (trace.existing_counts + 1 > MAX_COLLAPSED_DEGREE)
     ord_counts = np.where(on_rows, np.diff(trace.inc_ord_offsets), 0)
     increment_offsets = _offsets(ord_counts)
     ordering_offsets = _offsets(np.repeat(trace.existing_counts, ord_counts))
-    step_ratios = np.empty((ordering_offsets[-1], ncol))
+    step_ratios = np.empty((ordering_offsets[-1], ncomp))
     for batch in _ordering_batches(trace):
-        ratios = _batch_ratios(trace, batch, components, nodes, mix, fallbacks)
+        ratios = np.stack(_batch_ratios(trace, batch, components, nodes, fallbacks), axis=-1)
         q = ratios.shape[1]
         if q + 1 <= MAX_COLLAPSED_DEGREE:
             summed.setdefault(q, []).append((batch.incs, _ordering_poly(ratios, batch.samples)))
         else:
             first = ordering_offsets[increment_offsets[batch.incs]]
             last = ordering_offsets[increment_offsets[batch.incs + 1]]
-            step_ratios[_concat_ranges(first, last)] = ratios.reshape(-1, ncol)
-    orderings, exhaustive = np.diff(trace.inc_ord_offsets), ~trace.sampled
-    q = trace.existing_counts[exhaustive]
-    orderings[exhaustive] = np.array([math.factorial(k) for k in range(q.max(initial=0) + 1)])[q]
-    inv_norm = 1.0 / orderings
+            step_ratios[_concat_ranges(first, last)] = ratios.reshape(-1, ncomp)
+    inv_norm = 1.0 / trace._ordering_count
     collapsed = _collapse(center_ratios, inv_norm, trace.existing_counts, trace.sampled, summed)
-    cache = ChoiceCache(
+    return ChoiceCache(
         components=tuple(components),
         step_ratios=step_ratios,
         ordering_offsets=ordering_offsets,
@@ -1248,7 +1240,6 @@ def _choice_cache(
         sampled_increments=trace.sampled_increments,
         fallback_choices=int(fallbacks.sum()),
     )
-    return cache, fallbacks
 
 
 def build_choice_cache(
@@ -1265,7 +1256,7 @@ def build_choice_cache(
     every weight-grid point.
     """
     trace = _stream_trace(stream, components, seed, max_exhaustive_choices, ordering_samples)
-    return _choice_cache(trace, components)[0]
+    return _choice_cache(trace, components)
 
 
 def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -1440,8 +1431,8 @@ def _score(
 ) -> tuple[DPTrace, np.ndarray, np.ndarray]:
     """(trace, logp, fallback choices) per increment under a schedule, from one replay.
 
-    Each increment is scored by the cache mixed at its interval's weights,
-    zero for components that interval lacks; only its interval's components
+    Each increment is scored in log space at its interval's weights, zero
+    for components that interval lacks; only its interval's components
     count fallbacks.
     """
     schedule = _as_schedule(schedule)
@@ -1456,9 +1447,8 @@ def _score(
         ordering_samples,
     )
     which = _interval_indices(schedule, trace, first_index)
-    cache, fallbacks = _choice_cache(trace, components, weights[which])
-    ratios = cache_logratios(cache, np.ones(1))
-    return trace, ratios + trace.logp_rand, (members[which] * fallbacks.T).sum(axis=1)
+    logp, fallbacks = _trace_logp(trace, components, weights[which])
+    return trace, logp, (members[which] * fallbacks.T).sum(axis=1)
 
 
 def score_stream(

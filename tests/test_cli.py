@@ -362,6 +362,7 @@ class TestErrors:
             ("logL_rand", True),
             ("choices", 7.9),
             ("weights", ["0.5", True]),
+            ("weights", [0.5]),
             ("start_index", True),
             ("end_index", 0.5),
             ("end_time", "9"),

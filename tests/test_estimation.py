@@ -237,6 +237,8 @@ class TestFitIntervals:
             ("weights", ["0.5", 0.5], "'weights'"),
             ("weights", [True, 0.5], "'weights'"),
             ("weights", 0.5, "'weights'"),
+            ("weights", [1.0], r"^interval 0: field 'weights' .* \(2\), got 1$"),
+            ("weights", [0.5, 0.25, 0.25], r"^interval 0: field 'weights' .* \(2\), got 3$"),
             ("start_index", "0", "'start_index'"),
             ("end_index", 9.5, "'end_index'"),
             ("end_index", True, "'end_index'"),
@@ -251,6 +253,23 @@ class TestFitIntervals:
             fit["intervals"][0][field] = value
         with pytest.raises(gf.FitError, match=named):
             gf.FitResult.from_json(json.dumps(fit))
+
+    def test_bad_value_message_is_short_and_names_the_interval(self):
+        fit = self.fit_json()
+        fit["intervals"] = [
+            {"weights": [0.5, 0.5], "start_index": k, "end_index": k, "end_time": k}
+            for k in range(10)
+        ]
+        fit["intervals"][9]["weights"] = [0.5, "0.5"]
+        with pytest.raises(gf.FitError) as info:
+            gf.FitResult.from_json(json.dumps(fit))
+        message = str(info.value)
+        assert message.startswith("field 'intervals' cannot read ")
+        assert message.endswith(
+            "interval 9: field 'weights' cannot read [0.5, '0.5']: expected a number"
+        )
+        # each quoted value is cut to 80 characters, not all ten intervals
+        assert len(message) <= 200 and message.count("start_index") < 10
 
     @pytest.mark.parametrize("field", ["weights", "start_index", "end_index", "end_time"])
     def test_interval_missing_a_field_is_a_fit_error(self, field):

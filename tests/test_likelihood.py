@@ -141,7 +141,7 @@ class TestOrderings:
         inc = gf.Increment(0, 99, True, (1, 2, 3), (False,) * 3)
         trace, orders = drawn_orderings(inc, 0, 0, 5, 120)
         assert not trace.sampled[0]
-        assert trace.log_mult[0] == 0.0
+        assert trace._ordering_count[0] == math.factorial(3)
         assert orders == [] and len(trace.chosen_deg) == 0
 
     def test_large_increments_sample(self):
@@ -149,7 +149,7 @@ class TestOrderings:
         trace, orders = drawn_orderings(inc, 3, 7, 5, 50)
         assert trace.sampled[0]
         assert len(orders) == 50
-        assert abs(trace.log_mult[0] - (math.log(math.factorial(6)) - math.log(50))) < 1e-12
+        assert trace._ordering_count[0] == 50
         for order in orders:
             assert sorted(order) == list(range(6))
 
@@ -796,7 +796,7 @@ class TestSingleComponentsAgainstOracle:
         trace = likelihood._stream_trace(stream, [tri], max_exhaustive_choices=5)
         assert trace.sampled_increments >= 1
         expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES, 5)
-        assert_close([likelihood._trace_logp(trace, tri).sum()], [expect.sum()])
+        assert_close([likelihood._trace_logp(trace, [tri], [1.0])[0].sum()], [expect.sum()])
 
 
 def six_and_seven_choice_stream(rng):
@@ -874,7 +874,11 @@ class TestSixAndSevenChoiceStars:
 
 
 class TestScheduleMixing:
-    """score_stream mixes each increment's component ratios at its interval's weights."""
+    """score_stream mixes each step's component ratios at its interval's weights, in log space.
+
+    The weight-fitting cache scores the same points from polynomials in the
+    weights, so the two engines check each other.
+    """
 
     COMPS = (
         gf.DegreePower(1.0), gf.TriangleClosure(), gf.RankPreference(0.5),
@@ -918,13 +922,25 @@ class TestScheduleMixing:
         assert summary.sampled_increments == cache.sampled_increments >= 2
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_random_schedule_is_its_baseline(self, seed):
+    @pytest.mark.parametrize("spec", ["RAND", "DP(0)", "0.5*RAND + 0.5*DP(0)"])
+    def test_uniform_schedule_is_its_baseline(self, seed, spec):
         stream = self.stream(seed)
-        rand = gf.MixtureInterval.single(gf.Random())
-        sched = gf.ModelSchedule((rand, rand), (11.0,), gf.BoundaryMode.INDEX)
+        uniform = gf.parse_model_spec(spec)
+        sched = gf.ModelSchedule((uniform, uniform), (11.0,), gf.BoundaryMode.INDEX)
         summary, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
         assert [s.logp for s in series] == [s.logp_rand for s in series]
         assert summary.c0 == 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_uniform_interval_is_its_baseline_beside_a_model(self, seed):
+        stream = self.stream(seed)
+        uniform = gf.parse_model_spec("0.5*RAND + 0.5*DP(0)")
+        model = gf.parse_model_spec("0.5*BA + 0.5*TRI")
+        sched = gf.ModelSchedule((model, uniform), (11.0,), gf.BoundaryMode.INDEX)
+        _, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        # the boundary 11 closes the first interval
+        assert [s.logp for s in series[12:]] == [s.logp_rand for s in series[12:]]
+        assert all(s.logp != s.logp_rand for s in series[:12])
 
 
 def batched_stream(rng):
@@ -970,7 +986,7 @@ class TestOrderingBatches:
         )
         trace = likelihood._stream_trace(stream, self.COMPS, 0, self.CAP, SAMPLES)
         scans = [
-            likelihood._trace_logp(trace, comp)
+            likelihood._trace_logp(trace, [comp], [1.0])[0]
             for comp in (gf.DegreePower(0.5), gf.DegreePower(1.5), gf.RankPreference(0.5))
         ]
         batches = len(list(likelihood._ordering_batches(trace)))
