@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -64,6 +65,8 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
         start, stop, step = (float(f) for f in text.split(":"))
     except ValueError:
         raise GrowthFitError(f"bad grid {text!r}, expected START:STOP:STEP") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise GrowthFitError(f"bad grid {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise GrowthFitError(f"bad grid {text!r}")
     count = int(round((stop - start) / step))

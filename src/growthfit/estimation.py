@@ -35,6 +35,7 @@ from .errors import (
 from .graph import GrowthStream
 from .likelihood import (
     DEFAULT_ORDERING_SAMPLES,
+    MAX_EXHAUSTIVE_CHOICES,
     ChoiceCache,
     DPTrace,
     _checked_range,
@@ -84,11 +85,24 @@ def simplex_grid(num_components: int, step: float = DEFAULT_WEIGHT_STEP) -> np.n
 
 
 def _argmax_first(values: np.ndarray) -> int:
-    """Index of the strict maximum, earliest on ties; rejects all-impossible."""
+    """Index of the strict maximum, earliest on ties; rejects an empty grid and all-impossible."""
+    if len(values) == 0:
+        raise FitError("empty grid: no point to maximize over")
     best = int(np.argmax(values))
     if values[best] == -np.inf or np.isnan(values[best]):
         raise NoFeasibleFitError("every grid point has zero likelihood")
     return best
+
+
+def _exponent_grid(grid: Sequence[float]) -> np.ndarray:
+    """An exponent grid as float64; raises FitError unless it is a list of finite values."""
+    values = np.asarray(grid, dtype=np.float64)
+    if values.ndim != 1 or len(values) == 0:
+        raise FitError(f"exponent grid must be a nonempty list of values, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise FitError(f"exponent grid holds the non-finite value {bad}")
+    return values
 
 
 @dataclass
@@ -110,7 +124,7 @@ class ScalarFit:
 def _scalar_scan(trace: DPTrace, grid: np.ndarray, components: Sequence[Component]) -> ScalarFit:
     """First-max fit over ``grid``, scoring grid point i as the single component ``components[i]``."""
     logliks = np.array(
-        [float(_trace_logp(trace, [comp], [1.0])[0].sum()) for comp in components]
+        [float(_trace_logp(trace, [c], [1.0], count_fallbacks=False)[0].sum()) for c in components]
     )
     best = _argmax_first(logliks)
     return ScalarFit(
@@ -128,13 +142,18 @@ def fit_degree_exponent(
     grid: np.ndarray | None = None,
     seed: int = 0,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
 ) -> ScalarFit:
-    """Scan the degree-power exponent over a grid (single-component model)."""
+    """Scan the degree-power exponent over a grid (single-component model).
+
+    The replay options apply when ``source`` is a stream; a ``DPTrace``
+    already holds its orderings.
+    """
+    grid = default_alpha_grid() if grid is None else _exponent_grid(grid)
     if isinstance(source, DPTrace):
         trace = source
     else:
-        trace = build_dp_trace(source, seed=seed, ordering_samples=ordering_samples)
-    grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+        trace = build_dp_trace(source, seed, max_exhaustive_choices, ordering_samples)
     return _scalar_scan(trace, grid, [DegreePower(float(a)) for a in grid])
 
 
@@ -143,11 +162,14 @@ def fit_component_family(
     family: Callable[[float], Component],
     grid: Sequence[float],
     seed: int = 0,
+    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
 ) -> ScalarFit:
     """Grid fit of any one-parameter component family, every point from one replay."""
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _exponent_grid(grid)
     components = [family(float(value)) for value in grid]
-    return _scalar_scan(_stream_trace(stream, components, seed=seed), grid, components)
+    trace = _stream_trace(stream, components, seed, max_exhaustive_choices, ordering_samples)
+    return _scalar_scan(trace, grid, components)
 
 
 @dataclass
@@ -477,10 +499,10 @@ def fit_dp_changepoint_joint(
     seed: int = 0,
 ) -> DPChangepointJointFit:
     """Jointly fit (T, pre exponent, post exponent) for a one-switch schedule."""
+    alpha_grid = default_alpha_grid() if alpha_grid is None else _exponent_grid(alpha_grid)
     trace = source if isinstance(source, DPTrace) else build_dp_trace(source, seed=seed)
     if trace.num_increments == 0:
         raise FitError("empty stream")
-    alpha_grid = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid)
     if t_grid is None:
         t_grid = np.unique(trace.timestamps).astype(np.float64)
     logp = np.stack([dp_trace_logp(trace, float(a)) for a in alpha_grid])

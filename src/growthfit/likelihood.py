@@ -63,8 +63,11 @@ instead of q * q! ordering steps.  An external star under triangle closure
 runs it once per first target, over the other targets.  One parameter
 point (``_trace_logp``: the exponent scans, ``score_stream``,
 ``increment_probability``) mixes each ratio at its increment's weights and
-runs the recursion in log space; the weight-fitting cache runs it on
-polynomials in the weights.
+runs the recursion in log space, except that a single component at unit
+weight with no step falling back to uniform factors its targets' weights
+out and runs it in linear space (``_factored_logp``).  The weight-fitting
+cache runs it on polynomials in the weights.  A degree or rank weight that
+float64 cannot hold raises ``DegenerateModelError`` on every path.
 
 A uniform-random baseline is computed in the same pass: the eligible set
 shrinks by exactly one per step, so the baseline increment probability is
@@ -116,6 +119,7 @@ MAX_COLLAPSED_DEGREE = 12
 DEFAULT_ORDERING_SAMPLES = 120
 
 _NEG_INF = float("-inf")
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 # Working-set caps, in float64 elements: polynomial terms during the collapse,
 # and mixed step values on the row path.
 _COLLAPSE_BATCH_ELEMENTS = 1 << 20
@@ -292,9 +296,10 @@ class DPTrace:
             steps = np.arange(q)[:, None]
             targets = self._target_start[incs] + steps
             initial = self.initial[incs].astype(np.float64)
+            log_falling = np.log(initial - steps).sum(axis=0)
             on = (self.target_deg[targets] > 0).astype(np.float64)
             occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
-            groups.append(_SubsetGroup(incs, targets, initial, occupied))
+            groups.append(_SubsetGroup(incs, targets, initial, log_falling, occupied))
         return groups
 
     @cached_property
@@ -306,6 +311,20 @@ class DPTrace:
         where this count is.
         """
         return _degree_totals(self, (np.arange(len(self.h0)) > 0).astype(np.float64))[1]
+
+    @cached_property
+    def _largest_degree(self) -> int:
+        """The largest degree whose weight enters a score.
+
+        That is a seed degree or one reached before the last increment: a
+        degree reached only at the last increment enters no total.
+        """
+        earlier = self.target_inc < self.num_increments - 1
+        return max(
+            int(np.flatnonzero(self.h0).max(initial=1)),
+            int((self.center_deg + self.gain)[:-1].max(initial=1)),
+            int(self.target_deg[earlier].max(initial=0)) + 1,
+        )
 
     @cached_property
     def _anchor_rows(self) -> np.ndarray:
@@ -320,6 +339,7 @@ class _SubsetGroup:
     incs: np.ndarray  # (n,) increments
     targets: np.ndarray  # (q, n) existing targets, as positions in the trace's target arrays
     initial: np.ndarray  # (n,) float64 initial eligible count B
+    log_falling: np.ndarray  # (n,) sum over steps s < q of log(B - s)
     occupied: np.ndarray  # (2**q - 1, n) bool, a node of positive degree left after each subset
 
     def select(self, which: np.ndarray | slice) -> _SubsetGroup:
@@ -606,41 +626,68 @@ def build_dp_trace(
     return _stream_trace(stream, (), seed, max_exhaustive_choices, ordering_samples)
 
 
-def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-graph and base totals of a per-degree weight table, per increment.
+def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(target weights, base totals, center weights, whole-graph totals) of a per-degree table.
 
     The base total covers an increment's initial eligible set: the whole
     graph minus the center and its neighborhood when the center existed.
     """
     num_inc = trace.num_increments
+    target_w, center_w = table[trace.target_deg], table[trace.center_deg]
     # Histogram deltas: existing nodes leave their old degree bin; new
     # nodes only appear at their final degree.
-    grown = table[trace.center_deg + trace.gain] - np.where(
-        trace.center_new, 0.0, table[trace.center_deg]
-    )
+    grown = table[trace.center_deg + trace.gain] - np.where(trace.center_new, 0.0, center_w)
     grown += np.bincount(
-        trace.target_inc,
-        weights=table[trace.target_deg + 1] - table[trace.target_deg],
-        minlength=num_inc,
+        trace.target_inc, weights=table[trace.target_deg + 1] - target_w, minlength=num_inc
     )
     grown += (trace.gain - trace.existing_counts) * table[1]
     whole = float(trace.h0 @ table) + _offsets(grown)[:-1]
     shared = np.bincount(trace.shared_inc, weights=table[trace.shared_deg], minlength=num_inc)
-    return whole, whole - shared
+    return target_w, whole - shared, center_w, whole
+
+
+def _check_power(family: str, alpha: float, what: str, largest: int, weight: float) -> None:
+    """Raise DegenerateModelError unless float64 holds ``weight`` as a normal number.
+
+    ``weight`` is the power of the largest degree or rank that enters a
+    score, the extreme of the weights used, since the power is monotone.
+    """
+    if not _SMALLEST_NORMAL <= weight < math.inf:
+        how = "overflows" if weight == math.inf else "underflows"
+        raise DegenerateModelError(
+            f"{family} exponent {alpha}: the weight of the largest {what}, {largest}, {how} float64"
+        )
 
 
 def _node_weights(
     trace: DPTrace, comp: Component
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Per-target and per-center weights with base and whole-graph totals; None for RAND and TRI."""
+    """Per-target and per-center weights with base and whole-graph totals; None for RAND and TRI.
+
+    Raises ``DegenerateModelError`` where float64 cannot hold the weights
+    (``_check_power``), or where a degree-power total overflows.
+    """
     if isinstance(comp, (Random, TriangleClosure)):
         return None
     if isinstance(comp, DegreePower):
-        table = degree_power_table(len(trace.h0), comp.alpha)
-        whole, base = _degree_totals(trace, table)
-        return table[trace.target_deg], base, table[trace.center_deg], whole
+        with np.errstate(over="ignore"):
+            table = degree_power_table(len(trace.h0), comp.alpha)
+        largest = trace._largest_degree
+        _check_power("degree-power", comp.alpha, "degree", largest, table[largest])
+        # only the last increment's dropped total reads these
+        table[largest + 1 :] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            node = _degree_totals(trace, table)
+        if not np.isfinite(node[3]).all():
+            raise DegenerateModelError(
+                f"degree-power exponent {comp.alpha}: the total weight of the graph overflows "
+                f"float64 (largest degree {largest})"
+            )
+        return node
     if isinstance(comp, RankPreference):
-        ranks = np.arange(1, trace.num_nodes.max(initial=0) + 2, dtype=np.float64) ** -comp.alpha
+        largest = int(trace.num_nodes.max(initial=0))
+        ranks = np.arange(1, largest + 2, dtype=np.float64) ** -comp.alpha
+        _check_power("rank-preference", comp.alpha, "rank", largest, ranks[largest - 1])
         whole = _offsets(ranks)[trace.num_nodes]
         shared = np.bincount(
             trace.shared_inc, weights=ranks[trace.shared_id], minlength=trace.num_increments
@@ -674,18 +721,21 @@ def _mix(columns: Sequence[np.ndarray], weights: Sequence[np.ndarray]) -> np.nda
     return out
 
 
-def _center_ratios(trace: DPTrace, nodes: list, fallbacks: np.ndarray) -> list[np.ndarray]:
+def _center_ratios(
+    trace: DPTrace, nodes: list, fallbacks: np.ndarray | None
+) -> list[np.ndarray]:
     """Per component of ``_node_weights`` ``nodes``, each center's (I,) ratio over all nodes.
 
     RAND and triangle closure pick a center uniformly, and a new center is
     no choice: both have ratio 1.  Adds each existing center that falls
-    back to uniform to ``fallbacks``.
+    back to uniform to ``fallbacks``, unless that is None.
     """
     whole_graph = trace.num_nodes.astype(np.float64)
     ratios = []
     for l, node in enumerate(nodes):
         w, total = (1.0, whole_graph) if node is None else node[2:]
-        fallbacks[l] += ~trace.center_new & (total <= 0.0)
+        if fallbacks is not None:
+            fallbacks[l] += ~trace.center_new & (total <= 0.0)
         ratios.append(np.where(trace.center_new, 1.0, _ratio(w, whole_graph, total)))
     return ratios
 
@@ -731,16 +781,18 @@ def _batch_ratios(
     batch: _OrderingBatch,
     components: Sequence[Component],
     nodes: list,
-    fallbacks: np.ndarray,
+    fallbacks: np.ndarray | None,
 ) -> list[np.ndarray]:
     """Per component, the (n * S, q) step ratios to uniform of a batch of sampled stars.
 
-    Adds the uniform steps of each star's first ordering to ``fallbacks``.
+    Adds the uniform steps of each star's first ordering to ``fallbacks``,
+    unless that is None.
     """
     ratios = []
     for l, (comp, node) in enumerate(zip(components, nodes)):
         step_w, step_total = _step_weights(trace, batch, comp, node)
-        fallbacks[l, batch.incs] += (step_total[:: batch.samples] <= 0.0).sum(axis=1)
+        if fallbacks is not None:
+            fallbacks[l, batch.incs] += (step_total[:: batch.samples] <= 0.0).sum(axis=1)
         ratios.append(_ratio(step_w, batch.eligible, step_total))
     return ratios
 
@@ -802,7 +854,8 @@ class _Lattice:
     first_uniform: np.ndarray | None  # anchored: the first step falls back to uniform
     w: np.ndarray  # (q, n) the targets' weights
     total: np.ndarray  # (2**q - 1, n) each proper subset's eligible total, 0 where uniform
-    eligible: np.ndarray  # (n,) float64 eligible count before the lattice's first step
+    eligible: np.ndarray  # (n,) float64 eligible count e before the lattice's first step
+    log_falling: np.ndarray  # (n,) sum over the lattice's steps s of log(e - s)
 
     def ratios(self, size: int) -> np.ndarray:
         """(subsets, q - size, n) ratio to uniform of each step from each subset of ``size``."""
@@ -842,7 +895,7 @@ def _lattice(
         w, base = node[0][group.targets[:, cols]], node[1][group.incs[cols]]
     zero = _zero_at_degree_zero(comp)
     first = first_uniform = None
-    eligible = group.initial
+    eligible, log_falling = group.initial, group.log_falling
     if anchored:
         # the anchor leaves the lattice, with its weight: 0 for triangle closure
         at = np.arange(len(cols))
@@ -855,19 +908,22 @@ def _lattice(
         base, occupied = base - w[slots, at], occupied - on[slots, at]
         w, on = w[others, at], on[others, at]
         eligible = np.repeat(group.initial - 1.0, q)
+        log_falling = np.repeat(group.log_falling - np.log(group.initial), q)
     members = _subset_lattice(len(w))[0]
     total = base - members @ w
     if zero:
         # no node of positive degree is left: the total is 0 up to rounding
-        total[~(occupied - members @ on > 0.0 if anchored else group.occupied)] = 0.0
-    return _Lattice(first, first_uniform, w, total, eligible)
+        left = occupied - members @ on > 0.0 if anchored else group.occupied
+        if not left.all():
+            total[~left] = 0.0
+    return _Lattice(first, first_uniform, w, total, eligible, log_falling)
 
 
 def _subset_batches(
     trace: DPTrace,
     components: Sequence[Component],
     nodes: list,
-    fallbacks: np.ndarray,
+    fallbacks: np.ndarray | None,
     width: Callable[[int], int],
 ) -> Iterator[tuple[_SubsetGroup, bool, list[_Lattice]]]:
     """(stars, anchored, lattices) of the exhaustive stars with existing targets, in batches.
@@ -876,7 +932,7 @@ def _subset_batches(
     per first target.  A batch of stars with q targets has under
     ``_COLLAPSE_BATCH_ELEMENTS`` terms of ``width(q)`` values, a star fewer
     than q * 2**q.  Adds the uniform steps of each star's identity ordering
-    to ``fallbacks``.
+    to ``fallbacks``, unless that is None.
     """
     anchored = any(isinstance(c, TriangleClosure) for c in components)
     for group in trace._subset_groups:
@@ -886,7 +942,8 @@ def _subset_batches(
             for a in range(0, len(part.incs), step):
                 batch = part.select(slice(a, a + step))
                 lattices = [_lattice(trace, batch, c, n, outer) for c, n in zip(components, nodes)]
-                fallbacks[:, batch.incs] += [lat.fallbacks for lat in lattices]
+                if fallbacks is not None:
+                    fallbacks[:, batch.incs] += [lat.fallbacks for lat in lattices]
                 yield batch, outer, lattices
 
 
@@ -897,14 +954,51 @@ def _split(group: _SubsetGroup, anchored: np.ndarray) -> list[tuple[_SubsetGroup
     return [(group.select(~anchored), False), (group.select(anchored), True)]
 
 
+def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
+    """``_subset_logp`` of a single component at unit weight, its targets' weights factored out.
+
+    Every ordering takes each target once, so where every subset's total
+    T(S) is positive, with e the column's eligible count before its first
+    step, the sum over orderings of the step ratios' products is
+
+        prod_i (w_i / T(empty)) * prod_{s<q} (e - s) * u(empty),
+        u(all) = 1,  u(S) = T(empty) / T(S) * sum over i not in S of u(S + i),
+
+    one log per target and one per column.  A positive T(S) is T(empty)
+    less the weights taken, so at least about 2**-54 T(empty): u stays
+    within float64 up to 17 targets.  None where a step falls back to
+    uniform (a total <= 0) or u overflows; ``_subset_logp`` then forms
+    every step's ratio.
+    """
+    q, n = lattice.w.shape
+    if not q or (lattice.total <= 0.0).any():
+        return None
+    with np.errstate(over="ignore"):
+        rho = lattice.total[0] / lattice.total
+        u = np.ones((1, n))
+        for lo, hi, child, _ in reversed(_subset_lattice(q)[1]):
+            u = rho[lo:hi] * u[child].sum(axis=1)
+    if not np.isfinite(u).all():
+        return None
+    with np.errstate(divide="ignore"):
+        weights = np.log(lattice.w / lattice.total[0]).sum(axis=0)
+    return weights + lattice.log_falling + np.log(u[0])
+
+
 def _subset_logp(lattices: list[_Lattice], weights: np.ndarray) -> np.ndarray:
     """Log of the sum over orderings of a lattice's targets, by a DP over the chosen sets.
 
-    Each step's ratio to uniform is mixed over the components at its
-    column's (n, L) ``weights`` and logged.  F(all) = 0 and F(S) =
-    logsumexp over i not in S of [log r(S, i) + F(S + i)]; the result is F
-    of the empty set, per column.
+    F(all) = 0 and F(S) = logsumexp over i not in S of [log r(S, i) +
+    F(S + i)], with r(S, i) the step's ratio to uniform mixed over the
+    components at its column's (n, L) ``weights``; the result is F of the
+    empty set, per column.  A single component at unit weight with no step
+    falling back to uniform factors its targets' weights out instead
+    (``_factored_logp``).
     """
+    if len(lattices) == 1 and (weights == 1.0).all():
+        f = _factored_logp(lattices[0])
+        if f is not None:
+            return f
     q = len(lattices[0].w)
     f = np.zeros((1, len(weights)))
     for size in reversed(range(q)):
@@ -926,22 +1020,27 @@ def _subset_logp(lattices: list[_Lattice], weights: np.ndarray) -> np.ndarray:
 
 
 def _trace_logp(
-    trace: DPTrace, components: Sequence[Component], weights: np.ndarray | Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
+    trace: DPTrace,
+    components: Sequence[Component],
+    weights: np.ndarray | Sequence[float],
+    count_fallbacks: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """(log-probability, (L, I) fallback choices) per increment under per-increment mixtures.
 
     ``weights`` is (I, L), or (L,) for every increment.  Each step's ratio
     to uniform is mixed at its increment's weights and logged.  Sampled
     stars sum their orderings' steps and take a logsumexp over them;
-    exhaustive stars run the subset DP, once per anchor and then a
-    logsumexp over the anchors for an external star under triangle closure.
-    An increment weighting only uniform components (RAND, exponent 0)
-    scores the baseline itself, so that identity holds bit for bit.
-    Fallbacks are counted on the center and the first ordering's steps.
+    exhaustive stars run the subset DP (``_subset_logp``, which factors
+    out a single component's weights), once per anchor and then a logsumexp
+    over the anchors for an external star under triangle closure.  An
+    increment weighting only uniform components (RAND, exponent 0) scores
+    the baseline itself, so that identity holds bit for bit.  Fallbacks are
+    counted on the center and the first ordering's steps; the exponent
+    scans, which discard them, pass ``count_fallbacks=False`` and get None.
     """
     num_inc = trace.num_increments
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (num_inc, len(components)))
-    fallbacks = np.zeros((len(components), num_inc), dtype=np.int64)
+    fallbacks = np.zeros((len(components), num_inc), dtype=np.int64) if count_fallbacks else None
     uniform = np.array([isinstance(c, Random) or c == DegreePower(0.0) for c in components])
     if uniform.all():
         return trace.logp_rand.copy(), fallbacks
@@ -974,7 +1073,7 @@ def dp_trace_logp(trace: DPTrace, alpha: float) -> np.ndarray:
     Exponent 0 is the uniform model, so it returns the baseline itself and
     the identity holds bit for bit rather than to within summation noise.
     """
-    return _trace_logp(trace, [DegreePower(alpha)], [1.0])[0]
+    return _trace_logp(trace, [DegreePower(alpha)], [1.0], count_fallbacks=False)[0]
 
 
 @dataclass

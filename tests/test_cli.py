@@ -133,6 +133,31 @@ class TestScoreAndFit:
         fit = json.loads(stdout)
         assert "alpha" in fit
 
+    @pytest.mark.parametrize("grid", ["0:nan:1", "0:inf:1", "nan:1:0.5", "0:1:inf"])
+    def test_fit_non_finite_alpha_grid_exits_2(self, workdir, capsys, grid):
+        code, stdout, stderr = run(
+            capsys, "fit", "--data", str(workdir / "run.stars"), "--grid-alpha", grid,
+        )
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error (GrowthFitError): bad grid '{grid}'")
+
+    def test_fit_alpha_grid_past_float64_range_exits_2(self, tmp_path, capsys):
+        # a node of the stream reaches degree 279, and 279**130 overflows float64
+        data = tmp_path / "dp.stars"
+        code, _, _ = run(
+            capsys, "generate", "--model", "0.5*DP(1.5) + 0.5*RAND", "--increments", "2000",
+            "--seed", "1", "--out", str(data),
+        )
+        assert code == 0
+        code, stdout, stderr = run(
+            capsys, "fit", "--data", str(data), "--grid-alpha", "100:140:10",
+        )
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(
+            "error (DegenerateModelError): degree-power exponent 130.0: the weight of the "
+            "largest degree, 279, overflows float64"
+        )
+
     def test_score_saved_fit_round_trip(self, workdir, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
         code, stdout, _ = run(

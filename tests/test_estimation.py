@@ -122,6 +122,35 @@ class TestFitDegreeExponent:
         assert fit.value == 0.0
         assert fit.logliks[0] == fit.logliks[1]
 
+    def test_scans_forward_the_exhaustive_cap(self):
+        recipe = gf.GrowthRecipe.constant(
+            "0.5*BA + 0.5*RAND", increments=60, new_targets=3, internal_prob=0.3,
+            internal_targets=4,
+        )
+        stream = gf.grow(recipe, seed=4)
+        grid = [0.5, 1.0]
+        cap = {"max_exhaustive_choices": 3, "ordering_samples": 7}
+        trace = gf.build_dp_trace(stream, **cap)
+        assert trace.sampled.any()
+        capped = gf.fit_degree_exponent(stream, grid, **cap)
+        assert capped.logliks.tolist() == gf.fit_degree_exponent(trace, grid).logliks.tolist()
+        assert capped.logliks.tolist() != gf.fit_degree_exponent(stream, grid).logliks.tolist()
+        family = gf.fit_component_family(stream, gf.DegreePower, grid, **cap)
+        assert family.logliks.tolist() == capped.logliks.tolist()
+
+    @pytest.mark.parametrize("grid", [[], [np.nan], [0.5, np.inf], [[0.5, 1.0]]])
+    def test_empty_or_non_finite_grid_is_a_fit_error(self, grid):
+        stream = gf.grow(gf.GrowthRecipe.constant("BA", increments=30, new_targets=2), seed=1)
+        trace = gf.build_dp_trace(stream)
+        calls = [
+            lambda: gf.fit_degree_exponent(trace, grid=grid),
+            lambda: gf.fit_component_family(stream, gf.RankPreference, grid),
+            lambda: gf.fit_dp_changepoint_joint(trace, alpha_grid=grid),
+        ]
+        for call in calls:
+            with pytest.raises(gf.FitError, match="exponent grid"):
+                call()
+
 
 class TestFitMixtureWeights:
     def test_recovers_even_mixture(self):
@@ -315,6 +344,10 @@ class TestChangepoint:
         cp = gf.fit_changepoint(x, x.copy(), np.arange(2000))
         assert np.all(cp.logliks == cp.logliks[0])
         assert cp.t_hat == 0.0
+
+    def test_empty_grid_is_a_fit_error(self):
+        with pytest.raises(gf.FitError, match="empty grid"):
+            gf.fit_changepoint(np.zeros(3), np.zeros(3), np.arange(3), grid=[])
 
     def test_custom_grid(self):
         ts = np.array([0, 10])

@@ -793,10 +793,10 @@ class TestSingleComponentsAgainstOracle:
         expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES)
         assert_close([fit.loglik], [expect.sum()])
         # the same scan under a cap of 5 choices, where the 6-target stars are sampled
-        trace = likelihood._stream_trace(stream, [tri], max_exhaustive_choices=5)
-        assert trace.sampled_increments >= 1
+        assert build_dp_trace(stream, max_exhaustive_choices=5).sampled.any()
+        fit = gf.fit_component_family(stream, lambda _: tri, [0.0], max_exhaustive_choices=5)
         expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES, 5)
-        assert_close([likelihood._trace_logp(trace, [tri], [1.0])[0].sum()], [expect.sum()])
+        assert_close([fit.loglik], [expect.sum()])
 
 
 def six_and_seven_choice_stream(rng):
@@ -1043,3 +1043,223 @@ class TestOrderingBatches:
                 finally:
                     tracemalloc.stop()
             assert peaks[1] < 1.5 * peaks[0], (name, peaks)
+
+
+def factoring_stream(rng):
+    """A small stream holding every step the factored subset DP corrects, and stars to sample.
+
+    Hub 0 neighbours every seed node of positive degree, and nodes 1..4 are
+    isolated, so the first star, at 0 onto 1, 2 and 3, has only degree-0
+    nodes to choose from: each of its steps falls back to uniform.  Node 4
+    keeps degree 0 until a star takes it, which a degree power calls
+    impossible.  External stars onto two and onto four existing nodes
+    (anchored under triangle closure), an internal star onto three and
+    random stars of one to four existing targets follow in random order.
+    """
+    linked = list(range(5, 11))
+    seed_edges = {(0, v) for v in linked}
+    for _ in range(3):
+        u, v = sorted(int(x) for x in rng.choice(linked, size=2, replace=False))
+        seed_edges.add((u, v))
+    seed_edges = sorted(seed_edges)
+    graph = gf.graph_from_edges(seed_edges)
+    incs = [gf.Increment(0, 0, False, (1, 2, 3), (False,) * 3)]
+    gf.apply_increment(graph, incs[0])
+    shapes = [(True, 2), (True, 4), (False, 3)]
+    shapes += [(bool(rng.integers(0, 2)), int(rng.integers(1, 5))) for _ in range(5)]
+    for t, k in enumerate(rng.permutation(len(shapes)).tolist(), start=1):
+        center_is_new, q = shapes[k]
+        n = graph.num_nodes
+        if center_is_new:
+            center, pool = n, list(range(n))
+        else:
+            center = int(rng.choice([v for v in range(n) if n - 1 - graph.degrees[v] >= q]))
+            pool = [x for x in range(n) if x != center and x not in graph.neighbors(center)]
+        existing = tuple(int(x) for x in rng.choice(pool, size=q, replace=False))
+        n_new = int(rng.integers(0, 2))
+        first_new = n + center_is_new
+        targets = existing + tuple(range(first_new, first_new + n_new))
+        inc = gf.Increment(t, center, center_is_new, targets, (False,) * q + (True,) * n_new)
+        gf.apply_increment(graph, inc)
+        incs.append(inc)
+    return gf.GrowthStream(seed_edges=seed_edges, increments=incs)
+
+
+def oracle_single_logps(stream, comp, max_exhaustive_choices):
+    """Per-increment log-probability under one component, by ``oracle_increment_probability``.
+
+    Stars above the cap sum the SAMPLES orderings drawn from the generator
+    seeded (0, index), scaled by q! / SAMPLES.
+    """
+    mixture = [(1.0, oracle_spec(comp))]
+    edges = list(stream.seed_edges)
+    num_nodes = stream.seed_graph().num_nodes
+    out = []
+    for index, inc in enumerate(stream.increments):
+        existing = [t for t, new in zip(inc.targets, inc.targets_new) if not new]
+        orders, log_mult = None, 0.0
+        if existing and len(existing) + (not inc.center_is_new) > max_exhaustive_choices:
+            rng = np.random.default_rng([0, index])
+            orders = [
+                tuple(existing[j] for j in rng.permutation(len(existing))) for _ in range(SAMPLES)
+            ]
+            log_mult = math.log(math.factorial(len(existing))) - math.log(SAMPLES)
+        p = oracle_increment_probability(
+            num_nodes, edges, inc.center, inc.center_is_new,
+            list(zip(inc.targets, inc.targets_new)), mixture, orders, log_mult,
+        )
+        out.append(math.log(p) if p > 0.0 else -math.inf)
+        num_nodes += len(inc.new_nodes)
+        edges += [(inc.center, t) for t in inc.targets]
+    return np.array(out)
+
+
+class TestFactoredSubsetDP:
+    """One component at unit weight factors its targets' weights out of the subset DP."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([-0.1, 0.0, 0.5, 2.1]),
+        cap=st.sampled_from([3, MAX_EXHAUSTIVE_CHOICES]),
+    )
+    def test_single_component_matches_oracle(self, seed, alpha, cap):
+        stream = factoring_stream(np.random.default_rng(seed))
+        comps = [gf.DegreePower(alpha), gf.TriangleClosure()]
+        if alpha > 0.0:
+            comps.append(gf.RankPreference(alpha))
+        trace = likelihood._stream_trace(stream, comps, 0, cap, SAMPLES)
+        assert trace.sampled.any() == (cap == 3)
+        # an external star with two or more existing targets is anchored under TRI
+        assert (trace.center_new & (trace.existing_counts >= 2) & ~trace.sampled).any()
+        for comp in comps:
+            got, fallbacks = likelihood._trace_logp(trace, [comp], [1.0])
+            assert_close(got, oracle_single_logps(stream, comp, cap), 1e-12)
+            # the first star's three steps onto degree-0 nodes fall back to
+            # uniform, except under the uniform model and rank preference
+            falls_back = comp != gf.DegreePower(0.0) and not isinstance(comp, gf.RankPreference)
+            assert fallbacks[0, 0] == 3 * falls_back
+
+    @pytest.mark.parametrize("make, seed", [(factoring_stream, 0), (factoring_stream, 1),
+                                            (mixed_stream, 0), (mixed_stream, 1)])
+    def test_factored_equals_mixture_path(self, make, seed):
+        # [c, c] at weights 0.5 each mixes every step's ratio to exactly r and logs it
+        stream = make(np.random.default_rng(seed))
+        # DP(60) and DP(100): large log-weights, whose factored terms must not cancel
+        comps = [
+            gf.DegreePower(-0.1), gf.DegreePower(0.5), gf.DegreePower(2.1),
+            gf.DegreePower(60.0), gf.DegreePower(100.0), gf.RankPreference(0.5),
+            gf.TriangleClosure(),
+        ]
+        trace = likelihood._stream_trace(stream, comps, 0, 3, SAMPLES)
+        assert trace.sampled.any() and (trace.existing_counts[~trace.sampled] >= 2).any()
+        for comp in comps:
+            single, counted = likelihood._trace_logp(trace, [comp], [1.0])
+            mixed, _ = likelihood._trace_logp(trace, [comp, comp], [0.5, 0.5])
+            assert_close(single, mixed, 1e-12)
+            scan, uncounted = likelihood._trace_logp(trace, [comp], [1.0], count_fallbacks=False)
+            assert scan.tobytes() == single.tobytes() and uncounted is None
+
+    def test_total_rounding_to_zero_falls_back_in_both_engines(self):
+        # Under RP(60) node 0 weighs 1 and the rest of the graph under 1e-18,
+        # so the total left after taking node 0 rounds to 0: the step to
+        # node 1, of positive weight, falls back to uniform.
+        stream = gf.GrowthStream(
+            [(0, 1), (1, 2), (2, 3), (3, 4)], [gf.Increment(0, 5, True, (0, 1), (False, False))]
+        )
+        rp = gf.RankPreference(60.0)
+        trace = likelihood._stream_trace(stream, [rp])
+        single, fallbacks = likelihood._trace_logp(trace, [rp], [1.0])
+        mixed, _ = likelihood._trace_logp(trace, [rp, rp], [0.5, 0.5])
+        assert fallbacks.tolist() == [[1]]
+        assert abs(single[0] - math.log(0.25)) < 1e-12
+        assert_close(single, mixed, 1e-12)
+
+    @pytest.mark.parametrize(
+        "totals",
+        [
+            # T(empty) / T(S) = 1e600 overflows float64
+            [1e300, 1e-300, 1e-300],
+            # a total left below 0 by rounding: the step from it falls back to uniform
+            [1.0, -1e-17, 0.5],
+        ],
+    )
+    def test_unfactorable_lattice_forms_every_step(self, totals):
+        # the factored sums are not used: every step's ratio is formed, as for a mixture
+        lattice = likelihood._Lattice(
+            None, None, np.array([[0.6], [0.4]]), np.array(totals)[:, None],
+            np.array([10.0]), np.array([math.log(10.0) + math.log(9.0)]),
+        )
+        got = likelihood._subset_logp([lattice], np.ones((1, 1)))
+        expect = likelihood._subset_logp([lattice, lattice], np.full((1, 2), 0.5))
+        assert np.isfinite(got).all()
+        assert_close(got, expect, 1e-12)
+
+
+class TestWeightRange:
+    """Weights float64 cannot hold raise DegenerateModelError on every scoring path."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # the node of largest degree reaches 279 before the last increment
+        recipe = gf.GrowthRecipe.constant("0.5*DP(1.5) + 0.5*RAND", increments=2000)
+        return gf.grow(recipe, seed=1)
+
+    def test_degree_power_overflow(self, stream):
+        trace = build_dp_trace(stream)
+        assert np.isfinite(dp_trace_logp(trace, 120.0).sum())
+        calls = [
+            lambda: dp_trace_logp(trace, 130.0),
+            lambda: gf.fit_degree_exponent(trace, [120.0, 130.0]),
+            lambda: gf.fit_dp_changepoint(trace, 1.5, 130.0),
+            lambda: gf.score_stream(stream, gf.DegreePower(130.0)),
+            lambda: gf.score_stream(stream, gf.parse_model_spec("0.5*DP(130) + 0.5*RAND")),
+            lambda: build_choice_cache(stream, [gf.DegreePower(130.0), gf.Random()]),
+        ]
+        for call in calls:
+            with pytest.raises(
+                gf.DegenerateModelError,
+                match=r"exponent 130\.0: the weight of the largest degree, 279, overflows float64",
+            ):
+                call()
+
+    def test_degree_power_and_rank_underflow(self, stream):
+        calls = {
+            "degree, 279": [
+                lambda: dp_trace_logp(build_dp_trace(stream), -300.0),
+                lambda: gf.score_stream(stream, gf.DegreePower(-300.0)),
+                lambda: build_choice_cache(stream, [gf.DegreePower(-300.0), gf.Random()]),
+            ],
+            "rank, 2003": [
+                lambda: gf.fit_component_family(stream, gf.RankPreference, [0.5, 1000.0]),
+                lambda: gf.score_stream(stream, gf.RankPreference(1000.0)),
+                lambda: build_choice_cache(stream, [gf.RankPreference(1000.0), gf.Random()]),
+            ],
+        }
+        for largest, group in calls.items():
+            for call in group:
+                with pytest.raises(gf.DegenerateModelError, match=f"largest {largest}, underflows"):
+                    call()
+
+    def test_degree_reached_at_the_last_increment_is_not_checked(self):
+        # the hub reaches degree 101 only at the last increment, so no
+        # score reads 101**154, which overflows; 100**154 = 1e308 does not
+        alpha = 154.0
+        assert math.isfinite(100.0**alpha) and alpha * math.log(101.0) > math.log(np.finfo(float).max)
+        seed_edges = [(0, j) for j in range(1, 101)]
+        star = gf.Increment(0, 101, True, (0,), (False,))
+        trace = build_dp_trace(gf.GrowthStream(seed_edges, [star]))
+        # the hub holds all but 100 of the graph's 1e308 weight
+        assert abs(dp_trace_logp(trace, alpha)[0]) < 1e-12
+        with pytest.raises(gf.DegenerateModelError, match="largest degree, 100, overflows"):
+            dp_trace_logp(trace, 155.0)
+
+    def test_total_overflow(self):
+        # two hubs of 300 leaves: each hub's weight fits in float64, their sum does not
+        alpha = math.log(1.2e308) / math.log(300.0)
+        assert math.isfinite(300.0**alpha) and 2.0 * 300.0**alpha == math.inf
+        seed_edges = [(h, 2 + 300 * h + j) for h in (0, 1) for j in range(300)]
+        star = gf.Increment(0, 602, True, (2, 3), (False, False))
+        stream = gf.GrowthStream(seed_edges, [star])
+        with pytest.raises(gf.DegenerateModelError, match="total weight of the graph overflows"):
+            gf.score_stream(stream, gf.DegreePower(alpha))
