@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .likelihood import (
     ChoiceCache,
     DPTrace,
     _checked_range,
+    _range_sums,
     _stream_trace,
     _trace_logp,
     build_choice_cache,
@@ -82,6 +83,17 @@ def simplex_grid(num_components: int, step: float = DEFAULT_WEIGHT_STEP) -> np.n
     ).reshape(count, num_components - 1)
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
     return (np.diff(edges, axis=1) - 1) / units
+
+
+def _check_nondecreasing(timestamps: np.ndarray) -> None:
+    """Raise FitError naming the first index whose timestamp is below the one before it."""
+    down = np.flatnonzero(np.diff(timestamps) < 0)
+    if len(down):
+        k = int(down[0]) + 1
+        raise FitError(
+            f"timestamps must be non-decreasing: index {k} has {timestamps[k]}, "
+            f"below {timestamps[k - 1]} at index {k - 1}"
+        )
 
 
 def _argmax_first(values: np.ndarray) -> int:
@@ -184,12 +196,79 @@ class WeightFit:
     stop: int
 
 
-def _fit_range(cache: ChoiceCache, grid: np.ndarray, start: int, stop: int | None) -> WeightFit:
-    """First-max weight vector of ``grid`` over one increment range."""
-    start, stop = _checked_range(cache, start, stop)
-    if stop == start:
-        raise IntervalUnderflowError(f"empty increment range [{start}, {stop})")
-    logliks = cache_loglik(cache, grid, start, stop)
+# Float64 lattice sums a cache keeps per weight step: 2 MB.
+_LATTICE_SUM_BUDGET = 1 << 18
+# Fewest increments in a lattice-sum block, so a small lattice over many
+# increments keeps sums that later fits reuse, not one per increment.
+_MIN_BLOCK_INCREMENTS = 64
+
+
+class _BlockSums(NamedTuple):
+    """Every lattice point's log-likelihood summed over each of B equal-count increment blocks."""
+
+    edges: np.ndarray  # (B + 1,) int64, block b is [edges[b], edges[b + 1])
+    sums: np.ndarray  # (B, K) float64
+
+
+def _block_sums(cache: ChoiceCache, grid: np.ndarray, step: float) -> _BlockSums:
+    """The cache's block sums of the lattice of ``step``, scored by the first call and kept.
+
+    B = max(1, min(I // _MIN_BLOCK_INCREMENTS, budget // K)) for a lattice
+    of K points, so the sums hold at most ``_LATTICE_SUM_BUDGET`` values
+    unless a single block of K does.  The edges split the increments into
+    equal counts, whatever J later fits ask for.
+    """
+    units = round(1.0 / step)
+    kept = cache._lattice_sums.get(units)
+    if kept is None:
+        num_inc = cache.num_increments
+        most = _LATTICE_SUM_BUDGET // len(grid)
+        blocks = max(1, min(num_inc // _MIN_BLOCK_INCREMENTS, most))
+        edges = np.arange(blocks + 1) * num_inc // blocks
+        kept = _BlockSums(edges, _range_sums(cache, grid, edges[:-1], edges[1:]))
+        cache._lattice_sums[units] = kept
+    return kept
+
+
+def _interval_logliks(
+    cache: ChoiceCache, grid: np.ndarray, kept: _BlockSums, groups: list[tuple[int, int]]
+) -> list[np.ndarray]:
+    """Each group's lattice log-likelihoods from the kept block sums.
+
+    A group's score is its partial head piece, its whole blocks' sums and
+    its partial tail piece, added in increment order; a group inside one
+    block is a single piece.  The pieces of all groups are scored directly,
+    by one ``_range_sums`` call.  Block sums are only ever added, never
+    differenced, so a lattice point with an impossible increment stays -inf.
+    """
+    edges = kept.edges
+    pieces: list[tuple[int, int]] = []
+    plans = []
+    for lo, hi in groups:
+        first = int(np.searchsorted(edges, lo))
+        last = int(np.searchsorted(edges, hi, side="right")) - 1
+        if first >= last:
+            first = last = 0
+            ends = [(lo, hi)]
+        else:
+            ends = [(lo, int(edges[first])), (int(edges[last]), hi)]
+        plans.append((len(pieces), first, last))
+        pieces += ends
+    scored = _range_sums(cache, grid, *np.array(pieces, dtype=np.int64).reshape(-1, 2).T)
+    out = []
+    for at, first, last in plans:
+        total = scored[at].copy()
+        if last > first:
+            total += kept.sums[first:last].sum(axis=0)
+            total += scored[at + 1]
+        out.append(total)
+    return out
+
+
+def _fit_range(
+    cache: ChoiceCache, grid: np.ndarray, logliks: np.ndarray, start: int, stop: int
+) -> WeightFit:
+    """First-max weight vector of ``grid`` over [start, stop), given its lattice log-likelihoods."""
     best = _argmax_first(logliks)
     return WeightFit(
         weights=grid[best].copy(),
@@ -209,9 +288,16 @@ def fit_mixture_weights(
 ) -> WeightFit:
     """Grid argmax of mixture weights over one increment range of a cache.
 
-    The range must be nonempty and lie within [0, I].
+    The range must be nonempty and lie within [0, I].  It is scored
+    directly by ``cache_loglik``: the block sums interval fits keep on the
+    cache are neither read nor filled, so the result does not depend on
+    which fits ran before it.
     """
-    return _fit_range(cache, simplex_grid(len(cache.components), step), start, stop)
+    start, stop = _checked_range(cache, start, stop)
+    if stop == start:
+        raise IntervalUnderflowError(f"empty increment range [{start}, {stop})")
+    grid = simplex_grid(len(cache.components), step)
+    return _fit_range(cache, grid, cache_loglik(cache, grid, start, stop), start, stop)
 
 
 def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[tuple[int, int]]:
@@ -219,8 +305,9 @@ def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[t
 
     count mode: group sizes differ by at most one (cut at floor(j*I/J));
     time mode: equal spans of the observed timestamp range, each increment
-    assigned by its timestamp with span edges as inclusive upper bounds.
-    Every group must be nonempty.
+    assigned by its timestamp with span edges as inclusive upper bounds;
+    timestamps that decrease anywhere raise ``FitError``.  Every group must
+    be nonempty.
     """
     n = cache.num_increments
     if j < 1:
@@ -229,6 +316,7 @@ def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[t
         cuts = [n * k // j for k in range(j + 1)]
     elif mode == "time":
         ts = cache.timestamps
+        _check_nondecreasing(ts)
         lo, hi = (float(ts[0]), float(ts[-1])) if n else (0.0, 0.0)
         edges = [lo + (hi - lo) * k / j for k in range(1, j)]
         cuts = [0] + [int(np.searchsorted(ts, e, side="right")) for e in edges] + [n]
@@ -365,11 +453,17 @@ def fit_intervals(
 def _fit_groups(
     cache: ChoiceCache, grid: np.ndarray, groups: list[tuple[int, int]], mode: str, step: float
 ) -> FitResult:
-    """fit_intervals on the given groups, with the weight lattice of ``step`` already built."""
+    """fit_intervals on the given groups, with the weight lattice of ``step`` already built.
+
+    Every call scores the groups from the cache's block sums
+    (``_block_sums``), filling them on the first call for ``step``, so a fit
+    does not depend on which fits ran on the cache before it.
+    """
+    kept = _block_sums(cache, grid, step)
     intervals: list[dict] = []
     loglik = 0.0
-    for lo, hi in groups:
-        part = _fit_range(cache, grid, lo, hi)
+    for (lo, hi), logliks in zip(groups, _interval_logliks(cache, grid, kept, groups)):
+        part = _fit_range(cache, grid, logliks, lo, hi)
         loglik += part.loglik
         intervals.append(
             {
@@ -432,9 +526,10 @@ def fit_changepoint(
 ) -> ChangepointFit:
     """Maximize sum(pre logp for t <= T) + sum(post logp for t > T) over T.
 
-    The candidate grid defaults to every observed timestamp.  Ties pick the
-    earliest T, so a changeless stream (identical series) reports the start
-    of the searched range.
+    The candidate grid defaults to every observed timestamp, which must be
+    non-decreasing (``FitError`` names the first index that is not).  Ties
+    pick the earliest T, so a changeless stream (identical series) reports
+    the start of the searched range.
     """
     logp_pre = np.asarray(logp_pre, dtype=np.float64)
     logp_post = np.asarray(logp_post, dtype=np.float64)
@@ -443,6 +538,7 @@ def fit_changepoint(
         raise FitError("score series and timestamps must have equal length")
     if len(timestamps) == 0:
         raise FitError("empty stream")
+    _check_nondecreasing(timestamps)
     if grid is None:
         grid = np.unique(timestamps)
     grid = np.asarray(grid, dtype=np.float64)

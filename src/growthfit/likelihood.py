@@ -81,7 +81,7 @@ so c0 = exp((logL - logL_rand) / sum m) is exactly 1 for the uniform model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
@@ -129,6 +129,10 @@ _ROW_BATCH_ELEMENTS = 1 << 21
 _ORDERING_BATCH_ELEMENTS = 1 << 16
 # Weight vectors cache_loglik scores at once.
 _LATTICE_CHUNK = 256
+# Lattice values, in float64 elements, that one buffer holds when a call
+# scores many touching ranges (512 KB); a range larger than this is scored
+# alone, as cache_loglik's is.
+_SLAB_ELEMENTS = 1 << 16
 
 
 def _log_factorial(q: int) -> float:
@@ -1102,6 +1106,12 @@ class ChoiceCache:
     logsumexp, so a long product of small ratios cannot underflow.  Step
     rows and orderings are kept only for those stars; ``increment_offsets``
     still spans every increment, with no orderings for a collapsed one.
+
+    A cache is read-only once built.  The first interval fit for a weight
+    step scores its whole lattice once, as sums over equal-count blocks of
+    increments, and keeps them here (one entry per weight step, at most
+    about 2 MB each); later fits add those sums instead of rescoring, and
+    would read stale sums if the arrays above changed.
     """
 
     components: tuple[Component, ...]
@@ -1120,6 +1130,8 @@ class ChoiceCache:
     row_increments: np.ndarray  # (R,) int64, sampled increments above the cap, ascending
     sampled_increments: int
     fallback_choices: int
+    # weight-step units -> estimation._BlockSums of that lattice
+    _lattice_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_increments(self) -> int:
@@ -1444,6 +1456,108 @@ def cache_logratios(
     return out[:, 0] if single else out
 
 
+def _slabs(starts: np.ndarray, stops: np.ndarray, limit: int) -> np.ndarray:
+    """First range of each run of consecutive touching ranges holding at most ``limit`` increments.
+
+    A range is never split: one larger than the limit is a run alone.
+    """
+    firsts = [0] if len(starts) else []
+    rows = 0
+    stops = stops.tolist()
+    for r, a in enumerate(starts.tolist()):
+        size = stops[r] - a
+        if r > firsts[-1] and (rows + size > limit or a != stops[r - 1]):
+            firsts.append(r)
+            rows = 0
+        rows += size
+    return np.array(firsts, dtype=np.int64)
+
+
+def _slab_blocks(
+    cache: ChoiceCache, ncomp: int, starts: np.ndarray, stops: np.ndarray, limit: int
+) -> list[tuple[int, list[tuple[np.ndarray, list[tuple[int, int, int]]]]]]:
+    """Per collapsed degree, the rows each slab of ranges scores, resolved once per call.
+
+    Returns (degree, slabs) for every degree with an increment in some
+    range.  A slab is (coefs, parts): ``coefs`` is the (n, monomials) view
+    of ``poly_coefs`` holding the slab's increments of the degree, in
+    order, and each range of the slab with any of them is a part (range,
+    first row, end row).
+    """
+    firsts = _slabs(starts, stops, limit)
+    lasts = np.append(firsts[1:], len(starts)) - 1
+    slab = np.repeat(np.arange(len(firsts)), lasts - firsts + 1)
+    out = []
+    for degree in range(1, len(cache.poly_offsets) - 1):
+        incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
+        if not len(incs):
+            continue
+        lo = np.searchsorted(incs, starts)
+        hi = np.searchsorted(incs, stops)
+        if not (hi > lo).any():
+            continue
+        size = len(_monomial_exponents(ncomp, degree))
+        base = cache.poly_coef_offsets[degree]
+        first_row = lo[firsts]
+        row = lo - first_row[slab]
+        held = np.flatnonzero(hi > lo)
+        at = np.searchsorted(held, firsts).tolist() + [len(held)]
+        parts = list(zip(held.tolist(), row[held].tolist(), (row + hi - lo)[held].tolist()))
+        slabs = []
+        for k, (p, q) in enumerate(zip(first_row.tolist(), hi[lasts].tolist())):
+            if p < q:
+                coefs = cache.poly_coefs[base + p * size : base + q * size].reshape(q - p, size)
+                slabs.append((coefs, parts[at[k] : at[k + 1]]))
+        out.append((degree, slabs))
+    return out
+
+
+def _range_sums(
+    cache: ChoiceCache, w: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> np.ndarray:
+    """(R, C) total log-likelihood over each range [starts[r], stops[r]) for each weight vector.
+
+    The ranges must be sorted, disjoint and within [0, I]; ``w`` is (C, L).
+    The lattice is scored ``_LATTICE_CHUNK`` weight vectors at a time, and
+    each chunk scores the ranges one slab of at most ``_SLAB_ELEMENTS``
+    values at a time (``_slabs``; a larger range is alone): for every
+    collapsed degree, a slab writes the product of its coefficient rows with
+    the degree's monomials, and then the log of it, into one buffer that the
+    call allocates once.  Every range's sum starts at its ``logp_rand``
+    total and adds, per chunk, the column sums of its rows of degree 1 ..
+    ``MAX_COLLAPSED_DEGREE`` in that order, then its row-path batches, so a
+    range scores the same alone or in a slab whenever the matrix products
+    give the same values.
+    """
+    out = np.empty((len(starts), len(w)))
+    out[:] = [[cache.logp_rand[a:b].sum()] for a, b in zip(starts.tolist(), stops.tolist())]
+    width = min(len(w), _LATTICE_CHUNK)
+    blocks = _slab_blocks(cache, w.shape[1], starts, stops, max(1, _SLAB_ELEMENTS // width))
+    first_row = np.searchsorted(cache.row_increments, starts)
+    last_row = np.searchsorted(cache.row_increments, stops)
+    rows = [
+        (r, cache.row_increments[first_row[r] : last_row[r]])
+        for r in np.flatnonzero(last_row > first_row).tolist()
+    ]
+    buf = np.empty(max((len(slab[0]) for _, slabs in blocks for slab in slabs), default=0) * width)
+    for lo in range(0, len(w), _LATTICE_CHUNK):
+        chunk = w[lo : lo + _LATTICE_CHUNK]
+        total = out[:, lo : lo + _LATTICE_CHUNK]
+        for degree, slabs in blocks:
+            monomials = _monomials(chunk, degree)
+            for coefs, parts in slabs:
+                values = buf[: len(coefs) * len(chunk)].reshape(len(coefs), len(chunk))
+                np.matmul(coefs, monomials, out=values)
+                with np.errstate(divide="ignore"):
+                    np.log(values, out=values)
+                for r, a, b in parts:
+                    total[r] += values[a:b].sum(axis=0)
+        for r, incs in rows:
+            for batch in _row_batches(cache, incs, len(chunk)):
+                total[r] += _row_logratios(cache, batch, chunk).sum(axis=0)
+    return out
+
+
 def cache_loglik(
     cache: ChoiceCache,
     weights: np.ndarray,
@@ -1452,33 +1566,16 @@ def cache_loglik(
 ) -> np.ndarray:
     """Total log-likelihood over an increment range for many weight vectors.
 
-    The range [start, stop) must lie within [0, I].  Interval fits build
-    their weight lattice once per call and pass it here once per interval.
-    The lattice is scored ``_LATTICE_CHUNK`` weight vectors at a time.  The
-    range's coefficient blocks are resolved once per call, and every chunk
-    writes each block's product with its monomials, and then the log of
-    it, into one buffer that the call allocates once.  Sums accumulate per
-    chunk in the order degree 1 .. ``MAX_COLLAPSED_DEGREE``, then the
-    row-path batches.
+    The range [start, stop) must lie within [0, I].  This is ``_range_sums``
+    with one range, so one slab: the range's coefficient blocks are
+    resolved once per call, and every chunk of ``_LATTICE_CHUNK`` weight
+    vectors writes each block's product with its monomials, and then the
+    log of it, into one buffer that the call allocates once.
     """
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     start, stop = _checked_range(cache, start, stop)
-    blocks, rows = _range_blocks(cache, w.shape[1], start, stop)
-    width = min(w.shape[0], _LATTICE_CHUNK)
-    buf = np.empty(max((len(coefs) for _, _, coefs in blocks), default=0) * width)
-    out = np.full(w.shape[0], float(cache.logp_rand[start:stop].sum()))
-    for lo in range(0, w.shape[0], _LATTICE_CHUNK):
-        chunk = w[lo : lo + _LATTICE_CHUNK]
-        total = out[lo : lo + _LATTICE_CHUNK]
-        for degree, _, coefs in blocks:
-            values = buf[: len(coefs) * len(chunk)].reshape(len(coefs), len(chunk))
-            np.matmul(coefs, _monomials(chunk, degree), out=values)
-            with np.errstate(divide="ignore"):
-                np.log(values, out=values)
-            total += values.sum(axis=0)
-        for incs in _row_batches(cache, rows, len(chunk)):
-            total += _row_logratios(cache, incs, chunk).sum(axis=0)
+    out = _range_sums(cache, w, np.array([start]), np.array([stop]))[0]
     return out[0] if single else out
 
 

@@ -328,6 +328,11 @@ def read_star_stream(source) -> GrowthStream:
             timestamp = int(fields[0])
         except ValueError:
             raise StreamParseError(f"bad timestamp {fields[0]!r}", line_number=lineno) from None
+        if increments and timestamp < increments[-1].timestamp:
+            raise StreamParseError(
+                f"timestamp {timestamp} is below the previous star's {increments[-1].timestamp}",
+                line_number=lineno,
+            )
         if not fields[1] or not fields[2]:
             raise StreamParseError("empty center or target list", line_number=lineno)
         names = fields[2].split(",")
@@ -375,6 +380,11 @@ def read_op_schedule(source) -> OperationSchedule:
             raise StreamParseError("non-integer field", line_number=lineno) from None
         if flag not in (0, 1) or new_t < 0 or old_t < 0 or new_t + old_t == 0:
             raise StreamParseError("invalid op shape", line_number=lineno)
+        if rows and ts < rows[-1].timestamp:
+            raise StreamParseError(
+                f"timestamp {ts} is below the previous row's {rows[-1].timestamp}",
+                line_number=lineno,
+            )
         rows.append(OperationRow(ts, bool(flag), new_t, old_t))
     return OperationSchedule(rows)
 

@@ -1,14 +1,19 @@
 """Tests for grid fitting, interval partitions, changepoints, and model tests."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import growthfit as gf
+from growthfit import estimation, likelihood
 from growthfit.estimation import (
     changepoint_grid,
     default_alpha_grid,
@@ -16,6 +21,7 @@ from growthfit.estimation import (
     simplex_grid,
 )
 from oracles import oracle_chi2_sf, oracle_simplex_grid
+from test_likelihood import lattice_caches  # noqa: F401  (module fixture, shared)
 
 
 class TestGrids:
@@ -91,6 +97,16 @@ class TestPartitions:
         cache = gf.build_choice_cache(stream, [gf.Random()])
         with pytest.raises(gf.IntervalUnderflowError):
             partition_indices(cache, 2, "time")
+
+    def test_time_mode_rejects_decreasing_timestamps(self):
+        incs = [
+            gf.Increment(t, 3 + i, True, (0,), (False,)) for i, t in enumerate([5, 1, 9, 3, 7, 2])
+        ]
+        stream = gf.GrowthStream(seed_edges=[(0, 1), (1, 2), (0, 2)], increments=incs)
+        cache = gf.build_choice_cache(stream, [gf.Random()])
+        with pytest.raises(gf.FitError, match="non-decreasing: index 1 has 1, below 5"):
+            partition_indices(cache, 2, "time")
+        assert partition_indices(cache, 2, "count") == [(0, 3), (3, 6)]
 
 
 class TestFitDegreeExponent:
@@ -321,6 +337,187 @@ class TestFitIntervals:
         assert built.num_increments == cache.num_increments
 
 
+def fresh(cache):
+    """The cache's arrays in a new cache that keeps no lattice sums yet."""
+    return dataclasses.replace(cache)
+
+
+class TestBlockSums:
+    """Interval fits score a weight lattice once per cache, as sums over increment blocks."""
+
+    LATTICE = simplex_grid(3, 0.01)
+
+    def assert_matches_direct(self, cache, fits, lattice=LATTICE):
+        """Each interval's weights are the first maximum of direct cache_loglik over its range."""
+        for fit in fits:
+            total = 0.0
+            for iv in fit.intervals:
+                lo, hi = iv["start_index"], iv["end_index"] + 1
+                direct = gf.cache_loglik(cache, lattice, lo, hi)
+                best = int(np.argmax(direct))
+                assert iv["weights"] == lattice[best].tolist()
+                total += direct[best]
+            assert fit.loglik == pytest.approx(total, rel=1e-12, abs=0)
+
+    @staticmethod
+    def assert_close(got, direct):
+        """Same -inf points, same first maximum, finite values within 1e-12 relative."""
+        assert np.array_equal(np.isneginf(got), np.isneginf(direct))
+        finite = np.isfinite(direct)
+        assert np.allclose(got[finite], direct[finite], rtol=1e-12, atol=0)
+        assert np.argmax(got) == np.argmax(direct)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        j=st.integers(1, 12),
+        mode=st.sampled_from(["count", "time"]),
+        which=st.sampled_from([0, 1]),
+        min_rows=st.sampled_from([1, 16, estimation._MIN_BLOCK_INCREMENTS]),
+        slab=st.sampled_from([likelihood._SLAB_ELEMENTS, 256 * 5]),
+    )
+    def test_block_path_matches_direct_scores(self, lattice_caches, j, mode, which, min_rows, slab):
+        # The grown cache has 150 increments, the mixed one (with a row-path
+        # star) 40: with at least one increment a block they get 50 and 40
+        # blocks, with 16, 9 and 2, with 64, 2 and 1.  A slab of 256 * 5 values holds 5
+        # increments of a 256-point chunk, so the block pass spans many slabs
+        # and its larger ranges stand alone.
+        cache = fresh(lattice_caches[which])
+        try:
+            groups = partition_indices(cache, j, mode)
+        except gf.IntervalUnderflowError:
+            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_MIN_BLOCK_INCREMENTS", min_rows)
+            mp.setattr(likelihood, "_SLAB_ELEMENTS", slab)
+            kept = estimation._block_sums(cache, self.LATTICE, 0.01)
+            scores = estimation._interval_logliks(cache, self.LATTICE, kept, groups)
+        most = estimation._LATTICE_SUM_BUDGET // len(self.LATTICE)
+        assert len(kept.sums) == max(1, min(cache.num_increments // min_rows, most))
+        for (lo, hi), got in zip(groups, scores):
+            self.assert_close(got, gf.cache_loglik(cache, self.LATTICE, lo, hi))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        which=st.sampled_from([0, 1]),
+        slab=st.sampled_from([256, 256 * 5, 256 * 40, likelihood._SLAB_ELEMENTS]),
+    )
+    def test_range_sums_match_one_range_at_a_time(self, lattice_caches, data, which, slab):
+        # Sorted, disjoint ranges that touch, leave gaps or are empty, scored
+        # in slabs of 1, 5, 40 or 256 increments of a 256-point chunk.
+        cache = lattice_caches[which]
+        n = cache.num_increments
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=14)))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+        ranges = [(a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k] or [(cuts[0], cuts[-1])]
+        starts, stops = np.array(ranges, dtype=np.int64).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(likelihood, "_SLAB_ELEMENTS", slab)
+            got = likelihood._range_sums(cache, self.LATTICE, starts, stops)
+        for (a, b), row in zip(ranges, got):
+            direct = gf.cache_loglik(cache, self.LATTICE, a, b)
+            if a == b:
+                assert np.array_equal(row, direct) and not row.any()
+            else:
+                self.assert_close(row, direct)
+
+    @pytest.mark.parametrize("mode", ["count", "time"])
+    def test_fit_does_not_depend_on_earlier_fits(self, lattice_caches, mode):
+        for cache in lattice_caches:
+            alone, after = fresh(cache), fresh(cache)
+            gf.fit_intervals(after, 1, mode)
+            fit = gf.fit_intervals(alone, 10, mode).to_dict()
+            assert fit == gf.fit_intervals(after, 10, mode).to_dict()
+
+    def test_scan_equals_one_fit_per_j(self, lattice_caches):
+        for cache in lattice_caches:
+            scanned = gf.scan_interval_counts(fresh(cache), 1, 8)
+            each = [gf.fit_intervals(fresh(cache), j) for j in range(1, 9)]
+            assert [f.to_dict() for f in scanned] == [f.to_dict() for f in each]
+            self.assert_matches_direct(cache, scanned)
+
+    def test_pure_triangle_points_are_minus_infinity_without_nan(self, lattice_caches):
+        possible = self.LATTICE[:, 1] < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cache in lattice_caches:
+                cache = fresh(cache)
+                kept = estimation._block_sums(cache, self.LATTICE, 0.01)
+                assert not np.isnan(kept.sums).any()
+                for j in (1, 3, 7):
+                    groups = partition_indices(cache, j)
+                    scores = estimation._interval_logliks(cache, self.LATTICE, kept, groups)
+                    scores = np.array(scores)
+                    assert not np.isnan(scores).any()
+                    assert np.isfinite(scores[:, possible]).all()
+                    if j == 1:
+                        assert np.isneginf(scores[0, 100])  # the TRI vertex (0, 1, 0)
+
+    def test_single_block(self, lattice_caches, monkeypatch):
+        monkeypatch.setattr(estimation, "_LATTICE_SUM_BUDGET", len(self.LATTICE) + 7)
+        for cache in lattice_caches:
+            cache = fresh(cache)
+            fits = gf.scan_interval_counts(cache, 1, 5)
+            (kept,) = cache._lattice_sums.values()
+            assert kept.edges.tolist() == [0, cache.num_increments]
+            assert kept.sums.shape == (1, len(self.LATTICE))
+            self.assert_matches_direct(cache, fits)
+
+    def test_one_increment_per_block(self, lattice_caches, monkeypatch):
+        monkeypatch.setattr(estimation, "_MIN_BLOCK_INCREMENTS", 1)
+        cache = fresh(lattice_caches[1])
+        assert cache.num_increments < estimation._LATTICE_SUM_BUDGET // len(self.LATTICE)
+        fits = gf.scan_interval_counts(cache, 1, 5) + [gf.fit_intervals(cache, 4, "time")]
+        (kept,) = cache._lattice_sums.values()
+        assert kept.edges.tolist() == list(range(cache.num_increments + 1))
+        self.assert_matches_direct(cache, fits)
+
+    def test_small_lattice_keeps_blocks_of_at_least_the_floor(self, lattice_caches):
+        # 66 points would allow 3,971 blocks; 150 increments make 2 of 75.
+        cache = fresh(lattice_caches[0])
+        fit = gf.fit_intervals(cache, 3, step=0.1)
+        (kept,) = cache._lattice_sums.values()
+        assert np.diff(kept.edges).min() >= estimation._MIN_BLOCK_INCREMENTS
+        assert len(kept.sums) == cache.num_increments // estimation._MIN_BLOCK_INCREMENTS
+        assert fit.to_dict() == gf.fit_intervals(fresh(cache), 3, step=0.1).to_dict()
+        self.assert_matches_direct(cache, [fit], simplex_grid(3, 0.1))
+
+    def test_sub_range_fit_neither_reads_nor_fills_the_sums(self, lattice_caches):
+        cache = fresh(lattice_caches[0])
+        before = gf.fit_mixture_weights(cache, 13, 101)
+        assert cache._lattice_sums == {}
+        gf.fit_intervals(cache, 1)
+        after = gf.fit_mixture_weights(cache, 13, 101)
+        assert after.weights.tolist() == before.weights.tolist()
+        assert after.loglik == before.loglik
+
+    def test_first_fit_peaks_at_the_kept_sums_plus_one_slab(self):
+        stream = gf.grow(
+            gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=2000, new_targets=3), seed=3
+        )
+        cache = gf.build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
+        # 10,001 weight vectors, so the 2 MB budget (26 blocks), not the
+        # 64-increment floor (31 blocks), sets the block count.  The first
+        # call builds the monomial tables outside the measurement.
+        gf.fit_intervals(fresh(cache), 1, step=0.0001)
+        tracemalloc.start()
+        try:
+            gf.fit_intervals(cache, 1, step=0.0001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (kept,) = cache._lattice_sums.values()
+        assert kept.sums.shape == (estimation._LATTICE_SUM_BUDGET // 10001, 10001)
+        assert kept.sums.size <= estimation._LATTICE_SUM_BUDGET
+        # Scoring the whole range directly would hold 2000 x 256 values at once (4 MB).
+        slab = likelihood._SLAB_ELEMENTS * 8
+        assert peak < kept.sums.nbytes + 1.5 * slab
+        gf.fit_intervals(cache, 3, step=0.01)
+        assert len(cache._lattice_sums) == 2
+        budget = estimation._LATTICE_SUM_BUDGET
+        assert all(k.sums.size <= budget for k in cache._lattice_sums.values())
+
+
 class TestChangepoint:
     def test_exact_argmax_on_synthetic_series(self):
         ts = np.array([3, 5, 7, 9])
@@ -344,6 +541,14 @@ class TestChangepoint:
         cp = gf.fit_changepoint(x, x.copy(), np.arange(2000))
         assert np.all(cp.logliks == cp.logliks[0])
         assert cp.t_hat == 0.0
+
+    def test_decreasing_timestamps_are_a_fit_error(self):
+        series = np.array([-1.0, -2.0, -1.5, -0.5, -1.0, -2.0])
+        with pytest.raises(gf.FitError, match="non-decreasing: index 3 has 3, below 9"):
+            gf.fit_changepoint(series, series[::-1].copy(), np.array([1, 5, 9, 3, 7, 12]))
+        # equal timestamps are fine
+        cp = gf.fit_changepoint(series, series.copy(), np.array([1, 1, 2, 2, 2, 3]))
+        assert cp.t_hat == 1.0
 
     def test_empty_grid_is_a_fit_error(self):
         with pytest.raises(gf.FitError, match="empty grid"):

@@ -224,6 +224,18 @@ class TestStarStreamFormat:
             read_star_stream(path)
         assert exc.value.line_number == 3
 
+    def test_decreasing_timestamp_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.stars"
+        path.write_text("# star-stream v1\n5\ta\tb\n1\tc\ta\n9\td\tc\n3\te\td\n")
+        with pytest.raises(gf.StreamParseError, match="timestamp 1 is below") as exc:
+            read_star_stream(path)
+        assert exc.value.line_number == 3
+
+    def test_equal_timestamps_are_valid(self, tmp_path):
+        path = tmp_path / "tied.stars"
+        path.write_text("# star-stream v1\n3\ta\tb\n3\tc\ta\n4\td\tc\n")
+        assert [inc.timestamp for inc in read_star_stream(path).increments] == [3, 3, 4]
+
     def test_corrupt_star_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.stars"
         path.write_text("# star-stream v1\n# seed-edge\t0\t1\n0\t2\n")
@@ -264,3 +276,10 @@ class TestOpScheduleFormat:
             assert a.center_is_new == b.center_is_new
             assert len(a.existing_targets) == len(b.existing_targets)
             assert len(a.new_nodes) == len(b.new_nodes)
+
+    def test_decreasing_timestamp_reports_line_number(self, tmp_path):
+        path = tmp_path / "bad.ops"
+        path.write_text("# op-schedule v1\n5\t1\t0\t1\n5\t0\t1\t0\n2\t1\t0\t2\n")
+        with pytest.raises(gf.StreamParseError, match="timestamp 2 is below") as exc:
+            read_op_schedule(path)
+        assert exc.value.line_number == 4
