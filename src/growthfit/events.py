@@ -19,18 +19,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import GraphError
-from .graph import (
-    DynamicGraph,
-    Increment,
-    duplicate_edge_error,
-    new_id_error,
-    unknown_node_error,
-)
+from .errors import GraphError, RejectedIncrementError, UnknownNodeError
+
+if TYPE_CHECKING:
+    from .graph import DynamicGraph, Increment
+
+
+def new_id_error(role: str, node: int, expected: int) -> UnknownNodeError:
+    return UnknownNodeError(f"new {role} id {node} does not match next arrival index {expected}")
+
+
+def unknown_node_error(role: str, node: int, num_nodes: int) -> UnknownNodeError:
+    return UnknownNodeError(f"existing-tagged {role} {node} not in graph of {num_nodes} nodes")
+
+
+def duplicate_edge_error(center: int, target: int, timestamp: int) -> RejectedIncrementError:
+    return RejectedIncrementError(f"edge ({center}, {target}) already present at t={timestamp}")
 
 
 def offsets(sizes) -> np.ndarray:
@@ -79,28 +87,49 @@ class StreamColumns:
     target_inc: np.ndarray  # (T,) int64, owning increment
 
     @staticmethod
+    def build(timestamp, center, center_new, gain, target, target_new, first_nodes):
+        """Columns of increments applied one after another to a graph of ``first_nodes`` nodes.
+
+        Increment k owns the k-th run of ``gain[k]`` entries of ``target``.
+        """
+        num_inc = len(center)
+        target_inc = np.repeat(np.arange(num_inc), gain)
+        new_nodes = center_new + np.bincount(target_inc[target_new], minlength=num_inc)
+        node_offsets = first_nodes + offsets(new_nodes)
+        return StreamColumns(
+            timestamp, center, center_new, gain, node_offsets, target, target_new, target_inc
+        )
+
+    @staticmethod
     def of(increments: Sequence[Increment], first_nodes: int) -> StreamColumns:
         """Flatten ``increments``, applied one after another to a graph of ``first_nodes`` nodes."""
         num_inc = len(increments)
         gain = np.fromiter((len(inc.targets) for inc in increments), np.int64, num_inc)
         total = int(gain.sum())
-        center_new = np.fromiter(map(attrgetter("center_is_new"), increments), bool, num_inc)
-        target_new = np.fromiter(
-            chain.from_iterable(map(attrgetter("targets_new"), increments)), bool, total
+
+        def column(name, dtype, flat=False):
+            values = map(attrgetter(name), increments)
+            if flat:
+                return np.fromiter(chain.from_iterable(values), dtype, total)
+            return np.fromiter(values, dtype, num_inc)
+
+        return StreamColumns.build(
+            column("timestamp", np.int64),
+            column("center", np.int64),
+            column("center_is_new", bool),
+            gain,
+            column("targets", np.int64, flat=True),
+            column("targets_new", bool, flat=True),
+            first_nodes,
         )
-        target_inc = np.repeat(np.arange(num_inc), gain)
-        new_nodes = center_new + np.bincount(target_inc[target_new], minlength=num_inc)
+
+    def head(self, count: int) -> StreamColumns:
+        """The first ``count`` increments."""
+        t = int(self.gain[:count].sum())
         return StreamColumns(
-            timestamp=np.fromiter(map(attrgetter("timestamp"), increments), np.int64, num_inc),
-            center=np.fromiter(map(attrgetter("center"), increments), np.int64, num_inc),
-            center_new=center_new,
-            gain=gain,
-            node_offsets=first_nodes + offsets(new_nodes),
-            target=np.fromiter(
-                chain.from_iterable(map(attrgetter("targets"), increments)), np.int64, total
-            ),
-            target_new=target_new,
-            target_inc=target_inc,
+            *(a[:count] for a in (self.timestamp, self.center, self.center_new, self.gain)),
+            self.node_offsets[: count + 1],
+            *(a[:t] for a in (self.target, self.target_new, self.target_inc)),
         )
 
     @property

@@ -21,11 +21,12 @@ draws use per-component strategies:
 A run keeps one graph state, the degrees and those blocks, and writes each
 edge end into it once.  ``grow`` does not validate the increments it builds
 again; input from outside is validated where it enters (ingest, the replay,
-``GrowthStream.final_graph``).  A component's sampler reads the increments
-it has not seen right before its next draw: the endpoint list appends the
-new edges, and the weight tree grows to the new node count and updates the
-weights of the centers and the targets, the only nodes that are new or
-changed degree.  A component that the current interval does not draw from
+``GrowthStream.final_graph``).  The run logs its increments in typed
+arrays, and a component's sampler reads the ones it has not seen from that
+log right before its next draw: the endpoint list appends the new edges,
+and the weight tree grows to the new node count and updates the weights of
+the centers and the targets, the only nodes that are new or changed
+degree.  A component that the current interval does not draw from
 pays nothing per increment.
 
 All randomness flows through one ``numpy.random.Generator`` (PCG64) created
@@ -35,6 +36,7 @@ from the caller's seed, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -52,7 +54,8 @@ from .errors import (
     json_object_fields,
     json_string,
 )
-from .graph import DynamicGraph, GrowthStream, Increment
+from .events import StreamColumns
+from .graph import DynamicGraph, GrowthStream, seed_nodes
 from .models import (
     BoundaryMode,
     Component,
@@ -108,13 +111,19 @@ class _GraphState:
     Each node's neighbours fill an append-only block of one int64 pool that
     begins at ``start``; a full block moves to the pool's end with twice the
     room.  ``size`` mirrors the degrees as an array for the wedge gathers.
-    ``increments`` logs the applied increments: it is the grown stream's
-    list and the samplers' catch-up log.
+    The applied increments are logged in typed arrays: each increment's
+    center and then its targets in ``ends``, their new-node flags in
+    ``ends_new``, and the start of increment k's entries in ``bounds[k]``.
+    The samplers catch up from this log, and ``stream`` turns it into the
+    grown stream's columns.
     """
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]):
         self.seed_edges = list(edges)
-        self.increments: list[Increment] = []
+        self.timestamp = array("q")
+        self.ends = array("q")
+        self.ends_new = array("b")
+        self.bounds = array("q", [0])
         self.degrees: list[int] = []
         self.room: list[int] = []
         self.pool = np.empty(64, dtype=np.int64)
@@ -130,18 +139,49 @@ class _GraphState:
     def num_nodes(self) -> int:
         return len(self.degrees)
 
+    @property
+    def num_increments(self) -> int:
+        return len(self.timestamp)
+
+    def stream(self) -> GrowthStream:
+        """The seed edges and every applied increment, as a stream."""
+        # Views of the log: only the copies that indexing makes outlive this call.
+        ends = np.frombuffer(self.ends, dtype=np.int64)
+        new = np.frombuffer(self.ends_new, dtype=bool)
+        bounds = np.frombuffer(self.bounds, dtype=np.int64)
+        centers = bounds[:-1]
+        targets = np.ones(len(ends), dtype=bool)
+        targets[centers] = False
+        columns = StreamColumns.build(
+            np.array(self.timestamp, dtype=np.int64),
+            ends[centers],
+            new[centers],
+            np.diff(bounds) - 1,
+            ends[targets],
+            new[targets],
+            seed_nodes(self.seed_edges),
+        )
+        return GrowthStream.from_columns(self.seed_edges, columns, None)
+
     def neighbors(self, v: int) -> list[int]:
         lo = self.start[v]
         return self.pool[lo : lo + self.degrees[v]].tolist()
 
-    def apply(self, inc: Increment) -> None:
-        """Write each edge end of ``inc``, unchecked, into its node's block and log ``inc``."""
-        center, targets = inc.center, inc.targets
-        self._add_nodes(len(self.degrees) + inc.center_is_new + sum(inc.targets_new))
+    def apply(self, timestamp, center, center_new, targets, targets_new) -> None:
+        """Write each edge end of an increment, unchecked, into its node's block and log it.
+
+        The arguments are the fields of ``Increment``, in its order.
+        """
+        self._add_nodes(len(self.degrees) + center_new + sum(targets_new))
         self._extend(center, targets)
         for t in targets:
             self._extend(t, (center,))
-        self.increments.append(inc)
+        self.timestamp.append(timestamp)
+        self.ends.append(center)
+        self.ends.extend(targets)
+        self.ends_new.append(center_new)
+        self.ends_new.extend(targets_new)
+        self.bounds.append(len(self.ends))
 
     def _add_nodes(self, n: int) -> None:
         if n > len(self.size):
@@ -185,8 +225,9 @@ class _NodeSampler:
         # How many of the state's logged increments this one has read.
         self.seen = 0
 
-    def catch_up(self, applied: list[Increment]) -> None:
-        """Read ``applied``, the increments the state applied since the last catch-up."""
+    def catch_up(self) -> None:
+        """Read the increments the state applied since the last catch-up."""
+        self.seen = self.state.num_increments
 
     def _uniform(self, excluded: set[int]) -> int:
         n = self.state.num_nodes
@@ -210,10 +251,14 @@ class _EndpointListSampler(_NodeSampler):
         super().__init__(state, rng)
         self.endpoints = [x for edge in state.seed_edges for x in edge]
 
-    def catch_up(self, applied):
-        for inc in applied:
-            for t in inc.targets:
-                self.endpoints += (inc.center, t)
+    def catch_up(self):
+        state = self.state
+        ends, bounds = state.ends, state.bounds
+        for k in range(self.seen, state.num_increments):
+            center = ends[bounds[k]]
+            for t in ends[bounds[k] + 1 : bounds[k + 1]]:
+                self.endpoints += (center, t)
+        super().catch_up()
 
     def sample(self, excluded, anchor, center_role):
         if not self.endpoints:
@@ -277,9 +322,10 @@ class _VectorSampler(_NodeSampler):
             step *= 2
         self.tree = tree.tolist()
 
-    def catch_up(self, applied):
+    def catch_up(self):
+        state = self.state
         cap = self.capacity
-        while self.capacity < self.state.num_nodes:
+        while self.capacity < state.num_nodes:
             self.capacity *= 2
         if self.capacity > cap:
             self.weights = np.concatenate((self.weights, np.zeros(self.capacity - cap)))
@@ -288,13 +334,13 @@ class _VectorSampler(_NodeSampler):
         # touched by several increments changes once: after that its weight
         # is current.
         deltas = []
-        for inc in applied:
-            for v in (inc.center, *inc.targets):
-                w, old = weight(v), float(weights[v])
-                if w != old:
-                    weights[v] = w
-                    self.positive += (w > 0.0) - (old > 0.0)
-                    deltas.append((v + 1, w - old))
+        for v in state.ends[state.bounds[self.seen] :]:
+            w, old = weight(v), float(weights[v])
+            if w != old:
+                weights[v] = w
+                self.positive += (w > 0.0) - (old > 0.0)
+                deltas.append((v + 1, w - old))
+        super().catch_up()
         self._base = (None, _NO_EXCLUSION)
         if self.capacity > cap:
             self._build()
@@ -463,12 +509,7 @@ class MixtureSampler:
     def catch_up(self) -> None:
         """Bring every component's sampler up to the state, as a draw does for its own."""
         for sampler in self._samplers.values():
-            self._catch_up(sampler)
-
-    def _catch_up(self, sampler: _NodeSampler) -> None:
-        applied = self.state.increments
-        sampler.catch_up(applied[sampler.seen :])
-        sampler.seen = len(applied)
+            sampler.catch_up()
 
     def draw(
         self,
@@ -487,8 +528,8 @@ class MixtureSampler:
                 comp = c
                 break
         sampler = self._samplers[comp]
-        if sampler.seen < len(self.state.increments):
-            self._catch_up(sampler)
+        if sampler.seen < self.state.num_increments:
+            sampler.catch_up()
         return sampler.sample(excluded, anchor, center_role)
 
 
@@ -677,12 +718,11 @@ def grow(
             existing = _draw_targets(sampler, interval, n_existing, base, center)
 
         next_id = n + (1 if center_new else 0)
-        new_targets = list(range(next_id, next_id + n_new_targets))
-        targets = tuple(existing) + tuple(new_targets)
-        targets_new = (False,) * len(existing) + (True,) * len(new_targets)
-        state.apply(Increment(timestamp, center, center_new, targets, targets_new))
+        targets = (*existing, *range(next_id, next_id + n_new_targets))
+        targets_new = (False,) * len(existing) + (True,) * n_new_targets
+        state.apply(timestamp, center, center_new, targets, targets_new)
 
-    return GrowthStream(seed_edges=state.seed_edges, increments=state.increments, labels=None)
+    return state.stream()
 
 
 def sample_choice_frequencies(

@@ -8,9 +8,18 @@ here.  Nodes and edges are permanent: there is no removal API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import RejectedIncrementError, UnknownNodeError
+from .errors import RejectedIncrementError, StreamError, UnknownNodeError
+from .events import (
+    StreamColumns,
+    duplicate_edge_error,
+    first_rejection,
+    graph_ends,
+    new_id_error,
+    offsets,
+    unknown_node_error,
+)
 
 
 @dataclass(frozen=True)
@@ -120,18 +129,6 @@ class DynamicGraph:
         assert total == 2 * self.edge_count
 
 
-def new_id_error(role: str, node: int, expected: int) -> UnknownNodeError:
-    return UnknownNodeError(f"new {role} id {node} does not match next arrival index {expected}")
-
-
-def unknown_node_error(role: str, node: int, num_nodes: int) -> UnknownNodeError:
-    return UnknownNodeError(f"existing-tagged {role} {node} not in graph of {num_nodes} nodes")
-
-
-def duplicate_edge_error(center: int, target: int, timestamp: int) -> RejectedIncrementError:
-    return RejectedIncrementError(f"edge ({center}, {target}) already present at t={timestamp}")
-
-
 def check_increment(graph: DynamicGraph, inc: Increment) -> int:
     """Raise unless ``inc`` applies to ``graph``; return the node count after it.
 
@@ -177,8 +174,7 @@ def graph_from_edges(edges, num_nodes: int | None = None) -> DynamicGraph:
     """
     g = DynamicGraph()
     edges = list(edges)
-    top = max((max(u, v) for u, v in edges), default=-1) + 1
-    for _ in range(max(top, num_nodes or 0)):
+    for _ in range(max(seed_nodes(edges), num_nodes or 0)):
         g.add_node()
     for u, v in edges:
         g.add_edge(u, v)
@@ -190,17 +186,51 @@ def clique_graph(n: int) -> DynamicGraph:
     return graph_from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-@dataclass
-class GrowthStream:
-    """A seed graph plus the increment sequence observed after it.
+def seed_nodes(seed_edges) -> int:
+    """Node count of the seed graph of ``seed_edges``: one past the largest node id."""
+    return max((max(u, v) for u, v in seed_edges), default=-1) + 1
 
-    ``labels`` maps dense node index to the original dataset id; synthetic
-    streams leave it None and print indices directly.
+
+class GrowthStream:
+    """A seed graph plus the increment sequence observed after it; read-only.
+
+    The increments are kept once, as the read-only arrays of ``columns``
+    (``events.StreamColumns``); ``increments`` builds them as ``Increment``
+    objects on demand, a new list on every access.  ``labels`` maps dense
+    node index to the original dataset id; synthetic streams leave it None
+    and print indices directly.
     """
 
-    seed_edges: list[tuple[int, int]] = field(default_factory=list)
-    increments: list[Increment] = field(default_factory=list)
-    labels: list[str] | None = None
+    def __init__(self, seed_edges=(), increments=(), labels: list[str] | None = None):
+        seed_edges = list(seed_edges)
+        try:
+            columns = StreamColumns.of(list(increments), seed_nodes(seed_edges))
+        except OverflowError:
+            raise StreamError("a timestamp or node id is outside the 64-bit range") from None
+        self._hold(seed_edges, columns, labels)
+
+    @classmethod
+    def from_columns(cls, seed_edges, columns: StreamColumns, labels) -> GrowthStream:
+        """The stream of ``columns``, whose graph sizes start at ``seed_nodes(seed_edges)``."""
+        stream = cls.__new__(cls)
+        stream._hold(seed_edges, columns, labels)
+        return stream
+
+    def _hold(self, seed_edges, columns: StreamColumns, labels) -> None:
+        for values in vars(columns).values():
+            values.flags.writeable = False
+        self.seed_edges, self.columns, self.labels = seed_edges, columns, labels
+
+    @property
+    def increments(self) -> list[Increment]:
+        cols = self.columns
+        bounds = offsets(cols.gain).tolist()
+        targets, new = cols.target.tolist(), cols.target_new.tolist()
+        rows = zip(cols.timestamp.tolist(), cols.center.tolist(), cols.center_new.tolist())
+        return [
+            Increment(t, c, c_new, tuple(targets[a:b]), tuple(new[a:b]))
+            for (t, c, c_new), a, b in zip(rows, bounds, bounds[1:])
+        ]
 
     def seed_graph(self) -> DynamicGraph:
         return graph_from_edges(self.seed_edges)
@@ -209,7 +239,22 @@ class GrowthStream:
         return self.labels[node] if self.labels is not None else str(node)
 
     def final_graph(self) -> DynamicGraph:
+        """The graph after every increment.
+
+        An invalid stream raises what ``check_increment`` raises at its
+        first increment that the graph before it cannot take.
+        """
         g = self.seed_graph()
-        for inc in self.increments:
-            apply_increment(g, inc)
+        cols = self.columns
+        rejection = first_rejection(cols, *graph_ends(g))
+        if rejection is not None:
+            raise rejection[1]
+        # A valid stream's edges are new and join existing nodes: no checks left.
+        adj = g.adj
+        adj.extend(set() for _ in range(cols.final_nodes - g.num_nodes))
+        for u, v in zip(cols.center[cols.target_inc].tolist(), cols.target.tolist()):
+            adj[u].add(v)
+            adj[v].add(u)
+        g.degrees = list(map(len, adj))
+        g.edge_count += len(cols.target)
         return g

@@ -492,14 +492,14 @@ def _triangle_anchors(trace: DPTrace, events: EdgeEvents) -> tuple[np.ndarray, .
 
 def _replay(
     graph: DynamicGraph,
-    increments: Sequence[Increment],
+    cols: StreamColumns,
     first_index: int,
     components: Sequence[Component],
     seed: int,
     max_exhaustive_choices: int,
     ordering_samples: int,
 ) -> DPTrace:
-    """The DPTrace of ``increments`` applied one after another to ``graph``.
+    """The DPTrace of the increments ``cols`` applied one after another to ``graph``.
 
     The graph is not changed: every count comes from the edge-event table of
     the graph and the increments.  ``first_index`` is the stream index of the
@@ -512,11 +512,10 @@ def _replay(
     if ordering_samples < 1:
         raise ModelError(f"ordering_samples must be at least 1, got {ordering_samples}")
     seed_node, seed_nbr = graph_ends(graph)
-    cols = StreamColumns.of(increments, graph.num_nodes)
     rejection = first_rejection(cols, seed_node, seed_nbr)
     if rejection is not None:
         # Only the increments before it build a graph; check their eligibility.
-        cols = StreamColumns.of(increments[: rejection[0]], graph.num_nodes)
+        cols = cols.head(rejection[0])
     events = EdgeEvents(seed_node, seed_nbr, cols)
     num_inc = cols.num_increments
     incs = np.arange(num_inc)
@@ -611,7 +610,7 @@ def _stream_trace(
     """Replay a stream from its seed graph for the given components."""
     return _replay(
         stream.seed_graph(),
-        stream.increments,
+        stream.columns,
         0,
         components,
         seed,
@@ -1618,7 +1617,7 @@ def _interval_indices(schedule: ModelSchedule, trace: DPTrace, first_index: int)
 
 def _score(
     graph: DynamicGraph,
-    increments: Sequence[Increment],
+    cols: StreamColumns,
     first_index: int,
     schedule,
     seed: int,
@@ -1635,7 +1634,7 @@ def _score(
     components, weights, members = _schedule_weights(schedule)
     trace = _replay(
         graph,
-        increments,
+        cols,
         first_index,
         components,
         seed,
@@ -1663,7 +1662,7 @@ def score_stream(
     """
     trace, logp, fallbacks = _score(
         stream.seed_graph(),
-        stream.increments,
+        stream.columns,
         0,
         schedule,
         seed,
@@ -1708,7 +1707,8 @@ def increment_probability(
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
 ) -> float:
     """Probability of one increment against a frozen graph (not log); the graph is unchanged."""
+    cols = StreamColumns.of([inc], graph.num_nodes)
     _, logp, _ = _score(
-        graph, [inc], index, schedule, seed, max_exhaustive_choices, ordering_samples
+        graph, cols, index, schedule, seed, max_exhaustive_choices, ordering_samples
     )
     return math.exp(logp[0])

@@ -15,13 +15,12 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CheckpointError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends
-from .graph import DynamicGraph, GrowthStream, Increment
+from .graph import DynamicGraph, GrowthStream
 
 STAT_FIELDS = (
     "increments",
@@ -69,15 +68,12 @@ def _assortativity(degs: np.ndarray, ends: np.ndarray) -> float | None:
     return float(((xs - xs.mean()) * (ys - ys.mean())).mean() / vx)
 
 
-def _stats_rows(
-    graph: DynamicGraph, increments: Sequence[Increment], checkpoints: list[int]
-) -> list[StatRow]:
-    """Statistics after each (ascending) count of ``increments`` applied to ``graph``.
+def _stats_rows(graph: DynamicGraph, cols: StreamColumns, checkpoints: list[int]) -> list[StatRow]:
+    """Statistics after each (ascending) count of the increments ``cols`` applied to ``graph``.
 
     The lowest increment the graph cannot take raises its ``check_increment`` error.
     """
     seed_node, seed_nbr = graph_ends(graph)
-    cols = StreamColumns.of(increments, graph.num_nodes)
     rejection = first_rejection(cols, seed_node, seed_nbr)
     if rejection is not None:
         raise rejection[1]
@@ -123,10 +119,10 @@ def stats_series(stream: GrowthStream, checkpoints: list[int] | None = None) -> 
     """Statistics of the graph after each given number of increments, in ascending order.
 
     Checkpoint 0 is the seed graph; every checkpoint must lie in
-    [0, len(stream.increments)].  An invalid stream raises the error that
-    ``score_stream`` raises on it.
+    [0, the stream's increment count].  An invalid stream raises the error
+    that ``score_stream`` raises on it.
     """
-    total = len(stream.increments)
+    total = stream.columns.num_increments
     if checkpoints is None:
         checkpoints = default_checkpoints(total)
     for c in checkpoints:
@@ -135,12 +131,12 @@ def stats_series(stream: GrowthStream, checkpoints: list[int] | None = None) -> 
                 f"checkpoint {c} is outside [0, {total}] for a stream of {total} increments"
             )
     wanted = sorted({int(c) for c in checkpoints})
-    return _stats_rows(stream.seed_graph(), stream.increments, wanted)
+    return _stats_rows(stream.seed_graph(), stream.columns, wanted)
 
 
 def graph_stats(graph: DynamicGraph) -> StatRow:
     """Statistics of a static graph."""
-    return _stats_rows(graph, [], [0])[0]
+    return _stats_rows(graph, StreamColumns.of([], graph.num_nodes), [0])[0]
 
 
 def write_stats_csv(path, rows: list[StatRow]) -> None:

@@ -21,17 +21,20 @@ index equal its arrival rank minus one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import StreamParseError
-from .graph import GrowthStream, Increment
+import numpy as np
+
+from .errors import StreamError, StreamParseError
+from .events import StreamColumns, offsets
+from .graph import GrowthStream
 
 STAR_STREAM_HEADER = "# star-stream v1"
 OP_SCHEDULE_HEADER = "# op-schedule v1"
 SEED_EDGE_PREFIX = "# seed-edge\t"
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,7 @@ class CleaningReport:
     disconnected: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "input_records": self.input_records,
-            "kept": self.kept,
-            "self_loops": self.self_loops,
-            "duplicates": self.duplicates,
-            "disconnected": self.disconnected,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -69,43 +66,160 @@ class CleaningReport:
         return "\n".join(f"{k}\t{v}" for k, v in self.to_dict().items())
 
 
-def _open_lines(source) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line) from a path or file object."""
+def _read_text(source) -> str:
+    """The whole text of a path or a text file object."""
     if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return source.read()
+
+
+def _open_lines(source) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line without its end) of a path or a text file object."""
+    text = _read_text(source)
+    return enumerate((line.rstrip("\r") for line in text.split("\n")) if text else (), start=1)
+
+
+def _out_of_range(timestamp: int, lineno: int) -> StreamParseError:
+    return StreamParseError(
+        f"timestamp {timestamp} is outside the 64-bit integer range", line_number=lineno
+    )
+
+
+def _edge_rows(source) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """(names, source ids, dest ids, timestamps) of an edge list's rows, in file order.
+
+    Node names are numbered in order of first appearance.  Malformed rows
+    raise with their line number.
+    """
+    names: dict[str, int] = {}
+    intern = names.setdefault
+    src: list[int] = []
+    dst: list[int] = []
+    stamps: list[int] = []
+    for lineno, line in enumerate(_read_text(source).split("\n"), start=1):
+        fields = line.split("\t")
+        if len(fields) == 3 and line[0] != "#":
+            a, b, ts = fields
+            a, b = a.strip(), b.strip()
+            if a and b:
+                try:
+                    timestamp = int(ts)
+                except ValueError:
+                    raise StreamParseError(
+                        f"bad timestamp {ts.strip()!r}", line_number=lineno
+                    ) from None
+                if not INT64_MIN <= timestamp <= INT64_MAX:
+                    raise _out_of_range(timestamp, lineno)
+                stamps.append(timestamp)
+                src.append(intern(a, len(names)))
+                dst.append(intern(b, len(names)))
+                continue
+        # Not a data row: blank and comment lines are skipped, the rest are malformed.
+        if line.strip() and line[0] != "#":
+            if len(fields) == 3:
+                raise StreamParseError("empty node id", line_number=lineno)
+            raise StreamParseError(
+                f"expected 3 tab-separated fields, got {len(fields)}", line_number=lineno
+            )
+    return list(names), *(np.array(c, dtype=np.int64) for c in (src, dst, stamps))
+
+
+def _record_rows(records: list[EdgeRecord]) -> tuple[list[str], np.ndarray, ...]:
+    """``_edge_rows`` of edge records."""
+    names: dict[str, int] = {}
+    ids = [names.setdefault(name, len(names)) for r in records for name in (r.source, r.dest)]
     try:
-        for lineno, raw in enumerate(fh, start=1):
-            yield lineno, raw.rstrip("\r\n")
-    finally:
-        if close:
-            fh.close()
+        stamps = np.array([r.timestamp for r in records], dtype=np.int64)
+    except OverflowError:
+        raise StreamError("an edge timestamp is outside the 64-bit integer range") from None
+    ids = np.array(ids, dtype=np.int64)
+    return list(names), ids[0::2], ids[1::2], stamps
+
+
+def _admit(src, dst, stamps: np.ndarray) -> tuple[np.ndarray, CleaningReport]:
+    """The rows a growing simple graph admits, in admission order, and the counts of the rest.
+
+    Rows are stable-sorted by timestamp, so same-timestamp rows keep file
+    order and star runs survive.  In priority order, a row is dropped as a
+    self-loop, as a repeat of an admitted node pair (either orientation), or
+    as touching no admitted node (which would start a second component)
+    once any row is admitted.  A node seen only on dropped rows is not
+    admitted and may arrive later.
+    """
+    order = np.argsort(stamps, kind="stable")
+    src, dst = src[order], dst[order]
+    loops = src == dst
+    rows = np.flatnonzero(~loops)
+    span = int(max(src.max(initial=0), dst.max(initial=0))) + 1
+    keys = np.minimum(src, dst) * span + np.maximum(src, dst)
+    admitted = bytearray(span)
+    pairs: set[int] = set()
+    kept: list[int] = []
+    duplicates = disconnected = 0
+    for row, a, b, key in zip(
+        rows.tolist(), src[rows].tolist(), dst[rows].tolist(), keys[rows].tolist()
+    ):
+        if key in pairs:
+            duplicates += 1
+        elif pairs and not (admitted[a] or admitted[b]):
+            disconnected += 1
+        else:
+            pairs.add(key)
+            admitted[a] = admitted[b] = 1
+            kept.append(row)
+    report = CleaningReport(len(order), len(kept), int(loops.sum()), duplicates, disconnected)
+    return order[np.array(kept, dtype=np.int64)], report
+
+
+def _stars(names: list[str], src, dst, stamps: np.ndarray) -> tuple[StreamColumns, list[str]]:
+    """Star columns of rows, and the labels of their nodes.
+
+    A star is a maximal run of consecutive rows sharing (timestamp, source),
+    centred on that source.  The first row of an empty stream forms a star
+    whose center and target are both new, so nothing about the starting
+    edge is ever treated as a model choice.
+    """
+    rows = len(src)
+    starts = (stamps[1:] != stamps[:-1]) | (src[1:] != src[:-1])
+    first_row = np.flatnonzero(np.concatenate(([rows > 0], starts)))
+    gain = np.diff(np.append(first_row, rows))
+    seen = np.insert(dst, first_row, src[first_row])
+    cols, nodes, _ = _star_columns(seen, stamps[first_row], gain, 0, 0)
+    return cols, [names[v] for v in nodes.tolist()]
+
+
+def _star_columns(seen: np.ndarray, stamps, gain, skip: int, first_nodes: int) -> tuple:
+    """Columns of stars from their node references, numbered by first appearance.
+
+    ``seen[skip:]`` holds each star's center followed by its ``gain[k]``
+    targets; the first ``skip`` references (seed edge ends) are numbered
+    but belong to no star.  A node is new in the star where it first
+    appears.  Returns the columns, the referenced values in id order and
+    the ids of the first ``skip`` references.
+    """
+    nodes, first, inverse = np.unique(seen, return_index=True, return_inverse=True)
+    by_arrival = np.argsort(first)
+    rank = np.empty_like(by_arrival)
+    rank[by_arrival] = np.arange(len(nodes))
+    ids, new = rank[inverse], first[inverse] == np.arange(len(seen))
+    centers = skip + offsets(gain + 1)[:-1]
+    targets = np.ones(len(seen), dtype=bool)
+    targets[:skip] = False
+    targets[centers] = False
+    cols = StreamColumns.build(
+        stamps, ids[centers], new[centers], gain, ids[targets], new[targets], first_nodes
+    )
+    return cols, nodes[by_arrival], ids[:skip]
 
 
 def parse_edge_file(source) -> list[EdgeRecord]:
     """Read an edge list; malformed rows raise with their line number."""
-    records: list[EdgeRecord] = []
-    for lineno, line in _open_lines(source):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise StreamParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", line_number=lineno
-            )
-        src, dst, ts = (f.strip() for f in fields)
-        if not src or not dst:
-            raise StreamParseError("empty node id", line_number=lineno)
-        try:
-            timestamp = int(ts)
-        except ValueError:
-            raise StreamParseError(
-                f"bad timestamp {ts!r}", line_number=lineno
-            ) from None
-        records.append(EdgeRecord(src, dst, timestamp))
-    return records
+    names, src, dst, stamps = _edge_rows(source)
+    return [
+        EdgeRecord(names[a], names[b], t)
+        for a, b, t in zip(src.tolist(), dst.tolist(), stamps.tolist())
+    ]
 
 
 def write_edge_file(path, records: Iterable[EdgeRecord]) -> None:
@@ -115,88 +229,31 @@ def write_edge_file(path, records: Iterable[EdgeRecord]) -> None:
 
 
 def clean_stream(records: Iterable[EdgeRecord]) -> tuple[list[EdgeRecord], CleaningReport]:
-    """Sort by timestamp and drop rows a growing simple graph cannot admit.
-
-    In priority order per row: self-loops, repeats of an already-admitted
-    undirected pair, and rows touching no previously admitted node (which
-    would start a second component).  The sort is stable, so same-timestamp
-    rows keep file order and star runs survive.  A node seen only on dropped
-    rows is not considered admitted and may arrive later.
-    """
-    ordered = sorted(records, key=lambda r: r.timestamp)
-    report = CleaningReport(input_records=len(ordered))
-    adjacency: dict[str, set[str]] = {}
-    kept: list[EdgeRecord] = []
-    for rec in ordered:
-        if rec.source == rec.dest:
-            report.self_loops += 1
-            continue
-        if rec.dest in adjacency.get(rec.source, ()):
-            report.duplicates += 1
-            continue
-        if adjacency and rec.source not in adjacency and rec.dest not in adjacency:
-            report.disconnected += 1
-            continue
-        kept.append(rec)
-        adjacency.setdefault(rec.source, set()).add(rec.dest)
-        adjacency.setdefault(rec.dest, set()).add(rec.source)
-    report.kept = len(kept)
-    return kept, report
-
-
-class _NodeIds(dict):
-    """Dense node id of each name, assigned by first appearance; names iterate in id order."""
-
-    def intern(self, name: str) -> int:
-        return self.setdefault(name, len(self))
-
-    def star(self, timestamp: int, center: str, targets: Iterable[str]) -> Increment:
-        """The increment of a named star, interning the center before the targets.
-
-        A node is new when its name first appears in this star.
-        """
-        before = len(self)
-        setdefault = self.setdefault
-        center_id = setdefault(center, before)
-        nodes, new = [], []
-        for name in targets:
-            node = setdefault(name, len(self))
-            nodes.append(node)
-            new.append(node >= before)
-        return Increment(timestamp, center_id, center_id == before, tuple(nodes), tuple(new))
+    """Sort by timestamp and drop rows a growing simple graph cannot admit (see ``_admit``)."""
+    records = list(records)
+    _, src, dst, stamps = _record_rows(records)
+    kept, report = _admit(src, dst, stamps)
+    return [records[i] for i in kept.tolist()], report
 
 
 def group_increments(records: list[EdgeRecord]) -> GrowthStream:
-    """Group a cleaned edge list into stars and densify node ids.
+    """Group a cleaned edge list into stars and densify node ids (see ``_stars``).
 
-    A star is a maximal run of consecutive rows sharing (timestamp, source).
-    Ids are assigned by first appearance; the first row of an empty stream
-    forms a star whose center and target are both new, so nothing about the
-    starting edge is ever treated as a model choice.
+    A star that repeats a target or loops onto its center raises
+    ``RejectedIncrementError``; cleaned rows never form one.
     """
-    ids = _NodeIds()
-    increments: list[Increment] = []
-    i = 0
-    while i < len(records):
-        j = i + 1
-        while (
-            j < len(records)
-            and records[j].timestamp == records[i].timestamp
-            and records[j].source == records[i].source
-        ):
-            j += 1
-        increments.append(
-            ids.star(records[i].timestamp, records[i].source, map(attrgetter("dest"), records[i:j]))
-        )
-        i = j
-    return GrowthStream(seed_edges=[], increments=increments, labels=list(ids))
+    stream = GrowthStream.from_columns([], *_stars(*_record_rows(records)))
+    # Building the increments runs ``Increment``'s own checks, star by star.
+    stream.increments
+    return stream
 
 
 def ingest_edge_file(source) -> tuple[GrowthStream, CleaningReport]:
-    """parse + clean + group in one call."""
-    records = parse_edge_file(source)
-    kept, report = clean_stream(records)
-    return group_increments(kept), report
+    """parse + clean + group in one call, on integer node ids."""
+    names, src, dst, stamps = _edge_rows(source)
+    kept, report = _admit(src, dst, stamps)
+    cols, labels = _stars(names, src[kept], dst[kept], stamps[kept])
+    return GrowthStream.from_columns([], cols, labels), report
 
 
 @dataclass(frozen=True)
@@ -212,38 +269,21 @@ class StreamSummary:
     max_star_size: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "increments": self.increments,
-            "edges": self.edges,
-            "external_stars": self.external_stars,
-            "internal_stars": self.internal_stars,
-            "new_nodes": self.new_nodes,
-            "model_choices": self.model_choices,
-            "max_star_size": self.max_star_size,
-        }
+        return asdict(self)
 
 
 def summarize_stream(stream: GrowthStream) -> StreamSummary:
     """Count stars by kind; a star is external iff it brings any new node."""
-    external = internal = new_nodes = choices = edges = widest = 0
-    for inc in stream.increments:
-        brought = len(inc.new_nodes)
-        if brought:
-            external += 1
-        else:
-            internal += 1
-        new_nodes += brought
-        choices += inc.num_choices
-        edges += len(inc.targets)
-        widest = max(widest, len(inc.targets))
+    cols = stream.columns
+    external = int(np.count_nonzero(np.diff(cols.node_offsets)))
     return StreamSummary(
-        increments=len(stream.increments),
-        edges=edges,
+        increments=cols.num_increments,
+        edges=len(cols.target),
         external_stars=external,
-        internal_stars=internal,
-        new_nodes=new_nodes,
-        model_choices=choices,
-        max_star_size=widest,
+        internal_stars=cols.num_increments - external,
+        new_nodes=cols.final_nodes - int(cols.node_offsets[0]),
+        model_choices=int(np.count_nonzero(~cols.center_new) + np.count_nonzero(~cols.target_new)),
+        max_star_size=int(cols.gain.max(initial=0)),
     )
 
 
@@ -263,16 +303,16 @@ class OperationSchedule:
 
 
 def extract_operation_schedule(stream: GrowthStream) -> OperationSchedule:
-    rows = [
-        OperationRow(
-            inc.timestamp,
-            inc.center_is_new,
-            sum(1 for n in inc.targets_new if n),
-            sum(1 for n in inc.targets_new if not n),
-        )
-        for inc in stream.increments
-    ]
-    return OperationSchedule(rows)
+    cols = stream.columns
+    new = np.bincount(cols.target_inc[cols.target_new], minlength=cols.num_increments)
+    rows = map(
+        OperationRow,
+        cols.timestamp.tolist(),
+        cols.center_new.tolist(),
+        new.tolist(),
+        (cols.gain - new).tolist(),
+    )
+    return OperationSchedule(list(rows))
 
 
 def _checked_label(name: str) -> str:
@@ -282,16 +322,19 @@ def _checked_label(name: str) -> str:
 
 
 def write_star_stream(path, stream: GrowthStream) -> None:
+    cols = stream.columns
+
+    def name(node: int) -> str:
+        return _checked_label(stream.label(node))
+
+    bounds = offsets(cols.gain).tolist()
+    targets = cols.target.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(STAR_STREAM_HEADER + "\n")
         for u, v in stream.seed_edges:
-            fh.write(
-                f"{SEED_EDGE_PREFIX}{_checked_label(stream.label(u))}\t"
-                f"{_checked_label(stream.label(v))}\n"
-            )
-        for inc in stream.increments:
-            targets = ",".join(_checked_label(stream.label(t)) for t in inc.targets)
-            fh.write(f"{inc.timestamp}\t{_checked_label(stream.label(inc.center))}\t{targets}\n")
+            fh.write(f"{SEED_EDGE_PREFIX}{name(u)}\t{name(v)}\n")
+        for t, c, a, b in zip(cols.timestamp.tolist(), cols.center.tolist(), bounds, bounds[1:]):
+            fh.write(f"{t}\t{name(c)}\t{','.join(map(name, targets[a:b]))}\n")
 
 
 def read_star_stream(source) -> GrowthStream:
@@ -305,17 +348,21 @@ def read_star_stream(source) -> GrowthStream:
         raise StreamParseError(
             f"expected header {STAR_STREAM_HEADER!r}", line_number=first[0]
         )
-    ids = _NodeIds()
-    seed_edges: list[tuple[int, int]] = []
-    increments: list[Increment] = []
+    # Node names in order of reference: seed edges' ends, then each star's
+    # center and targets.
+    refs: list[str] = []
+    seeds = 0
+    stamps: list[int] = []
+    gains: list[int] = []
     for lineno, line in lines:
         if line.startswith(SEED_EDGE_PREFIX):
-            if increments:
+            if stamps:
                 raise StreamParseError("seed edges must precede stars", line_number=lineno)
             fields = line[len(SEED_EDGE_PREFIX) :].split("\t")
             if len(fields) != 2:
                 raise StreamParseError("seed edge needs 2 node ids", line_number=lineno)
-            seed_edges.append((ids.intern(fields[0]), ids.intern(fields[1])))
+            refs += fields
+            seeds += 1
             continue
         if not line.strip() or line.startswith("#"):
             continue
@@ -328,9 +375,11 @@ def read_star_stream(source) -> GrowthStream:
             timestamp = int(fields[0])
         except ValueError:
             raise StreamParseError(f"bad timestamp {fields[0]!r}", line_number=lineno) from None
-        if increments and timestamp < increments[-1].timestamp:
+        if not INT64_MIN <= timestamp <= INT64_MAX:
+            raise _out_of_range(timestamp, lineno)
+        if stamps and timestamp < stamps[-1]:
             raise StreamParseError(
-                f"timestamp {timestamp} is below the previous star's {increments[-1].timestamp}",
+                f"timestamp {timestamp} is below the previous star's {stamps[-1]}",
                 line_number=lineno,
             )
         if not fields[1] or not fields[2]:
@@ -338,11 +387,31 @@ def read_star_stream(source) -> GrowthStream:
         names = fields[2].split(",")
         if not all(names):
             raise StreamParseError("empty target id", line_number=lineno)
-        try:
-            increments.append(ids.star(timestamp, fields[1], names))
-        except Exception as exc:
-            raise StreamParseError(str(exc), line_number=lineno) from None
-    return GrowthStream(seed_edges=seed_edges, increments=increments, labels=list(ids))
+        # The checks ``Increment`` makes, in its order.
+        if len(set(names)) != len(names):
+            raise StreamParseError(
+                f"duplicate targets in increment at t={timestamp}", line_number=lineno
+            )
+        if fields[1] in names:
+            raise StreamParseError(f"self-loop in increment at t={timestamp}", line_number=lineno)
+        stamps.append(timestamp)
+        gains.append(len(names))
+        refs.append(fields[1])
+        refs += names
+    index: dict[str, int] = {}
+    seen = np.array([index.setdefault(name, len(index)) for name in refs], dtype=np.int64)
+    # Seed names come first, so the seed graph's nodes are 0 .. k - 1.
+    cols, nodes, seed_ids = _star_columns(
+        seen,
+        np.array(stamps, dtype=np.int64),
+        np.array(gains, dtype=np.int64),
+        2 * seeds,
+        len(set(refs[: 2 * seeds])),
+    )
+    seed_ids = seed_ids.tolist()
+    seed_edges = list(zip(seed_ids[0::2], seed_ids[1::2]))
+    labels = list(index)
+    return GrowthStream.from_columns(seed_edges, cols, [labels[v] for v in nodes.tolist()])
 
 
 def write_op_schedule(path, schedule: OperationSchedule) -> None:
@@ -380,6 +449,8 @@ def read_op_schedule(source) -> OperationSchedule:
             raise StreamParseError("non-integer field", line_number=lineno) from None
         if flag not in (0, 1) or new_t < 0 or old_t < 0 or new_t + old_t == 0:
             raise StreamParseError("invalid op shape", line_number=lineno)
+        if not INT64_MIN <= ts <= INT64_MAX:
+            raise _out_of_range(ts, lineno)
         if rows and ts < rows[-1].timestamp:
             raise StreamParseError(
                 f"timestamp {ts} is below the previous row's {rows[-1].timestamp}",
@@ -398,14 +469,17 @@ def stream_edge_records(
     the first star, or 0); re-ingesting the rows will score them like any
     other arrivals.
     """
+    cols, label = stream.columns, stream.label
     if include_seed and stream.seed_edges:
         if seed_timestamp is None:
-            seed_timestamp = stream.increments[0].timestamp - 1 if stream.increments else 0
+            seed_timestamp = int(cols.timestamp[0]) - 1 if cols.num_increments else 0
         for u, v in stream.seed_edges:
-            yield EdgeRecord(stream.label(u), stream.label(v), seed_timestamp)
-    for inc in stream.increments:
-        for t in inc.targets:
-            yield EdgeRecord(stream.label(inc.center), stream.label(t), inc.timestamp)
+            yield EdgeRecord(label(u), label(v), seed_timestamp)
+    tinc = cols.target_inc
+    for c, t, ts in zip(
+        cols.center[tinc].tolist(), cols.target.tolist(), cols.timestamp[tinc].tolist()
+    ):
+        yield EdgeRecord(label(c), label(t), ts)
 
 
 def sniff_format(path) -> str:

@@ -585,3 +585,68 @@ def oracle_assortativity(num_nodes, edges):
         return None
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy)
+
+
+# ---------------------------------------------------------------------------
+# ingest oracle: an edge list parsed, cleaned and grouped record by record
+# ---------------------------------------------------------------------------
+
+
+def oracle_ingest(path):
+    """(labels, increments, cleaning counts) of an edge-list file, one record at a time.
+
+    Increments are (timestamp, center, center_is_new, targets, targets_new)
+    tuples.  Rows are stable-sorted by timestamp, then dropped as self-loops,
+    repeats of an admitted pair, or rows touching no admitted node; stars
+    are runs of equal (timestamp, source), and node ids follow first
+    appearance, center before targets.  A malformed row raises
+    ``OracleRejection("StreamParseError", "line N")``.
+    """
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            src, dst, ts = (f.strip() for f in fields) if len(fields) == 3 else ("", "", "")
+            try:
+                timestamp = int(ts)
+            except ValueError:
+                timestamp = None
+            if not src or not dst or timestamp is None or not -(2**63) <= timestamp < 2**63:
+                raise OracleRejection("StreamParseError", f"line {lineno}")
+            records.append((src, dst, timestamp))
+    ordered = sorted(records, key=lambda r: r[2])
+    counts = {"input_records": len(ordered), "kept": 0, "self_loops": 0, "duplicates": 0,
+              "disconnected": 0}
+    adjacency = {}
+    kept = []
+    for src, dst, ts in ordered:
+        if src == dst:
+            counts["self_loops"] += 1
+        elif dst in adjacency.get(src, ()):
+            counts["duplicates"] += 1
+        elif adjacency and src not in adjacency and dst not in adjacency:
+            counts["disconnected"] += 1
+        else:
+            kept.append((src, dst, ts))
+            adjacency.setdefault(src, set()).add(dst)
+            adjacency.setdefault(dst, set()).add(src)
+    counts["kept"] = len(kept)
+    ids = {}
+    increments = []
+    i = 0
+    while i < len(kept):
+        j = i + 1
+        while j < len(kept) and kept[j][2] == kept[i][2] and kept[j][0] == kept[i][0]:
+            j += 1
+        before = len(ids)
+        center = ids.setdefault(kept[i][0], before)
+        targets = [ids.setdefault(dst, len(ids)) for _, dst, _ in kept[i:j]]
+        increments.append(
+            (kept[i][2], center, center == before, tuple(targets),
+             tuple(t >= before for t in targets))
+        )
+        i = j
+    return list(ids), increments, counts

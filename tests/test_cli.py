@@ -267,6 +267,14 @@ class TestStatsAndSimilarity:
         assert err.startswith("error (CheckpointError): ")
         assert "-5" in err
 
+    def test_score_refuses_a_timestamp_outside_int64(self, tmp_path, capsys):
+        path = tmp_path / "big.tsv"
+        path.write_text("a\tb\t1\nb\tc\t99999999999999999999999\n")
+        code, out, err = run(capsys, "score", "--data", str(path), "--model", "BA")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error (StreamParseError): line 2: ")
+
     def test_similarity(self, workdir, capsys):
         code, stdout, _ = run(
             capsys, "similarity", "--data", str(workdir / "run.stars"),

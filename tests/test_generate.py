@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -346,8 +347,10 @@ class TestVectorDraws:
             for v, w in updates.items():
                 current[v] = w
             touched = list(updates)
-            sampler.catch_up([gf.Increment(0, touched[0], False, tuple(touched[1:]),
-                                           (False,) * (len(touched) - 1))])
+            # an internal star onto every other touched node logs them all
+            sampler.state.apply(0, touched[0], False, tuple(touched[1:]),
+                                (False,) * (len(touched) - 1))
+            sampler.catch_up()
         assert sampler.weights[:n].tolist() == current
         # as a star's target draws see it: a fixed base plus chosen targets
         base, chosen = excluded - chosen, sorted(chosen)
@@ -423,11 +426,11 @@ class TestSamplerState:
         capacities = set()
         for inc in stream.increments:
             gf.apply_increment(graph, inc)
-            sampler.state.apply(inc)
+            sampler.state.apply(*astuple(inc))
             sampler.catch_up()
             capacities.add(sampler._samplers[gf.DegreePower(0.5)].capacity)
             self.assert_same_state(sampler, schedule, graph)
-        assert sampler.state.increments == stream.increments
+        assert sampler.state.stream().increments == stream.increments
         # the replay crosses capacity doublings, where the tree is rebuilt
         assert len(capacities) >= 3
 
@@ -442,7 +445,7 @@ class TestSamplerState:
         only_rp = gf.MixtureInterval.single(gf.RankPreference(0.5))
         for inc in stream.increments:
             gf.apply_increment(graph, inc)
-            state.apply(inc)
+            state.apply(*astuple(inc))
             sampler.draw(only_rp, set(), None)
         dp = sampler._samplers[gf.DegreePower(1.5)]
         rp = sampler._samplers[gf.RankPreference(0.5)]

@@ -22,6 +22,7 @@ from growthfit.likelihood import (
     per_choice_ratio,
 )
 from growthfit import likelihood
+from growthfit.events import StreamColumns
 from oracles import (
     chunked_cache_loglik,
     oracle_choice_probabilities,
@@ -130,7 +131,8 @@ class TestAgainstBruteForceOracle:
 def drawn_orderings(inc, index, seed, max_exhaustive, samples):
     """(trace, orderings as node rows) of one increment onto an edgeless graph of 99 nodes."""
     graph = gf.graph_from_edges([], num_nodes=99)
-    trace = likelihood._replay(graph, [inc], index, (), seed, max_exhaustive, samples)
+    cols = StreamColumns.of([inc], graph.num_nodes)
+    trace = likelihood._replay(graph, cols, index, (), seed, max_exhaustive, samples)
     # the increment's targets come first in the target arrays
     rows = [trace.target_id[block[0]] for block in trace.orderings]
     return trace, [tuple(row) for block in rows for row in block.tolist()]

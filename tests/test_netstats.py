@@ -140,6 +140,10 @@ class TestStatsSeries:
             stats_series(stream, checkpoints=[1])
         assert type(got.value) is type(scored.value)
         assert str(got.value) == str(scored.value)
+        with pytest.raises(gf.GrowthFitError) as built:
+            stream.final_graph()
+        assert type(built.value) is type(scored.value)
+        assert str(built.value) == str(scored.value)
 
     def test_default_checkpoints_are_even_deciles(self):
         assert default_checkpoints(100) == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]

@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthfit as gf
+from growthfit.events import StreamColumns
 from growthfit.likelihood import DPTrace, _replay, _sampled_positions
 from oracles import OracleRejection, oracle_trace
 
 TRI = gf.TriangleClosure()
 RAND = gf.Random()
+
+
+def replay(graph, incs, *args):
+    """``_replay`` of a list of increments applied to ``graph``."""
+    return _replay(graph, StreamColumns.of(incs, graph.num_nodes), *args)
 
 
 def random_stream(rng, increments, big_star=False):
@@ -103,7 +109,7 @@ class TestTraceMatchesOracle:
         rng = np.random.default_rng(seed)
         n, edges, incs = random_stream(rng, increments, big_star)
         comps = (TRI, RAND) if triangles else (RAND,)
-        trace = _replay(
+        trace = replay(
             gf.graph_from_edges(edges, num_nodes=n),
             incs,
             first_index,
@@ -123,7 +129,7 @@ class TestTraceMatchesOracle:
         )
         stream = gf.grow(recipe, seed=3)
         graph = stream.seed_graph()
-        trace = _replay(graph, stream.increments, 0, (TRI,), 1, 3, 5)
+        trace = replay(graph, stream.increments, 0, (TRI,), 1, 3, 5)
         assert trace.sampled.any() and (~trace.center_new).any()
         expected = oracle_trace(
             graph.num_nodes, stream.seed_edges, stream.increments, 0, True, 1, 3, 5
@@ -133,7 +139,7 @@ class TestTraceMatchesOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_twelve_target_row_path_star(self, seed):
         n, edges, incs = random_stream(np.random.default_rng(seed), 30, big_star=True)
-        trace = _replay(gf.graph_from_edges(edges, num_nodes=n), incs, 0, (TRI,), seed, 5, 120)
+        trace = replay(gf.graph_from_edges(edges, num_nodes=n), incs, 0, (TRI,), seed, 5, 120)
         assert trace.existing_counts[-1] == 12 and trace.sampled[-1]
         assert_same_trace(trace, oracle_trace(n, edges, incs, 0, True, seed, 5, 120))
 
@@ -141,7 +147,7 @@ class TestTraceMatchesOracle:
         rng = np.random.default_rng(5)
         n, edges, incs = random_stream(rng, 10)
         graph = gf.graph_from_edges(edges, num_nodes=n)
-        _replay(graph, incs, 0, (TRI,), 0, 5, 120)
+        replay(graph, incs, 0, (TRI,), 0, 5, 120)
         assert graph.num_nodes == n and sorted(graph.edges()) == sorted(edges)
 
 
@@ -208,7 +214,7 @@ class TestRejectionsMatchOracle:
 
     def outcome(self, n, edges, incs, first_index):
         with pytest.raises(gf.GraphError) as got:
-            _replay(gf.graph_from_edges(edges, num_nodes=n), incs, first_index, (TRI,), 0, 5, 3)
+            replay(gf.graph_from_edges(edges, num_nodes=n), incs, first_index, (TRI,), 0, 5, 3)
         with pytest.raises(OracleRejection) as want:
             oracle_trace(n, edges, incs, first_index, True, 0, 5, 3)
         return (type(got.value).__name__, str(got.value)), (want.value.kind, want.value.message)

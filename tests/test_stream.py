@@ -1,10 +1,16 @@
 """Tests for edge-list ingestion, cleaning, grouping, and file round-trips."""
 
 import io
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import growthfit as gf
+from growthfit.events import StreamColumns
 from growthfit.stream import (
     EdgeRecord,
     clean_stream,
@@ -22,6 +28,7 @@ from growthfit.stream import (
     write_op_schedule,
     write_star_stream,
 )
+from oracles import OracleRejection, oracle_ingest
 
 SAMPLE = """# comment line
 A\tB\t0
@@ -56,6 +63,13 @@ class TestParseEdgeFile:
         with pytest.raises(gf.StreamParseError) as exc:
             parse_edge_file(io.StringIO("A\tB\t0\nA\tC\t1.5\n"))
         assert exc.value.line_number == 2
+
+    def test_timestamp_outside_int64_reports_line_number(self):
+        text = "a\tb\t1\nb\tc\t99999999999999999999999\n"
+        for read in (parse_edge_file, ingest_edge_file):
+            with pytest.raises(gf.StreamParseError, match="outside the 64-bit") as exc:
+                read(io.StringIO(text))
+            assert exc.value.line_number == 2
 
     def test_round_trip_through_file(self, tmp_path):
         recs = parse_edge_file(io.StringIO(SAMPLE))
@@ -236,6 +250,13 @@ class TestStarStreamFormat:
         path.write_text("# star-stream v1\n3\ta\tb\n3\tc\ta\n4\td\tc\n")
         assert [inc.timestamp for inc in read_star_stream(path).increments] == [3, 3, 4]
 
+    def test_timestamp_outside_int64_reports_line_number(self, tmp_path):
+        path = tmp_path / "big.stars"
+        path.write_text("# star-stream v1\n0\ta\tb\n99999999999999999999999\tb\tc\n")
+        with pytest.raises(gf.StreamParseError, match="outside the 64-bit") as exc:
+            read_star_stream(path)
+        assert exc.value.line_number == 3
+
     def test_corrupt_star_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.stars"
         path.write_text("# star-stream v1\n# seed-edge\t0\t1\n0\t2\n")
@@ -277,9 +298,118 @@ class TestOpScheduleFormat:
             assert len(a.existing_targets) == len(b.existing_targets)
             assert len(a.new_nodes) == len(b.new_nodes)
 
+    def test_timestamp_outside_int64_reports_line_number(self, tmp_path):
+        path = tmp_path / "big.ops"
+        path.write_text("# op-schedule v1\n0\t1\t0\t1\n99999999999999999999999\t1\t0\t1\n")
+        with pytest.raises(gf.StreamParseError, match="outside the 64-bit") as exc:
+            read_op_schedule(path)
+        assert exc.value.line_number == 3
+
     def test_decreasing_timestamp_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.ops"
         path.write_text("# op-schedule v1\n5\t1\t0\t1\n5\t0\t1\t0\n2\t1\t0\t2\n")
         with pytest.raises(gf.StreamParseError, match="timestamp 2 is below") as exc:
             read_op_schedule(path)
         assert exc.value.line_number == 4
+
+
+class TestGrowthStreamColumns:
+    def test_list_constructor_refuses_values_outside_int64(self):
+        good = gf.Increment(0, 0, True, (1,), (True,))
+        bad = gf.Increment(2**63, 2, True, (0,), (False,))
+        with pytest.raises(gf.StreamError, match="outside the 64-bit range"):
+            gf.GrowthStream([], [good, bad])
+
+    def test_columns_are_read_only_and_increments_a_fresh_list(self):
+        stream, _ = ingest_edge_file(io.StringIO(SAMPLE))
+        with pytest.raises(ValueError):
+            stream.columns.target[0] = 3
+        listed = stream.increments
+        listed.clear()
+        assert len(stream.increments) == 5
+
+
+NAMES = ["a", "b", "c", "d", "x y", "n10"]
+PADDING = ["", " ", "  "]
+# Rows the parser must refuse, each with its line number.
+MALFORMED = [
+    "a\tb",
+    "a\tb\t1\t2",
+    "\tb\t1",
+    "a\t \t1",
+    "a\tb\tone",
+    "a\tb\t1.5",
+    "a\tb\t",
+    "a\tb\t9223372036854775808",
+    "a\tb\t-9223372036854775809",
+]
+
+
+@st.composite
+def edge_files(draw):
+    """(line, line end) pairs of an edge file.
+
+    Comment, blank and whitespace-only lines, CRLF ends and padded fields
+    come between rows over a few names and timestamps, so self-loops,
+    repeats in both orientations and equal timestamps out of file order are
+    common.  A malformed row is rare.
+    """
+    kinds = ["row"] * 8 + ["comment", "blank", "space"] + ["bad"] * draw(st.sampled_from([0, 1]))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "row":
+            fields = (
+                draw(st.sampled_from(NAMES)),
+                draw(st.sampled_from(NAMES)),
+                str(draw(st.integers(-2, 4))),
+            )
+            line = "\t".join(
+                draw(st.sampled_from(PADDING)) + f + draw(st.sampled_from(PADDING)) for f in fields
+            )
+        else:
+            line = {"comment": "# note\twith\ttabs", "blank": "", "space": " \t "}.get(kind)
+            if line is None:
+                line = draw(st.sampled_from(MALFORMED))
+        lines.append((line, draw(st.sampled_from(["\n", "\r\n"]))))
+    return lines
+
+
+class TestIngestAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lines=edge_files())
+    # x-y is dropped as disconnected at t=1 and admitted at t=3
+    @example(lines=[("a\tb\t0", "\n"), ("x\ty\t1", "\n"), ("a\tx\t2", "\n"), ("x\ty\t3", "\n")])
+    def test_columns_labels_report_and_increments(self, lines):
+        raw = "".join(line + end for line, end in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.tsv"
+            path.write_bytes(raw.encode())
+            sources = (path, io.StringIO(raw))
+            try:
+                labels, increments, counts = oracle_ingest(path)
+            except OracleRejection as rejection:
+                for source in sources:
+                    with pytest.raises(gf.StreamParseError) as got:
+                        ingest_edge_file(source)
+                    assert f"line {got.value.line_number}" == rejection.message
+                return
+            expected = StreamColumns.of([gf.Increment(*inc) for inc in increments], 0)
+
+            def assert_stream(stream):
+                assert stream.labels == labels
+                assert [tuple(vars(inc).values()) for inc in stream.increments] == increments
+                for name, want in vars(expected).items():
+                    got = getattr(stream.columns, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+            for source in sources:
+                stream, report = ingest_edge_file(source)
+                assert report.to_dict() == counts
+                assert_stream(stream)
+            kept, report = clean_stream(parse_edge_file(path))
+            assert report.to_dict() == counts
+            assert_stream(group_increments(kept))
+            stars = Path(tmp) / "edges.stars"
+            write_star_stream(stars, stream)
+            assert_stream(read_star_stream(stars))
