@@ -27,7 +27,6 @@ from .estimation import (
     fit_changepoint,
     fit_degree_exponent,
     fit_intervals,
-    fit_stream_mixture,
     scan_interval_counts,
 )
 from .generate import GrowthRecipe, grow
@@ -146,14 +145,8 @@ def _cmd_fit(args) -> int:
     stream = _load(args)
     if args.components:
         comps = _parse_components(args.components)
-        result, _ = fit_stream_mixture(
-            stream,
-            comps,
-            j=1,
-            step=args.step,
-            **_score_kwargs(args),
-        )
-        _emit(args, result.to_json())
+        cache = build_choice_cache(stream, comps, **_score_kwargs(args))
+        _emit(args, fit_intervals(cache, 1, step=args.step).to_json())
         return 0
     grid = _parse_alpha_grid(args.grid_alpha) if args.grid_alpha else default_alpha_grid()
     fit = fit_degree_exponent(stream, grid=grid, **_score_kwargs(args))
@@ -171,14 +164,8 @@ def _cmd_fit(args) -> int:
 def _cmd_fit_intervals(args) -> int:
     stream = _load(args)
     comps = _parse_components(args.components)
-    result, _ = fit_stream_mixture(
-        stream,
-        comps,
-        j=args.intervals,
-        mode=args.interval_mode,
-        step=args.step,
-        **_score_kwargs(args),
-    )
+    cache = build_choice_cache(stream, comps, **_score_kwargs(args))
+    result = fit_intervals(cache, args.intervals, mode=args.interval_mode, step=args.step)
     _emit(args, result.to_json())
     return 0
 

@@ -38,14 +38,11 @@ from .likelihood import (
     MAX_EXHAUSTIVE_CHOICES,
     ChoiceCache,
     DPTrace,
-    _checked_range,
     _range_sums,
     _stream_trace,
     _trace_logp,
-    build_choice_cache,
     build_dp_trace,
     cache_logratios,
-    cache_loglik,
     dp_trace_logp,
     per_choice_ratio,
 )
@@ -184,18 +181,6 @@ def fit_component_family(
     return _scalar_scan(trace, grid, components)
 
 
-@dataclass
-class WeightFit:
-    """Best mixture weights over one increment range."""
-
-    weights: np.ndarray
-    loglik: float
-    loglik_rand: float
-    total_choices: int
-    start: int
-    stop: int
-
-
 # Float64 lattice sums a cache keeps per weight step: 2 MB.
 _LATTICE_SUM_BUDGET = 1 << 18
 # Fewest increments in a lattice-sum block, so a small lattice over many
@@ -263,41 +248,6 @@ def _interval_logliks(
             total += scored[at + 1]
         out.append(total)
     return out
-
-
-def _fit_range(
-    cache: ChoiceCache, grid: np.ndarray, logliks: np.ndarray, start: int, stop: int
-) -> WeightFit:
-    """First-max weight vector of ``grid`` over [start, stop), given its lattice log-likelihoods."""
-    best = _argmax_first(logliks)
-    return WeightFit(
-        weights=grid[best].copy(),
-        loglik=float(logliks[best]),
-        loglik_rand=float(cache.logp_rand[start:stop].sum()),
-        total_choices=int(cache.num_choices[start:stop].sum()),
-        start=start,
-        stop=stop,
-    )
-
-
-def fit_mixture_weights(
-    cache: ChoiceCache,
-    start: int = 0,
-    stop: int | None = None,
-    step: float = DEFAULT_WEIGHT_STEP,
-) -> WeightFit:
-    """Grid argmax of mixture weights over one increment range of a cache.
-
-    The range must be nonempty and lie within [0, I].  It is scored
-    directly by ``cache_loglik``: the block sums interval fits keep on the
-    cache are neither read nor filled, so the result does not depend on
-    which fits ran before it.
-    """
-    start, stop = _checked_range(cache, start, stop)
-    if stop == start:
-        raise IntervalUnderflowError(f"empty increment range [{start}, {stop})")
-    grid = simplex_grid(len(cache.components), step)
-    return _fit_range(cache, grid, cache_loglik(cache, grid, start, stop), start, stop)
 
 
 def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[tuple[int, int]]:
@@ -463,17 +413,17 @@ def _fit_groups(
     intervals: list[dict] = []
     loglik = 0.0
     for (lo, hi), logliks in zip(groups, _interval_logliks(cache, grid, kept, groups)):
-        part = _fit_range(cache, grid, logliks, lo, hi)
-        loglik += part.loglik
+        best = _argmax_first(logliks)
+        loglik += float(logliks[best])
         intervals.append(
             {
-                "weights": [float(w) for w in part.weights],
+                "weights": [float(w) for w in grid[best]],
                 "start_index": lo,
                 "end_index": hi - 1,
                 "start_time": int(cache.timestamps[lo]),
                 "end_time": int(cache.timestamps[hi - 1]),
                 "increments": hi - lo,
-                "choices": part.total_choices,
+                "choices": int(cache.num_choices[lo:hi].sum()),
             }
         )
     return FitResult(
@@ -789,21 +739,6 @@ def compare_interval_fits(coarse: FitResult, fine: FitResult) -> WilksReport:
         raise FitError("single-component fits have no free weights to test")
     df = (num_components - 1) * (fine.num_intervals - coarse.num_intervals)
     return wilks_test(coarse.loglik, fine.loglik, df)
-
-
-def fit_stream_mixture(
-    stream: GrowthStream,
-    components: Sequence[Component],
-    j: int = 1,
-    mode: str = "count",
-    step: float = DEFAULT_WEIGHT_STEP,
-    seed: int = 0,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-) -> tuple[FitResult, ChoiceCache]:
-    """Build a cache and fit a J-interval mixture in one call."""
-    cache = build_choice_cache(stream, components, seed=seed, ordering_samples=ordering_samples)
-    result = fit_intervals(cache, j, mode=mode, step=step)
-    return result, cache
 
 
 def changepoint_series_from_cache(cache: ChoiceCache, weights: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ ends once by node and event and answers each of these for many (node,
 increment) pairs at once, without replaying the graph.
 
 ``StreamColumns`` holds the increments as flat arrays, and
-``first_rejection`` checks them as ``graph.check_increment`` would one by
-one, reporting the lowest increment it rejects with the same error.
+``first_rejection`` checks them, each against the graph its predecessors
+build, reporting the lowest increment it rejects with its error.  It is the
+one rule set for what a graph admits: replay, statistics,
+``GrowthStream.final_graph`` and ``graph.apply_increment`` all ask it.
 """
 
 from __future__ import annotations
@@ -149,13 +151,16 @@ class StreamColumns:
 def first_rejection(
     cols: StreamColumns, seed_node: np.ndarray, seed_nbr: np.ndarray
 ) -> tuple[int, GraphError] | None:
-    """The lowest increment ``check_increment`` rejects, with its error, or None.
+    """The lowest increment the graph cannot take, with its error, or None.
 
     ``seed_node``/``seed_nbr`` are the seed graph's edge ends.  Every
     increment is checked against the graph its predecessors build, which is
     only meaningful up to the first rejection, so only that one is reported.
-    Within an increment the checks run in ``check_increment``'s order: the
-    center, then each target in list order.
+    Within an increment the center is checked first, then each target in
+    list order.  A new center or target must carry the next arrival index
+    (``UnknownNodeError``); an existing one must be a node of the graph
+    (``UnknownNodeError``), and an existing target of an existing center
+    must not repeat an edge (``RejectedIncrementError``).
     """
     num_nodes = cols.num_nodes
     tinc = cols.target_inc

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RejectedIncrementError, StreamError, UnknownNodeError
-from .events import (
-    StreamColumns,
-    duplicate_edge_error,
-    first_rejection,
-    graph_ends,
-    new_id_error,
-    offsets,
-    unknown_node_error,
-)
+from .events import StreamColumns, first_rejection, graph_ends, offsets
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,10 @@ class Increment:
 
     def __post_init__(self):
         if len(self.targets) != len(self.targets_new):
-            raise ValueError("targets and targets_new lengths differ")
+            raise StreamError(
+                f"increment at t={self.timestamp} has {len(self.targets)} targets "
+                f"but {len(self.targets_new)} new-target tags"
+            )
         if len(set(self.targets)) != len(self.targets):
             raise RejectedIncrementError(f"duplicate targets in increment at t={self.timestamp}")
         if self.center in self.targets:
@@ -102,9 +99,6 @@ class DynamicGraph:
     def neighbors(self, u: int) -> set[int]:
         return self.adj[u]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < len(self.adj) and v in self.adj[u]
-
     def common_neighbor_count(self, u: int, v: int) -> int:
         a, b = self.adj[u], self.adj[v]
         if len(b) < len(a):
@@ -129,37 +123,32 @@ class DynamicGraph:
         assert total == 2 * self.edge_count
 
 
-def check_increment(graph: DynamicGraph, inc: Increment) -> int:
-    """Raise unless ``inc`` applies to ``graph``; return the node count after it.
-
-    New-tagged references must carry the indices they will receive (center
-    first, then new targets in list order); existing-tagged references must
-    resolve to current nodes and must not duplicate an edge.
-    """
-    n = graph.num_nodes
-    next_id = n
-    if inc.center_is_new:
-        if inc.center != next_id:
-            raise new_id_error("center", inc.center, next_id)
-        next_id += 1
-    elif not 0 <= inc.center < n:
-        raise unknown_node_error("center", inc.center, n)
-    for t, new in zip(inc.targets, inc.targets_new):
-        if new:
-            if t != next_id:
-                raise new_id_error("target", t, next_id)
-            next_id += 1
-        else:
-            if not 0 <= t < n:
-                raise unknown_node_error("target", t, n)
-            if not inc.center_is_new and graph.has_edge(inc.center, t):
-                raise duplicate_edge_error(inc.center, t, inc.timestamp)
-    return next_id
+def _columns(increments: list[Increment], first_nodes: int) -> StreamColumns:
+    """``StreamColumns.of``, refusing values outside int64 with ``StreamError``."""
+    try:
+        return StreamColumns.of(increments, first_nodes)
+    except OverflowError:
+        raise StreamError("a timestamp or node id is outside the 64-bit range") from None
 
 
 def apply_increment(graph: DynamicGraph, inc: Increment) -> DynamicGraph:
-    """Apply one star increment in place and return the graph (see ``check_increment``)."""
-    for _ in range(check_increment(graph, inc) - graph.num_nodes):
+    """Apply one star increment in place and return the graph.
+
+    New-tagged references must carry the indices they will receive (center
+    first, then new targets in list order); existing-tagged references must
+    resolve to current nodes and must not duplicate an edge.  An increment
+    the graph cannot take raises what ``events.first_rejection`` reports for
+    it, and leaves the graph unchanged.
+    """
+    n = graph.num_nodes
+    cols = _columns([inc], n)
+    # Only the center's edges can repeat one of the star's.
+    nbrs = graph.adj[inc.center] if 0 <= inc.center < n else ()
+    ends = np.full(len(nbrs), inc.center, dtype=np.int64), np.fromiter(nbrs, np.int64, len(nbrs))
+    rejection = first_rejection(cols, *ends)
+    if rejection is not None:
+        raise rejection[1]
+    for _ in inc.new_nodes:
         graph.add_node()
     for t in inc.targets:
         graph.add_edge(inc.center, t)
@@ -203,11 +192,7 @@ class GrowthStream:
 
     def __init__(self, seed_edges=(), increments=(), labels: list[str] | None = None):
         seed_edges = list(seed_edges)
-        try:
-            columns = StreamColumns.of(list(increments), seed_nodes(seed_edges))
-        except OverflowError:
-            raise StreamError("a timestamp or node id is outside the 64-bit range") from None
-        self._hold(seed_edges, columns, labels)
+        self._hold(seed_edges, _columns(list(increments), seed_nodes(seed_edges)), labels)
 
     @classmethod
     def from_columns(cls, seed_edges, columns: StreamColumns, labels) -> GrowthStream:
@@ -241,8 +226,8 @@ class GrowthStream:
     def final_graph(self) -> DynamicGraph:
         """The graph after every increment.
 
-        An invalid stream raises what ``check_increment`` raises at its
-        first increment that the graph before it cannot take.
+        An invalid stream raises what ``events.first_rejection`` reports for
+        its first increment that the graph before it cannot take.
         """
         g = self.seed_graph()
         cols = self.columns

@@ -38,9 +38,9 @@ the graph: it numbers the edge events once (``events.EdgeEvents``) and asks
 for degrees, neighborhoods, common neighbors and closed triangles before
 each increment with whole-array queries.  The increments are validated the
 same way, and the lowest one the graph cannot take raises the error
-``graph.check_increment`` gives it.  The only per-increment Python work left
-is one generator call per sampled star and ``math.fsum`` for baselines of
-more than two steps.  Scoring expands the sampled stars' steps from the
+``events.first_rejection`` reports for it.  The only per-increment Python
+work left is one generator call per sampled star and ``math.fsum`` for
+baselines of more than two steps.  Scoring expands the sampled stars' steps from the
 table one bounded batch of stars at a time, with index arithmetic only, so
 its working set does not grow with the orderings times the targets.
 
@@ -127,11 +127,12 @@ _ROW_BATCH_ELEMENTS = 1 << 21
 # Sampled-star steps expanded from the orderings table at once, in entries:
 # every path scores sampled stars one run of these at a time.
 _ORDERING_BATCH_ELEMENTS = 1 << 16
-# Weight vectors cache_loglik scores at once.
+# Weight vectors _range_sums scores at once.
 _LATTICE_CHUNK = 256
-# Lattice values, in float64 elements, that one buffer holds when a call
-# scores many touching ranges (512 KB); a range larger than this is scored
-# alone, as cache_loglik's is.
+# Lattice values, in float64 elements, that one slab of touching ranges holds
+# at once in _range_sums (512 KB).  A range with more increments than a slab
+# admits is a slab alone, whose values grow with it: cache_loglik's one range
+# holds (its rows of one degree) x _LATTICE_CHUNK values, however long.
 _SLAB_ELEMENTS = 1 << 16
 
 
@@ -505,9 +506,9 @@ def _replay(
     the graph and the increments.  ``first_index`` is the stream index of the
     first increment, which seeds its ordering sample.  Triangle data are
     recorded only when ``components`` include triangle closure.  The lowest
-    increment the graph cannot take raises the error ``check_increment``
-    gives it, or the eligibility error when it has more existing targets
-    than eligible nodes.
+    increment the graph cannot take raises the error ``first_rejection``
+    reports for it, or the eligibility error when it has more existing
+    targets than eligible nodes.
     """
     if ordering_samples < 1:
         raise ModelError(f"ordering_samples must be at least 1, got {ordering_samples}")
@@ -1400,29 +1401,6 @@ def _checked_range(cache: ChoiceCache, start: int, stop: int | None) -> tuple[in
     return start, stop
 
 
-def _range_blocks(
-    cache: ChoiceCache, ncomp: int, start: int, stop: int
-) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray]:
-    """The increments of [start, stop), resolved once for every weight vector.
-
-    Returns (degree, indices, coefficients) per collapsed degree, each block
-    an (n, monomials) view into ``poly_coefs`` and degrees with no increment
-    in the range left out, then the row-path indices.
-    """
-    blocks = []
-    for degree in range(1, len(cache.poly_offsets) - 1):
-        incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
-        a, b = np.searchsorted(incs, (start, stop))
-        if a == b:
-            continue
-        size = len(_monomial_exponents(ncomp, degree))
-        base = cache.poly_coef_offsets[degree]
-        coefs = cache.poly_coefs[base + a * size : base + b * size].reshape(b - a, size)
-        blocks.append((degree, incs[a:b], coefs))
-    a, b = np.searchsorted(cache.row_increments, (start, stop))
-    return blocks, cache.row_increments[a:b]
-
-
 def _row_batches(cache: ChoiceCache, incs: np.ndarray, num_weights: int) -> list[np.ndarray]:
     """Row-path increments in batches bounding the orderings and mixed step values held at once."""
     orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
@@ -1445,12 +1423,14 @@ def cache_logratios(
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     start, stop = _checked_range(cache, start, stop)
-    blocks, rows = _range_blocks(cache, w.shape[1], start, stop)
     out = np.empty((stop - start, w.shape[0]))
-    for degree, incs, coefs in blocks:
-        with np.errstate(divide="ignore"):
-            out[incs - start] = np.log(coefs @ _monomials(w, degree))
-    for incs in _row_batches(cache, rows, w.shape[0]):
+    # One range is one slab, whatever its size.
+    for degree, slabs in _slab_blocks(cache, w.shape[1], np.array([start]), np.array([stop]), 1):
+        for coefs, incs, _ in slabs:
+            with np.errstate(divide="ignore"):
+                out[incs - start] = np.log(coefs @ _monomials(w, degree))
+    a, b = np.searchsorted(cache.row_increments, (start, stop))
+    for incs in _row_batches(cache, cache.row_increments[a:b], w.shape[0]):
         out[incs - start] = _row_logratios(cache, incs, w)
     return out[:, 0] if single else out
 
@@ -1474,14 +1454,14 @@ def _slabs(starts: np.ndarray, stops: np.ndarray, limit: int) -> np.ndarray:
 
 def _slab_blocks(
     cache: ChoiceCache, ncomp: int, starts: np.ndarray, stops: np.ndarray, limit: int
-) -> list[tuple[int, list[tuple[np.ndarray, list[tuple[int, int, int]]]]]]:
+) -> list[tuple[int, list[tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]]]]:
     """Per collapsed degree, the rows each slab of ranges scores, resolved once per call.
 
     Returns (degree, slabs) for every degree with an increment in some
-    range.  A slab is (coefs, parts): ``coefs`` is the (n, monomials) view
-    of ``poly_coefs`` holding the slab's increments of the degree, in
-    order, and each range of the slab with any of them is a part (range,
-    first row, end row).
+    range.  A slab is (coefs, incs, parts): ``coefs`` is the (n, monomials)
+    view of ``poly_coefs`` holding the slab's n increments of the degree,
+    in order, ``incs`` their indices, and each range of the slab with any
+    of them is a part (range, first row, end row).
     """
     firsts = _slabs(starts, stops, limit)
     lasts = np.append(firsts[1:], len(starts)) - 1
@@ -1506,7 +1486,7 @@ def _slab_blocks(
         for k, (p, q) in enumerate(zip(first_row.tolist(), hi[lasts].tolist())):
             if p < q:
                 coefs = cache.poly_coefs[base + p * size : base + q * size].reshape(q - p, size)
-                slabs.append((coefs, parts[at[k] : at[k + 1]]))
+                slabs.append((coefs, incs[p:q], parts[at[k] : at[k + 1]]))
         out.append((degree, slabs))
     return out
 
@@ -1544,7 +1524,7 @@ def _range_sums(
         total = out[:, lo : lo + _LATTICE_CHUNK]
         for degree, slabs in blocks:
             monomials = _monomials(chunk, degree)
-            for coefs, parts in slabs:
+            for coefs, _, parts in slabs:
                 values = buf[: len(coefs) * len(chunk)].reshape(len(coefs), len(chunk))
                 np.matmul(coefs, monomials, out=values)
                 with np.errstate(divide="ignore"):

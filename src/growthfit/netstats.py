@@ -71,7 +71,7 @@ def _assortativity(degs: np.ndarray, ends: np.ndarray) -> float | None:
 def _stats_rows(graph: DynamicGraph, cols: StreamColumns, checkpoints: list[int]) -> list[StatRow]:
     """Statistics after each (ascending) count of the increments ``cols`` applied to ``graph``.
 
-    The lowest increment the graph cannot take raises its ``check_increment`` error.
+    The lowest increment the graph cannot take raises its ``first_rejection`` error.
     """
     seed_node, seed_nbr = graph_ends(graph)
     rejection = first_rejection(cols, seed_node, seed_nbr)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import StreamError, StreamParseError
+from .errors import StreamParseError
 from .events import StreamColumns, offsets
 from .graph import GrowthStream
 
@@ -125,18 +125,6 @@ def _edge_rows(source) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     return list(names), *(np.array(c, dtype=np.int64) for c in (src, dst, stamps))
 
 
-def _record_rows(records: list[EdgeRecord]) -> tuple[list[str], np.ndarray, ...]:
-    """``_edge_rows`` of edge records."""
-    names: dict[str, int] = {}
-    ids = [names.setdefault(name, len(names)) for r in records for name in (r.source, r.dest)]
-    try:
-        stamps = np.array([r.timestamp for r in records], dtype=np.int64)
-    except OverflowError:
-        raise StreamError("an edge timestamp is outside the 64-bit integer range") from None
-    ids = np.array(ids, dtype=np.int64)
-    return list(names), ids[0::2], ids[1::2], stamps
-
-
 def _admit(src, dst, stamps: np.ndarray) -> tuple[np.ndarray, CleaningReport]:
     """The rows a growing simple graph admits, in admission order, and the counts of the rest.
 
@@ -213,43 +201,18 @@ def _star_columns(seen: np.ndarray, stamps, gain, skip: int, first_nodes: int) -
     return cols, nodes[by_arrival], ids[:skip]
 
 
-def parse_edge_file(source) -> list[EdgeRecord]:
-    """Read an edge list; malformed rows raise with their line number."""
-    names, src, dst, stamps = _edge_rows(source)
-    return [
-        EdgeRecord(names[a], names[b], t)
-        for a, b, t in zip(src.tolist(), dst.tolist(), stamps.tolist())
-    ]
-
-
 def write_edge_file(path, records: Iterable[EdgeRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(f"{rec.source}\t{rec.dest}\t{rec.timestamp}\n")
 
 
-def clean_stream(records: Iterable[EdgeRecord]) -> tuple[list[EdgeRecord], CleaningReport]:
-    """Sort by timestamp and drop rows a growing simple graph cannot admit (see ``_admit``)."""
-    records = list(records)
-    _, src, dst, stamps = _record_rows(records)
-    kept, report = _admit(src, dst, stamps)
-    return [records[i] for i in kept.tolist()], report
-
-
-def group_increments(records: list[EdgeRecord]) -> GrowthStream:
-    """Group a cleaned edge list into stars and densify node ids (see ``_stars``).
-
-    A star that repeats a target or loops onto its center raises
-    ``RejectedIncrementError``; cleaned rows never form one.
-    """
-    stream = GrowthStream.from_columns([], *_stars(*_record_rows(records)))
-    # Building the increments runs ``Increment``'s own checks, star by star.
-    stream.increments
-    return stream
-
-
 def ingest_edge_file(source) -> tuple[GrowthStream, CleaningReport]:
-    """parse + clean + group in one call, on integer node ids."""
+    """Read an edge list, clean it (see ``_admit``) and group it into stars (see ``_stars``).
+
+    Returns the stream and the cleaning counts; malformed rows raise with
+    their line number.
+    """
     names, src, dst, stamps = _edge_rows(source)
     kept, report = _admit(src, dst, stamps)
     cols, labels = _stars(names, src[kept], dst[kept], stamps[kept])

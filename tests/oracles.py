@@ -215,7 +215,11 @@ def _log_factorial(q):
 
 
 def _check_increment(neigh, inc):
-    """Raise as ``graph.check_increment`` does; return the node count after ``inc``."""
+    """Raise what ``events.first_rejection`` reports for ``inc``; return the node count after it.
+
+    The reference for ``graph.apply_increment`` and the replay: the center
+    is checked first, then each target in list order, against ``neigh``.
+    """
     n = len(neigh)
     next_id = n
     if inc.center_is_new:

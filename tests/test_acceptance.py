@@ -128,7 +128,7 @@ class TestCriterion05MixtureWeightRecovery:
             estimates = []
             for seed in range(10):
                 cache = gf.build_choice_cache(gf.grow(recipe, seed=seed), components)
-                estimates.append(gf.fit_mixture_weights(cache).weights[0])
+                estimates.append(gf.fit_intervals(cache, 1).intervals[0]["weights"][0])
             estimates = np.array(estimates)
             assert abs(estimates.mean() - beta) <= 0.1, (beta, estimates.mean())
             mae[beta] = float(np.abs(estimates - beta).mean())

@@ -169,6 +169,8 @@ class TestFitDegreeExponent:
 
 
 class TestFitMixtureWeights:
+    """Weight recovery by a one-interval fit."""
+
     def test_recovers_even_mixture(self):
         stream = gf.grow(
             gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=900, new_targets=3),
@@ -176,9 +178,9 @@ class TestFitMixtureWeights:
         )
         comps = [gf.DegreePower(1.0), gf.Random()]
         cache = gf.build_choice_cache(stream, comps)
-        fit = gf.fit_mixture_weights(cache, 0, cache.num_increments)
-        assert abs(fit.weights[0] - 0.5) <= 0.1
-        assert abs(sum(fit.weights) - 1.0) < 1e-9
+        (interval,) = gf.fit_intervals(cache, 1).intervals
+        assert abs(interval["weights"][0] - 0.5) <= 0.1
+        assert abs(sum(interval["weights"]) - 1.0) < 1e-9
 
     def test_pure_component_hits_vertex(self):
         stream = gf.grow(
@@ -186,8 +188,8 @@ class TestFitMixtureWeights:
         )
         comps = [gf.DegreePower(1.0), gf.Random()]
         cache = gf.build_choice_cache(stream, comps)
-        fit = gf.fit_mixture_weights(cache, 0, cache.num_increments)
-        assert fit.weights[1] >= 0.9
+        (interval,) = gf.fit_intervals(cache, 1).intervals
+        assert interval["weights"][1] >= 0.9
 
     def test_infeasible_stream_raises(self):
         inc = gf.Increment(0, 0, False, (4,), (False,))
@@ -196,16 +198,7 @@ class TestFitMixtureWeights:
         )
         cache = gf.build_choice_cache(stream, [gf.TriangleClosure()])
         with pytest.raises(gf.NoFeasibleFitError):
-            gf.fit_mixture_weights(cache, 0, 1)
-
-    def test_range_outside_stream_raises(self):
-        stream = gf.grow(gf.GrowthRecipe.constant("RAND", increments=30, new_targets=2), seed=5)
-        cache = gf.build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
-        for start, stop in [(-5, 10), (35, 40), (0, 130), (10, 5)]:
-            with pytest.raises(gf.FitError, match=rf"\[{start}, {stop}\).* I = 30$"):
-                gf.fit_mixture_weights(cache, start, stop)
-        with pytest.raises(gf.IntervalUnderflowError):
-            gf.fit_mixture_weights(cache, 30, 30)
+            gf.fit_intervals(cache, 1)
 
 
 class TestFitIntervals:
@@ -328,13 +321,6 @@ class TestFitIntervals:
         _, cache = self.make_two_phase(n=600)
         fits = gf.scan_interval_counts(cache, 1, 4)
         assert [len(f.intervals) for f in fits] == [1, 2, 3, 4]
-
-    def test_fit_stream_mixture_wraps_cache_build(self):
-        stream, cache = self.make_two_phase(n=400)
-        comps = [gf.DegreePower(1.0), gf.Random()]
-        fit, built = gf.fit_stream_mixture(stream, comps, j=2)
-        assert fit.loglik == gf.fit_intervals(cache, 2).loglik
-        assert built.num_increments == cache.num_increments
 
 
 def fresh(cache):
@@ -481,15 +467,6 @@ class TestBlockSums:
         assert len(kept.sums) == cache.num_increments // estimation._MIN_BLOCK_INCREMENTS
         assert fit.to_dict() == gf.fit_intervals(fresh(cache), 3, step=0.1).to_dict()
         self.assert_matches_direct(cache, [fit], simplex_grid(3, 0.1))
-
-    def test_sub_range_fit_neither_reads_nor_fills_the_sums(self, lattice_caches):
-        cache = fresh(lattice_caches[0])
-        before = gf.fit_mixture_weights(cache, 13, 101)
-        assert cache._lattice_sums == {}
-        gf.fit_intervals(cache, 1)
-        after = gf.fit_mixture_weights(cache, 13, 101)
-        assert after.weights.tolist() == before.weights.tolist()
-        assert after.loglik == before.loglik
 
     def test_first_fit_peaks_at_the_kept_sums_plus_one_slab(self):
         stream = gf.grow(

@@ -1,9 +1,11 @@
 """Tests for the dynamic graph and star-increment plumbing."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import growthfit as gf
-from oracles import oracle_triangle_count
+from oracles import OracleRejection, _check_increment, oracle_triangle_count
 
 
 class TestDynamicGraph:
@@ -83,6 +85,13 @@ class TestIncrement:
         with pytest.raises(gf.RejectedIncrementError):
             gf.Increment(0, 2, False, (2, 3), (False, False))
 
+    def test_target_tag_count_mismatch_is_a_stream_error(self):
+        with pytest.raises(gf.StreamError, match="2 targets but 1 new-target tags"):
+            gf.Increment(4, 3, True, (0, 1), (False,))
+        rows = [(0, 3, True, (0, 1), (False, False)), (1, 4, True, (2,), (False, True))]
+        with pytest.raises(gf.StreamError, match="t=1 has 1 targets but 2 new-target tags"):
+            gf.GrowthStream([(0, 1), (1, 2)], (gf.Increment(*row) for row in rows))
+
 
 class TestApplyIncrement:
     def test_external_star(self):
@@ -119,6 +128,77 @@ class TestApplyIncrement:
         inc = gf.Increment(1, 0, False, (1,), (False,))
         with pytest.raises(gf.RejectedIncrementError):
             gf.apply_increment(g, inc)
+
+
+def path_graph():
+    return gf.graph_from_edges([(0, 1), (1, 2), (2, 3)])
+
+
+def snapshot(graph):
+    return graph.num_nodes, graph.edge_count, list(graph.degrees), sorted(graph.edges())
+
+
+def assert_applies_as_oracle(graph, inc):
+    """apply_increment raises the reference check's error and leaves the graph, or applies."""
+    before = snapshot(graph)
+    try:
+        after = _check_increment(graph.adj, inc)
+    except OracleRejection as rejection:
+        with pytest.raises(gf.GraphError) as got:
+            gf.apply_increment(graph, inc)
+        assert (type(got.value).__name__, str(got.value)) == (rejection.kind, rejection.message)
+        assert snapshot(graph) == before
+        return
+    gf.apply_increment(graph, inc)
+    assert graph.num_nodes == after
+    assert graph.edge_count == before[1] + len(inc.targets)
+    graph.check_invariants()
+
+
+class TestApplyIncrementErrors:
+    @pytest.mark.parametrize(
+        "inc",
+        [
+            gf.Increment(1, 9, True, (0, 1), (False, False)),  # new center skips an id
+            gf.Increment(1, 7, False, (0,), (False,)),  # existing center past the graph
+            gf.Increment(1, -1, False, (0,), (False,)),  # negative existing center
+            gf.Increment(1, 4, True, (6, 0), (True, False)),  # new target skips an id
+            gf.Increment(1, 0, False, (5,), (True,)),  # new target after an existing center
+            gf.Increment(1, 4, True, (0, 8), (False, False)),  # existing target past the graph
+            gf.Increment(1, 0, False, (2, 1), (False, False)),  # edge (0, 1) already there
+            gf.Increment(1, 0, False, (1, 9), (False, False)),  # first bad target is reported
+            gf.Increment(1, 8, False, (1, 9), (False, False)),  # bad center before bad target
+            gf.Increment(1, 3, False, (1, 4), (False, True)),  # applies
+        ],
+    )
+    def test_error_type_message_and_untouched_graph(self, inc):
+        assert_applies_as_oracle(path_graph(), inc)
+
+    def test_value_outside_int64_is_a_stream_error(self):
+        graph = path_graph()
+        before = snapshot(graph)
+        for inc in (
+            gf.Increment(2**63, 0, False, (2,), (False,)),
+            gf.Increment(0, 0, False, (2**64,), (False,)),
+            gf.Increment(0, -(2**70), False, (1,), (False,)),
+        ):
+            with pytest.raises(gf.StreamError, match="outside the 64-bit range"):
+                gf.apply_increment(graph, inc)
+        assert snapshot(graph) == before
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8),
+        center=st.integers(-1, 7),
+        center_is_new=st.booleans(),
+        targets=st.lists(st.tuples(st.integers(-1, 8), st.booleans()), min_size=1, max_size=4),
+    )
+    def test_matches_the_reference_check(self, edges, center, center_is_new, targets):
+        ids = [t for t, _ in targets]
+        assume(len(set(ids)) == len(ids) and center not in ids)
+        graph = gf.graph_from_edges({(min(e), max(e)) for e in edges if e[0] != e[1]}, 5)
+        inc = gf.Increment(0, center, center_is_new, tuple(ids), tuple(n for _, n in targets))
+        assert_applies_as_oracle(graph, inc)
 
 
 class TestGrowthStream:

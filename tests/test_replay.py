@@ -155,7 +155,7 @@ def unchecked_increment(timestamp, center, center_is_new, targets, targets_new):
     """An increment past ``Increment``'s own checks, which forbid repeated targets.
 
     Repeating a target is the only way an increment passes
-    ``check_increment`` with more existing targets than eligible nodes.
+    ``events.first_rejection`` with more existing targets than eligible nodes.
     """
     inc = object.__new__(gf.Increment)
     for name, value in zip(

@@ -13,12 +13,9 @@ import growthfit as gf
 from growthfit.events import StreamColumns
 from growthfit.stream import (
     EdgeRecord,
-    clean_stream,
     extract_operation_schedule,
-    group_increments,
     ingest_edge_file,
     load_stream,
-    parse_edge_file,
     read_op_schedule,
     read_star_stream,
     sniff_format,
@@ -42,45 +39,62 @@ E\tA\t4
 """
 
 
+def ingest(text):
+    return ingest_edge_file(io.StringIO(text))
+
+
+def kept_records(text):
+    """The edge rows ingest keeps, in admission order, with the cleaning report."""
+    stream, report = ingest(text)
+    return list(stream_edge_records(stream)), report
+
+
 class TestParseEdgeFile:
     def test_parses_records_and_skips_comments(self):
-        recs = parse_edge_file(io.StringIO(SAMPLE))
-        assert len(recs) == 8
-        assert recs[0] == EdgeRecord("A", "B", 0)
-        assert recs[-1] == EdgeRecord("E", "A", 4)
+        kept, report = kept_records(SAMPLE)
+        assert report.input_records == 8
+        assert kept == [
+            EdgeRecord("A", "B", 0),
+            EdgeRecord("B", "C", 1),
+            EdgeRecord("B", "D", 3),
+            EdgeRecord("E", "A", 4),
+            EdgeRecord("D", "E", 9),
+        ]
 
     def test_wrong_field_count_reports_line_number(self):
         with pytest.raises(gf.StreamParseError) as exc:
-            parse_edge_file(io.StringIO("A\tB\t0\nA\tB\n"))
+            ingest("A\tB\t0\nA\tB\n")
         assert exc.value.line_number == 2
 
     def test_non_integer_timestamp_reports_line_number(self):
         with pytest.raises(gf.StreamParseError) as exc:
-            parse_edge_file(io.StringIO("A\tB\tzero\n"))
+            ingest("A\tB\tzero\n")
         assert exc.value.line_number == 1
 
     def test_fractional_timestamp_reports_line_number(self):
         with pytest.raises(gf.StreamParseError) as exc:
-            parse_edge_file(io.StringIO("A\tB\t0\nA\tC\t1.5\n"))
+            ingest("A\tB\t0\nA\tC\t1.5\n")
         assert exc.value.line_number == 2
 
     def test_timestamp_outside_int64_reports_line_number(self):
-        text = "a\tb\t1\nb\tc\t99999999999999999999999\n"
-        for read in (parse_edge_file, ingest_edge_file):
-            with pytest.raises(gf.StreamParseError, match="outside the 64-bit") as exc:
-                read(io.StringIO(text))
-            assert exc.value.line_number == 2
+        with pytest.raises(gf.StreamParseError, match="outside the 64-bit") as exc:
+            ingest("a\tb\t1\nb\tc\t99999999999999999999999\n")
+        assert exc.value.line_number == 2
 
     def test_round_trip_through_file(self, tmp_path):
-        recs = parse_edge_file(io.StringIO(SAMPLE))
+        stream, _ = ingest(SAMPLE)
         path = tmp_path / "edges.tsv"
-        write_edge_file(path, recs)
-        assert parse_edge_file(path) == recs
+        write_edge_file(path, stream_edge_records(stream))
+        back, report = ingest_edge_file(path)
+        assert report.kept == report.input_records == 5
+        assert back.labels == stream.labels
+        for name, want in vars(stream.columns).items():
+            assert np.array_equal(getattr(back.columns, name), want), name
 
 
 class TestCleanStream:
     def test_priorities_and_counts(self):
-        kept, report = clean_stream(parse_edge_file(io.StringIO(SAMPLE)))
+        stream, report = ingest(SAMPLE)
         assert report.to_dict() == {
             "input_records": 8,
             "kept": 5,
@@ -88,51 +102,42 @@ class TestCleanStream:
             "duplicates": 2,
             "disconnected": 0,
         }
-        assert [r.timestamp for r in kept] == [0, 1, 3, 4, 9]
+        assert stream.columns.timestamp.tolist() == [0, 1, 3, 4, 9]
 
     def test_reversed_duplicate_is_dropped(self):
-        recs = [EdgeRecord("A", "B", 0), EdgeRecord("B", "A", 5)]
-        kept, report = clean_stream(recs)
+        kept, report = kept_records("A\tB\t0\nB\tA\t5\n")
         assert len(kept) == 1
         assert report.duplicates == 1
 
     def test_disconnected_edges_dropped_until_touching(self):
-        recs = [
-            EdgeRecord("A", "B", 0),
-            EdgeRecord("X", "Y", 1),  # neither endpoint known yet
-            EdgeRecord("A", "X", 2),  # admits X
-            EdgeRecord("X", "Y", 3),  # now attaches
-        ]
-        kept, report = clean_stream(recs)
+        kept, report = kept_records(
+            "A\tB\t0\n"
+            "X\tY\t1\n"  # neither endpoint known yet
+            "A\tX\t2\n"  # admits X
+            "X\tY\t3\n"  # now attaches
+        )
         assert report.disconnected == 1
         assert report.kept == 3
         assert kept[-1] == EdgeRecord("X", "Y", 3)
 
     def test_first_edge_of_empty_graph_is_kept(self):
-        kept, report = clean_stream([EdgeRecord("P", "Q", 7)])
+        _, report = ingest("P\tQ\t7\n")
         assert report.kept == 1
         assert report.disconnected == 0
 
     def test_sort_is_stable_within_timestamp(self):
-        recs = [
-            EdgeRecord("A", "B", 1),
-            EdgeRecord("A", "C", 0),
-            EdgeRecord("A", "D", 1),
-        ]
-        kept, _ = clean_stream(recs)
+        kept, _ = kept_records("A\tB\t1\nA\tC\t0\nA\tD\t1\n")
         assert [(r.dest, r.timestamp) for r in kept] == [("C", 0), ("B", 1), ("D", 1)]
 
 
 class TestGroupIncrements:
     def test_stars_group_by_timestamp_and_source(self):
-        recs = [
-            EdgeRecord("A", "B", 0),
-            EdgeRecord("C", "A", 1),
-            EdgeRecord("C", "B", 1),
-            EdgeRecord("B", "D", 2),  # different source: separate increment
-        ]
-        kept, _ = clean_stream(recs)
-        stream = group_increments(kept)
+        stream, _ = ingest(
+            "A\tB\t0\n"
+            "C\tA\t1\n"
+            "C\tB\t1\n"
+            "B\tD\t2\n"  # different source: separate increment
+        )
         assert len(stream.increments) == 3
         star = stream.increments[1]
         assert star.center == 2
@@ -140,22 +145,19 @@ class TestGroupIncrements:
         assert star.targets_new == (False, False)
 
     def test_labels_follow_first_appearance(self):
-        kept, _ = clean_stream(parse_edge_file(io.StringIO(SAMPLE)))
-        stream = group_increments(kept)
+        stream, _ = ingest(SAMPLE)
         assert stream.labels == ["A", "B", "C", "D", "E"]
         assert stream.label(3) == "D"
 
     def test_new_and_existing_tags(self):
-        kept, _ = clean_stream(parse_edge_file(io.StringIO(SAMPLE)))
-        stream = group_increments(kept)
+        stream, _ = ingest(SAMPLE)
         first = stream.increments[0]
         assert first.center_is_new and first.targets_new == (True,)
         last = stream.increments[-1]
         assert not last.center_is_new and last.targets_new == (False,)
 
     def test_summary_counts(self):
-        kept, _ = clean_stream(parse_edge_file(io.StringIO(SAMPLE)))
-        summary = summarize_stream(group_increments(kept))
+        summary = summarize_stream(ingest(SAMPLE)[0])
         assert summary.increments == 5
         assert summary.edges == 5
         assert summary.new_nodes == 5
@@ -163,7 +165,7 @@ class TestGroupIncrements:
         assert summary.model_choices == 5
 
     def test_ingest_is_parse_clean_group(self):
-        stream, report = ingest_edge_file(io.StringIO(SAMPLE))
+        stream, report = ingest(SAMPLE)
         assert report.kept == 5
         assert stream.final_graph().num_nodes == 5
 
@@ -407,9 +409,6 @@ class TestIngestAgainstOracle:
                 stream, report = ingest_edge_file(source)
                 assert report.to_dict() == counts
                 assert_stream(stream)
-            kept, report = clean_stream(parse_edge_file(path))
-            assert report.to_dict() == counts
-            assert_stream(group_increments(kept))
             stars = Path(tmp) / "edges.stars"
             write_star_stream(stars, stream)
             assert_stream(read_star_stream(stars))
