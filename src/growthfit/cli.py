@@ -30,7 +30,7 @@ from .estimation import (
     scan_interval_counts,
 )
 from .generate import GrowthRecipe, grow
-from .likelihood import DEFAULT_ORDERING_SAMPLES, build_choice_cache, score_stream
+from .likelihood import DEFAULT_ORDERING_SAMPLES, build_choice_cache, build_dp_trace, score_stream
 from .models import model_similarity
 from .modelspec import parse_component, parse_model_spec
 from .netstats import stats_series, write_stats_csv
@@ -86,8 +86,9 @@ def _load(args):
     return load_stream(args.data)
 
 
-def _score_kwargs(args) -> dict:
-    return {"seed": args.seed, "ordering_samples": args.ordering_samples}
+def _trace(args):
+    """The one replay of the command's stream, at its --seed and --ordering-samples."""
+    return build_dp_trace(_load(args), seed=args.seed, ordering_samples=args.ordering_samples)
 
 
 def _cmd_ingest(args) -> int:
@@ -128,7 +129,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    stream = _load(args)
     if args.fit:
         with open(args.fit, "r", encoding="utf-8") as fh:
             schedule = FitResult.from_json(fh.read()).schedule()
@@ -136,20 +136,19 @@ def _cmd_score(args) -> int:
         schedule = parse_model_spec(args.model)
     else:
         raise GrowthFitError("score needs --model or --fit")
-    summary, _ = score_stream(stream, schedule, **_score_kwargs(args))
+    summary, _ = score_stream(_trace(args), schedule)
     _emit(args, json.dumps(summary.to_dict(), indent=2))
     return 0
 
 
 def _cmd_fit(args) -> int:
-    stream = _load(args)
     if args.components:
         comps = _parse_components(args.components)
-        cache = build_choice_cache(stream, comps, **_score_kwargs(args))
+        cache = build_choice_cache(_trace(args), comps)
         _emit(args, fit_intervals(cache, 1, step=args.step).to_json())
         return 0
     grid = _parse_alpha_grid(args.grid_alpha) if args.grid_alpha else default_alpha_grid()
-    fit = fit_degree_exponent(stream, grid=grid, **_score_kwargs(args))
+    fit = fit_degree_exponent(_trace(args), grid=grid)
     payload = {
         "alpha": fit.value,
         "logL": fit.loglik,
@@ -162,25 +161,24 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fit_intervals(args) -> int:
-    stream = _load(args)
     comps = _parse_components(args.components)
-    cache = build_choice_cache(stream, comps, **_score_kwargs(args))
+    cache = build_choice_cache(_trace(args), comps)
     result = fit_intervals(cache, args.intervals, mode=args.interval_mode, step=args.step)
     _emit(args, result.to_json())
     return 0
 
 
 def _cmd_fit_changepoint(args) -> int:
-    stream = _load(args)
     grid = _parse_t_grid(args.changepoint_grid) if args.changepoint_grid else None
     pre = parse_model_spec(args.model_pre)
     post = parse_model_spec(args.model_post)
-    _, series_pre = score_stream(stream, pre, keep_series=True, **_score_kwargs(args))
-    _, series_post = score_stream(stream, post, keep_series=True, **_score_kwargs(args))
+    trace = _trace(args)
+    _, series_pre = score_stream(trace, pre, keep_series=True)
+    _, series_post = score_stream(trace, post, keep_series=True)
     fit = fit_changepoint(
         np.array([s.logp for s in series_pre]),
         np.array([s.logp for s in series_post]),
-        np.array([s.timestamp for s in series_pre]),
+        trace.timestamps,
         grid=grid,
     )
     payload = {
@@ -195,9 +193,8 @@ def _cmd_fit_changepoint(args) -> int:
 
 
 def _cmd_scan_j(args) -> int:
-    stream = _load(args)
     comps = _parse_components(args.components)
-    cache = build_choice_cache(stream, comps, **_score_kwargs(args))
+    cache = build_choice_cache(_trace(args), comps)
     fits = scan_interval_counts(
         cache,
         jmin=args.jmin,
@@ -221,9 +218,8 @@ def _cmd_wilks(args) -> int:
     else:
         if not (args.data and args.components):
             raise GrowthFitError("wilks needs --fit0/--fit1 or --data with --components")
-        stream = _load(args)
         comps = _parse_components(args.components)
-        cache = build_choice_cache(stream, comps, **_score_kwargs(args))
+        cache = build_choice_cache(_trace(args), comps)
         fit0 = fit_intervals(cache, args.j0, mode=args.interval_mode, step=args.step)
         fit1 = fit_intervals(cache, args.j1, mode=args.interval_mode, step=args.step)
     report = compare_interval_fits(fit0, fit1)

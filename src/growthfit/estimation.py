@@ -34,14 +34,12 @@ from .errors import (
 )
 from .graph import GrowthStream
 from .likelihood import (
-    DEFAULT_ORDERING_SAMPLES,
-    MAX_EXHAUSTIVE_CHOICES,
     ChoiceCache,
     DPTrace,
+    _as_trace,
+    _int64_floors,
     _range_sums,
-    _stream_trace,
     _trace_logp,
-    build_dp_trace,
     cache_logratios,
     dp_trace_logp,
     per_choice_ratio,
@@ -130,8 +128,23 @@ class ScalarFit:
         return per_choice_ratio(self.loglik, self.loglik_rand, self.total_choices)
 
 
-def _scalar_scan(trace: DPTrace, grid: np.ndarray, components: Sequence[Component]) -> ScalarFit:
-    """First-max fit over ``grid``, scoring grid point i as the single component ``components[i]``."""
+def fit_degree_exponent(
+    source: GrowthStream | DPTrace, grid: Sequence[float] | None = None
+) -> ScalarFit:
+    """Scan the degree-power exponent over a grid (single-component model)."""
+    return fit_component_family(source, DegreePower, default_alpha_grid() if grid is None else grid)
+
+
+def fit_component_family(
+    source: GrowthStream | DPTrace, family: Callable[[float], Component], grid: Sequence[float]
+) -> ScalarFit:
+    """First-max grid fit of a one-parameter component family, every point from one trace.
+
+    ``source`` is a ``DPTrace`` or a stream, replayed at the default options.
+    """
+    grid = _exponent_grid(grid)
+    components = [family(float(value)) for value in grid]
+    trace = _as_trace(source)
     logliks = np.array(
         [float(_trace_logp(trace, [c], [1.0], count_fallbacks=False)[0].sum()) for c in components]
     )
@@ -144,41 +157,6 @@ def _scalar_scan(trace: DPTrace, grid: np.ndarray, components: Sequence[Componen
         grid=grid,
         logliks=logliks,
     )
-
-
-def fit_degree_exponent(
-    source: GrowthStream | DPTrace,
-    grid: np.ndarray | None = None,
-    seed: int = 0,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-) -> ScalarFit:
-    """Scan the degree-power exponent over a grid (single-component model).
-
-    The replay options apply when ``source`` is a stream; a ``DPTrace``
-    already holds its orderings.
-    """
-    grid = default_alpha_grid() if grid is None else _exponent_grid(grid)
-    if isinstance(source, DPTrace):
-        trace = source
-    else:
-        trace = build_dp_trace(source, seed, max_exhaustive_choices, ordering_samples)
-    return _scalar_scan(trace, grid, [DegreePower(float(a)) for a in grid])
-
-
-def fit_component_family(
-    stream: GrowthStream,
-    family: Callable[[float], Component],
-    grid: Sequence[float],
-    seed: int = 0,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-) -> ScalarFit:
-    """Grid fit of any one-parameter component family, every point from one replay."""
-    grid = _exponent_grid(grid)
-    components = [family(float(value)) for value in grid]
-    trace = _stream_trace(stream, components, seed, max_exhaustive_choices, ordering_samples)
-    return _scalar_scan(trace, grid, components)
 
 
 # Float64 lattice sums a cache keeps per weight step: 2 MB.
@@ -255,9 +233,9 @@ def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[t
 
     count mode: group sizes differ by at most one (cut at floor(j*I/J));
     time mode: equal spans of the observed timestamp range, each increment
-    assigned by its timestamp with span edges as inclusive upper bounds;
-    timestamps that decrease anywhere raise ``FitError``.  Every group must
-    be nonempty.
+    assigned by its timestamp with span edges, floored to integers exactly,
+    as inclusive upper bounds; timestamps that decrease anywhere raise
+    ``FitError``.  Every group must be nonempty.
     """
     n = cache.num_increments
     if j < 1:
@@ -267,8 +245,8 @@ def partition_indices(cache: ChoiceCache, j: int, mode: str = "count") -> list[t
     elif mode == "time":
         ts = cache.timestamps
         _check_nondecreasing(ts)
-        lo, hi = (float(ts[0]), float(ts[-1])) if n else (0.0, 0.0)
-        edges = [lo + (hi - lo) * k / j for k in range(1, j)]
+        lo, hi = (int(ts[0]), int(ts[-1])) if n else (0, 0)
+        edges = [lo + (hi - lo) * k // j for k in range(1, j)]
         cuts = [0] + [int(np.searchsorted(ts, e, side="right")) for e in edges] + [n]
     else:
         raise FitError(f"unknown interval mode {mode!r}")
@@ -345,9 +323,9 @@ class FitResult:
             for iv in self.intervals
         )
         if self.mode == "time":
-            boundaries = tuple(float(iv["end_time"]) for iv in self.intervals[:-1])
+            boundaries = tuple(int(iv["end_time"]) for iv in self.intervals[:-1])
             return ModelSchedule(intervals, boundaries, BoundaryMode.TIMESTAMP)
-        boundaries = tuple(float(iv["end_index"]) for iv in self.intervals[:-1])
+        boundaries = tuple(int(iv["end_index"]) for iv in self.intervals[:-1])
         return ModelSchedule(intervals, boundaries, BoundaryMode.INDEX)
 
 
@@ -468,6 +446,18 @@ class ChangepointFit:
     logliks: np.ndarray
 
 
+def _splits(timestamps: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per candidate T, how many of the sorted timestamps are at or below it.
+
+    Integer timestamps are searched against an integer grid as it is and
+    against any other grid by its floors, so the count is exact at any
+    timestamp, where float64 holds only those below 2**53.
+    """
+    if timestamps.dtype.kind == "i" and grid.dtype.kind != "i":
+        grid = _int64_floors(grid)
+    return np.searchsorted(timestamps, grid, side="right")
+
+
 def fit_changepoint(
     logp_pre: np.ndarray,
     logp_post: np.ndarray,
@@ -489,14 +479,11 @@ def fit_changepoint(
     if len(timestamps) == 0:
         raise FitError("empty stream")
     _check_nondecreasing(timestamps)
-    if grid is None:
-        grid = np.unique(timestamps)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.unique(timestamps) if grid is None else np.asarray(grid)
     # The post total plus a prefix sum of the differences: equal series tie
     # exactly, where a difference of two prefix sums would round apart.
     gain = np.concatenate(([0.0], np.cumsum(logp_pre - logp_post)))
-    splits = np.searchsorted(timestamps, grid, side="right")
-    logliks = logp_post.sum() + gain[splits]
+    logliks = logp_post.sum() + gain[_splits(timestamps, grid)]
     best = _argmax_first(logliks)
     return ChangepointFit(
         t_hat=float(grid[best]),
@@ -518,10 +505,9 @@ def fit_dp_changepoint(
     alpha_pre: float,
     alpha_post: float,
     grid: np.ndarray | None = None,
-    seed: int = 0,
 ) -> ChangepointFit:
-    """Changepoint between two known degree-power exponents."""
-    trace = source if isinstance(source, DPTrace) else build_dp_trace(source, seed=seed)
+    """Changepoint between two known degree-power exponents, on a trace or a stream's replay."""
+    trace = _as_trace(source)
     return fit_changepoint(
         dp_trace_logp(trace, alpha_pre),
         dp_trace_logp(trace, alpha_post),
@@ -542,19 +528,20 @@ def fit_dp_changepoint_joint(
     source: GrowthStream | DPTrace,
     alpha_grid: np.ndarray | None = None,
     t_grid: np.ndarray | None = None,
-    seed: int = 0,
 ) -> DPChangepointJointFit:
-    """Jointly fit (T, pre exponent, post exponent) for a one-switch schedule."""
+    """Jointly fit (T, pre exponent, post exponent) for a one-switch schedule.
+
+    ``t_grid`` defaults to every observed timestamp.
+    """
     alpha_grid = default_alpha_grid() if alpha_grid is None else _exponent_grid(alpha_grid)
-    trace = source if isinstance(source, DPTrace) else build_dp_trace(source, seed=seed)
+    trace = _as_trace(source)
     if trace.num_increments == 0:
         raise FitError("empty stream")
-    if t_grid is None:
-        t_grid = np.unique(trace.timestamps).astype(np.float64)
+    t_grid = np.unique(trace.timestamps) if t_grid is None else np.asarray(t_grid)
     logp = np.stack([dp_trace_logp(trace, float(a)) for a in alpha_grid])
     prefix = np.concatenate((np.zeros((len(alpha_grid), 1)), np.cumsum(logp, axis=1)), axis=1)
     total = prefix[:, -1]
-    splits = np.searchsorted(trace.timestamps, t_grid, side="right")
+    splits = _splits(trace.timestamps, t_grid)
     pre = prefix[:, splits]
     post = total[:, None] - pre
     pre_best = pre.argmax(axis=0)

@@ -8,7 +8,7 @@ probabilities over orderings of that set (center first, then targets).  New
 nodes are not choices and contribute factor 1.
 
 With q existing targets there are q! orderings.  When the increment's total
-choice count m is at most ``max_exhaustive_choices`` (default 7) the sum is
+choice count m is at most ``MAX_EXHAUSTIVE_CHOICES`` (7) the sum is
 exact and runs over subsets of the targets (below); otherwise it is
 estimated from ``ordering_samples`` uniformly drawn orderings (with
 replacement), scaled by q!/S, which is unbiased on the probability scale.
@@ -25,8 +25,8 @@ parameter changes: per increment the graph size, the center and its frozen
 neighborhood (ids and degrees), the existing targets (ids and degrees), and
 the sampled orderings as positions among those targets, in one compact
 table: per number of existing targets, a dense block of one small unsigned
-integer per step.  When triangle
-closure is among the components it also records, per anchor, the
+integer per step.  It keeps the edge-event table it replays from, and on
+first use by triangle closure derives from it, per anchor, the
 common-neighbor counts with the star's targets and the anchor's total over
 the eligible set, using the identity
 
@@ -92,7 +92,7 @@ from .errors import UndefinedRatioError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
 from .events import concat_ranges as _concat_ranges
 from .events import offsets as _offsets
-from .graph import DynamicGraph, GrowthStream, Increment
+from .graph import DynamicGraph, GrowthStream, Increment, _columns
 from .models import (
     BoundaryMode,
     Component,
@@ -225,11 +225,12 @@ class DPTrace:
     (``_ordering_batches``), so its working set does not grow with the
     orderings times the targets.  Index arrays that no model parameter
     changes are built here once, so scoring a component at any exponent is
-    whole-array work.  The anchors are recorded only when triangle closure
-    was requested: an existing center, else each existing target in turn,
-    each with a row of common-neighbour counts with its star's existing
-    targets (0 with itself) and a total over the initial eligible set.  The
-    subset-DP tables are built on first use and kept with the trace.
+    whole-array work.  Triangle closure's anchors are computed on first use
+    from the replay's edge events, which the trace keeps: an existing
+    center, else each existing target in turn, each with a row of
+    common-neighbour counts with its star's existing targets (0 with itself)
+    and a total over the initial eligible set.  The subset-DP tables are
+    also built on first use and kept with the trace.
     """
 
     timestamps: np.ndarray  # (I,) int64
@@ -252,9 +253,7 @@ class DPTrace:
     target_id: np.ndarray  # (Q,) arrival index
     inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment, empty unless sampled
     orderings: tuple[np.ndarray, ...]  # per q of sampled stars, ascending: (stars, S, q) positions
-    anchor_offsets: np.ndarray | None = None  # (I + 1,) anchor ranges per increment
-    anchor_total: np.ndarray | None = None  # (A,) int64 total over the initial eligible set
-    anchor_common: np.ndarray | None = None  # (sum of q over anchors,) int64 anchor rows
+    events: EdgeEvents = field(repr=False)  # the edge events of the seed graph and the increments
 
     @property
     def num_increments(self) -> int:
@@ -330,6 +329,25 @@ class DPTrace:
             int((self.center_deg + self.gain)[:-1].max(initial=1)),
             int(self.target_deg[earlier].max(initial=0)) + 1,
         )
+
+    @cached_property
+    def _anchors(self) -> tuple[np.ndarray, ...]:
+        return _triangle_anchors(self)
+
+    @property
+    def anchor_offsets(self) -> np.ndarray:
+        """(I + 1,) anchor ranges per increment."""
+        return self._anchors[0]
+
+    @property
+    def anchor_total(self) -> np.ndarray:
+        """(A,) int64 total of each anchor over its star's initial eligible set."""
+        return self._anchors[1]
+
+    @property
+    def anchor_common(self) -> np.ndarray:
+        """(sum of q over anchors,) int64 anchor rows."""
+        return self._anchors[2]
 
     @cached_property
     def _anchor_rows(self) -> np.ndarray:
@@ -433,7 +451,7 @@ def _uniform_baseline(
     return center + (steps + log_fact[q])
 
 
-def _triangle_anchors(trace: DPTrace, events: EdgeEvents) -> tuple[np.ndarray, ...]:
+def _triangle_anchors(trace: DPTrace) -> tuple[np.ndarray, ...]:
     """(anchor ranges per increment, anchor totals, anchor rows) of triangle closure.
 
     A total over the initial eligible set is the identity's sum of the
@@ -441,6 +459,7 @@ def _triangle_anchors(trace: DPTrace, events: EdgeEvents) -> tuple[np.ndarray, .
     term k_a, and for a center less its neighbours' terms too, twice its
     closed triangles.
     """
+    events = trace.events
     q = trace.existing_counts
     target_start = _offsets(q)
     counts = np.where(trace.center_new, q, q > 0)
@@ -495,20 +514,19 @@ def _replay(
     graph: DynamicGraph,
     cols: StreamColumns,
     first_index: int,
-    components: Sequence[Component],
     seed: int,
-    max_exhaustive_choices: int,
     ordering_samples: int,
+    max_exhaustive_choices: int,
 ) -> DPTrace:
     """The DPTrace of the increments ``cols`` applied one after another to ``graph``.
 
     The graph is not changed: every count comes from the edge-event table of
-    the graph and the increments.  ``first_index`` is the stream index of the
-    first increment, which seeds its ordering sample.  Triangle data are
-    recorded only when ``components`` include triangle closure.  The lowest
-    increment the graph cannot take raises the error ``first_rejection``
-    reports for it, or the eligibility error when it has more existing
-    targets than eligible nodes.
+    the graph and the increments, which the trace keeps.  ``first_index`` is
+    the stream index of the first increment, which seeds its ordering
+    sample.  Stars of more than ``max_exhaustive_choices`` choices are
+    sampled.  The lowest increment the graph cannot take raises the error
+    ``first_rejection`` reports for it, or the eligibility error when it has
+    more existing targets than eligible nodes.
     """
     if ordering_samples < 1:
         raise ModelError(f"ordering_samples must be at least 1, got {ordering_samples}")
@@ -572,7 +590,7 @@ def _replay(
         int((center_deg + cols.gain).max(initial=0)),
         int(target_deg.max(initial=-1)) + 1,
     )
-    trace = DPTrace(
+    return DPTrace(
         timestamps=cols.timestamp,
         num_choices=num_choices,
         num_nodes=num_nodes,
@@ -593,41 +611,26 @@ def _replay(
         target_id=target_id,
         inc_ord_offsets=_offsets(np.where(sampled, ordering_samples, 0)),
         orderings=tuple(orderings),
-    )
-    if any(isinstance(c, TriangleClosure) for c in components):
-        trace.anchor_offsets, trace.anchor_total, trace.anchor_common = _triangle_anchors(
-            trace, events
-        )
-    return trace
-
-
-def _stream_trace(
-    stream: GrowthStream,
-    components: Sequence[Component],
-    seed: int = 0,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-) -> DPTrace:
-    """Replay a stream from its seed graph for the given components."""
-    return _replay(
-        stream.seed_graph(),
-        stream.columns,
-        0,
-        components,
-        seed,
-        max_exhaustive_choices,
-        ordering_samples,
+        events=events,
     )
 
 
 def build_dp_trace(
-    stream: GrowthStream,
-    seed: int = 0,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+    stream: GrowthStream, seed: int = 0, ordering_samples: int = DEFAULT_ORDERING_SAMPLES
 ) -> DPTrace:
-    """Replay a stream once for degree-power (or any non-triangle) scoring."""
-    return _stream_trace(stream, (), seed, max_exhaustive_choices, ordering_samples)
+    """The one replay of a stream, which every scorer reads: stream, cache, scans and fits.
+
+    Stars of more than ``MAX_EXHAUSTIVE_CHOICES`` choices are scored from
+    ``ordering_samples`` orderings drawn from (``seed``, increment index).
+    """
+    return _replay(
+        stream.seed_graph(), stream.columns, 0, seed, ordering_samples, MAX_EXHAUSTIVE_CHOICES
+    )
+
+
+def _as_trace(source: GrowthStream | DPTrace) -> DPTrace:
+    """A DPTrace as given, or a stream's replay at the default options."""
+    return source if isinstance(source, DPTrace) else build_dp_trace(source)
 
 
 def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -1273,7 +1276,7 @@ def _collapse(
     ncomp = center_ratios.shape[1]
     degrees = existing_counts + 1
     order = np.argsort(degrees, kind="stable")
-    # exhaustive stars pass the cap if max_exhaustive_choices >= 12
+    # exhaustive stars pass the cap if MAX_EXHAUSTIVE_CHOICES >= 12
     collapsed = order[(degrees[order] <= MAX_COLLAPSED_DEGREE) | ~sampled[order]]
     top = max(MAX_COLLAPSED_DEGREE, int(degrees[collapsed].max(initial=0)))
     counts = np.bincount(degrees[collapsed], minlength=top + 1)
@@ -1354,20 +1357,15 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
 
 
 def build_choice_cache(
-    stream: GrowthStream,
-    components: Sequence[Component],
-    seed: int = 0,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
+    source: GrowthStream | DPTrace, components: Sequence[Component]
 ) -> ChoiceCache:
-    """One replay pass recording everything weight fitting needs.
+    """Everything weight fitting needs, from a trace or a stream's replay at the defaults.
 
     The cache depends on the component list but not on mixture weights or
     interval boundaries, so a single build serves every partition depth and
     every weight-grid point.
     """
-    trace = _stream_trace(stream, components, seed, max_exhaustive_choices, ordering_samples)
-    return _choice_cache(trace, components)
+    return _choice_cache(_as_trace(source), components)
 
 
 def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -1580,75 +1578,60 @@ def _schedule_weights(schedule: ModelSchedule):
     return components, weights, members
 
 
+def _int64_floors(values) -> np.ndarray:
+    """The floors of numbers as int64, clamped to its range, NaN sorting above every key.
+
+    An integer key lies at or below a number exactly when it lies at or
+    below the number's floor, so searching int64 keys against the floors is
+    exact for any key, where float64 holds only the keys below 2**53.  The
+    comparisons run on Python numbers, which are exact across int and float.
+    """
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    numbers = np.asarray(values, dtype=object).tolist()
+    return np.array(
+        [hi if not b <= hi else lo if b < lo else math.floor(b) for b in numbers], dtype=np.int64
+    )
+
+
 def _interval_indices(schedule: ModelSchedule, trace: DPTrace, first_index: int) -> np.ndarray:
     """``schedule.interval_index`` of every increment of a trace: bisect_left over the boundaries.
 
-    A float boundary lies below an integer key exactly when its floor does,
-    so the search runs on int64 and is exact for any timestamp.
+    The search runs on int64 and is exact for any timestamp (``_int64_floors``).
     """
     if schedule.boundary_mode is BoundaryMode.TIMESTAMP:
         keys = trace.timestamps
     else:
         keys = first_index + np.arange(trace.num_increments)
-    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    floors = [hi if b > hi else lo if b < lo else math.floor(b) for b in schedule.boundaries]
-    return np.searchsorted(np.array(floors, dtype=np.int64), keys)
+    return np.searchsorted(_int64_floors(schedule.boundaries), keys)
 
 
-def _score(
-    graph: DynamicGraph,
-    cols: StreamColumns,
-    first_index: int,
-    schedule,
-    seed: int,
-    max_exhaustive_choices: int,
-    ordering_samples: int,
-) -> tuple[DPTrace, np.ndarray, np.ndarray]:
-    """(trace, logp, fallback choices) per increment under a schedule, from one replay.
+def _score(trace: DPTrace, schedule, first_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(logp, fallback choices) per increment of a trace under a schedule.
 
+    ``first_index`` is the stream index of the trace's first increment.
     Each increment is scored in log space at its interval's weights, zero
     for components that interval lacks; only its interval's components
     count fallbacks.
     """
     schedule = _as_schedule(schedule)
     components, weights, members = _schedule_weights(schedule)
-    trace = _replay(
-        graph,
-        cols,
-        first_index,
-        components,
-        seed,
-        max_exhaustive_choices,
-        ordering_samples,
-    )
     which = _interval_indices(schedule, trace, first_index)
     logp, fallbacks = _trace_logp(trace, components, weights[which])
-    return trace, logp, (members[which] * fallbacks.T).sum(axis=1)
+    return logp, (members[which] * fallbacks.T).sum(axis=1)
 
 
 def score_stream(
-    stream: GrowthStream,
-    schedule,
-    seed: int = 0,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
-    ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
-    keep_series: bool = False,
+    source: GrowthStream | DPTrace, schedule, keep_series: bool = False
 ) -> tuple[LikelihoodSummary, list[IncrementScore] | None]:
-    """Log-likelihood of a stream under a schedule, with the uniform baseline.
+    """Log-likelihood of a trace, or a stream's replay at the defaults, under a schedule.
 
-    Returns (summary, series); the per-increment series is kept only when
-    ``keep_series`` is set.  The stream must be admissible (cleaned): a
-    duplicate edge or unknown node raises from the replay.
+    Returns (summary, series) with the uniform baseline; the per-increment
+    series is kept only when ``keep_series`` is set.  The stream must be
+    admissible (cleaned): a duplicate edge or unknown node raises from the
+    replay.
     """
-    trace, logp, fallbacks = _score(
-        stream.seed_graph(),
-        stream.columns,
-        0,
-        schedule,
-        seed,
-        max_exhaustive_choices,
-        ordering_samples,
-    )
+    trace = _as_trace(source)
+    logp, fallbacks = _score(trace, schedule, 0)
     impossible = logp == _NEG_INF
     summary = LikelihoodSummary(
         loglik=float(logp.sum()),
@@ -1683,12 +1666,14 @@ def increment_probability(
     schedule,
     index: int = 0,
     seed: int = 0,
-    max_exhaustive_choices: int = MAX_EXHAUSTIVE_CHOICES,
     ordering_samples: int = DEFAULT_ORDERING_SAMPLES,
 ) -> float:
-    """Probability of one increment against a frozen graph (not log); the graph is unchanged."""
-    cols = StreamColumns.of([inc], graph.num_nodes)
-    _, logp, _ = _score(
-        graph, cols, index, schedule, seed, max_exhaustive_choices, ordering_samples
-    )
+    """Probability of one increment against a frozen graph (not log); the graph is unchanged.
+
+    ``index`` is the increment's stream index, which with ``seed`` draws
+    its orderings when it has more than ``MAX_EXHAUSTIVE_CHOICES`` choices.
+    """
+    cols = _columns([inc], graph.num_nodes)
+    trace = _replay(graph, cols, index, seed, ordering_samples, MAX_EXHAUSTIVE_CHOICES)
+    logp, _ = _score(trace, schedule, index)
     return math.exp(logp[0])

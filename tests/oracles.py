@@ -263,7 +263,6 @@ def oracle_trace(
     seed_edges,
     increments,
     first_index=0,
-    triangles=False,
     seed=0,
     max_exhaustive_choices=5,
     ordering_samples=120,
@@ -277,7 +276,7 @@ def oracle_trace(
     orderings, drawn one ``permutation`` call at a time and kept in one
     (stars, S, q) block per q, of the smallest unsigned type that holds
     q - 1; ``chosen_deg`` lists the degree of every step's target, star by
-    star.  With ``triangles`` each increment lists its anchors: the
+    star.  Each increment lists its anchors for triangle closure: the
     existing center, or else every existing target in turn.  An increment
     the graph cannot take raises ``OracleRejection`` with the package's
     error class and message.
@@ -327,22 +326,21 @@ def oracle_trace(
         chosen_deg.extend(degs[existing[p]] for row in positions.tolist() for p in row)
         target_id.extend(existing)
         target_deg.extend(degs[x] for x in existing)
-        if triangles:
-            anchor_rows, totals = [], []
-            if existing and not inc.center_is_new:
-                c = inc.center
-                wedges = sum(common(c, v) for v in neigh[c])
-                anchor_rows.append([common(c, x) for x in existing])
-                totals.append(sum(degs[u] for u in neigh[c]) - degs[c] - wedges)
-            elif existing:
-                for a, x in enumerate(existing):
-                    anchor_rows.append(
-                        [0 if b == a else common(x, y) for b, y in enumerate(existing)]
-                    )
-                    totals.append(sum(degs[u] for u in neigh[x]) - degs[x])
-            anchor_counts.append(len(totals))
-            anchor_total.extend(totals)
-            anchor_common.extend(itertools.chain.from_iterable(anchor_rows))
+        anchor_rows, totals = [], []
+        if existing and not inc.center_is_new:
+            c = inc.center
+            wedges = sum(common(c, v) for v in neigh[c])
+            anchor_rows.append([common(c, x) for x in existing])
+            totals.append(sum(degs[u] for u in neigh[c]) - degs[c] - wedges)
+        elif existing:
+            for a, x in enumerate(existing):
+                anchor_rows.append(
+                    [0 if b == a else common(x, y) for b, y in enumerate(existing)]
+                )
+                totals.append(sum(degs[u] for u in neigh[x]) - degs[x])
+        anchor_counts.append(len(totals))
+        anchor_total.extend(totals)
+        anchor_common.extend(itertools.chain.from_iterable(anchor_rows))
 
         center_rand = 0.0 if inc.center_is_new else -math.log(float(n))
         rand_steps = math.fsum(-math.log(float(eligible - s)) for s in range(q))
@@ -417,17 +415,11 @@ def oracle_trace(
         target_id=np.array(target_id, dtype=np.int64),
         inc_ord_offsets=_offsets(ord_counts),
         orderings=blocks,
-        anchor_offsets=None,
-        anchor_total=None,
-        anchor_common=None,
+        anchor_offsets=_offsets(np.array(anchor_counts, dtype=np.int64)),
+        anchor_total=np.array(anchor_total, dtype=np.int64),
+        anchor_common=np.array(anchor_common, dtype=np.int64),
         chosen_deg=np.array(chosen_deg, dtype=np.int64),
     )
-    if triangles:
-        out.update(
-            anchor_offsets=_offsets(np.array(anchor_counts, dtype=np.int64)),
-            anchor_total=np.array(anchor_total, dtype=np.int64),
-            anchor_common=np.array(anchor_common, dtype=np.int64),
-        )
     return out
 
 

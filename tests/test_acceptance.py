@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import growthfit as gf
+from growthfit import likelihood
 
 BA = gf.parse_component("BA")
 RAND = gf.parse_component("RAND")
@@ -229,7 +230,7 @@ class TestCriterion09WilksSignificance:
 
 
 class TestCriterion10OrderingSampler:
-    def test_criterion_10_sampled_star_probability_is_unbiased(self):
+    def test_criterion_10_sampled_star_probability_is_unbiased(self, monkeypatch):
         """Six-target star: mean of 10,000 sampled evaluations within 3 SE of
         the exhaustive 720-ordering value."""
         edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
@@ -237,11 +238,11 @@ class TestCriterion10OrderingSampler:
         graph = gf.graph_from_edges(edges)
         inc = gf.Increment(10, 10, True, (0, 2, 4, 5, 7, 9), (False,) * 6)
         schedule = gf.MixtureInterval.single(gf.DegreePower(1.0))
-        exact = gf.increment_probability(
-            graph, inc, schedule, max_exhaustive_choices=6
-        )
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 6)
+        exact = gf.increment_probability(graph, inc, schedule)
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 5)
         samples = np.array([
-            gf.increment_probability(graph, inc, schedule, seed=k, max_exhaustive_choices=5)
+            gf.increment_probability(graph, inc, schedule, seed=k)
             for k in range(10000)
         ])
         stderr = samples.std(ddof=1) / np.sqrt(len(samples))

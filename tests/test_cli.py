@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import growthfit as gf
 from growthfit.cli import main
 
 
@@ -229,6 +230,66 @@ class TestIntervalTools:
         assert code == 0
         result = json.loads(stdout)
         assert 150.0 <= result["t_hat"] <= 650.0
+
+
+class TestReplayFlags:
+    """--seed and --ordering-samples reach the one replay every scoring command reads."""
+
+    PRE, POST = "0.3*BA + 0.7*RAND", "0.7*BA + 0.3*RAND"
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        """(path, stream) of a stream whose internal stars of 9 choices are sampled."""
+        path = tmp_path_factory.mktemp("sampled") / "g.stars"
+        code = main(
+            [
+                "generate", "--model", "0.5*BA + 0.5*RAND", "--increments", "150",
+                "--internal-prob", "0.5", "--internal-targets", "8", "--seed", "3",
+                "--out", str(path),
+            ]
+        )
+        assert code == 0
+        stream = gf.load_stream(str(path))
+        assert gf.build_dp_trace(stream).sampled_increments > 10
+        return path, stream
+
+    def command(self, capsys, path, *argv, seed="1"):
+        code, stdout, _ = run(
+            capsys, *argv, "--data", str(path), "--seed", seed, "--ordering-samples", "40"
+        )
+        assert code == 0
+        return json.loads(stdout)
+
+    def test_commands_print_the_api_on_one_trace(self, sampled, capsys):
+        path, stream = sampled
+        trace = gf.build_dp_trace(stream, seed=1, ordering_samples=40)
+        score = gf.score_stream(trace, gf.parse_model_spec(self.PRE))[0]
+        assert self.command(capsys, path, "score", "--model", self.PRE) == score.to_dict()
+        fit = gf.fit_degree_exponent(trace)
+        assert self.command(capsys, path, "fit") == {
+            "alpha": fit.value, "logL": fit.loglik, "logL_rand": fit.loglik_rand,
+            "c0": fit.c0, "choices": fit.total_choices,
+        }
+        cache = gf.build_choice_cache(trace, [gf.DegreePower(1.0), gf.Random()])
+        weights = json.loads(gf.fit_intervals(cache, 1).to_json())
+        assert self.command(capsys, path, "fit", "--components", "BA,RAND") == weights
+        pre, post = (
+            [s.logp for s in gf.score_stream(trace, gf.parse_model_spec(m), keep_series=True)[1]]
+            for m in (self.PRE, self.POST)
+        )
+        cp = gf.fit_changepoint(pre, post, trace.timestamps)
+        printed = self.command(
+            capsys, path, "fit-changepoint", "--model-pre", self.PRE, "--model-post", self.POST
+        )
+        assert (printed["t_hat"], printed["logL"]) == (cp.t_hat, cp.loglik)
+
+    def test_seed_changes_the_score(self, sampled, capsys):
+        path, _ = sampled
+        logl = [
+            self.command(capsys, path, "score", "--model", self.PRE, seed=seed)["logL"]
+            for seed in ("1", "2")
+        ]
+        assert logl[0] != logl[1]
 
 
 class TestStatsAndSimilarity:

@@ -138,22 +138,6 @@ class TestFitDegreeExponent:
         assert fit.value == 0.0
         assert fit.logliks[0] == fit.logliks[1]
 
-    def test_scans_forward_the_exhaustive_cap(self):
-        recipe = gf.GrowthRecipe.constant(
-            "0.5*BA + 0.5*RAND", increments=60, new_targets=3, internal_prob=0.3,
-            internal_targets=4,
-        )
-        stream = gf.grow(recipe, seed=4)
-        grid = [0.5, 1.0]
-        cap = {"max_exhaustive_choices": 3, "ordering_samples": 7}
-        trace = gf.build_dp_trace(stream, **cap)
-        assert trace.sampled.any()
-        capped = gf.fit_degree_exponent(stream, grid, **cap)
-        assert capped.logliks.tolist() == gf.fit_degree_exponent(trace, grid).logliks.tolist()
-        assert capped.logliks.tolist() != gf.fit_degree_exponent(stream, grid).logliks.tolist()
-        family = gf.fit_component_family(stream, gf.DegreePower, grid, **cap)
-        assert family.logliks.tolist() == capped.logliks.tolist()
-
     @pytest.mark.parametrize("grid", [[], [np.nan], [0.5, np.inf], [[0.5, 1.0]]])
     def test_empty_or_non_finite_grid_is_a_fit_error(self, grid):
         stream = gf.grow(gf.GrowthRecipe.constant("BA", increments=30, new_targets=2), seed=1)
@@ -579,6 +563,54 @@ class TestChangepoint:
         series = gf.changepoint_series_from_cache(cache, w)
         assert series.shape == (100,)
         assert np.allclose(series, gf.cache_logratios(cache, w) + cache.logp_rand)
+
+
+class TestTimestampsPastFloat64:
+    """Time-mode fits are exact at nanosecond-epoch timestamps, which float64 cannot hold."""
+
+    OFFSET = 2**60
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        """A grown stream with timestamps k = 0, 1, ..., and the same stream at 2**60 + k."""
+        recipe = gf.GrowthRecipe.two_phase("0.2*BA + 0.8*RAND", "0.8*BA + 0.2*RAND", 99.0,
+                                           increments=200, new_targets=3)
+        stream = gf.grow(recipe, seed=2)
+        shifted = [dataclasses.replace(inc, timestamp=self.OFFSET + inc.timestamp)
+                   for inc in stream.increments]
+        return stream, gf.GrowthStream(stream.seed_edges, shifted)
+
+    def test_interval_fit_cuts_and_rescoring(self, streams):
+        comps = [gf.DegreePower(1.0), gf.Random()]
+        fits = [gf.fit_intervals(gf.build_choice_cache(s, comps), 2, mode="time") for s in streams]
+        base, fit = fits
+        assert [iv["end_index"] for iv in fit.intervals] == [99, 199]
+        assert fit.intervals[0]["end_time"] == self.OFFSET + 99
+        assert fit.loglik == base.loglik
+        assert [iv["weights"] for iv in fit.intervals] == [iv["weights"] for iv in base.intervals]
+        summaries = [gf.score_stream(s, f.schedule())[0] for s, f in zip(streams, fits)]
+        assert summaries[1].loglik == summaries[0].loglik
+        assert abs(summaries[1].loglik - fit.loglik) <= 1e-9 * abs(fit.loglik)
+
+    def test_changepoint_grids_keep_every_timestamp(self, streams):
+        stream, shifted = streams
+        pre, post = (gf.score_stream(shifted, gf.parse_model_spec(m), keep_series=True)[1]
+                     for m in ("0.2*BA + 0.8*RAND", "0.8*BA + 0.2*RAND"))
+        pre, post = (np.array([s.logp for s in series]) for series in (pre, post))
+        ts = np.array([inc.timestamp for inc in shifted.increments])
+        cp = gf.fit_changepoint(pre, post, ts)
+        base = gf.fit_changepoint(pre, post, np.arange(200))
+        assert cp.grid.tolist() == (self.OFFSET + np.arange(200)).tolist()
+        assert cp.logliks.tolist() == base.logliks.tolist()
+        given = gf.fit_changepoint(pre, post, ts, grid=ts)
+        assert given.logliks.tolist() == base.logliks.tolist()
+        # a float candidate is searched by its floor, not by rounding the timestamps
+        at = gf.fit_changepoint(pre, post, ts, grid=[float(self.OFFSET), float(self.OFFSET + 256)])
+        assert at.logliks.tolist() == [base.logliks[0], base.logliks[199]]
+        joint, base_joint = (gf.fit_dp_changepoint_joint(s, alpha_grid=[0.5, 1.0, 1.5])
+                             for s in (shifted, stream))
+        assert joint.t_hat == float(self.OFFSET + base_joint.t_hat)
+        assert joint.loglik == base_joint.loglik
 
 
 class TestWilks:

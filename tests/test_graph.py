@@ -179,11 +179,14 @@ class TestApplyIncrementErrors:
         before = snapshot(graph)
         for inc in (
             gf.Increment(2**63, 0, False, (2,), (False,)),
+            gf.Increment(2**63, 4, True, (0,), (False,)),
             gf.Increment(0, 0, False, (2**64,), (False,)),
             gf.Increment(0, -(2**70), False, (1,), (False,)),
         ):
             with pytest.raises(gf.StreamError, match="outside the 64-bit range"):
                 gf.apply_increment(graph, inc)
+            with pytest.raises(gf.StreamError, match="outside the 64-bit range"):
+                gf.increment_probability(graph, inc, gf.parse_model_spec("BA"))
         assert snapshot(graph) == before
 
     @settings(max_examples=200, deadline=None, derandomize=True)

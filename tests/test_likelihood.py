@@ -109,11 +109,12 @@ class TestAgainstBruteForceOracle:
             tuple(t for t, _ in targets),
             tuple(is_new for _, is_new in targets),
         )
-        p_pkg = gf.increment_probability(graph, inc, schedule, max_exhaustive_choices=8)
+        p_pkg = gf.increment_probability(graph, inc, schedule)
         p_ref = oracle_increment_probability(n, edges, center, center_is_new, targets, mixture)
         return p_pkg, p_ref
 
-    def test_randomized_increments_match(self):
+    def test_randomized_increments_match(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 8)
         rng = np.random.default_rng(42)
         checked = 0
         while checked < 80:
@@ -132,7 +133,7 @@ def drawn_orderings(inc, index, seed, max_exhaustive, samples):
     """(trace, orderings as node rows) of one increment onto an edgeless graph of 99 nodes."""
     graph = gf.graph_from_edges([], num_nodes=99)
     cols = StreamColumns.of([inc], graph.num_nodes)
-    trace = likelihood._replay(graph, cols, index, (), seed, max_exhaustive, samples)
+    trace = likelihood._replay(graph, cols, index, seed, samples, max_exhaustive)
     # the increment's targets come first in the target arrays
     rows = [trace.target_id[block[0]] for block in trace.orderings]
     return trace, [tuple(row) for block in rows for row in block.tolist()]
@@ -163,18 +164,18 @@ class TestOrderings:
         assert a == b
         assert a != c
 
-    def test_sampled_estimator_is_unbiased(self):
+    def test_sampled_estimator_is_unbiased(self, monkeypatch):
         graph = gf.graph_from_edges(
             [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5), (2, 6)]
         )
         inc = gf.Increment(9, 7, True, (0, 2, 3, 4, 5, 6), (False,) * 6)
         sched = schedule_for((1.0, gf.DegreePower(1.0)))
-        exact = gf.increment_probability(graph, inc, sched, max_exhaustive_choices=6)
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 6)
+        exact = gf.increment_probability(graph, inc, sched)
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 5)
         draws = np.array(
             [
-                gf.increment_probability(
-                    graph, inc, sched, seed=k, max_exhaustive_choices=5, ordering_samples=40
-                )
+                gf.increment_probability(graph, inc, sched, seed=k, ordering_samples=40)
                 for k in range(400)
             ]
         )
@@ -185,19 +186,48 @@ class TestOrderings:
 class TestOrderingSamples:
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("new_targets", [3, 7])
-    def test_fewer_than_one_is_a_model_error(self, samples, new_targets):
+    def test_fewer_than_one_is_a_model_error(self, samples, new_targets, monkeypatch):
         recipe = gf.GrowthRecipe.constant("BA", increments=20, new_targets=new_targets)
         stream = gf.grow(recipe, seed=0)
-        cap = {"max_exhaustive_choices": 5}
-        assert build_dp_trace(stream, **cap).sampled.any() == (new_targets > 4)
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 5)
+        assert build_dp_trace(stream).sampled.any() == (new_targets > 4)
+        graph = stream.seed_graph()
         calls = (
-            lambda: gf.score_stream(stream, gf.DegreePower(1.0), ordering_samples=samples, **cap),
-            lambda: build_dp_trace(stream, ordering_samples=samples, **cap),
-            lambda: build_choice_cache(stream, [gf.Random()], ordering_samples=samples, **cap),
+            lambda: build_dp_trace(stream, ordering_samples=samples),
+            lambda: gf.increment_probability(
+                graph, stream.increments[0], gf.DegreePower(1.0), ordering_samples=samples
+            ),
         )
         for call in calls:
             with pytest.raises(gf.ModelError, match=f"ordering_samples .*{samples}"):
                 call()
+
+
+class TestOneTracePerStream:
+    """Every scorer reads a stream's replay or a trace built once, to the same bit."""
+
+    def test_trace_scores_as_the_stream_does(self):
+        recipe = gf.GrowthRecipe.constant(
+            "0.4*BA + 0.3*TRI + 0.3*RAND", increments=150, internal_prob=0.4, internal_targets=8
+        )
+        stream = gf.grow(recipe, seed=1)
+        trace = build_dp_trace(stream)
+        assert trace.sampled.any() and (trace.center_new & (trace.existing_counts > 1)).any()
+        sched = gf.parse_model_spec("0.4*BA + 0.3*TRI + 0.3*RAND")
+        (direct, direct_series), (traced, traced_series) = (
+            gf.score_stream(source, sched, keep_series=True) for source in (stream, trace)
+        )
+        assert traced == direct and traced_series == direct_series
+        comps = [gf.DegreePower(1.0), gf.TriangleClosure(), gf.Random()]
+        caches = [build_choice_cache(source, comps) for source in (stream, trace)]
+        for name, value in vars(caches[0]).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(caches[1], name).tobytes(), name
+        assert caches[0].fallback_choices == caches[1].fallback_choices
+        tri = gf.TriangleClosure()
+        _, series = gf.score_stream(stream, tri, keep_series=True)
+        logp = likelihood._trace_logp(trace, [tri], [1.0])[0]
+        assert logp.tolist() == [s.logp for s in series]
 
 
 class TestScoreStream:
@@ -545,7 +575,8 @@ class TestCollapsedCache:
         comps = [COMPONENT_POOL[i] for i in picks]
         rand_at = int(rng.integers(0, ncomp))
         comps.insert(rand_at, gf.Random())
-        cache = build_choice_cache(stream, comps, ordering_samples=SAMPLES)
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        cache = build_choice_cache(trace, comps)
         assert len(cache.row_increments) == 1
         # Step rows and orderings are kept for the row-path star only.
         assert len(cache.increment_offsets) == cache.num_increments + 1
@@ -561,7 +592,7 @@ class TestCollapsedCache:
         oracle = oracle_logps(stream, comps, np.concatenate((checks, grid)))
         for w, expect in zip(checks, oracle):
             sched = schedule_for(*zip((float(x) for x in w), comps))
-            _, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+            _, series = gf.score_stream(trace, sched, keep_series=True)
             assert_close([s.logp for s in series], expect)
             assert_close(cache_logratios(cache, w), expect - rand_logp)
 
@@ -684,10 +715,11 @@ class TestSingleComponentsAgainstOracle:
     def test_triangle_scores(self, seed):
         stream = mixed_stream(np.random.default_rng(seed))
         tri = gf.TriangleClosure()
-        _, series = gf.score_stream(stream, tri, ordering_samples=SAMPLES, keep_series=True)
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        _, series = gf.score_stream(trace, tri, keep_series=True)
         assert_close([s.logp for s in series], oracle_logps(stream, [tri], [[1.0]])[0])
 
-    def test_zero_degree_fallback(self):
+    def test_zero_degree_fallback(self, monkeypatch):
         # Nodes 1..7 stay isolated and every other node neighbors hub 0, so
         # both stars at 0 choose among degree-0 nodes only and every step
         # falls back to uniform; under a cap of 5 choices the second star is
@@ -704,17 +736,16 @@ class TestSingleComponentsAgainstOracle:
                 star(3, 0, (3, 4, 5, 6, 7)),
             ],
         )
-        cap = {"max_exhaustive_choices": 5}
-        trace = build_dp_trace(stream, ordering_samples=SAMPLES, **cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 5)
+            trace = build_dp_trace(stream, ordering_samples=SAMPLES)
         assert trace.sampled.tolist() == [False, False, False, True]
         for alpha in (0.5, 1.0, 1.7):
             dp = gf.DegreePower(alpha)
-            expect = oracle_logps(stream, [dp], [[1.0]], **cap)[0]
+            expect = oracle_logps(stream, [dp], [[1.0]], max_exhaustive_choices=5)[0]
             assert np.isfinite(expect).all()
             assert_close(dp_trace_logp(trace, alpha), expect)
-            _, series = gf.score_stream(
-                stream, dp, ordering_samples=SAMPLES, keep_series=True, **cap
-            )
+            _, series = gf.score_stream(trace, dp, keep_series=True)
             assert_close([s.logp for s in series], expect)
         grid = [0.5, 1.0]
         fit = gf.fit_component_family(stream, gf.RankPreference, grid)
@@ -742,7 +773,8 @@ class TestSingleComponentsAgainstOracle:
         comps = [gf.DegreePower(1.5), gf.TriangleClosure(), gf.Random()]
         specs = [oracle_spec(c) for c in comps]
         sched = schedule_for(*zip((0.4, 0.3, 0.3), comps))
-        _, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        _, series = gf.score_stream(trace, sched, keep_series=True)
         edges = list(stream.seed_edges)
         num_nodes = stream.seed_graph().num_nodes
         for index, (inc, score) in enumerate(zip(stream.increments, series)):
@@ -783,7 +815,7 @@ class TestSingleComponentsAgainstOracle:
         ]
         assert_close(fit.logliks, expect)
 
-    def test_triangle_scan(self):
+    def test_triangle_scan(self, monkeypatch):
         # grown under triangle closure, so every increment is possible
         recipe = gf.GrowthRecipe.constant(
             "TRI", increments=30, new_targets=6, internal_prob=0.3,
@@ -795,8 +827,10 @@ class TestSingleComponentsAgainstOracle:
         expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES)
         assert_close([fit.loglik], [expect.sum()])
         # the same scan under a cap of 5 choices, where the 6-target stars are sampled
-        assert build_dp_trace(stream, max_exhaustive_choices=5).sampled.any()
-        fit = gf.fit_component_family(stream, lambda _: tri, [0.0], max_exhaustive_choices=5)
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 5)
+        trace = build_dp_trace(stream)
+        assert trace.sampled.any()
+        fit = gf.fit_component_family(trace, lambda _: tri, [0.0])
         expect = oracle_logps(stream, [tri], [[1.0]], DEFAULT_ORDERING_SAMPLES, 5)
         assert_close([fit.loglik], [expect.sum()])
 
@@ -892,14 +926,14 @@ class TestScheduleMixing:
         (0.1, 0.2, 0.2, 0.2, 0.3),
     )
 
-    def stream(self, seed):
+    def trace(self, seed):
         stream = mixed_stream(np.random.default_rng(seed), increments=24)
         trace = build_dp_trace(stream, ordering_samples=SAMPLES)
         degree = trace.existing_counts + 1
         # a sampled star collapsed to coefficients, and one on the row path
         assert (trace.sampled & (degree <= MAX_COLLAPSED_DEGREE)).any()
         assert (trace.sampled & (degree > MAX_COLLAPSED_DEGREE)).any()
-        return stream
+        return trace
 
     def schedule(self, intervals, boundaries):
         mixtures = tuple(
@@ -911,11 +945,11 @@ class TestScheduleMixing:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("num_intervals", [2, 3])
     def test_score_equals_cache_at_interval_weights(self, seed, num_intervals):
-        stream = self.stream(seed)
+        trace = self.trace(seed)
         boundaries = (7.0, 15.0)[: num_intervals - 1]
         sched = self.schedule(self.INTERVALS[:num_intervals], boundaries)
-        summary, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
-        cache = build_choice_cache(stream, self.COMPS, ordering_samples=SAMPLES)
+        summary, series = gf.score_stream(trace, sched, keep_series=True)
+        cache = build_choice_cache(trace, self.COMPS)
         expect = cache_logratios(cache, np.array(self.INTERVALS[:num_intervals]))
         which = np.searchsorted(boundaries, np.arange(cache.num_increments))
         expect = expect[np.arange(cache.num_increments), which] + cache.logp_rand
@@ -926,20 +960,18 @@ class TestScheduleMixing:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("spec", ["RAND", "DP(0)", "0.5*RAND + 0.5*DP(0)"])
     def test_uniform_schedule_is_its_baseline(self, seed, spec):
-        stream = self.stream(seed)
         uniform = gf.parse_model_spec(spec)
         sched = gf.ModelSchedule((uniform, uniform), (11.0,), gf.BoundaryMode.INDEX)
-        summary, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        summary, series = gf.score_stream(self.trace(seed), sched, keep_series=True)
         assert [s.logp for s in series] == [s.logp_rand for s in series]
         assert summary.c0 == 1.0
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_uniform_interval_is_its_baseline_beside_a_model(self, seed):
-        stream = self.stream(seed)
         uniform = gf.parse_model_spec("0.5*RAND + 0.5*DP(0)")
         model = gf.parse_model_spec("0.5*BA + 0.5*TRI")
         sched = gf.ModelSchedule((model, uniform), (11.0,), gf.BoundaryMode.INDEX)
-        _, series = gf.score_stream(stream, sched, ordering_samples=SAMPLES, keep_series=True)
+        _, series = gf.score_stream(self.trace(seed), sched, keep_series=True)
         # the boundary 11 closes the first interval
         assert [s.logp for s in series[12:]] == [s.logp_rand for s in series[12:]]
         assert all(s.logp != s.logp_rand for s in series[:12])
@@ -979,14 +1011,9 @@ class TestOrderingBatches:
 
     def outputs(self, stream):
         sched = schedule_for(*zip(self.WEIGHTS, self.COMPS))
-        _, series = gf.score_stream(
-            stream, sched, ordering_samples=SAMPLES, keep_series=True,
-            max_exhaustive_choices=self.CAP,
-        )
-        cache = build_choice_cache(
-            stream, self.COMPS, ordering_samples=SAMPLES, max_exhaustive_choices=self.CAP
-        )
-        trace = likelihood._stream_trace(stream, self.COMPS, 0, self.CAP, SAMPLES)
+        trace = build_dp_trace(stream, ordering_samples=SAMPLES)
+        _, series = gf.score_stream(trace, sched, keep_series=True)
+        cache = build_choice_cache(trace, self.COMPS)
         scans = [
             likelihood._trace_logp(trace, [comp], [1.0])[0]
             for comp in (gf.DegreePower(0.5), gf.DegreePower(1.5), gf.RankPreference(0.5))
@@ -996,6 +1023,7 @@ class TestOrderingBatches:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_one_star_per_batch_changes_no_bit(self, seed, monkeypatch):
+        monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", self.CAP)
         stream = batched_stream(np.random.default_rng(seed))
         trace, series, cache, scans, batches = self.outputs(stream)
         sampled = trace.existing_counts[trace.sampled]
@@ -1027,10 +1055,11 @@ class TestOrderingBatches:
         comps = [gf.DegreePower(1.0), gf.Random()]
         calls = {
             "build_choice_cache": lambda samples: build_choice_cache(
-                stream, comps, ordering_samples=samples
+                build_dp_trace(stream, ordering_samples=samples), comps
             ),
             "score_stream": lambda samples: gf.score_stream(
-                stream, gf.parse_model_spec("0.5*BA + 0.5*RAND"), ordering_samples=samples
+                build_dp_trace(stream, ordering_samples=samples),
+                gf.parse_model_spec("0.5*BA + 0.5*RAND"),
             ),
         }
         assert build_dp_trace(stream).sampled_increments > 150
@@ -1116,6 +1145,11 @@ def oracle_single_logps(stream, comp, max_exhaustive_choices):
     return np.array(out)
 
 
+def capped_trace(stream, cap):
+    """The stream's trace with SAMPLES orderings of every star of more than ``cap`` choices."""
+    return likelihood._replay(stream.seed_graph(), stream.columns, 0, 0, SAMPLES, cap)
+
+
 class TestFactoredSubsetDP:
     """One component at unit weight factors its targets' weights out of the subset DP."""
 
@@ -1130,7 +1164,7 @@ class TestFactoredSubsetDP:
         comps = [gf.DegreePower(alpha), gf.TriangleClosure()]
         if alpha > 0.0:
             comps.append(gf.RankPreference(alpha))
-        trace = likelihood._stream_trace(stream, comps, 0, cap, SAMPLES)
+        trace = capped_trace(stream, cap)
         assert trace.sampled.any() == (cap == 3)
         # an external star with two or more existing targets is anchored under TRI
         assert (trace.center_new & (trace.existing_counts >= 2) & ~trace.sampled).any()
@@ -1153,7 +1187,7 @@ class TestFactoredSubsetDP:
             gf.DegreePower(60.0), gf.DegreePower(100.0), gf.RankPreference(0.5),
             gf.TriangleClosure(),
         ]
-        trace = likelihood._stream_trace(stream, comps, 0, 3, SAMPLES)
+        trace = capped_trace(stream, 3)
         assert trace.sampled.any() and (trace.existing_counts[~trace.sampled] >= 2).any()
         for comp in comps:
             single, counted = likelihood._trace_logp(trace, [comp], [1.0])
@@ -1170,7 +1204,7 @@ class TestFactoredSubsetDP:
             [(0, 1), (1, 2), (2, 3), (3, 4)], [gf.Increment(0, 5, True, (0, 1), (False, False))]
         )
         rp = gf.RankPreference(60.0)
-        trace = likelihood._stream_trace(stream, [rp])
+        trace = build_dp_trace(stream)
         single, fallbacks = likelihood._trace_logp(trace, [rp], [1.0])
         mixed, _ = likelihood._trace_logp(trace, [rp, rp], [0.5, 0.5])
         assert fallbacks.tolist() == [[1]]

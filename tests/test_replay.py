@@ -12,10 +12,6 @@ from growthfit.events import StreamColumns
 from growthfit.likelihood import DPTrace, _replay, _sampled_positions
 from oracles import OracleRejection, oracle_trace
 
-TRI = gf.TriangleClosure()
-RAND = gf.Random()
-
-
 def replay(graph, incs, *args):
     """``_replay`` of a list of increments applied to ``graph``."""
     return _replay(graph, StreamColumns.of(incs, graph.num_nodes), *args)
@@ -78,18 +74,24 @@ def assert_same_array(got, want, name):
     assert got.tobytes() == want.tobytes(), name
 
 
+# Every field but the edge events, and what is derived from the trace on first read.
+TRACE_ARRAYS = [f.name for f in fields(DPTrace) if f.name != "events"] + [
+    "anchor_offsets",
+    "anchor_total",
+    "anchor_common",
+    "chosen_deg",
+]
+
+
 def assert_same_trace(trace: DPTrace, expected: dict):
-    for f in fields(DPTrace):
-        got, want = getattr(trace, f.name), expected[f.name]
-        if want is None:
-            assert got is None, f.name
-        elif isinstance(want, tuple):
-            assert isinstance(got, tuple) and len(got) == len(want), f.name
+    for name in TRACE_ARRAYS:
+        got, want = getattr(trace, name), expected[name]
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and len(got) == len(want), name
             for k, (part, expect) in enumerate(zip(got, want)):
-                assert_same_array(part, expect, (f.name, k))
+                assert_same_array(part, expect, (name, k))
         else:
-            assert_same_array(got, want, f.name)
-    assert_same_array(trace.chosen_deg, expected["chosen_deg"], "chosen_deg")
+            assert_same_array(got, want, name)
 
 
 class TestTraceMatchesOracle:
@@ -97,30 +99,25 @@ class TestTraceMatchesOracle:
     @given(
         seed=st.integers(0, 2**32 - 1),
         increments=st.integers(0, 30),
-        triangles=st.booleans(),
         big_star=st.booleans(),
         max_exhaustive=st.sampled_from([2, 3, 5]),
         samples=st.sampled_from([1, 3, 7]),
         first_index=st.sampled_from([0, 17]),
     )
     def test_every_field_equals_the_graph_walk(
-        self, seed, increments, triangles, big_star, max_exhaustive, samples, first_index
+        self, seed, increments, big_star, max_exhaustive, samples, first_index
     ):
         rng = np.random.default_rng(seed)
         n, edges, incs = random_stream(rng, increments, big_star)
-        comps = (TRI, RAND) if triangles else (RAND,)
         trace = replay(
             gf.graph_from_edges(edges, num_nodes=n),
             incs,
             first_index,
-            comps,
             seed % 1000,
-            max_exhaustive,
             samples,
+            max_exhaustive,
         )
-        expected = oracle_trace(
-            n, edges, incs, first_index, triangles, seed % 1000, max_exhaustive, samples
-        )
+        expected = oracle_trace(n, edges, incs, first_index, seed % 1000, max_exhaustive, samples)
         assert_same_trace(trace, expected)
 
     def test_grown_triangle_stream_with_sampled_stars(self):
@@ -129,25 +126,23 @@ class TestTraceMatchesOracle:
         )
         stream = gf.grow(recipe, seed=3)
         graph = stream.seed_graph()
-        trace = replay(graph, stream.increments, 0, (TRI,), 1, 3, 5)
+        trace = replay(graph, stream.increments, 0, 1, 5, 3)
         assert trace.sampled.any() and (~trace.center_new).any()
-        expected = oracle_trace(
-            graph.num_nodes, stream.seed_edges, stream.increments, 0, True, 1, 3, 5
-        )
+        expected = oracle_trace(graph.num_nodes, stream.seed_edges, stream.increments, 0, 1, 3, 5)
         assert_same_trace(trace, expected)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_twelve_target_row_path_star(self, seed):
         n, edges, incs = random_stream(np.random.default_rng(seed), 30, big_star=True)
-        trace = replay(gf.graph_from_edges(edges, num_nodes=n), incs, 0, (TRI,), seed, 5, 120)
+        trace = replay(gf.graph_from_edges(edges, num_nodes=n), incs, 0, seed, 120, 5)
         assert trace.existing_counts[-1] == 12 and trace.sampled[-1]
-        assert_same_trace(trace, oracle_trace(n, edges, incs, 0, True, seed, 5, 120))
+        assert_same_trace(trace, oracle_trace(n, edges, incs, 0, seed, 5, 120))
 
     def test_replay_leaves_the_graph_alone(self):
         rng = np.random.default_rng(5)
         n, edges, incs = random_stream(rng, 10)
         graph = gf.graph_from_edges(edges, num_nodes=n)
-        replay(graph, incs, 0, (TRI,), 0, 5, 120)
+        replay(graph, incs, 0, 0, 120, 5).anchor_common
         assert graph.num_nodes == n and sorted(graph.edges()) == sorted(edges)
 
 
@@ -214,9 +209,9 @@ class TestRejectionsMatchOracle:
 
     def outcome(self, n, edges, incs, first_index):
         with pytest.raises(gf.GraphError) as got:
-            replay(gf.graph_from_edges(edges, num_nodes=n), incs, first_index, (TRI,), 0, 5, 3)
+            replay(gf.graph_from_edges(edges, num_nodes=n), incs, first_index, 0, 3, 5)
         with pytest.raises(OracleRejection) as want:
-            oracle_trace(n, edges, incs, first_index, True, 0, 5, 3)
+            oracle_trace(n, edges, incs, first_index, 0, 5, 3)
         return (type(got.value).__name__, str(got.value)), (want.value.kind, want.value.message)
 
     @pytest.mark.parametrize("kind", KINDS)
