@@ -140,11 +140,14 @@ def fit_component_family(
 ) -> ScalarFit:
     """First-max grid fit of a one-parameter component family, every point from one trace.
 
-    ``source`` is a ``DPTrace`` or a stream, replayed at the default options.
+    ``source`` is a ``DPTrace`` or a stream, whose kept replay at the
+    default options is read.  A stream of no increments raises ``FitError``.
     """
     grid = _exponent_grid(grid)
     components = [family(float(value)) for value in grid]
     trace = _as_trace(source)
+    if trace.num_increments == 0:
+        raise FitError("empty stream")
     logliks = np.array(
         [float(_trace_logp(trace, [c], [1.0], count_fallbacks=False)[0].sum()) for c in components]
     )
@@ -438,9 +441,13 @@ def scan_interval_counts(
 
 @dataclass
 class ChangepointFit:
-    """Best single switch time between two fixed per-increment score series."""
+    """Best single switch time between two fixed per-increment score series.
 
-    t_hat: float
+    ``t_hat`` is the grid value as the grid holds it: an int for an integer
+    grid, exact at any size, and a float for a float grid.
+    """
+
+    t_hat: int | float
     loglik: float
     grid: np.ndarray
     logliks: np.ndarray
@@ -456,6 +463,12 @@ def _splits(timestamps: np.ndarray, grid: np.ndarray) -> np.ndarray:
     if timestamps.dtype.kind == "i" and grid.dtype.kind != "i":
         grid = _int64_floors(grid)
     return np.searchsorted(timestamps, grid, side="right")
+
+
+def _grid_point(grid: np.ndarray, index: int) -> int | float:
+    """A grid value as the Python number the grid holds: an int stays exact at any size."""
+    value = grid[index]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def fit_changepoint(
@@ -486,7 +499,7 @@ def fit_changepoint(
     logliks = logp_post.sum() + gain[_splits(timestamps, grid)]
     best = _argmax_first(logliks)
     return ChangepointFit(
-        t_hat=float(grid[best]),
+        t_hat=_grid_point(grid, best),
         loglik=float(logliks[best]),
         grid=grid,
         logliks=logliks,
@@ -518,7 +531,7 @@ def fit_dp_changepoint(
 
 @dataclass
 class DPChangepointJointFit:
-    t_hat: float
+    t_hat: int | float  # the t-grid value as the grid holds it, as in ChangepointFit
     alpha_pre: float
     alpha_post: float
     loglik: float
@@ -549,7 +562,7 @@ def fit_dp_changepoint_joint(
     scores = pre[pre_best, np.arange(len(splits))] + post[post_best, np.arange(len(splits))]
     best = _argmax_first(scores)
     return DPChangepointJointFit(
-        t_hat=float(t_grid[best]),
+        t_hat=_grid_point(t_grid, best),
         alpha_pre=float(alpha_grid[pre_best[best]]),
         alpha_post=float(alpha_grid[post_best[best]]),
         loglik=float(scores[best]),

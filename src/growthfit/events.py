@@ -48,6 +48,12 @@ def offsets(sizes) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
+def read_only(arrays) -> None:
+    """Mark each array non-writeable, so that every holder can share it."""
+    for values in arrays:
+        values.flags.writeable = False
+
+
 def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Concatenation of arange(lo[i], hi[i]) over i."""
     lengths = hi - lo

@@ -9,11 +9,15 @@ here.  Nodes and edges are permanent: there is no removal API.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import RejectedIncrementError, StreamError, UnknownNodeError
-from .events import StreamColumns, first_rejection, graph_ends, offsets
+from .events import StreamColumns, first_rejection, graph_ends, offsets, read_only
+
+if TYPE_CHECKING:
+    from .likelihood import DPTrace
 
 
 @dataclass(frozen=True)
@@ -185,13 +189,16 @@ class GrowthStream:
 
     The increments are kept once, as the read-only arrays of ``columns``
     (``events.StreamColumns``); ``increments`` builds them as ``Increment``
-    objects on demand, a new list on every access.  ``labels`` maps dense
-    node index to the original dataset id; synthetic streams leave it None
-    and print indices directly.
+    objects on demand, a new list on every access, and ``seed_edges`` is
+    likewise a new list of the kept seed edges.  ``labels`` maps dense node
+    index to the original dataset id; synthetic streams leave it None and
+    print indices directly.  The stream also keeps each replay built from it
+    (``likelihood.build_dp_trace``), one per set of replay options, so every
+    scorer given the stream reads one replay and the replays go with it.
     """
 
     def __init__(self, seed_edges=(), increments=(), labels: list[str] | None = None):
-        seed_edges = list(seed_edges)
+        seed_edges = tuple(seed_edges)
         self._hold(seed_edges, _columns(list(increments), seed_nodes(seed_edges)), labels)
 
     @classmethod
@@ -202,9 +209,14 @@ class GrowthStream:
         return stream
 
     def _hold(self, seed_edges, columns: StreamColumns, labels) -> None:
-        for values in vars(columns).values():
-            values.flags.writeable = False
-        self.seed_edges, self.columns, self.labels = seed_edges, columns, labels
+        read_only(vars(columns).values())
+        self._seed_edges = tuple((u, v) for u, v in seed_edges)
+        self.columns, self.labels = columns, labels
+        self._traces: dict[tuple[int, int, int], DPTrace] = {}
+
+    @property
+    def seed_edges(self) -> list[tuple[int, int]]:
+        return list(self._seed_edges)
 
     @property
     def increments(self) -> list[Increment]:
@@ -218,7 +230,7 @@ class GrowthStream:
         ]
 
     def seed_graph(self) -> DynamicGraph:
-        return graph_from_edges(self.seed_edges)
+        return graph_from_edges(self._seed_edges)
 
     def label(self, node: int) -> str:
         return self.labels[node] if self.labels is not None else str(node)

@@ -44,6 +44,11 @@ baselines of more than two steps.  Scoring expands the sampled stars' steps from
 table one bounded batch of stars at a time, with index arithmetic only, so
 its working set does not grow with the orderings times the targets.
 
+A stream keeps each replay built from it (``build_dp_trace``), one per set
+of replay options, so scoring it under several models, building its cache
+and fitting it share one replay, and with it the trace's exponent-free
+tables.  The kept trace is read-only, since every later caller shares it.
+
 Every other component total follows from the trace with whole-array
 operations: degree-power totals from the seed degree histogram plus
 per-increment histogram deltas, rank totals from prefix sums over arrival
@@ -81,7 +86,8 @@ so c0 = exp((logL - logL_rand) / sum m) is exactly 1 for the uniform model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
@@ -90,6 +96,7 @@ import numpy as np
 from .errors import DegenerateModelError, FitError, ModelError, RejectedIncrementError
 from .errors import UndefinedRatioError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
+from .events import read_only
 from .events import concat_ranges as _concat_ranges
 from .events import offsets as _offsets
 from .graph import DynamicGraph, GrowthStream, Increment, _columns
@@ -231,6 +238,10 @@ class DPTrace:
     common-neighbour counts with its star's existing targets (0 with itself)
     and a total over the initial eligible set.  The subset-DP tables are
     also built on first use and kept with the trace.
+
+    A trace is read-only: every array of its fields, of its orderings, of
+    its edge events and of its anchors is non-writeable, because a stream
+    hands one kept trace to every scorer (``build_dp_trace``).
     """
 
     timestamps: np.ndarray  # (I,) int64
@@ -254,6 +265,12 @@ class DPTrace:
     inc_ord_offsets: np.ndarray  # (I + 1,) ordering ranges per increment, empty unless sampled
     orderings: tuple[np.ndarray, ...]  # per q of sampled stars, ascending: (stars, S, q) positions
     events: EdgeEvents = field(repr=False)  # the edge events of the seed graph and the increments
+
+    def __post_init__(self):
+        values = [getattr(self, f.name) for f in fields(self)]
+        read_only(v for v in values if isinstance(v, np.ndarray))
+        read_only(self.orderings)
+        read_only(v for v in vars(self.events).values() if isinstance(v, np.ndarray))
 
     @property
     def num_increments(self) -> int:
@@ -332,7 +349,9 @@ class DPTrace:
 
     @cached_property
     def _anchors(self) -> tuple[np.ndarray, ...]:
-        return _triangle_anchors(self)
+        anchors = _triangle_anchors(self)
+        read_only(anchors)
+        return anchors
 
     @property
     def anchor_offsets(self) -> np.ndarray:
@@ -622,14 +641,22 @@ def build_dp_trace(
 
     Stars of more than ``MAX_EXHAUSTIVE_CHOICES`` choices are scored from
     ``ordering_samples`` orderings drawn from (``seed``, increment index).
+    The stream keeps the replay, one per (seed, ordering_samples,
+    MAX_EXHAUSTIVE_CHOICES) as they are when called, and returns the kept
+    one on every later call with those options.  A replay that raises keeps
+    nothing, and ``seed`` and ``ordering_samples`` must be integers, so
+    that no other value finds a kept trace the replay would refuse it.
     """
-    return _replay(
-        stream.seed_graph(), stream.columns, 0, seed, ordering_samples, MAX_EXHAUSTIVE_CHOICES
-    )
+    key = (operator.index(seed), operator.index(ordering_samples), MAX_EXHAUSTIVE_CHOICES)
+    trace = stream._traces.get(key)
+    if trace is None:
+        trace = _replay(stream.seed_graph(), stream.columns, 0, *key)
+        stream._traces[key] = trace
+    return trace
 
 
 def _as_trace(source: GrowthStream | DPTrace) -> DPTrace:
-    """A DPTrace as given, or a stream's replay at the default options."""
+    """A DPTrace as given, or the stream's kept replay at the default options."""
     return source if isinstance(source, DPTrace) else build_dp_trace(source)
 
 
@@ -1359,7 +1386,7 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
 def build_choice_cache(
     source: GrowthStream | DPTrace, components: Sequence[Component]
 ) -> ChoiceCache:
-    """Everything weight fitting needs, from a trace or a stream's replay at the defaults.
+    """Everything weight fitting needs, from a trace or a stream's kept replay at the defaults.
 
     The cache depends on the component list but not on mixture weights or
     interval boundaries, so a single build serves every partition depth and
@@ -1623,7 +1650,7 @@ def _score(trace: DPTrace, schedule, first_index: int) -> tuple[np.ndarray, np.n
 def score_stream(
     source: GrowthStream | DPTrace, schedule, keep_series: bool = False
 ) -> tuple[LikelihoodSummary, list[IncrementScore] | None]:
-    """Log-likelihood of a trace, or a stream's replay at the defaults, under a schedule.
+    """Log-likelihood of a trace, or a stream's kept replay at the defaults, under a schedule.
 
     Returns (summary, series) with the uniform baseline; the per-increment
     series is kept only when ``keep_series`` is set.  The stream must be

@@ -151,6 +151,17 @@ class TestFitDegreeExponent:
             with pytest.raises(gf.FitError, match="exponent grid"):
                 call()
 
+    def test_empty_stream_is_a_fit_error(self):
+        # no increment scores any grid point, so no point is the first maximum
+        empty = gf.GrowthStream([(0, 1), (1, 2)], [])
+        for call in (
+            lambda: gf.fit_degree_exponent(empty),
+            lambda: gf.fit_degree_exponent(gf.build_dp_trace(empty), grid=[0.5]),
+            lambda: gf.fit_component_family(empty, gf.RankPreference, [0.5, 1.0]),
+        ):
+            with pytest.raises(gf.FitError, match="empty stream"):
+                call()
+
 
 class TestFitMixtureWeights:
     """Weight recovery by a one-interval fit."""
@@ -609,8 +620,28 @@ class TestTimestampsPastFloat64:
         assert at.logliks.tolist() == [base.logliks[0], base.logliks[199]]
         joint, base_joint = (gf.fit_dp_changepoint_joint(s, alpha_grid=[0.5, 1.0, 1.5])
                              for s in (shifted, stream))
-        assert joint.t_hat == float(self.OFFSET + base_joint.t_hat)
+        assert joint.t_hat == self.OFFSET + base_joint.t_hat
         assert joint.loglik == base_joint.loglik
+
+    def test_switch_times_are_exact_integers(self, streams):
+        # 2**60 + k rounds to 2**60 in float64 for every k < 128
+        stream, shifted = streams
+        ts = np.array([inc.timestamp for inc in shifted.increments])
+        x = np.zeros(len(ts))
+        x[:150] = 1.0
+        fits = [
+            (gf.fit_changepoint(x, -x, ts), gf.fit_changepoint(x, -x, np.arange(len(ts)))),
+            tuple(gf.fit_dp_changepoint(s, 1.5, 0.5) for s in (shifted, stream)),
+            tuple(gf.fit_dp_changepoint_joint(s, alpha_grid=[0.5, 1.5]) for s in (shifted, stream)),
+        ]
+        assert fits[0][1].t_hat == 149
+        for fit, base in fits:
+            assert type(fit.t_hat) is int and type(base.t_hat) is int
+            assert fit.t_hat == self.OFFSET + base.t_hat
+        # a float grid keeps float switch times, and ints past int64 stay exact
+        on_floats = gf.fit_changepoint(x, -x, np.arange(len(ts)), grid=[10.0, 149.5, 160.0])
+        assert type(on_floats.t_hat) is float and on_floats.t_hat == 149.5
+        assert gf.fit_changepoint(x, -x, ts, grid=[2**70, 2**71]).t_hat == 2**70
 
 
 class TestWilks:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthfit as gf
+from growthfit import likelihood
 from growthfit.events import StreamColumns
 from growthfit.likelihood import DPTrace, _replay, _sampled_positions
 from oracles import OracleRejection, oracle_trace
@@ -244,3 +245,104 @@ class TestBatchedOrderingDraws:
             batched = _sampled_positions(q, index, seed, samples)
             assert batched.dtype == loop.dtype
             assert np.array_equal(batched, loop)
+
+
+def sampled_triangle_stream(seed):
+    """A grown stream with sampled stars (9 choices) and triangle anchors, of its own."""
+    recipe = gf.GrowthRecipe.constant(
+        "0.4*BA + 0.3*TRI + 0.3*RAND", increments=120, new_targets=3, internal_prob=0.3,
+        internal_targets=8, seed_clique=12,
+    )
+    return gf.grow(recipe, seed=seed)
+
+
+class TestKeptTrace:
+    """A stream keeps one replay per set of replay options, and that replay is read-only."""
+
+    def counted_replays(self, monkeypatch) -> list:
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3:])
+            return _replay(*args)
+
+        monkeypatch.setattr(likelihood, "_replay", counting)
+        return calls
+
+    def test_every_scorer_shares_one_replay(self, monkeypatch):
+        stream = sampled_triangle_stream(1)
+        calls = self.counted_replays(monkeypatch)
+        for spec in ("0.2*BA + 0.8*RAND", "0.8*BA + 0.2*TRI"):
+            gf.score_stream(stream, gf.parse_model_spec(spec), keep_series=True)
+        gf.build_choice_cache(stream, [gf.DegreePower(1.0), gf.TriangleClosure(), gf.Random()])
+        gf.fit_degree_exponent(stream, grid=[0.5, 1.0])
+        gf.fit_dp_changepoint(stream, 0.5, 1.5)
+        defaults = (0, likelihood.DEFAULT_ORDERING_SAMPLES, likelihood.MAX_EXHAUSTIVE_CHOICES)
+        assert calls == [defaults]
+        assert gf.build_dp_trace(stream) is gf.build_dp_trace(stream, 0, 120)
+
+    def test_each_option_set_replays_once(self, monkeypatch):
+        stream = sampled_triangle_stream(2)
+        calls = self.counted_replays(monkeypatch)
+        trace = gf.build_dp_trace(stream)
+        reseeded = gf.build_dp_trace(stream, seed=5)
+        fewer = gf.build_dp_trace(stream, ordering_samples=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 2)
+            capped = gf.build_dp_trace(stream)
+            assert gf.score_stream(stream, gf.parse_model_spec("BA"))[0].sampled_increments == (
+                capped.sampled_increments
+            )
+        assert len({id(t) for t in (trace, reseeded, fewer, capped)}) == 4
+        assert capped.sampled_increments > trace.sampled_increments > 0
+        assert not np.array_equal(reseeded.orderings[0], trace.orderings[0])
+        assert fewer.orderings[0].shape[1] == 7
+        for key, kept in zip(calls, (trace, reseeded, fewer)):
+            assert gf.build_dp_trace(stream, *key[:2]) is kept
+        assert gf.build_dp_trace(stream, np.int64(5), np.int16(120)) is reseeded
+        assert len(calls) == 4
+        # equal as a key, but the replay refuses it
+        for options in ({"seed": 0.0}, {"ordering_samples": 120.0}):
+            with pytest.raises(TypeError):
+                gf.build_dp_trace(stream, **options)
+
+    def test_a_replay_that_raises_keeps_nothing(self, monkeypatch):
+        stream = gf.GrowthStream([(0, 1)], [gf.Increment(0, 0, False, (5,), (False,))])
+        calls = self.counted_replays(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(gf.UnknownNodeError):
+                gf.score_stream(stream, gf.parse_model_spec("BA"))
+            with pytest.raises(gf.ModelError, match="ordering_samples"):
+                gf.build_dp_trace(gf.GrowthStream([(0, 1)], []), ordering_samples=0)
+        assert len(calls) == 4 and stream._traces == {}
+
+    def test_every_array_is_read_only(self):
+        trace = gf.build_dp_trace(sampled_triangle_stream(3))
+        arrays = [getattr(trace, f.name) for f in fields(DPTrace)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)] + list(trace.orderings)
+        arrays += [trace.anchor_offsets, trace.anchor_total, trace.anchor_common]
+        public = (v for k, v in vars(trace.events).items() if not k.startswith("_"))
+        arrays += [v for v in public if isinstance(v, np.ndarray)]
+        assert trace.orderings and len(trace.anchor_total)
+        for values in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_kept_trace_equals_a_fresh_replay(self, seed):
+        stream = sampled_triangle_stream(seed)
+        spec = gf.parse_model_spec("0.4*BA + 0.3*TRI + 0.3*RAND")
+        kept = gf.build_dp_trace(stream, seed=seed)
+        # every first-use table is built and kept before the comparison
+        gf.score_stream(kept, spec)
+        gf.build_choice_cache(kept, spec.components)
+        assert gf.build_dp_trace(stream, seed=seed) is kept
+        fresh = _replay(
+            stream.seed_graph(), stream.columns, 0, seed, likelihood.DEFAULT_ORDERING_SAMPLES,
+            likelihood.MAX_EXHAUSTIVE_CHOICES,
+        )
+        assert kept.sampled.any() and len(kept.anchor_total)
+        assert_same_trace(kept, {name: getattr(fresh, name) for name in TRACE_ARRAYS})
+        for name, values in vars(fresh.events).items():
+            if isinstance(values, np.ndarray):
+                assert_same_array(getattr(kept.events, name), values, name)

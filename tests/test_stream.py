@@ -330,6 +330,19 @@ class TestGrowthStreamColumns:
         listed.clear()
         assert len(stream.increments) == 5
 
+    def test_seed_edges_are_a_fresh_list(self):
+        inc = gf.Increment(0, 3, True, (0, 1), (False, False))
+        spec = gf.parse_model_spec("0.5*BA + 0.5*RAND")
+        given = [[0, 1], [1, 2]]
+        stream = gf.GrowthStream(given, [inc])
+        given[0][1] = 2
+        stream.seed_edges.append((0, 2))
+        assert stream.seed_edges == [(0, 1), (1, 2)]
+        assert sorted(stream.seed_graph().edges()) == [(0, 1), (1, 2)]
+        # (0, 2) would raise node 0's degree, which BA scores
+        fresh = gf.GrowthStream([(0, 1), (1, 2)], [inc])
+        assert gf.score_stream(stream, spec)[0] == gf.score_stream(fresh, spec)[0]
+
 
 NAMES = ["a", "b", "c", "d", "x y", "n10"]
 PADDING = ["", " ", "  "]
