@@ -112,6 +112,27 @@ def _exponent_grid(grid: Sequence[float]) -> np.ndarray:
     return values
 
 
+def _switch_grid(grid) -> np.ndarray:
+    """A switch-time grid as the array it is given; raises FitError unless it lists numbers.
+
+    The list must be flat and nonempty, and no entry a bool or NaN.  Python
+    ints past int64 stay exact, in an object array.
+    """
+    try:
+        values = np.asarray(grid)
+    except ValueError:
+        raise FitError("switch-time grid must be a flat list of numbers") from None
+    if values.ndim != 1:
+        raise FitError(f"switch-time grid must be a flat list of numbers, got shape {values.shape}")
+    if len(values) == 0:
+        raise FitError("empty grid: a switch-time grid needs at least one number")
+    # the entries as given: a bool that numpy turned into an int is still refused
+    for value in np.asarray(grid, dtype=object).tolist():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+            raise FitError(f"switch-time grid holds {value!r}, which is not a number")
+    return values
+
+
 @dataclass
 class ScalarFit:
     """Best exponent for a one-parameter family on a fixed grid."""
@@ -492,7 +513,7 @@ def fit_changepoint(
     if len(timestamps) == 0:
         raise FitError("empty stream")
     _check_nondecreasing(timestamps)
-    grid = np.unique(timestamps) if grid is None else np.asarray(grid)
+    grid = np.unique(timestamps) if grid is None else _switch_grid(grid)
     # The post total plus a prefix sum of the differences: equal series tie
     # exactly, where a difference of two prefix sums would round apart.
     gain = np.concatenate(([0.0], np.cumsum(logp_pre - logp_post)))
@@ -520,6 +541,7 @@ def fit_dp_changepoint(
     grid: np.ndarray | None = None,
 ) -> ChangepointFit:
     """Changepoint between two known degree-power exponents, on a trace or a stream's replay."""
+    grid = None if grid is None else _switch_grid(grid)
     trace = _as_trace(source)
     return fit_changepoint(
         dp_trace_logp(trace, alpha_pre),
@@ -547,10 +569,11 @@ def fit_dp_changepoint_joint(
     ``t_grid`` defaults to every observed timestamp.
     """
     alpha_grid = default_alpha_grid() if alpha_grid is None else _exponent_grid(alpha_grid)
+    t_grid = None if t_grid is None else _switch_grid(t_grid)
     trace = _as_trace(source)
     if trace.num_increments == 0:
         raise FitError("empty stream")
-    t_grid = np.unique(trace.timestamps) if t_grid is None else np.asarray(t_grid)
+    t_grid = np.unique(trace.timestamps) if t_grid is None else t_grid
     logp = np.stack([dp_trace_logp(trace, float(a)) for a in alpha_grid])
     prefix = np.concatenate((np.zeros((len(alpha_grid), 1)), np.cumsum(logp, axis=1)), axis=1)
     total = prefix[:, -1]

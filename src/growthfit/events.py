@@ -17,11 +17,11 @@ one rule set for what a graph admits: replay, statistics,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, is_dataclass
+from functools import cached_property, wraps
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +52,30 @@ def read_only(arrays) -> None:
     """Mark each array non-writeable, so that every holder can share it."""
     for values in arrays:
         values.flags.writeable = False
+
+
+def _arrays(value) -> Iterator[np.ndarray]:
+    """The arrays a value holds: itself, or in its tuple, list or dataclass fields, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)) or is_dataclass(value):
+        for item in vars(value).values() if is_dataclass(value) else value:
+            yield from _arrays(item)
+
+
+def kept_table(build: Callable) -> cached_property:
+    """A ``cached_property`` for a table built on first use and then shared by every reader.
+
+    Every array the table holds is marked read-only as it is built.
+    """
+
+    @wraps(build)
+    def built(self):
+        table = build(self)
+        read_only(_arrays(table))
+        return table
+
+    return cached_property(built)
 
 
 def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -264,7 +288,7 @@ class EdgeEvents:
         lo = self.start[nodes]
         return np.repeat(np.arange(len(nodes)), degrees), self.nbr[concat_ranges(lo, lo + degrees)]
 
-    @cached_property
+    @kept_table
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted pair keys of all edges and the event of each."""
         keys = _pair_keys(self.edge_u, self.edge_v, self.num_nodes)
@@ -317,7 +341,7 @@ class EdgeEvents:
         ends[order] = np.searchsorted(self.key, wanted[order])
         return segment_sums(ends - self.start[w], degrees)
 
-    @cached_property
+    @kept_table
     def _triangle_keys(self) -> np.ndarray:
         """Sorted keys node * span + event, one per triangle corner, at the event closing it.
 

@@ -24,10 +24,14 @@ again; input from outside is validated where it enters (ingest, the replay,
 ``GrowthStream.final_graph``).  The run logs its increments in typed
 arrays, and a component's sampler reads the ones it has not seen from that
 log right before its next draw: the endpoint list appends the new edges,
-and the weight tree grows to the new node count and updates the weights of
-the centers and the targets, the only nodes that are new or changed
-degree.  A component that the current interval does not draw from
-pays nothing per increment.
+and the weight tree grows to the new node count and updates only the
+weights that can have moved.  A rank weight is fixed when its node arrives,
+so only the new nodes are weighed.  A degree weight changes with its
+node's degree, so the centers and the targets are weighed again, from a
+per-degree list of ``degree_power_weight`` values that grows with the
+largest degree.  A component that the current interval does not draw from
+pays nothing per increment, and draws read their scalars from Python lists
+and typed arrays, not from numpy.
 
 All randomness flows through one ``numpy.random.Generator`` (PCG64) created
 from the caller's seed, so runs are reproducible bit for bit.
@@ -36,11 +40,12 @@ from the caller's seed, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +59,8 @@ from .errors import (
     json_object_fields,
     json_string,
 )
-from .events import StreamColumns
+from .events import StreamColumns, concat_ranges
+from .events import offsets as _offsets
 from .graph import DynamicGraph, GrowthStream, seed_nodes
 from .models import (
     BoundaryMode,
@@ -72,6 +78,8 @@ from .stream import OperationSchedule
 
 REJECT_CAP = 64
 STALL_CAP = 1000
+# Edge ends a pool copy moves at once, which bounds its index arrays.
+_COPY_ENDS = 1 << 16
 
 
 # Above this many nodes, a star's fixed exclusion base is sorted once per
@@ -108,14 +116,17 @@ class _Excluded(set):
 class _GraphState:
     """The one graph a growth run updates: degrees and pooled neighbour blocks.
 
-    Each node's neighbours fill an append-only block of one int64 pool that
-    begins at ``start``; a full block moves to the pool's end with twice the
-    room.  ``size`` mirrors the degrees as an array for the wedge gathers.
-    The applied increments are logged in typed arrays: each increment's
-    center and then its targets in ``ends``, their new-node flags in
-    ``ends_new``, and the start of increment k's entries in ``bounds[k]``.
-    The samplers catch up from this log, and ``stream`` turns it into the
-    grown stream's columns.
+    Each node's neighbours fill an append-only block of one int64 pool (a
+    typed array) that begins at ``lo``.  A full block moves to the pool's
+    end with twice the room, and a full pool slides its live blocks, each in
+    its order, to its front before it grows, so no slot a block left is kept
+    past that.  The wedge gathers read the pool and ``lo`` through numpy
+    views (``pool_view`` and ``start``), and ``size``, which mirrors the
+    degrees as an array.  The applied increments are logged in typed
+    arrays: each increment's center and then its targets in ``ends``, their
+    new-node flags in ``ends_new``, and the start of increment k's entries
+    in ``bounds[k]``.  The samplers catch up from this log, and ``stream``
+    turns it into the grown stream's columns.
     """
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]):
@@ -126,14 +137,16 @@ class _GraphState:
         self.bounds = array("q", [0])
         self.degrees: list[int] = []
         self.room: list[int] = []
-        self.pool = np.empty(64, dtype=np.int64)
-        self.used = 0
-        self.start = np.zeros(16, dtype=np.int64)
+        self.lo = array("q", bytes(8 * 16))
+        self.start = np.frombuffer(self.lo, dtype=np.int64)
         self.size = np.zeros(16, dtype=np.int64)
+        self.pool = array("q", bytes(8 * 64))
+        self.pool_view = np.frombuffer(self.pool, dtype=np.int64)
+        self.used = 0
         self._add_nodes(num_nodes)
         for u, v in self.seed_edges:
-            self._extend(u, (v,))
-            self._extend(v, (u,))
+            self.pool[self._reserve(u, 1)] = v
+            self.pool[self._reserve(v, 1)] = u
 
     @property
     def num_nodes(self) -> int:
@@ -164,7 +177,7 @@ class _GraphState:
         return GrowthStream.from_columns(self.seed_edges, columns, None)
 
     def neighbors(self, v: int) -> list[int]:
-        lo = self.start[v]
+        lo = self.lo[v]
         return self.pool[lo : lo + self.degrees[v]].tolist()
 
     def apply(self, timestamp, center, center_new, targets, targets_new) -> None:
@@ -172,10 +185,13 @@ class _GraphState:
 
         The arguments are the fields of ``Increment``, in its order.
         """
-        self._add_nodes(len(self.degrees) + center_new + sum(targets_new))
-        self._extend(center, targets)
+        added = center_new + sum(targets_new)
+        if added:
+            self._add_nodes(len(self.degrees) + added)
+        lo = self._reserve(center, len(targets))
+        self.pool_view[lo : lo + len(targets)] = targets
         for t in targets:
-            self._extend(t, (center,))
+            self.pool[self._reserve(t, 1)] = center
         self.timestamp.append(timestamp)
         self.ends.append(center)
         self.ends.extend(targets)
@@ -185,31 +201,68 @@ class _GraphState:
 
     def _add_nodes(self, n: int) -> None:
         if n > len(self.size):
-            spare = np.zeros(n, dtype=np.int64)
-            self.start = np.concatenate((self.start, spare))
-            self.size = np.concatenate((self.size, spare))
+            # ``lo`` and ``size`` hold room for as many nodes again
+            self.start = None
+            self.lo.extend([0] * (n + len(self.size) - len(self.lo)))
+            self.start = np.frombuffer(self.lo, dtype=np.int64)
+            self.size = np.concatenate((self.size, np.zeros(n, dtype=np.int64)))
         for column in (self.degrees, self.room):
             column.extend([0] * (n - len(column)))
 
-    def _extend(self, v: int, new: tuple[int, ...]) -> None:
-        k, m = self.degrees[v], len(new)
+    def _reserve(self, v: int, m: int) -> int:
+        """Count m more neighbours of v; the pool slot where the first of them goes.
+
+        The pool grows in place, so ``pool`` read before the call stays valid.
+        """
+        k = self.degrees[v]
         if k + m > self.room[v]:
-            room = max(2 * (k + m), 4)
-            if self.used + room > len(self.pool):
-                grown = np.empty(2 * (self.used + room), dtype=np.int64)
-                grown[: self.used] = self.pool[: self.used]
-                self.pool = grown
-            lo = self.start[v]
-            self.pool[self.used : self.used + k] = self.pool[lo : lo + k]
-            self.start[v] = self.used
-            self.room[v] = room
-            self.used += room
-        lo = self.start[v] + k
-        if m == 1:
-            self.pool[lo] = new[0]
-        else:
-            self.pool[lo : lo + m] = new
+            self._move(v, max(2 * (k + m), 4))
         self.degrees[v] = self.size[v] = k + m
+        return self.lo[v] + k
+
+    def _move(self, v: int, room: int) -> None:
+        """Give node v's block ``room`` slots at the end of the pool.
+
+        A pool too full for that first slides the live blocks to its front
+        (``_compact``), and then doubles while it is more than half full, so
+        that half a pool of new slots comes before the next compaction.
+        """
+        if self.used + room > len(self.pool):
+            self._compact()
+            self.pool_view = None
+            while 2 * (self.used + room) > len(self.pool):
+                self.pool *= 2
+            self.pool_view = np.frombuffer(self.pool, dtype=np.int64)
+        lo, k = self.lo[v], self.degrees[v]
+        self.pool_view[self.used : self.used + k] = self.pool_view[lo : lo + k]
+        self.lo[v] = self.used
+        self.room[v] = room
+        self.used += room
+
+    def _compact(self) -> None:
+        """Slide every block, with its room, to the front of the pool, keeping the blocks' order.
+
+        Blocks move in the order they lie, each only down and onto slots
+        whose blocks have moved already, a run of blocks at a time so that
+        the index arrays stay small; a run is read whole before it is written.
+        """
+        n = self.num_nodes
+        pool = self.pool_view
+        old_start, size = self.start[:n], self.size[:n]
+        order = np.argsort(old_start, kind="stable")
+        bounds = _offsets(np.array(self.room, dtype=np.int64)[order])
+        new_start = np.empty(n, dtype=np.int64)
+        new_start[order] = bounds[:-1]
+        ends = np.cumsum(size[order])
+        first = 0
+        while first < n:
+            stop = ends[first] - size[order[first]] + _COPY_ENDS
+            run = order[first : max(int(np.searchsorted(ends, stop, "right")), first + 1)]
+            src, dst, k = old_start[run], new_start[run], size[run]
+            pool[concat_ranges(dst, dst + k)] = pool[concat_ranges(src, src + k)]
+            first += len(run)
+        self.start[:n] = new_start
+        self.used = int(bounds[-1])
 
 
 class _NodeSampler:
@@ -286,6 +339,12 @@ _NO_EXCLUSION = ((), [0.0], 0)
 class _VectorSampler(_NodeSampler):
     """Per-node weight (degree power, rank) in a Fenwick tree: O(log n) updates and draws.
 
+    ``weigh`` maps a list of nodes to their current weights.  A rank weight
+    is fixed when its node arrives, so with ``fixed`` set a catch-up weighs
+    only the nodes added since the last one; a degree weight changes with
+    its node's degree, so otherwise it weighs every logged center and
+    target.  The weights are a Python list, read one at a time by the draws.
+
     ``tree[i]`` (1-based) holds the weight sum of nodes ``i - lowbit(i)`` to
     ``i - 1``.  The tree is rebuilt from the weights whenever the node count
     passes its power-of-two capacity, so rounding left by point updates
@@ -295,17 +354,18 @@ class _VectorSampler(_NodeSampler):
     weights; nothing is zeroed and restored.
     """
 
-    def __init__(self, state, rng, weight: Callable[[int], float]):
+    def __init__(self, state, rng, weigh: Callable[[Sequence[int]], list[float]], fixed: bool):
         super().__init__(state, rng)
-        self.weight = weight
+        self.weigh = weigh
+        self.fixed = fixed
         self.capacity = 16
         while self.capacity < state.num_nodes:
             self.capacity *= 2
         # Weights of the graph's nodes first; the rest is spare capacity.
-        self.weights = np.zeros(self.capacity)
-        self.weights[: state.num_nodes] = [weight(v) for v in range(state.num_nodes)]
+        self.known = state.num_nodes
+        self.weights = weigh(range(self.known)) + [0.0] * (self.capacity - self.known)
         # An exact count, so the uniform fallback never rests on a rounded total.
-        self.positive = int(np.count_nonzero(self.weights))
+        self.positive = len(self.weights) - self.weights.count(0.0)
         self._build()
         self._base = (None, _NO_EXCLUSION)
 
@@ -324,40 +384,52 @@ class _VectorSampler(_NodeSampler):
 
     def catch_up(self):
         state = self.state
+        n = state.num_nodes
         cap = self.capacity
-        while self.capacity < state.num_nodes:
-            self.capacity *= 2
-        if self.capacity > cap:
-            self.weights = np.concatenate((self.weights, np.zeros(self.capacity - cap)))
-        weights, weight = self.weights, self.weight
-        # Only the centers and the targets are new or changed degree.  A node
-        # touched by several increments changes once: after that its weight
-        # is current.
-        deltas = []
-        for v in state.ends[state.bounds[self.seen] :]:
-            w, old = weight(v), float(weights[v])
+        weights = self.weights
+        if n > cap:
+            while self.capacity < n:
+                self.capacity *= 2
+            weights += [0.0] * (self.capacity - cap)
+        # Only the new nodes, and for degree weights the centers and the
+        # targets, can have changed.  A rank weight moves only when its node
+        # arrives, and the log lists new nodes in id order, so weighing the
+        # new nodes alone changes the same weights in the same order as
+        # weighing every logged end would.  A node touched by several
+        # increments changes once: after that its weight is current.
+        if self.fixed:
+            nodes = range(self.known, n)
+        else:
+            nodes = state.ends[state.bounds[self.seen] :]
+        self.known = n
+        self.seen = state.num_increments
+        self._base = (None, _NO_EXCLUSION)
+        # Past the capacity the tree is rebuilt from the weights instead.
+        tree = None if self.capacity > cap else self.tree
+        positive = self.positive
+        for v, w in zip(nodes, self.weigh(nodes)):
+            old = weights[v]
             if w != old:
                 weights[v] = w
-                self.positive += (w > 0.0) - (old > 0.0)
-                deltas.append((v + 1, w - old))
-        super().catch_up()
-        self._base = (None, _NO_EXCLUSION)
-        if self.capacity > cap:
+                positive += (w > 0.0) - (old > 0.0)
+                if tree is not None:
+                    i, delta = v + 1, w - old
+                    while i <= cap:
+                        tree[i] += delta
+                        i += i & -i
+        self.positive = positive
+        if tree is None:
             self._build()
-            return
-        tree = self.tree
-        for i, delta in deltas:
-            while i <= cap:
-                tree[i] += delta
-                i += i & -i
 
     def _exclusion(self, ids: list[int]) -> tuple:
         """Sorted ``ids``, the prefix sums of their weights and their count of positive weights."""
         if not ids:
             return _NO_EXCLUSION
+        weights = self.weights
         prefix = [0.0]
         positive = 0
-        for w in self.weights[ids].tolist():
+        for v in ids:
+            w = weights[v]
             prefix.append(prefix[-1] + w)
             positive += w > 0.0
         return ids, prefix, positive
@@ -366,7 +438,7 @@ class _VectorSampler(_NodeSampler):
         """``_exclusion`` of a star's base in numpy, once per star and tree state."""
         if self._base[0] is not excluded:
             ids = excluded.sorted_base()
-            w = self.weights[ids]
+            w = np.array([self.weights[v] for v in ids.tolist()])
             prefix = np.concatenate(([0.0], np.cumsum(w)))
             self._base = (excluded, (ids, prefix, int(np.count_nonzero(w))))
         return self._base[1]
@@ -399,12 +471,21 @@ class _VectorSampler(_NodeSampler):
         """The node where the running sum, less excluded mass, first exceeds ``rest``.
 
         Moves right past every tree range whose eligible mass is <= what is
-        left; ``lo`` counts the excluded ids below ``pos``.
+        left; ``lo`` counts the excluded ids below ``pos``.  With nothing
+        excluded the mass is the tree node's own.
         """
         ids, prefix, _ = exclusion
         tree = self.tree
         pos = lo = 0
         step = self.capacity >> 1
+        if not ids:
+            while step:
+                mass = tree[pos + step]
+                if mass <= rest:
+                    pos += step
+                    rest -= mass
+                step >>= 1
+            return pos
         while step:
             top = pos + step
             hi = bisect_left(ids, top, lo)
@@ -437,6 +518,29 @@ class _VectorSampler(_NodeSampler):
         return pos
 
 
+def _degree_weigher(degrees: list[int], alpha: float) -> Callable[[Sequence[int]], list[float]]:
+    """Nodes' degree-power weights, read from a list of ``degree_power_weight(k, alpha)``.
+
+    The list grows with the largest degree weighed.  It holds the scalar
+    function's own values, so every weight is bit for bit the one it gives.
+    """
+    table: list[float] = []
+
+    def weigh(nodes):
+        ks = [degrees[v] for v in nodes]
+        top = max(ks, default=0)
+        if top >= len(table):
+            table.extend(degree_power_weight(k, alpha) for k in range(len(table), top + 1))
+        return [table[k] for k in ks]
+
+    return weigh
+
+
+def _rank_weigher(alpha: float) -> Callable[[Sequence[int]], list[float]]:
+    """Nodes' rank-preference weights: a node's rank is its id plus one."""
+    return lambda nodes: [float(v + 1) ** -alpha for v in nodes]
+
+
 class _WedgeSampler(_NodeSampler):
     """Triangle closure: weight = common-neighbor count with the anchor.
 
@@ -449,11 +553,13 @@ class _WedgeSampler(_NodeSampler):
         if center_role or anchor is None:
             # Uniform center pick / anchorless first leaf.
             return self._uniform(excluded)
-        pool, start, size = self.state.pool, self.state.start, self.state.size
-        lo = start[anchor]
-        nbrs = pool[lo : lo + size[anchor]]
-        if len(nbrs) == 0:
+        state = self.state
+        degree = state.degrees[anchor]
+        if not degree:
             return self._uniform(excluded)
+        pool, start, size = state.pool_view, state.start, state.size
+        lo = state.lo[anchor]
+        nbrs = pool[lo : lo + degree]
         # Each 2-hop endpoint once per wedge: the count-weighted draw is a
         # uniform pick among them, made as the k-th smallest for the same
         # uniform that an inverse CDF over the sorted nodes would use.
@@ -467,7 +573,8 @@ class _WedgeSampler(_NodeSampler):
             keep &= base[np.minimum(np.searchsorted(base, ends), len(base) - 1)] != ends
             rest = excluded.chosen
         for x in rest:
-            keep &= ends != x
+            if x != anchor:
+                keep &= ends != x
         ends = ends[keep]
         if len(ends) == 0:
             return self._uniform(excluded)
@@ -482,11 +589,9 @@ def _make_sampler(comp: Component, state: _GraphState, rng) -> _NodeSampler:
     if isinstance(comp, DegreePower):
         if comp.alpha == 1.0:
             return _EndpointListSampler(state, rng)
-        return _VectorSampler(
-            state, rng, lambda v: degree_power_weight(state.degrees[v], comp.alpha)
-        )
+        return _VectorSampler(state, rng, _degree_weigher(state.degrees, comp.alpha), False)
     if isinstance(comp, RankPreference):
-        return _VectorSampler(state, rng, lambda v: float(v + 1) ** -comp.alpha)
+        return _VectorSampler(state, rng, _rank_weigher(comp.alpha), True)
     if isinstance(comp, TriangleClosure):
         return _WedgeSampler(state, rng)
     raise ModelError(f"no sampler for {comp!r}")
@@ -497,7 +602,9 @@ class MixtureSampler:
 
     A component's sampler reads the state's logged increments that it has
     not seen right before its next draw, so a component that the current
-    interval does not draw from costs nothing per increment.
+    interval does not draw from costs nothing per increment.  An interval
+    is turned into its running weight sums and its samplers when the draws
+    come to it.
     """
 
     def __init__(self, state: _GraphState, schedule: ModelSchedule, rng: np.random.Generator):
@@ -505,11 +612,30 @@ class MixtureSampler:
         self.rng = rng
         unique = dict.fromkeys(c for interval in schedule.intervals for c in interval.components)
         self._samplers = {comp: _make_sampler(comp, state, rng) for comp in unique}
+        self._interval: MixtureInterval | None = None
 
     def catch_up(self) -> None:
         """Bring every component's sampler up to the state, as a draw does for its own."""
         for sampler in self._samplers.values():
             sampler.catch_up()
+
+    def _table(self, interval: MixtureInterval) -> tuple[list[float], list[_NodeSampler]]:
+        """An interval's running weight sums, but the last, and its components' samplers.
+
+        The sums are added in component order, and each is raised to the
+        largest before it: the first component whose raised sum exceeds a
+        uniform is then the first whose plain sum does.  The table of the
+        last interval drawn from is kept.
+        """
+        if interval is not self._interval:
+            sums, acc, top = [], 0.0, -math.inf
+            for w in interval.weights[:-1]:
+                acc += w
+                top = max(top, acc)
+                sums.append(top)
+            self._interval = interval
+            self._draw_table = sums, [self._samplers[c] for c in interval.components]
+        return self._draw_table
 
     def draw(
         self,
@@ -518,16 +644,8 @@ class MixtureSampler:
         anchor: int | None,
         center_role: bool = False,
     ) -> int:
-        weights = interval.weights
-        u = self.rng.random()
-        acc = 0.0
-        comp = interval.components[-1]
-        for w, c in zip(weights, interval.components):
-            acc += w
-            if u < acc:
-                comp = c
-                break
-        sampler = self._samplers[comp]
+        sums, samplers = self._table(interval)
+        sampler = samplers[bisect_right(sums, self.rng.random())]
         if sampler.seen < self.state.num_increments:
             sampler.catch_up()
         return sampler.sample(excluded, anchor, center_role)
@@ -722,6 +840,8 @@ def grow(
         targets_new = (False,) * len(existing) + (True,) * n_new_targets
         state.apply(timestamp, center, center_new, targets, targets_new)
 
+    # Only the log is read from here on: free the samplers' weights and trees first.
+    del sampler
     return state.stream()
 
 

@@ -88,7 +88,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -96,7 +96,7 @@ import numpy as np
 from .errors import DegenerateModelError, FitError, ModelError, RejectedIncrementError
 from .errors import UndefinedRatioError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
-from .events import read_only
+from .events import kept_table, read_only
 from .events import concat_ranges as _concat_ranges
 from .events import offsets as _offsets
 from .graph import DynamicGraph, GrowthStream, Increment, _columns
@@ -294,7 +294,7 @@ class DPTrace:
             out[at] = self.target_deg[batch.targets].ravel()
         return out
 
-    @cached_property
+    @kept_table
     def _ordering_count(self) -> np.ndarray:
         """(I,) float64 orderings each increment's targets are summed over: S or q!."""
         counts = np.diff(self.inc_ord_offsets).astype(np.float64)
@@ -302,12 +302,30 @@ class DPTrace:
         counts[~self.sampled] = np.cumprod(np.maximum(np.arange(q.max(initial=0) + 1), 1.0))[q]
         return counts
 
-    @cached_property
+    @kept_table
+    def _baseline_offset(self) -> np.ndarray:
+        """(I,) float64 the baseline less the log of the ordering count, added to model scores."""
+        return self.logp_rand - np.log(self._ordering_count)
+
+    @kept_table
+    def _float_nodes(self) -> np.ndarray:
+        """(I,) float64 graph size when scored: the eligible count of a center."""
+        return self.num_nodes.astype(np.float64)
+
+    @kept_table
+    def _grown_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(I,) each center's degree after its increment, and the float64 count of its new targets.
+
+        The new targets arrive at degree 1.
+        """
+        return self.center_deg + self.gain, (self.gain - self.existing_counts).astype(np.float64)
+
+    @kept_table
     def _target_start(self) -> np.ndarray:
         """(I,) each increment's first existing target in the target arrays."""
         return _offsets(self.existing_counts)[:-1]
 
-    @cached_property
+    @kept_table
     def _subset_groups(self) -> list[_SubsetGroup]:
         """Subset-DP tables of the exhaustive increments with existing targets, one per q."""
         exhaustive = ~self.sampled & (self.existing_counts > 0)
@@ -320,10 +338,27 @@ class DPTrace:
             log_falling = np.log(initial - steps).sum(axis=0)
             on = (self.target_deg[targets] > 0).astype(np.float64)
             occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
-            groups.append(_SubsetGroup(incs, targets, initial, log_falling, occupied))
+            vacant = None if occupied.all() else ~occupied
+            groups.append(_SubsetGroup(incs, targets, initial, log_falling, vacant))
         return groups
 
-    @cached_property
+    @kept_table
+    def _anchored_groups(self) -> list[tuple[_SubsetGroup, bool]]:
+        """The subset groups split into stars with a plain and with an anchored lattice.
+
+        Under triangle closure an external star is anchored, one lattice
+        column per first target; a part left empty is left out.
+        """
+        parts = []
+        for group in self._subset_groups:
+            outer = self.center_new[group.incs]
+            if outer.all() or not outer.any():
+                parts.append((group, bool(outer[0])))
+            else:
+                parts += [(group.select(~outer), False), (group.select(outer), True)]
+        return parts
+
+    @kept_table
     def _occupied_base(self) -> np.ndarray:
         """(I,) nodes of positive degree in each increment's initial eligible set.
 
@@ -333,7 +368,7 @@ class DPTrace:
         """
         return _degree_totals(self, (np.arange(len(self.h0)) > 0).astype(np.float64))[1]
 
-    @cached_property
+    @kept_table
     def _largest_degree(self) -> int:
         """The largest degree whose weight enters a score.
 
@@ -347,11 +382,9 @@ class DPTrace:
             int(self.target_deg[earlier].max(initial=0)) + 1,
         )
 
-    @cached_property
+    @kept_table
     def _anchors(self) -> tuple[np.ndarray, ...]:
-        anchors = _triangle_anchors(self)
-        read_only(anchors)
-        return anchors
+        return _triangle_anchors(self)
 
     @property
     def anchor_offsets(self) -> np.ndarray:
@@ -368,7 +401,7 @@ class DPTrace:
         """(sum of q over anchors,) int64 anchor rows."""
         return self._anchors[2]
 
-    @cached_property
+    @kept_table
     def _anchor_rows(self) -> np.ndarray:
         """(I,) start of each increment's first anchor row in ``anchor_common``."""
         return _offsets(np.diff(self.anchor_offsets) * self.existing_counts)[:-1]
@@ -382,11 +415,14 @@ class _SubsetGroup:
     targets: np.ndarray  # (q, n) existing targets, as positions in the trace's target arrays
     initial: np.ndarray  # (n,) float64 initial eligible count B
     log_falling: np.ndarray  # (n,) sum over steps s < q of log(B - s)
-    occupied: np.ndarray  # (2**q - 1, n) bool, a node of positive degree left after each subset
+    # (2**q - 1, n) bool, no node of positive degree is left after the subset;
+    # None when one is left after every subset
+    vacant: np.ndarray | None
 
     def select(self, which: np.ndarray | slice) -> _SubsetGroup:
         """The group restricted to some of its increments."""
-        return _SubsetGroup(*(table[..., which] for table in vars(self).values()))
+        tables = vars(self).values()
+        return _SubsetGroup(*(None if t is None else t[..., which] for t in tables))
 
 
 @dataclass
@@ -667,15 +703,19 @@ def _degree_totals(trace: DPTrace, table: np.ndarray) -> tuple[np.ndarray, ...]:
     graph minus the center and its neighborhood when the center existed.
     """
     num_inc = trace.num_increments
+    center_after, new_targets = trace._grown_degrees
     target_w, center_w = table[trace.target_deg], table[trace.center_deg]
     # Histogram deltas: existing nodes leave their old degree bin; new
-    # nodes only appear at their final degree.
-    grown = table[trace.center_deg + trace.gain] - np.where(trace.center_new, 0.0, center_w)
-    grown += np.bincount(
-        trace.target_inc, weights=table[trace.target_deg + 1] - target_w, minlength=num_inc
-    )
-    grown += (trace.gain - trace.existing_counts) * table[1]
-    whole = float(trace.h0 @ table) + _offsets(grown)[:-1]
+    # nodes only appear at their final degree.  Every existing target
+    # gains one degree, a step read off the table's differences.
+    grown = table[center_after] - np.where(trace.center_new, 0.0, center_w)
+    step = np.diff(table)[trace.target_deg]
+    grown += np.bincount(trace.target_inc, weights=step, minlength=num_inc)
+    grown += new_targets * table[1]
+    whole = np.empty(num_inc)
+    whole[:1] = 0.0
+    np.cumsum(grown[:-1], out=whole[1:])
+    whole += float(trace.h0 @ table)
     shared = np.bincount(trace.shared_inc, weights=table[trace.shared_deg], minlength=num_inc)
     return target_w, whole - shared, center_w, whole
 
@@ -764,7 +804,7 @@ def _center_ratios(
     no choice: both have ratio 1.  Adds each existing center that falls
     back to uniform to ``fallbacks``, unless that is None.
     """
-    whole_graph = trace.num_nodes.astype(np.float64)
+    whole_graph = trace._float_nodes
     ratios = []
     for l, node in enumerate(nodes):
         w, total = (1.0, whole_graph) if node is None else node[2:]
@@ -947,9 +987,9 @@ def _lattice(
     total = base - members @ w
     if zero:
         # no node of positive degree is left: the total is 0 up to rounding
-        left = occupied - members @ on > 0.0 if anchored else group.occupied
-        if not left.all():
-            total[~left] = 0.0
+        vacant = ~(occupied - members @ on > 0.0) if anchored else group.vacant
+        if vacant is not None and vacant.any():
+            total[vacant] = 0.0
     return _Lattice(first, first_uniform, w, total, eligible, log_falling)
 
 
@@ -968,24 +1008,19 @@ def _subset_batches(
     than q * 2**q.  Adds the uniform steps of each star's identity ordering
     to ``fallbacks``, unless that is None.
     """
-    anchored = any(isinstance(c, TriangleClosure) for c in components)
-    for group in trace._subset_groups:
-        q = len(group.targets)
+    if any(isinstance(c, TriangleClosure) for c in components):
+        parts = trace._anchored_groups
+    else:
+        parts = [(group, False) for group in trace._subset_groups]
+    for part, outer in parts:
+        q = len(part.targets)
         step = max(1, _COLLAPSE_BATCH_ELEMENTS // ((q << q) * width(q)))
-        for part, outer in _split(group, anchored & trace.center_new[group.incs]):
-            for a in range(0, len(part.incs), step):
-                batch = part.select(slice(a, a + step))
-                lattices = [_lattice(trace, batch, c, n, outer) for c, n in zip(components, nodes)]
-                if fallbacks is not None:
-                    fallbacks[:, batch.incs] += [lat.fallbacks for lat in lattices]
-                yield batch, outer, lattices
-
-
-def _split(group: _SubsetGroup, anchored: np.ndarray) -> list[tuple[_SubsetGroup, bool]]:
-    """The group's stars with a plain and with an anchored lattice, leaving out an empty part."""
-    if anchored.all() or not anchored.any():
-        return [(group, bool(anchored[0]))]
-    return [(group.select(~anchored), False), (group.select(anchored), True)]
+        for a in range(0, len(part.incs), step):
+            batch = part.select(slice(a, a + step))
+            lattices = [_lattice(trace, batch, c, n, outer) for c, n in zip(components, nodes)]
+            if fallbacks is not None:
+                fallbacks[:, batch.incs] += [lat.fallbacks for lat in lattices]
+            yield batch, outer, lattices
 
 
 def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
@@ -1011,7 +1046,11 @@ def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
         rho = lattice.total[0] / lattice.total
         u = np.ones((1, n))
         for lo, hi, child, _ in reversed(_subset_lattice(q)[1]):
-            u = rho[lo:hi] * u[child].sum(axis=1)
+            # the children's rows added in turn, as a sum over them would
+            below = u[child[:, 0]]
+            for c in range(1, child.shape[1]):
+                below += u[child[:, c]]
+            u = rho[lo:hi] * below
     if not np.isfinite(u).all():
         return None
     with np.errstate(divide="ignore"):
@@ -1073,12 +1112,14 @@ def _trace_logp(
     scans, which discard them, pass ``count_fallbacks=False`` and get None.
     """
     num_inc = trace.num_increments
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (num_inc, len(components)))
+    given = np.asarray(weights, dtype=np.float64)
+    weights = np.broadcast_to(given, (num_inc, len(components)))
     fallbacks = np.zeros((len(components), num_inc), dtype=np.int64) if count_fallbacks else None
     uniform = np.array([isinstance(c, Random) or c == DegreePower(0.0) for c in components])
     if uniform.all():
         return trace.logp_rand.copy(), fallbacks
-    baseline = ~weights[:, ~uniform].any(axis=1)
+    # per increment, or one for all of them when the weights are
+    baseline = ~given[..., ~uniform].any(axis=-1)
     nodes = [_node_weights(trace, comp) for comp in components]
     with np.errstate(divide="ignore"):
         logp = np.log(_mix(_center_ratios(trace, nodes, fallbacks), weights.T))
@@ -1097,7 +1138,7 @@ def _trace_logp(
                 f += np.log(_mix([lat.first for lat in lattices], cols.T))
                 f = _segment_logsumexp(f, np.full(len(stars.incs), q))
             logp[stars.incs] += f
-    logp += trace.logp_rand - np.log(trace._ordering_count)
+    logp += trace._baseline_offset
     return np.where(baseline, trace.logp_rand, logp), fallbacks
 
 

@@ -163,6 +163,115 @@ class TestFitDegreeExponent:
                 call()
 
 
+def scan_stream(rng):
+    """A small stream whose scans cross a uniform fallback and sampled stars, every score finite.
+
+    Hub 0 neighbours nodes 9 to 14 and nodes 1 to 8 are isolated, so the
+    first star, at 0 onto 1 and 2, chooses among nodes of degree 0 only:
+    under a nonzero degree exponent both its steps fall back to uniform.
+    Later stars take centers and existing targets of positive degree only.  Internal
+    stars onto 8 of them have 9 choices, more than
+    ``MAX_EXHAUSTIVE_CHOICES``, and are sampled; the other stars are
+    internal or external with 1 to 3 existing targets, in random order
+    after three external stars.
+    """
+    seed_edges = sorted({(0, v) for v in range(9, 15)} | {(9, 10), (11, 12)})
+    graph = gf.graph_from_edges(seed_edges)
+    incs = [gf.Increment(0, 0, False, (1, 2), (False, False))]
+    gf.apply_increment(graph, incs[0])
+    shapes = [(True, 3)] * 3 + [(False, 8)] + [
+        (bool(rng.integers(0, 2)), 8 if rng.random() < 0.3 else int(rng.integers(1, 4)))
+        for _ in range(10)
+    ]
+    for t, (center_is_new, q) in enumerate(shapes, start=1):
+        n = graph.num_nodes
+        linked = [v for v in range(n) if graph.degrees[v] > 0]
+        hosts = [v for v in linked if len(set(linked) - graph.neighbors(v) - {v}) >= q]
+        if center_is_new or not hosts:
+            center, center_is_new, pool = n, True, linked
+        else:
+            center = int(rng.choice(hosts))
+            pool = [x for x in linked if x != center and x not in graph.neighbors(center)]
+        existing = tuple(int(x) for x in rng.choice(pool, size=q, replace=False))
+        n_new = int(rng.integers(0, 2))
+        first_new = n + center_is_new
+        targets = existing + tuple(range(first_new, first_new + n_new))
+        inc = gf.Increment(t, center, center_is_new, targets, (False,) * q + (True,) * n_new)
+        gf.apply_increment(graph, inc)
+        incs.append(inc)
+    return gf.GrowthStream(seed_edges, incs)
+
+
+def point_logps(stream, comp):
+    """One grid point scored alone, on a replay of its own: its first-use tables start empty."""
+    trace = likelihood._replay(
+        stream.seed_graph(), stream.columns, 0, 0,
+        likelihood.DEFAULT_ORDERING_SAMPLES, likelihood.MAX_EXHAUSTIVE_CHOICES,
+    )
+    logp, _ = likelihood._trace_logp(trace, [comp], [1.0])
+    return logp
+
+
+def sum_in_order(values):
+    """The sum of a list added left to right."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
+class TestScansReuseTables:
+    """A scan builds its exponent-free tables once and scores every point as if alone."""
+
+    EXPONENTS = [-0.5, -0.0, 0.0, 0.3, 1.0, 1.7, 2.5]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["DP", "RP"]),
+        grid=st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=6),
+    )
+    def test_family_scan_equals_points_scored_alone(self, seed, family, grid):
+        stream = scan_stream(np.random.default_rng(seed))
+        trace = gf.build_dp_trace(stream)
+        assert trace.sampled.any()
+        # the first star's two steps fall back to uniform under a degree power
+        logp, fallbacks = likelihood._trace_logp(trace, [gf.DegreePower(1.0)], [1.0])
+        assert fallbacks[0, 0] == 2 and np.isfinite(logp).all()
+        if family == "RP":
+            make = gf.RankPreference
+            grid = [a for a in grid if a > 0.0] or [0.3]
+        else:
+            make = gf.DegreePower
+            grid = grid + [0.0, -0.0]
+        fit = gf.fit_component_family(trace, make, grid)
+        alone = [float(point_logps(stream, make(a)).sum()) for a in grid]
+        assert fit.logliks.tobytes() == np.array(alone).tobytes()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alphas=st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=5),
+        t_grid=st.none() | st.lists(st.integers(-1, 14), min_size=1, max_size=6),
+    )
+    def test_joint_fit_equals_brute_force(self, seed, alphas, t_grid):
+        stream = scan_stream(np.random.default_rng(seed))
+        alphas = alphas + [0.0, -0.0]
+        series = [point_logps(stream, gf.DegreePower(a)).tolist() for a in alphas]
+        timestamps = [inc.timestamp for inc in stream.increments]
+        best = None
+        for t in sorted(set(timestamps)) if t_grid is None else t_grid:
+            split = sum(ts <= t for ts in timestamps)
+            pre = [sum_in_order(logp[:split]) for logp in series]
+            # the post sum is the whole sum less the pre sum, as the fit forms it
+            post = [sum_in_order(logp) - p for logp, p in zip(series, pre)]
+            i, j = pre.index(max(pre)), post.index(max(post))
+            if best is None or pre[i] + post[j] > best[0]:
+                best = (pre[i] + post[j], t, alphas[i], alphas[j])
+        joint = gf.fit_dp_changepoint_joint(stream, alpha_grid=alphas, t_grid=t_grid)
+        assert (joint.loglik, joint.t_hat, joint.alpha_pre, joint.alpha_post) == best
+
+
 class TestFitMixtureWeights:
     """Weight recovery by a one-interval fit."""
 
@@ -562,6 +671,37 @@ class TestChangepoint:
             args = (1.5, 0.5) if fit is gf.fit_dp_changepoint else ()
             with pytest.raises(gf.FitError, match="empty stream"):
                 fit(empty, *args)
+
+    # bools, NaN, text, complex, nested and ragged lists; a bool beside an int too
+    BAD_SWITCH_GRIDS = [
+        [True, False], [math.nan], ["a"], [1, True], [1 + 2j], [[1, 2]], [[1], [2, 3]],
+    ]
+
+    @pytest.fixture(scope="class")
+    def small_stream(self):
+        return gf.grow(gf.GrowthRecipe.constant("DP(1.5)", increments=30), seed=0)
+
+    def test_changepoint_switch_grid_must_hold_numbers(self):
+        x = np.zeros(3)
+        for grid in self.BAD_SWITCH_GRIDS:
+            with pytest.raises(gf.FitError, match="switch-time grid"):
+                gf.fit_changepoint(x, x, np.arange(3), grid=grid)
+        # numpy keeps ints past int64 exact as Python ints, and the grid stays valid
+        assert gf.fit_changepoint(x, x, np.arange(3), grid=[2**70, 2]).t_hat == 2**70
+
+    def test_dp_changepoint_switch_grid_must_hold_numbers(self, small_stream):
+        for grid in self.BAD_SWITCH_GRIDS:
+            with pytest.raises(gf.FitError, match="switch-time grid"):
+                gf.fit_dp_changepoint(small_stream, 1.5, 0.5, grid=grid)
+        fit = gf.fit_dp_changepoint(small_stream, 1.5, 0.5, grid=[2**64, 2**70])
+        assert fit.t_hat == 2**64
+
+    def test_joint_switch_grid_must_hold_numbers(self, small_stream):
+        for grid in self.BAD_SWITCH_GRIDS:
+            with pytest.raises(gf.FitError, match="switch-time grid"):
+                gf.fit_dp_changepoint_joint(small_stream, alpha_grid=[0.5, 1.5], t_grid=grid)
+        joint = gf.fit_dp_changepoint_joint(small_stream, alpha_grid=[0.5, 1.5], t_grid=[2**70])
+        assert joint.t_hat == 2**70
 
     def test_series_from_cache_matches_logratios(self):
         stream = gf.grow(

@@ -342,7 +342,8 @@ class TestVectorDraws:
         current = list(weights)
         eligible = [v for v in range(n) if v not in excluded]
         rng = _FixedUniform(u, fallback=eligible[0])
-        sampler = _VectorSampler(_GraphState(n, []), rng, lambda v: current[v])
+        weigh = lambda nodes: [current[v] for v in nodes]  # noqa: E731
+        sampler = _VectorSampler(_GraphState(n, []), rng, weigh, False)
         if updates:
             for v, w in updates.items():
                 current[v] = w
@@ -351,7 +352,7 @@ class TestVectorDraws:
             sampler.state.apply(0, touched[0], False, tuple(touched[1:]),
                                 (False,) * (len(touched) - 1))
             sampler.catch_up()
-        assert sampler.weights[:n].tolist() == current
+        assert sampler.weights[:n] == current
         # as a star's target draws see it: a fixed base plus chosen targets
         base, chosen = excluded - chosen, sorted(chosen)
         exclusion = _Excluded(base, chosen) if len(base) > SORTED_BASE else set(base)
@@ -458,7 +459,7 @@ class TestSamplerState:
         # node 2 is isolated: weight 1 under DP(0), 0 under DP(0.5)
         schedule = gf.GrowthRecipe.constant(self.SPEC).schedule()
         sampler = MixtureSampler(_GraphState(3, [(0, 1)]), schedule, None)
-        weights = {c: s.weights[:3].tolist() for c, s in sampler._samplers.items()
+        weights = {c: s.weights[:3] for c, s in sampler._samplers.items()
                    if isinstance(s, _VectorSampler)}
         assert weights[gf.DegreePower(0.0)] == [1.0, 1.0, 1.0]
         assert weights[gf.DegreePower(0.5)] == [1.0, 1.0, 0.0]

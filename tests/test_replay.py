@@ -256,6 +256,20 @@ def sampled_triangle_stream(seed):
     return gf.grow(recipe, seed=seed)
 
 
+def arrays_in(value):
+    """Every array in a value: itself, or in its dict, tuple, list or fields, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+    elif hasattr(value, "__dict__"):
+        yield from arrays_in(vars(value))
+
+
 class TestKeptTrace:
     """A stream keeps one replay per set of replay options, and that replay is read-only."""
 
@@ -316,17 +330,35 @@ class TestKeptTrace:
                 gf.build_dp_trace(gf.GrowthStream([(0, 1)], []), ordering_samples=0)
         assert len(calls) == 4 and stream._traces == {}
 
+    FIRST_USE_TABLES = {
+        "_ordering_count", "_baseline_offset", "_float_nodes", "_grown_degrees", "_target_start",
+        "_subset_groups", "_anchored_groups", "_occupied_base", "_largest_degree", "_anchors",
+        "_anchor_rows",
+    }
+
     def test_every_array_is_read_only(self):
-        trace = gf.build_dp_trace(sampled_triangle_stream(3))
-        arrays = [getattr(trace, f.name) for f in fields(DPTrace)]
-        arrays = [a for a in arrays if isinstance(a, np.ndarray)] + list(trace.orderings)
-        arrays += [trace.anchor_offsets, trace.anchor_total, trace.anchor_common]
-        public = (v for k, v in vars(trace.events).items() if not k.startswith("_"))
-        arrays += [v for v in public if isinstance(v, np.ndarray)]
-        assert trace.orderings and len(trace.anchor_total)
-        for values in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                values[...] = 0
+        # 8 targets make sampled stars; 3 put internal and external stars in one subset group
+        for internal_targets in (8, 3):
+            recipe = gf.GrowthRecipe.constant(
+                "0.4*BA + 0.3*TRI + 0.3*RAND", increments=120, new_targets=3, internal_prob=0.3,
+                internal_targets=internal_targets, seed_clique=12,
+            )
+            stream = gf.grow(recipe, seed=3)
+            trace = gf.build_dp_trace(stream)
+            # a triangle-closure score and an exponent scan build every first-use table
+            gf.score_stream(stream, gf.parse_model_spec("0.4*BA + 0.3*TRI + 0.3*RAND"))
+            gf.fit_degree_exponent(stream, grid=[0.5, 1.5])
+            assert self.FIRST_USE_TABLES <= vars(trace).keys()
+            assert {"_pairs", "_triangle_keys"} <= vars(trace.events).keys()
+            if internal_targets == 8:
+                assert trace.orderings and len(trace.anchor_total)
+            else:
+                assert len(trace._anchored_groups) > len(trace._subset_groups)
+            arrays = list(arrays_in([vars(trace), vars(trace.events)]))
+            assert len(arrays) > len(fields(DPTrace))
+            for values in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    values[...] = 0
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_kept_trace_equals_a_fresh_replay(self, seed):
