@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, likelihood
 from .errors import CheckpointError, GrowthFitError
 from .estimation import (
     FitResult,
@@ -55,10 +55,6 @@ def _emit(args, payload: str) -> None:
         print(payload)
 
 
-def _parse_components(text: str):
-    return [parse_component(part) for part in text.split(",")]
-
-
 def _parse_alpha_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(f) for f in text.split(":"))
@@ -89,6 +85,12 @@ def _load(args):
 def _trace(args):
     """The one replay of the command's stream, at its --seed and --ordering-samples."""
     return build_dp_trace(_load(args), seed=args.seed, ordering_samples=args.ordering_samples)
+
+
+def _cache(args):
+    """The choice cache of the command's --components, on its one replay."""
+    comps = [parse_component(part) for part in args.components.split(",")]
+    return build_choice_cache(_trace(args), comps)
 
 
 def _cmd_ingest(args) -> int:
@@ -143,9 +145,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.components:
-        comps = _parse_components(args.components)
-        cache = build_choice_cache(_trace(args), comps)
-        _emit(args, fit_intervals(cache, 1, step=args.step).to_json())
+        _emit(args, fit_intervals(_cache(args), 1, step=args.step).to_json())
         return 0
     grid = _parse_alpha_grid(args.grid_alpha) if args.grid_alpha else default_alpha_grid()
     fit = fit_degree_exponent(_trace(args), grid=grid)
@@ -161,26 +161,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fit_intervals(args) -> int:
-    comps = _parse_components(args.components)
-    cache = build_choice_cache(_trace(args), comps)
-    result = fit_intervals(cache, args.intervals, mode=args.interval_mode, step=args.step)
+    result = fit_intervals(_cache(args), args.intervals, mode=args.interval_mode, step=args.step)
     _emit(args, result.to_json())
     return 0
 
 
 def _cmd_fit_changepoint(args) -> int:
     grid = _parse_t_grid(args.changepoint_grid) if args.changepoint_grid else None
-    pre = parse_model_spec(args.model_pre)
-    post = parse_model_spec(args.model_post)
+    pre, post = parse_model_spec(args.model_pre), parse_model_spec(args.model_post)
     trace = _trace(args)
-    _, series_pre = score_stream(trace, pre, keep_series=True)
-    _, series_post = score_stream(trace, post, keep_series=True)
-    fit = fit_changepoint(
-        np.array([s.logp for s in series_pre]),
-        np.array([s.logp for s in series_post]),
-        trace.timestamps,
-        grid=grid,
-    )
+    # the per-increment log-probabilities that score_stream wraps in IncrementScores
+    logp_pre, logp_post = (likelihood._score(trace, m, 0)[0] for m in (pre, post))
+    fit = fit_changepoint(logp_pre, logp_post, trace.timestamps, grid=grid)
     payload = {
         "t_hat": fit.t_hat,
         "logL": fit.loglik,
@@ -193,15 +185,7 @@ def _cmd_fit_changepoint(args) -> int:
 
 
 def _cmd_scan_j(args) -> int:
-    comps = _parse_components(args.components)
-    cache = build_choice_cache(_trace(args), comps)
-    fits = scan_interval_counts(
-        cache,
-        jmin=args.jmin,
-        jmax=args.jmax,
-        mode=args.interval_mode,
-        step=args.step,
-    )
+    fits = scan_interval_counts(_cache(args), args.jmin, args.jmax, args.interval_mode, args.step)
     lines = ["J,logL,c0"]
     for j, fit in zip(range(args.jmin, args.jmax + 1), fits):
         lines.append(f"{j},{fit.loglik:.6f},{fit.c0:.9f}")
@@ -218,8 +202,7 @@ def _cmd_wilks(args) -> int:
     else:
         if not (args.data and args.components):
             raise GrowthFitError("wilks needs --fit0/--fit1 or --data with --components")
-        comps = _parse_components(args.components)
-        cache = build_choice_cache(_trace(args), comps)
+        cache = _cache(args)
         fit0 = fit_intervals(cache, args.j0, mode=args.interval_mode, step=args.step)
         fit1 = fit_intervals(cache, args.j1, mode=args.interval_mode, step=args.step)
     report = compare_interval_fits(fit0, fit1)
@@ -262,7 +245,7 @@ def _cmd_similarity(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, data_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, data_required: bool = True, step: bool = False) -> None:
     if data_required:
         p.add_argument("--data", required=True, help="input stream file (edge list or star stream)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (ordering samples etc.)")
@@ -273,7 +256,8 @@ def _add_common(p: argparse.ArgumentParser, data_required: bool = True) -> None:
         help="orderings drawn per increment when exact enumeration is too large",
     )
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
-    p.add_argument("--step", type=float, default=0.01, help="weight-grid resolution")
+    if step:
+        p.add_argument("--step", type=float, default=0.01, help="weight-grid resolution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("fit", help="fit mixture weights (or a degree exponent)")
-    _add_common(p)
+    _add_common(p, step=True)
     p.add_argument("--components", default=None, help="comma-separated components")
     p.add_argument("--grid-alpha", default=None, help="START:STOP:STEP exponent grid")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("fit-intervals", help="piecewise mixture fit with J intervals")
-    _add_common(p)
+    _add_common(p, step=True)
     p.add_argument("--components", required=True)
     p.add_argument("--intervals", type=int, default=1)
     p.add_argument("--interval-mode", choices=["count", "time"], default="count")
@@ -331,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_changepoint)
 
     p = sub.add_parser("scan-j", help="fit at every interval count in a range")
-    _add_common(p)
+    _add_common(p, step=True)
     p.add_argument("--components", required=True)
     p.add_argument("--jmin", type=int, default=1)
     p.add_argument("--jmax", type=int, default=8)
@@ -339,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan_j)
 
     p = sub.add_parser("wilks", help="likelihood-ratio test between nested interval fits")
-    _add_common(p, data_required=False)
+    _add_common(p, data_required=False, step=True)
     p.add_argument("--data", default=None)
     p.add_argument("--components", default=None)
     p.add_argument("--j0", type=int, default=1)

@@ -474,22 +474,68 @@ class ChangepointFit:
     logliks: np.ndarray
 
 
-def _splits(timestamps: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Per candidate T, how many of the sorted timestamps are at or below it.
+def _finite_prefix(rows: np.ndarray, reference: np.ndarray | None):
+    """(A, I + 1) prefix sums, from 0, of each row's finite entries less the reference's.
 
-    Integer timestamps are searched against an integer grid as it is and
-    against any other grid by its floors, so the count is exact at any
-    timestamp, where float64 holds only those below 2**53.
+    Also each row's first and last impossible (-inf) increment, I and -1 in
+    a row without one.  A NaN or +inf entry raises ``FitError``.
     """
-    if timestamps.dtype.kind == "i" and grid.dtype.kind != "i":
-        grid = _int64_floors(grid)
-    return np.searchsorted(timestamps, grid, side="right")
+    for series in [s for s in (rows, reference) if s is not None]:
+        bad = ~(series < np.inf)  # NaN or +inf
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise FitError(f"score series holds {series[at]} at index {at[-1]}, "
+                           "which is not a log-probability")
+    impossible = rows == -np.inf
+    some = impossible.any(axis=1)
+    if reference is not None:
+        rows = np.where(impossible, 0.0, rows) - np.where(reference == -np.inf, 0.0, reference)
+    elif some.any():
+        rows = np.where(impossible, 0.0, rows)
+    num = rows.shape[1]
+    prefix = np.zeros((len(rows), num + 1))
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+    first = np.where(some, impossible.argmax(axis=1), num)
+    last = np.where(some, num - 1 - impossible[:, ::-1].argmax(axis=1), -1)
+    return prefix, first, last
 
 
-def _grid_point(grid: np.ndarray, index: int) -> int | float:
-    """A grid value as the Python number the grid holds: an int stays exact at any size."""
-    value = grid[index]
-    return value.item() if isinstance(value, np.generic) else value
+def _split_search(pre_rows, post_rows, timestamps, grid=None, reference=None) -> tuple:
+    """(T, score, its pre and post rows, grid, every point's score) of the best switch time T.
+
+    Each side of a cut scores as its best row, the earliest on ties: the pre
+    side sums a row's increments at or before T, the post side the rest, as
+    the row total less the pre sum.  With a ``reference`` both sum the row
+    less the reference, whose total is added back.  Sums take finite entries
+    only, and a side holding one of a row's impossible increments scores
+    -inf for that row.  The grid defaults to the unique timestamps.
+    """
+    if not (pre_rows.shape[1] == post_rows.shape[1] == len(timestamps)):
+        raise FitError("score series and timestamps must have equal length")
+    if len(timestamps) == 0:
+        raise FitError("empty stream")
+    _check_nondecreasing(timestamps)
+    grid = np.unique(timestamps) if grid is None else _switch_grid(grid)
+    # integer timestamps are searched against any other grid by its floors,
+    # so a split is exact at any timestamp, where float64 holds those below 2**53
+    ints = timestamps.dtype.kind == "i" and grid.dtype.kind != "i"
+    splits = np.searchsorted(timestamps, _int64_floors(grid) if ints else grid, side="right")
+    pre = _finite_prefix(pre_rows, reference)
+    post = pre if post_rows is pre_rows else _finite_prefix(post_rows, reference)
+    rows, scores = [], 0.0
+    for (prefix, first, last), after in ((pre, False), (post, True)):
+        sums = prefix[:, splits]
+        if after:
+            np.subtract(prefix[:, -1:], sums, out=sums)
+        sums[last[:, None] >= splits if after else first[:, None] < splits] = -np.inf
+        rows.append(sums.argmax(axis=0))
+        scores = scores + sums[rows[-1], np.arange(len(splits))]
+        del sums  # one side's (A, G) sums alive at a time
+    if reference is not None:
+        scores += np.where(reference == -np.inf, 0.0, reference).sum()
+    best = _argmax_first(scores)
+    t_hat = grid[best].item() if isinstance(grid[best], np.generic) else grid[best]
+    return t_hat, float(scores[best]), int(rows[0][best]), int(rows[1][best]), grid, scores
 
 
 def fit_changepoint(
@@ -503,28 +549,18 @@ def fit_changepoint(
     The candidate grid defaults to every observed timestamp, which must be
     non-decreasing (``FitError`` names the first index that is not).  Ties
     pick the earliest T, so a changeless stream (identical series) reports
-    the start of the searched range.
+    the start of the searched range.  A side holding an impossible (-inf)
+    increment scores -inf; a NaN or +inf score raises ``FitError``.
     """
-    logp_pre = np.asarray(logp_pre, dtype=np.float64)
-    logp_post = np.asarray(logp_post, dtype=np.float64)
-    timestamps = np.asarray(timestamps)
-    if not (len(logp_pre) == len(logp_post) == len(timestamps)):
-        raise FitError("score series and timestamps must have equal length")
-    if len(timestamps) == 0:
-        raise FitError("empty stream")
-    _check_nondecreasing(timestamps)
-    grid = np.unique(timestamps) if grid is None else _switch_grid(grid)
-    # The post total plus a prefix sum of the differences: equal series tie
-    # exactly, where a difference of two prefix sums would round apart.
-    gain = np.concatenate(([0.0], np.cumsum(logp_pre - logp_post)))
-    logliks = logp_post.sum() + gain[_splits(timestamps, grid)]
-    best = _argmax_first(logliks)
-    return ChangepointFit(
-        t_hat=_grid_point(grid, best),
-        loglik=float(logliks[best]),
-        grid=grid,
-        logliks=logliks,
+    # Sums relative to the post series: its total plus a prefix sum of the
+    # differences, so equal series tie exactly, where a difference of two
+    # prefix sums would round apart.
+    post = np.asarray(logp_post, dtype=np.float64)
+    pre = np.asarray(logp_pre, dtype=np.float64)
+    t_hat, loglik, _, _, grid, logliks = _split_search(
+        pre[None], post[None], np.asarray(timestamps), grid, reference=post
     )
+    return ChangepointFit(t_hat, loglik, grid, logliks)
 
 
 def changepoint_grid(t_lo: float, t_hi: float, points: int = 1000) -> np.ndarray:
@@ -541,14 +577,9 @@ def fit_dp_changepoint(
     grid: np.ndarray | None = None,
 ) -> ChangepointFit:
     """Changepoint between two known degree-power exponents, on a trace or a stream's replay."""
-    grid = None if grid is None else _switch_grid(grid)
     trace = _as_trace(source)
-    return fit_changepoint(
-        dp_trace_logp(trace, alpha_pre),
-        dp_trace_logp(trace, alpha_post),
-        trace.timestamps,
-        grid=grid,
-    )
+    pre, post = dp_trace_logp(trace, alpha_pre), dp_trace_logp(trace, alpha_post)
+    return fit_changepoint(pre, post, trace.timestamps, grid)
 
 
 @dataclass
@@ -569,27 +600,10 @@ def fit_dp_changepoint_joint(
     ``t_grid`` defaults to every observed timestamp.
     """
     alpha_grid = default_alpha_grid() if alpha_grid is None else _exponent_grid(alpha_grid)
-    t_grid = None if t_grid is None else _switch_grid(t_grid)
     trace = _as_trace(source)
-    if trace.num_increments == 0:
-        raise FitError("empty stream")
-    t_grid = np.unique(trace.timestamps) if t_grid is None else t_grid
     logp = np.stack([dp_trace_logp(trace, float(a)) for a in alpha_grid])
-    prefix = np.concatenate((np.zeros((len(alpha_grid), 1)), np.cumsum(logp, axis=1)), axis=1)
-    total = prefix[:, -1]
-    splits = _splits(trace.timestamps, t_grid)
-    pre = prefix[:, splits]
-    post = total[:, None] - pre
-    pre_best = pre.argmax(axis=0)
-    post_best = post.argmax(axis=0)
-    scores = pre[pre_best, np.arange(len(splits))] + post[post_best, np.arange(len(splits))]
-    best = _argmax_first(scores)
-    return DPChangepointJointFit(
-        t_hat=_grid_point(t_grid, best),
-        alpha_pre=float(alpha_grid[pre_best[best]]),
-        alpha_post=float(alpha_grid[post_best[best]]),
-        loglik=float(scores[best]),
-    )
+    t_hat, loglik, pre, post, _, _ = _split_search(logp, logp, trace.timestamps, t_grid)
+    return DPChangepointJointFit(t_hat, float(alpha_grid[pre]), float(alpha_grid[post]), loglik)
 
 
 @dataclass

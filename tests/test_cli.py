@@ -355,6 +355,19 @@ class TestErrors:
         assert code == 2
         assert "error (ModelSpecError)" in stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "--model", "RAND"],
+            ["fit-changepoint", "--model-pre", "RAND", "--model-post", "BA"],
+        ],
+    )
+    def test_step_is_refused_where_no_weight_grid_is_read(self, workdir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--data", str(workdir / "run.stars"), "--step", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --step 0.1" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, stderr = run(capsys, "score", "--data", "/nonexistent.stars",
                               "--model", "RAND")

@@ -163,8 +163,8 @@ class TestFitDegreeExponent:
                 call()
 
 
-def scan_stream(rng):
-    """A small stream whose scans cross a uniform fallback and sampled stars, every score finite.
+def scan_stream(rng, impossible=False):
+    """A small stream whose scans cross a uniform fallback and sampled stars.
 
     Hub 0 neighbours nodes 9 to 14 and nodes 1 to 8 are isolated, so the
     first star, at 0 onto 1 and 2, chooses among nodes of degree 0 only:
@@ -173,7 +173,9 @@ def scan_stream(rng):
     stars onto 8 of them have 9 choices, more than
     ``MAX_EXHAUSTIVE_CHOICES``, and are sampled; the other stars are
     internal or external with 1 to 3 existing targets, in random order
-    after three external stars.
+    after three external stars.  Every score is finite unless
+    ``impossible``, where one later star takes isolated node 3 beside nodes
+    of positive degree, which no nonzero degree exponent can choose.
     """
     seed_edges = sorted({(0, v) for v in range(9, 15)} | {(9, 10), (11, 12)})
     graph = gf.graph_from_edges(seed_edges)
@@ -183,6 +185,7 @@ def scan_stream(rng):
         (bool(rng.integers(0, 2)), 8 if rng.random() < 0.3 else int(rng.integers(1, 4)))
         for _ in range(10)
     ]
+    onto_isolated = int(rng.integers(1, len(shapes) + 1)) if impossible else None
     for t, (center_is_new, q) in enumerate(shapes, start=1):
         n = graph.num_nodes
         linked = [v for v in range(n) if graph.degrees[v] > 0]
@@ -193,6 +196,8 @@ def scan_stream(rng):
             center = int(rng.choice(hosts))
             pool = [x for x in linked if x != center and x not in graph.neighbors(center)]
         existing = tuple(int(x) for x in rng.choice(pool, size=q, replace=False))
+        if t == onto_isolated:
+            existing = (3,) + existing[1:]
         n_new = int(rng.integers(0, 2))
         first_new = n + center_is_new
         targets = existing + tuple(range(first_new, first_new + n_new))
@@ -218,6 +223,29 @@ def sum_in_order(values):
     for x in values:
         acc += x
     return acc
+
+
+def finite_sum(values):
+    """The sum of a list's finite entries, added left to right."""
+    return sum_in_order(x for x in values if x != -math.inf)
+
+
+def side_sum(values):
+    """A side of a cut: -inf if it holds an impossible increment, else its sum."""
+    return -math.inf if -math.inf in values else finite_sum(values)
+
+
+def brute_force_split(pre_rows, post_rows, timestamps, grid):
+    """(score, T, pre row, post row) of the best cut, every side summed directly, first maximum."""
+    best = None
+    for t in grid:
+        split = sum(ts <= t for ts in timestamps)
+        pre = [side_sum(row[:split]) for row in pre_rows]
+        post = [side_sum(row[split:]) for row in post_rows]
+        i, j = pre.index(max(pre)), post.index(max(post))
+        if best is None or pre[i] + post[j] > best[0]:
+            best = (pre[i] + post[j], t, i, j)
+    return best
 
 
 class TestScansReuseTables:
@@ -253,18 +281,26 @@ class TestScansReuseTables:
         seed=st.integers(0, 2**32 - 1),
         alphas=st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=5),
         t_grid=st.none() | st.lists(st.integers(-1, 14), min_size=1, max_size=6),
+        impossible=st.booleans(),
     )
-    def test_joint_fit_equals_brute_force(self, seed, alphas, t_grid):
-        stream = scan_stream(np.random.default_rng(seed))
+    def test_joint_fit_equals_brute_force(self, seed, alphas, t_grid, impossible):
+        stream = scan_stream(np.random.default_rng(seed), impossible)
         alphas = alphas + [0.0, -0.0]
         series = [point_logps(stream, gf.DegreePower(a)).tolist() for a in alphas]
+        assert any(-math.inf in logp for logp in series) == (impossible and any(alphas))
         timestamps = [inc.timestamp for inc in stream.increments]
         best = None
         for t in sorted(set(timestamps)) if t_grid is None else t_grid:
             split = sum(ts <= t for ts in timestamps)
-            pre = [sum_in_order(logp[:split]) for logp in series]
-            # the post sum is the whole sum less the pre sum, as the fit forms it
-            post = [sum_in_order(logp) - p for logp, p in zip(series, pre)]
+            # A side holding an impossible increment is -inf.  Otherwise the
+            # post sum is the sum of the row's finite entries less the pre
+            # one, as the fit forms it.
+            head = [finite_sum(logp[:split]) for logp in series]
+            pre = [side_sum(logp[:split]) for logp in series]
+            post = [
+                -math.inf if -math.inf in logp[split:] else finite_sum(logp) - h
+                for logp, h in zip(series, head)
+            ]
             i, j = pre.index(max(pre)), post.index(max(post))
             if best is None or pre[i] + post[j] > best[0]:
                 best = (pre[i] + post[j], t, alphas[i], alphas[j])
@@ -671,6 +707,70 @@ class TestChangepoint:
             args = (1.5, 0.5) if fit is gf.fit_dp_changepoint else ()
             with pytest.raises(gf.FitError, match="empty stream"):
                 fit(empty, *args)
+
+    def test_impossible_increment_stays_minus_inf(self):
+        pre, post = [-1.0] * 4, [-math.inf, -0.5, -0.5, -0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = gf.fit_changepoint(pre, post, np.arange(4))
+        assert (cp.t_hat, cp.loglik) == (0, -2.5)
+        assert cp.logliks.tolist() == [-2.5, -3.0, -3.5, -4.0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 8).flatmap(lambda n: st.lists(
+            st.lists(st.sampled_from([-math.inf, -2.0, -1.25, -0.5, 0.0]), min_size=n, max_size=n),
+            min_size=2, max_size=2,
+        )),
+        grid=st.none() | st.lists(st.integers(-1, 8), min_size=1, max_size=5),
+    )
+    def test_changepoint_with_impossible_increments_equals_brute_force(self, rows, grid):
+        # quarter units add exactly in any order, so every score is exact
+        pre, post = rows
+        ts = list(range(len(pre)))
+        best = brute_force_split([pre], [post], ts, sorted(set(ts)) if grid is None else grid)
+        if best[0] == -math.inf:
+            with pytest.raises(gf.NoFeasibleFitError):
+                gf.fit_changepoint(pre, post, ts, grid=grid)
+        else:
+            cp = gf.fit_changepoint(pre, post, ts, grid=grid)
+            assert (cp.loglik, cp.t_hat) == best[:2]
+
+    def test_no_cut_without_an_impossible_side_is_infeasible(self):
+        series = [0.0, -math.inf, 0.0]
+        with pytest.raises(gf.NoFeasibleFitError, match="every grid point"):
+            gf.fit_changepoint(series, series, np.arange(3))
+
+    @pytest.mark.parametrize(
+        "pre, post, named",
+        [([0.0, math.nan, 0.0], [0.0] * 3, "nan at index 1"),
+         ([0.0] * 3, [0.0, -math.inf, math.inf], "inf at index 2")],
+    )
+    def test_nan_or_plus_inf_score_is_a_fit_error(self, pre, post, named):
+        with pytest.raises(gf.FitError, match=f"score series holds {named}"):
+            gf.fit_changepoint(pre, post, np.arange(3))
+
+    def test_isolated_seed_node_fits_equal_brute_force(self):
+        # node 1 of the seed graph is isolated: the star onto it is impossible
+        # under DP(1) and possible under DP(0)
+        incs = [
+            gf.Increment(t, 4 + t, True, (target,), (False,))
+            for t, target in enumerate([0, 1, 2, 3])
+        ]
+        stream = gf.GrowthStream(seed_edges=[(0, 2), (2, 3), (0, 3)], increments=incs)
+        rows = {a: gf.dp_trace_logp(gf.build_dp_trace(stream), a).tolist() for a in (0.0, 1.0)}
+        assert rows[1.0][1] == -math.inf and np.isfinite(rows[0.0]).all()
+        ts = list(range(4))
+        for pair in [(1.0, 0.0), (0.0, 1.0)]:
+            score, t, _, _ = brute_force_split([rows[pair[0]]], [rows[pair[1]]], ts, ts)
+            fit = gf.fit_dp_changepoint(stream, *pair)
+            assert fit.t_hat == t and fit.loglik == pytest.approx(score, rel=1e-12)
+        alphas = [0.0, 1.0]
+        both = [rows[a] for a in alphas]
+        score, t, i, j = brute_force_split(both, both, ts, ts)
+        joint = gf.fit_dp_changepoint_joint(stream, alpha_grid=alphas)
+        assert (joint.t_hat, joint.alpha_pre, joint.alpha_post) == (t, alphas[i], alphas[j])
+        assert joint.loglik == pytest.approx(score, rel=1e-12)
 
     # bools, NaN, text, complex, nested and ragged lists; a bool beside an int too
     BAD_SWITCH_GRIDS = [
