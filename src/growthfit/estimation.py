@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,12 +112,15 @@ def _exponent_grid(grid: Sequence[float]) -> np.ndarray:
     return values
 
 
-def _switch_grid(grid) -> np.ndarray:
+def _switch_grid(grid) -> np.ndarray | None:
     """A switch-time grid as the array it is given; raises FitError unless it lists numbers.
 
     The list must be flat and nonempty, and no entry a bool or NaN.  Python
-    ints past int64 stay exact, in an object array.
+    ints past int64 stay exact, in an object array.  None, which stands for
+    every observed timestamp, stays None.
     """
+    if grid is None:
+        return None
     try:
         values = np.asarray(grid)
     except ValueError:
@@ -474,54 +477,75 @@ class ChangepointFit:
     logliks: np.ndarray
 
 
-def _finite_prefix(rows: np.ndarray, reference: np.ndarray | None):
-    """(A, I + 1) prefix sums, from 0, of each row's finite entries less the reference's.
+def _check_scores(series: np.ndarray) -> None:
+    """Raise FitError at a score series' first NaN or +inf entry, which no log-probability is."""
+    bad = np.flatnonzero(~(series < np.inf))
+    if len(bad):
+        at = int(bad[0])
+        raise FitError(
+            f"score series holds {series[at]} at index {at}, which is not a log-probability"
+        )
 
-    Also each row's first and last impossible (-inf) increment, I and -1 in
-    a row without one.  A NaN or +inf entry raises ``FitError``.
+
+def _finite_prefix(
+    rows: Iterable[np.ndarray], count: int, num: int, reference: np.ndarray | None = None
+):
+    """(A, I + 1) prefix sums, from 0, of ``count`` rows' finite entries less the reference's.
+
+    The rows of I entries come one at a time, and each is written into its
+    row of the result and summed there in place, so the call holds one row
+    besides the result.  Also each row's first and last impossible (-inf)
+    increment, I and -1 in a row without one.  A NaN or +inf entry of a row,
+    and then of the reference, raises ``FitError``.
     """
-    for series in [s for s in (rows, reference) if s is not None]:
-        bad = ~(series < np.inf)  # NaN or +inf
-        if bad.any():
-            at = tuple(np.argwhere(bad)[0])
-            raise FitError(f"score series holds {series[at]} at index {at[-1]}, "
-                           "which is not a log-probability")
-    impossible = rows == -np.inf
-    some = impossible.any(axis=1)
+    prefix = np.empty((count, num + 1))
+    prefix[:, 0] = 0.0
+    first, last = np.full(count, num), np.full(count, -1)
+    finite_reference = None
     if reference is not None:
-        rows = np.where(impossible, 0.0, rows) - np.where(reference == -np.inf, 0.0, reference)
-    elif some.any():
-        rows = np.where(impossible, 0.0, rows)
-    num = rows.shape[1]
-    prefix = np.zeros((len(rows), num + 1))
-    np.cumsum(rows, axis=1, out=prefix[:, 1:])
-    first = np.where(some, impossible.argmax(axis=1), num)
-    last = np.where(some, num - 1 - impossible[:, ::-1].argmax(axis=1), -1)
+        finite_reference = np.where(reference == -np.inf, 0.0, reference)
+    for k, row in enumerate(rows):
+        _check_scores(row)
+        sums = prefix[k, 1:]
+        sums[:] = row
+        impossible = np.flatnonzero(row == -np.inf)
+        if len(impossible):
+            first[k], last[k] = impossible[0], impossible[-1]
+            sums[impossible] = 0.0
+        if finite_reference is not None:
+            sums -= finite_reference
+        np.cumsum(sums, out=sums)
+    if reference is not None:
+        _check_scores(reference)
     return prefix, first, last
 
 
-def _split_search(pre_rows, post_rows, timestamps, grid=None, reference=None) -> tuple:
-    """(T, score, its pre and post rows, grid, every point's score) of the best switch time T.
-
-    Each side of a cut scores as its best row, the earliest on ties: the pre
-    side sums a row's increments at or before T, the post side the rest, as
-    the row total less the pre sum.  With a ``reference`` both sum the row
-    less the reference, whose total is added back.  Sums take finite entries
-    only, and a side holding one of a row's impossible increments scores
-    -inf for that row.  The grid defaults to the unique timestamps.
-    """
-    if not (pre_rows.shape[1] == post_rows.shape[1] == len(timestamps)):
+def _check_series(timestamps: np.ndarray, *lengths: int) -> None:
+    """Raise FitError unless the score series match the timestamps, which are non-decreasing."""
+    if any(n != len(timestamps) for n in lengths):
         raise FitError("score series and timestamps must have equal length")
     if len(timestamps) == 0:
         raise FitError("empty stream")
     _check_nondecreasing(timestamps)
-    grid = np.unique(timestamps) if grid is None else _switch_grid(grid)
+
+
+def _split_search(pre, post, timestamps, grid, reference_total=None) -> tuple:
+    """(T, score, its pre and post rows, grid, every point's score) of the best switch time T.
+
+    ``pre`` and ``post`` are the ``_finite_prefix`` sums of the rows each
+    side of a cut scores by, and each side scores as its best row, the
+    earliest on ties: the pre side sums a row's increments at or before T,
+    the post side the rest, as the row total less the pre sum.  Rows summed
+    less a reference get its finite total, ``reference_total``, added back.
+    A side holding one of a row's impossible increments scores -inf for
+    that row.  ``grid`` is a resolved switch grid (``_switch_grid``), or
+    None for the unique timestamps.
+    """
+    grid = np.unique(timestamps) if grid is None else grid
     # integer timestamps are searched against any other grid by its floors,
     # so a split is exact at any timestamp, where float64 holds those below 2**53
     ints = timestamps.dtype.kind == "i" and grid.dtype.kind != "i"
     splits = np.searchsorted(timestamps, _int64_floors(grid) if ints else grid, side="right")
-    pre = _finite_prefix(pre_rows, reference)
-    post = pre if post_rows is pre_rows else _finite_prefix(post_rows, reference)
     rows, scores = [], 0.0
     for (prefix, first, last), after in ((pre, False), (post, True)):
         sums = prefix[:, splits]
@@ -531,11 +555,31 @@ def _split_search(pre_rows, post_rows, timestamps, grid=None, reference=None) ->
         rows.append(sums.argmax(axis=0))
         scores = scores + sums[rows[-1], np.arange(len(splits))]
         del sums  # one side's (A, G) sums alive at a time
-    if reference is not None:
-        scores += np.where(reference == -np.inf, 0.0, reference).sum()
+    if reference_total is not None:
+        scores += reference_total
     best = _argmax_first(scores)
     t_hat = grid[best].item() if isinstance(grid[best], np.generic) else grid[best]
     return t_hat, float(scores[best]), int(rows[0][best]), int(rows[1][best]), grid, scores
+
+
+def _changepoint(
+    pre: np.ndarray, post: np.ndarray, timestamps: np.ndarray, grid: np.ndarray | None
+) -> ChangepointFit:
+    """``fit_changepoint`` of float64 series on a resolved switch grid."""
+    _check_series(timestamps, len(pre), len(post))
+    # Sums relative to the post series: its total plus a prefix sum of the
+    # differences, so equal series tie exactly, where a difference of two
+    # prefix sums would round apart.
+    num = len(timestamps)
+    reference_total = np.where(post == -np.inf, 0.0, post).sum()
+    t_hat, loglik, _, _, grid, logliks = _split_search(
+        _finite_prefix([pre], 1, num, post),
+        _finite_prefix([post], 1, num, post),
+        timestamps,
+        grid,
+        reference_total,
+    )
+    return ChangepointFit(t_hat, loglik, grid, logliks)
 
 
 def fit_changepoint(
@@ -552,15 +596,10 @@ def fit_changepoint(
     the start of the searched range.  A side holding an impossible (-inf)
     increment scores -inf; a NaN or +inf score raises ``FitError``.
     """
-    # Sums relative to the post series: its total plus a prefix sum of the
-    # differences, so equal series tie exactly, where a difference of two
-    # prefix sums would round apart.
-    post = np.asarray(logp_post, dtype=np.float64)
+    grid = _switch_grid(grid)
     pre = np.asarray(logp_pre, dtype=np.float64)
-    t_hat, loglik, _, _, grid, logliks = _split_search(
-        pre[None], post[None], np.asarray(timestamps), grid, reference=post
-    )
-    return ChangepointFit(t_hat, loglik, grid, logliks)
+    post = np.asarray(logp_post, dtype=np.float64)
+    return _changepoint(pre, post, np.asarray(timestamps), grid)
 
 
 def changepoint_grid(t_lo: float, t_hi: float, points: int = 1000) -> np.ndarray:
@@ -576,10 +615,14 @@ def fit_dp_changepoint(
     alpha_post: float,
     grid: np.ndarray | None = None,
 ) -> ChangepointFit:
-    """Changepoint between two known degree-power exponents, on a trace or a stream's replay."""
+    """Changepoint between two known degree-power exponents, on a trace or a stream's replay.
+
+    The switch grid is checked before the stream is replayed or scored.
+    """
+    grid = _switch_grid(grid)
     trace = _as_trace(source)
     pre, post = dp_trace_logp(trace, alpha_pre), dp_trace_logp(trace, alpha_post)
-    return fit_changepoint(pre, post, trace.timestamps, grid)
+    return _changepoint(pre, post, trace.timestamps, grid)
 
 
 @dataclass
@@ -597,12 +640,18 @@ def fit_dp_changepoint_joint(
 ) -> DPChangepointJointFit:
     """Jointly fit (T, pre exponent, post exponent) for a one-switch schedule.
 
-    ``t_grid`` defaults to every observed timestamp.
+    ``t_grid`` defaults to every observed timestamp.  Both grids are checked
+    before the stream is replayed or scored.  Each exponent's scores are
+    summed into their row of one (A, I + 1) table as they are computed.
     """
     alpha_grid = default_alpha_grid() if alpha_grid is None else _exponent_grid(alpha_grid)
+    t_grid = _switch_grid(t_grid)
     trace = _as_trace(source)
-    logp = np.stack([dp_trace_logp(trace, float(a)) for a in alpha_grid])
-    t_hat, loglik, pre, post, _, _ = _split_search(logp, logp, trace.timestamps, t_grid)
+    timestamps = trace.timestamps
+    _check_series(timestamps)
+    rows = (dp_trace_logp(trace, float(a)) for a in alpha_grid)
+    prefix = _finite_prefix(rows, len(alpha_grid), len(timestamps))
+    t_hat, loglik, pre, post, _, _ = _split_search(prefix, prefix, timestamps, t_grid)
     return DPChangepointJointFit(t_hat, float(alpha_grid[pre]), float(alpha_grid[post]), loglik)
 
 

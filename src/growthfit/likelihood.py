@@ -96,6 +96,7 @@ import numpy as np
 from .errors import DegenerateModelError, FitError, ModelError, RejectedIncrementError
 from .errors import UndefinedRatioError
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
+from .events import batches as _batches
 from .events import kept_table, read_only
 from .events import concat_ranges as _concat_ranges
 from .events import offsets as _offsets
@@ -127,13 +128,24 @@ DEFAULT_ORDERING_SAMPLES = 120
 
 _NEG_INF = float("-inf")
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-# Working-set caps, in float64 elements: polynomial terms during the collapse,
-# and mixed step values on the row path.
+# Polynomial terms, in float64 elements, of one batch of exhaustive stars
+# (_subset_batches).  It fixes which stars share a batch, and with it each
+# star's subset totals: they come from one matrix product per batch, which
+# rounds differently by its width.
 _COLLAPSE_BATCH_ELEMENTS = 1 << 20
+# Mixed step values on the row path, in float64 elements.
 _ROW_BATCH_ELEMENTS = 1 << 21
 # Sampled-star steps expanded from the orderings table at once, in entries:
 # every path scores sampled stars one run of these at a time.
 _ORDERING_BATCH_ELEMENTS = 1 << 16
+# Work that one step of the cache build holds at once: a run of triangle
+# anchors, in neighbour entries, pair walks and cells, and a run of a
+# batch's stars, of sampled orderings or of collapsed rows, in polynomial
+# terms.  A step holds a few arrays of this many values (512 KB each in
+# float64), about a core's L2 cache (2 MB).  On a 100k-edge stream half of
+# it made the cache build 30% slower, and twice it raised the anchors'
+# peak by 1.5 MB.
+_BUILD_CHUNK_ELEMENTS = 1 << 16
 # Weight vectors _range_sums scores at once.
 _LATTICE_CHUNK = 256
 # Lattice values, in float64 elements, that one slab of touching ranges holds
@@ -509,49 +521,100 @@ def _uniform_baseline(
 def _triangle_anchors(trace: DPTrace) -> tuple[np.ndarray, ...]:
     """(anchor ranges per increment, anchor totals, anchor rows) of triangle closure.
 
-    A total over the initial eligible set is the identity's sum of the
+    The anchors are found one run of consecutive increments at a time and
+    written into the preallocated results (``_anchor_run``).  A run's
+    neighbour entries, pair walks and cells total under
+    ``_BUILD_CHUNK_ELEMENTS`` plus one increment, so the working set does
+    not grow with the stream.  Every value is an integer count, the same
+    however the increments are run.  The closed triangles at the anchored
+    centers are counted first, so that the graph's triangle table is built
+    before the results are allocated.
+    """
+    q = trace.existing_counts
+    centers = np.flatnonzero(~trace.center_new & (q > 0))
+    triangles = trace.events.triangles_before(trace.center[centers], centers)
+    counts = np.where(trace.center_new, q, q > 0)
+    anchor_offsets = _offsets(counts)
+    shared_sizes = np.bincount(trace.shared_inc, minlength=trace.num_increments)
+    # An external star walks each target's neighbours once for its total and
+    # at most q - 1 more times for its pairs; an internal one walks them at
+    # most once for its pairs, and sums its center's shared degrees.
+    runs = _batches(
+        q * (segment_sums(trace.target_deg, q) + q) + shared_sizes, _BUILD_CHUNK_ELEMENTS
+    )
+    # where each run starts among the existing targets, the shared entries,
+    # the anchor rows and the anchored centers, and where the last one ends
+    bounds = [lo for lo, _ in runs] + [trace.num_increments]
+    targets, shared, rows = (_offsets(sizes)[bounds] for sizes in (q, shared_sizes, counts * q))
+    inner = np.searchsorted(centers, bounds)
+    total = np.empty(anchor_offsets[-1], dtype=np.int64)
+    common = np.zeros(rows[-1], dtype=np.int64)
+    for r, (lo, hi) in enumerate(runs):
+        _anchor_run(
+            trace,
+            lo,
+            hi,
+            targets[r] + _offsets(q[lo:hi]),
+            shared[r] + _offsets(shared_sizes[lo:hi]),
+            triangles[inner[r] : inner[r + 1]],
+            total[anchor_offsets[lo] : anchor_offsets[hi]],
+            common[rows[r] : rows[r + 1]],
+        )
+    return anchor_offsets, total, common
+
+
+def _anchor_run(
+    trace: DPTrace,
+    lo: int,
+    hi: int,
+    target_start: np.ndarray,
+    shared_start: np.ndarray,
+    triangles: np.ndarray,
+    total: np.ndarray,
+    common: np.ndarray,
+) -> None:
+    """Write the anchor totals and rows of increments [lo, hi) into ``total`` and ``common``.
+
+    ``target_start`` and ``shared_start`` bound the run's existing targets
+    and shared entries in the trace, ``triangles`` counts the closed
+    triangles at its anchored centers, and ``common`` must hold zeros.  A
+    total over the initial eligible set is the identity's sum of the
     anchor's neighbours' degrees (module docstring) less the anchor's own
     term k_a, and for a center less its neighbours' terms too, twice its
     closed triangles.
     """
     events = trace.events
-    q = trace.existing_counts
-    target_start = _offsets(q)
-    counts = np.where(trace.center_new, q, q > 0)
+    q = trace.existing_counts[lo:hi]
+    center_new = trace.center_new[lo:hi]
+    counts = np.where(center_new, q, q > 0)
     anchor_offsets = _offsets(counts)
-    anchor_inc = np.repeat(np.arange(trace.num_increments), counts)
+    local = np.repeat(np.arange(hi - lo), counts)
+    anchor_inc = lo + local
     # An external star's anchor k is its target k; a center is slot 0.
-    slot = np.arange(len(anchor_inc)) - anchor_offsets[anchor_inc]
-    own = target_start[anchor_inc] + slot
-    inner = ~trace.center_new[anchor_inc]
+    slot = np.arange(len(local)) - anchor_offsets[local]
+    own = target_start[local] + slot
+    inner = ~center_new[local]
     anchor_id = np.where(inner, trace.center[anchor_inc], trace.target_id[own])
     anchor_deg = np.where(inner, trace.center_deg[anchor_inc], trace.target_deg[own])
-    total = np.empty(len(anchor_inc), dtype=np.int64)
     centers, outer = anchor_inc[inner], ~inner
     # The trace lists each existing center before its neighbours.
-    degree_sums = segment_sums(
-        trace.shared_deg, np.bincount(trace.shared_inc, minlength=trace.num_increments)
-    )
-    total[inner] = (
-        degree_sums[centers]
-        - 2 * trace.center_deg[centers]
-        - 2 * events.triangles_before(trace.center[centers], centers)
-    )
+    shared_deg = trace.shared_deg[shared_start[0] : shared_start[-1]]
+    degree_sums = segment_sums(shared_deg, np.diff(shared_start))
+    total[inner] = degree_sums[local[inner]] - 2 * trace.center_deg[centers] - 2 * triangles
     total[outer] = (
         events.neighbour_degree_sums(anchor_id[outer], anchor_inc[outer], anchor_deg[outer])
         - anchor_deg[outer]
     )
 
-    row_start = _offsets(q[anchor_inc])
-    cell_row = np.repeat(np.arange(len(anchor_inc)), q[anchor_inc])
+    row_start = _offsets(q[local])
+    cell_row = np.repeat(np.arange(len(local)), q[local])
     cell_pos = np.arange(len(cell_row)) - row_start[cell_row]
     cell_self = np.where(inner, -1, slot)[cell_row]
     # A target pairs with itself for nothing, and a pair of two targets of
     # an external star is counted once, in the row of the earlier one.
     fresh = np.flatnonzero(cell_pos > cell_self)
-    common = np.zeros(len(cell_row), dtype=np.int64)
     rows = cell_row[fresh]
-    targets = target_start[anchor_inc[rows]] + cell_pos[fresh]
+    targets = target_start[local[rows]] + cell_pos[fresh]
     common[fresh] = events.common_before(
         anchor_id[rows],
         trace.target_id[targets],
@@ -562,7 +625,6 @@ def _triangle_anchors(trace: DPTrace) -> tuple[np.ndarray, ...]:
     mirrored = np.flatnonzero(cell_pos < cell_self)
     earlier = cell_row[mirrored] - cell_self[mirrored] + cell_pos[mirrored]
     common[mirrored] = common[row_start[earlier] + cell_self[mirrored]]
-    return anchor_offsets, total, common
 
 
 def _replay(
@@ -936,6 +998,11 @@ class _Lattice:
         lo, hi, _, added = _subset_lattice(len(self.w))[1][size]
         return _ratio(self.w[added], self.eligible - size, self.total[lo:hi, None])
 
+    def select(self, cols: slice) -> _Lattice:
+        """The lattice restricted to some of its columns."""
+        tables = vars(self).values()
+        return _Lattice(*(None if t is None else t[..., cols] for t in tables))
+
     @property
     def fallbacks(self) -> np.ndarray:
         """(stars,) uniform steps of each star's identity ordering."""
@@ -945,26 +1012,55 @@ class _Lattice:
         return np.vstack((self.first_uniform, steps))[:, :: len(self.w) + 1].sum(axis=0)
 
 
+@dataclass
+class _Anchoring:
+    """The columns of an anchored group, one per (star, first target a), shared by its lattices."""
+
+    stars: np.ndarray  # (n * q,) each column's star
+    slots: np.ndarray  # (n * q,) each column's first target a
+    others: np.ndarray  # (q - 1, n * q) each column's other targets, ascending
+    eligible: np.ndarray  # (n * q,) float64 eligible count after the first step
+    log_falling: np.ndarray  # (n * q,) sum over the later steps s of log(e - s)
+
+    @staticmethod
+    def of(group: _SubsetGroup) -> _Anchoring:
+        q, n = group.targets.shape
+        slots = np.tile(np.arange(q), n)
+        return _Anchoring(
+            np.repeat(np.arange(n), q),
+            slots,
+            (np.arange(q - 1) + (np.arange(q - 1) >= slots[:, None])).T,
+            np.repeat(group.initial - 1.0, q),
+            np.repeat(group.log_falling - np.log(group.initial), q),
+        )
+
+
 def _lattice(
-    trace: DPTrace, group: _SubsetGroup, comp: Component, node: tuple | None, anchored: bool
+    trace: DPTrace,
+    group: _SubsetGroup,
+    comp: Component,
+    node: tuple | None,
+    anchoring: _Anchoring | None,
 ) -> _Lattice:
     """One component, of ``_node_weights`` ``node``, on a group's subset lattice.
 
-    Anchored, the columns are (star, first target a) pairs, each the lattice
-    over the other q - 1 targets after a first step to a; triangle closure
-    has no anchor for that step yet.
+    Anchored, the columns are ``anchoring``'s (star, first target a) pairs,
+    each the lattice over the other q - 1 targets after a first step to a;
+    triangle closure has no anchor for that step yet.
     """
     q, n = group.targets.shape
     tri = isinstance(comp, TriangleClosure)
+    anchored = anchoring is not None
     # the star and anchor slot of each column: a center is its star's slot 0
-    cols = np.repeat(np.arange(n), q) if anchored else slice(None)
-    slots = np.tile(np.arange(q), n) if anchored else 0
+    cols = anchoring.stars if anchored else slice(None)
+    slots = anchoring.slots if anchored else 0
     if tri:
         rows = trace._anchor_rows[group.incs][cols] + slots * q
         w = trace.anchor_common[rows + np.arange(q)[:, None]].astype(np.float64)
         base = trace.anchor_total[trace.anchor_offsets[group.incs][cols] + slots]
     elif isinstance(comp, Random):
-        w, base = np.ones(group.targets[:, cols].shape), group.initial[cols]
+        base = group.initial[cols]
+        w = np.ones((q, len(base)))
     else:
         w, base = node[0][group.targets[:, cols]], node[1][group.incs[cols]]
     zero = _zero_at_degree_zero(comp)
@@ -972,17 +1068,17 @@ def _lattice(
     eligible, log_falling = group.initial, group.log_falling
     if anchored:
         # the anchor leaves the lattice, with its weight: 0 for triangle closure
-        at = np.arange(len(cols))
-        on = (trace.target_deg[group.targets[:, cols]] > 0).astype(np.float64)
-        occupied = trace._occupied_base[group.incs[cols]]
-        ok = (base > 0.0) & ((occupied > 0.0) | (not zero))
+        at, others = np.arange(len(cols)), anchoring.others
+        ok = base > 0.0
+        if zero:
+            on = (trace.target_deg[group.targets[:, cols]] > 0).astype(np.float64)
+            occupied = trace._occupied_base[group.incs[cols]]
+            ok &= occupied > 0.0
+            occupied, on = occupied - on[slots, at], on[others, at]
         first_uniform = ~ok | tri
         first = _ratio(w[slots, at], group.initial[cols], np.where(first_uniform, 0.0, base))
-        others = (np.arange(q - 1) + (np.arange(q - 1) >= slots[:, None])).T
-        base, occupied = base - w[slots, at], occupied - on[slots, at]
-        w, on = w[others, at], on[others, at]
-        eligible = np.repeat(group.initial - 1.0, q)
-        log_falling = np.repeat(group.log_falling - np.log(group.initial), q)
+        base, w = base - w[slots, at], w[others, at]
+        eligible, log_falling = anchoring.eligible, anchoring.log_falling
     members = _subset_lattice(len(w))[0]
     total = base - members @ w
     if zero:
@@ -1017,10 +1113,12 @@ def _subset_batches(
         step = max(1, _COLLAPSE_BATCH_ELEMENTS // ((q << q) * width(q)))
         for a in range(0, len(part.incs), step):
             batch = part.select(slice(a, a + step))
-            lattices = [_lattice(trace, batch, c, n, outer) for c, n in zip(components, nodes)]
+            anchoring = _Anchoring.of(batch) if outer else None
+            lattices = [_lattice(trace, batch, c, n, anchoring) for c, n in zip(components, nodes)]
             if fallbacks is not None:
                 fallbacks[:, batch.incs] += [lat.fallbacks for lat in lattices]
             yield batch, outer, lattices
+            del lattices  # before the next batch's are built
 
 
 def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
@@ -1138,6 +1236,7 @@ def _trace_logp(
                 f += np.log(_mix([lat.first for lat in lattices], cols.T))
                 f = _segment_logsumexp(f, np.full(len(stars.incs), q))
             logp[stars.incs] += f
+            del lattices  # before the next batch's are built
     logp += trace._baseline_offset
     return np.where(baseline, trace.logp_rand, logp), fallbacks
 
@@ -1177,6 +1276,11 @@ class ChoiceCache:
     logsumexp, so a long product of small ratios cannot underflow.  Step
     rows and orderings are kept only for those stars; ``increment_offsets``
     still spans every increment, with no orderings for a collapsed one.
+    The build works one bounded run at a time (``_BUILD_CHUNK_ELEMENTS``):
+    triangle anchors, subset-DP columns, orderings and collapsed rows, the
+    last written into the preallocated ``poly_coefs``.  Beyond one batch of
+    exhaustive stars (``_subset_batches``), its working set does not grow
+    with the stream.
 
     A cache is read-only once built.  The first interval fit for a weight
     step scores its whole lattice once, as sums over equal-count blocks of
@@ -1273,101 +1377,130 @@ def _monomials(w: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _batches(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """Consecutive index ranges over ``sizes``, each totalling under ``budget`` plus one item."""
-    if len(sizes) == 0:
-        return []
-    span = _offsets(sizes)[:-1] // budget
-    cuts = np.flatnonzero(np.diff(span)) + 1
-    bounds = [0, *cuts.tolist(), len(sizes)]
-    return list(zip(bounds[:-1], bounds[1:]))
+def _star_chunks(stars: int, per_star: int) -> Iterator[slice]:
+    """Consecutive runs of ``stars`` stars, each of at most ``_BUILD_CHUNK_ELEMENTS`` elements.
+
+    A star holds ``per_star`` elements, and a run at least one star.
+    """
+    step = max(1, _BUILD_CHUNK_ELEMENTS // per_star)
+    for a in range(0, stars, step):
+        yield slice(a, a + step)
 
 
-def _lattice_poly(lattices: list[_Lattice], anchored: bool, stars: int) -> np.ndarray:
-    """(stars, M) summed ordering coefficients of a batch's stars, from their component lattices.
+def _lattice_poly(
+    stars: _SubsetGroup, anchored: bool, lattices: list[_Lattice]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(increments, (n, M) summed ordering coefficients) of a batch's stars, a run at a time.
 
     The subset DP with polynomial values: G(all) = 1 and G(S) = sum over i
     not in S of (r(S, i) . w) G(S + i), r(S, i) holding each component's
     step ratio to uniform; the result is G(empty).  An anchored star sums
-    the first step's form times G over its anchors.
+    the first step's form times G over its anchors.  A run of stars with q
+    targets holds under ``_BUILD_CHUNK_ELEMENTS`` terms of up to M values, a
+    star fewer than q * 2**q; every value of a column depends on that
+    column alone, so none depends on the runs.
     """
-    q = len(lattices[0].w)
-    g = np.ones((1, len(lattices[0].eligible), 1))
-    for size in reversed(range(q)):
-        child = _subset_lattice(q)[1][size][2]
-        linear = np.stack([lat.ratios(size) for lat in lattices], axis=-1)
-        linear = linear.reshape(-1, len(lattices))
-        terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, q - size)
-        g = terms.reshape(*child.shape, g.shape[1], -1).sum(axis=1)
-    poly = g[0]
-    if anchored:
-        first = np.stack([lat.first for lat in lattices], axis=-1)
-        poly = _times_linear(poly, first, q + 1).reshape(stars, q + 1, -1).sum(axis=1)
-    return poly
+    q, ncomp = len(lattices[0].w), len(lattices)
+    columns = q + 1 if anchored else 1
+    targets = len(stars.targets)
+    star_terms = (targets << targets) * len(_monomial_exponents(ncomp, targets))
+    for part in _star_chunks(len(stars.incs), star_terms):
+        run = [lat.select(slice(part.start * columns, part.stop * columns)) for lat in lattices]
+        g = np.ones((1, len(run[0].eligible), 1))
+        for size in reversed(range(q)):
+            child = _subset_lattice(q)[1][size][2]
+            linear = np.stack([lat.ratios(size) for lat in run], axis=-1).reshape(-1, ncomp)
+            terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, q - size)
+            g = terms.reshape(*child.shape, g.shape[1], -1).sum(axis=1)
+        poly = g[0]
+        incs = stars.incs[part]
+        if anchored:
+            first = np.stack([lat.first for lat in run], axis=-1)
+            poly = _times_linear(poly, first, q + 1).reshape(len(incs), q + 1, -1).sum(axis=1)
+        yield incs, poly
 
 
-def _ordering_poly(ratios: np.ndarray, samples: int) -> np.ndarray:
-    """(stars, M) summed ordering coefficients of sampled stars from (stars * S, q, L) step rows.
+def _ordering_poly(
+    batch: _OrderingBatch, ratios: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(increments, (n, M) summed ordering coefficients) of sampled stars, a run at a time.
 
-    An ordering's coefficients start at 1 and are multiplied by one step
-    row's linear form per step, ``_COLLAPSE_BATCH_ELEMENTS`` terms at a time.
+    ``ratios`` holds the batch's (n * S, q, L) step rows.  An ordering's
+    coefficients start at 1 and are multiplied by one step row's linear
+    form per step; a run of stars holds under ``_BUILD_CHUNK_ELEMENTS``
+    terms.
     """
-    orderings, q, ncomp = ratios.shape
+    q, ncomp = ratios.shape[1:]
+    samples = batch.samples
     size = len(_monomial_exponents(ncomp, q + 1))
-    step = samples * max(1, _COLLAPSE_BATCH_ELEMENTS // (samples * size))
-    out = []
-    for a in range(0, orderings, step):
-        chunk = ratios[a : a + step]
-        terms = np.ones((len(chunk), 1))
+    for part in _star_chunks(len(batch.incs), samples * size):
+        run = ratios[part.start * samples : part.stop * samples]
+        terms = np.ones((len(run), 1))
         for s in range(q):
-            terms = _times_linear(terms, chunk[:, s], s + 1)
-        out.append(np.add.reduceat(terms, np.arange(0, len(terms), samples), axis=0))
-    return np.concatenate(out)
+            terms = _times_linear(terms, run[:, s], s + 1)
+        yield batch.incs[part], np.add.reduceat(terms, np.arange(0, len(terms), samples), axis=0)
 
 
-def _collapse(
-    center_ratios: np.ndarray,
-    inv_norm: np.ndarray,
-    existing_counts: np.ndarray,
-    sampled: np.ndarray,
-    summed: dict[int, list[tuple[np.ndarray, np.ndarray]]],
-) -> dict[str, np.ndarray]:
+class _Collapse:
     """Polynomial coefficients of every exhaustive increment and every other of degree <= the cap.
 
-    ``summed`` maps q to batches of (increments, summed ordering
-    coefficients) of the stars with q existing targets, from the subset DP
-    or from sampled orderings; a star with none has the single coefficient
-    1.  Every sum is scaled by ``inv_norm`` and multiplied by the center
-    row.  A pure-random ratio is an exact product of ones, so its
-    coefficient is the ordering count times ``inv_norm``.
+    The layout is fixed up front: ``poly_increments`` lists the collapsed
+    increments by degree, ascending within one, and ``poly_coefs``, which
+    is preallocated, holds per degree an (increments, monomials) block.
+    ``write`` fills the rows of a run of stars from their summed ordering
+    coefficients, from the subset DP or from sampled orderings, a bounded
+    run of rows at a time: each sum is scaled by ``inv_norm`` and
+    multiplied by the center row.  A star with no existing target has the
+    single coefficient 1, written here.  A pure-random ratio is an exact
+    product of ones, so its coefficient is the ordering count times
+    ``inv_norm``.
     """
-    ncomp = center_ratios.shape[1]
-    degrees = existing_counts + 1
-    order = np.argsort(degrees, kind="stable")
-    # exhaustive stars pass the cap if MAX_EXHAUSTIVE_CHOICES >= 12
-    collapsed = order[(degrees[order] <= MAX_COLLAPSED_DEGREE) | ~sampled[order]]
-    top = max(MAX_COLLAPSED_DEGREE, int(degrees[collapsed].max(initial=0)))
-    counts = np.bincount(degrees[collapsed], minlength=top + 1)
-    blocks: list[np.ndarray] = []
-    coef_sizes = [0] * (top + 1)
-    for degree in range(1, top + 1):
-        incs = collapsed[degrees[collapsed] == degree]
-        q = degree - 1
-        coef_sizes[degree] = len(incs) * len(_monomial_exponents(ncomp, degree))
+
+    def __init__(
+        self,
+        center_ratios: np.ndarray,
+        inv_norm: np.ndarray,
+        existing_counts: np.ndarray,
+        sampled: np.ndarray,
+    ):
+        self.center_ratios, self.inv_norm = center_ratios, inv_norm
+        self.existing_counts = existing_counts
+        degrees = existing_counts + 1
+        order = np.argsort(degrees, kind="stable")
+        # exhaustive stars pass the cap if MAX_EXHAUSTIVE_CHOICES >= 12
+        collapsed = order[(degrees[order] <= MAX_COLLAPSED_DEGREE) | ~sampled[order]]
+        top = max(MAX_COLLAPSED_DEGREE, int(degrees[collapsed].max(initial=0)))
+        counts = np.bincount(degrees[collapsed], minlength=top + 1)
+        ncomp = center_ratios.shape[1]
+        sizes = [len(_monomial_exponents(ncomp, degree)) for degree in range(top + 1)]
+        self.poly_increments = collapsed.astype(np.int64)
+        self.poly_offsets = _offsets(counts)
+        self.poly_coef_offsets = _offsets(counts * sizes)
+        self.row_increments = np.flatnonzero((degrees > MAX_COLLAPSED_DEGREE) & sampled)
+        self.poly_coefs = np.empty(self.poly_coef_offsets[-1])
+        alone = np.flatnonzero(existing_counts == 0)
+        self.write(alone, np.ones((len(alone), 1)))
+
+    def write(self, incs: np.ndarray, sums: np.ndarray) -> None:
+        """Store the rows of ascending increments of one degree from their (n, M) ordering sums."""
         if not len(incs):
-            continue
-        poly = np.ones((len(incs), len(_monomial_exponents(ncomp, q))))
-        for part, coefs in summed.get(q, []):
-            poly[np.searchsorted(incs, part)] = coefs
-        poly *= inv_norm[incs, None]
-        blocks.append(_times_linear(poly, center_ratios[incs], degree).ravel())
-    return {
-        "poly_coefs": np.concatenate(blocks) if blocks else np.zeros(0),
-        "poly_increments": collapsed.astype(np.int64),
-        "poly_offsets": _offsets(counts),
-        "poly_coef_offsets": _offsets(coef_sizes),
-        "row_increments": np.flatnonzero((degrees > MAX_COLLAPSED_DEGREE) & sampled),
-    }
+            return
+        degree = int(self.existing_counts[incs[0]]) + 1
+        held = self.poly_increments[self.poly_offsets[degree] : self.poly_offsets[degree + 1]]
+        base, end = self.poly_coef_offsets[degree : degree + 2]
+        size = len(_monomial_exponents(self.center_ratios.shape[1], degree))
+        block = self.poly_coefs[base:end].reshape(-1, size)
+        for part in _star_chunks(len(incs), size):
+            run = incs[part]
+            scaled = sums[part] * self.inv_norm[run, None]
+            rows = _times_linear(scaled, self.center_ratios[run], degree)
+            block[np.searchsorted(held, run)] = rows
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The ``ChoiceCache`` fields of the collapsed increments."""
+        names = ("poly_coefs", "poly_increments", "poly_offsets", "poly_coef_offsets")
+        return {name: getattr(self, name) for name in (*names, "row_increments")}
 
 
 def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCache:
@@ -1380,17 +1513,24 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
     written into the row path's table.
     """
     ncomp = len(components)
-    fallbacks = np.zeros((ncomp, trace.num_increments), dtype=np.int64)
+    # each count is at most a star's choices, and only their total is kept
+    fallbacks = np.zeros((ncomp, trace.num_increments), dtype=np.int32)
     nodes = [_node_weights(trace, comp) for comp in components]
     center_ratios = np.stack(_center_ratios(trace, nodes, fallbacks), axis=-1)
-    summed: dict[int, list] = {}
+    # the steps read only the target weights and base totals
+    nodes = [None if node is None else node[:2] for node in nodes]
+    inv_norm = 1.0 / trace._ordering_count
+    # built before the coefficient blocks, so that its transient does not add to them
+    trace._subset_groups
+    collapse = _Collapse(center_ratios, inv_norm, trace.existing_counts, trace.sampled)
     # a polynomial term holds up to M coefficients
     batches = _subset_batches(
         trace, components, nodes, fallbacks, lambda q: len(_monomial_exponents(ncomp, q))
     )
     for stars, anchored, lattices in batches:
-        coefs = _lattice_poly(lattices, anchored, len(stars.incs))
-        summed.setdefault(len(stars.targets), []).append((stars.incs, coefs))
+        for incs, sums in _lattice_poly(stars, anchored, lattices):
+            collapse.write(incs, sums)
+        del lattices  # before the next batch's are built
     # Only the row path reads step rows: those of the sampled stars above the cap.
     on_rows = trace.sampled & (trace.existing_counts + 1 > MAX_COLLAPSED_DEGREE)
     ord_counts = np.where(on_rows, np.diff(trace.inc_ord_offsets), 0)
@@ -1399,15 +1539,13 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
     step_ratios = np.empty((ordering_offsets[-1], ncomp))
     for batch in _ordering_batches(trace):
         ratios = np.stack(_batch_ratios(trace, batch, components, nodes, fallbacks), axis=-1)
-        q = ratios.shape[1]
-        if q + 1 <= MAX_COLLAPSED_DEGREE:
-            summed.setdefault(q, []).append((batch.incs, _ordering_poly(ratios, batch.samples)))
+        if ratios.shape[1] + 1 <= MAX_COLLAPSED_DEGREE:
+            for incs, sums in _ordering_poly(batch, ratios):
+                collapse.write(incs, sums)
         else:
             first = ordering_offsets[increment_offsets[batch.incs]]
             last = ordering_offsets[increment_offsets[batch.incs + 1]]
             step_ratios[_concat_ranges(first, last)] = ratios.reshape(-1, ncomp)
-    inv_norm = 1.0 / trace._ordering_count
-    collapsed = _collapse(center_ratios, inv_norm, trace.existing_counts, trace.sampled, summed)
     return ChoiceCache(
         components=tuple(components),
         step_ratios=step_ratios,
@@ -1418,7 +1556,7 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
         num_choices=trace.num_choices,
         timestamps=trace.timestamps,
         logp_rand=trace.logp_rand,
-        **collapsed,
+        **collapse.arrays,
         sampled_increments=trace.sampled_increments,
         fallback_choices=int(fallbacks.sum()),
     )

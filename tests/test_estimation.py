@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +19,7 @@ from growthfit.estimation import (
     partition_indices,
     simplex_grid,
 )
+from memory import traced_peak
 from oracles import oracle_chi2_sf, oracle_simplex_grid
 from test_likelihood import lattice_caches  # noqa: F401  (module fixture, shared)
 
@@ -617,12 +617,7 @@ class TestBlockSums:
         # 64-increment floor (31 blocks), sets the block count.  The first
         # call builds the monomial tables outside the measurement.
         gf.fit_intervals(fresh(cache), 1, step=0.0001)
-        tracemalloc.start()
-        try:
-            gf.fit_intervals(cache, 1, step=0.0001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: gf.fit_intervals(cache, 1, step=0.0001))
         (kept,) = cache._lattice_sums.values()
         assert kept.sums.shape == (estimation._LATTICE_SUM_BUDGET // 10001, 10001)
         assert kept.sums.size <= estimation._LATTICE_SUM_BUDGET
@@ -802,6 +797,41 @@ class TestChangepoint:
                 gf.fit_dp_changepoint_joint(small_stream, alpha_grid=[0.5, 1.5], t_grid=grid)
         joint = gf.fit_dp_changepoint_joint(small_stream, alpha_grid=[0.5, 1.5], t_grid=[2**70])
         assert joint.t_hat == 2**70
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda s: gf.fit_dp_changepoint_joint(s, t_grid=[True]),
+            lambda s: gf.fit_dp_changepoint_joint(s, alpha_grid=[0.5, math.nan]),
+            lambda s: gf.fit_dp_changepoint_joint(s, alpha_grid=[]),
+            lambda s: gf.fit_dp_changepoint(s, 1.5, 0.5, grid=[[1, 2]]),
+        ],
+        ids=["joint-switch", "joint-exponent", "joint-empty-exponents", "dp-switch"],
+    )
+    def test_grids_are_checked_before_the_replay_and_scores(self, fit, monkeypatch):
+        stream = gf.grow(gf.GrowthRecipe.constant("DP(1.5)", increments=30), seed=0)
+        calls = []
+
+        def counted(trace, alpha):
+            calls.append(alpha)
+            return likelihood.dp_trace_logp(trace, alpha)
+
+        monkeypatch.setattr(estimation, "dp_trace_logp", counted)
+        with pytest.raises(gf.FitError):
+            fit(stream)
+        assert stream._traces == {} and calls == []
+
+    def test_joint_fit_holds_one_score_table(self):
+        recipe = gf.GrowthRecipe.constant("DP(1.0)", increments=2000, new_targets=3)
+        trace = gf.build_dp_trace(gf.grow(recipe, seed=0))
+        # the first call builds the trace's tables outside the measurement
+        first = gf.fit_dp_changepoint_joint(trace)
+        joint, peak, _ = traced_peak(lambda: gf.fit_dp_changepoint_joint(trace))
+        assert joint == first
+        # the (A, I + 1) prefix sums, then one side's (A, G) sums of them at a
+        # time, where a list of rows, their stacked copy and a prefix held 3.2 tables
+        table = len(default_alpha_grid()) * trace.num_increments * 8
+        assert peak < 2.5 * table
 
     def test_series_from_cache_matches_logratios(self):
         stream = gf.grow(

@@ -1,7 +1,6 @@
 """Tests for increment likelihoods, caches, and degree-power traces."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,8 +20,9 @@ from growthfit.likelihood import (
     dp_trace_logp,
     per_choice_ratio,
 )
-from growthfit import likelihood
+from growthfit import events, likelihood
 from growthfit.events import StreamColumns
+from memory import traced_peak
 from oracles import (
     chunked_cache_loglik,
     oracle_choice_probabilities,
@@ -428,12 +428,7 @@ class TestLatticeEvaluation:
         assert np.count_nonzero(np.diff(cache.poly_offsets)) == 1
         grid = gf.simplex_grid(2, 0.002)
         cache_loglik(cache, grid)  # builds the monomial tables outside the measurement
-        tracemalloc.start()
-        try:
-            cache_loglik(cache, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: cache_loglik(cache, grid))
         assert peak < 1.5 * (2000 * 256 * 8)
 
     @pytest.mark.parametrize(
@@ -1067,13 +1062,70 @@ class TestOrderingBatches:
             peaks = []
             for samples in (120, 480):
                 call(samples)  # fills the lookup tables outside the measurement
-                tracemalloc.start()
-                try:
-                    call(samples)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(lambda: call(samples))[1])
             assert peaks[1] < 1.5 * peaks[0], (name, peaks)
+
+
+class TestBuildChunks:
+    """The cache build works in bounded runs, and the runs change no value.
+
+    Anchors, subset-DP columns, orderings and collapsed rows run in
+    ``_BUILD_CHUNK_ELEMENTS``, the triangle table's wedges in ``_WEDGE_BATCH``.
+    """
+
+    COMPS = (gf.DegreePower(1.5), gf.TriangleClosure(), gf.RankPreference(0.5), gf.Random())
+
+    def outputs(self, stream):
+        """Anchors, cache and a J=2 fit of a fresh replay, which keeps nothing from another."""
+        trace = likelihood._replay(
+            stream.seed_graph(), stream.columns, 0, 0, SAMPLES, MAX_EXHAUSTIVE_CHOICES
+        )
+        anchors = (*likelihood._triangle_anchors(trace), trace.events._triangle_keys)
+        cache = build_choice_cache(trace, self.COMPS)
+        return anchors, cache, gf.fit_intervals(cache, 2, step=0.1)
+
+    # batched: sampled stars of 8 and 12 existing targets; six-and-seven:
+    # exhaustive ones of up to 7, anchored under triangle closure
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "make, sampled",
+        [(batched_stream, True), (six_and_seven_choice_stream, False)],
+        ids=["batched", "six-and-seven"],
+    )
+    def test_budget_changes_no_value(self, make, sampled, seed, monkeypatch):
+        stream = make(np.random.default_rng(seed))
+        anchors, cache, fit = self.outputs(stream)
+        trace = build_dp_trace(stream)
+        assert not trace.center_new.all() and trace.center_new.any()
+        assert trace.num_choices[~trace.sampled].max() >= 6
+        assert trace.sampled.any() == sampled
+        for budget in (1, 7):
+            monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(events, "_WEDGE_BATCH", budget)
+            got_anchors, got_cache, got_fit = self.outputs(stream)
+            for got, expect in zip(got_anchors, anchors):
+                assert np.array_equal(got, expect) and got.dtype == expect.dtype
+            for name, value in vars(cache).items():
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == getattr(got_cache, name).tobytes(), (budget, name)
+            assert got_cache.fallback_choices == cache.fallback_choices
+            assert got_fit.to_dict() == fit.to_dict()
+
+    def test_transient_does_not_grow_with_the_stream(self):
+        # With 4 existing targets a subset batch holds 1,092 stars, so both
+        # streams fill one and their lattices have the same width.
+        comps = [gf.DegreePower(1.0), gf.TriangleClosure(), gf.Random()]
+        transients = []
+        for increments in (2000, 8000):
+            recipe = gf.GrowthRecipe.constant(
+                "0.4*BA + 0.3*TRI + 0.3*RAND", increments=increments, new_targets=4
+            )
+            trace = build_dp_trace(gf.grow(recipe, seed=1))
+            _, peak, retained = traced_peak(lambda: build_choice_cache(trace, comps))
+            transients.append(peak - retained)
+        assert transients[1] < 1.5 * transients[0], transients
+        # runs of the budget's anchors or polynomial terms, and one batch's lattices
+        assert max(transients) < 4e6, transients
 
 
 def factoring_stream(rng):
