@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__, likelihood
 from .errors import CheckpointError, GrowthFitError
 from .estimation import (
+    DEFAULT_WEIGHT_STEP,
     FitResult,
     changepoint_grid,
     compare_interval_fits,
@@ -257,7 +258,9 @@ def _add_common(p: argparse.ArgumentParser, data_required: bool = True, step: bo
     )
     p.add_argument("--out", default=None, help="write the result here instead of stdout")
     if step:
-        p.add_argument("--step", type=float, default=0.01, help="weight-grid resolution")
+        p.add_argument(
+            "--step", type=float, default=DEFAULT_WEIGHT_STEP, help="weight-grid resolution"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

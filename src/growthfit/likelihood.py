@@ -148,10 +148,8 @@ _ORDERING_BATCH_ELEMENTS = 1 << 16
 _BUILD_CHUNK_ELEMENTS = 1 << 16
 # Weight vectors _range_sums scores at once.
 _LATTICE_CHUNK = 256
-# Lattice values, in float64 elements, that one slab of touching ranges holds
-# at once in _range_sums (512 KB).  A range with more increments than a slab
-# admits is a slab alone, whose values grow with it: cache_loglik's one range
-# holds (its rows of one degree) x _LATTICE_CHUNK values, however long.
+# Lattice values, in float64 elements, that one slab holds at once (512 KB):
+# every lattice score holds at most this many, however long its ranges.
 _SLAB_ELEMENTS = 1 << 16
 
 
@@ -1594,105 +1592,116 @@ def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.nd
         return targets + np.log(cache.center_ratios[incs] @ w.T)
 
 
-def _checked_range(cache: ChoiceCache, start: int, stop: int | None) -> tuple[int, int]:
-    """[start, stop) with ``stop`` defaulting to I; raises unless 0 <= start <= stop <= I."""
-    num_inc = cache.num_increments
+def _checked_call(
+    cache: ChoiceCache, weights: np.typing.ArrayLike, start: int, stop: int | None
+) -> tuple[np.ndarray, bool, int, int]:
+    """(w, single, start, stop) of a lattice call on ``cache``, or ``FitError``.
+
+    ``weights`` must have shape (L,) or (C, L) for the cache's L components,
+    every entry finite and nonnegative and every row summing to 1 within
+    1e-9; ``w`` is it as (C, L) float64, and ``single`` says it was (L,).
+    ``stop`` defaults to I, and 0 <= start <= stop <= I must hold.
+    """
+    ncomp, num_inc = len(cache.components), cache.num_increments
     stop = num_inc if stop is None else stop
     if not 0 <= start <= stop <= num_inc:
         raise FitError(
             f"increment range [{start}, {stop}) needs 0 <= start <= stop <= I = {num_inc}"
         )
-    return start, stop
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FitError(f"weights must be numbers of shape ({ncomp},) or (C, {ncomp})") from None
+    if w.ndim not in (1, 2) or w.shape[-1] != ncomp:
+        raise FitError(f"weights of shape {w.shape} need shape ({ncomp},) or (C, {ncomp})")
+    rows = np.atleast_2d(w)
+    bad = np.argwhere(~(np.isfinite(rows) & (rows >= 0)))
+    if len(bad):
+        r, k = bad[0].tolist()
+        raise FitError(f"weight row {r}, entry {k} is {rows[r, k]}, not finite and >= 0")
+    off = np.flatnonzero(np.abs(rows.sum(axis=1) - 1.0) > 1e-9)
+    if len(off):
+        raise FitError(f"weight row {off[0]} sums to {rows[off[0]].sum()}, not 1")
+    return rows, w.ndim == 1, start, stop
 
 
-def _row_batches(cache: ChoiceCache, incs: np.ndarray, num_weights: int) -> list[np.ndarray]:
-    """Row-path increments in batches bounding the orderings and mixed step values held at once."""
-    orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
-    budget = max(1, _ROW_BATCH_ELEMENTS // num_weights)
-    return [incs[lo:hi] for lo, hi in _batches(orderings, budget)]
+def _slab_plan(
+    cache: ChoiceCache, width: int, starts: np.ndarray, stops: np.ndarray
+) -> tuple[list, list[tuple[int, np.ndarray]]]:
+    """How ranges [starts[r], stops[r]) are scored ``width`` weight vectors at a time.
+
+    Returns (blocks, batches).  ``blocks`` holds (degree, slabs) for each
+    collapsed degree with rows in some range.  A slab is the requested rows
+    of the degree's coefficient block whose index has the same ``row //
+    limit``, ``limit = _SLAB_ELEMENTS // width``, cut where a row is not
+    requested: (coefs, incs, parts), the (n, monomials) view of its rows,
+    their increments, and each range's (range, first row, end row) in it.
+    ``batches`` holds each range's row-path increments as (range,
+    increments) runs of at most ``_ROW_BATCH_ELEMENTS // width`` orderings
+    or one increment.
+    """
+    width = max(width, 1)
+    limit = max(1, _SLAB_ELEMENTS // width)
+    blocks = []
+    for degree in range(1, len(cache.poly_offsets) - 1):
+        incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
+        lo = np.searchsorted(incs, starts)
+        hi = np.searchsorted(incs, stops)
+        held = np.flatnonzero(hi > lo)
+        if not len(held):
+            continue
+        # part i holds the rows [a[i], b[i]) of range ranges[i] in window k[i]
+        first_k, end_k = lo[held] // limit, (hi[held] - 1) // limit + 1
+        ranges = np.repeat(held, end_k - first_k)
+        k = _concat_ranges(first_k, end_k)
+        a = np.maximum(lo[ranges], k * limit)
+        b = np.minimum(hi[ranges], (k + 1) * limit)
+        opens = np.append(True, (k[1:] != k[:-1]) | (a[1:] != b[:-1]))
+        bounds = [*np.flatnonzero(opens).tolist(), len(k)]
+        ranges, a, b = ranges.tolist(), a.tolist(), b.tolist()
+        size = len(_monomial_exponents(len(cache.components), degree))
+        base = cache.poly_coef_offsets[degree]
+        slabs = []
+        for x, y in zip(bounds[:-1], bounds[1:]):
+            p, q = a[x], b[y - 1]
+            coefs = cache.poly_coefs[base + p * size : base + q * size].reshape(q - p, size)
+            slabs.append((coefs, incs[p:q], [(ranges[i], a[i] - p, b[i] - p) for i in range(x, y)]))
+        blocks.append((degree, slabs))
+    budget = max(1, _ROW_BATCH_ELEMENTS // width)
+    lo = np.searchsorted(cache.row_increments, starts)
+    hi = np.searchsorted(cache.row_increments, stops)
+    batches = []
+    for r in np.flatnonzero(hi > lo).tolist():
+        incs = cache.row_increments[lo[r] : hi[r]]
+        orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
+        batches += [(r, incs[x:y]) for x, y in _batches(orderings, budget)]
+    return blocks, batches
 
 
 def cache_logratios(
     cache: ChoiceCache,
-    weights: np.ndarray,
+    weights: np.typing.ArrayLike,
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
     """log(P / P_rand) per increment for each weight vector.
 
-    ``weights`` is (C, L) or (L,); the result is (I_range, C) (or (I_range,)
-    for a single vector).  Increment range [start, stop) slices the stream
-    and must lie within [0, I].
+    ``weights`` is (C, L) or (L,), rows of finite, nonnegative weights that
+    sum to 1; the result is (I_range, C) (or (I_range,) for a single
+    vector).  Increment range [start, stop) slices the stream and must lie
+    within [0, I]; it is scored slab by slab (``_slab_plan``).
     """
-    single = weights.ndim == 1
-    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    start, stop = _checked_range(cache, start, stop)
+    w, single, start, stop = _checked_call(cache, weights, start, stop)
     out = np.empty((stop - start, w.shape[0]))
-    # One range is one slab, whatever its size.
-    for degree, slabs in _slab_blocks(cache, w.shape[1], np.array([start]), np.array([stop]), 1):
+    blocks, batches = _slab_plan(cache, w.shape[0], np.array([start]), np.array([stop]))
+    for degree, slabs in blocks:
+        monomials = _monomials(w, degree)
         for coefs, incs, _ in slabs:
             with np.errstate(divide="ignore"):
-                out[incs - start] = np.log(coefs @ _monomials(w, degree))
-    a, b = np.searchsorted(cache.row_increments, (start, stop))
-    for incs in _row_batches(cache, cache.row_increments[a:b], w.shape[0]):
+                out[incs - start] = np.log(coefs @ monomials)
+    for _, incs in batches:
         out[incs - start] = _row_logratios(cache, incs, w)
     return out[:, 0] if single else out
-
-
-def _slabs(starts: np.ndarray, stops: np.ndarray, limit: int) -> np.ndarray:
-    """First range of each run of consecutive touching ranges holding at most ``limit`` increments.
-
-    A range is never split: one larger than the limit is a run alone.
-    """
-    firsts = [0] if len(starts) else []
-    rows = 0
-    stops = stops.tolist()
-    for r, a in enumerate(starts.tolist()):
-        size = stops[r] - a
-        if r > firsts[-1] and (rows + size > limit or a != stops[r - 1]):
-            firsts.append(r)
-            rows = 0
-        rows += size
-    return np.array(firsts, dtype=np.int64)
-
-
-def _slab_blocks(
-    cache: ChoiceCache, ncomp: int, starts: np.ndarray, stops: np.ndarray, limit: int
-) -> list[tuple[int, list[tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]]]]:
-    """Per collapsed degree, the rows each slab of ranges scores, resolved once per call.
-
-    Returns (degree, slabs) for every degree with an increment in some
-    range.  A slab is (coefs, incs, parts): ``coefs`` is the (n, monomials)
-    view of ``poly_coefs`` holding the slab's n increments of the degree,
-    in order, ``incs`` their indices, and each range of the slab with any
-    of them is a part (range, first row, end row).
-    """
-    firsts = _slabs(starts, stops, limit)
-    lasts = np.append(firsts[1:], len(starts)) - 1
-    slab = np.repeat(np.arange(len(firsts)), lasts - firsts + 1)
-    out = []
-    for degree in range(1, len(cache.poly_offsets) - 1):
-        incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
-        if not len(incs):
-            continue
-        lo = np.searchsorted(incs, starts)
-        hi = np.searchsorted(incs, stops)
-        if not (hi > lo).any():
-            continue
-        size = len(_monomial_exponents(ncomp, degree))
-        base = cache.poly_coef_offsets[degree]
-        first_row = lo[firsts]
-        row = lo - first_row[slab]
-        held = np.flatnonzero(hi > lo)
-        at = np.searchsorted(held, firsts).tolist() + [len(held)]
-        parts = list(zip(held.tolist(), row[held].tolist(), (row + hi - lo)[held].tolist()))
-        slabs = []
-        for k, (p, q) in enumerate(zip(first_row.tolist(), hi[lasts].tolist())):
-            if p < q:
-                coefs = cache.poly_coefs[base + p * size : base + q * size].reshape(q - p, size)
-                slabs.append((coefs, incs[p:q], parts[at[k] : at[k + 1]]))
-        out.append((degree, slabs))
-    return out
 
 
 def _range_sums(
@@ -1701,27 +1710,18 @@ def _range_sums(
     """(R, C) total log-likelihood over each range [starts[r], stops[r]) for each weight vector.
 
     The ranges must be sorted, disjoint and within [0, I]; ``w`` is (C, L).
-    The lattice is scored ``_LATTICE_CHUNK`` weight vectors at a time, and
-    each chunk scores the ranges one slab of at most ``_SLAB_ELEMENTS``
-    values at a time (``_slabs``; a larger range is alone): for every
-    collapsed degree, a slab writes the product of its coefficient rows with
-    the degree's monomials, and then the log of it, into one buffer that the
-    call allocates once.  Every range's sum starts at its ``logp_rand``
-    total and adds, per chunk, the column sums of its rows of degree 1 ..
-    ``MAX_COLLAPSED_DEGREE`` in that order, then its row-path batches, so a
-    range scores the same alone or in a slab whenever the matrix products
-    give the same values.
+    Each chunk of ``_LATTICE_CHUNK`` weight vectors walks the slabs of
+    ``_slab_plan``, writing each slab's product of coefficient rows and
+    monomials, and then its log, into one buffer allocated once per call.
+    A range's sum starts at its ``logp_rand`` total and adds, per chunk, the
+    column sums of its parts in plan order, then its row-path batches.
+    Slab windows are fixed, so a range scores the same alone or beside
+    others whenever the matrix products give the same values.
     """
     out = np.empty((len(starts), len(w)))
     out[:] = [[cache.logp_rand[a:b].sum()] for a, b in zip(starts.tolist(), stops.tolist())]
     width = min(len(w), _LATTICE_CHUNK)
-    blocks = _slab_blocks(cache, w.shape[1], starts, stops, max(1, _SLAB_ELEMENTS // width))
-    first_row = np.searchsorted(cache.row_increments, starts)
-    last_row = np.searchsorted(cache.row_increments, stops)
-    rows = [
-        (r, cache.row_increments[first_row[r] : last_row[r]])
-        for r in np.flatnonzero(last_row > first_row).tolist()
-    ]
+    blocks, batches = _slab_plan(cache, width, starts, stops)
     buf = np.empty(max((len(slab[0]) for _, slabs in blocks for slab in slabs), default=0) * width)
     for lo in range(0, len(w), _LATTICE_CHUNK):
         chunk = w[lo : lo + _LATTICE_CHUNK]
@@ -1735,29 +1735,24 @@ def _range_sums(
                     np.log(values, out=values)
                 for r, a, b in parts:
                     total[r] += values[a:b].sum(axis=0)
-        for r, incs in rows:
-            for batch in _row_batches(cache, incs, len(chunk)):
-                total[r] += _row_logratios(cache, batch, chunk).sum(axis=0)
+        for r, incs in batches:
+            total[r] += _row_logratios(cache, incs, chunk).sum(axis=0)
     return out
 
 
 def cache_loglik(
     cache: ChoiceCache,
-    weights: np.ndarray,
+    weights: np.typing.ArrayLike,
     start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
     """Total log-likelihood over an increment range for many weight vectors.
 
-    The range [start, stop) must lie within [0, I].  This is ``_range_sums``
-    with one range, so one slab: the range's coefficient blocks are
-    resolved once per call, and every chunk of ``_LATTICE_CHUNK`` weight
-    vectors writes each block's product with its monomials, and then the
-    log of it, into one buffer that the call allocates once.
+    ``weights`` and [start, stop) are as for ``cache_logratios``.  This is
+    ``_range_sums`` with one range, scored slab by slab like the fits, so a
+    call holds one slab however long the range.
     """
-    single = weights.ndim == 1
-    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    start, stop = _checked_range(cache, start, stop)
+    w, single, start, stop = _checked_call(cache, weights, start, stop)
     out = _range_sums(cache, w, np.array([start]), np.array([stop]))[0]
     return out[0] if single else out
 

@@ -447,34 +447,38 @@ def oracle_simplex_grid(num_components, step):
 def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
     """Range log-likelihood per weight vector, accumulated chunk by chunk.
 
-    Every chunk of 256 weight vectors resolves the range's coefficient block
-    of each degree again and adds the column sums of a fresh
-    log(coefficients @ monomials) array, then the row-path batches, in that
-    order.  ``kernels`` is the ``growthfit.likelihood`` module: the block
-    arithmetic is the package's, the resolution and accumulation order are
-    this reference's own.
+    Every chunk of 256 weight vectors resolves the range's coefficient rows
+    of each degree again and, for each run of them whose index in the
+    degree's block has the same ``row // limit`` (``limit =
+    _SLAB_ELEMENTS // min(C, 256)``), adds the column sums of a fresh
+    log(coefficients @ monomials) array; then it adds the row-path batches,
+    in that order.  ``kernels`` is the ``growthfit.likelihood`` module: the
+    block arithmetic is the package's, the resolution and accumulation
+    order are this reference's own.
     """
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     stop = cache.num_increments if stop is None else stop
+    width = min(w.shape[0], 256)
+    limit = kernels._SLAB_ELEMENTS // width
     out = np.full(w.shape[0], float(cache.logp_rand[start:stop].sum()))
     for lo in range(0, w.shape[0], 256):
         chunk = w[lo : lo + 256]
         for degree in range(1, len(cache.poly_offsets) - 1):
             incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
             a, b = np.searchsorted(incs, (start, stop))
-            if a == b:
-                continue
             size = len(kernels._monomial_exponents(w.shape[1], degree))
             base = cache.poly_coef_offsets[degree]
-            coefs = cache.poly_coefs[base + a * size : base + b * size].reshape(b - a, size)
-            with np.errstate(divide="ignore"):
-                values = np.log(coefs @ kernels._monomials(chunk, degree))
-            out[lo : lo + 256] += values.sum(axis=0)
+            cuts = [a, *range((a // limit + 1) * limit, b, limit), b] if a < b else []
+            for x, y in zip(cuts, cuts[1:]):
+                coefs = cache.poly_coefs[base + x * size : base + y * size].reshape(y - x, size)
+                with np.errstate(divide="ignore"):
+                    values = np.log(coefs @ kernels._monomials(chunk, degree))
+                out[lo : lo + 256] += values.sum(axis=0)
         a, b = np.searchsorted(cache.row_increments, (start, stop))
         incs = cache.row_increments[a:b]
         orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
-        budget = max(1, kernels._ROW_BATCH_ELEMENTS // len(chunk))
+        budget = max(1, kernels._ROW_BATCH_ELEMENTS // width)
         for x, y in kernels._batches(orderings, budget):
             out[lo : lo + 256] += kernels._row_logratios(cache, incs[x:y], chunk).sum(axis=0)
     return out[0] if single else out

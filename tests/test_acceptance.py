@@ -12,6 +12,7 @@ import pytest
 
 import growthfit as gf
 from growthfit import likelihood
+from memory import traced_peak
 
 BA = gf.parse_component("BA")
 RAND = gf.parse_component("RAND")
@@ -314,3 +315,8 @@ class TestLargeScalePipeline:
         assert np.isfinite(fit.loglik)
         assert fit.c0 > 1.0
         assert elapsed < 1800.0, f"pipeline took {elapsed:.0f}s"
+
+        # Scoring the whole stream directly holds one slab, not the stream's
+        # 33k rows x 256 lattice values (68 MB).
+        _, peak, _ = traced_peak(lambda: gf.cache_loglik(cache, gf.simplex_grid(3, 0.01)))
+        assert peak < 4e6

@@ -505,8 +505,8 @@ class TestBlockSums:
         # The grown cache has 150 increments, the mixed one (with a row-path
         # star) 40: with at least one increment a block they get 50 and 40
         # blocks, with 16, 9 and 2, with 64, 2 and 1.  A slab of 256 * 5 values holds 5
-        # increments of a 256-point chunk, so the block pass spans many slabs
-        # and its larger ranges stand alone.
+        # rows of a degree for a 256-point chunk, so the block pass spans many
+        # slabs and splits its larger ranges between them.
         cache = fresh(lattice_caches[which])
         try:
             groups = partition_indices(cache, j, mode)
@@ -530,7 +530,7 @@ class TestBlockSums:
     )
     def test_range_sums_match_one_range_at_a_time(self, lattice_caches, data, which, slab):
         # Sorted, disjoint ranges that touch, leave gaps or are empty, scored
-        # in slabs of 1, 5, 40 or 256 increments of a 256-point chunk.
+        # in slabs of 1, 5, 40 or 256 rows of a degree for a 256-point chunk.
         cache = lattice_caches[which]
         n = cache.num_increments
         cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=14)))

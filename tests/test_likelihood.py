@@ -393,14 +393,28 @@ def lattice_caches():
     return grown, mixed
 
 
+@pytest.fixture(scope="module")
+def long_cache():
+    """A 2000-increment [BA, RAND] cache whose one coefficient block spans 8 slabs of 256 rows."""
+    stream = gf.grow(
+        gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=2000, new_targets=3), seed=3
+    )
+    cache = build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
+    # Every star has 3 existing targets, so one coefficient block spans the stream.
+    assert np.count_nonzero(np.diff(cache.poly_offsets)) == 1
+    return cache
+
+
 class TestLatticeEvaluation:
-    """cache_loglik equals the chunk-by-chunk accumulation it replaced, bit for bit."""
+    """cache_loglik equals the chunk-by-chunk, slab-by-slab accumulation, bit for bit."""
 
     @pytest.mark.parametrize("count", [1, 257, 5151])
-    def test_matches_chunked_reference(self, lattice_caches, count):
-        lattice = gf.simplex_grid(3, 0.01)
-        weights = {1: lattice[100:101], 257: lattice[::20][:257], 5151: lattice}[count]
-        for cache in lattice_caches:
+    def test_matches_chunked_reference(self, lattice_caches, long_cache, count):
+        for cache in (*lattice_caches, long_cache):
+            # 5151 points for either component count
+            step = {2: 1 / 5150, 3: 0.01}[len(cache.components)]
+            lattice = gf.simplex_grid(len(cache.components), step)
+            weights = {1: lattice[100:101], 257: lattice[::20][:257], 5151: lattice}[count]
             n = cache.num_increments
             for start, stop in [(0, n), (3, n - 5), (n // 3, 2 * n // 3), (7, 8), (5, 5)]:
                 got = cache_loglik(cache, weights, start, stop)
@@ -419,17 +433,12 @@ class TestLatticeEvaluation:
                 assert np.isneginf(got[100])  # the TRI vertex (0, 1, 0)
                 assert np.isfinite(got[lattice[:, 1] < 1.0]).all()
 
-    def test_one_chunk_buffer_per_call(self):
-        stream = gf.grow(
-            gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=2000, new_targets=3), seed=3
-        )
-        cache = build_choice_cache(stream, [gf.DegreePower(1.0), gf.Random()])
-        # Every star has 3 existing targets, so one coefficient block spans the stream.
-        assert np.count_nonzero(np.diff(cache.poly_offsets)) == 1
+    def test_one_chunk_buffer_per_call(self, long_cache):
         grid = gf.simplex_grid(2, 0.002)
-        cache_loglik(cache, grid)  # builds the monomial tables outside the measurement
-        _, peak, _ = traced_peak(lambda: cache_loglik(cache, grid))
-        assert peak < 1.5 * (2000 * 256 * 8)
+        cache_loglik(long_cache, grid)  # builds the monomial tables outside the measurement
+        _, peak, _ = traced_peak(lambda: cache_loglik(long_cache, grid))
+        # The whole range's values would be 2000 x 256 float64 (4 MB).
+        assert peak < 1.5 * likelihood._SLAB_ELEMENTS * 8
 
     @pytest.mark.parametrize(
         "bounds",
@@ -452,6 +461,37 @@ class TestLatticeEvaluation:
         assert cache_logratios(cache, weights, 5, 5).shape == (0, 2)
         n = cache.num_increments
         assert cache_loglik(cache, weights[0], n, n) == 0.0
+
+    @pytest.mark.parametrize(
+        "which, weights, message",
+        [
+            ("tri", [0.5, 0.5], r"shape \(2,\) need shape \(3,\) or \(C, 3\)"),
+            ("tri", [0.25] * 4, r"shape \(4,\)"),
+            ("tri", np.full((1, 1, 3), 1 / 3), r"shape \(1, 1, 3\)"),
+            ("rand", [40, 60], r"row 0 sums to 100\.0, not 1"),
+            ("tri", [0.4, np.nan, 0.6], r"row 0, entry 1 is nan"),
+            ("tri", [[0.4, 0.3, 0.3], [-0.5, 0.5, 1.0]], r"row 1, entry 0 is -0\.5"),
+            ("tri", [0.4, np.inf, 0.6], r"row 0, entry 1 is inf"),
+        ],
+        ids=["too-few", "too-many", "three-dims", "percent", "nan", "negative", "infinite"],
+    )
+    def test_bad_weights_raise_fit_error(
+        self, lattice_caches, long_cache, which, weights, message
+    ):
+        cache = {"tri": lattice_caches[0], "rand": long_cache}[which]
+        for call in (cache_loglik, cache_logratios, gf.changepoint_series_from_cache):
+            with pytest.raises(gf.FitError, match=message):
+                call(cache, weights)
+
+    def test_weights_may_be_any_array_like(self, lattice_caches):
+        cache = lattice_caches[0]
+        rows = [[0.4, 0.3, 0.3], [0.2, 0.2, 0.6]]
+        assert np.array_equal(cache_loglik(cache, rows), cache_loglik(cache, np.array(rows)))
+        assert cache_loglik(cache, (1.0, 0.0, 0.0)) == cache_loglik(cache, np.eye(3)[0])
+        single = cache_logratios(cache, rows[1])
+        assert np.array_equal(single, cache_logratios(cache, np.array(rows[1])))
+        with pytest.raises(gf.FitError, match="numbers"):
+            cache_loglik(cache, [0.4, "a", 0.6])
 
 
 def mixed_stream(rng, increments=14):
