@@ -827,6 +827,6 @@ def compare_interval_fits(coarse: FitResult, fine: FitResult) -> WilksReport:
     return wilks_test(coarse.loglik, fine.loglik, df)
 
 
-def changepoint_series_from_cache(cache: ChoiceCache, weights: np.ndarray) -> np.ndarray:
+def changepoint_series_from_cache(cache: ChoiceCache, weights: np.typing.ArrayLike) -> np.ndarray:
     """Per-increment logp under fixed mixture weights (for changepoint scans)."""
-    return cache_logratios(cache, np.asarray(weights, dtype=np.float64)) + cache.logp_rand
+    return cache_logratios(cache, weights) + cache.logp_rand

@@ -135,16 +135,14 @@ _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 _COLLAPSE_BATCH_ELEMENTS = 1 << 20
 # Mixed step values on the row path, in float64 elements.
 _ROW_BATCH_ELEMENTS = 1 << 21
-# Sampled-star steps expanded from the orderings table at once, in entries:
-# every path scores sampled stars one run of these at a time.
-_ORDERING_BATCH_ELEMENTS = 1 << 16
-# Work that one step of the cache build holds at once: a run of triangle
-# anchors, in neighbour entries, pair walks and cells, and a run of a
-# batch's stars, of sampled orderings or of collapsed rows, in polynomial
-# terms.  A step holds a few arrays of this many values (512 KB each in
-# float64), about a core's L2 cache (2 MB).  On a 100k-edge stream half of
-# it made the cache build 30% slower, and twice it raised the anchors'
-# peak by 1.5 MB.
+# Work that one step of a replay-side pass holds at once: a run of triangle
+# anchors, in neighbour entries, pair walks and cells; a run of a batch's
+# stars, of sampled orderings or of collapsed rows, in polynomial terms; a
+# run of subset-DP vacancy values; and a run of sampled stars' steps, each
+# step counted as 2 values per component mixed (_ordering_batches).  A step
+# holds a few arrays of this many values (512 KB each in float64), about a
+# core's L2 cache (2 MB).  On a 100k-edge stream half of it made the cache
+# build 30% slower, and twice it raised the anchors' peak by 1.5 MB.
 _BUILD_CHUNK_ELEMENTS = 1 << 16
 # Weight vectors _range_sums scores at once.
 _LATTICE_CHUNK = 256
@@ -238,9 +236,9 @@ class DPTrace:
     ``orderings`` holds, per number of existing targets q, a dense
     (stars, S, q) block of positions among each star's targets, stars in
     increment order, in the narrowest unsigned dtype that holds q - 1.
-    Every path expands those steps only a bounded batch of stars at a time
-    (``_ordering_batches``), so its working set does not grow with the
-    orderings times the targets.  Index arrays that no model parameter
+    Every path expands those steps one run of stars at a time, within the
+    build budget ``_BUILD_CHUNK_ELEMENTS`` (``_ordering_batches``), so its
+    working set does not grow with the orderings times the targets.  Index arrays that no model parameter
     changes are built here once, so scoring a component at any exponent is
     whole-array work.  Triangle closure's anchors are computed on first use
     from the replay's edge events, which the trace keeps: an existing
@@ -299,7 +297,7 @@ class DPTrace:
         """(E,) degree of each sampled step's chosen node, ordering after ordering by increment."""
         entries = _offsets(np.diff(self.inc_ord_offsets) * self.existing_counts)
         out = np.empty(entries[-1], dtype=np.int64)
-        for batch in _ordering_batches(self):
+        for batch in _ordering_batches(self, 1):
             at = _concat_ranges(entries[batch.incs], entries[batch.incs + 1])
             out[at] = self.target_deg[batch.targets].ravel()
         return out
@@ -337,7 +335,12 @@ class DPTrace:
 
     @kept_table
     def _subset_groups(self) -> list[_SubsetGroup]:
-        """Subset-DP tables of the exhaustive increments with existing targets, one per q."""
+        """Subset-DP tables of the exhaustive increments with existing targets, one per q.
+
+        The vacancy mask is formed one ``_star_chunks`` run of stars at a
+        time, into a table allocated at the first vacant subset; its counts
+        are small integers, so the runs change no bit.
+        """
         exhaustive = ~self.sampled & (self.existing_counts > 0)
         groups = []
         for q in np.unique(self.existing_counts[exhaustive]).tolist():
@@ -346,9 +349,17 @@ class DPTrace:
             targets = self._target_start[incs] + steps
             initial = self.initial[incs].astype(np.float64)
             log_falling = np.log(initial - steps).sum(axis=0)
-            on = (self.target_deg[targets] > 0).astype(np.float64)
-            occupied = self._occupied_base[incs] - _subset_lattice(q)[0] @ on > 0.0
-            vacant = None if occupied.all() else ~occupied
+            members = _subset_lattice(q)[0]
+            vacant = None
+            for part in _star_chunks(len(incs), len(members)):
+                on = (self.target_deg[targets[:, part]] > 0).astype(np.float64)
+                left = members @ on
+                np.subtract(self._occupied_base[incs[part]], left, out=left)
+                gone = left <= 0.0
+                if gone.any():
+                    if vacant is None:
+                        vacant = np.zeros((len(members), len(incs)), dtype=bool)
+                    vacant[:, part] = gone
             groups.append(_SubsetGroup(incs, targets, initial, log_falling, vacant))
         return groups
 
@@ -454,21 +465,24 @@ class _OrderingBatch:
         return np.repeat(self.incs, self.samples)
 
 
-def _ordering_batches(trace: DPTrace) -> Iterator[_OrderingBatch]:
-    """The sampled stars of a trace, in runs of one q of about ``_ORDERING_BATCH_ELEMENTS`` steps.
+def _ordering_batches(trace: DPTrace, ncomp: int) -> Iterator[_OrderingBatch]:
+    """The sampled stars of a trace, in ``_BUILD_CHUNK_ELEMENTS`` runs of one q.
 
-    A run holds at least one star.  Each star's values depend only on its
-    own rows, so no result depends on how the stars are batched.
+    A caller mixing ``ncomp`` components holds about 4 * ncomp + 1
+    step-length arrays per run (each component's weights, totals, running
+    prefix and ratios, and the eligible sizes), so a step counts 2 * ncomp
+    values of the budget: a run has at most 2**14 steps at two components,
+    about 1 MB.  A run holds at least one star.  Each star's values depend
+    only on its own rows, so no result depends on how the stars are batched.
     """
     for block in trace.orderings:
         stars, samples, q = block.shape
         incs = np.flatnonzero(trace.sampled & (trace.existing_counts == q))
-        step = max(1, _ORDERING_BATCH_ELEMENTS // (samples * q))
-        for a in range(0, stars, step):
-            rows = np.repeat(incs[a : a + step], samples)
-            positions = block[a : a + step].reshape(-1, q).astype(np.intp)
+        for part in _star_chunks(stars, 2 * ncomp * samples * q):
+            rows = np.repeat(incs[part], samples)
+            positions = block[part].reshape(-1, q).astype(np.intp)
             yield _OrderingBatch(
-                incs[a : a + step],
+                incs[part],
                 positions,
                 trace._target_start[rows, None] + positions,
                 (trace.initial[rows, None] - np.arange(q)).astype(np.float64),
@@ -1219,7 +1233,7 @@ def _trace_logp(
     nodes = [_node_weights(trace, comp) for comp in components]
     with np.errstate(divide="ignore"):
         logp = np.log(_mix(_center_ratios(trace, nodes, fallbacks), weights.T))
-        for batch in _ordering_batches(trace):
+        for batch in _ordering_batches(trace, len(components)):
             ratios = _batch_ratios(trace, batch, components, nodes, fallbacks)
             orderings = np.log(_mix(ratios, weights[batch.rows].T[..., None])).sum(axis=1)
             logp[batch.incs] += _segment_logsumexp(
@@ -1268,15 +1282,16 @@ class ChoiceCache:
     many orderings and steps it has.  Exhaustive stars get them from the
     subset DP (anchored on the first target of an external star under
     triangle closure), sampled ones from their orderings, expanded one
-    bounded batch of stars at a time with no step table.  Larger sampled
+    ``_ordering_batches`` run of stars at a time with no step table.  Larger sampled
     stars keep the row path: their step rows are mixed, logged and summed
     per ordering, and the orderings are combined by a max-shifted
     logsumexp, so a long product of small ratios cannot underflow.  Step
     rows and orderings are kept only for those stars; ``increment_offsets``
     still spans every increment, with no orderings for a collapsed one.
     The build works one bounded run at a time (``_BUILD_CHUNK_ELEMENTS``):
-    triangle anchors, subset-DP columns, orderings and collapsed rows, the
-    last written into the preallocated ``poly_coefs``.  Beyond one batch of
+    triangle anchors, subset-DP columns, sampled stars' step ratios,
+    orderings and collapsed rows, the last written into the preallocated
+    ``poly_coefs``.  Beyond one batch of
     exhaustive stars (``_subset_batches``), its working set does not grow
     with the stream.
 
@@ -1507,8 +1522,8 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
     Fallbacks are counted on the center and on the steps of the first
     ordering: a sampled star's first draw, an exhaustive star's identity
     ordering.  Sampled stars are expanded one ``_ordering_batches`` run at a
-    time: each run is collapsed to coefficients, or its step rows are
-    written into the row path's table.
+    time, within the build budget: each run is collapsed to coefficients,
+    or its step rows are written into the row path's table.
     """
     ncomp = len(components)
     # each count is at most a star's choices, and only their total is kept
@@ -1518,8 +1533,6 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
     # the steps read only the target weights and base totals
     nodes = [None if node is None else node[:2] for node in nodes]
     inv_norm = 1.0 / trace._ordering_count
-    # built before the coefficient blocks, so that its transient does not add to them
-    trace._subset_groups
     collapse = _Collapse(center_ratios, inv_norm, trace.existing_counts, trace.sampled)
     # a polynomial term holds up to M coefficients
     batches = _subset_batches(
@@ -1535,7 +1548,7 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
     increment_offsets = _offsets(ord_counts)
     ordering_offsets = _offsets(np.repeat(trace.existing_counts, ord_counts))
     step_ratios = np.empty((ordering_offsets[-1], ncomp))
-    for batch in _ordering_batches(trace):
+    for batch in _ordering_batches(trace, ncomp):
         ratios = np.stack(_batch_ratios(trace, batch, components, nodes, fallbacks), axis=-1)
         if ratios.shape[1] + 1 <= MAX_COLLAPSED_DEGREE:
             for incs, sums in _ordering_poly(batch, ratios):

@@ -472,8 +472,13 @@ class TestLatticeEvaluation:
             ("tri", [0.4, np.nan, 0.6], r"row 0, entry 1 is nan"),
             ("tri", [[0.4, 0.3, 0.3], [-0.5, 0.5, 1.0]], r"row 1, entry 0 is -0\.5"),
             ("tri", [0.4, np.inf, 0.6], r"row 0, entry 1 is inf"),
+            ("rand", [0.4, "a"], r"numbers of shape \(2,\) or \(C, 2\)"),
+            ("rand", [[0.4, 0.6], [1.0]], r"numbers of shape \(2,\) or \(C, 2\)"),
         ],
-        ids=["too-few", "too-many", "three-dims", "percent", "nan", "negative", "infinite"],
+        ids=[
+            "too-few", "too-many", "three-dims", "percent", "nan", "negative", "infinite",
+            "not-a-number", "ragged",
+        ],
     )
     def test_bad_weights_raise_fit_error(
         self, lattice_caches, long_cache, which, weights, message
@@ -1053,7 +1058,7 @@ class TestOrderingBatches:
             likelihood._trace_logp(trace, [comp], [1.0])[0]
             for comp in (gf.DegreePower(0.5), gf.DegreePower(1.5), gf.RankPreference(0.5))
         ]
-        batches = len(list(likelihood._ordering_batches(trace)))
+        batches = len(list(likelihood._ordering_batches(trace, len(self.COMPS))))
         return trace, series, cache, scans, batches
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1067,7 +1072,7 @@ class TestOrderingBatches:
         # onto degree-0 nodes, the degree power and triangle closure fall back on every step
         assert series[0].sampled and series[0].fallback_choices == 2 * 7
         assert len(cache.row_increments) == 1
-        monkeypatch.setattr(likelihood, "_ORDERING_BATCH_ELEMENTS", 1)
+        monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", 1)
         _, one_series, one_cache, one_scans, one_batches = self.outputs(stream)
         assert one_batches == trace.sampled_increments > batches
         assert [s.logp for s in one_series] == [s.logp for s in series]
@@ -1102,15 +1107,19 @@ class TestOrderingBatches:
             peaks = []
             for samples in (120, 480):
                 call(samples)  # fills the lookup tables outside the measurement
-                peaks.append(traced_peak(lambda: call(samples))[1])
+                _, peak, retained = traced_peak(lambda: call(samples))
+                peaks.append(peak)
+                # runs of the build budget's steps, not 2**16 steps at a time
+                assert peak - retained < 2e6, (name, samples, peak, retained)
             assert peaks[1] < 1.5 * peaks[0], (name, peaks)
 
 
 class TestBuildChunks:
     """The cache build works in bounded runs, and the runs change no value.
 
-    Anchors, subset-DP columns, orderings and collapsed rows run in
-    ``_BUILD_CHUNK_ELEMENTS``, the triangle table's wedges in ``_WEDGE_BATCH``.
+    Anchors, subset-DP columns and vacancy masks, orderings and collapsed
+    rows run in ``_BUILD_CHUNK_ELEMENTS``, the triangle table's wedges in
+    ``_WEDGE_BATCH``.
     """
 
     COMPS = (gf.DegreePower(1.5), gf.TriangleClosure(), gf.RankPreference(0.5), gf.Random())
@@ -1166,6 +1175,35 @@ class TestBuildChunks:
         assert transients[1] < 1.5 * transients[0], transients
         # runs of the budget's anchors or polynomial terms, and one batch's lattices
         assert max(transients) < 4e6, transients
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_subset_groups_do_not_depend_on_the_budget(self, seed, monkeypatch):
+        stream = factoring_stream(np.random.default_rng(seed))
+
+        def groups():
+            trace = likelihood._replay(
+                stream.seed_graph(), stream.columns, 0, 0, SAMPLES, MAX_EXHAUSTIVE_CHOICES
+            )
+            tables = [vars(group).values() for group in trace._subset_groups]
+            return [[None if t is None else (t.dtype, t.tobytes()) for t in g] for g in tables]
+
+        expect = groups()
+        # stars onto degree-0 nodes leave subsets with no node of positive degree
+        assert any(g[-1] is not None for g in expect)
+        for budget in (1, 7):
+            monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", budget)
+            assert groups() == expect, budget
+
+    def test_subset_groups_build_in_runs(self):
+        # 3,000 exhaustive stars onto 7 existing nodes: their whole occupancy
+        # product would be 127 x 3,000 float64 (3 MB), and its difference as much
+        recipe = gf.GrowthRecipe.constant("0.5*BA + 0.5*RAND", increments=3000, new_targets=7)
+        trace = build_dp_trace(gf.grow(recipe, seed=1))
+        trace._occupied_base, trace._target_start  # read by the groups, kept apart
+        _, peak, retained = traced_peak(lambda: trace._subset_groups)
+        assert [(len(g.targets), len(g.incs)) for g in trace._subset_groups] == [(7, 3000)]
+        # one run of the budget's values and the group's (q, n) tables
+        assert peak - retained < 2e6, (peak, retained)
 
 
 def factoring_stream(rng):
