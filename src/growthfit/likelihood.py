@@ -89,7 +89,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,27 +128,18 @@ DEFAULT_ORDERING_SAMPLES = 120
 
 _NEG_INF = float("-inf")
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-# Polynomial terms, in float64 elements, of one batch of exhaustive stars
-# (_subset_batches).  It fixes which stars share a batch, and with it each
-# star's subset totals: they come from one matrix product per batch, which
-# rounds differently by its width.
-_COLLAPSE_BATCH_ELEMENTS = 1 << 20
-# Mixed step values on the row path, in float64 elements.
-_ROW_BATCH_ELEMENTS = 1 << 21
-# Work that one step of a replay-side pass holds at once: a run of triangle
-# anchors, in neighbour entries, pair walks and cells; a run of a batch's
-# stars, of sampled orderings or of collapsed rows, in polynomial terms; a
-# run of subset-DP vacancy values; and a run of sampled stars' steps, each
-# step counted as 2 values per component mixed (_ordering_batches).  A step
-# holds a few arrays of this many values (512 KB each in float64), about a
-# core's L2 cache (2 MB).  On a 100k-edge stream half of it made the cache
-# build 30% slower, and twice it raised the anchors' peak by 1.5 MB.
+# Work that one step of a pass holds at once: a run of triangle anchors, in
+# neighbour entries, pair walks and cells; a batch of exhaustive stars, in
+# subset totals (_subset_batches); a run of a batch's stars, of sampled
+# orderings or of collapsed rows, in polynomial terms; a run of subset-DP
+# vacancy values; a run of sampled stars' steps, 2 values per component
+# (_ordering_batches); a lattice slab and a row-path batch (_slab_plan).  A
+# step holds a few arrays of this many values (512 KB each in float64),
+# about a core's L2 cache (2 MB).  On a 100k-edge stream half of it made the
+# cache build 30% slower, and twice it raised the anchors' peak by 1.5 MB.
 _BUILD_CHUNK_ELEMENTS = 1 << 16
 # Weight vectors _range_sums scores at once.
 _LATTICE_CHUNK = 256
-# Lattice values, in float64 elements, that one slab holds at once (512 KB):
-# every lattice score holds at most this many, however long its ranges.
-_SLAB_ELEMENTS = 1 << 16
 
 
 def _log_factorial(q: int) -> float:
@@ -349,16 +340,14 @@ class DPTrace:
             targets = self._target_start[incs] + steps
             initial = self.initial[incs].astype(np.float64)
             log_falling = np.log(initial - steps).sum(axis=0)
-            members = _subset_lattice(q)[0]
+            subsets = (1 << q) - 1
             vacant = None
-            for part in _star_chunks(len(incs), len(members)):
+            for part in _star_chunks(len(incs), subsets):
                 on = (self.target_deg[targets[:, part]] > 0).astype(np.float64)
-                left = members @ on
-                np.subtract(self._occupied_base[incs[part]], left, out=left)
-                gone = left <= 0.0
+                gone = _subset_totals(self._occupied_base[incs[part]], on) <= 0.0
                 if gone.any():
                     if vacant is None:
-                        vacant = np.zeros((len(members), len(incs)), dtype=bool)
+                        vacant = np.zeros((subsets, len(incs)), dtype=bool)
                     vacant[:, part] = gone
             groups.append(_SubsetGroup(incs, targets, initial, log_falling, vacant))
         return groups
@@ -968,22 +957,22 @@ def _segment_logsumexp(
 
 
 @lru_cache(maxsize=None)
-def _subset_lattice(q: int) -> tuple[np.ndarray, tuple]:
-    """The proper subsets of q targets by size, and each one's one-larger supersets.
+def _subset_lattice(q: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple]:
+    """The proper subsets of q targets by size, each one's parent and one-larger supersets.
 
-    Returns (members, levels).  Row r of ``members`` (2**q - 1, q) marks the
-    targets in subset r, subsets ordered by size and, within a size, by
-    bitmask, so the first subset of size l is the prefix {0, .., l - 1}.
-    ``levels[l]`` is (lo, hi, child, added) for the subsets of size l, rows
-    [lo, hi): adding target ``added[s, c]`` to subset lo + s gives the
-    subset ``child[s, c]`` among those of size l + 1 (the full set is 0 of
-    its own level).
+    Returns ((parent, highest), levels).  Subsets are ordered by size and,
+    within a size, by bitmask, so the first of size l is {0, .., l - 1}.
+    Nonempty subset r is subset ``parent[r]`` plus its highest target
+    ``highest[r]``.  ``levels[l]`` is (lo, hi, child, added) for the subsets
+    of size l, rows [lo, hi): adding target ``added[s, c]`` to subset lo + s
+    gives the subset ``child[s, c]`` among those of size l + 1 (the full set
+    is 0 of its own level).
     """
     by_size = [[s for s in range(1 << q) if bin(s).count("1") == size] for size in range(q + 1)]
     rank = {s: r for sets in by_size for r, s in enumerate(sets)}
-    members = np.array(
-        [[s >> j & 1 for j in range(q)] for sets in by_size[:q] for s in sets], dtype=np.float64
-    ).reshape((1 << q) - 1, q)
+    row = {s: r for r, s in enumerate(s for sets in by_size[:q] for s in sets)}
+    highest = [max(s.bit_length() - 1, 0) for s in row]
+    parent = [row[s ^ 1 << h] if s else 0 for s, h in zip(row, highest)]
     starts = _offsets([len(sets) for sets in by_size]).tolist()
     levels = []
     for size in range(q):
@@ -991,7 +980,24 @@ def _subset_lattice(q: int) -> tuple[np.ndarray, tuple]:
         child = [[rank[s | 1 << j] for j in js] for s, js in zip(by_size[size], free)]
         child_rows = np.array(child, dtype=np.intp)
         levels.append((starts[size], starts[size + 1], child_rows, np.array(free, dtype=np.intp)))
-    return members, tuple(levels)
+    return (np.array(parent, dtype=np.intp), np.array(highest, dtype=np.intp)), tuple(levels)
+
+
+def _subset_totals(base: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(2**q - 1, n) ``base`` less each ``_subset_lattice`` subset's (q, n) weights ``w``.
+
+    A subset's weight is its parent's plus its highest target's, so each
+    column adds its own weights in ascending order, whatever shares the call.
+    """
+    q = len(w)
+    (parent, highest), levels = _subset_lattice(q)
+    taken = np.empty(((1 << q) - 1, w.shape[1]))
+    taken[:1] = 0.0  # no row at all when q is 0: an anchored star of one target
+    if q > 1:
+        taken[1 : q + 1] = w
+    for lo, hi, _, _ in levels[2:]:
+        np.add(taken[parent[lo:hi]], w[highest[lo:hi]], out=taken[lo:hi])
+    return np.subtract(base, taken, out=taken)
 
 
 @dataclass
@@ -1091,11 +1097,10 @@ def _lattice(
         first = _ratio(w[slots, at], group.initial[cols], np.where(first_uniform, 0.0, base))
         base, w = base - w[slots, at], w[others, at]
         eligible, log_falling = anchoring.eligible, anchoring.log_falling
-    members = _subset_lattice(len(w))[0]
-    total = base - members @ w
+    total = _subset_totals(base, w)
     if zero:
         # no node of positive degree is left: the total is 0 up to rounding
-        vacant = ~(occupied - members @ on > 0.0) if anchored else group.vacant
+        vacant = ~(_subset_totals(occupied, on) > 0.0) if anchored else group.vacant
         if vacant is not None and vacant.any():
             total[vacant] = 0.0
     return _Lattice(first, first_uniform, w, total, eligible, log_falling)
@@ -1106,15 +1111,15 @@ def _subset_batches(
     components: Sequence[Component],
     nodes: list,
     fallbacks: np.ndarray | None,
-    width: Callable[[int], int],
 ) -> Iterator[tuple[_SubsetGroup, bool, list[_Lattice]]]:
     """(stars, anchored, lattices) of the exhaustive stars with existing targets, in batches.
 
     Under triangle closure an external star is anchored: one lattice column
-    per first target.  A batch of stars with q targets has under
-    ``_COLLAPSE_BATCH_ELEMENTS`` terms of ``width(q)`` values, a star fewer
-    than q * 2**q.  Adds the uniform steps of each star's identity ordering
-    to ``fallbacks``, unless that is None.
+    per first target.  A batch holds one star or at most
+    ``_BUILD_CHUNK_ELEMENTS`` subset totals: 2**q per star and component,
+    q * 2**(q - 1) anchored.  No column's values depend on the others.  Adds
+    the uniform steps of each star's identity ordering to ``fallbacks``,
+    unless that is None.
     """
     if any(isinstance(c, TriangleClosure) for c in components):
         parts = trace._anchored_groups
@@ -1122,9 +1127,9 @@ def _subset_batches(
         parts = [(group, False) for group in trace._subset_groups]
     for part, outer in parts:
         q = len(part.targets)
-        step = max(1, _COLLAPSE_BATCH_ELEMENTS // ((q << q) * width(q)))
-        for a in range(0, len(part.incs), step):
-            batch = part.select(slice(a, a + step))
+        per_star = len(components) * (q << (q - 1) if outer else 1 << q)
+        for stars in _star_chunks(len(part.incs), per_star):
+            batch = part.select(stars)
             anchoring = _Anchoring.of(batch) if outer else None
             lattices = [_lattice(trace, batch, c, n, anchoring) for c, n in zip(components, nodes)]
             if fallbacks is not None:
@@ -1133,7 +1138,7 @@ def _subset_batches(
             del lattices  # before the next batch's are built
 
 
-def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
+def _factored_logp(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
     """``_subset_logp`` of a single component at unit weight, its targets' weights factored out.
 
     Every ordering takes each target once, so where every subset's total
@@ -1145,15 +1150,14 @@ def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
 
     one log per target and one per column.  A positive T(S) is T(empty)
     less the weights taken, so at least about 2**-54 T(empty): u stays
-    within float64 up to 17 targets.  None where a step falls back to
-    uniform (a total <= 0) or u overflows; ``_subset_logp`` then forms
-    every step's ratio.
+    within float64 up to 17 targets.  Returns (values, factored): where a
+    step falls back to uniform (a total <= 0) or u overflows, a column is
+    not factored, and ``_subset_logp`` forms every step's ratio instead.
     """
     q, n = lattice.w.shape
-    if not q or (lattice.total <= 0.0).any():
-        return None
-    with np.errstate(over="ignore"):
-        rho = lattice.total[0] / lattice.total
+    factored = (lattice.total > 0.0).all(axis=0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rho = lattice.total[:1] / lattice.total
         u = np.ones((1, n))
         for lo, hi, child, _ in reversed(_subset_lattice(q)[1]):
             # the children's rows added in turn, as a sum over them would
@@ -1161,11 +1165,9 @@ def _factored_logp(lattice: _Lattice) -> np.ndarray | None:
             for c in range(1, child.shape[1]):
                 below += u[child[:, c]]
             u = rho[lo:hi] * below
-    if not np.isfinite(u).all():
-        return None
-    with np.errstate(divide="ignore"):
-        weights = np.log(lattice.w / lattice.total[0]).sum(axis=0)
-    return weights + lattice.log_falling + np.log(u[0])
+        factored &= np.isfinite(u[0])
+        weights = np.log(lattice.w / lattice.total[:1]).sum(axis=0)
+        return weights + lattice.log_falling + np.log(u[0]), factored
 
 
 def _subset_logp(lattices: list[_Lattice], weights: np.ndarray) -> np.ndarray:
@@ -1174,14 +1176,15 @@ def _subset_logp(lattices: list[_Lattice], weights: np.ndarray) -> np.ndarray:
     F(all) = 0 and F(S) = logsumexp over i not in S of [log r(S, i) +
     F(S + i)], with r(S, i) the step's ratio to uniform mixed over the
     components at its column's (n, L) ``weights``; the result is F of the
-    empty set, per column.  A single component at unit weight with no step
-    falling back to uniform factors its targets' weights out instead
-    (``_factored_logp``).
+    empty set, per column.  A single component at unit weight factors its
+    targets' weights out instead in each column with no step falling back
+    to uniform (``_factored_logp``).
     """
+    out = None
     if len(lattices) == 1 and (weights == 1.0).all():
-        f = _factored_logp(lattices[0])
-        if f is not None:
-            return f
+        out, factored = _factored_logp(lattices[0])
+        if factored.all():
+            return out
     q = len(lattices[0].w)
     f = np.zeros((1, len(weights)))
     for size in reversed(range(q)):
@@ -1199,7 +1202,7 @@ def _subset_logp(lattices: list[_Lattice], weights: np.ndarray) -> np.ndarray:
             terms -= top[:, None]
             with np.errstate(divide="ignore"):
                 f = np.log(np.exp(terms, out=terms).sum(axis=1)) + top
-    return f[0]
+    return f[0] if out is None else np.where(factored, out, f[0])
 
 
 def _trace_logp(
@@ -1239,8 +1242,7 @@ def _trace_logp(
             logp[batch.incs] += _segment_logsumexp(
                 orderings, np.full(len(batch.incs), batch.samples)
             )
-        batches = _subset_batches(trace, components, nodes, fallbacks, lambda q: len(components))
-        for stars, anchored, lattices in batches:
+        for stars, anchored, lattices in _subset_batches(trace, components, nodes, fallbacks):
             q = len(stars.targets)
             cols = np.repeat(weights[stars.incs], q if anchored else 1, axis=0)
             f = _subset_logp(lattices, cols)
@@ -1289,11 +1291,11 @@ class ChoiceCache:
     rows and orderings are kept only for those stars; ``increment_offsets``
     still spans every increment, with no orderings for a collapsed one.
     The build works one bounded run at a time (``_BUILD_CHUNK_ELEMENTS``):
-    triangle anchors, subset-DP columns, sampled stars' step ratios,
-    orderings and collapsed rows, the last written into the preallocated
-    ``poly_coefs``.  Beyond one batch of
-    exhaustive stars (``_subset_batches``), its working set does not grow
-    with the stream.
+    triangle anchors, batches of exhaustive stars' lattices
+    (``_subset_batches``) and their subset-DP columns, sampled stars' step
+    ratios, orderings and collapsed rows, the last written into the
+    preallocated ``poly_coefs``.  So its working set does not grow with the
+    stream, and no value depends on the runs.
 
     A cache is read-only once built.  The first interval fit for a weight
     step scores its whole lattice once, as sums over equal-count blocks of
@@ -1534,11 +1536,7 @@ def _choice_cache(trace: DPTrace, components: Sequence[Component]) -> ChoiceCach
     nodes = [None if node is None else node[:2] for node in nodes]
     inv_norm = 1.0 / trace._ordering_count
     collapse = _Collapse(center_ratios, inv_norm, trace.existing_counts, trace.sampled)
-    # a polynomial term holds up to M coefficients
-    batches = _subset_batches(
-        trace, components, nodes, fallbacks, lambda q: len(_monomial_exponents(ncomp, q))
-    )
-    for stars, anchored, lattices in batches:
+    for stars, anchored, lattices in _subset_batches(trace, components, nodes, fallbacks):
         for incs, sums in _lattice_poly(stars, anchored, lattices):
             collapse.write(incs, sums)
         del lattices  # before the next batch's are built
@@ -1586,15 +1584,19 @@ def build_choice_cache(
 
 
 def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log(P / P_rand) from step rows, in log space, for increments above the cap."""
+    """log(P / P_rand) from step rows, in log space, for increments above the cap.
+
+    Each row is mixed in component order (``_mix``), so no value depends on the batches.
+    """
     ord_lo = cache.increment_offsets[incs]
     ord_hi = cache.increment_offsets[incs + 1]
     ords = _concat_ranges(ord_lo, ord_hi)
     row_lo = cache.ordering_offsets[ords]
     row_hi = cache.ordering_offsets[ords + 1]
     ord_log = np.empty((len(ords), w.shape[0]))
-    for a, b in _batches(row_hi - row_lo, max(1, _ROW_BATCH_ELEMENTS // w.shape[0])):
-        step_log = cache.step_ratios[_concat_ranges(row_lo[a:b], row_hi[a:b])] @ w.T
+    for a, b in _batches(row_hi - row_lo, max(1, _BUILD_CHUNK_ELEMENTS // w.shape[0])):
+        steps = cache.step_ratios[_concat_ranges(row_lo[a:b], row_hi[a:b])]
+        step_log = _mix(steps.T[..., None], w.T)
         with np.errstate(divide="ignore"):
             np.log(step_log, out=step_log)
         ord_log[a:b] = np.add.reduceat(step_log, _offsets(row_hi[a:b] - row_lo[a:b])[:-1], axis=0)
@@ -1602,7 +1604,7 @@ def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.nd
     # give log(S * (1/S)) = 0 exactly, as on the collapsed path.
     targets = _segment_logsumexp(ord_log, ord_hi - ord_lo, cache.inv_norm[incs, None])
     with np.errstate(divide="ignore"):
-        return targets + np.log(cache.center_ratios[incs] @ w.T)
+        return targets + np.log(_mix(cache.center_ratios[incs].T[..., None], w.T))
 
 
 def _checked_call(
@@ -1646,15 +1648,13 @@ def _slab_plan(
     Returns (blocks, batches).  ``blocks`` holds (degree, slabs) for each
     collapsed degree with rows in some range.  A slab is the requested rows
     of the degree's coefficient block whose index has the same ``row //
-    limit``, ``limit = _SLAB_ELEMENTS // width``, cut where a row is not
-    requested: (coefs, incs, parts), the (n, monomials) view of its rows,
-    their increments, and each range's (range, first row, end row) in it.
-    ``batches`` holds each range's row-path increments as (range,
-    increments) runs of at most ``_ROW_BATCH_ELEMENTS // width`` orderings
-    or one increment.
+    limit``, ``limit = _BUILD_CHUNK_ELEMENTS // width``, cut where a row is
+    not requested: (coefs, incs, parts), the (n, monomials) view of its
+    rows, their increments, and each range's (range, first row, end row) in
+    it.  ``batches`` holds each range's row-path increments as (range,
+    increments) runs of at most ``limit`` orderings or one increment.
     """
-    width = max(width, 1)
-    limit = max(1, _SLAB_ELEMENTS // width)
+    limit = max(1, _BUILD_CHUNK_ELEMENTS // max(width, 1))
     blocks = []
     for degree in range(1, len(cache.poly_offsets) - 1):
         incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]
@@ -1680,14 +1680,13 @@ def _slab_plan(
             coefs = cache.poly_coefs[base + p * size : base + q * size].reshape(q - p, size)
             slabs.append((coefs, incs[p:q], [(ranges[i], a[i] - p, b[i] - p) for i in range(x, y)]))
         blocks.append((degree, slabs))
-    budget = max(1, _ROW_BATCH_ELEMENTS // width)
     lo = np.searchsorted(cache.row_increments, starts)
     hi = np.searchsorted(cache.row_increments, stops)
     batches = []
     for r in np.flatnonzero(hi > lo).tolist():
         incs = cache.row_increments[lo[r] : hi[r]]
         orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
-        batches += [(r, incs[x:y]) for x, y in _batches(orderings, budget)]
+        batches += [(r, incs[x:y]) for x, y in _batches(orderings, limit)]
     return blocks, batches
 
 

@@ -450,9 +450,10 @@ def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
     Every chunk of 256 weight vectors resolves the range's coefficient rows
     of each degree again and, for each run of them whose index in the
     degree's block has the same ``row // limit`` (``limit =
-    _SLAB_ELEMENTS // min(C, 256)``), adds the column sums of a fresh
-    log(coefficients @ monomials) array; then it adds the row-path batches,
-    in that order.  ``kernels`` is the ``growthfit.likelihood`` module: the
+    _BUILD_CHUNK_ELEMENTS // min(C, 256)``, at least 1), adds the column
+    sums of a fresh log(coefficients @ monomials) array; then it adds the
+    row-path batches of at most ``limit`` orderings or one increment, in
+    that order.  ``kernels`` is the ``growthfit.likelihood`` module: the
     block arithmetic is the package's, the resolution and accumulation
     order are this reference's own.
     """
@@ -460,7 +461,7 @@ def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     stop = cache.num_increments if stop is None else stop
     width = min(w.shape[0], 256)
-    limit = kernels._SLAB_ELEMENTS // width
+    limit = max(1, kernels._BUILD_CHUNK_ELEMENTS // width)
     out = np.full(w.shape[0], float(cache.logp_rand[start:stop].sum()))
     for lo in range(0, w.shape[0], 256):
         chunk = w[lo : lo + 256]
@@ -478,8 +479,7 @@ def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
         a, b = np.searchsorted(cache.row_increments, (start, stop))
         incs = cache.row_increments[a:b]
         orderings = cache.increment_offsets[incs + 1] - cache.increment_offsets[incs]
-        budget = max(1, kernels._ROW_BATCH_ELEMENTS // width)
-        for x, y in kernels._batches(orderings, budget):
+        for x, y in kernels._batches(orderings, limit):
             out[lo : lo + 256] += kernels._row_logratios(cache, incs[x:y], chunk).sum(axis=0)
     return out[0] if single else out
 

@@ -499,7 +499,7 @@ class TestBlockSums:
         mode=st.sampled_from(["count", "time"]),
         which=st.sampled_from([0, 1]),
         min_rows=st.sampled_from([1, 16, estimation._MIN_BLOCK_INCREMENTS]),
-        slab=st.sampled_from([likelihood._SLAB_ELEMENTS, 256 * 5]),
+        slab=st.sampled_from([likelihood._BUILD_CHUNK_ELEMENTS, 256 * 5]),
     )
     def test_block_path_matches_direct_scores(self, lattice_caches, j, mode, which, min_rows, slab):
         # The grown cache has 150 increments, the mixed one (with a row-path
@@ -514,7 +514,7 @@ class TestBlockSums:
             assume(False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimation, "_MIN_BLOCK_INCREMENTS", min_rows)
-            mp.setattr(likelihood, "_SLAB_ELEMENTS", slab)
+            mp.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", slab)
             kept = estimation._block_sums(cache, self.LATTICE, 0.01)
             scores = estimation._interval_logliks(cache, self.LATTICE, kept, groups)
         most = estimation._LATTICE_SUM_BUDGET // len(self.LATTICE)
@@ -526,7 +526,7 @@ class TestBlockSums:
     @given(
         data=st.data(),
         which=st.sampled_from([0, 1]),
-        slab=st.sampled_from([256, 256 * 5, 256 * 40, likelihood._SLAB_ELEMENTS]),
+        slab=st.sampled_from([256, 256 * 5, 256 * 40, likelihood._BUILD_CHUNK_ELEMENTS]),
     )
     def test_range_sums_match_one_range_at_a_time(self, lattice_caches, data, which, slab):
         # Sorted, disjoint ranges that touch, leave gaps or are empty, scored
@@ -538,7 +538,7 @@ class TestBlockSums:
         ranges = [(a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k] or [(cuts[0], cuts[-1])]
         starts, stops = np.array(ranges, dtype=np.int64).T
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(likelihood, "_SLAB_ELEMENTS", slab)
+            mp.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", slab)
             got = likelihood._range_sums(cache, self.LATTICE, starts, stops)
         for (a, b), row in zip(ranges, got):
             direct = gf.cache_loglik(cache, self.LATTICE, a, b)
@@ -622,7 +622,7 @@ class TestBlockSums:
         assert kept.sums.shape == (estimation._LATTICE_SUM_BUDGET // 10001, 10001)
         assert kept.sums.size <= estimation._LATTICE_SUM_BUDGET
         # Scoring the whole range directly would hold 2000 x 256 values at once (4 MB).
-        slab = likelihood._SLAB_ELEMENTS * 8
+        slab = likelihood._BUILD_CHUNK_ELEMENTS * 8
         assert peak < kept.sums.nbytes + 1.5 * slab
         gf.fit_intervals(cache, 3, step=0.01)
         assert len(cache._lattice_sums) == 2

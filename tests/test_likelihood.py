@@ -438,7 +438,7 @@ class TestLatticeEvaluation:
         cache_loglik(long_cache, grid)  # builds the monomial tables outside the measurement
         _, peak, _ = traced_peak(lambda: cache_loglik(long_cache, grid))
         # The whole range's values would be 2000 x 256 float64 (4 MB).
-        assert peak < 1.5 * likelihood._SLAB_ELEMENTS * 8
+        assert peak < 1.5 * likelihood._BUILD_CHUNK_ELEMENTS * 8
 
     @pytest.mark.parametrize(
         "bounds",
@@ -1115,23 +1115,46 @@ class TestOrderingBatches:
 
 
 class TestBuildChunks:
-    """The cache build works in bounded runs, and the runs change no value.
+    """Scoring and the cache build work in bounded runs, and the runs change no value.
 
-    Anchors, subset-DP columns and vacancy masks, orderings and collapsed
-    rows run in ``_BUILD_CHUNK_ELEMENTS``, the triangle table's wedges in
-    ``_WEDGE_BATCH``.
+    Anchors, batches of exhaustive stars' lattices, subset-DP columns and
+    vacancy masks, orderings, collapsed rows, lattice slabs and row-path
+    batches run in ``_BUILD_CHUNK_ELEMENTS``, the triangle table's wedges in
+    ``_WEDGE_BATCH``.  Every value is formed from its own star's rows in a
+    fixed order, so the cache, each increment's score in log space and each
+    row-path lattice score keep their bits under any budget.  A collapsed
+    increment's lattice score is a BLAS product of a slab's coefficient rows
+    and the monomials, which rounds by the slab's height, so it is not
+    compared.
     """
 
     COMPS = (gf.DegreePower(1.5), gf.TriangleClosure(), gf.RankPreference(0.5), gf.Random())
+    WEIGHTS = (0.3, 0.3, 0.2, 0.2)
 
     def outputs(self, stream):
-        """Anchors, cache and a J=2 fit of a fresh replay, which keeps nothing from another."""
+        """Anchors, cache, a J=2 fit and scores of a fresh replay, which keeps nothing from another.
+
+        The scores are ``_trace_logp`` at the mixture and for one degree
+        power alone, the ``score_stream`` series and the row-path rows of
+        ``cache_logratios`` over a 35-point lattice.
+        """
         trace = likelihood._replay(
             stream.seed_graph(), stream.columns, 0, 0, SAMPLES, MAX_EXHAUSTIVE_CHOICES
         )
         anchors = (*likelihood._triangle_anchors(trace), trace.events._triangle_keys)
         cache = build_choice_cache(trace, self.COMPS)
-        return anchors, cache, gf.fit_intervals(cache, 2, step=0.1)
+        mixed = likelihood._trace_logp(trace, self.COMPS, self.WEIGHTS)
+        alone = likelihood._trace_logp(trace, [gf.DegreePower(1.5)], [1.0])
+        sched = schedule_for(*zip(self.WEIGHTS, self.COMPS))
+        _, series = gf.score_stream(trace, sched, keep_series=True)
+        lattice = cache_logratios(cache, gf.simplex_grid(4, 0.25))
+        scores = {
+            "mixed": [a.tobytes() for a in mixed],
+            "alone": [a.tobytes() for a in alone],
+            "series": [(s.logp, s.fallback_choices) for s in series],
+            "lattice": lattice[cache.row_increments].tobytes(),
+        }
+        return anchors, cache, gf.fit_intervals(cache, 2, step=0.1), scores
 
     # batched: sampled stars of 8 and 12 existing targets; six-and-seven:
     # exhaustive ones of up to 7, anchored under triangle closure
@@ -1143,15 +1166,17 @@ class TestBuildChunks:
     )
     def test_budget_changes_no_value(self, make, sampled, seed, monkeypatch):
         stream = make(np.random.default_rng(seed))
-        anchors, cache, fit = self.outputs(stream)
+        anchors, cache, fit, scores = self.outputs(stream)
         trace = build_dp_trace(stream)
         assert not trace.center_new.all() and trace.center_new.any()
         assert trace.num_choices[~trace.sampled].max() >= 6
         assert trace.sampled.any() == sampled
+        # the batched stream's 12-target star is scored on the row path
+        assert len(cache.row_increments) == sampled
         for budget in (1, 7):
             monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", budget)
             monkeypatch.setattr(events, "_WEDGE_BATCH", budget)
-            got_anchors, got_cache, got_fit = self.outputs(stream)
+            got_anchors, got_cache, got_fit, got_scores = self.outputs(stream)
             for got, expect in zip(got_anchors, anchors):
                 assert np.array_equal(got, expect) and got.dtype == expect.dtype
             for name, value in vars(cache).items():
@@ -1159,9 +1184,12 @@ class TestBuildChunks:
                     assert value.tobytes() == getattr(got_cache, name).tobytes(), (budget, name)
             assert got_cache.fallback_choices == cache.fallback_choices
             assert got_fit.to_dict() == fit.to_dict()
+            for name, value in scores.items():
+                assert got_scores[name] == value, (budget, name)
 
     def test_transient_does_not_grow_with_the_stream(self):
-        # With 4 existing targets a subset batch holds 1,092 stars, so both
+        # With 4 existing targets a subset batch holds 682 anchored stars
+        # (3 components x 4 anchors x 2**3 subset totals each), so both
         # streams fill one and their lattices have the same width.
         comps = [gf.DegreePower(1.0), gf.TriangleClosure(), gf.Random()]
         transients = []
