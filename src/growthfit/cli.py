@@ -65,8 +65,10 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
         raise GrowthFitError(f"bad grid {text!r}: START, STOP and STEP must be finite")
     if step <= 0 or stop < start:
         raise GrowthFitError(f"bad grid {text!r}")
-    count = int(round((stop - start) / step))
-    return np.round(start + np.arange(count + 1) * step, 12)
+    # points up to STOP, the quotient's rounding forgiven, and none past it
+    count = math.floor((stop - start) / step + 1e-9)
+    points = np.round(start + np.arange(count + 1) * step, 12)
+    return np.where(points > stop, stop, points)
 
 
 def _parse_t_grid(text: str) -> np.ndarray:
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit mixture weights (or a degree exponent)")
     _add_common(p, step=True)
     p.add_argument("--components", default=None, help="comma-separated components")
-    p.add_argument("--grid-alpha", default=None, help="START:STOP:STEP exponent grid")
+    p.add_argument("--grid-alpha", default=None, help="START:STOP:STEP exponent grid, up to STOP")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("fit-intervals", help="piecewise mixture fit with J intervals")

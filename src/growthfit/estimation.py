@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateModelError,
     FitError,
     IntervalUnderflowError,
     NestingViolationError,
@@ -39,12 +40,20 @@ from .likelihood import (
     _as_trace,
     _int64_floors,
     _range_sums,
+    _subset_amplification,
     _trace_logp,
     cache_logratios,
     dp_trace_logp,
     per_choice_ratio,
 )
-from .models import BoundaryMode, Component, DegreePower, MixtureInterval, ModelSchedule
+from .models import (
+    BoundaryMode,
+    Component,
+    DegreePower,
+    MixtureInterval,
+    ModelSchedule,
+    RankPreference,
+)
 from .modelspec import format_component, parse_model_spec
 
 DEFAULT_WEIGHT_STEP = 0.01
@@ -138,7 +147,11 @@ def _switch_grid(grid) -> np.ndarray | None:
 
 @dataclass
 class ScalarFit:
-    """Best exponent for a one-parameter family on a fixed grid."""
+    """Best exponent for a one-parameter family on a fixed grid.
+
+    ``logliks`` is the score of every grid point.  A fit that found its
+    exponent from a few points scores the rest on the first read.
+    """
 
     value: float
     loglik: float
@@ -152,11 +165,48 @@ class ScalarFit:
         return per_choice_ratio(self.loglik, self.loglik_rand, self.total_choices)
 
 
+class _ScoredOnRead:
+    """``ScalarFit.logliks``: the array given, or the one a function given returns on first read."""
+
+    def __get__(self, fit, owner=None):
+        if fit is None:
+            return self
+        value = fit.__dict__["_logliks"]
+        if callable(value):
+            value = fit.__dict__["_logliks"] = value()
+        return value
+
+    def __set__(self, fit, value):
+        fit.__dict__["_logliks"] = value
+
+
+# set on the class once the dataclass is made, so that the field has no default
+ScalarFit.logliks = _ScoredOnRead()
+
+
+# The fast exponent fit trusts a score whose subset totals magnify their
+# rounding by at most this factor (_subset_amplification).
+_MAX_AMPLIFICATION = 2.0**20
+# The fast exponent fit's window grows past scores within this fraction of
+# max(|best|, 1) below its best: a score near 0 still carries the absolute
+# rounding error of its terms.
+_CERTIFY_MARGIN = 1e-9
+
+
+class _Uncertified(Exception):
+    """The fast exponent fit cannot vouch for its answer; the full scan runs instead."""
+
+
 def fit_degree_exponent(
     source: GrowthStream | DPTrace, grid: Sequence[float] | None = None
 ) -> ScalarFit:
     """Scan the degree-power exponent over a grid (single-component model)."""
     return fit_component_family(source, DegreePower, default_alpha_grid() if grid is None else grid)
+
+
+def _point_loglik(trace: DPTrace, comp: Component) -> float:
+    """The log-likelihood of the trace under ``comp`` alone: one point of an exponent grid."""
+    return float(_trace_logp(trace, [comp], [1.0], count_fallbacks=False)[0].sum())
 
 
 def fit_component_family(
@@ -166,24 +216,104 @@ def fit_component_family(
 
     ``source`` is a ``DPTrace`` or a stream, whose kept replay at the
     default options is read.  A stream of no increments raises ``FitError``.
+    Degree-power and rank-preference fits on a log-concave profile score
+    O(log G) of the G points (``_certified_first_max``); every other fit
+    scores them all.  Either way the fit is the full scan's, bit for bit.
     """
     grid = _exponent_grid(grid)
     components = [family(float(value)) for value in grid]
     trace = _as_trace(source)
     if trace.num_increments == 0:
         raise FitError("empty stream")
-    logliks = np.array(
-        [float(_trace_logp(trace, [c], [1.0], count_fallbacks=False)[0].sum()) for c in components]
-    )
-    best = _argmax_first(logliks)
+    scores: dict[int, float] = {}
+
+    def score(i: int) -> float:
+        if i not in scores:
+            scores[i] = _point_loglik(trace, components[i])
+        return scores[i]
+
+    def profile() -> np.ndarray:
+        return np.array([score(i) for i in range(len(grid))])
+
+    try:
+        best = _certified_first_max(trace, family, grid, components, score)
+        logliks = profile
+    except (_Uncertified, DegenerateModelError):
+        logliks = profile()
+        best = _argmax_first(logliks)
     return ScalarFit(
         value=float(grid[best]),
-        loglik=float(logliks[best]),
+        loglik=scores[best],
         loglik_rand=float(trace.logp_rand.sum()),
         total_choices=trace.total_choices,
         grid=grid,
         logliks=logliks,
     )
+
+
+def _certified_first_max(
+    trace: DPTrace,
+    family: Callable[[float], Component],
+    grid: np.ndarray,
+    components: list[Component],
+    score: Callable[[int], float],
+) -> int:
+    """The full scan's first maximum, found from O(log G) scored points.
+
+    Under one degree-power or rank-preference component, P(S) of a star is
+    log-concave in the exponent (README, "Exponent fits"), so on an
+    increasing grid the exact profile rises, stays at its maximum, then
+    falls.  Bisection on the sign of f(i + 1) - f(i) finds its first
+    maximum; a window around it then grows until each side ends at the
+    grid's end or at a point more than ``_CERTIFY_MARGIN`` max(|f|, 1)
+    below the window's best, and the window's first maximum is returned.
+    Where every score is within half that margin of exact, no point outside
+    the window reaches its best, so the full scan returns the same point.
+    Raises ``_Uncertified`` where the theorem does not cover the trace or
+    the scores are not known to be that accurate; a scoring error
+    propagates.
+    """
+    last = len(grid) - 1
+    degree_zero = trace.h0[0] > 0 or not trace.gain[trace.center_new].all()
+    if (
+        family not in (DegreePower, RankPreference)
+        or not (np.diff(grid) > 0.0).all()
+        or trace.sampled.any()
+        or degree_zero
+        or max(_subset_amplification(trace, components[i]) for i in (0, last))
+        > _MAX_AMPLIFICATION
+    ):
+        raise _Uncertified
+
+    vetted: set[int] = set()
+
+    def checked(i: int) -> float:
+        if i not in vetted:
+            if not math.isfinite(score(i)) or (
+                _subset_amplification(trace, components[i]) > _MAX_AMPLIFICATION
+            ):
+                raise _Uncertified
+            vetted.add(i)
+        return score(i)
+
+    lo, hi = 0, last
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if checked(mid + 1) > checked(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    top = checked(lo)
+    while True:
+        cut = top - _CERTIFY_MARGIN * max(abs(top), 1.0)
+        if lo > 0 and score(lo) >= cut:
+            lo -= 1
+            top = max(top, checked(lo))
+        elif hi < last and score(hi) >= cut:
+            hi += 1
+            top = max(top, checked(hi))
+        else:
+            return lo + _argmax_first(np.array([score(i) for i in range(lo, hi + 1)]))
 
 
 # Float64 lattice sums a cache keeps per weight step: 2 MB.

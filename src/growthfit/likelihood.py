@@ -833,6 +833,28 @@ def _node_weights(
     raise DegenerateModelError(f"no likelihood for {comp!r}")
 
 
+def _subset_amplification(trace: DPTrace, comp: DegreePower | RankPreference) -> float:
+    """The largest factor by which a subset total of ``comp`` magnifies the rounding of its terms.
+
+    A star's base total is the whole-graph total less its center's
+    neighbourhood, and each subset total T(S) is the base less the weights
+    taken, so T(S) carries an error of about one ulp of the whole-graph
+    total: its relative error is up to whole / T(S) ulps.  The smallest
+    T(S) of a star is the base less every target but the lightest.  Returns
+    the largest whole / min T(S) over the stars with existing targets, inf
+    where that total is not positive, and raises as ``_node_weights`` does.
+    """
+    target_w, base, _, whole = _node_weights(trace, comp)
+    incs = np.flatnonzero(trace.existing_counts > 0)
+    if len(incs) == 0:
+        return 1.0
+    taken = np.bincount(trace.target_inc, weights=target_w, minlength=trace.num_increments)
+    least = base[incs] - taken[incs] + np.minimum.reduceat(target_w, trace._target_start[incs])
+    with np.errstate(divide="ignore"):
+        worst = whole[incs] / least
+    return float(np.where(least > 0.0, worst, np.inf).max())
+
+
 def _zero_at_degree_zero(comp: Component) -> bool:
     """Whether exactly the nodes of degree 0 weigh nothing (a nonzero degree exponent)."""
     return isinstance(comp, DegreePower) and comp.alpha != 0.0

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import growthfit as gf
-from growthfit.cli import main
+from growthfit.cli import _parse_alpha_grid, main
 
 
 def run(capsys, *argv):
@@ -133,6 +133,39 @@ class TestScoreAndFit:
         assert code == 0
         fit = json.loads(stdout)
         assert "alpha" in fit
+
+    def test_fit_alpha_grid_stops_at_stop(self, tmp_path, capsys):
+        # grown at exponent 1.5, so the best point of 0, 0.6 and 1.2 would be
+        # 1.2; STOP 1 leaves 0 and 0.6
+        data = tmp_path / "dp.stars"
+        code, _, _ = run(
+            capsys, "generate", "--model", "DP(1.5)", "--increments", "300",
+            "--seed", "2", "--out", str(data),
+        )
+        assert code == 0
+        code, stdout, _ = run(capsys, "fit", "--data", str(data), "--grid-alpha", "0:1:0.6")
+        assert code == 0
+        assert json.loads(stdout)["alpha"] == 0.6
+        code, stdout, _ = run(capsys, "fit", "--data", str(data), "--grid-alpha", "0:1.2:0.6")
+        assert code == 0
+        assert json.loads(stdout)["alpha"] == 1.2
+
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            ("0:1:0.6", [0.0, 0.6]),
+            ("0:1.2:0.6", [0.0, 0.6, 1.2]),
+            ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+            ("1:1:0.5", [1.0]),
+            ("-0.1:2.1:221", [-0.1]),
+        ],
+    )
+    def test_alpha_grid_points_never_pass_stop(self, text, points):
+        assert _parse_alpha_grid(text).tolist() == points
+
+    def test_default_alpha_grid_as_text_is_the_default(self):
+        grid = _parse_alpha_grid("-0.1:2.1:0.01")
+        assert grid.tobytes() == gf.default_alpha_grid().tobytes()
 
     @pytest.mark.parametrize("grid", ["0:nan:1", "0:inf:1", "nan:1:0.5", "0:1:inf"])
     def test_fit_non_finite_alpha_grid_exits_2(self, workdir, capsys, grid):
