@@ -285,6 +285,9 @@ class EdgeEvents:
         self.key = key[order]
         self.nbr = nbr[order]
         self.start = offsets(np.bincount(node, minlength=self.num_nodes))
+        # (m, keys): the triangle table of the first m edges (``_triangles_of``)
+        self._triangles = (0, np.zeros(0, dtype=np.int64))
+        read_only([self._triangles[1]])
 
     def degree_before(self, nodes: np.ndarray, incs: np.ndarray) -> np.ndarray:
         """Degree of each node before the paired increment."""
@@ -357,30 +360,33 @@ class EdgeEvents:
         ends[order] = np.searchsorted(self.key, wanted[order])
         return segment_sums(ends - self.start[w], degrees)
 
-    def _oriented_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lo, hi, event) of every edge, pointing from the endpoint of lower (degree, id) rank.
+    def _oriented_edges(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, event) of the first m edges, each from its end of lower (degree, id) rank.
 
         Sorted by lo, then hi.
         """
         n = self.num_nodes
+        u, v = self.edge_u[:m], self.edge_v[:m]
         rank = np.empty(n, dtype=np.int64)
         rank[np.lexsort((np.arange(n), np.diff(self.start)))] = np.arange(n)
-        up = rank[self.edge_u] < rank[self.edge_v]
-        lo = np.where(up, self.edge_u, self.edge_v)
-        hi = np.where(up, self.edge_v, self.edge_u)
+        up = rank[u] < rank[v]
+        lo = np.where(up, u, v)
+        hi = np.where(up, v, u)
         order = np.lexsort((hi, lo))
-        return lo[order], hi[order], self.edge_event[order]
+        return lo[order], hi[order], self.edge_event[:m][order]
 
-    @kept_table
-    def _triangle_keys(self) -> np.ndarray:
+    def _triangles_of(self, m: int) -> np.ndarray:
         """Sorted keys node * span + event, one per triangle corner, at the event closing it.
 
-        Each triangle is found once: edges are oriented (``_oriented_edges``),
-        and every pair of edges out of one node is a wedge whose closing edge
-        is looked up, for a run of edges heading about ``_WEDGE_BATCH``
-        wedges at a time.
+        The triangles are those of the first m edges.  Each is found once:
+        edges are oriented (``_oriented_edges``), and every pair of edges out
+        of one node is a wedge whose closing edge is looked up among all
+        edges and kept if it is one of the m, for a run of edges heading
+        about ``_WEDGE_BATCH`` wedges at a time.
         """
-        lo, hi, event = self._oriented_edges()
+        # Edges are numbered in event order: the first m are those up to the m-th's event.
+        horizon = self.edge_event[m - 1]
+        lo, hi, event = self._oriented_edges(m)
         out_end = offsets(np.bincount(lo, minlength=self.num_nodes))[lo + 1]
         keys = [np.zeros(0, dtype=np.int64)]
         # an edge heads a wedge with each later edge out of its node
@@ -389,7 +395,7 @@ class EdgeEvents:
             first = np.repeat(edge, out_end[a:b] - edge - 1)
             second = concat_ranges(edge + 1, out_end[a:b])
             third = self.event_of(hi[first], hi[second])
-            closed = third < self.span
+            closed = third <= horizon
             first, second = first[closed], second[closed]
             when = np.maximum(np.maximum(event[first], event[second]), third[closed])
             corners = np.concatenate((lo[first], hi[first], hi[second]))
@@ -397,9 +403,22 @@ class EdgeEvents:
         return np.sort(np.concatenate(keys))
 
     def triangles_before(self, nodes: np.ndarray, incs: np.ndarray) -> np.ndarray:
-        """Triangles at each node whose three edges all exist before the paired increment."""
+        """Triangles at each node whose three edges all exist before the paired increment.
+
+        They are counted among the edges the call can see, those of events
+        up to its latest increment, in a table that is kept: it answers any
+        later call that sees no more edges, and a call that sees more builds
+        a new one.  A caller with several calls makes the one that sees the
+        most first.
+        """
         if len(nodes) == 0:
             return np.zeros(0, dtype=np.int64)
-        keys = self._triangle_keys
+        # Edges are numbered in event order, so those a call sees are a prefix.
+        m = int(np.searchsorted(self.edge_event, incs.max(), side="right"))
+        if m > self._triangles[0]:
+            keys = self._triangles_of(m)
+            read_only([keys])
+            self._triangles = (m, keys)
+        keys = self._triangles[1]
         base = nodes * self.span
         return np.searchsorted(keys, base + incs + 1) - np.searchsorted(keys, base)

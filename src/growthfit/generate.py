@@ -18,6 +18,17 @@ draws use per-component strategies:
   the anchor's neighborhood volume), and fall back to uniform when the
   anchor closes no wedge, mirroring the scorer's uniform fallback.
 
+A star is the unit of drawing: one loop (``MixtureSampler.draw``) draws a
+star's center or its targets, reading the interval's running weight sums
+and samplers, the generator's uniform and the logged-increment count once
+for the star.  Each sampler reads the star's exclusions, its fixed base (an
+internal star's center and the center's neighbours) plus the targets chosen
+so far, in a set form made for the star: every sampler tests membership in
+one set, and a base of more than ``SORTED_BASE`` nodes is also held, once
+per star, as sorted ids with their prefix weights in Python lists for the
+Fenwick descent and in a node mask, kept by the wedge sampler from star to
+star, for the wedge gather.
+
 A run keeps one graph state, the degrees and those blocks, and writes each
 edge end into it once.  ``grow`` does not validate the increments it builds
 again; input from outside is validated where it enters (ingest, the replay,
@@ -44,8 +55,9 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -82,34 +94,34 @@ STALL_CAP = 1000
 _COPY_ENDS = 1 << 16
 
 
-# Above this many nodes, a star's fixed exclusion base is sorted once per
-# star in numpy (see ``_Excluded``); smaller ones are handled per draw in Python.
+# Above this many nodes, a star's fixed exclusion base is prepared once per
+# star (see ``_Excluded``); smaller ones are handled per draw.
 SORTED_BASE = 8
 
 
 class _Excluded(set):
-    """A star's excluded nodes when its fixed base is large: the base plus ``chosen``.
+    """A star's excluded nodes when its fixed base is large: ``base`` plus ``chosen``.
 
-    The base does not change during the star, so samplers prepare it once
-    and add only the few chosen targets on each draw.  Smaller exclusions
-    are plain sets.
+    The base, a set of nodes, does not change during the star, so the
+    samplers prepare the forms they read of it (prefix weights, a node
+    mask) from its sorted ids (``sorted_base``) once, and key them on the
+    ``base`` object itself: one-target stars drawn over one base
+    (``sample_choice_frequencies``) share them.  A draw then adds only the
+    few chosen targets.  Smaller exclusions are plain sets.
     """
 
-    __slots__ = ("chosen", "_sorted_base")
+    __slots__ = ("base", "chosen", "_sorted_base")
 
-    def __init__(self, base: Iterable[int], chosen: list[int]):
+    def __init__(self, base: set[int], chosen: list[int]):
         super().__init__(base)
+        self.base = base
         self.chosen = chosen
-        self._sorted_base: np.ndarray | None = None
+        self._sorted_base: list[int] | None = None
 
-    def sorted_base(self) -> np.ndarray:
-        """The base, every excluded node not chosen, as a sorted int64 array."""
+    def sorted_base(self) -> list[int]:
+        """The base in increasing order."""
         if self._sorted_base is None:
-            base = np.fromiter(self, dtype=np.int64, count=len(self))
-            for x in self.chosen:
-                base = base[base != x]
-            base.sort()
-            self._sorted_base = base
+            self._sorted_base = sorted(self.base)
         return self._sorted_base
 
 
@@ -148,14 +160,6 @@ class _GraphState:
             self.pool[self._reserve(u, 1)] = v
             self.pool[self._reserve(v, 1)] = u
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def num_increments(self) -> int:
-        return len(self.timestamp)
-
     def stream(self) -> GrowthStream:
         """The seed edges and every applied increment, as a stream."""
         # Views of the log: only the copies that indexing makes outlive this call.
@@ -188,10 +192,14 @@ class _GraphState:
         added = center_new + sum(targets_new)
         if added:
             self._add_nodes(len(self.degrees) + added)
+        pool = self.pool
+        # the center's block is whole before a target's move can compact the pool
         lo = self._reserve(center, len(targets))
-        self.pool_view[lo : lo + len(targets)] = targets
         for t in targets:
-            self.pool[self._reserve(t, 1)] = center
+            pool[lo] = t
+            lo += 1
+        for t in targets:
+            pool[self._reserve(t, 1)] = center
         self.timestamp.append(timestamp)
         self.ends.append(center)
         self.ends.extend(targets)
@@ -206,8 +214,9 @@ class _GraphState:
             self.lo.extend([0] * (n + len(self.size) - len(self.lo)))
             self.start = np.frombuffer(self.lo, dtype=np.int64)
             self.size = np.concatenate((self.size, np.zeros(n, dtype=np.int64)))
-        for column in (self.degrees, self.room):
-            column.extend([0] * (n - len(column)))
+        new = [0] * (n - len(self.degrees))
+        self.degrees += new
+        self.room += new
 
     def _reserve(self, v: int, m: int) -> int:
         """Count m more neighbours of v; the pool slot where the first of them goes.
@@ -234,7 +243,8 @@ class _GraphState:
                 self.pool *= 2
             self.pool_view = np.frombuffer(self.pool, dtype=np.int64)
         lo, k = self.lo[v], self.degrees[v]
-        self.pool_view[self.used : self.used + k] = self.pool_view[lo : lo + k]
+        if k:
+            self.pool[self.used : self.used + k] = self.pool[lo : lo + k]
         self.lo[v] = self.used
         self.room[v] = room
         self.used += room
@@ -246,7 +256,7 @@ class _GraphState:
         whose blocks have moved already, a run of blocks at a time so that
         the index arrays stay small; a run is read whole before it is written.
         """
-        n = self.num_nodes
+        n = len(self.degrees)
         pool = self.pool_view
         old_start, size = self.start[:n], self.size[:n]
         order = np.argsort(old_start, kind="stable")
@@ -280,10 +290,10 @@ class _NodeSampler:
 
     def catch_up(self) -> None:
         """Read the increments the state applied since the last catch-up."""
-        self.seen = self.state.num_increments
+        self.seen = len(self.state.timestamp)
 
     def _uniform(self, excluded: set[int]) -> int:
-        n = self.state.num_nodes
+        n = len(self.state.degrees)
         if n - len(excluded) <= 0:
             raise GrowthStallError("no eligible node to draw")
         for _ in range(REJECT_CAP):
@@ -307,7 +317,7 @@ class _EndpointListSampler(_NodeSampler):
     def catch_up(self):
         state = self.state
         ends, bounds = state.ends, state.bounds
-        for k in range(self.seen, state.num_increments):
+        for k in range(self.seen, len(state.timestamp)):
             center = ends[bounds[k]]
             for t in ends[bounds[k] + 1 : bounds[k + 1]]:
                 self.endpoints += (center, t)
@@ -339,11 +349,13 @@ _NO_EXCLUSION = ((), [0.0], 0)
 class _VectorSampler(_NodeSampler):
     """Per-node weight (degree power, rank) in a Fenwick tree: O(log n) updates and draws.
 
-    ``weigh`` maps a list of nodes to their current weights.  A rank weight
-    is fixed when its node arrives, so with ``fixed`` set a catch-up weighs
-    only the nodes added since the last one; a degree weight changes with
-    its node's degree, so otherwise it weighs every logged center and
-    target.  The weights are a Python list, read one at a time by the draws.
+    A rank weight, ``(id + 1) ** -alpha``, is fixed when its node arrives,
+    so with ``rank`` set a catch-up weighs only the nodes added since the
+    last one.  A degree weight changes with its node's degree, so otherwise
+    a catch-up weighs every logged center and target again, reading
+    ``table``, the ``degree_power_weight(k, alpha)`` values of the degrees
+    seen so far.  The weights are a Python list, read one at a time by the
+    draws.
 
     ``tree[i]`` (1-based) holds the weight sum of nodes ``i - lowbit(i)`` to
     ``i - 1``.  The tree is rebuilt from the weights whenever the node count
@@ -351,23 +363,34 @@ class _VectorSampler(_NodeSampler):
     never outlives a doubling.  A draw descends from ``u * (total - excluded
     mass)`` and subtracts, at each tree node on its path, the excluded mass
     in that node's range, read off the sorted excluded ids and their prefix
-    weights; nothing is zeroed and restored.
+    weights, all Python lists; nothing is zeroed and restored.
     """
 
-    def __init__(self, state, rng, weigh: Callable[[Sequence[int]], list[float]], fixed: bool):
+    def __init__(self, state, rng, alpha: float, rank: bool):
         super().__init__(state, rng)
-        self.weigh = weigh
-        self.fixed = fixed
+        self.alpha = alpha
+        self.rank = rank
+        self.table: list[float] = []
         self.capacity = 16
-        while self.capacity < state.num_nodes:
+        while self.capacity < len(state.degrees):
             self.capacity *= 2
         # Weights of the graph's nodes first; the rest is spare capacity.
-        self.known = state.num_nodes
-        self.weights = weigh(range(self.known)) + [0.0] * (self.capacity - self.known)
+        self.known = len(state.degrees)
+        if rank:
+            weights = [float(v + 1) ** -alpha for v in range(self.known)]
+        else:
+            self._cover(max(state.degrees, default=0))
+            weights = [self.table[k] for k in state.degrees]
+        self.weights = weights + [0.0] * (self.capacity - self.known)
         # An exact count, so the uniform fallback never rests on a rounded total.
         self.positive = len(self.weights) - self.weights.count(0.0)
         self._build()
         self._base = (None, _NO_EXCLUSION)
+
+    def _cover(self, degree: int) -> None:
+        """Extend ``table`` through ``degree``, with the scalar function's own values."""
+        table = self.table
+        table.extend(degree_power_weight(k, self.alpha) for k in range(len(table), degree + 1))
 
     def _build(self) -> None:
         cap = self.capacity
@@ -384,7 +407,8 @@ class _VectorSampler(_NodeSampler):
 
     def catch_up(self):
         state = self.state
-        n = state.num_nodes
+        degrees = state.degrees
+        n = len(degrees)
         cap = self.capacity
         weights = self.weights
         if n > cap:
@@ -397,17 +421,23 @@ class _VectorSampler(_NodeSampler):
         # new nodes alone changes the same weights in the same order as
         # weighing every logged end would.  A node touched by several
         # increments changes once: after that its weight is current.
-        if self.fixed:
+        rank, table = self.rank, self.table
+        if rank:
             nodes = range(self.known, n)
         else:
             nodes = state.ends[state.bounds[self.seen] :]
+            top = max(map(degrees.__getitem__, nodes), default=0)
+            if top >= len(table):
+                self._cover(top)
         self.known = n
-        self.seen = state.num_increments
+        self.seen = len(state.timestamp)
         self._base = (None, _NO_EXCLUSION)
         # Past the capacity the tree is rebuilt from the weights instead.
         tree = None if self.capacity > cap else self.tree
+        power = -self.alpha
         positive = self.positive
-        for v, w in zip(nodes, self.weigh(nodes)):
+        for v in nodes:
+            w = float(v + 1) ** power if rank else table[degrees[v]]
             old = weights[v]
             if w != old:
                 weights[v] = w
@@ -421,10 +451,11 @@ class _VectorSampler(_NodeSampler):
         if tree is None:
             self._build()
 
-    def _exclusion(self, ids: list[int]) -> tuple:
-        """Sorted ``ids``, the prefix sums of their weights and their count of positive weights."""
-        if not ids:
+    def _exclusion(self, excluded: Collection[int]) -> tuple:
+        """``excluded`` sorted, its weights' prefix sums and its count of positive weights."""
+        if not excluded:
             return _NO_EXCLUSION
+        ids = sorted(excluded)
         weights = self.weights
         prefix = [0.0]
         positive = 0
@@ -435,28 +466,37 @@ class _VectorSampler(_NodeSampler):
         return ids, prefix, positive
 
     def _base_exclusion(self, excluded: _Excluded) -> tuple:
-        """``_exclusion`` of a star's base in numpy, once per star and tree state."""
-        if self._base[0] is not excluded:
+        """``_exclusion`` of a star's base, once per base and tree state.
+
+        The prefix sums run in the base's id order, as ``_exclusion`` adds them.
+        """
+        if self._base[0] is not excluded.base:
             ids = excluded.sorted_base()
-            w = np.array([self.weights[v] for v in ids.tolist()])
-            prefix = np.concatenate(([0.0], np.cumsum(w)))
-            self._base = (excluded, (ids, prefix, int(np.count_nonzero(w))))
+            # a large base has several ids, so the getter returns a tuple
+            w = itemgetter(*ids)(self.weights)
+            prefix = list(accumulate(w, initial=0.0))
+            self._base = (excluded.base, (ids, prefix, len(w) - w.count(0.0)))
         return self._base[1]
 
     def sample(self, excluded, anchor, center_role):
         if isinstance(excluded, _Excluded):
             base = self._base_exclusion(excluded)
-            chosen = self._exclusion(sorted(excluded.chosen))
+            chosen = self._exclusion(excluded.chosen)
         else:
-            base, chosen = _NO_EXCLUSION, self._exclusion(sorted(excluded))
+            base, chosen = _NO_EXCLUSION, self._exclusion(excluded)
         if self.positive == base[2] + chosen[2]:
             return self._uniform(excluded)
         rest = self.rng.random() * (self.tree[self.capacity] - base[1][-1] - chosen[1][-1])
-        if base is _NO_EXCLUSION:
+        # An empty list's prefix differences are 0.0, which subtracts exactly,
+        # so one list descends as two would.
+        if not chosen[0]:
+            pos = self._descend(rest, base)
+        elif not base[0]:
             pos = self._descend(rest, chosen)
         else:
             pos = self._descend_two(rest, base, chosen)
-        n, weights = self.state.num_nodes, self.weights
+        weights = self.weights
+        n = len(self.state.degrees)
         if pos < n and weights[pos] > 0.0 and pos not in excluded:
             return pos
         # Rounding left a sliver of mass where the exact sum has none: take
@@ -496,11 +536,10 @@ class _VectorSampler(_NodeSampler):
         return pos
 
     def _descend_two(self, rest: float, first: tuple, second: tuple) -> int:
-        """``_descend`` with the excluded ids split over two sorted lists.
+        """``_descend`` with the excluded ids split over two sorted lists, both non-empty.
 
-        Only stars with a large base take this loop; most draws exclude a
-        few chosen targets at most, and an empty second list would cost two
-        more lookups at every level of theirs.
+        Only stars with a large base and a chosen target take this loop;
+        most draws exclude a few chosen targets at most.
         """
         ids_a, pre_a, _ = first
         ids_b, pre_b, _ = second
@@ -518,36 +557,40 @@ class _VectorSampler(_NodeSampler):
         return pos
 
 
-def _degree_weigher(degrees: list[int], alpha: float) -> Callable[[Sequence[int]], list[float]]:
-    """Nodes' degree-power weights, read from a list of ``degree_power_weight(k, alpha)``.
-
-    The list grows with the largest degree weighed.  It holds the scalar
-    function's own values, so every weight is bit for bit the one it gives.
-    """
-    table: list[float] = []
-
-    def weigh(nodes):
-        ks = [degrees[v] for v in nodes]
-        top = max(ks, default=0)
-        if top >= len(table):
-            table.extend(degree_power_weight(k, alpha) for k in range(len(table), top + 1))
-        return [table[k] for k in ks]
-
-    return weigh
-
-
-def _rank_weigher(alpha: float) -> Callable[[Sequence[int]], list[float]]:
-    """Nodes' rank-preference weights: a node's rank is its id plus one."""
-    return lambda nodes: [float(v + 1) ** -alpha for v in nodes]
-
-
 class _WedgeSampler(_NodeSampler):
     """Triangle closure: weight = common-neighbor count with the anchor.
 
     A draw gathers the anchor's 2-hop endpoints with one index over its
     neighbours' blocks in the graph state, so its Python cost does not grow
-    with the degrees.
+    with the degrees.  A large base drops out of them through a node mask,
+    one lookup per endpoint.
     """
+
+    def __init__(self, state, rng):
+        super().__init__(state, rng)
+        self._outside = np.ones(0, dtype=bool)
+        # the base that ``_outside`` is False on, and its sorted ids
+        self._masked: tuple = (None, [])
+
+    def _mask(self, excluded: _Excluded) -> np.ndarray:
+        """A mask over the graph's nodes that is False exactly on the star's base.
+
+        One mask is kept: a new base sets the last one's nodes back and
+        clears its own, so a star costs the size of its base, not of the
+        graph.  The mask is made anew, twice the node count, when the graph
+        outgrows it.
+        """
+        key, ids = self._masked
+        n = len(self.state.degrees)
+        if key is not excluded.base or len(self._outside) < n:
+            if len(self._outside) < n:
+                self._outside = np.ones(2 * n, dtype=bool)
+            else:
+                self._outside[ids] = True
+            ids = excluded.sorted_base()
+            self._outside[ids] = False
+            self._masked = (excluded.base, ids)
+        return self._outside
 
     def sample(self, excluded, anchor, center_role):
         if center_role or anchor is None:
@@ -569,8 +612,7 @@ class _WedgeSampler(_NodeSampler):
         keep = ends != anchor
         rest = excluded
         if isinstance(excluded, _Excluded):
-            base = excluded.sorted_base()
-            keep &= base[np.minimum(np.searchsorted(base, ends), len(base) - 1)] != ends
+            keep &= self._mask(excluded)[ends]
             rest = excluded.chosen
         for x in rest:
             if x != anchor:
@@ -589,9 +631,9 @@ def _make_sampler(comp: Component, state: _GraphState, rng) -> _NodeSampler:
     if isinstance(comp, DegreePower):
         if comp.alpha == 1.0:
             return _EndpointListSampler(state, rng)
-        return _VectorSampler(state, rng, _degree_weigher(state.degrees, comp.alpha), False)
+        return _VectorSampler(state, rng, comp.alpha, False)
     if isinstance(comp, RankPreference):
-        return _VectorSampler(state, rng, _rank_weigher(comp.alpha), True)
+        return _VectorSampler(state, rng, comp.alpha, True)
     if isinstance(comp, TriangleClosure):
         return _WedgeSampler(state, rng)
     raise ModelError(f"no sampler for {comp!r}")
@@ -604,7 +646,7 @@ class MixtureSampler:
     not seen right before its next draw, so a component that the current
     interval does not draw from costs nothing per increment.  An interval
     is turned into its running weight sums and its samplers when the draws
-    come to it.
+    come to it.  A star is the unit of drawing (``draw``).
     """
 
     def __init__(self, state: _GraphState, schedule: ModelSchedule, rng: np.random.Generator):
@@ -640,15 +682,34 @@ class MixtureSampler:
     def draw(
         self,
         interval: MixtureInterval,
-        excluded: set[int],
+        count: int,
+        base: Collection[int],
         anchor: int | None,
         center_role: bool = False,
-    ) -> int:
+    ) -> list[int]:
+        """One star's ``count`` draws, without replacement and outside ``base``, a set or ``()``.
+
+        An unset ``anchor`` locks to the first node drawn.  The interval's
+        table, the generator's uniform and the state's increment count are
+        read once for the star, and its exclusions are made once: a plain
+        set, or past ``SORTED_BASE`` nodes of base an ``_Excluded``.  Each
+        draw picks a component by one uniform and then draws its node.
+        """
         sums, samplers = self._table(interval)
-        sampler = samplers[bisect_right(sums, self.rng.random())]
-        if sampler.seen < self.state.num_increments:
-            sampler.catch_up()
-        return sampler.sample(excluded, anchor, center_role)
+        uniform = self.rng.random
+        logged = len(self.state.timestamp)
+        chosen: list[int] = []
+        excluded = _Excluded(base, chosen) if len(base) > SORTED_BASE else set(base)
+        for _ in range(count):
+            sampler = samplers[bisect_right(sums, uniform())]
+            if sampler.seen < logged:
+                sampler.catch_up()
+            x = sampler.sample(excluded, anchor, center_role)
+            chosen.append(x)
+            excluded.add(x)
+            if anchor is None:
+                anchor = x
+        return chosen
 
 
 @dataclass
@@ -742,25 +803,6 @@ def _until(value) -> float | None:
     return None if value is None else json_number(value)
 
 
-def _draw_targets(
-    sampler: MixtureSampler,
-    interval: MixtureInterval,
-    count: int,
-    base: set[int],
-    anchor: int | None,
-) -> list[int]:
-    """Without-replacement target draws; anchor locks to the first draw if unset."""
-    chosen: list[int] = []
-    excluded = _Excluded(base, chosen) if len(base) > SORTED_BASE else set(base)
-    for _ in range(count):
-        x = sampler.draw(interval, excluded, anchor)
-        chosen.append(x)
-        excluded.add(x)
-        if anchor is None:
-            anchor = x
-    return chosen
-
-
 def grow(
     recipe: GrowthRecipe,
     seed: int = 0,
@@ -795,14 +837,15 @@ def grow(
         shapes = None
 
     count = recipe.increments if shapes is None else len(shapes)
+    degrees = state.degrees
     for index in range(count):
-        n = state.num_nodes
+        n = len(degrees)
         if shapes is None:
             timestamp = index
             internal = (
                 recipe.internal_prob > 0.0 and rng.random() < recipe.internal_prob
             )
-            if internal and all(n - 1 - k < recipe.internal_targets for k in state.degrees):
+            if internal and all(n - 1 - k < recipe.internal_targets for k in degrees):
                 # No node has enough non-neighbors (e.g. the graph is still
                 # the seed clique), so fall back to an external star rather
                 # than stalling on center redraws that can never succeed.
@@ -820,12 +863,12 @@ def grow(
                     f"star wants {n_existing} existing targets, graph has {n} nodes"
                 )
             center = n
-            existing = _draw_targets(sampler, interval, n_existing, set(), None)
+            existing = sampler.draw(interval, n_existing, (), None)
         else:
             center = None
             for _ in range(STALL_CAP):
-                cand = sampler.draw(interval, set(), None, center_role=True)
-                if n - 1 - state.degrees[cand] >= n_existing:
+                (cand,) = sampler.draw(interval, 1, (), None, center_role=True)
+                if n - 1 - degrees[cand] >= n_existing:
                     center = cand
                     break
             if center is None:
@@ -833,7 +876,7 @@ def grow(
                     f"no center with {n_existing} eligible targets after {STALL_CAP} draws"
                 )
             base = {center, *state.neighbors(center)}
-            existing = _draw_targets(sampler, interval, n_existing, base, center)
+            existing = sampler.draw(interval, n_existing, base, center)
 
         next_id = n + (1 if center_new else 0)
         targets = (*existing, *range(next_id, next_id + n_new_targets))
@@ -868,13 +911,14 @@ def sample_choice_frequencies(
             raise UnknownNodeError(f"excluded node {v} not in graph of {n} nodes")
     if anchor is not None and not 0 <= anchor < n:
         raise UnknownNodeError(f"anchor {anchor} not in graph of {n} nodes")
-    if len(excluded) > SORTED_BASE:
-        excluded = _Excluded(excluded, [])
     interval = model if isinstance(model, MixtureInterval) else MixtureInterval.single(model)
     schedule = ModelSchedule.constant(interval)
     rng = np.random.default_rng(seed)
     sampler = MixtureSampler(_GraphState(n, graph.edges()), schedule, rng)
     counts = np.zeros(n, dtype=np.int64)
     for _ in range(draws):
-        counts[sampler.draw(interval, excluded, anchor, center_role)] += 1
+        # each draw is a one-target star over the one base, so the samplers
+        # prepare a large base once (``_Excluded``)
+        (x,) = sampler.draw(interval, 1, excluded, anchor, center_role)
+        counts[x] += 1
     return counts

@@ -79,7 +79,9 @@ def _stats_rows(graph: DynamicGraph, cols: StreamColumns, checkpoints: list[int]
         raise rejection[1]
     events = EdgeEvents(seed_node, seed_nbr, cols)
     rows: list[StatRow] = []
-    for c in checkpoints:
+    # The last checkpoint sees the most edges: asked first, it builds the
+    # one triangle table that every earlier checkpoint reads.
+    for c in reversed(checkpoints):
         n = int(cols.node_offsets[c])
         nodes, at = np.arange(n), np.full(n, c)
         degree = events.degree_before(nodes, at)
@@ -103,7 +105,7 @@ def _stats_rows(graph: DynamicGraph, cols: StreamColumns, checkpoints: list[int]
                 assortativity=_assortativity(degs, ends),
             )
         )
-    return rows
+    return rows[::-1]
 
 
 def default_checkpoints(total: int, count: int = 10) -> list[int]:

@@ -6,7 +6,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import growthfit as gf
@@ -303,19 +303,31 @@ class _FixedUniform:
 
 
 @st.composite
+def simple_graphs(draw, max_nodes):
+    """A node count and a set of edges (u < v) among those nodes, with isolated nodes and hubs."""
+    n = draw(st.integers(1, max_nodes))
+    if n == 1:
+        return n, []
+    # a few hubs joined to many nodes, and scattered edges
+    hubs = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    pairs = {(min(h, v), max(h, v)) for h in hubs for v in
+             draw(st.sets(st.integers(0, n - 1), max_size=n)) if v != h}
+    pairs |= {(min(u, v), max(u, v)) for u, v in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)) if u != v}
+    return n, sorted(pairs)
+
+
+@st.composite
 def weighted_draws(draw):
-    """Sampler weights (some updated by point deltas), an exclusion and a uniform."""
-    n = draw(st.integers(1, 160))
-    kind = draw(st.sampled_from(["DP", "RP"]))
-    alpha = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5, 2.0]))
-    if kind == "DP":
-        degrees = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
-        weights = [degree_power_weight(k, alpha) for k in degrees]
-    else:
-        weights = [float(v + 1) ** -alpha for v in range(n)]
-    # later weights for a few nodes, applied to the built tree as point updates
-    degrees = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 60), max_size=8))
-    updates = {v: degree_power_weight(k, alpha) for v, k in degrees.items()}
+    """A sampler's graph and a star logged after its tree is built, an exclusion and a uniform."""
+    n, edges = draw(simple_graphs(160))
+    rank = draw(st.booleans())
+    alphas = [0.5, 1.0, 1.5, 2.0] if rank else [-1.0, -0.5, 0.0, 0.5, 1.5, 2.0]
+    alpha = draw(st.sampled_from(alphas))
+    # an internal star from one node to a few non-neighbours and new nodes,
+    # read by the sampler's catch-up as point updates
+    star = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=8))
+    new = draw(st.integers(0, 3))
     # exclusions from a few nodes, through about half, to all but a few
     mode = draw(st.sampled_from(["few", "half", "most"]))
     if mode == "few":
@@ -328,7 +340,15 @@ def weighted_draws(draw):
         excluded = set(range(n)) - kept
     chosen = draw(st.sets(st.sampled_from(sorted(excluded)), max_size=3)) if excluded else set()
     u = draw(st.floats(0.0, 1.0, exclude_max=True))
-    return weights, updates, excluded, chosen, u
+    return n, edges, rank, alpha, star, new, excluded, chosen, u
+
+
+def star_exclusion(base, chosen):
+    """A star's exclusions as ``MixtureSampler.draw`` makes them, after ``chosen`` were drawn."""
+    chosen = sorted(chosen)
+    exclusion = _Excluded(base, chosen) if len(base) > SORTED_BASE else set(base)
+    exclusion.update(chosen)
+    return exclusion
 
 
 class TestVectorDraws:
@@ -337,27 +357,31 @@ class TestVectorDraws:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=weighted_draws())
     def test_tree_draw_matches_dense_reference(self, case):
-        weights, updates, excluded, chosen, u = case
-        n = len(weights)
-        current = list(weights)
-        eligible = [v for v in range(n) if v not in excluded]
-        rng = _FixedUniform(u, fallback=eligible[0])
-        weigh = lambda nodes: [current[v] for v in nodes]  # noqa: E731
-        sampler = _VectorSampler(_GraphState(n, []), rng, weigh, False)
-        if updates:
-            for v, w in updates.items():
-                current[v] = w
-            touched = list(updates)
-            # an internal star onto every other touched node logs them all
-            sampler.state.apply(0, touched[0], False, tuple(touched[1:]),
-                                (False,) * (len(touched) - 1))
+        n, edges, rank, alpha, star, new, excluded, chosen, u = case
+        state = _GraphState(n, edges)
+        degrees = [sum(v in edge for edge in edges) for v in range(n)]
+        rng = _FixedUniform(u, fallback=None)
+        sampler = _VectorSampler(state, rng, alpha, rank)
+        if star[1:] or new:
+            center = star[0] if star else 0
+            nbrs = {v for edge in edges if center in edge for v in edge}
+            targets = (*(v for v in star[1:] if v not in nbrs), *range(n, n + new))
+            state.apply(0, center, False, targets, (False,) * (len(targets) - new) + (True,) * new)
+            degrees += [0] * new
+            for v in targets:
+                degrees[v] += 1
+                degrees[center] += 1
             sampler.catch_up()
-        assert sampler.weights[:n] == current
+        size = len(degrees)
+        if rank:
+            current = [float(v + 1) ** -alpha for v in range(size)]
+        else:
+            current = [degree_power_weight(k, alpha) for k in degrees]
+        assert sampler.weights[:size] == current
+        eligible = [v for v in range(size) if v not in excluded]
+        rng.fallback = eligible[0]
         # as a star's target draws see it: a fixed base plus chosen targets
-        base, chosen = excluded - chosen, sorted(chosen)
-        exclusion = _Excluded(base, chosen) if len(base) > SORTED_BASE else set(base)
-        exclusion.update(chosen)
-        got = sampler.sample(exclusion, None, False)
+        got = sampler.sample(star_exclusion(excluded - chosen, chosen), None, False)
 
         dense = np.array(current)
         dense[sorted(excluded)] = 0.0
@@ -369,6 +393,24 @@ class TestVectorDraws:
         assert got not in excluded and current[got] > 0.0
         assert got == int(np.searchsorted(cs, u * cs[-1], side="right"))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graph=simple_graphs(120), rank=st.booleans(),
+           alpha=st.sampled_from([-0.5, 0.0, 0.5, 1.5]), data=st.data())
+    def test_base_prefixes_are_the_numpy_cumsum(self, graph, rank, alpha, data):
+        # the list-held prefix sums of a large base are the sequential sums
+        # that numpy's cumsum adds, bit for bit
+        n, edges = graph
+        sampler = _VectorSampler(_GraphState(n, edges), None, abs(alpha) if rank else alpha, rank)
+        base = data.draw(st.sets(st.integers(0, n - 1), min_size=min(n, SORTED_BASE + 1)))
+        chosen = data.draw(st.lists(st.sampled_from(sorted(set(range(n)) - base)), unique=True,
+                                    max_size=3)) if len(base) < n else []
+        assume(len(base) > SORTED_BASE)
+        ids, prefix, positive = sampler._base_exclusion(star_exclusion(base, chosen))
+        assert ids == sorted(base)
+        w = np.array([sampler.weights[v] for v in ids])
+        assert np.array(prefix).tobytes() == np.concatenate(([0.0], np.cumsum(w))).tobytes()
+        assert positive == np.count_nonzero(w)
+
     def test_fallback_reads_an_exact_count_not_a_float_total(self):
         # Every node with an edge is excluded, and the isolated node 7 has
         # weight 0 under DP(0.5), so every draw must fall back to uniform.
@@ -379,6 +421,103 @@ class TestVectorDraws:
             graph, gf.DegreePower(0.5), 50, seed=0, excluded=set(range(7))
         )
         assert counts[7] == 50
+
+    def test_choice_frequencies_prepare_a_large_base_once(self, monkeypatch):
+        # Each draw is a one-target star over the caller's one exclusion, so
+        # each sampler sorts it, and weighs or masks it, once in all the draws.
+        graph = gf.grow(GOLDEN_GROWTH["ba-tri-rand-internal"][0], seed=2).final_graph()
+        calls = []
+        sorted_base = _Excluded.sorted_base
+        monkeypatch.setattr(_Excluded, "sorted_base", lambda self: calls.append(self.base)
+                            or sorted_base(self))
+        excluded = set(range(1, graph.num_nodes, 3))
+        model = gf.parse_model_spec("0.5*DP(1.5) + 0.5*TRI")
+        counts = sample_choice_frequencies(graph, model, 400, seed=1, anchor=0, excluded=excluded)
+        assert counts.sum() == 400 and not counts[sorted(excluded)].any()
+        assert len(calls) == 2 and calls[0] is calls[1]
+
+
+@st.composite
+def wedge_draws(draw):
+    """A graph, an anchor with neighbours, a star's base and chosen targets, and a uniform."""
+    n, edges = draw(simple_graphs(60))
+    assume(edges)
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    anchor = draw(st.sampled_from([v for v in range(n) if adj[v]]))
+    kind = draw(st.sampled_from(["internal", "below", "above"]))
+    if kind == "internal":
+        # an internal star's base: its center, the anchor, and the center's neighbours
+        base = {anchor, *adj[anchor]}
+    else:
+        assume(kind == "below" or n > SORTED_BASE + 1)
+        small = st.integers(0, min(n, SORTED_BASE))
+        size = draw(small if kind == "below" else st.integers(SORTED_BASE + 1, n))
+        base = set(draw(st.permutations(range(n)))[:size])
+    # chosen targets among the anchor's neighbours and their neighbours
+    near = sorted({*adj[anchor], *(x for w in adj[anchor] for x in adj[w])} - base)
+    chosen = draw(st.lists(st.sampled_from(near), unique=True, max_size=4)) if near else []
+    ends = st.sampled_from([0.0, 1.0 - 2.0**-53])
+    u = draw(st.one_of(ends, st.floats(0.0, 1.0, exclude_max=True)))
+    return n, edges, adj, anchor, base, chosen, u
+
+
+class TestWedgeDraws:
+    """Triangle-closure draws against the explicitly filtered 2-hop multiset."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=wedge_draws())
+    def test_draw_is_the_kth_smallest_eligible_wedge_end(self, case):
+        n, edges, adj, anchor, base, chosen, u = case
+        excluded = base | set(chosen)
+        assume(len(excluded) < n)
+        rng = _FixedUniform(u, fallback=min(set(range(n)) - excluded))
+        got = _WedgeSampler(_GraphState(n, edges), rng).sample(
+            star_exclusion(base, chosen), anchor, False
+        )
+        # each 2-hop end once per wedge, less the anchor and the excluded nodes
+        ends = sorted(x for w in adj[anchor] for x in adj[w] if x != anchor and x not in excluded)
+        if not ends:
+            assert rng.uniform_calls > 0 and got == rng.fallback
+            return
+        assert rng.uniform_calls == 0
+        assert got == ends[int(u * len(ends))]
+
+    def test_one_mask_serves_star_after_star(self):
+        # The sampler keeps one mask from star to star and from base to
+        # base, on a graph that grows under it: each draw still equals the
+        # k-th smallest eligible wedge end, and the mask is False on the
+        # current base alone.
+        recipe = gf.GrowthRecipe.constant(
+            "0.6*TRI + 0.4*BA", increments=400, internal_prob=0.5, internal_targets=3
+        )
+        stream = gf.grow(recipe, seed=3)
+        graph = stream.seed_graph()
+        state = _GraphState(graph.num_nodes, stream.seed_edges)
+        rng = _FixedUniform(0.0, fallback=None)
+        sampler = _WedgeSampler(state, rng)
+        pick = np.random.default_rng(5)
+        anchor, base = 0, set()
+        for i, inc in enumerate(stream.increments):
+            n = graph.num_nodes
+            if i % 3:  # every third star reuses the last anchor and base object
+                anchor = int(pick.integers(n))
+                base = {anchor, *graph.adj[anchor], *pick.integers(n, size=SORTED_BASE).tolist()}
+            if SORTED_BASE < len(base) < n:
+                rng.u = float(pick.random())
+                rng.fallback = min(set(range(n)) - base)
+                got = sampler.sample(star_exclusion(base, []), anchor, False)
+                ends = sorted(x for w in graph.adj[anchor] for x in graph.adj[w]
+                              if x != anchor and x not in base)
+                assert got == (ends[int(rng.u * len(ends))] if ends else rng.fallback)
+                if graph.degrees[anchor]:
+                    mask = sampler._outside[:n]
+                    assert np.flatnonzero(~mask).tolist() == sorted(base)
+                    assert sampler._outside[n:].all()
+            gf.apply_increment(graph, inc)
+            state.apply(*astuple(inc))
 
 
 class TestSamplerState:
@@ -406,9 +545,10 @@ class TestSamplerState:
             elif isinstance(a, _EndpointListSampler):
                 assert sorted(a.endpoints) == endpoints
             else:
-                # the wedge sampler reads the state's blocks and keeps no graph of its own
+                # the wedge sampler reads the state's blocks and keeps no graph
+                # of its own, only the mask of the last large base it read
                 assert isinstance(a, _WedgeSampler)
-                assert vars(a).keys() == {"state", "rng", "seen"}
+                assert vars(a).keys() == {"state", "rng", "seen", "_outside", "_masked"}
 
     def test_state_after_each_increment_matches_fresh_build(self):
         # external and internal stars, each with existing and new targets
@@ -447,11 +587,29 @@ class TestSamplerState:
         for inc in stream.increments:
             gf.apply_increment(graph, inc)
             state.apply(*astuple(inc))
-            sampler.draw(only_rp, set(), None)
+            sampler.draw(only_rp, 1, (), None)
         dp = sampler._samplers[gf.DegreePower(1.5)]
         rp = sampler._samplers[gf.RankPreference(0.5)]
         assert np.count_nonzero(dp.weights) == 3
         assert np.count_nonzero(rp.weights) == graph.num_nodes
+        sampler.catch_up()
+        self.assert_same_state(sampler, schedule, graph)
+
+    def test_catch_up_with_nothing_logged(self):
+        # before the first increment, and again right after a catch-up,
+        # there is nothing to read and every sampler stays as it is
+        stream = gf.grow(gf.GrowthRecipe.constant("BA", increments=30, new_targets=2), seed=6)
+        graph = stream.seed_graph()
+        schedule = gf.GrowthRecipe.constant(self.SPEC).schedule()
+        state = _GraphState(graph.num_nodes, stream.seed_edges)
+        sampler = MixtureSampler(state, schedule, np.random.default_rng(0))
+        sampler.catch_up()
+        sampler.catch_up()
+        self.assert_same_state(sampler, schedule, graph)
+        for inc in stream.increments:
+            gf.apply_increment(graph, inc)
+            state.apply(*astuple(inc))
+        sampler.catch_up()
         sampler.catch_up()
         self.assert_same_state(sampler, schedule, graph)
 
@@ -524,6 +682,16 @@ GOLDEN_GROWTH = {
         300,
         "3c28956261c5a1837e74d781a6a84c42cf24d27cbbc7e8a63c5678d5c3f9e18e",
     ),
+    # internal stars whose centers have more than SORTED_BASE neighbours
+    "dp-rp-tri-large-exclusions": (
+        gf.GrowthRecipe.constant(
+            "0.4*DP(1.5) + 0.3*RP(0.5) + 0.3*TRI", increments=3000,
+            internal_prob=0.5, internal_targets=4,
+        ),
+        5,
+        None,
+        "fe5084386c5c24ba7aea7b9662cd35fcb5e0a8744d50eac0f112639cb70836a7",
+    ),
 }
 
 GOLDEN_FREQUENCIES = {
@@ -561,6 +729,18 @@ class TestGoldenStreams:
         ops = None if rows is None else gf.OperationSchedule(golden_replay_rows(rows))
         stream = gf.grow(recipe, seed=seed, op_schedule=ops)
         assert stream_sha256(stream) == expected
+
+    def test_large_exclusion_golden_draws_past_many_bases(self):
+        # the golden above is only a check of the large-base draws if its
+        # stream holds many stars that exclude a center and its neighbours
+        recipe, seed, _, _ = GOLDEN_GROWTH["dp-rp-tri-large-exclusions"]
+        stream = gf.grow(recipe, seed=seed)
+        graph = stream.seed_graph()
+        large = 0
+        for inc in stream.increments:
+            large += not inc.center_is_new and 1 + graph.degrees[inc.center] > SORTED_BASE
+            gf.apply_increment(graph, inc)
+        assert large >= 500
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FREQUENCIES))
     @pytest.mark.parametrize("exclusion", ["every-third", "all-but-ten"])

@@ -1141,7 +1141,7 @@ class TestBuildChunks:
         trace = likelihood._replay(
             stream.seed_graph(), stream.columns, 0, 0, SAMPLES, MAX_EXHAUSTIVE_CHOICES
         )
-        anchors = (*likelihood._triangle_anchors(trace), trace.events._triangle_keys)
+        anchors = (*likelihood._triangle_anchors(trace), trace.events._triangles[1])
         cache = build_choice_cache(trace, self.COMPS)
         mixed = likelihood._trace_logp(trace, self.COMPS, self.WEIGHTS)
         alone = likelihood._trace_logp(trace, [gf.DegreePower(1.5)], [1.0])

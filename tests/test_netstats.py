@@ -4,9 +4,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import growthfit as gf
+from growthfit.events import EdgeEvents, graph_ends
 from growthfit.netstats import (
     STAT_FIELDS,
     aggregate_series,
@@ -153,6 +156,77 @@ class TestStatsSeries:
         stream = gf.grow(gf.GrowthRecipe.constant("RAND", increments=20, new_targets=2), seed=0)
         rows = stats_series(stream, checkpoints=[20])
         assert rows[0].timestamp == stream.increments[-1].timestamp
+
+
+def edge_events(stream):
+    """A fresh ``EdgeEvents`` of a stream, with no table built."""
+    return EdgeEvents(*graph_ends(stream.seed_graph()), stream.columns)
+
+
+def whole_graph_triangles(stream, nodes, incs):
+    """``triangles_before`` read off the whole graph's table, built by one more query at the end."""
+    events = edge_events(stream)
+    counts = events.triangles_before(np.append(nodes, 0), np.append(incs, len(stream.increments)))
+    assert events._triangles[0] == len(events.edge_u)
+    return counts[:-1]
+
+
+class TestTriangleTables:
+    """Triangle counts from the edges a query can see, against the whole graph's table."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1000), data=st.data())
+    def test_prefix_tables_count_as_the_whole_graph(self, seed, data):
+        recipe = gf.GrowthRecipe.constant(
+            "0.5*TRI + 0.5*RAND", increments=data.draw(st.integers(1, 80)), new_targets=2,
+            internal_prob=0.3, internal_targets=2, seed_clique=data.draw(st.integers(3, 6)),
+        )
+        stream = gf.grow(recipe, seed=seed)
+        total = len(stream.increments)
+        events = edge_events(stream)
+        n = events.num_nodes
+        seen = 0
+        # calls at horizons in any order: a shorter one after a longer one
+        # reads the longer table, a longer one builds a new table
+        for horizon in data.draw(st.lists(st.integers(0, total), min_size=1, max_size=5)):
+            nodes = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30)))
+            incs = np.array(data.draw(st.lists(
+                st.integers(0, horizon), min_size=len(nodes), max_size=len(nodes))))
+            incs[-1] = horizon
+            got = events.triangles_before(nodes, incs)
+            assert got.tolist() == whole_graph_triangles(stream, nodes, incs).tolist()
+            seen = max(seen, int(np.searchsorted(events.edge_event, horizon, side="right")))
+            assert events._triangles[0] == seen
+
+    def test_early_queries_build_a_table_of_the_early_edges(self):
+        # as an ingested stream's first internal centers ask, at increments 1 and 2
+        recipe = gf.GrowthRecipe.constant("0.5*TRI + 0.5*RAND", increments=300, new_targets=3)
+        stream = gf.grow(recipe, seed=1)
+        events = edge_events(stream)
+        nodes, incs = np.array([0, 1]), np.array([1, 2])
+        got = events.triangles_before(nodes, incs)
+        assert got.tolist() == whole_graph_triangles(stream, nodes, incs).tolist() and got.all()
+        assert events._triangles[0] == np.searchsorted(events.edge_event, 2, side="right")
+        assert events._triangles[0] < len(events.edge_u) / 50
+
+    @pytest.mark.parametrize("checkpoints", [None, [5, 40, 80], [3, 17]])
+    def test_stats_series_builds_one_table(self, checkpoints, monkeypatch):
+        stream = gf.grow(
+            gf.GrowthRecipe.constant("0.5*TRI + 0.5*BA", increments=80, new_targets=2), seed=2
+        )
+        built = []
+        build = EdgeEvents._triangles_of
+
+        def counted(events, m):
+            built.append(m)
+            return build(events, m)
+
+        monkeypatch.setattr(EdgeEvents, "_triangles_of", counted)
+        rows = stats_series(stream, checkpoints=checkpoints)
+        # one table, of the edges the last checkpoint sees
+        assert built == [rows[-1].edges]
+        if checkpoints is None:
+            assert built == [stream.final_graph().edge_count]
 
 
 class TestCsvAndAggregation:
