@@ -733,9 +733,11 @@ def fit_changepoint(
 
 
 def changepoint_grid(t_lo: float, t_hi: float, points: int = 1000) -> np.ndarray:
-    """Evenly spaced candidate switch times across [t_lo, t_hi]."""
+    """``points`` + 1 evenly spaced candidate switch times across [t_lo, t_hi]."""
     if t_hi < t_lo:
         raise FitError("empty changepoint range")
+    if points < 1:
+        raise FitError(f"changepoint grid points must be >= 1, got {points}")
     return np.linspace(t_lo, t_hi, points + 1)
 
 

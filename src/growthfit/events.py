@@ -30,10 +30,22 @@ from .errors import GraphError, RejectedIncrementError, UnknownNodeError
 if TYPE_CHECKING:
     from .graph import DynamicGraph, Increment
 
-# Wedges the triangle table looks up at once: about ten index arrays of this
-# many entries (1.3 MB), where the whole graph's wedges took 14 MB on a
-# 100k-edge stream.
-_WEDGE_BATCH = 1 << 14
+# Work that one step of a pass holds at once: a run of triangle anchors, in
+# neighbour entries, pair walks and cells; a batch of exhaustive stars, in
+# subset totals (``likelihood._subset_batches``); a run of a batch's stars,
+# of sampled orderings or of collapsed rows, in polynomial terms; a run of
+# subset-DP vacancy values; a run of sampled stars' steps, 2 values per
+# component (``likelihood._ordering_batches``); a lattice slab and a
+# row-path batch (``likelihood._slab_plan``); a pool copy, in edge ends
+# (``generate._GraphState._compact``); and a quarter of it in triangle
+# wedges (``EdgeEvents._triangles_of``), whose run holds about ten index
+# arrays of that length (1.3 MB).  A step holds a few arrays of this many
+# values (512 KB each in float64), about a core's L2 cache (2 MB).  On a
+# 100k-edge stream half of it made the cache build 30% slower, and twice
+# it raised the anchors' peak by 1.5 MB; the whole graph's wedges at once
+# took 14 MB.  Every module reads it here when it runs, so patching this
+# one name changes every run.
+_BUILD_CHUNK_ELEMENTS = 1 << 16
 
 
 def new_id_error(role: str, node: int, expected: int) -> UnknownNodeError:
@@ -294,15 +306,13 @@ class EdgeEvents:
         return np.searchsorted(self.key, nodes * self.span + incs + 1) - self.start[nodes]
 
     def neighbours_before(
-        self, nodes: np.ndarray, incs: np.ndarray, degrees: np.ndarray | None = None
+        self, nodes: np.ndarray, incs: np.ndarray, degrees: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(query, neighbour) for every neighbour of each node before the paired increment.
 
-        ``degrees`` may pass ``degree_before(nodes, incs)`` when it is known.
-        Neighbours come query after query, each in arrival order.
+        ``degrees`` holds ``degree_before(nodes, incs)``.  Neighbours come
+        query after query, each in arrival order.
         """
-        if degrees is None:
-            degrees = self.degree_before(nodes, incs)
         lo = self.start[nodes]
         return np.repeat(np.arange(len(nodes)), degrees), self.nbr[concat_ranges(lo, lo + degrees)]
 
@@ -382,7 +392,7 @@ class EdgeEvents:
         edges are oriented (``_oriented_edges``), and every pair of edges out
         of one node is a wedge whose closing edge is looked up among all
         edges and kept if it is one of the m, for a run of edges heading
-        about ``_WEDGE_BATCH`` wedges at a time.
+        about a quarter of ``_BUILD_CHUNK_ELEMENTS`` wedges at a time.
         """
         # Edges are numbered in event order: the first m are those up to the m-th's event.
         horizon = self.edge_event[m - 1]
@@ -390,7 +400,7 @@ class EdgeEvents:
         out_end = offsets(np.bincount(lo, minlength=self.num_nodes))[lo + 1]
         keys = [np.zeros(0, dtype=np.int64)]
         # an edge heads a wedge with each later edge out of its node
-        for a, b in batches(out_end - np.arange(len(lo)) - 1, _WEDGE_BATCH):
+        for a, b in batches(out_end - np.arange(len(lo)) - 1, max(1, _BUILD_CHUNK_ELEMENTS >> 2)):
             edge = np.arange(a, b)
             first = np.repeat(edge, out_end[a:b] - edge - 1)
             second = concat_ranges(edge + 1, out_end[a:b])

@@ -71,6 +71,7 @@ from .errors import (
     json_object_fields,
     json_string,
 )
+from . import events as _events
 from .events import StreamColumns, concat_ranges
 from .events import offsets as _offsets
 from .graph import DynamicGraph, GrowthStream, seed_nodes
@@ -90,9 +91,6 @@ from .stream import OperationSchedule
 
 REJECT_CAP = 64
 STALL_CAP = 1000
-# Edge ends a pool copy moves at once, which bounds its index arrays.
-_COPY_ENDS = 1 << 16
-
 
 # Above this many nodes, a star's fixed exclusion base is prepared once per
 # star (see ``_Excluded``); smaller ones are handled per draw.
@@ -253,8 +251,9 @@ class _GraphState:
         """Slide every block, with its room, to the front of the pool, keeping the blocks' order.
 
         Blocks move in the order they lie, each only down and onto slots
-        whose blocks have moved already, a run of blocks at a time so that
-        the index arrays stay small; a run is read whole before it is written.
+        whose blocks have moved already, a ``_BUILD_CHUNK_ELEMENTS`` run of
+        edge ends at a time so that the index arrays stay small; a run is
+        read whole before it is written.
         """
         n = len(self.degrees)
         pool = self.pool_view
@@ -263,14 +262,10 @@ class _GraphState:
         bounds = _offsets(np.array(self.room, dtype=np.int64)[order])
         new_start = np.empty(n, dtype=np.int64)
         new_start[order] = bounds[:-1]
-        ends = np.cumsum(size[order])
-        first = 0
-        while first < n:
-            stop = ends[first] - size[order[first]] + _COPY_ENDS
-            run = order[first : max(int(np.searchsorted(ends, stop, "right")), first + 1)]
+        for a, b in _events.batches(size[order], _events._BUILD_CHUNK_ELEMENTS):
+            run = order[a:b]
             src, dst, k = old_start[run], new_start[run], size[run]
             pool[concat_ranges(dst, dst + k)] = pool[concat_ranges(src, src + k)]
-            first += len(run)
         self.start[:n] = new_start
         self.used = int(bounds[-1])
 
@@ -733,6 +728,8 @@ class GrowthRecipe:
     boundary_mode: str = "index"
 
     def __post_init__(self):
+        if not self.intervals:
+            raise ModelError("intervals must hold at least one (model, until) pair")
         modes = [m.value for m in BoundaryMode]
         if self.boundary_mode not in modes:
             raise ModelError(f"boundary_mode must be one of {modes}, got {self.boundary_mode!r}")
@@ -817,6 +814,8 @@ def grow(
     external star; a feasible one re-draws its center up to a cap and then
     raises.  Replayed schedules keep their exact shapes and may raise.
     """
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     if op_schedule is None and recipe.increments:
         # a star without targets has no star-stream row
         for name, used in (("new_targets", True), ("internal_targets", recipe.internal_prob)):
@@ -904,6 +903,8 @@ def sample_choice_frequencies(
     An ``excluded`` node or ``anchor`` outside the graph raises
     ``UnknownNodeError``.
     """
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     n = graph.num_nodes
     excluded = set(excluded or ())
     for v in sorted(excluded):

@@ -95,6 +95,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, FitError, ModelError, RejectedIncrementError
 from .errors import UndefinedRatioError
+from . import events as _events
 from .events import EdgeEvents, StreamColumns, first_rejection, graph_ends, segment_sums
 from .events import batches as _batches
 from .events import kept_table, read_only
@@ -128,16 +129,6 @@ DEFAULT_ORDERING_SAMPLES = 120
 
 _NEG_INF = float("-inf")
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-# Work that one step of a pass holds at once: a run of triangle anchors, in
-# neighbour entries, pair walks and cells; a batch of exhaustive stars, in
-# subset totals (_subset_batches); a run of a batch's stars, of sampled
-# orderings or of collapsed rows, in polynomial terms; a run of subset-DP
-# vacancy values; a run of sampled stars' steps, 2 values per component
-# (_ordering_batches); a lattice slab and a row-path batch (_slab_plan).  A
-# step holds a few arrays of this many values (512 KB each in float64),
-# about a core's L2 cache (2 MB).  On a 100k-edge stream half of it made the
-# cache build 30% slower, and twice it raised the anchors' peak by 1.5 MB.
-_BUILD_CHUNK_ELEMENTS = 1 << 16
 # Weight vectors _range_sums scores at once.
 _LATTICE_CHUNK = 256
 
@@ -328,9 +319,9 @@ class DPTrace:
     def _subset_groups(self) -> list[_SubsetGroup]:
         """Subset-DP tables of the exhaustive increments with existing targets, one per q.
 
-        The vacancy mask is formed one ``_star_chunks`` run of stars at a
-        time, into a table allocated at the first vacant subset; its counts
-        are small integers, so the runs change no bit.
+        The vacancy mask is formed one ``_BUILD_CHUNK_ELEMENTS`` run of stars
+        at a time, into a table allocated at the first vacant subset; its
+        counts are small integers, so the runs change no bit.
         """
         exhaustive = ~self.sampled & (self.existing_counts > 0)
         groups = []
@@ -342,13 +333,13 @@ class DPTrace:
             log_falling = np.log(initial - steps).sum(axis=0)
             subsets = (1 << q) - 1
             vacant = None
-            for part in _star_chunks(len(incs), subsets):
-                on = (self.target_deg[targets[:, part]] > 0).astype(np.float64)
-                gone = _subset_totals(self._occupied_base[incs[part]], on) <= 0.0
+            for a, b in _batches(np.full(len(incs), subsets), _events._BUILD_CHUNK_ELEMENTS):
+                on = (self.target_deg[targets[:, a:b]] > 0).astype(np.float64)
+                gone = _subset_totals(self._occupied_base[incs[a:b]], on) <= 0.0
                 if gone.any():
                     if vacant is None:
                         vacant = np.zeros((subsets, len(incs)), dtype=bool)
-                    vacant[:, part] = gone
+                    vacant[:, a:b] = gone
             groups.append(_SubsetGroup(incs, targets, initial, log_falling, vacant))
         return groups
 
@@ -460,18 +451,20 @@ def _ordering_batches(trace: DPTrace, ncomp: int) -> Iterator[_OrderingBatch]:
     A caller mixing ``ncomp`` components holds about 4 * ncomp + 1
     step-length arrays per run (each component's weights, totals, running
     prefix and ratios, and the eligible sizes), so a step counts 2 * ncomp
-    values of the budget: a run has at most 2**14 steps at two components,
-    about 1 MB.  A run holds at least one star.  Each star's values depend
-    only on its own rows, so no result depends on how the stars are batched.
+    values of the budget: a run has under 2**14 steps at two components,
+    about 1 MB, plus its last star's.  A run holds at least one star.  Each
+    star's values depend only on its own rows, so no result depends on how
+    the stars are batched.
     """
     for block in trace.orderings:
         stars, samples, q = block.shape
         incs = np.flatnonzero(trace.sampled & (trace.existing_counts == q))
-        for part in _star_chunks(stars, 2 * ncomp * samples * q):
-            rows = np.repeat(incs[part], samples)
-            positions = block[part].reshape(-1, q).astype(np.intp)
+        values = np.full(stars, 2 * ncomp * samples * q)
+        for a, b in _batches(values, _events._BUILD_CHUNK_ELEMENTS):
+            rows = np.repeat(incs[a:b], samples)
+            positions = block[a:b].reshape(-1, q).astype(np.intp)
             yield _OrderingBatch(
-                incs[part],
+                incs[a:b],
                 positions,
                 trace._target_start[rows, None] + positions,
                 (trace.initial[rows, None] - np.arange(q)).astype(np.float64),
@@ -541,7 +534,7 @@ def _triangle_anchors(trace: DPTrace) -> tuple[np.ndarray, ...]:
     # at most q - 1 more times for its pairs; an internal one walks them at
     # most once for its pairs, and sums its center's shared degrees.
     runs = _batches(
-        q * (segment_sums(trace.target_deg, q) + q) + shared_sizes, _BUILD_CHUNK_ELEMENTS
+        q * (segment_sums(trace.target_deg, q) + q) + shared_sizes, _events._BUILD_CHUNK_ELEMENTS
     )
     # where each run starts among the existing targets, the shared entries,
     # the anchor rows and the anchored centers, and where the last one ends
@@ -648,6 +641,8 @@ def _replay(
     """
     if ordering_samples < 1:
         raise ModelError(f"ordering_samples must be at least 1, got {ordering_samples}")
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     seed_node, seed_nbr = graph_ends(graph)
     rejection = first_rejection(cols, seed_node, seed_nbr)
     if rejection is not None:
@@ -1137,8 +1132,8 @@ def _subset_batches(
     """(stars, anchored, lattices) of the exhaustive stars with existing targets, in batches.
 
     Under triangle closure an external star is anchored: one lattice column
-    per first target.  A batch holds one star or at most
-    ``_BUILD_CHUNK_ELEMENTS`` subset totals: 2**q per star and component,
+    per first target.  A batch holds under ``_BUILD_CHUNK_ELEMENTS`` subset
+    totals plus its last star's: 2**q per star and component,
     q * 2**(q - 1) anchored.  No column's values depend on the others.  Adds
     the uniform steps of each star's identity ordering to ``fallbacks``,
     unless that is None.
@@ -1150,8 +1145,8 @@ def _subset_batches(
     for part, outer in parts:
         q = len(part.targets)
         per_star = len(components) * (q << (q - 1) if outer else 1 << q)
-        for stars in _star_chunks(len(part.incs), per_star):
-            batch = part.select(stars)
+        for a, b in _batches(np.full(len(part.incs), per_star), _events._BUILD_CHUNK_ELEMENTS):
+            batch = part.select(slice(a, b))
             anchoring = _Anchoring.of(batch) if outer else None
             lattices = [_lattice(trace, batch, c, n, anchoring) for c, n in zip(components, nodes)]
             if fallbacks is not None:
@@ -1414,16 +1409,6 @@ def _monomials(w: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _star_chunks(stars: int, per_star: int) -> Iterator[slice]:
-    """Consecutive runs of ``stars`` stars, each of at most ``_BUILD_CHUNK_ELEMENTS`` elements.
-
-    A star holds ``per_star`` elements, and a run at least one star.
-    """
-    step = max(1, _BUILD_CHUNK_ELEMENTS // per_star)
-    for a in range(0, stars, step):
-        yield slice(a, a + step)
-
-
 def _lattice_poly(
     stars: _SubsetGroup, anchored: bool, lattices: list[_Lattice]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -1433,16 +1418,16 @@ def _lattice_poly(
     not in S of (r(S, i) . w) G(S + i), r(S, i) holding each component's
     step ratio to uniform; the result is G(empty).  An anchored star sums
     the first step's form times G over its anchors.  A run of stars with q
-    targets holds under ``_BUILD_CHUNK_ELEMENTS`` terms of up to M values, a
-    star fewer than q * 2**q; every value of a column depends on that
-    column alone, so none depends on the runs.
+    targets holds under ``_BUILD_CHUNK_ELEMENTS`` terms of up to M values
+    plus its last star's, a star fewer than q * 2**q; every value of a
+    column depends on that column alone, so none depends on the runs.
     """
     q, ncomp = len(lattices[0].w), len(lattices)
     columns = q + 1 if anchored else 1
     targets = len(stars.targets)
     star_terms = (targets << targets) * len(_monomial_exponents(ncomp, targets))
-    for part in _star_chunks(len(stars.incs), star_terms):
-        run = [lat.select(slice(part.start * columns, part.stop * columns)) for lat in lattices]
+    for a, b in _batches(np.full(len(stars.incs), star_terms), _events._BUILD_CHUNK_ELEMENTS):
+        run = [lat.select(slice(a * columns, b * columns)) for lat in lattices]
         g = np.ones((1, len(run[0].eligible), 1))
         for size in reversed(range(q)):
             child = _subset_lattice(q)[1][size][2]
@@ -1450,7 +1435,7 @@ def _lattice_poly(
             terms = _times_linear(g[child].reshape(-1, g.shape[-1]), linear, q - size)
             g = terms.reshape(*child.shape, g.shape[1], -1).sum(axis=1)
         poly = g[0]
-        incs = stars.incs[part]
+        incs = stars.incs[a:b]
         if anchored:
             first = np.stack([lat.first for lat in run], axis=-1)
             poly = _times_linear(poly, first, q + 1).reshape(len(incs), q + 1, -1).sum(axis=1)
@@ -1465,17 +1450,17 @@ def _ordering_poly(
     ``ratios`` holds the batch's (n * S, q, L) step rows.  An ordering's
     coefficients start at 1 and are multiplied by one step row's linear
     form per step; a run of stars holds under ``_BUILD_CHUNK_ELEMENTS``
-    terms.
+    terms plus its last star's.
     """
     q, ncomp = ratios.shape[1:]
     samples = batch.samples
     size = len(_monomial_exponents(ncomp, q + 1))
-    for part in _star_chunks(len(batch.incs), samples * size):
-        run = ratios[part.start * samples : part.stop * samples]
+    for a, b in _batches(np.full(len(batch.incs), samples * size), _events._BUILD_CHUNK_ELEMENTS):
+        run = ratios[a * samples : b * samples]
         terms = np.ones((len(run), 1))
         for s in range(q):
             terms = _times_linear(terms, run[:, s], s + 1)
-        yield batch.incs[part], np.add.reduceat(terms, np.arange(0, len(terms), samples), axis=0)
+        yield batch.incs[a:b], np.add.reduceat(terms, np.arange(0, len(terms), samples), axis=0)
 
 
 class _Collapse:
@@ -1527,9 +1512,9 @@ class _Collapse:
         base, end = self.poly_coef_offsets[degree : degree + 2]
         size = len(_monomial_exponents(self.center_ratios.shape[1], degree))
         block = self.poly_coefs[base:end].reshape(-1, size)
-        for part in _star_chunks(len(incs), size):
-            run = incs[part]
-            scaled = sums[part] * self.inv_norm[run, None]
+        for a, b in _batches(np.full(len(incs), size), _events._BUILD_CHUNK_ELEMENTS):
+            run = incs[a:b]
+            scaled = sums[a:b] * self.inv_norm[run, None]
             rows = _times_linear(scaled, self.center_ratios[run], degree)
             block[np.searchsorted(held, run)] = rows
 
@@ -1616,7 +1601,7 @@ def _row_logratios(cache: ChoiceCache, incs: np.ndarray, w: np.ndarray) -> np.nd
     row_lo = cache.ordering_offsets[ords]
     row_hi = cache.ordering_offsets[ords + 1]
     ord_log = np.empty((len(ords), w.shape[0]))
-    for a, b in _batches(row_hi - row_lo, max(1, _BUILD_CHUNK_ELEMENTS // w.shape[0])):
+    for a, b in _batches(row_hi - row_lo, max(1, _events._BUILD_CHUNK_ELEMENTS // w.shape[0])):
         steps = cache.step_ratios[_concat_ranges(row_lo[a:b], row_hi[a:b])]
         step_log = _mix(steps.T[..., None], w.T)
         with np.errstate(divide="ignore"):
@@ -1676,7 +1661,7 @@ def _slab_plan(
     it.  ``batches`` holds each range's row-path increments as (range,
     increments) runs of at most ``limit`` orderings or one increment.
     """
-    limit = max(1, _BUILD_CHUNK_ELEMENTS // max(width, 1))
+    limit = max(1, _events._BUILD_CHUNK_ELEMENTS // max(width, 1))
     blocks = []
     for degree in range(1, len(cache.poly_offsets) - 1):
         incs = cache.poly_increments[cache.poly_offsets[degree] : cache.poly_offsets[degree + 1]]

@@ -109,15 +109,22 @@ def parse_model_spec(spec: str) -> MixtureInterval:
     return MixtureInterval(tuple(weights), tuple(comps))
 
 
+def _exponent(alpha: float) -> str:
+    """``alpha`` in six significant digits if that parses back to it, else in full."""
+    short = f"{alpha:g}"
+    return short if float(short) == alpha else repr(float(alpha))
+
+
 def format_component(comp: Component) -> str:
+    """The model token of ``comp``, which ``parse_component`` reads back to an equal component."""
     if isinstance(comp, Random):
         return "RAND"
     if isinstance(comp, DegreePower):
-        return "BA" if comp.alpha == 1.0 else f"DP({comp.alpha:g})"
+        return "BA" if comp.alpha == 1.0 else f"DP({_exponent(comp.alpha)})"
     if isinstance(comp, TriangleClosure):
         return "TRI"
     if isinstance(comp, RankPreference):
-        return f"RP({comp.alpha:g})"
+        return f"RP({_exponent(comp.alpha)})"
     raise ModelSpecError(f"cannot format {comp!r}")
 
 

@@ -423,19 +423,16 @@ def read_op_schedule(source) -> OperationSchedule:
     return OperationSchedule(rows)
 
 
-def stream_edge_records(
-    stream: GrowthStream, include_seed: bool = True, seed_timestamp: int | None = None
-) -> Iterator[EdgeRecord]:
+def stream_edge_records(stream: GrowthStream) -> Iterator[EdgeRecord]:
     """Flatten a star stream to edge rows (lossy: the seed stops being special).
 
-    Seed edges are emitted first at ``seed_timestamp`` (default: one before
-    the first star, or 0); re-ingesting the rows will score them like any
-    other arrivals.
+    Seed edges are emitted first, one timestamp before the first star (0
+    without stars); re-ingesting the rows will score them like any other
+    arrivals.
     """
     cols, label = stream.columns, stream.label
-    if include_seed and stream.seed_edges:
-        if seed_timestamp is None:
-            seed_timestamp = int(cols.timestamp[0]) - 1 if cols.num_increments else 0
+    if stream.seed_edges:
+        seed_timestamp = int(cols.timestamp[0]) - 1 if cols.num_increments else 0
         for u, v in stream.seed_edges:
             yield EdgeRecord(label(u), label(v), seed_timestamp)
     tinc = cols.target_inc

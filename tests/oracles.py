@@ -450,18 +450,19 @@ def chunked_cache_loglik(kernels, cache, weights, start=0, stop=None):
     Every chunk of 256 weight vectors resolves the range's coefficient rows
     of each degree again and, for each run of them whose index in the
     degree's block has the same ``row // limit`` (``limit =
-    _BUILD_CHUNK_ELEMENTS // min(C, 256)``, at least 1), adds the column
-    sums of a fresh log(coefficients @ monomials) array; then it adds the
-    row-path batches of at most ``limit`` orderings or one increment, in
-    that order.  ``kernels`` is the ``growthfit.likelihood`` module: the
-    block arithmetic is the package's, the resolution and accumulation
-    order are this reference's own.
+    events._BUILD_CHUNK_ELEMENTS // min(C, 256)``, at least 1), adds the
+    column sums of a fresh log(coefficients @ monomials) array; then it adds
+    the row-path batches of at most ``limit`` orderings or one increment, in
+    that order.  ``kernels`` is the ``growthfit.likelihood`` module, and
+    the budget is read through its ``events``: the block arithmetic is the
+    package's, the resolution and accumulation order are this reference's
+    own.
     """
     single = weights.ndim == 1
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     stop = cache.num_increments if stop is None else stop
     width = min(w.shape[0], 256)
-    limit = max(1, kernels._BUILD_CHUNK_ELEMENTS // width)
+    limit = max(1, kernels._events._BUILD_CHUNK_ELEMENTS // width)
     out = np.full(w.shape[0], float(cache.logp_rand[start:stop].sum()))
     for lo in range(0, w.shape[0], 256):
         chunk = w[lo : lo + 256]

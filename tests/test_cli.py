@@ -76,6 +76,13 @@ class TestGenerate:
         assert err.startswith("error (ModelError): increments")
         assert not out.exists()
 
+    def test_negative_seed_is_a_model_error(self, tmp_path, capsys):
+        out = tmp_path / "g.stars"
+        code, _, err = run(capsys, "generate", "--model", "BA", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error (ModelError): seed must be >= 0, got -1")
+        assert not out.exists()
+
 
 class TestIngest:
     def test_ingest_reports_and_writes(self, tmp_path, capsys):

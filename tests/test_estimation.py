@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import growthfit as gf
-from growthfit import estimation, likelihood
+from growthfit import estimation, events, likelihood
 from growthfit.estimation import (
     changepoint_grid,
     default_alpha_grid,
@@ -68,6 +68,12 @@ class TestGrids:
     def test_changepoint_grid_is_inclusive_linspace(self):
         grid = changepoint_grid(0.0, 10.0, 5)
         assert grid.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        assert changepoint_grid(0.0, 10.0, 1).tolist() == [0.0, 10.0]
+
+    @pytest.mark.parametrize("points", [0, -5])
+    def test_changepoint_grid_needs_a_point(self, points):
+        with pytest.raises(gf.FitError, match=f"points .*{points}"):
+            changepoint_grid(0.0, 10.0, points)
 
 
 class TestPartitions:
@@ -383,6 +389,17 @@ class TestFitIntervals:
         summary, _ = gf.score_stream(stream, fit.schedule())
         assert abs(summary.loglik - fit.loglik) < 1e-6
 
+    def test_saved_fit_keeps_its_exponents(self):
+        recipe = gf.GrowthRecipe.constant("0.5*DP(1.2345678) + 0.5*RAND", increments=300)
+        stream = gf.grow(recipe, seed=0)
+        cache = gf.build_choice_cache(stream, [gf.DegreePower(1.2345678), gf.Random()])
+        fit = gf.fit_intervals(cache, 1)
+        schedule = gf.FitResult.from_json(fit.to_json()).schedule()
+        assert schedule.intervals[0].components == cache.components
+        # six significant digits, DP(1.23457), moved the score by 1.4e-5
+        summary, _ = gf.score_stream(stream, schedule)
+        assert abs(summary.loglik - fit.loglik) < 1e-6
+
     @staticmethod
     def fit_json():
         return {
@@ -499,7 +516,7 @@ class TestBlockSums:
         mode=st.sampled_from(["count", "time"]),
         which=st.sampled_from([0, 1]),
         min_rows=st.sampled_from([1, 16, estimation._MIN_BLOCK_INCREMENTS]),
-        slab=st.sampled_from([likelihood._BUILD_CHUNK_ELEMENTS, 256 * 5]),
+        slab=st.sampled_from([events._BUILD_CHUNK_ELEMENTS, 256 * 5]),
     )
     def test_block_path_matches_direct_scores(self, lattice_caches, j, mode, which, min_rows, slab):
         # The grown cache has 150 increments, the mixed one (with a row-path
@@ -514,7 +531,7 @@ class TestBlockSums:
             assume(False)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimation, "_MIN_BLOCK_INCREMENTS", min_rows)
-            mp.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", slab)
+            mp.setattr(events, "_BUILD_CHUNK_ELEMENTS", slab)
             kept = estimation._block_sums(cache, self.LATTICE, 0.01)
             scores = estimation._interval_logliks(cache, self.LATTICE, kept, groups)
         most = estimation._LATTICE_SUM_BUDGET // len(self.LATTICE)
@@ -526,7 +543,7 @@ class TestBlockSums:
     @given(
         data=st.data(),
         which=st.sampled_from([0, 1]),
-        slab=st.sampled_from([256, 256 * 5, 256 * 40, likelihood._BUILD_CHUNK_ELEMENTS]),
+        slab=st.sampled_from([256, 256 * 5, 256 * 40, events._BUILD_CHUNK_ELEMENTS]),
     )
     def test_range_sums_match_one_range_at_a_time(self, lattice_caches, data, which, slab):
         # Sorted, disjoint ranges that touch, leave gaps or are empty, scored
@@ -538,7 +555,7 @@ class TestBlockSums:
         ranges = [(a, b) for a, b, k in zip(cuts, cuts[1:], keep) if k] or [(cuts[0], cuts[-1])]
         starts, stops = np.array(ranges, dtype=np.int64).T
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", slab)
+            mp.setattr(events, "_BUILD_CHUNK_ELEMENTS", slab)
             got = likelihood._range_sums(cache, self.LATTICE, starts, stops)
         for (a, b), row in zip(ranges, got):
             direct = gf.cache_loglik(cache, self.LATTICE, a, b)
@@ -622,7 +639,7 @@ class TestBlockSums:
         assert kept.sums.shape == (estimation._LATTICE_SUM_BUDGET // 10001, 10001)
         assert kept.sums.size <= estimation._LATTICE_SUM_BUDGET
         # Scoring the whole range directly would hold 2000 x 256 values at once (4 MB).
-        slab = likelihood._BUILD_CHUNK_ELEMENTS * 8
+        slab = events._BUILD_CHUNK_ELEMENTS * 8
         assert peak < kept.sums.nbytes + 1.5 * slab
         gf.fit_intervals(cache, 3, step=0.01)
         assert len(cache._lattice_sums) == 2

@@ -59,6 +59,10 @@ class TestGrowthRecipe:
         with pytest.raises(gf.ModelError, match=field):
             gf.GrowthRecipe.constant("BA", **{field: value})
 
+    def test_no_interval_is_a_model_error(self):
+        with pytest.raises(gf.ModelError, match="intervals"):
+            gf.GrowthRecipe(intervals=[])
+
     @pytest.mark.parametrize(
         "field, value",
         [("increments", 3.7), ("new_targets", True), ("internal_targets", "2"),
@@ -122,6 +126,16 @@ class TestGrowthRecipe:
 
 
 class TestGrow:
+    def test_negative_seed_is_a_model_error(self):
+        graph = gf.graph_from_edges([(0, 1), (1, 2)], num_nodes=3)
+        calls = (
+            lambda: gf.grow(gf.GrowthRecipe.constant("BA", increments=5), seed=-1),
+            lambda: sample_choice_frequencies(graph, gf.Random(), 10, seed=-1),
+        )
+        for call in calls:
+            with pytest.raises(gf.ModelError, match="seed .*-1"):
+                call()
+
     def test_same_seed_reproduces_stream(self):
         recipe = gf.GrowthRecipe.constant(
             "0.5*BA + 0.5*RAND", increments=120, new_targets=3,

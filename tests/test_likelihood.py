@@ -183,24 +183,29 @@ class TestOrderings:
         assert abs(draws.mean() - exact) < 4.0 * se
 
 
-class TestOrderingSamples:
-    @pytest.mark.parametrize("samples", [0, -3])
+class TestReplayOptions:
+    # a negative seed is refused whether or not a star is sampled, and so
+    # never keys a kept trace
+    @pytest.mark.parametrize(
+        "option, value", [("ordering_samples", 0), ("ordering_samples", -3), ("seed", -1)]
+    )
     @pytest.mark.parametrize("new_targets", [3, 7])
-    def test_fewer_than_one_is_a_model_error(self, samples, new_targets, monkeypatch):
+    def test_out_of_range_is_a_model_error(self, option, value, new_targets, monkeypatch):
         recipe = gf.GrowthRecipe.constant("BA", increments=20, new_targets=new_targets)
         stream = gf.grow(recipe, seed=0)
         monkeypatch.setattr(likelihood, "MAX_EXHAUSTIVE_CHOICES", 5)
         assert build_dp_trace(stream).sampled.any() == (new_targets > 4)
         graph = stream.seed_graph()
         calls = (
-            lambda: build_dp_trace(stream, ordering_samples=samples),
+            lambda: build_dp_trace(stream, **{option: value}),
             lambda: gf.increment_probability(
-                graph, stream.increments[0], gf.DegreePower(1.0), ordering_samples=samples
+                graph, stream.increments[0], gf.DegreePower(1.0), **{option: value}
             ),
         )
         for call in calls:
-            with pytest.raises(gf.ModelError, match=f"ordering_samples .*{samples}"):
+            with pytest.raises(gf.ModelError, match=f"{option} .*{value}"):
                 call()
+        assert len(stream._traces) == 1
 
 
 class TestOneTracePerStream:
@@ -438,7 +443,7 @@ class TestLatticeEvaluation:
         cache_loglik(long_cache, grid)  # builds the monomial tables outside the measurement
         _, peak, _ = traced_peak(lambda: cache_loglik(long_cache, grid))
         # The whole range's values would be 2000 x 256 float64 (4 MB).
-        assert peak < 1.5 * likelihood._BUILD_CHUNK_ELEMENTS * 8
+        assert peak < 1.5 * events._BUILD_CHUNK_ELEMENTS * 8
 
     @pytest.mark.parametrize(
         "bounds",
@@ -1072,7 +1077,7 @@ class TestOrderingBatches:
         # onto degree-0 nodes, the degree power and triangle closure fall back on every step
         assert series[0].sampled and series[0].fallback_choices == 2 * 7
         assert len(cache.row_increments) == 1
-        monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(events, "_BUILD_CHUNK_ELEMENTS", 1)
         _, one_series, one_cache, one_scans, one_batches = self.outputs(stream)
         assert one_batches == trace.sampled_increments > batches
         assert [s.logp for s in one_series] == [s.logp for s in series]
@@ -1119,8 +1124,8 @@ class TestBuildChunks:
 
     Anchors, batches of exhaustive stars' lattices, subset-DP columns and
     vacancy masks, orderings, collapsed rows, lattice slabs and row-path
-    batches run in ``_BUILD_CHUNK_ELEMENTS``, the triangle table's wedges in
-    ``_WEDGE_BATCH``.  Every value is formed from its own star's rows in a
+    batches run in ``events._BUILD_CHUNK_ELEMENTS``, the triangle table's
+    wedges in a quarter of it.  Every value is formed from its own star's rows in a
     fixed order, so the cache, each increment's score in log space and each
     row-path lattice score keep their bits under any budget.  A collapsed
     increment's lattice score is a BLAS product of a slab's coefficient rows
@@ -1156,6 +1161,20 @@ class TestBuildChunks:
         }
         return anchors, cache, gf.fit_intervals(cache, 2, step=0.1), scores
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(0, 300), max_size=40),
+        budget=st.one_of(st.just(1), st.integers(1, 1 << 10)),
+    )
+    def test_batches_cut_every_item_into_budgeted_runs(self, sizes, budget):
+        # the one cutter of every bounded loop in the package
+        sizes = np.array(sizes, dtype=np.int64)
+        runs = events.batches(sizes, budget)
+        assert (runs == []) == (len(sizes) == 0)
+        assert [i for a, b in runs for i in range(a, b)] == list(range(len(sizes)))
+        for a, b in runs:
+            assert a < b and sizes[a : b - 1].sum() < budget
+
     # batched: sampled stars of 8 and 12 existing targets; six-and-seven:
     # exhaustive ones of up to 7, anchored under triangle closure
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1173,9 +1192,8 @@ class TestBuildChunks:
         assert trace.sampled.any() == sampled
         # the batched stream's 12-target star is scored on the row path
         assert len(cache.row_increments) == sampled
-        for budget in (1, 7):
-            monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", budget)
-            monkeypatch.setattr(events, "_WEDGE_BATCH", budget)
+        for budget in (1, 7, 256, 4096):
+            monkeypatch.setattr(events, "_BUILD_CHUNK_ELEMENTS", budget)
             got_anchors, got_cache, got_fit, got_scores = self.outputs(stream)
             for got, expect in zip(got_anchors, anchors):
                 assert np.array_equal(got, expect) and got.dtype == expect.dtype
@@ -1218,8 +1236,8 @@ class TestBuildChunks:
         expect = groups()
         # stars onto degree-0 nodes leave subsets with no node of positive degree
         assert any(g[-1] is not None for g in expect)
-        for budget in (1, 7):
-            monkeypatch.setattr(likelihood, "_BUILD_CHUNK_ELEMENTS", budget)
+        for budget in (1, 7, 256, 4096):
+            monkeypatch.setattr(events, "_BUILD_CHUNK_ELEMENTS", budget)
             assert groups() == expect, budget
 
     def test_subset_groups_build_in_runs(self):

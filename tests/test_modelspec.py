@@ -85,6 +85,22 @@ class TestFormatting:
         assert format_component(gf.Random()) == "RAND"
         assert format_component(gf.TriangleClosure()) == "TRI"
 
+    @pytest.mark.parametrize(
+        "comp, text",
+        [
+            (gf.DegreePower(1.2345678), "DP(1.2345678)"),
+            (gf.DegreePower(-0.1), "DP(-0.1)"),
+            (gf.DegreePower(1e-7), "DP(1e-07)"),
+            (gf.RankPreference(0.1 + 0.2), "RP(0.30000000000000004)"),
+            (gf.RankPreference(123456.0), "RP(123456)"),
+            (gf.RankPreference(1234567.0), "RP(1234567.0)"),
+        ],
+    )
+    def test_exponents_keep_every_bit(self, comp, text):
+        # six significant digits when they read back as the same float
+        assert format_component(comp) == text
+        assert parse_component(text) == comp
+
     def test_round_trip(self):
         for text in ("RAND", "0.3*BA + 0.7*RAND", "0.25*DP(2) + 0.25*RP(1.5) + 0.5*TRI"):
             mix = parse_model_spec(text)
